@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from typing import Callable, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive, solve_exact
@@ -63,19 +63,21 @@ def bidegree_monomials(bidegree: tuple[int, int]) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A linear system of fixed bidegree, stored by an exact basis."""
+    """A linear system of fixed bidegree, stored by primitive coefficient
+    vectors over its monomials."""
 
     bidegree: tuple[int, int]
     monomials: tuple[tuple[int, ...], ...]
-    basis: tuple[MultiPoly, ...]
-    conditions_log: tuple[str, ...] = ()
+    vectors: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
-    def coefficient_matrix(self) -> QMatrix:
-        return QMatrix([b.coefficient_vector(self.monomials) for b in self.basis])
+    @property
+    def basis(self) -> tuple[MultiPoly, ...]:
+        return tuple(MultiPoly(XY_BLOCKS, dict(zip(self.monomials, v)))
+                     for v in self.vectors)
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,21 @@ def _chart_index(point: Sequence[Fraction]) -> int:
     raise ValueError("zero point has no chart")
 
 
-def _monomial_polys(monomials, blocks=XY_BLOCKS) -> tuple[MultiPoly, ...]:
-    return tuple(MultiPoly(blocks, {m: Fraction(1)}) for m in monomials)
+def _monomial_row(monomials, point: Sequence[Fraction],
+                  d: int | None = None) -> list[Fraction]:
+    """Value of each monomial, or of its partial in coordinate d, at a point.
+
+    The point is the 6-tuple (x, y); the row is the linear condition
+    "vanishes there" on coefficient vectors over the monomials.
+    """
+    row = []
+    for exp in monomials:
+        c = 1
+        if d is not None:
+            # d z^e = e z^(e-1); at e = 0, c is 0 and the max avoids 0^-1
+            c, exp = exp[d], exp[:d] + (max(exp[d] - 1, 0),) + exp[d + 1:]
+        row.append(c * prod(v ** e for v, e in zip(point, exp) if e))
+    return row
 
 
 def node_condition_rows(monomials, point: Sequence[Fraction],
@@ -118,15 +133,12 @@ def node_condition_rows(monomials, point: Sequence[Fraction],
     order 1 is plain vanishing; order 2 adds the four chart partials (the
     Euler relations make value + four partials equivalent to all six).
     """
-    polys = _monomial_polys(monomials)
-    w = {"x": tuple(point), "y": tuple(point)}
-    rows = [[m.evaluate(w) for m in polys]]
+    at = tuple(point) * 2
+    rows = [_monomial_row(monomials, at)]
     if order >= 2:
         k = _chart_index(point)
-        for block in ("x", "y"):
-            for j in range(3):
-                if j != k:
-                    rows.append([m.partial(block, j).evaluate(w) for m in polys])
+        rows += [_monomial_row(monomials, at, 3 * block + j)
+                 for block in (0, 1) for j in range(3) if j != k]
     return rows
 
 
@@ -163,48 +175,57 @@ def base_system(points: tuple[tuple[Fraction, ...], ...],
     if rank != len(rows):
         raise DegenerateConfigurationError(
             f"dependent point conditions: rank {rank} of {len(rows)} rows")
-    basis = tuple(MultiPoly(XY_BLOCKS, dict(zip(monomials, vec)))
-                  for vec in matrix.kernel())
-    per = len(rows) // len(points)
-    log = tuple(f"order-{order} vanishing at diagonal point {i} ({per} rows)"
-                for i in range(len(points)))
-    return LinearSystem(bidegree, monomials, basis, log)
+    return LinearSystem(bidegree, monomials, tuple(matrix.kernel()))
 
 
-def line_condition_rows(basis: Sequence[MultiPoly],
-                        lf: LineInFiber) -> list[list[Fraction]]:
-    """Vanishing of each basis form on {o} x line, as 3 evaluation rows.
+def line_condition_rows(monomials, lf: LineInFiber) -> list[list[Fraction]]:
+    """Vanishing on {o} x line, as 3 rows of monomial values.
 
     A fiber conic restricted to a line is a binary quadratic, so vanishing
     at three distinct points of the line kills it.
     """
     p, q = lf.spanning_points()
     third = tuple(a + b for a, b in zip(p, q))
-    return [[b.evaluate({"x": lf.o, "y": y}) for b in basis]
-            for y in (p, q, third)]
+    return [_monomial_row(monomials, lf.o + y) for y in (p, q, third)]
 
 
-def _normalized(poly: MultiPoly, monomials) -> MultiPoly:
-    vec = primitive(poly.coefficient_vector(monomials))
-    return MultiPoly(poly.blocks, dict(zip(monomials, vec)))
+def _cut(sys: LinearSystem, rows: list[list[Fraction]],
+         expected_drop: int, label: str) -> LinearSystem:
+    """The members of sys on which every condition row vanishes.
 
+    The rows are restricted to the basis of sys; each kernel vector of that
+    matrix gives a member, scaled to a primitive coefficient vector.
 
-def _cut_by_rows(sys: LinearSystem, rows: list[list[Fraction]],
-                 expected_drop: int, label: str) -> LinearSystem:
-    ker = QMatrix(rows).kernel()
+    Cutting by all rows at once gives the same basis, vector for vector, as
+    cutting by groups of them in turn (as repeated `impose_line` does).
+    For each free column f, `QMatrix.kernel` returns the primitive kernel
+    vector that is 1 at f and 0 at the other free columns, and f is its
+    last nonzero index.  The free columns of a subspace are the last
+    nonzero indices of its vectors, so they and this basis depend only on
+    the subspace, not on how its conditions are grouped.  A cut's basis,
+    written in the coordinates of the system it was cut from, has
+    increasing last nonzero indices and is 0 at the other free columns, so
+    it carries the basis of a later cut to the one-step basis up to scale,
+    and `primitive` removes the scale.  The drop by all rows is the sum of
+    the drops by each group, and no group drops by more than its number of
+    rows, so one drop check is the check of every step.
+    """
+    restricted = QMatrix([[sum(r * c for r, c in zip(row, vec))
+                           for vec in sys.vectors] for row in rows])
+    ker = restricted.kernel()
     drop = sys.dim - len(ker)
     if drop != expected_drop:
         raise NonGenericDropError(
             f"{label}: dimension dropped by {drop}, expected {expected_drop}")
-    basis = []
-    for vec in ker:
-        acc = MultiPoly.zero(XY_BLOCKS)
-        for c, b in zip(vec, sys.basis):
-            if c:
-                acc = acc + c * b
-        basis.append(_normalized(acc, sys.monomials))
-    return LinearSystem(sys.bidegree, sys.monomials, tuple(basis),
-                        sys.conditions_log + (label,))
+    vectors = tuple(
+        primitive([sum(k * v[m] for k, v in zip(kv, sys.vectors) if k)
+                   for m in range(len(sys.monomials))])
+        for kv in ker)
+    return LinearSystem(sys.bidegree, sys.monomials, vectors)
+
+
+def _line_rows(monomials, lines: Sequence[LineInFiber]) -> list[list[Fraction]]:
+    return [row for lf in lines for row in line_condition_rows(monomials, lf)]
 
 
 def impose_line(sys: LinearSystem, lf: LineInFiber,
@@ -212,27 +233,24 @@ def impose_line(sys: LinearSystem, lf: LineInFiber,
     """Cut the system by vanishing on {o} x line (generically codim 3)."""
     if sys.dim == 0:
         raise ValueError("cannot impose conditions on the zero system")
-    return _cut_by_rows(sys, line_condition_rows(sys.basis, lf),
-                        expected_drop, f"line in fiber over {lf.o}")
+    return _cut(sys, line_condition_rows(sys.monomials, lf),
+                expected_drop, f"line in fiber over {lf.o}")
 
 
 def impose_point(sys: LinearSystem, x: Sequence[Fraction], y: Sequence[Fraction],
                  expected_drop: int = 1) -> LinearSystem:
-    rows = [[b.evaluate({"x": tuple(x), "y": tuple(y)}) for b in sys.basis]]
-    return _cut_by_rows(sys, rows, expected_drop, f"point ({tuple(x)}, {tuple(y)})")
+    rows = [_monomial_row(sys.monomials, tuple(x) + tuple(y))]
+    return _cut(sys, rows, expected_drop, f"point ({tuple(x)}, {tuple(y)})")
 
 
 def stacked_condition_matrix(points, lines: Sequence[LineInFiber],
                              bidegree=(2, 2), order: int = 2) -> QMatrix:
     """All node and line conditions as one matrix on raw coefficient vectors."""
     monomials = bidegree_monomials(bidegree)
-    polys = _monomial_polys(monomials)
     rows = []
     for pt in points:
         rows.extend(node_condition_rows(monomials, pt, order))
-    for lf in lines:
-        rows.extend(line_condition_rows(polys, lf))
-    return QMatrix(rows)
+    return QMatrix(rows + _line_rows(monomials, lines))
 
 
 # -- symmetric matrix and discriminant ---------------------------------------
@@ -257,14 +275,10 @@ class SymQuadricMatrix:
         acc = MultiPoly.zero(XY_BLOCKS)
         for i in range(3):
             for j in range(3):
-                a = MultiPoly(XY_BLOCKS,
-                              {e + _Y_EXPS[i][j]: c
-                               for e, c in self._lift(i, j).terms.items()})
-                acc = acc + a
+                acc = acc + MultiPoly(
+                    XY_BLOCKS, {e + _Y_EXPS[i][j]: c
+                                for e, c in self.entries[i][j].terms.items()})
         return acc
-
-    def _lift(self, i, j):
-        return self.entries[i][j]
 
 
 _Y_EXPS = [[tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(3))
@@ -316,28 +330,29 @@ class NodeCertificate:
 
 
 def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertificate:
-    """Exact gradient and chart-Hessian data of a plane curve at a point."""
+    """Exact gradient and chart-Hessian data of a plane curve at a point.
+
+    gamma is a form in a single block of three variables: x for the
+    discriminant sextic, t for the discriminant cubic of a net.
+    """
+    ((block, _),) = gamma.blocks
     point = tuple(Fraction(c) for c in point)
-    at = {"x": point}
+    at = {block: point}
     value = gamma.evaluate(at)
-    grad = tuple(gamma.partial("x", j).evaluate(at) for j in range(3))
+    grad = tuple(gamma.partial(block, j).evaluate(at) for j in range(3))
     k = _chart_index(point)
     local = [j for j in range(3) if j != k]
-    hess = [[gamma.partial("x", a).partial("x", b).evaluate(at) for b in local]
+    hess = [[gamma.partial(block, a).partial(block, b).evaluate(at) for b in local]
             for a in local]
     minor = hess[0][0] * hess[1][1] - hess[0][1] * hess[1][0]
     return NodeCertificate(point=point, chart=k,
                            gradient=(value,) + grad, hessian_minor=minor)
 
 
-def _x_poly_to_dict(poly: MultiPoly) -> dict:
-    return {exp: c for exp, c in poly.terms.items()}
-
-
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
     """Certify Sing(gamma) = {points}; mod a large prime unless exact."""
-    partials = [_x_poly_to_dict(gamma.partial("x", j)) for j in range(3)]
+    partials = [gamma.partial("x", j).terms for j in range(3)]
     if exact:
         F = QQ
         polys = partials
@@ -465,13 +480,14 @@ def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly, nodes,
             if A.evaluated(pt).rank() != 3:
                 raise CertificationError(f"degenerate fiber off the sextic at {pt}")
             break
+    else:
+        raise CertificationError("no point off the sextic in 16 draws")
     return {"curve_samples": len(on_curve), "all_rank_two": True,
             "skipped": not on_curve}
 
 
 # -- residual lines -----------------------------------------------------------
 
-_Y_ONLY = (("y", 3),)
 _Y_DEG2 = monomials_of_degree(2)
 
 
@@ -599,21 +615,16 @@ def random_line_in_fiber(rng: random.Random) -> LineInFiber:
 
 def zeta(lines: Sequence[LineInFiber],
          nodes=STANDARD_NODES) -> tuple[MultiPoly, LinearSystem]:
-    """The unique (2,2) form through five lines in fibers, up to scale."""
+    """The unique (2,2) form through five lines in fibers, up to scale.
+
+    One cut of the 16-dimensional base system by the 15 line rows; it gives
+    the system that five `impose_line` cuts would.
+    """
     if len(lines) != 5:
         raise ValueError("exactly five lines are required")
-    sys = base_system(tuple(tuple(p) for p in nodes))
-    for lf in lines:
-        sys = impose_line(sys, lf)
-    if sys.dim != 1:
-        raise NonGenericDropError(f"expected a unique member, got dim {sys.dim}")
-    Q = sys.basis[0]
-    for lf in lines:
-        p, q = lf.spanning_points()
-        for y in (p, q, tuple(a + b for a, b in zip(p, q))):
-            if Q.evaluate({"x": lf.o, "y": y}) != 0:
-                raise AssertionError("member misses a marked line")
-    return Q, sys
+    base = base_system(tuple(tuple(p) for p in nodes))
+    sys = _cut(base, _line_rows(base.monomials, lines), 15, "five lines in fibers")
+    return sys.basis[0], sys
 
 
 def certify_instance(Q: MultiPoly, lines, rng: random.Random,
@@ -677,36 +688,16 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber],
         if primitive(lf.o) == o and sum(a * b for a, b in zip(lf.dual, o)) == 0:
             raise DegenerateConfigurationError(
                 "base point lies on a fixed line in its own fiber")
-    sys = base_system(tuple(tuple(p) for p in nodes))
-    for lf in fixed_lines:
-        sys = impose_line(sys, lf)
-    sys = impose_point(sys, o, o)
-    if sys.dim != 3:
-        raise NonGenericDropError(f"net has dimension {sys.dim}, expected 3")
-    restr_rows = []
-    restricted = []
-    for g in sys.basis:
-        conic = restricted_conic(g, o)
-        restr_rows.append([conic.terms.get(m, Fraction(0)) for m in _Y_DEG2])
-        restricted.append(to_symmetric_matrix_fiber(conic))
-    if QMatrix(restr_rows).rank() != 3:
+    base = base_system(tuple(tuple(p) for p in nodes))
+    rows = (_line_rows(base.monomials, fixed_lines)
+            + [_monomial_row(base.monomials, o + o)])
+    sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
+    restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
+    if QMatrix([[m[i, j] for i in range(3) for j in range(i, 3)]
+                for m in restricted]).rank() != 3:
         raise NonGenericDropError("restriction to the fiber over o is not injective")
     return NetT(o=o, fixed_lines=tuple(fixed_lines), system=sys,
-                restricted=tuple(restricted))
-
-
-def to_symmetric_matrix_fiber(conic: MultiPoly) -> QMatrix:
-    """Symmetric 3x3 rational matrix of a conic in the y variables."""
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    for exp, c in conic.terms.items():
-        idx = [k for k in range(3) for _ in range(exp[k])]
-        i, j = idx
-        if i == j:
-            m[i][i] = c
-        else:
-            m[i][j] += c / 2
-            m[j][i] += c / 2
-    return QMatrix(m)
+                restricted=restricted)
 
 
 def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
@@ -729,11 +720,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     if tstar is None:
         raise CertificationError("net discriminant is not a one-nodal cubic")
     tstar = primitive(tstar)
-    cert = NodeCertificate(
-        point=tstar, chart=_chart_index(tstar),
-        gradient=(cubic.evaluate({"t": tstar}),) + tuple(
-            cubic.partial("t", j).evaluate({"t": tstar}) for j in range(3)),
-        hessian_minor=_t_hessian_minor(cubic, tstar))
+    cert = node_certificate(cubic, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
     B = QMatrix([[sum((tstar[k] * net.restricted[k][i, j] for k in range(3)),
@@ -745,15 +732,6 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
         raise CertificationError("singular conic does not split through o")
     return {"cubic": cubic, "node": tstar, "certificate": cert,
             "vertex": primitive(vertex)}
-
-
-def _t_hessian_minor(cubic: MultiPoly, point) -> Fraction:
-    k = _chart_index(point)
-    local = [j for j in range(3) if j != k]
-    at = {"t": tuple(point)}
-    h = [[cubic.partial("t", a).partial("t", b).evaluate(at) for b in local]
-         for a in local]
-    return h[0][0] * h[1][1] - h[0][1] * h[1][0]
 
 
 def pencil_line_through(o, rng: random.Random) -> LineInFiber:

@@ -11,8 +11,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 
 class BlockMismatchError(ValueError):
     """Raised when combining polynomials over different variable blocks."""
@@ -303,38 +301,6 @@ class QMatrix:
         echelon, pivots = _bareiss_echelon(self._integer_rows())
         return len(pivots)
 
-    def rank_mod(self, p: int) -> int | None:
-        """Rank modulo p; a cheap probabilistic lower-bound pre-check.
-
-        Returns None when a denominator degenerates mod p.  The exact rank
-        is always >= the modular rank, with equality off a divisibility set.
-        """
-        rows = []
-        for row in self.entries:
-            r = []
-            for v in row:
-                if v.denominator % p == 0:
-                    return None
-                r.append(v.numerator * pow(v.denominator, -1, p) % p)
-            rows.append(r)
-        rank, rpos = 0, 0
-        nr, nc = len(rows), len(rows[0]) if rows else 0
-        for c in range(nc):
-            piv = next((i for i in range(rpos, nr) if rows[i][c] % p), None)
-            if piv is None:
-                continue
-            rows[rpos], rows[piv] = rows[piv], rows[rpos]
-            inv = pow(rows[rpos][c], -1, p)
-            for i in range(rpos + 1, nr):
-                f = rows[i][c] * inv % p
-                if f:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rpos])]
-            rank += 1
-            rpos += 1
-            if rpos == nr:
-                break
-        return rank
-
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Exact basis of the right null space, primitive integer vectors."""
         nc = self.cols
@@ -416,10 +382,6 @@ def _bareiss_det(m: list[list[int]]) -> tuple[int, int]:
             m[i][k] = 0
         prev = m[k][k]
     return m[n - 1][n - 1], sign
-
-
-def kernel(matrix: QMatrix) -> list[tuple[Fraction, ...]]:
-    return matrix.kernel()
 
 
 def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

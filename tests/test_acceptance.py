@@ -42,6 +42,8 @@ def test_criterion_01_dimension_ladder(capfd):
                 sys_ = cb.impose_line(sys_, lf)
                 dims.append(sys_.dim)
             assert dims == [16, 13, 10, 7, 4, 1], f"seed {seed}: {dims}"
+            # one cut by all 15 line rows gives the ladder's basis exactly
+            assert sys_ == cb.zeta(lines)[1], f"seed {seed}"
 
 
 def test_criterion_02_degree_of_double_cover(capfd):

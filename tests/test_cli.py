@@ -1,9 +1,18 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from prym6 import cli
+from prym6 import cli, conicbundle
 from prym6.cli import main, run_checks
+
+#: sha256 digests of the benchmark's outputs, kept with the benchmark
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestVerify:
@@ -95,3 +104,12 @@ class TestSweep:
         first = capsys.readouterr().out
         assert main(["sweep", "--seed", "11", "--samples", "1"]) == 0
         assert capsys.readouterr().out == first
+
+
+def test_outputs_match_benchmark_digests(capsys):
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    for seed in range(1, 21):
+        text = conicbundle.construct_instance(seed).to_json()
+        assert sha256(text) == digests["construct"][str(seed)], f"seed {seed}"
+    assert main(["sweep", "--seed", "7", "--samples", "3"]) == 0
+    assert sha256(capsys.readouterr().out) == digests["sweep"]["7"]

@@ -273,6 +273,19 @@ class TestRankStratification:
         assert report["all_rank_two"]
         assert report["curve_samples"] > 0 and not report["skipped"]
 
+    def test_off_curve_probe_must_find_a_point(self):
+        # every draw is the zero vector, so the rank-3 probe checks nothing
+        class ZeroRng:
+            def randint(self, a, b):
+                return 0
+
+        lines, _ = lines_for(103)
+        Q, _ = cb.zeta(lines)
+        A = cb.to_symmetric_matrix(Q)
+        gamma = cb.discriminant(A)
+        with pytest.raises(cb.CertificationError):
+            cb.rank_stratification_check(A, gamma, cb.STANDARD_NODES, ZeroRng())
+
     def test_generic_point_rank_three(self):
         lines, _ = lines_for(114)
         Q, _ = cb.zeta(lines)
@@ -365,6 +378,10 @@ class TestNetAndSweep:
         o = tuple(cb.random_rational(rng) for _ in range(3))
         net = cb.build_net_T(o, fixed)
         assert net.system.dim == 3
+        ladder = cb.base_system(cb.STANDARD_NODES)
+        for lf in fixed:
+            ladder = cb.impose_line(ladder, lf)
+        assert net.system == cb.impose_point(ladder, net.o, net.o)
         for g in net.generators:
             assert g.evaluate({"x": net.o, "y": net.o}) == 0
         report = cb.discriminant_cubic(net, rng)

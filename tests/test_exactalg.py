@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prym6.exactalg import (BlockMismatchError, MultiPoly, QMatrix, det3_poly,
-                            kernel, primitive, solve_exact)
+                            primitive, solve_exact)
 
 XY = (("x", 3), ("y", 3))
 X = (("x", 3),)
@@ -162,19 +162,6 @@ class TestQMatrix:
         with pytest.raises(ValueError):
             QMatrix([[1, 2]]).det()
 
-    def test_rank_mod_consistency(self):
-        rng = random.Random(11)
-        m = QMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(5)] for _ in range(4)])
-        r = m.rank()
-        rp = m.rank_mod(1000003)
-        assert rp is None or rp <= r
-        assert m.rank_mod(3) is None or True  # small prime may hit denominators
-
-    def test_rank_mod_denominator_guard(self):
-        m = QMatrix([[Fraction(1, 3)]])
-        assert m.rank_mod(3) is None
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(small_fracs, min_size=4, max_size=4),
                     min_size=2, max_size=5))
@@ -187,10 +174,6 @@ class TestQMatrix:
         x = solve_exact(m, [5, 10])
         assert x == (Fraction(1), Fraction(3))
         assert solve_exact(QMatrix([[1, 1], [1, 1]]), [0, 1]) is None
-
-    def test_module_level_kernel(self):
-        m = QMatrix([[1, 1, 1]])
-        assert kernel(m) == m.kernel()
 
 
 def test_node_condition_matrix_has_rank_twenty():
