@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import comb, isqrt, lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive, solve_exact
@@ -110,12 +111,16 @@ def _chart_index(point: Sequence[Fraction]) -> int:
 
 
 def _monomial_row(monomials, point: Sequence[Fraction],
-                  d: int | None = None) -> list[Fraction]:
+                  d: int | None = None) -> list[int]:
     """Value of each monomial, or of its partial in coordinate d, at a point.
 
     The point is the 6-tuple (x, y); the row is the linear condition
-    "vanishes there" on coefficient vectors over the monomials.
+    "vanishes there" on coefficient vectors over the monomials.  Each
+    3-coordinate block is first scaled to a primitive integer vector, which
+    multiplies the row of a bihomogeneous system by one nonzero factor, so
+    the condition is the same and its entries are ints.
     """
+    point = [int(c) for block in (point[:3], point[3:]) for c in primitive(block)]
     row = []
     for exp in monomials:
         c = 1
@@ -127,7 +132,7 @@ def _monomial_row(monomials, point: Sequence[Fraction],
 
 
 def node_condition_rows(monomials, point: Sequence[Fraction],
-                        order: int) -> list[list[Fraction]]:
+                        order: int) -> list[list[int]]:
     """Linear conditions on coefficient vectors for vanishing at (u, u).
 
     order 1 is plain vanishing; order 2 adds the four chart partials (the
@@ -178,7 +183,7 @@ def base_system(points: tuple[tuple[Fraction, ...], ...],
     return LinearSystem(bidegree, monomials, tuple(matrix.kernel()))
 
 
-def line_condition_rows(monomials, lf: LineInFiber) -> list[list[Fraction]]:
+def line_condition_rows(monomials, lf: LineInFiber) -> list[list[int]]:
     """Vanishing on {o} x line, as 3 rows of monomial values.
 
     A fiber conic restricted to a line is a binary quadratic, so vanishing
@@ -189,12 +194,15 @@ def line_condition_rows(monomials, lf: LineInFiber) -> list[list[Fraction]]:
     return [_monomial_row(monomials, lf.o + y) for y in (p, q, third)]
 
 
-def _cut(sys: LinearSystem, rows: list[list[Fraction]],
+def _cut(sys: LinearSystem, rows: list[list[int]],
          expected_drop: int, label: str) -> LinearSystem:
     """The members of sys on which every condition row vanishes.
 
-    The rows are restricted to the basis of sys; each kernel vector of that
-    matrix gives a member, scaled to a primitive coefficient vector.
+    The integer rows are restricted to the primitive integer basis of sys;
+    each kernel vector of that matrix gives a member, combined in integers
+    and scaled to a primitive coefficient vector.  A row scaled by a nonzero
+    factor (as `_monomial_row` scales its point) spans the same row space,
+    so it leaves the kernel, and with it the cut, unchanged.
 
     Cutting by all rows at once gives the same basis, vector for vector, as
     cutting by groups of them in turn (as repeated `impose_line` does).
@@ -210,21 +218,24 @@ def _cut(sys: LinearSystem, rows: list[list[Fraction]],
     the drops by each group, and no group drops by more than its number of
     rows, so one drop check is the check of every step.
     """
-    restricted = QMatrix([[sum(r * c for r, c in zip(row, vec))
-                           for vec in sys.vectors] for row in rows])
+    basis = [[int(c) for c in v] for v in sys.vectors]
+    restricted = QMatrix([[sum(map(mul, row, vec)) for vec in basis]
+                          for row in rows])
     ker = restricted.kernel()
     drop = sys.dim - len(ker)
     if drop != expected_drop:
         raise NonGenericDropError(
             f"{label}: dimension dropped by {drop}, expected {expected_drop}")
-    vectors = tuple(
-        primitive([sum(k * v[m] for k, v in zip(kv, sys.vectors) if k)
-                   for m in range(len(sys.monomials))])
-        for kv in ker)
-    return LinearSystem(sys.bidegree, sys.monomials, vectors)
+    vectors = []
+    for kv in ker:
+        acc = [0] * len(sys.monomials)
+        for k, vec in zip(map(int, kv), basis):
+            acc = [a + k * v for a, v in zip(acc, vec)]
+        vectors.append(primitive(acc))
+    return LinearSystem(sys.bidegree, sys.monomials, tuple(vectors))
 
 
-def _line_rows(monomials, lines: Sequence[LineInFiber]) -> list[list[Fraction]]:
+def _line_rows(monomials, lines: Sequence[LineInFiber]) -> list[list[int]]:
     return [row for lf in lines for row in line_condition_rows(monomials, lf)]
 
 
@@ -404,6 +415,8 @@ def rational_points_on_curve(gamma: MultiPoly, nodes,
     On the line through two nodes the restricted binary sextic is divisible
     by the square of each node's parameter; rational roots of the residual
     quadratic give exact points on the curve.  May legitimately return [].
+    Raises CertificationError when a listed node is not a singular point,
+    since its chords then lack those square factors.
     """
     out: list[tuple[Fraction, ...]] = []
     nodes = [tuple(Fraction(c) for c in p) for p in nodes]
@@ -411,7 +424,8 @@ def rational_points_on_curve(gamma: MultiPoly, nodes,
         for b in range(a + 1, len(nodes)):
             coeffs = _restrict_to_chord(gamma, nodes[a], nodes[b])
             if coeffs[0] != 0 or coeffs[1] != 0 or coeffs[5] != 0 or coeffs[6] != 0:
-                continue  # line not as expected; skip defensively
+                raise CertificationError(
+                    f"{nodes[a]} or {nodes[b]} is not a singular point of the curve")
             for s, t in _rational_roots_of_quadratic(coeffs[2], coeffs[3], coeffs[4]):
                 pt = primitive(tuple(s * p + t * q
                                      for p, q in zip(nodes[a], nodes[b])))
@@ -423,21 +437,36 @@ def rational_points_on_curve(gamma: MultiPoly, nodes,
 
 
 def _restrict_to_chord(gamma: MultiPoly, p, q) -> list[Fraction]:
-    """Coefficients of gamma(s p + t q) as a binary sextic, by t-degree."""
-    acc = [Fraction(0)] * 7
+    """Coefficients of gamma(s p + t q) as a binary sextic, by t-degree.
+
+    With p = P/dp and q = Q/dq for integer vectors P and Q, gamma(s p + t q)
+    is gamma(s' P + t' Q) at s' = s/dp, t' = t/dq.  The integer form
+    D gamma is expanded with power tables of (s P_m + t Q_m), and the one
+    division, by D dp^(6-k) dq^k, comes last.
+    """
+    D = lcm(*(c.denominator for c in gamma.terms.values()))
+    dp, dq = lcm(*(c.denominator for c in p)), lcm(*(c.denominator for c in q))
+    powers = []  # powers[m][e][k]: coefficient of t^k in (s P_m + t Q_m)^e
+    for a, b in zip(p, q):
+        a, b = int(a * dp), int(b * dq)
+        table = [[1]]
+        for _ in range(6):
+            prev = table[-1]
+            table.append([u * a + v * b for u, v in zip(prev + [0], [0] + prev)])
+        powers.append(table)
+    acc = [0] * 7
     for exp, c in gamma.terms.items():
-        term = [c]
+        term = [c.numerator * (D // c.denominator)]
         for m in range(3):
-            for _ in range(exp[m]):
-                # multiply by (s p_m + t q_m)
-                nxt = [Fraction(0)] * (len(term) + 1)
-                for k, v in enumerate(term):
-                    nxt[k] += v * p[m]
-                    nxt[k + 1] += v * q[m]
-                term = nxt
+            pw = powers[m][exp[m]]
+            nxt = [0] * (len(term) + len(pw) - 1)
+            for i, u in enumerate(term):
+                for j, v in enumerate(pw):
+                    nxt[i + j] += u * v
+            term = nxt
         for k, v in enumerate(term):
             acc[k] += v
-    return acc
+    return [Fraction(v, D * dp ** (6 - k) * dq ** k) for k, v in enumerate(acc)]
 
 
 def _rational_roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction):

@@ -239,13 +239,7 @@ def _uni_gcd_q(a, b):
 
 
 def uni_derivative(F, a):
-    out = []
-    for i in range(1, len(a)):
-        acc = F.zero
-        for _ in range(i):
-            acc = F.add(acc, a[i])
-        out.append(acc)
-    return _trim(F, out)
+    return _trim(F, [F.mul(i, a[i]) for i in range(1, len(a))])
 
 
 def uni_squarefree_part(F, a):
@@ -259,23 +253,31 @@ def uni_squarefree_part(F, a):
 
 
 def uni_interpolate(F, points):
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    n = len(points)
-    result = []
-    for i, (xi, yi) in enumerate(points):
-        num = [F.one]
+    """Lagrange interpolation through (x, y) pairs with distinct x.
+
+    The master polynomial prod (x - x_j) is built once; each Lagrange
+    numerator is its quotient by (x - x_i), by synthetic division, so the
+    whole interpolation takes O(n^2) field operations.
+    """
+    master = [F.one]
+    for xj, _ in points:
+        master = [F.sub(a, F.mul(xj, b))
+                  for a, b in zip([F.zero] + master, master + [F.zero])]
+    result = [F.zero] * len(points)
+    for xi, yi in points:
+        if yi == F.zero:
+            continue
+        num = [F.zero] * len(points)
+        carry = F.zero
+        for k in range(len(points), 0, -1):
+            carry = F.add(master[k], F.mul(xi, carry))
+            num[k - 1] = carry
         den = F.one
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = uni_mul(F, num, [F.neg(xj), F.one])
-            den = F.mul(den, F.sub(xi, xj))
+        for xj, _ in points:
+            if xj != xi:
+                den = F.mul(den, F.sub(xi, xj))
         scale = F.mul(yi, F.inv(den))
-        term = [F.mul(scale, v) for v in num]
-        if len(term) > len(result):
-            result, term = term, result
-        for k, v in enumerate(term):
-            result[k] = F.add(result[k], v)
+        result = [F.add(r, F.mul(scale, v)) for r, v in zip(result, num)]
     return _trim(F, result)
 
 

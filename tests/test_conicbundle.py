@@ -41,6 +41,13 @@ class TestBaseSystem:
                 for j in range(3):
                     assert b.partial(block, j).evaluate(at) == 0
 
+    def test_rescaled_nodes_give_the_same_system(self):
+        factors = (Fraction(1, 2), Fraction(-3), Fraction(2, 7), Fraction(5, 3))
+        scaled = tuple(tuple(f * c for c in pt)
+                       for f, pt in zip(factors, cb.STANDARD_NODES))
+        assert (cb.base_system(scaled).vectors
+                == cb.base_system(cb.STANDARD_NODES).vectors)
+
     def test_collinear_points_rejected(self):
         bad = (cb.STANDARD_NODES[0], cb.STANDARD_NODES[1],
                (Fraction(1), Fraction(1), Fraction(0)),
@@ -71,6 +78,18 @@ class TestImposeLine:
         sys = cb.impose_line(sys, lines[0])
         with pytest.raises(cb.NonGenericDropError):
             cb.impose_line(sys, lines[0])  # same line again: drop 0, not 3
+
+
+class TestImposePoint:
+    def test_rescaled_point_gives_the_same_cut(self):
+        sys = cb.base_system(cb.STANDARD_NODES)
+        x = (Fraction(1), Fraction(-2), Fraction(3))
+        y = (Fraction(4), Fraction(1), Fraction(-1))
+        cut = cb.impose_point(sys, x, y)
+        assert cut.dim == 15
+        scaled = cb.impose_point(sys, tuple(Fraction(-3, 5) * c for c in x),
+                                 tuple(Fraction(7, 2) * c for c in y))
+        assert scaled.vectors == cut.vectors
 
 
 class TestZeta:
@@ -294,6 +313,35 @@ class TestRankStratification:
         pt = (Fraction(1), Fraction(2), Fraction(5))
         if gamma.evaluate({"x": pt}) != 0:
             assert A.evaluated(pt).rank() == 3
+
+
+class TestChordRestriction:
+    def test_matches_evaluation(self):
+        lines, _ = lines_for(1)
+        Q, _ = cb.zeta(lines)
+        gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
+        p = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+        q = (Fraction(-2), Fraction(5, 4), Fraction(3, 7))
+        coeffs = cb._restrict_to_chord(gamma, p, q)
+        pairs = [(1, 0), (0, 1), (1, 1), (2, -1), (Fraction(1, 3), 5),
+                 (-4, Fraction(2, 9)), (7, 3)]
+        for s, t in pairs:
+            at = tuple(s * a + t * b for a, b in zip(p, q))
+            value = sum(c * Fraction(s) ** (6 - k) * Fraction(t) ** k
+                        for k, c in enumerate(coeffs))
+            assert value == gamma.evaluate({"x": at})
+
+    def test_smooth_point_listed_as_node_is_rejected(self):
+        # seed 103 has rational points on the node chords; such a point is
+        # on the sextic but not singular, so its chords are not as expected
+        lines, _ = lines_for(103)
+        Q, _ = cb.zeta(lines)
+        gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
+        smooth = cb.rational_points_on_curve(gamma, cb.STANDARD_NODES)[0]
+        assert gamma.evaluate({"x": smooth}) == 0
+        assert not cb.node_certificate(gamma, smooth).is_node
+        with pytest.raises(cb.CertificationError):
+            cb.rational_points_on_curve(gamma, cb.STANDARD_NODES[:3] + (smooth,))
 
 
 class TestResidualLine:

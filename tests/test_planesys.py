@@ -75,6 +75,29 @@ class TestUnivariate:
         F = ps.QQ
         pts = [(Fraction(k), Fraction(k * k + 1)) for k in range(3)]
         assert ps.uni_interpolate(F, pts) == [1, 0, 1]
+        # non-integer x values
+        f = [Fraction(3, 7), Fraction(-2), Fraction(0), Fraction(5, 3)]
+        xs = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-9, 4)]
+        assert ps.uni_interpolate(F, [(x, ps.uni_eval(F, f, x)) for x in xs]) == f
+        # a single point, and all-zero values
+        assert ps.uni_interpolate(F, [(Fraction(5, 2), Fraction(-3))]) == [-3]
+        assert ps.uni_interpolate(F, [(Fraction(k, 3), F.zero) for k in range(6)]) == []
+        # 26 random points over a 62-bit prime field
+        rng = random.Random(1)
+        G = ps.GF(ps.random_prime_ge_2_61(random.Random(1)))
+        pts = [(x, G.random_element(rng)) for x in rng.sample(range(G.p), 26)]
+        poly = ps.uni_interpolate(G, pts)
+        assert ps.uni_degree(poly) <= 25
+        assert all(ps.uni_eval(G, poly, x) == y for x, y in pts)
+
+    @pytest.mark.parametrize(
+        "F", [ps.GF(ps.random_prime_ge_2_61(random.Random(5))), ps.QQ],
+        ids=["gf", "qq"])
+    def test_derivative_degree_25(self, F):
+        rng = random.Random(6)
+        a = [F.random_element(rng) for _ in range(25)] + [F.one]
+        expect = [F.from_rational(i * a[i]) for i in range(1, 26)]
+        assert ps.uni_derivative(F, a) == expect
 
 
 class TestResultant:
