@@ -59,6 +59,8 @@ class ChowClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("Chow classes have no negative powers")
         acc = self.ring.one()
         for _ in range(n):
             acc = acc * self
@@ -207,6 +209,10 @@ class ProjectiveBundleRing:
     base.  The sign convention is pinned so that the top self-intersection
     of zeta equals the Segre number c1(M)^2 - c2(M); concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
+
+    Products of basis monomials are memoized per ring, as are the Hilbert
+    coefficients behind `hrr_chi`; both hold plain keys and Fractions, never
+    a ChowClass, so a ring and its classes form no reference cycle.
     """
 
     top_dimension = 4
@@ -216,6 +222,8 @@ class ProjectiveBundleRing:
             raise ValueError("rank-3 bundle data required")
         self.base = base
         self.chern = chern
+        self._products: dict = {}
+        self._hilbert: tuple[Fraction, ...] | None = None
 
     def zeta(self) -> ChowClass:
         return ChowClass(self, {(1, "1"): Fraction(1)})
@@ -241,11 +249,14 @@ class ProjectiveBundleRing:
         return z + s
 
     def mul_basis(self, k1, k2):
-        a = k1[0] + k2[0]
-        out: dict = {}
-        for s, c in self.base.mul_basis(k1[1], k2[1]).items():
-            for key, c2 in self._reduce(a, s).items():
-                out[key] = out.get(key, Fraction(0)) + c * c2
+        out = self._products.get((k1, k2))
+        if out is None:
+            a = k1[0] + k2[0]
+            out = {}
+            for s, c in self.base.mul_basis(k1[1], k2[1]).items():
+                for key, c2 in self._reduce(a, s).items():
+                    out[key] = out.get(key, Fraction(0)) + c * c2
+            self._products[(k1, k2)] = out
         return out
 
     def _reduce(self, a: int, s: str):
@@ -327,6 +338,11 @@ def intersection_number(table, divisors: list[dict[str, Fraction]]) -> Fraction:
     if len(divisors) != 4:
         raise ValueError("need exactly four divisor factors")
     order = ("N", "H", "H1", "H2")
+    for div in divisors:
+        unknown = sorted(set(div) - set(order))
+        if unknown:
+            raise ValueError(f"unknown divisor keys {unknown}; "
+                             f"expected a subset of {list(order)}")
     total = Fraction(0)
 
     def rec(i, counts, coeff):
@@ -351,17 +367,24 @@ def quartic_self_intersection(table, divisor: dict[str, Fraction]) -> Fraction:
     return intersection_number(table, [divisor] * 4)
 
 
-def verify_deg_h_two_ways() -> tuple[Fraction, Fraction]:
+def _default_bundle_ring() -> ProjectiveBundleRing:
+    S = del_pezzo_ring()
+    return projective_bundle_ring(S, conic_bundle_chern_data(S))
+
+
+def verify_deg_h_two_ways(table=None, P: ProjectiveBundleRing | None = None
+                          ) -> tuple[Fraction, Fraction]:
     """deg of the half-anticanonical double cover P -> P^4, two routes.
 
     Route one expands (H1 + H2 - N)^4 against the blow-up table; route two
     integrates zeta^4 in the projective bundle ring.  Both must equal 2.
     """
-    table = blowup_intersection_table()
+    if table is None:
+        table = blowup_intersection_table()
+    if P is None:
+        P = _default_bundle_ring()
     blowup_route = quartic_self_intersection(
         table, {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)})
-    S = del_pezzo_ring()
-    P = projective_bundle_ring(S, conic_bundle_chern_data(S))
     bundle_route = (P.zeta() ** 4).integrate()
     if blowup_route != bundle_route:
         raise ArithmeticError(
@@ -399,9 +422,10 @@ def _eliminate_H(vec: dict[str, Fraction]) -> dict[str, Fraction]:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def kb_squared() -> Fraction:
+def kb_squared(table=None) -> Fraction:
     """K_B^2 = 4 (H1+H2-N)^4 = 8 for the base surface of a pencil."""
-    table = blowup_intersection_table()
+    if table is None:
+        table = blowup_intersection_table()
     zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
     return 4 * quartic_self_intersection(table, zeta)
 
@@ -442,15 +466,18 @@ def todd_classes(c1: ChowClass, c2: ChowClass, c3: ChowClass,
 
 
 def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
-    """chi(O_P(d)) by Riemann-Roch: integral of ch(O_P(d)).Td(T_P)."""
-    z = P.zeta()
-    ch = P.one()
-    zk = P.one()
-    for k in range(1, 5):
-        zk = zk * z
-        ch = ch + zk * Fraction(d ** k, factorial(k))
-    td = P.one() + sum(todd_classes(*tangent_chern_classes(P)), P.zero())
-    return (ch * td).integrate()
+    """chi(O_P(d)) by Riemann-Roch, evaluated as the Hilbert polynomial.
+
+    ch(O_P(d)) = sum_k d^k zeta^k / k!, so the integral of ch(O_P(d)).Td(T_P)
+    is the quartic sum_k c_k d^k with c_k = integral of zeta^k.Td(T_P) / k!.
+    The five c_k are computed once per ring, on first use.
+    """
+    if P._hilbert is None:
+        td = P.one() + sum(todd_classes(*tangent_chern_classes(P)), P.zero())
+        z = P.zeta()
+        P._hilbert = tuple((z ** k * td).integrate() / factorial(k)
+                           for k in range(5))
+    return sum((c * d ** k for k, c in enumerate(P._hilbert)), Fraction(0))
 
 
 def sections_formula(d: int) -> int:
@@ -472,14 +499,14 @@ def koszul_chi_B(P: ProjectiveBundleRing | None = None) -> Fraction:
     chi(O_B) = chi(O_P) - 2 chi(O_P(-2)) + chi(O_P(-4)).
     """
     if P is None:
-        S = del_pezzo_ring()
-        P = projective_bundle_ring(S, conic_bundle_chern_data(S))
+        P = _default_bundle_ring()
     return hrr_chi(P, 0) - 2 * hrr_chi(P, -2) + hrr_chi(P, -4)
 
 
 # -- Euler numbers and the pencil count --------------------------------------
 
-def euler_numbers() -> dict[str, Fraction]:
+def euler_numbers(P: ProjectiveBundleRing | None = None,
+                  table=None) -> dict[str, Fraction]:
     """Topological Euler numbers feeding the count of singular pencil members.
 
     e(S) = 7; the discriminant of a smooth member is a genus-6 curve C in
@@ -487,6 +514,7 @@ def euler_numbers() -> dict[str, Fraction]:
     one-nodal discriminant raises e by 1, giving e(Q0) = 5.  e(P) = 3e(S)
     for the P^2-bundle and e(B) = c2(B) = 12 chi(O_B) - K_B^2 = 64.  The
     count of singular members of a pencil is e(P) + e(B) - 2 e(Q) = 77.
+    The bundle ring P and the blow-up table default to fresh ones.
     """
     S = del_pezzo_ring()
     e_s = Fraction(S.euler_number())
@@ -497,11 +525,12 @@ def euler_numbers() -> dict[str, Fraction]:
     e_q = 2 * e_s + e_c
     e_q0 = 2 * e_s + (e_c + 1)  # one node contracts a vanishing cycle
     e_p = 3 * e_s
-    chi_b = koszul_chi_B()
-    e_b = 12 * chi_b - kb_squared()
+    chi_b = koszul_chi_B(P)
+    kb2 = kb_squared(table)
+    e_b = 12 * chi_b - kb2
     delta = e_p + e_b - 2 * e_q
     return {
         "e_S": e_s, "g_C": g, "e_C": e_c, "e_Q": e_q, "e_Q0": e_q0,
-        "e_P": e_p, "chi_B": chi_b, "K_B^2": kb_squared(), "e_B": e_b,
+        "e_P": e_p, "chi_B": chi_b, "K_B^2": kb2, "e_B": e_b,
         "singular_members": delta,
     }

@@ -27,11 +27,17 @@ class Check:
     compute: Callable[[], Fraction]
 
 
+# Each suite builder computes every number its checks share once, on rings
+# and a blow-up table built once, and its checks read those numbers.
+# Nothing is kept between builds: every report replays the whole computation.
+
 def _chow_checks() -> list[Check]:
     table = chow.blowup_intersection_table()
     S = chow.del_pezzo_ring()
     P = chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
     kp, kb = chow.canonical_classes()
+    deg_h = chow.verify_deg_h_two_ways(table, P)
+    kb2 = chow.kb_squared(table)
     checks = [
         Check("chow.blowup.N4", "exceptional quartic self-intersection",
               Fraction(-4), lambda: table[(4, 0, 0, 0)]),
@@ -48,9 +54,9 @@ def _chow_checks() -> list[Check]:
         Check("chow.blowup.N2H2sq", "square exceptional against pullbacks",
               Fraction(0), lambda: table[(2, 0, 0, 2)]),
         Check("chow.deg_h.blowup", "degree of the double cover, blow-up route",
-              Fraction(2), lambda: chow.verify_deg_h_two_ways()[0]),
+              Fraction(2), lambda: deg_h[0]),
         Check("chow.deg_h.segre", "degree of the double cover, Segre route",
-              Fraction(2), lambda: chow.verify_deg_h_two_ways()[1]),
+              Fraction(2), lambda: deg_h[1]),
         Check("chow.canonical.KP_H1", "canonical class of the bundle",
               Fraction(-3), lambda: kp.get("H1", Fraction(0))),
         Check("chow.canonical.KP_H2", "canonical class of the bundle",
@@ -58,7 +64,7 @@ def _chow_checks() -> list[Check]:
         Check("chow.canonical.KP_N", "canonical class of the bundle",
               Fraction(3), lambda: kp.get("N", Fraction(0))),
         Check("chow.KB_squared", "canonical square of the base surface",
-              Fraction(8), chow.kb_squared),
+              Fraction(8), lambda: kb2),
         Check("chow.hrr.chi_O", "structure-sheaf Euler characteristic",
               Fraction(1), lambda: chow.hrr_chi(P, 0)),
         Check("chow.hrr.chi_1", "sections of the half-anticanonical bundle",
@@ -74,6 +80,13 @@ def _chow_checks() -> list[Check]:
 def _counts_checks() -> list[Check]:
     eul = chow.euler_numbers()
     chain = moduli.chi_of_Y_chain()
+    e_lambda = moduli.lambda_degree_from_family(chain["chi"])
+    e_prime = eul["singular_members"]
+    double_lines = moduli.solve_double_line_count(e_lambda, e_prime)
+    unreduced = moduli.solve_double_line_count(e_lambda, e_prime,
+                                               unreduced=True)
+    degree_nine = moduli.degree_nine_lemma()
+    psi_degree = moduli.psi_degree_via_Z()
     return [
         Check("counts.euler.S", "Euler number of the del Pezzo surface",
               Fraction(7), lambda: eul["e_S"]),
@@ -100,21 +113,23 @@ def _counts_checks() -> list[Check]:
         Check("counts.chiY.chi", "chi(O) of the family surface",
               Fraction(13), lambda: chain["chi"]),
         Check("counts.lambda_degree", "lambda-degree of the pencil",
-              Fraction(18), moduli.lambda_degree_from_family),
+              Fraction(18), lambda: e_lambda),
         Check("counts.double_lines", "double-line members of a pencil",
-              Fraction(32), moduli.solve_double_line_count),
+              Fraction(32), lambda: double_lines),
         Check("counts.double_lines_unreduced", "same count, unreduced relation",
-              Fraction(32), lambda: moduli.solve_double_line_count(unreduced=True)),
+              Fraction(32), lambda: unreduced),
         Check("counts.degree_nine", "triple-product intersection number",
-              Fraction(9), moduli.degree_nine_lemma),
+              Fraction(9), lambda: degree_nine),
         Check("counts.psi_degree", "point-class degree on the sweeping curve",
-              Fraction(9), moduli.psi_degree_via_Z),
+              Fraction(9), lambda: psi_degree),
     ]
 
 
 def _slope_checks() -> list[Check]:
     curves = moduli.pencil_curve_numbers()
     single, triple = curves["single"], curves["triple"]
+    full = moduli.slope_bound("full", curves["sweeping"])
+    u4 = moduli.slope_bound("u4", curves["sweeping"])
     return [
         Check("slope.pairing.delta0", "pencil against the boundary pullback",
               Fraction(141), lambda: single.pair(moduli.pullback_delta0())),
@@ -127,15 +142,15 @@ def _slope_checks() -> list[Check]:
         Check("slope.triple.delta0_ram", "triple-pencil ramified degree",
               Fraction(96), lambda: triple["delta0_ram"]),
         Check("slope.full.lambda1", "sweeping curve against the Hodge class",
-              Fraction(30), lambda: moduli.slope_bound("full")[0]),
+              Fraction(30), lambda: full[0]),
         Check("slope.full.boundary", "sweeping curve against the boundary",
-              Fraction(159), lambda: moduli.slope_bound("full")[1]),
+              Fraction(159), lambda: full[1]),
         Check("slope.full.bound", "slope bound on the full space",
-              Fraction(53, 10), lambda: moduli.slope_bound("full")[2]),
+              Fraction(53, 10), lambda: full[2]),
         Check("slope.u4.boundary", "restricted variant boundary degree",
-              Fraction(195), lambda: moduli.slope_bound("u4")[1]),
+              Fraction(195), lambda: u4[1]),
         Check("slope.u4.bound", "slope bound on the four-point locus",
-              Fraction(13, 2), lambda: moduli.slope_bound("u4")[2]),
+              Fraction(13, 2), lambda: u4[2]),
     ]
 
 

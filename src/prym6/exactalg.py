@@ -309,13 +309,21 @@ class QMatrix:
         free = [c for c in range(nc) if c not in pivset]
         basis = []
         for f in free:
-            x = [Fraction(0)] * nc
-            x[f] = Fraction(1)
+            # back-substitute in integers: x is the solution with x[f] = 1
+            # times the least common denominator of the entries found so far
+            x = [0] * nc
+            x[f] = 1
             for i in range(len(pivots) - 1, -1, -1):
                 p = pivots[i]
-                s = sum((Fraction(echelon[i][j]) * x[j] for j in range(p + 1, nc)),
-                        Fraction(0))
-                x[p] = -s / echelon[i][p]
+                row = echelon[i]
+                s = sum(row[j] * x[j] for j in range(p + 1, nc) if x[j])
+                g = gcd(s, row[p])
+                if row[p] < 0:
+                    g = -g
+                scale = row[p] // g
+                if scale != 1:
+                    x = [v * scale for v in x]
+                x[p] = -s // g
             basis.append(primitive(x))
         return basis
 

@@ -268,7 +268,8 @@ def psi_degree_via_Z(l_h1: Fraction = Fraction(0),
 
 # -- curve classes -----------------------------------------------------------
 
-def pencil_curve_numbers() -> dict[str, CurveClass]:
+def pencil_curve_numbers(euler: Mapping[str, Fraction] | None = None
+                         ) -> dict[str, CurveClass]:
     """The three curve classes of the story, with wired-in inputs.
 
     single: one pencil of conic bundles; its boundary numbers are the
@@ -277,16 +278,20 @@ def pencil_curve_numbers() -> dict[str, CurveClass]:
     triple: the same pencil traced three times around the nodal-cubic base.
     sweeping: the triple curve on the universal-curve product, where each of
     the five point classes has degree 9.
+    `euler` is the ledger of `chow.euler_numbers`, computed when not given.
     """
+    if euler is None:
+        euler = chow.euler_numbers()
     e_lambda = lambda_degree_from_family()
-    e_prime = chow.euler_numbers()["singular_members"]
+    e_prime = euler["singular_members"]
     e_ram = solve_double_line_count(e_lambda, e_prime)
     single = CurveClass(
         {"lambda": e_lambda, "delta0_prime": e_prime,
          "delta0_dblprime": E_DELTA0_DBLPRIME, "delta0_ram": e_ram},
         provenance="pencil of conic bundles")
     triple = single.scaled(3, "pencil traced over the nodal cubic")
-    psi = {f"psi{j}": psi_degree_via_Z() for j in range(1, 6)}
+    psi_degree = psi_degree_via_Z()
+    psi = {f"psi{j}": psi_degree for j in range(1, 6)}
     sweeping = CurveClass(
         dict(triple.numbers, **psi),
         provenance="sweeping curve on the universal-curve product",

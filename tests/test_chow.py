@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -52,6 +53,11 @@ class TestDelPezzoRing:
         assert (S.E(1) * S.E(1)).integrate() == -1
         assert (S.L() * S.E(2)).integrate() == 0
         assert (S.E(1) * S.E(2)).integrate() == 0
+
+    def test_negative_power_raises(self, S):
+        with pytest.raises(ValueError):
+            S.L() ** -1
+        assert S.L() ** 0 == S.one()
 
     def test_canonical_square_five(self, S):
         K = S.canonical()
@@ -128,9 +134,22 @@ class TestBlowupTable:
         assert chow.intersection_number(t, [scaled, d, d, e]) == 5 * v1
 
 
+    def test_intersection_number_rejects_unknown_keys(self):
+        t = chow.blowup_intersection_table()
+        assert chow.intersection_number(t, [{"H1": 1, "H2": 1}] * 4) == 6
+        with pytest.raises(ValueError, match="h1"):
+            chow.intersection_number(t, [{"h1": 1, "H2": 1}] * 4)
+
+
 class TestDegreeAndCanonical:
     def test_deg_h_two_routes(self):
         assert chow.verify_deg_h_two_ways() == (2, 2)
+
+    def test_shared_inputs_give_the_default_values(self, P):
+        t = chow.blowup_intersection_table()
+        assert chow.verify_deg_h_two_ways(t, P) == (2, 2)
+        assert chow.kb_squared(t) == chow.kb_squared()
+        assert chow.euler_numbers(P, t) == chow.euler_numbers()
 
     def test_canonical_classes(self):
         kp, kb = chow.canonical_classes()
@@ -148,6 +167,17 @@ class TestRiemannRoch:
         assert chow.hrr_chi(P, 2) == 16
         assert chow.hrr_chi(P, -2) == 0
         assert chow.hrr_chi(P, -4) == 5
+
+    def test_chi_is_the_direct_integral(self, S):
+        # a fresh ring, so its Hilbert coefficients are computed in this test
+        P = chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
+        td = P.one() + sum(chow.todd_classes(*chow.tangent_chern_classes(P)),
+                           P.zero())
+        for d in range(-6, 7):
+            # ch(O_P(d)) = sum_k (d zeta)^k / k!
+            ch = sum(((d * P.zeta()) ** k * Fraction(1, factorial(k))
+                      for k in range(5)), P.zero())
+            assert chow.hrr_chi(P, d) == (ch * td).integrate()
 
     def test_chi_is_degree_four_polynomial(self, P):
         # fourth finite difference must be constant 4! * leading coefficient

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from prym6 import cli, conicbundle
+from prym6 import chow, cli, conicbundle
 from prym6.cli import main, run_checks
 
 #: sha256 digests of the benchmark's outputs, kept with the benchmark
@@ -60,6 +60,32 @@ class TestVerify:
             cb_.pop("millis")
         assert a == b
 
+    def test_each_report_computes_each_number_once(self, monkeypatch):
+        calls = {"rings": 0, "tangent": 0, "euler": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(chow.ProjectiveBundleRing, "__init__",
+                            counted("rings", chow.ProjectiveBundleRing.__init__))
+        monkeypatch.setattr(chow, "tangent_chern_classes",
+                            counted("tangent", chow.tangent_chern_classes))
+        monkeypatch.setattr(chow, "euler_numbers",
+                            counted("euler", chow.euler_numbers))
+        per_report = []
+        for _ in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            assert run_checks("all")["pass"]
+            per_report.append(dict(calls))
+        # equal nonzero counts: the second report recomputes, caches nothing
+        assert per_report[0] == per_report[1]
+        assert all(per_report[0].values())
+        assert per_report[0]["tangent"] <= per_report[0]["rings"]
+        assert per_report[0]["euler"] <= len(cli.SUITES)
+
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction
         broken = cli.Check("broken.check", "injected failure",
@@ -113,3 +139,10 @@ def test_outputs_match_benchmark_digests(capsys):
         assert sha256(text) == digests["construct"][str(seed)], f"seed {seed}"
     assert main(["sweep", "--seed", "7", "--samples", "3"]) == 0
     assert sha256(capsys.readouterr().out) == digests["sweep"]["7"]
+    # the verify report without its wall-clock millis, as the benchmark
+    # serializes it
+    report = run_checks("all")
+    checks = [{k: v for k, v in c.items() if k != "millis"}
+              for c in report["checks"]]
+    text = json.dumps(dict(report, checks=checks), sort_keys=True)
+    assert sha256(text) == digests["verify"]

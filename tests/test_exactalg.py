@@ -169,6 +169,27 @@ class TestQMatrix:
         m = QMatrix(rows)
         assert m.rank() + len(m.kernel()) == m.cols
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                    min_size=1, max_size=5),
+           st.integers(1, 12))
+    def test_kernel_basis_is_pinned(self, rows, denom):
+        # small entries make rank drops common; a shared denominator makes
+        # the integer rows differ from the rational ones
+        m = QMatrix([[Fraction(v, denom) for v in row] for row in rows])
+        ker = m.kernel()
+        assert m.rank() + len(ker) == m.cols
+        nonzero = [[c for c, v in enumerate(vec) if v] for vec in ker]
+        # the basis vector of free column f is supported on f and pivot
+        # columns before it, and is primitive with a positive first entry
+        free = [max(cols) for cols in nonzero]
+        assert free == sorted(set(free))
+        for vec, f in zip(ker, free):
+            assert all(vec[g] == 0 for g in free if g != f)
+            assert primitive(vec) == vec
+            for row in m.entries:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+
     def test_solve_exact(self):
         m = QMatrix([[2, 1], [1, 3]])
         x = solve_exact(m, [5, 10])
