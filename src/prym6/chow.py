@@ -210,9 +210,8 @@ class ProjectiveBundleRing:
     of zeta equals the Segre number c1(M)^2 - c2(M); concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
 
-    Products of basis monomials are memoized per ring, as are the Hilbert
-    coefficients behind `hrr_chi`; both hold plain keys and Fractions, never
-    a ChowClass, so a ring and its classes form no reference cycle.
+    The Hilbert coefficients behind `hrr_chi` are kept per ring as Fractions,
+    never as a ChowClass, so a ring and its classes form no reference cycle.
     """
 
     top_dimension = 4
@@ -222,7 +221,6 @@ class ProjectiveBundleRing:
             raise ValueError("rank-3 bundle data required")
         self.base = base
         self.chern = chern
-        self._products: dict = {}
         self._hilbert: tuple[Fraction, ...] | None = None
 
     def zeta(self) -> ChowClass:
@@ -249,14 +247,11 @@ class ProjectiveBundleRing:
         return z + s
 
     def mul_basis(self, k1, k2):
-        out = self._products.get((k1, k2))
-        if out is None:
-            a = k1[0] + k2[0]
-            out = {}
-            for s, c in self.base.mul_basis(k1[1], k2[1]).items():
-                for key, c2 in self._reduce(a, s).items():
-                    out[key] = out.get(key, Fraction(0)) + c * c2
-            self._products[(k1, k2)] = out
+        a = k1[0] + k2[0]
+        out: dict = {}
+        for s, c in self.base.mul_basis(k1[1], k2[1]).items():
+            for key, c2 in self._reduce(a, s).items():
+                out[key] = out.get(key, Fraction(0)) + c * c2
         return out
 
     def _reduce(self, a: int, s: str):
@@ -473,10 +468,13 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
     The five c_k are computed once per ring, on first use.
     """
     if P._hilbert is None:
-        td = P.one() + sum(todd_classes(*tangent_chern_classes(P)), P.zero())
-        z = P.zeta()
-        P._hilbert = tuple((z ** k * td).integrate() / factorial(k)
-                           for k in range(5))
+        # zeta^k meets only the codimension-(4 - k) Todd class in degree 4
+        td = (P.one(), *todd_classes(*tangent_chern_classes(P)))
+        zk, coeffs = P.one(), []
+        for k in range(5):
+            coeffs.append((zk * td[4 - k]).integrate() / factorial(k))
+            zk = zk * P.zeta()
+        P._hilbert = tuple(coeffs)
     return sum((c * d ** k for k, c in enumerate(P._hilbert)), Fraction(0))
 
 
@@ -505,8 +503,7 @@ def koszul_chi_B(P: ProjectiveBundleRing | None = None) -> Fraction:
 
 # -- Euler numbers and the pencil count --------------------------------------
 
-def euler_numbers(P: ProjectiveBundleRing | None = None,
-                  table=None) -> dict[str, Fraction]:
+def euler_numbers() -> dict[str, Fraction]:
     """Topological Euler numbers feeding the count of singular pencil members.
 
     e(S) = 7; the discriminant of a smooth member is a genus-6 curve C in
@@ -514,7 +511,6 @@ def euler_numbers(P: ProjectiveBundleRing | None = None,
     one-nodal discriminant raises e by 1, giving e(Q0) = 5.  e(P) = 3e(S)
     for the P^2-bundle and e(B) = c2(B) = 12 chi(O_B) - K_B^2 = 64.  The
     count of singular members of a pencil is e(P) + e(B) - 2 e(Q) = 77.
-    The bundle ring P and the blow-up table default to fresh ones.
     """
     S = del_pezzo_ring()
     e_s = Fraction(S.euler_number())
@@ -525,8 +521,8 @@ def euler_numbers(P: ProjectiveBundleRing | None = None,
     e_q = 2 * e_s + e_c
     e_q0 = 2 * e_s + (e_c + 1)  # one node contracts a vanishing cycle
     e_p = 3 * e_s
-    chi_b = koszul_chi_B(P)
-    kb2 = kb_squared(table)
+    chi_b = koszul_chi_B()
+    kb2 = kb_squared()
     e_b = 12 * chi_b - kb2
     delta = e_p + e_b - 2 * e_q
     return {

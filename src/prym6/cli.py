@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from . import chow, conicbundle, moduli
@@ -27,44 +28,45 @@ class Check:
     compute: Callable[[], Fraction]
 
 
-# Each suite builder computes every number its checks share once, on rings
-# and a blow-up table built once, and its checks read those numbers.
-# Nothing is kept between builds: every report replays the whole computation.
+# Each suite builder wraps every number its checks share in a `cache` local
+# to that build, on a ring and a blow-up table built once.  The first check
+# that reads a number computes it, so its `millis` include that work; nothing
+# is kept between builds, and every report replays the whole computation.
 
 def _chow_checks() -> list[Check]:
-    table = chow.blowup_intersection_table()
+    table = cache(chow.blowup_intersection_table)
     S = chow.del_pezzo_ring()
     P = chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
-    kp, kb = chow.canonical_classes()
-    deg_h = chow.verify_deg_h_two_ways(table, P)
-    kb2 = chow.kb_squared(table)
+    kp = cache(lambda: chow.canonical_classes()[0])
+    deg_h = cache(lambda: chow.verify_deg_h_two_ways(table(), P))
+    kb2 = cache(lambda: chow.kb_squared(table()))
     checks = [
         Check("chow.blowup.N4", "exceptional quartic self-intersection",
-              Fraction(-4), lambda: table[(4, 0, 0, 0)]),
+              Fraction(-4), lambda: table()[(4, 0, 0, 0)]),
         Check("chow.blowup.N3H", "cubic exceptional against anticanonical",
-              Fraction(4), lambda: table[(3, 1, 0, 0)]),
+              Fraction(4), lambda: table()[(3, 1, 0, 0)]),
         Check("chow.blowup.N3H1", "cubic exceptional against line class",
-              Fraction(0), lambda: table[(3, 0, 1, 0)]),
+              Fraction(0), lambda: table()[(3, 0, 1, 0)]),
         Check("chow.blowup.N3H2", "cubic exceptional against fiber hyperplane",
-              Fraction(0), lambda: table[(3, 0, 0, 1)]),
+              Fraction(0), lambda: table()[(3, 0, 0, 1)]),
         Check("chow.blowup.N2H2", "square exceptional against pullbacks",
-              Fraction(0), lambda: table[(2, 2, 0, 0)]),
+              Fraction(0), lambda: table()[(2, 2, 0, 0)]),
         Check("chow.blowup.N2H1sq", "square exceptional against pullbacks",
-              Fraction(0), lambda: table[(2, 0, 2, 0)]),
+              Fraction(0), lambda: table()[(2, 0, 2, 0)]),
         Check("chow.blowup.N2H2sq", "square exceptional against pullbacks",
-              Fraction(0), lambda: table[(2, 0, 0, 2)]),
+              Fraction(0), lambda: table()[(2, 0, 0, 2)]),
         Check("chow.deg_h.blowup", "degree of the double cover, blow-up route",
-              Fraction(2), lambda: deg_h[0]),
+              Fraction(2), lambda: deg_h()[0]),
         Check("chow.deg_h.segre", "degree of the double cover, Segre route",
-              Fraction(2), lambda: deg_h[1]),
+              Fraction(2), lambda: deg_h()[1]),
         Check("chow.canonical.KP_H1", "canonical class of the bundle",
-              Fraction(-3), lambda: kp.get("H1", Fraction(0))),
+              Fraction(-3), lambda: kp().get("H1", Fraction(0))),
         Check("chow.canonical.KP_H2", "canonical class of the bundle",
-              Fraction(-3), lambda: kp.get("H2", Fraction(0))),
+              Fraction(-3), lambda: kp().get("H2", Fraction(0))),
         Check("chow.canonical.KP_N", "canonical class of the bundle",
-              Fraction(3), lambda: kp.get("N", Fraction(0))),
+              Fraction(3), lambda: kp().get("N", Fraction(0))),
         Check("chow.KB_squared", "canonical square of the base surface",
-              Fraction(8), lambda: kb2),
+              Fraction(8), kb2),
         Check("chow.hrr.chi_O", "structure-sheaf Euler characteristic",
               Fraction(1), lambda: chow.hrr_chi(P, 0)),
         Check("chow.hrr.chi_1", "sections of the half-anticanonical bundle",
@@ -78,79 +80,78 @@ def _chow_checks() -> list[Check]:
 
 
 def _counts_checks() -> list[Check]:
-    eul = chow.euler_numbers()
-    chain = moduli.chi_of_Y_chain()
-    e_lambda = moduli.lambda_degree_from_family(chain["chi"])
-    e_prime = eul["singular_members"]
-    double_lines = moduli.solve_double_line_count(e_lambda, e_prime)
-    unreduced = moduli.solve_double_line_count(e_lambda, e_prime,
-                                               unreduced=True)
-    degree_nine = moduli.degree_nine_lemma()
-    psi_degree = moduli.psi_degree_via_Z()
+    eul = cache(chow.euler_numbers)
+    chain = cache(moduli.chi_of_Y_chain)
+    e_lambda = cache(lambda: moduli.lambda_degree_from_family(chain()["chi"]))
+
+    def double_lines(unreduced=False):
+        return moduli.solve_double_line_count(
+            e_lambda(), eul()["singular_members"], unreduced=unreduced)
+
     return [
         Check("counts.euler.S", "Euler number of the del Pezzo surface",
-              Fraction(7), lambda: eul["e_S"]),
+              Fraction(7), lambda: eul()["e_S"]),
         Check("counts.euler.genus_C", "genus of the discriminant curve",
-              Fraction(6), lambda: eul["g_C"]),
+              Fraction(6), lambda: eul()["g_C"]),
         Check("counts.euler.C", "Euler number of the discriminant curve",
-              Fraction(-10), lambda: eul["e_C"]),
+              Fraction(-10), lambda: eul()["e_C"]),
         Check("counts.euler.Q", "Euler number of a smooth member",
-              Fraction(4), lambda: eul["e_Q"]),
+              Fraction(4), lambda: eul()["e_Q"]),
         Check("counts.euler.Q0", "Euler number of a one-nodal member",
-              Fraction(5), lambda: eul["e_Q0"]),
+              Fraction(5), lambda: eul()["e_Q0"]),
         Check("counts.euler.P", "Euler number of the ambient bundle",
-              Fraction(21), lambda: eul["e_P"]),
+              Fraction(21), lambda: eul()["e_P"]),
         Check("counts.euler.B", "second Chern number of the base surface",
-              Fraction(64), lambda: eul["e_B"]),
+              Fraction(64), lambda: eul()["e_B"]),
         Check("counts.singular_members", "singular members of a pencil",
-              Fraction(77), lambda: eul["singular_members"]),
+              Fraction(77), lambda: eul()["singular_members"]),
         Check("counts.chiY.omega_h1", "dualizing class of the family surface",
-              Fraction(3), lambda: chain["omega_class"][0]),
+              Fraction(3), lambda: chain()["omega_class"][0]),
         Check("counts.chiY.omega_h2", "dualizing class of the family surface",
-              Fraction(1), lambda: chain["omega_class"][1]),
+              Fraction(1), lambda: chain()["omega_class"][1]),
         Check("counts.chiY.h0_ambient", "ambient sections of the dualizing class",
-              Fraction(20), lambda: chain["h0_omega_ambient"]),
+              Fraction(20), lambda: chain()["h0_omega_ambient"]),
         Check("counts.chiY.chi", "chi(O) of the family surface",
-              Fraction(13), lambda: chain["chi"]),
+              Fraction(13), lambda: chain()["chi"]),
         Check("counts.lambda_degree", "lambda-degree of the pencil",
-              Fraction(18), lambda: e_lambda),
+              Fraction(18), e_lambda),
         Check("counts.double_lines", "double-line members of a pencil",
-              Fraction(32), lambda: double_lines),
+              Fraction(32), double_lines),
         Check("counts.double_lines_unreduced", "same count, unreduced relation",
-              Fraction(32), lambda: unreduced),
+              Fraction(32), lambda: double_lines(unreduced=True)),
         Check("counts.degree_nine", "triple-product intersection number",
-              Fraction(9), lambda: degree_nine),
+              Fraction(9), moduli.degree_nine_lemma),
         Check("counts.psi_degree", "point-class degree on the sweeping curve",
-              Fraction(9), lambda: psi_degree),
+              Fraction(9), moduli.psi_degree_via_Z),
     ]
 
 
 def _slope_checks() -> list[Check]:
-    curves = moduli.pencil_curve_numbers()
-    single, triple = curves["single"], curves["triple"]
-    full = moduli.slope_bound("full", curves["sweeping"])
-    u4 = moduli.slope_bound("u4", curves["sweeping"])
+    curves = cache(moduli.pencil_curve_numbers)
+    bound = cache(lambda variant: moduli.slope_bound(
+        variant, curves()["sweeping"]))
     return [
         Check("slope.pairing.delta0", "pencil against the boundary pullback",
-              Fraction(141), lambda: single.pair(moduli.pullback_delta0())),
+              Fraction(141),
+              lambda: curves()["single"].pair(moduli.pullback_delta0())),
         Check("slope.triple.lambda", "triple-pencil lambda-degree",
-              Fraction(54), lambda: triple["lambda"]),
+              Fraction(54), lambda: curves()["triple"]["lambda"]),
         Check("slope.triple.delta0_prime", "triple-pencil boundary degree",
-              Fraction(231), lambda: triple["delta0_prime"]),
+              Fraction(231), lambda: curves()["triple"]["delta0_prime"]),
         Check("slope.triple.delta0_dblprime", "triple-pencil boundary degree",
-              Fraction(0), lambda: triple["delta0_dblprime"]),
+              Fraction(0), lambda: curves()["triple"]["delta0_dblprime"]),
         Check("slope.triple.delta0_ram", "triple-pencil ramified degree",
-              Fraction(96), lambda: triple["delta0_ram"]),
+              Fraction(96), lambda: curves()["triple"]["delta0_ram"]),
         Check("slope.full.lambda1", "sweeping curve against the Hodge class",
-              Fraction(30), lambda: full[0]),
+              Fraction(30), lambda: bound("full")[0]),
         Check("slope.full.boundary", "sweeping curve against the boundary",
-              Fraction(159), lambda: full[1]),
+              Fraction(159), lambda: bound("full")[1]),
         Check("slope.full.bound", "slope bound on the full space",
-              Fraction(53, 10), lambda: full[2]),
+              Fraction(53, 10), lambda: bound("full")[2]),
         Check("slope.u4.boundary", "restricted variant boundary degree",
-              Fraction(195), lambda: u4[1]),
+              Fraction(195), lambda: bound("u4")[1]),
         Check("slope.u4.bound", "slope bound on the four-point locus",
-              Fraction(13, 2), lambda: u4[2]),
+              Fraction(13, 2), lambda: bound("u4")[2]),
     ]
 
 

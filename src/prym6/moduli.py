@@ -268,8 +268,7 @@ def psi_degree_via_Z(l_h1: Fraction = Fraction(0),
 
 # -- curve classes -----------------------------------------------------------
 
-def pencil_curve_numbers(euler: Mapping[str, Fraction] | None = None
-                         ) -> dict[str, CurveClass]:
+def pencil_curve_numbers() -> dict[str, CurveClass]:
     """The three curve classes of the story, with wired-in inputs.
 
     single: one pencil of conic bundles; its boundary numbers are the
@@ -278,12 +277,9 @@ def pencil_curve_numbers(euler: Mapping[str, Fraction] | None = None
     triple: the same pencil traced three times around the nodal-cubic base.
     sweeping: the triple curve on the universal-curve product, where each of
     the five point classes has degree 9.
-    `euler` is the ledger of `chow.euler_numbers`, computed when not given.
     """
-    if euler is None:
-        euler = chow.euler_numbers()
     e_lambda = lambda_degree_from_family()
-    e_prime = euler["singular_members"]
+    e_prime = chow.euler_numbers()["singular_members"]
     e_ram = solve_double_line_count(e_lambda, e_prime)
     single = CurveClass(
         {"lambda": e_lambda, "delta0_prime": e_prime,

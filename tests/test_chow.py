@@ -149,7 +149,6 @@ class TestDegreeAndCanonical:
         t = chow.blowup_intersection_table()
         assert chow.verify_deg_h_two_ways(t, P) == (2, 2)
         assert chow.kb_squared(t) == chow.kb_squared()
-        assert chow.euler_numbers(P, t) == chow.euler_numbers()
 
     def test_canonical_classes(self):
         kp, kb = chow.canonical_classes()

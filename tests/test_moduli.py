@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from prym6 import chow, moduli
+from prym6 import moduli
 from prym6.moduli import (CurveClass, DivClassR6, MarkerPairingError,
                           ap_psi_coefficients, ap_pullback_theta,
                           pencil_curve_numbers, prym_pullback_lambda,
@@ -122,13 +122,6 @@ class TestCurveClasses:
         assert single["delta0_prime"] == 77
         assert single["delta0_dblprime"] == 0
         assert single["delta0_ram"] == 32
-
-    def test_ledger_is_wired_in(self):
-        ledger = dict(chow.euler_numbers(), singular_members=Fraction(78))
-        single = pencil_curve_numbers(ledger)["single"]
-        assert single["delta0_prime"] == 78
-        assert single["delta0_ram"] == moduli.solve_double_line_count(
-            Fraction(18), Fraction(78))
 
     def test_triple_is_three_times_single(self):
         curves = pencil_curve_numbers()
