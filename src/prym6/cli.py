@@ -254,6 +254,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prym6",
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the net-and-pencil pipeline")
     p_sweep.add_argument("--seed", type=int, required=True)
-    p_sweep.add_argument("--samples", type=int, default=3)
+    p_sweep.add_argument("--samples", type=_positive_int, default=3)
     p_sweep.add_argument("--json", metavar="PATH", default=None)
     p_sweep.add_argument("--exact-elimination", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -348,14 +348,10 @@ def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertifi
     """
     ((block, _),) = gamma.blocks
     point = tuple(Fraction(c) for c in point)
-    at = {block: point}
-    value = gamma.evaluate(at)
-    grad = tuple(gamma.partial(block, j).evaluate(at) for j in range(3))
+    value, grad, hess = gamma.jet({block: point}, 2)
     k = _chart_index(point)
-    local = [j for j in range(3) if j != k]
-    hess = [[gamma.partial(block, a).partial(block, b).evaluate(at) for b in local]
-            for a in local]
-    minor = hess[0][0] * hess[1][1] - hess[0][1] * hess[1][0]
+    a, b = (j for j in range(3) if j != k)
+    minor = hess[a][a] * hess[b][b] - hess[a][b] * hess[b][a]
     return NodeCertificate(point=point, chart=k,
                            gradient=(value,) + grad, hessian_minor=minor)
 
@@ -399,12 +395,9 @@ def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
     if mat.rank() != 2:
         raise CertificationError(f"rank A({u}) != 2")
     (y,) = mat.kernel()
-    at = {"x": u, "y": y}
-    for block in ("x", "y"):
-        for j in range(3):
-            if Q.partial(block, j).evaluate(at) != 0:
-                raise CertificationError(
-                    f"({u}, {y}) is a kernel point but not singular on Q")
+    _, grad = Q.jet({"x": u, "y": y}, 1)
+    if any(grad):
+        raise CertificationError(f"({u}, {y}) is a kernel point but not singular on Q")
     return y
 
 
@@ -573,6 +566,8 @@ class ConicBundleInstance:
     node_certificates: tuple[NodeCertificate, ...]
     fiber_singular_points: tuple[tuple[Fraction, ...], ...]
     marked_lines: tuple[LineInFiber, ...]
+    #: ``residual_line(Q, lf)`` for each marked line, in the same order
+    residuals: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...] | None], ...]
     seed: int | None = None
 
     def to_json(self) -> str:
@@ -602,6 +597,13 @@ class ConicBundleInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ConicBundleInstance":
+        """Load an instance and check every stored certificate against Q.
+
+        Each node certificate and fiber singular point is recomputed from
+        the loaded form, and each marked line is divided out of its fiber
+        conic; a mismatch, a non-node or a non-dividing line raises
+        `CertificationError`.  The completeness check is not rerun.
+        """
         data = json.loads(text)
         if data.get("format") != "conic-bundle-instance-v1":
             raise ValueError("unknown instance format")
@@ -619,15 +621,30 @@ class ConicBundleInstance:
                       for d in data["marked_lines"])
         A = to_symmetric_matrix(Q)
         gamma = discriminant(A)
-        certs = tuple(
-            NodeCertificate(point=vec(c["point"]), chart=c["chart"],
-                            gradient=vec(c["gradient"]),
-                            hessian_minor=frac(c["hessian_minor"]))
-            for c in data["certificates"])
-        ys = tuple(vec(c["fiber_singular_point"]) for c in data["certificates"])
-        return cls(nodes=nodes, Q=Q, A=A, gamma=gamma, node_certificates=certs,
-                   fiber_singular_points=ys, marked_lines=lines,
-                   seed=data.get("seed"))
+        stored = data["certificates"]
+        if len(stored) != len(nodes):
+            raise CertificationError("one certificate per node is required")
+        certs, ys = [], []
+        for node, c in zip(nodes, stored):
+            cert = node_certificate(gamma, node)
+            if not cert.is_node:
+                raise CertificationError(f"point {node} is not an ordinary node")
+            if cert != NodeCertificate(point=vec(c["point"]), chart=c["chart"],
+                                       gradient=vec(c["gradient"]),
+                                       hessian_minor=frac(c["hessian_minor"])):
+                raise CertificationError(f"stored certificate of {node} does not match")
+            y = singular_point_on_Q(A, Q, node)
+            if y != vec(c["fiber_singular_point"]):
+                raise CertificationError(f"stored fiber point over {node} does not match")
+            certs.append(cert)
+            ys.append(y)
+        try:
+            residuals = tuple(residual_line(Q, lf) for lf in lines)
+        except MarkedLineInvariantError as exc:
+            raise CertificationError(str(exc)) from exc
+        return cls(nodes=nodes, Q=Q, A=A, gamma=gamma, node_certificates=tuple(certs),
+                   fiber_singular_points=tuple(ys), marked_lines=lines,
+                   residuals=residuals, seed=data.get("seed"))
 
 
 def random_rational(rng: random.Random, bound: int = 97) -> Fraction:
@@ -665,12 +682,13 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
     certs = certify_nodes(gamma, nodes, rng, exact_elimination=exact_elimination)
     ys = tuple(singular_point_on_Q(A, Q, pt) for pt in nodes)
     rank_stratification_check(A, gamma, nodes, rng)
-    for lf in lines:
-        residual_line(Q, lf)  # raises if the marked-line invariant is broken
+    # residual_line raises if the marked-line invariant is broken
+    residuals = tuple(residual_line(Q, lf) for lf in lines)
     return ConicBundleInstance(
         nodes=tuple(tuple(Fraction(c) for c in p) for p in nodes),
         Q=Q, A=A, gamma=gamma, node_certificates=certs,
-        fiber_singular_points=ys, marked_lines=tuple(lines), seed=seed)
+        fiber_singular_points=ys, marked_lines=tuple(lines),
+        residuals=residuals, seed=seed)
 
 
 def construct_instance(seed: int, retries: int = 16,
@@ -810,10 +828,9 @@ def sweep(seed: int, samples: int, retries: int = 16,
             inst = certify_instance(Q, list(net.fixed_lines) + [lf], rng,
                                     seed=seed,
                                     exact_elimination=exact_elimination)
-            sections = []
-            for j, fixed_lf in enumerate(net.fixed_lines):
-                m, y = residual_line(Q, fixed_lf)
-                sections.append({"index": j, "residual": m, "point": y})
+            # the marked lines are the fixed lines followed by lf
+            sections = [{"index": j, "residual": m, "point": y}
+                        for j, (m, y) in enumerate(inst.residuals[:4])]
             results.append({"line": lf, "instance": inst, "sections": sections})
         except (NonGenericDropError, CertificationError,
                 MarkedLineInvariantError, DegenerateConfigurationError):

@@ -237,10 +237,96 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, Sequence]) -> Fraction:
         """Fully evaluate; every block must be assigned."""
-        res = self.substitute(assignment)
-        if res.blocks:
-            raise ValueError("evaluate requires every block to be assigned")
-        return res.terms.get((), Fraction(0))
+        return self.jet(assignment, 0)[0]
+
+    def jet(self, assignment: Mapping[str, Sequence], order: int = 2) -> tuple:
+        """Value, gradient and Hessian at a rational point, in one pass.
+
+        Every block must be assigned.  Returns ``order + 1`` entries: the
+        value; for order >= 1 the gradient over all variables, in the flat
+        order of the exponent tuples; for order 2 the Hessian as a tuple of
+        rows.
+
+        Each block's point is written P/d with integer P, and each
+        coefficient as C/D over one common denominator D.  A term whose
+        block degrees are |e_b| then adds C P^e prod_b d_b^(deg_b - |e_b|)
+        to D prod_b d_b^deg_b times the value, deg_b being the top degree of
+        block b, so every sum runs in integers.  A derivative in a
+        coordinate of block b lowers |e_b| by one, so its output takes one
+        factor d_b back; each output is divided once.
+        """
+        if not 0 <= order <= 2:
+            raise ValueError("order must be 0, 1 or 2")
+        coords: list[int] = []
+        back: list[int] = []  # per variable, the denominator d of its block
+        lifts = []  # (start, stop, d, deg) of each block with d != 1
+        for name, size in self.blocks:
+            if name not in assignment:
+                raise ValueError("every block must be assigned")
+            pt = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+                  for v in assignment[name]]
+            if len(pt) != size:
+                raise ValueError(f"point for block {name!r} has wrong size")
+            d = lcm(*(v.denominator for v in pt))
+            if d != 1:
+                a = len(coords)
+                deg = max((sum(e[a:a + size]) for e in self.terms), default=0)
+                lifts.append((a, a + size, d, deg))
+            coords += [v.numerator * (d // v.denominator) for v in pt]
+            back += [d] * size
+        D = lcm(*(c.denominator for c in self.terms.values()))
+        n = len(coords)
+        tops = map(max, zip(*self.terms)) if self.terms else [0] * n
+        pw = [[v ** e for e in range(top + 1)] for v, top in zip(coords, tops)]
+        value = 0
+        grad = [0] * n
+        hess = [[0] * n for _ in range(n)]
+        for exp, c in self.terms.items():
+            C = c.numerator * (D // c.denominator)
+            for a, b, d, deg in lifts:
+                C *= d ** (deg - sum(exp[a:b]))
+            support = [k for k in range(n) if exp[k]]
+            mono = [pw[k][exp[k]] for k in support]
+            term = C
+            for m in mono:
+                term *= m
+            value += term
+            if not order:
+                continue
+            for i, k in enumerate(support):
+                e = exp[k]
+                # C times every factor of the monomial but the k-th
+                rest = C
+                for j, m in enumerate(mono):
+                    if j != i:
+                        rest *= m
+                grad[k] += e * pw[k][e - 1] * rest
+                if order < 2:
+                    continue
+                if e >= 2:
+                    hess[k][k] += e * (e - 1) * pw[k][e - 2] * rest
+                for i2 in range(i + 1, len(support)):
+                    l = support[i2]
+                    f = exp[l]
+                    mixed = C * e * pw[k][e - 1] * f * pw[l][f - 1]
+                    for j, m in enumerate(mono):
+                        if j != i and j != i2:
+                            mixed *= m
+                    hess[k][l] += mixed
+        total = D
+        for _, _, d, deg in lifts:
+            total *= d ** deg
+        out: tuple = (Fraction(value, total),)
+        if order:
+            out += (tuple(Fraction(g * back[k], total) for k, g in enumerate(grad)),)
+        if order == 2:
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for k in range(n):
+                for l in range(k, n):
+                    rows[k][l] = rows[l][k] = Fraction(
+                        hess[k][l] * back[k] * back[l], total)
+            out += (tuple(map(tuple, rows)),)
+        return out
 
     def coefficient_vector(self, monomials: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
         extra = set(self.terms) - set(monomials)

@@ -286,29 +286,37 @@ def det_field(F, m):
 
     Over Q this delegates to fraction-free Bareiss elimination, which is
     far faster on the huge exact entries produced by resultant towers.
+    Over GF(p) the entries are plain ints in [0, p), and the elimination
+    runs on ints with one reduction per update.  It divides by no pivot:
+    row i becomes pivot * row i - row_i[k] * pivot row, which multiplies
+    the determinant by the pivot.  Those factors are collected in one scale
+    and inverted once at the end, since an inverse mod p costs more than a
+    whole row update.
     """
     if F is QQ:
         from .exactalg import QMatrix
         return QMatrix(m).det()
+    p = F.p
     m = [row[:] for row in m]
     n = len(m)
-    det = F.one
+    det = scale = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != F.zero), None)
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return F.zero
+            return 0
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            det = F.neg(det)
-        det = F.mul(det, m[k][k])
-        inv = F.inv(m[k][k])
+            det = -det
+        top = m[k][k + 1:]
+        pk = m[k][k]
+        det = det * pk % p
         for i in range(k + 1, n):
-            f = F.mul(m[i][k], inv)
-            if f == F.zero:
-                continue
-            for j in range(k, n):
-                m[i][j] = F.sub(m[i][j], F.mul(f, m[k][j]))
-    return det
+            row = m[i]
+            rk = row[k]
+            if rk:
+                row[k + 1:] = [(pk * a - rk * b) % p for a, b in zip(row[k + 1:], top)]
+                scale = scale * pk % p
+    return det * pow(scale, -1, p) % p
 
 
 # -- trivariate polynomials as exponent dicts ---------------------------

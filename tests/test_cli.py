@@ -125,6 +125,14 @@ class TestSweep:
             assert s["certified_nodes"] == 4
             assert len(s["sections"]) == 4
 
+    @pytest.mark.parametrize("samples", ["0", "-2", "two"])
+    def test_samples_below_one_are_a_usage_error(self, samples, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--seed", "1", "--samples", samples])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: prym6 sweep") and "--samples" in err
+
     def test_sweep_deterministic(self, capsys):
         assert main(["sweep", "--seed", "11", "--samples", "1"]) == 0
         first = capsys.readouterr().out

@@ -404,6 +404,23 @@ class TestInstancePipeline:
         assert again.Q == inst.Q
         json.loads(text)  # valid JSON
 
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d["certificates"][0].update(hessian_minor=[1, 1]),
+        lambda d: d["certificates"][2]["gradient"][1].__setitem__(0, 1),
+        lambda d: d["certificates"][1].update(chart=0),
+        lambda d: d["nodes"].__setitem__(0, [[5, 1], [7, 1], [11, 1]]),
+        lambda d: d["certificates"][0].update(point=[[5, 1], [7, 1], [11, 1]]),
+        lambda d: d["certificates"][3]["fiber_singular_point"][0].__setitem__(0, 7),
+        lambda d: d["certificates"].pop(),
+        lambda d: d["marked_lines"][2]["dual"][0].__setitem__(0, 1234),
+    ], ids=["minor", "gradient", "chart", "node", "point", "fiber-point",
+            "missing", "marked-line"])
+    def test_tampered_json_is_rejected(self, tamper):
+        data = json.loads(cb.construct_instance(1).to_json())
+        tamper(data)
+        with pytest.raises(cb.CertificationError):
+            cb.ConicBundleInstance.from_json(json.dumps(data))
+
     def test_determinism(self):
         a = cb.construct_instance(12)
         b = cb.construct_instance(12)

@@ -104,6 +104,49 @@ class TestMultiPoly:
             p.coefficient_vector(monos[:-1])
 
 
+def _substituted(p, at):
+    """Value of p at a point through `substitute`, the reference for `jet`."""
+    return p.substitute(at).terms.get((), Fraction(0))
+
+
+def _points():
+    coord = st.one_of(st.just(Fraction(0)), small_fracs)
+    return st.tuples(*(st.tuples(coord, coord, coord) for _ in range(2)))
+
+
+class TestJet:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(), _points())
+    def test_matches_partial_and_substitute(self, p, pts):
+        # two-block polynomials of mixed degrees, points with denominators
+        # and zero coordinates; the zero polynomial is among the draws
+        at = {"x": pts[0], "y": pts[1]}
+        value, grad, hess = p.jet(at, 2)
+        assert value == _substituted(p, at) == p.evaluate(at)
+        variables = [(b, j) for b in ("x", "y") for j in range(3)]
+        firsts = [p.partial(b, j) for b, j in variables]
+        assert grad == tuple(_substituted(f, at) for f in firsts)
+        assert hess == tuple(tuple(_substituted(f.partial(b, j), at)
+                                   for b, j in variables) for f in firsts)
+        assert p.jet(at, 1) == (value, grad)
+        assert p.jet(at, 0) == (value,)
+
+    def test_zero_polynomial(self):
+        at = {"x": (Fraction(1, 2), 0, 3), "y": (1, 1, Fraction(-2, 5))}
+        value, grad, hess = MultiPoly.zero(XY).jet(at)
+        assert value == 0 and grad == (0,) * 6
+        assert hess == ((0,) * 6,) * 6
+
+    def test_every_block_must_be_assigned(self):
+        p = MultiPoly.variable(XY, "x", 0)
+        with pytest.raises(ValueError):
+            p.jet({"x": (1, 2, 3)})
+        with pytest.raises(ValueError):
+            p.evaluate({"x": (1, 2), "y": (1, 2, 3)})
+        with pytest.raises(ValueError):
+            p.jet({"x": (1, 2, 3), "y": (1, 2, 3)}, 3)
+
+
 class TestPrimitive:
     def test_basic(self):
         assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)

@@ -100,6 +100,27 @@ class TestUnivariate:
         assert ps.uni_derivative(F, a) == expect
 
 
+class TestDetField:
+    @pytest.mark.parametrize("p", [101, ps.random_prime_ge_2_61(random.Random(8))])
+    def test_gf_matches_exact_determinant(self, p):
+        from prym6.exactalg import QMatrix
+        rng = random.Random(p)
+        F = ps.GF(p)
+        for trial in range(12):
+            m = [[rng.randint(-50, 50) for _ in range(10)] for _ in range(10)]
+            if trial % 3 == 1:
+                # singular: one row is a combination of two others
+                m[7] = [3 * a - 5 * b for a, b in zip(m[2], m[4])]
+            elif trial % 3 == 2:
+                # the first pivot needs a row swap
+                m[0][0] = 0
+            reduced = [[v % p for v in row] for row in m]
+            det = ps.det_field(F, reduced)
+            assert det == int(QMatrix(m).det()) % p
+            assert 0 <= det < p
+        assert ps.det_field(F, []) == 1
+
+
 class TestResultant:
     def test_resultant_detects_common_root(self):
         F = ps.QQ
