@@ -64,12 +64,12 @@ def bidegree_monomials(bidegree: tuple[int, int]) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A linear system of fixed bidegree, stored by primitive coefficient
-    vectors over its monomials."""
+    """A linear system of fixed bidegree, stored by primitive integer
+    coefficient vectors over its monomials."""
 
     bidegree: tuple[int, int]
     monomials: tuple[tuple[int, ...], ...]
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -77,16 +77,19 @@ class LinearSystem:
 
     @property
     def basis(self) -> tuple[MultiPoly, ...]:
-        return tuple(MultiPoly(XY_BLOCKS, dict(zip(self.monomials, v)))
+        return tuple(MultiPoly.from_ints(XY_BLOCKS, dict(zip(self.monomials, v)))
                      for v in self.vectors)
 
 
 @dataclass(frozen=True)
 class LineInFiber:
-    """A line in the fiber {o} x P^2, stored by its dual vector."""
+    """A line in the fiber {o} x P^2, stored by its dual vector.
 
-    o: tuple[Fraction, ...]
-    dual: tuple[Fraction, ...]
+    Both vectors are stored scaled to primitive integer vectors.
+    """
+
+    o: tuple[int, ...]
+    dual: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "o", primitive(self.o))
@@ -98,7 +101,7 @@ class LineInFiber:
         """Whether o itself lies on the line (sweeping-curve incidence)."""
         return sum(a * b for a, b in zip(self.dual, self.o)) == 0
 
-    def spanning_points(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    def spanning_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ker = QMatrix([self.dual]).kernel()
         return ker[0], ker[1]
 
@@ -120,7 +123,7 @@ def _monomial_row(monomials, point: Sequence[Fraction],
     multiplies the row of a bihomogeneous system by one nonzero factor, so
     the condition is the same and its entries are ints.
     """
-    point = [int(c) for block in (point[:3], point[3:]) for c in primitive(block)]
+    point = [c for block in (point[:3], point[3:]) for c in primitive(block)]
     row = []
     for exp in monomials:
         c = 1
@@ -218,7 +221,7 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     the drops by each group, and no group drops by more than its number of
     rows, so one drop check is the check of every step.
     """
-    basis = [[int(c) for c in v] for v in sys.vectors]
+    basis = sys.vectors
     restricted = QMatrix([[sum(map(mul, row, vec)) for vec in basis]
                           for row in rows])
     ker = restricted.kernel()
@@ -229,7 +232,7 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     vectors = []
     for kv in ker:
         acc = [0] * len(sys.monomials)
-        for k, vec in zip(map(int, kv), basis):
+        for k, vec in zip(kv, basis):
             acc = [a + k * v for a, v in zip(acc, vec)]
         vectors.append(primitive(acc))
     return LinearSystem(sys.bidegree, sys.monomials, tuple(vectors))
@@ -279,16 +282,21 @@ class SymQuadricMatrix:
                     raise ValueError("matrix is not symmetric")
 
     def evaluated(self, x: Sequence[Fraction]) -> QMatrix:
-        x = tuple(x)
-        return QMatrix([[e.evaluate({"x": x}) for e in row] for row in self.entries])
+        """A(x), evaluating each of its six distinct entries once."""
+        at = {"x": tuple(x)}
+        upper = {(i, j): self.entries[i][j].evaluate(at)
+                 for i in range(3) for j in range(i, 3)}
+        return QMatrix([[upper[min(i, j), max(i, j)] for j in range(3)]
+                        for i in range(3)])
 
     def reassemble(self) -> MultiPoly:
         acc = MultiPoly.zero(XY_BLOCKS)
         for i in range(3):
             for j in range(3):
-                acc = acc + MultiPoly(
-                    XY_BLOCKS, {e + _Y_EXPS[i][j]: c
-                                for e, c in self.entries[i][j].terms.items()})
+                entry = self.entries[i][j]
+                acc = acc + MultiPoly.from_ints(
+                    XY_BLOCKS, {e + _Y_EXPS[i][j]: n for e, n in entry.nums.items()},
+                    entry.den)
         return acc
 
 
@@ -297,20 +305,23 @@ _Y_EXPS = [[tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(3))
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
-    """Write a (2,2) form as y^T A(x) y with A symmetric."""
+    """Write a (2,2) form as y^T A(x) y with A symmetric.
+
+    With Q = N / D, the coefficient c of x^e y_i y_j goes to A_ii as
+    2 N_e / 2D when i = j, and to A_ij and A_ji as N_e / 2D otherwise; the
+    six distinct entries share the denominator 2D.
+    """
     if Q.multidegree() != (2, 2):
         raise ValueError("expected a form of bidegree (2, 2)")
-    grids: list[list[dict]] = [[{} for _ in range(3)] for _ in range(3)]
-    for exp, c in Q.terms.items():
+    grids: dict[tuple[int, int], dict] = {
+        (i, j): {} for i in range(3) for j in range(i, 3)}
+    for exp, n in Q.nums.items():
         xexp, yexp = exp[:3], exp[3:]
-        idx = [k for k in range(3) for _ in range(yexp[k])]
-        i, j = idx
-        if i == j:
-            grids[i][j][xexp] = c
-        else:
-            grids[i][j][xexp] = c / 2
-            grids[j][i][xexp] = c / 2
-    entries = tuple(tuple(MultiPoly(X_BLOCKS, grids[i][j]) for j in range(3))
+        i, j = [k for k in range(3) for _ in range(yexp[k])]
+        grids[i, j][xexp] = 2 * n if i == j else n
+    upper = {ij: MultiPoly.from_ints(X_BLOCKS, grid, 2 * Q.den)
+             for ij, grid in grids.items()}
+    entries = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(3))
                     for i in range(3))
     A = SymQuadricMatrix(entries)
     if A.reassemble() != Q:  # reassembly identity is part of the contract
@@ -359,13 +370,16 @@ def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertifi
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
     """Certify Sing(gamma) = {points}; mod a large prime unless exact."""
-    partials = [gamma.partial("x", j).terms for j in range(3)]
+    partials = [gamma.partial("x", j) for j in range(3)]
     if exact:
         F = QQ
-        polys = partials
+        polys = [p.terms for p in partials]
     else:
+        # the numerators of a partial are the partial times its denominator,
+        # which divides 8 for a Q with integer coefficients and so is a unit
+        # mod p: reducing them needs no inverse and keeps the zero set
         F = GF(random_prime_ge_2_61(rng))
-        polys = [{e: F.from_rational(c) for e, c in p.items()} for p in partials]
+        polys = [{e: n % F.p for e, n in p.nums.items()} for p in partials]
     return only_known_common_roots(F, polys, list(points), rng)
 
 
@@ -384,7 +398,7 @@ def certify_nodes(gamma: MultiPoly, points, rng: random.Random,
 
 
 def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
-                        u: Sequence[Fraction]) -> tuple[Fraction, ...]:
+                        u: Sequence[Fraction]) -> tuple[int, ...]:
     """The unique fiber point making (u, y) a singular point of Q.
 
     Requires rank A(u) = 2; the kernel direction y is then unique, and both
@@ -437,7 +451,7 @@ def _restrict_to_chord(gamma: MultiPoly, p, q) -> list[Fraction]:
     D gamma is expanded with power tables of (s P_m + t Q_m), and the one
     division, by D dp^(6-k) dq^k, comes last.
     """
-    D = lcm(*(c.denominator for c in gamma.terms.values()))
+    D = gamma.den
     dp, dq = lcm(*(c.denominator for c in p)), lcm(*(c.denominator for c in q))
     powers = []  # powers[m][e][k]: coefficient of t^k in (s P_m + t Q_m)^e
     for a, b in zip(p, q):
@@ -448,8 +462,8 @@ def _restrict_to_chord(gamma: MultiPoly, p, q) -> list[Fraction]:
             table.append([u * a + v * b for u, v in zip(prev + [0], [0] + prev)])
         powers.append(table)
     acc = [0] * 7
-    for exp, c in gamma.terms.items():
-        term = [c.numerator * (D // c.denominator)]
+    for exp, n in gamma.nums.items():
+        term = [n]
         for m in range(3):
             pw = powers[m][exp[m]]
             nxt = [0] * (len(term) + len(pw) - 1)
@@ -525,8 +539,9 @@ def residual_line(Q: MultiPoly, lf: LineInFiber):
     point of the two lines; y is None in the double-line case m = line.
     """
     conic = restricted_conic(Q, lf.o)
-    # conic coefficients over the 6 degree-2 monomials in y
-    target = [conic.terms.get(m, Fraction(0)) for m in _Y_DEG2]
+    # numerators of the conic over the 6 degree-2 monomials in y: the conic
+    # times its denominator, which scales m by a factor `primitive` removes
+    target = [conic.nums.get(m, 0) for m in _Y_DEG2]
     # matrix of the multiplication map m -> (dual . y)(m . y)
     cols = []
     for k in range(3):
@@ -535,8 +550,8 @@ def residual_line(Q: MultiPoly, lf: LineInFiber):
             if lf.dual[i]:
                 e = tuple((1 if a == i else 0) + (1 if a == k else 0)
                           for a in range(3))
-                prod[e] = prod.get(e, Fraction(0)) + lf.dual[i]
-        cols.append([prod.get(m, Fraction(0)) for m in _Y_DEG2])
+                prod[e] = prod.get(e, 0) + lf.dual[i]
+        cols.append([prod.get(m, 0) for m in _Y_DEG2])
     M = QMatrix([[cols[k][r] for k in range(3)] for r in range(6)])
     m = solve_exact(M, target)
     if m is None:
@@ -564,10 +579,10 @@ class ConicBundleInstance:
     A: SymQuadricMatrix
     gamma: MultiPoly
     node_certificates: tuple[NodeCertificate, ...]
-    fiber_singular_points: tuple[tuple[Fraction, ...], ...]
+    fiber_singular_points: tuple[tuple[int, ...], ...]
     marked_lines: tuple[LineInFiber, ...]
     #: ``residual_line(Q, lf)`` for each marked line, in the same order
-    residuals: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...] | None], ...]
+    residuals: tuple[tuple[tuple[int, ...], tuple[int, ...] | None], ...]
     seed: int | None = None
 
     def to_json(self) -> str:
@@ -730,7 +745,7 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber],
     """The net of members through (o, o) containing four fixed fiber lines."""
     if len(fixed_lines) != 4:
         raise ValueError("exactly four fixed lines are required")
-    o = primitive(tuple(Fraction(c) for c in o))
+    o = primitive(o)
     for lf in fixed_lines:
         if primitive(lf.o) == o and sum(a * b for a, b in zip(lf.dual, o)) == 0:
             raise DegenerateConfigurationError(

@@ -1,14 +1,20 @@
 """Exact rational arithmetic: multihomogeneous polynomials and linear algebra.
 
-Everything in this module is exact.  Coefficients are `fractions.Fraction`
-throughout; linear algebra goes through fraction-free (Bareiss) elimination
-on integer matrices so that ranks and kernels are certified, not numerical.
+Everything in this module is exact, and the arithmetic runs on Python ints.
+A `MultiPoly` stores integer numerators over one positive common
+denominator, reduced by their gcd once per result; a `QMatrix` stores each
+row as integer numerators over a positive row denominator.  Linear algebra
+goes through fraction-free (Bareiss) elimination on the integer rows, so
+ranks and kernels are certified, not numerical.  `fractions.Fraction`
+appears only at the interface: coefficients read through `MultiPoly.terms`,
+entries through `QMatrix.entries`, and values, gradients and determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -16,55 +22,72 @@ class BlockMismatchError(ValueError):
     """Raised when combining polynomials over different variable blocks."""
 
 
-def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def primitive(vector: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The result has coprime integer entries and its first nonzero entry is
     positive, which makes kernel bases deterministic.
     """
-    denom = lcm(*(Fraction(v).denominator for v in vector)) if vector else 1
-    ints = [int(Fraction(v) * denom) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    vals = [v if isinstance(v, int) else Fraction(v) for v in vector]
+    denom = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (denom // v.denominator) for v in vals]
+    g = gcd(*ints)
     if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
 class MultiPoly:
     """Multihomogeneous polynomial over named variable blocks.
 
-    ``blocks`` is an ordered tuple such as ``(("x", 3), ("y", 3))``.  Terms
-    map flat exponent tuples (concatenated over the blocks) to nonzero
-    rational coefficients; zero coefficients are never stored.
+    ``blocks`` is an ordered tuple such as ``(("x", 3), ("y", 3))``.  The
+    polynomial is ``nums / den``: ``nums`` maps flat exponent tuples
+    (concatenated over the blocks) to nonzero integer numerators, and
+    ``den`` is a positive integer with no factor common to all of them (1
+    for the zero polynomial).  Equal polynomials therefore have equal
+    ``nums`` and ``den``.  ``terms`` gives the coefficients as `Fraction`s.
     """
 
-    __slots__ = ("blocks", "terms")
+    __slots__ = ("blocks", "nums", "den")
 
     def __init__(self, blocks, terms: Mapping | None = None):
         self.blocks = tuple((str(n), int(s)) for n, s in blocks)
         nvars = sum(s for _, s in self.blocks)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, int):
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != nvars or any(e < 0 for e in exp):
                     raise ValueError(f"bad exponent vector {exp!r}")
-                acc = clean.get(exp, Fraction(0)) + c
-                if acc == 0:
-                    clean.pop(exp, None)
-                else:
-                    clean[exp] = acc
-        self.terms = clean
+                clean[exp] = clean.get(exp, 0) + c
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nums, self.den = _reduced(
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            den)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_ints(cls, blocks, nums: Mapping[tuple[int, ...], int],
+                  den: int = 1) -> "MultiPoly":
+        """The polynomial nums / den, for integer numerators and den > 0.
+
+        ``blocks`` must be a tuple of (name, size) pairs and the exponent
+        tuples must fit it; neither is checked.  Zero numerators are
+        dropped and the result is reduced to lowest terms.
+        """
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        self = object.__new__(cls)
+        self.blocks = blocks
+        self.nums, self.den = _reduced(nums, den)
+        return self
 
     @classmethod
     def zero(cls, blocks) -> "MultiPoly":
@@ -73,7 +96,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, blocks, value) -> "MultiPoly":
         nvars = sum(int(s) for _, s in blocks)
-        return cls(blocks, {(0,) * nvars: Fraction(value)})
+        return cls(blocks, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, blocks, block: str, index: int) -> "MultiPoly":
@@ -86,11 +109,17 @@ class MultiPoly:
                 nvars = sum(s for _, s in blocks)
                 exp = [0] * nvars
                 exp[off + index] = 1
-                return cls(blocks, {tuple(exp): Fraction(1)})
+                return cls(blocks, {tuple(exp): 1})
             off += size
         raise ValueError(f"no block named {block!r}")
 
     # -- structure ----------------------------------------------------
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Exponent tuple -> nonzero `Fraction` coefficient, built on demand."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
 
     @property
     def nvars(self) -> int:
@@ -105,14 +134,14 @@ class MultiPoly:
         raise ValueError(f"no block named {block!r}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def multidegree(self) -> tuple[int, ...] | None:
         """Per-block degree tuple, or None if not multihomogeneous."""
-        if not self.terms:
+        if not self.nums:
             return None
         degs = None
-        for exp in self.terms:
+        for exp in self.nums:
             cur, off = [], 0
             for _, size in self.blocks:
                 cur.append(sum(exp[off:off + size]))
@@ -133,51 +162,56 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, MultiPoly):
             self._check_blocks(other)
-            merged = dict(self.terms)
-            for exp, c in other.terms.items():
-                merged[exp] = merged.get(exp, Fraction(0)) + c
-            return MultiPoly(self.blocks, merged)
+            den = lcm(self.den, other.den)
+            s1, s2 = den // self.den, den // other.den
+            merged = {e: n * s1 for e, n in self.nums.items()}
+            for e, n in other.nums.items():
+                merged[e] = merged.get(e, 0) + n * s2
+            return MultiPoly.from_ints(self.blocks, merged, den)
         return NotImplemented
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.blocks, {e: -c for e, c in self.terms.items()})
+        return MultiPoly.from_ints(self.blocks,
+                                   {e: -n for e, n in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_blocks(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return MultiPoly(self.blocks, out)
+            out: dict = {}
+            for e1, c1 in self.nums.items():
+                for e2, c2 in other.nums.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+            return MultiPoly.from_ints(self.blocks, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return MultiPoly(self.blocks, {e: c * c0 for e, c in self.terms.items()})
+            c = Fraction(other)
+            return MultiPoly.from_ints(
+                self.blocks, {e: n * c.numerator for e, n in self.nums.items()},
+                self.den * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.blocks == other.blocks
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.blocks, frozenset(self.terms.items())))
+        return hash((self.blocks, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "MultiPoly(0)"
         names = [f"{n}{i+1}" for n, s in self.blocks for i in range(s)]
+        terms = self.terms
         bits = []
-        for exp in sorted(self.terms):
-            c = self.terms[exp]
+        for exp in sorted(terms):
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(names, exp) if e)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+            bits.append(f"{terms[exp]}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
 
     # -- calculus and evaluation ---------------------------------------
@@ -188,14 +222,12 @@ class MultiPoly:
         if not 0 <= index < size:
             raise ValueError(f"index {index} out of range in block {block!r}")
         k = off + index
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[k] == 0:
-                continue
-            e = list(exp)
-            e[k] -= 1
-            out[tuple(e)] = c * exp[k]
-        return MultiPoly(self.blocks, out)
+        out = {}
+        for exp, n in self.nums.items():
+            e = exp[k]
+            if e:
+                out[exp[:k] + (e - 1,) + exp[k + 1:]] = n * e
+        return MultiPoly.from_ints(self.blocks, out, self.den)
 
     def substitute(self, assignment: Mapping[str, Sequence]) -> "MultiPoly":
         """Substitute rational points for a subset of blocks.
@@ -203,37 +235,49 @@ class MultiPoly:
         Substituted blocks disappear from the result; the remaining blocks
         are kept.  With every block substituted the result is a constant
         polynomial over no variables.
+
+        Each substituted point is written P/d with integer P.  A term whose
+        degree in that block is s takes P^e d^(top - s), top being the
+        block's highest degree, so the sums run in integers and the result
+        is over den times d^top for each block.
         """
-        spans = {}
+        spans = []  # (offset, P, d, top) of each substituted block
+        keep_blocks: list[tuple[str, int]] = []
+        keep_idx: list[int] = []
+        den = self.den
         off = 0
-        keep_blocks = []
         for name, size in self.blocks:
             if name in assignment:
-                pt = tuple(Fraction(v) for v in assignment[name])
+                pt = [v if isinstance(v, int) else Fraction(v)
+                      for v in assignment[name]]
                 if len(pt) != size:
                     raise ValueError(f"point for block {name!r} has wrong size")
-                spans[name] = (off, size, pt)
+                d = lcm(*(v.denominator for v in pt))
+                top = max((sum(e[off:off + size]) for e in self.nums), default=0)
+                spans.append((off, [v.numerator * (d // v.denominator) for v in pt],
+                              d, top))
+                den *= d ** top
             else:
                 keep_blocks.append((name, size))
+                keep_idx.extend(range(off, off + size))
             off += size
-        keep_idx = [i for (name, size), base in
-                    zip(self.blocks, _offsets(self.blocks))
-                    for i in range(base, base + size) if name not in assignment]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            val = c
-            for off0, size, pt in spans.values():
-                for j in range(size):
+        out: dict = {}
+        for exp, val in self.nums.items():
+            for off0, P, d, top in spans:
+                s = 0
+                for j, v in enumerate(P):
                     e = exp[off0 + j]
                     if e:
-                        val *= pt[j] ** e
-                if val == 0:
+                        val *= v ** e
+                        s += e
+                if not val:
                     break
-            if val == 0:
-                continue
-            key = tuple(exp[i] for i in keep_idx)
-            out[key] = out.get(key, Fraction(0)) + val
-        return MultiPoly(tuple(keep_blocks), out)
+                if s != top:
+                    val *= d ** (top - s)
+            if val:
+                key = tuple(exp[i] for i in keep_idx)
+                out[key] = out.get(key, 0) + val
+        return MultiPoly.from_ints(tuple(keep_blocks), out, den)
 
     def evaluate(self, assignment: Mapping[str, Sequence]) -> Fraction:
         """Fully evaluate; every block must be assigned."""
@@ -248,9 +292,9 @@ class MultiPoly:
         rows.
 
         Each block's point is written P/d with integer P, and each
-        coefficient as C/D over one common denominator D.  A term whose
-        block degrees are |e_b| then adds C P^e prod_b d_b^(deg_b - |e_b|)
-        to D prod_b d_b^deg_b times the value, deg_b being the top degree of
+        coefficient is its numerator C over ``den``.  A term whose block
+        degrees are |e_b| then adds C P^e prod_b d_b^(deg_b - |e_b|) to
+        den prod_b d_b^deg_b times the value, deg_b being the top degree of
         block b, so every sum runs in integers.  A derivative in a
         coordinate of block b lowers |e_b| by one, so its output takes one
         factor d_b back; each output is divided once.
@@ -270,19 +314,17 @@ class MultiPoly:
             d = lcm(*(v.denominator for v in pt))
             if d != 1:
                 a = len(coords)
-                deg = max((sum(e[a:a + size]) for e in self.terms), default=0)
+                deg = max((sum(e[a:a + size]) for e in self.nums), default=0)
                 lifts.append((a, a + size, d, deg))
             coords += [v.numerator * (d // v.denominator) for v in pt]
             back += [d] * size
-        D = lcm(*(c.denominator for c in self.terms.values()))
         n = len(coords)
-        tops = map(max, zip(*self.terms)) if self.terms else [0] * n
+        tops = map(max, zip(*self.nums)) if self.nums else [0] * n
         pw = [[v ** e for e in range(top + 1)] for v, top in zip(coords, tops)]
         value = 0
         grad = [0] * n
         hess = [[0] * n for _ in range(n)]
-        for exp, c in self.terms.items():
-            C = c.numerator * (D // c.denominator)
+        for exp, C in self.nums.items():
             for a, b, d, deg in lifts:
                 C *= d ** (deg - sum(exp[a:b]))
             support = [k for k in range(n) if exp[k]]
@@ -313,7 +355,7 @@ class MultiPoly:
                         if j != i and j != i2:
                             mixed *= m
                     hess[k][l] += mixed
-        total = D
+        total = self.den
         for _, _, d, deg in lifts:
             total *= d ** deg
         out: tuple = (Fraction(value, total),)
@@ -329,18 +371,21 @@ class MultiPoly:
         return out
 
     def coefficient_vector(self, monomials: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
-        extra = set(self.terms) - set(monomials)
+        extra = set(self.nums) - set(monomials)
         if extra:
             raise ValueError(f"terms outside the monomial list: {sorted(extra)[:3]}")
-        return tuple(self.terms.get(m, Fraction(0)) for m in monomials)
+        terms = self.terms
+        return tuple(terms.get(m, Fraction(0)) for m in monomials)
 
 
-def _offsets(blocks):
-    out, off = [], 0
-    for _, size in blocks:
-        out.append(off)
-        off += size
-    return out
+def _reduced(nums: Mapping, den: int) -> tuple[dict, int]:
+    """nums / den in lowest terms, with the zero numerators dropped."""
+    nums = {e: n for e, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {e: n // g for e, n in nums.items()}
+        den //= g
+    return nums, den
 
 
 def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -352,45 +397,64 @@ def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 class QMatrix:
-    """Dense matrix with exact rational entries."""
+    """Dense matrix with exact rational entries.
 
-    __slots__ = ("entries",)
+    Row i is stored as integer numerators ``nums[i]`` over a positive row
+    denominator ``dens[i]``, in lowest terms; a row built from ints is kept
+    as it is, over 1.  Rank, kernel and determinant eliminate on the
+    integer rows.  ``entries`` and ``m[i, j]`` give `Fraction`s.
+    """
+
+    __slots__ = ("nums", "dens")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = [tuple(Fraction(v) for v in row) for row in entries]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        nums, dens = [], []
+        for row in entries:
+            row = tuple(row)
+            if all(type(v) is int for v in row):
+                d = 1
+            else:
+                # over the lcm of the reduced denominators the row is
+                # already in lowest terms
+                row = [v if isinstance(v, int) else Fraction(v) for v in row]
+                d = lcm(*(v.denominator for v in row))
+                row = tuple(v.numerator * (d // v.denominator) for v in row)
+            nums.append(row)
+            dens.append(d)
+        if nums and any(len(r) != len(nums[0]) for r in nums):
             raise ValueError("ragged matrix")
-        self.entries = tuple(rows)
+        self.nums = tuple(nums)
+        self.dens = tuple(dens)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(n, d) for n in row)
+                     for row, d in zip(self.nums, self.dens))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.nums[0]) if self.nums else 0
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        i, j = ij
+        return Fraction(self.nums[i][j], self.dens[i])
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.entries == other.entries
-
-    def _integer_rows(self) -> list[list[int]]:
-        out = []
-        for row in self.entries:
-            denom = lcm(*(v.denominator for v in row)) if row else 1
-            out.append([int(v * denom) for v in row])
-        return out
+        return (isinstance(other, QMatrix) and self.nums == other.nums
+                and self.dens == other.dens)
 
     def rank(self) -> int:
-        echelon, pivots = _bareiss_echelon(self._integer_rows())
+        echelon, pivots = _bareiss_echelon(self.nums)
         return len(pivots)
 
-    def kernel(self) -> list[tuple[Fraction, ...]]:
+    def kernel(self) -> list[tuple[int, ...]]:
         """Exact basis of the right null space, primitive integer vectors."""
         nc = self.cols
-        echelon, pivots = _bareiss_echelon(self._integer_rows())
+        echelon, pivots = _bareiss_echelon(self.nums)
         pivset = set(pivots)
         free = [c for c in range(nc) if c not in pivset]
         basis = []
@@ -418,24 +482,18 @@ class QMatrix:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return Fraction(1)
-        scale = Fraction(1)
-        rows = []
-        for row in self.entries:
-            denom = lcm(*(v.denominator for v in row)) if row else 1
-            scale *= denom
-            rows.append([int(v * denom) for v in row])
-        d, sign = _bareiss_det(rows)
-        return Fraction(sign * d, 1) / scale
+        d, sign = _bareiss_det([list(r) for r in self.nums])
+        return Fraction(sign * d, prod(self.dens))
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form with column pivoting.
 
     Returns the nonzero echelon rows and the list of pivot columns.  All
     divisions are exact (Bareiss), so intermediate growth stays bounded by
     minor sizes.
     """
-    m = [r[:] for r in m]
+    m = [list(r) for r in m]
     nr = len(m)
     nc = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -482,11 +540,13 @@ def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...
     """Solve M x = b exactly; None when inconsistent.
 
     For underdetermined consistent systems an arbitrary (deterministic)
-    solution is returned.
+    solution is returned.  Row i of M is nums_i / d_i, so its equation is
+    nums_i . x - d_i b_i = 0.
     """
-    aug = QMatrix([list(row) + [-Fraction(b)] for row, b in zip(matrix.entries, rhs)])
+    aug = QMatrix([row + (-d * b,)
+                   for row, d, b in zip(matrix.nums, matrix.dens, rhs)])
     for vec in aug.kernel():
         if vec[-1] != 0:
             t = vec[-1]
-            return tuple(v / t for v in vec[:-1])
+            return tuple(Fraction(v, t) for v in vec[:-1])
     return None

@@ -3,12 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prym6 import conicbundle as cb
 from prym6.exactalg import MultiPoly, QMatrix, det3_poly, primitive
 
 XY = cb.XY_BLOCKS
 X = cb.X_BLOCKS
+
+
+fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+coords = st.one_of(st.just(Fraction(0)), fracs)
 
 
 def var(block, i):
@@ -143,6 +149,17 @@ class TestSymmetricMatrix:
         gamma = cb.discriminant(A)
         assert gamma == MultiPoly(X, {(2, 2, 2): Fraction(1)})
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(cb.bidegree_monomials((2, 2))),
+                           fracs, min_size=1, max_size=12),
+           st.tuples(coords, coords, coords))
+    def test_evaluated_matches_entrywise_evaluate(self, terms, x):
+        # forms and points with denominators and zero coordinates
+        A = cb.to_symmetric_matrix(MultiPoly(XY, terms))
+        at = {"x": x}
+        assert A.evaluated(x).entries == tuple(
+            tuple(e.evaluate(at) for e in row) for row in A.entries)
+
     def test_reassembly_identity_random(self):
         lines, _ = lines_for(107)
         Q, _ = cb.zeta(lines)
@@ -239,7 +256,8 @@ class TestNodeCertificates:
         assert cb.singular_locus_is_exactly(gamma, cb.STANDARD_NODES,
                                             random.Random(1))
 
-    def test_exact_mode_on_small_curve(self):
+    @staticmethod
+    def two_conics():
         # product of two transversal conics: singular exactly at the four
         # intersection points (+-1 : +-1 : 1); small coefficients keep the
         # exact resultants cheap
@@ -247,12 +265,27 @@ class TestNodeCertificates:
         f = MultiPoly(X, {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): -2 * one})
         g = MultiPoly(X, {(2, 0, 0): one, (0, 2, 0): 4 * one,
                           (0, 0, 2): -5 * one})
-        gamma = f * g
         pts = [(Fraction(a), Fraction(b), one) for a in (1, -1) for b in (1, -1)]
+        return f * g, pts
+
+    def test_exact_mode_on_small_curve(self):
+        gamma, pts = self.two_conics()
         assert cb.singular_locus_is_exactly(gamma, pts, random.Random(2),
                                             exact=True)
         assert not cb.singular_locus_is_exactly(gamma, pts[:3], random.Random(2),
                                                 exact=True)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_exact_mode_rejects_unlisted_node_for_every_draw(self):
+        # the node (-1 : -1 : 1) is left out; a sound check rejects the
+        # curve whatever change of coordinates it draws.  Today draws 8, 10,
+        # 11 and 13 accept: the unlisted node projects onto a listed one
+        # and is divided away with it.
+        gamma, pts = self.two_conics()
+        accepted = [i for i in range(1, 17)
+                    if cb.singular_locus_is_exactly(
+                        gamma, pts[:3], random.Random(f"control:{i}"), exact=True)]
+        assert accepted == []
 
 
 class TestSingularPointOnQ:

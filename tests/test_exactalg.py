@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,47 @@ class TestMultiPoly:
         assert MultiPoly(XY, dict(zip(monos, vec))) == p
         with pytest.raises(ValueError):
             p.coefficient_vector(monos[:-1])
+
+
+class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_strategy(), poly_strategy(),
+           st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    def test_equal_polynomials_have_one_form(self, p, other, k):
+        by_factor = MultiPoly(XY, {e: k * c for e, c in p.terms.items()}) * (1 / k)
+        by_product = (p * MultiPoly.constant(XY, k)) * (1 / k)
+        by_cancelling = (p + other) + (-other)
+        for q in (by_factor, by_product, by_cancelling,
+                  MultiPoly(p.blocks, p.terms)):
+            assert q == p
+            assert hash(q) == hash(p)
+            assert (q.nums, q.den) == (p.nums, p.den)
+        assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+        for c in p.terms.values():
+            assert type(c) is Fraction and c != 0
+            assert gcd(c.numerator, c.denominator) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=1, max_size=4)), st.integers(1, 6))
+    def test_matrix_from_ints_or_fractions(self, rows, k):
+        ints = QMatrix(rows)
+        m = QMatrix([[Fraction(v) for v in row] for row in rows])
+        assert m == ints
+        assert m.entries == ints.entries
+        assert all(type(v) is Fraction for row in m.entries for v in row)
+        assert m.rank() == ints.rank()
+        assert m.kernel() == ints.kernel()
+        # dividing by k keeps the row space and divides the det by k^n
+        scaled = QMatrix([[Fraction(v, k) for v in row] for row in rows])
+        assert scaled.entries == tuple(tuple(Fraction(v, k) for v in row)
+                                       for row in rows)
+        assert scaled.rank() == ints.rank()
+        assert scaled.kernel() == ints.kernel()
+        if m.rows == m.cols:
+            assert m.det() == ints.det()
+            assert scaled.det() == ints.det() / k ** m.rows
 
 
 def _substituted(p, at):
