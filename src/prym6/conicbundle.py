@@ -194,7 +194,15 @@ def line_condition_rows(monomials, lf: LineInFiber) -> list[list[int]]:
     """
     p, q = lf.spanning_points()
     third = tuple(a + b for a, b in zip(p, q))
-    return [_monomial_row(monomials, lf.o + y) for y in (p, q, third)]
+    # the rows of `_monomial_row` at (o, y), with o's block computed once
+    o = primitive(lf.o)
+    x_values = [prod(v ** e for v, e in zip(o, exp[:3]) if e) for exp in monomials]
+    rows = []
+    for y in (p, q, third):
+        y = primitive(y)
+        rows.append([xv * prod(v ** e for v, e in zip(y, exp[3:]) if e)
+                     for xv, exp in zip(x_values, monomials)])
+    return rows
 
 
 def _cut(sys: LinearSystem, rows: list[list[int]],
@@ -453,23 +461,26 @@ def _restrict_to_chord(gamma: MultiPoly, p, q) -> list[Fraction]:
     """
     D = gamma.den
     dp, dq = lcm(*(c.denominator for c in p)), lcm(*(c.denominator for c in q))
-    powers = []  # powers[m][e][k]: coefficient of t^k in (s P_m + t Q_m)^e
+    # powers[m][e]: the pairs (k, c) with c the nonzero coefficient of t^k in
+    # (s P_m + t Q_m)^e; a coordinate that is 0 at one or both ends of the
+    # chord leaves most of them 0, and their products are skipped
+    powers = []
     for a, b in zip(p, q):
         a, b = int(a * dp), int(b * dq)
         table = [[1]]
         for _ in range(6):
             prev = table[-1]
             table.append([u * a + v * b for u, v in zip(prev + [0], [0] + prev)])
-        powers.append(table)
+        powers.append([[(k, c) for k, c in enumerate(row) if c] for row in table])
     acc = [0] * 7
     for exp, n in gamma.nums.items():
         term = [n]
         for m in range(3):
-            pw = powers[m][exp[m]]
-            nxt = [0] * (len(term) + len(pw) - 1)
+            nxt = [0] * (len(term) + exp[m])
             for i, u in enumerate(term):
-                for j, v in enumerate(pw):
-                    nxt[i + j] += u * v
+                if u:
+                    for j, v in powers[m][exp[m]]:
+                        nxt[i + j] += u * v
             term = nxt
         for k, v in enumerate(term):
             acc[k] += v

@@ -8,6 +8,18 @@ same code runs over Q (exact mode) and over a large prime field
 Polynomials in three variables are plain dicts mapping exponent triples to
 field elements; univariate polynomials are coefficient lists, low degree
 first.
+
+A field object supplies ``zero``, ``one``, ``reduce``, ``inv``,
+``from_rational`` and ``random_element``; sums and products are Python's own
+operators on its elements.  ``reduce`` maps such a sum or product back to a
+field element: ``v % p`` over GF(p), the identity over Q.  Reduction is
+lazy: a kernel sums unreduced products and reduces each coefficient once,
+before it compares it with ``zero``, returns it or uses it as a key.
+
+A resultant is computed by the Euclidean remainder sequence,
+Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, in O(deg^2)
+field operations and one inverse per remainder, instead of a Sylvester
+determinant.
 """
 
 from __future__ import annotations
@@ -24,24 +36,12 @@ class QQ:
     one = Fraction(1)
 
     @staticmethod
+    def reduce(v):
+        return v
+
+    @staticmethod
     def from_rational(v):
         return Fraction(v)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
     @staticmethod
     def inv(a):
@@ -60,23 +60,14 @@ class GF:
         self.zero = 0
         self.one = 1 % p
 
+    def reduce(self, v):
+        return v % self.p
+
     def from_rational(self, v):
         v = Fraction(v)
         if v.denominator % self.p == 0:
             raise ZeroDivisionError("denominator vanishes mod p")
         return v.numerator * pow(v.denominator, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -131,6 +122,11 @@ def _trim(F, c):
     return c
 
 
+def _reduced(F, c):
+    """The reduced, trimmed coefficient list of unreduced sums c."""
+    return _trim(F, [F.reduce(v) for v in c])
+
+
 def uni_degree(c) -> int:
     return len(c) - 1  # -1 for the zero polynomial
 
@@ -138,8 +134,8 @@ def uni_degree(c) -> int:
 def uni_eval(F, c, x):
     acc = F.zero
     for coeff in reversed(c):
-        acc = F.add(F.mul(acc, x), coeff)
-    return acc
+        acc = acc * x + coeff
+    return F.reduce(acc)
 
 
 def uni_mul(F, a, b):
@@ -150,31 +146,33 @@ def uni_mul(F, a, b):
         if ai == F.zero:
             continue
         for j, bj in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return _trim(F, out)
+            out[i + j] += ai * bj
+    return _reduced(F, out)
 
 
 def uni_divmod(F, a, b):
+    """Quotient and remainder; a's entries are reduced only as they are read."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    top = len(b) - 1
+    q = [F.zero] * max(0, len(a) - top)
     inv_lead = F.inv(b[-1])
     for k in range(len(a) - len(b), -1, -1):
-        f = F.mul(a[k + len(b) - 1], inv_lead)
+        f = F.reduce(a[k + top] * inv_lead)
         if f == F.zero:
             continue
         q[k] = f
-        for j, bj in enumerate(b):
-            a[k + j] = F.sub(a[k + j], F.mul(f, bj))
-    return _trim(F, q), _trim(F, a)
+        for j in range(top):
+            a[k + j] -= f * b[j]
+    return _trim(F, q), _reduced(F, a[:top])
 
 
 def uni_monic(F, a):
     if not a:
         return a
     inv = F.inv(a[-1])
-    return [F.mul(inv, v) for v in a]
+    return [F.reduce(inv * v) for v in a]
 
 
 def uni_gcd(F, a, b):
@@ -239,7 +237,7 @@ def _uni_gcd_q(a, b):
 
 
 def uni_derivative(F, a):
-    return _trim(F, [F.mul(i, a[i]) for i in range(1, len(a))])
+    return _reduced(F, [i * a[i] for i in range(1, len(a))])
 
 
 def uni_squarefree_part(F, a):
@@ -252,33 +250,55 @@ def uni_squarefree_part(F, a):
     return uni_monic(F, q)
 
 
+def uni_resultant(F, a, b):
+    """Determinant of the low-first Sylvester matrix of a and b.
+
+    That matrix has deg b rows a_0 .. a_n and deg a rows b_0 .. b_m, each
+    shifted one column right of the row before, and its determinant is
+    (-1)^(deg a deg b) Res(a, b) = Res(b, a).  a and b are nonzero and
+    trimmed.  The loop keeps the answer as res * Res(f, g): with r = g mod f
+    of degree k, Res(f, g) = lc(f)^(deg g - k) Res(f, r), Res(f, 0) = 0 for
+    deg f > 0, Res(f, r) = (-1)^(deg f k) Res(r, f), and a constant f gives
+    f_0^(deg g).
+    """
+    res = F.one
+    f, g = b, a
+    while len(f) > 1:
+        _, r = uni_divmod(F, g, f)
+        if not r:
+            return F.zero
+        m, n, k = len(f) - 1, len(g) - 1, len(r) - 1
+        res = F.reduce(res * f[-1] ** (n - k) * (-1) ** (m * k))
+        f, g = r, f
+    return F.reduce(res * f[0] ** (len(g) - 1))
+
+
 def uni_interpolate(F, points):
     """Lagrange interpolation through (x, y) pairs with distinct x.
 
     The master polynomial prod (x - x_j) is built once; each Lagrange
     numerator is its quotient by (x - x_i), by synthetic division, so the
-    whole interpolation takes O(n^2) field operations.
+    whole interpolation takes O(n^2) field operations.  The master, the
+    quotients and the sum stay unreduced; each output coefficient is reduced
+    once.
     """
     master = [F.one]
     for xj, _ in points:
-        master = [F.sub(a, F.mul(xj, b))
-                  for a, b in zip([F.zero] + master, master + [F.zero])]
+        master = [a - xj * b for a, b in zip([F.zero] + master, master + [F.zero])]
     result = [F.zero] * len(points)
     for xi, yi in points:
         if yi == F.zero:
             continue
-        num = [F.zero] * len(points)
-        carry = F.zero
-        for k in range(len(points), 0, -1):
-            carry = F.add(master[k], F.mul(xi, carry))
-            num[k - 1] = carry
         den = F.one
         for xj, _ in points:
             if xj != xi:
-                den = F.mul(den, F.sub(xi, xj))
-        scale = F.mul(yi, F.inv(den))
-        result = [F.add(r, F.mul(scale, v)) for r, v in zip(result, num)]
-    return _trim(F, result)
+                den *= xi - xj
+        scale = F.reduce(yi * F.inv(F.reduce(den)))
+        carry = F.zero
+        for k in range(len(points), 0, -1):
+            carry = master[k] + xi * carry
+            result[k - 1] += scale * carry
+    return _reduced(F, result)
 
 
 def det_field(F, m):
@@ -321,132 +341,98 @@ def det_field(F, m):
 
 # -- trivariate polynomials as exponent dicts ---------------------------
 
-def p3_from_terms(F, terms) -> dict:
-    out = {}
-    for exp, c in terms.items():
-        v = F.from_rational(c)
-        if v != F.zero:
-            out[tuple(exp)] = v
-    return out
-
-
 def p3_degree(poly) -> int:
     return max((sum(e) for e in poly), default=-1)
 
 
 def p3_eval(F, poly, pt):
-    acc = F.zero
-    for (e1, e2, e3), c in poly.items():
-        v = c
-        for coord, e in zip(pt, (e1, e2, e3)):
-            for _ in range(e):
-                v = F.mul(v, coord)
-        acc = F.add(acc, v)
-    return acc
+    x, y, z = pt
+    return F.reduce(sum(c * x ** e1 * y ** e2 * z ** e3
+                        for (e1, e2, e3), c in poly.items()))
 
 
 def p3_linear_change(F, poly, m):
-    """Substitute x_i -> sum_j m[i][j] x_j."""
-    lin = [{(1 if k == 0 else 0, 1 if k == 1 else 0, 1 if k == 2 else 0): m[i][k]
-            for k in range(3) if m[i][k] != F.zero} for i in range(3)]
-    pow_cache: list[dict[int, dict]] = [{0: {(0, 0, 0): F.one}} for _ in range(3)]
+    """Substitute x_i -> sum_j m[i][j] x_j.
 
-    def power(i, e):
-        cache = pow_cache[i]
-        if e not in cache:
-            cache[e] = _p3_mul(F, power(i, e - 1), lin[i])
-        return cache[e]
+    An exponent triple (a, b, c) is packed into the int key
+    a << 16 | b << 8 | c, so multiplying by x_j adds a fixed unit to a key.
+    poly is evaluated at the three linear forms by Horner's rule in x1 and,
+    within each x1-coefficient, in x2; x3^e becomes the e-th power of the
+    third form, from a table.  Sums stay unreduced, and each output
+    coefficient is reduced once.
+    """
+    deg = p3_degree(poly)
+    units = (1 << 16, 1 << 8, 1)
+    forms = [[(u, a) for u, a in zip(units, row) if a != F.zero] for row in m]
 
-    out: dict = {}
+    def times(acc, form):
+        out: dict = {}
+        for k, v in acc.items():
+            for u, a in form:
+                out[k + u] = out.get(k + u, F.zero) + v * a
+        return out
+
+    x3_powers = [{0: F.one}]
+    for _ in range(deg):
+        x3_powers.append({k: F.reduce(v) for k, v in times(x3_powers[-1], forms[2]).items()})
+    by_x1_x2: dict = {}
     for (e1, e2, e3), c in poly.items():
-        term = {(0, 0, 0): c}
-        for i, e in enumerate((e1, e2, e3)):
-            if e:
-                term = _p3_mul(F, term, power(i, e))
-        for exp, v in term.items():
-            acc = F.add(out.get(exp, F.zero), v)
-            if acc == F.zero:
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
-    return out
-
-
-def _p3_mul(F, a, b):
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            acc = F.add(out.get(e, F.zero), F.mul(ca, cb))
-            if acc == F.zero:
-                out.pop(e, None)
-            else:
-                out[e] = acc
-    return out
+        by_x1_x2.setdefault((e1, e2), []).append((e3, c))
+    acc: dict = {}
+    for e1 in range(deg, -1, -1):
+        inner: dict = {}
+        for e2 in range(deg - e1, -1, -1):
+            inner = times(inner, forms[1])
+            for e3, c in by_x1_x2.get((e1, e2), ()):
+                for k, v in x3_powers[e3].items():
+                    inner[k] = inner.get(k, F.zero) + c * v
+        acc = times(acc, forms[0])
+        for k, v in inner.items():
+            acc[k] = acc.get(k, F.zero) + v
+    changed = {}
+    for k, v in acc.items():
+        v = F.reduce(v)
+        if v != F.zero:
+            changed[(k >> 16, (k >> 8) & 255, k & 255)] = v
+    return changed
 
 
 def _x3_tower(F, poly, deg3: int):
     """Coefficients of x3^k after setting x2 = 1, as univariates in x1."""
-    tower = [dict() for _ in range(deg3 + 1)]
-    for (e1, e2, e3), c in poly.items():
+    tower = [[] for _ in range(deg3 + 1)]
+    for (e1, _, e3), c in poly.items():
         level = tower[e3]
-        level[e1] = F.add(level.get(e1, F.zero), c)
-    out = []
-    for level in tower:
-        if level:
-            coeffs = [F.zero] * (max(level) + 1)
-            for e1, c in level.items():
-                coeffs[e1] = c
-            out.append(_trim(F, coeffs))
-        else:
-            out.append([])
-    return out
+        level.extend([F.zero] * (e1 + 1 - len(level)))
+        level[e1] += c
+    return [_reduced(F, level) for level in tower]
 
 
-def _sylvester_det(F, fc, gc, d1, d2):
-    n = d1 + d2
-    m = [[F.zero] * n for _ in range(n)]
-    for i in range(d2):
-        for j, c in enumerate(fc):
-            m[i][i + j] = c
-    for i in range(d1):
-        for j, c in enumerate(gc):
-            m[d2 + i][i + j] = c
-    return det_field(F, m)
-
-
-def resultant_x3(F, f, g, d1, d2, sample_offset=0):
+def resultant_x3(F, f, g, d1, d2):
     """Res_{x3}(f, g) on the chart x2 = 1, by evaluation/interpolation.
 
     f and g are trivariate exponent dicts with formal x3-degrees d1 and d2
     (their top x3 coefficients must be nonzero constants).  The result is a
-    univariate polynomial in x1 of degree at most d1*d2.
+    univariate polynomial in x1 of degree at most d1*d2; its value at each
+    sample x1 is the determinant of the low-first Sylvester matrix in x3.
     """
     tf = _x3_tower(F, f, d1)
     tg = _x3_tower(F, g, d2)
     if uni_degree(tf[d1]) != 0 or uni_degree(tg[d2]) != 0:
         raise ValueError("leading x3 coefficient is not a nonzero constant")
-    bound = d1 * d2
     pts = []
-    for k in range(bound + 1):
-        x = F.from_rational(sample_offset + k)
+    for k in range(d1 * d2 + 1):
+        x = F.from_rational(k)
         fc = [uni_eval(F, level, x) for level in tf]
         gc = [uni_eval(F, level, x) for level in tg]
-        # pad formal degrees
-        fc = fc + [F.zero] * (d1 + 1 - len(fc))
-        gc = gc + [F.zero] * (d2 + 1 - len(gc))
-        pts.append((x, _sylvester_det(F, fc, gc, d1, d2)))
+        pts.append((x, uni_resultant(F, fc, gc)))
     return uni_interpolate(F, pts)
 
 
 def _random_invertible(F, rng):
     for _ in range(64):
         m = [[F.random_element(rng) for _ in range(3)] for _ in range(3)]
-        det = F.sub(
-            F.add(F.add(F.mul(m[0][0], F.sub(F.mul(m[1][1], m[2][2]), F.mul(m[1][2], m[2][1]))),
-                        F.mul(m[0][2], F.sub(F.mul(m[1][0], m[2][1]), F.mul(m[1][1], m[2][0])))),
-                  F.zero),
-            F.mul(m[0][1], F.sub(F.mul(m[1][0], m[2][2]), F.mul(m[1][2], m[2][0]))))
+        (a, b, c), (d, e, f), (g, h, i) = m
+        det = F.reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
         if det != F.zero:
             return m, det
     raise RuntimeError("failed to draw an invertible matrix")
@@ -455,22 +441,18 @@ def _random_invertible(F, rng):
 def _mat3_inverse(F, m, det):
     inv_det = F.inv(det)
     cof = [[None] * 3 for _ in range(3)]
-    idx = ((0, 1, 2), (0, 1, 2))
     for i in range(3):
+        r = [a for a in range(3) if a != i]
         for j in range(3):
-            r = [a for a in idx[0] if a != i]
-            c = [a for a in idx[1] if a != j]
-            minor = F.sub(F.mul(m[r[0]][c[0]], m[r[1]][c[1]]),
-                          F.mul(m[r[0]][c[1]], m[r[1]][c[0]]))
-            sign = minor if (i + j) % 2 == 0 else F.neg(minor)
-            cof[j][i] = F.mul(sign, inv_det)
+            c = [a for a in range(3) if a != j]
+            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
+            cof[j][i] = F.reduce((-1) ** (i + j) * minor * inv_det)
     return cof
 
 
 def _mat3_apply(F, m, v):
-    return tuple(
-        F.add(F.add(F.mul(m[i][0], v[0]), F.mul(m[i][1], v[1])), F.mul(m[i][2], v[2]))
-        for i in range(3))
+    return tuple(F.reduce(m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2])
+                 for i in range(3))
 
 
 def only_known_common_roots(F, polys, known_points, rng: random.Random,
@@ -505,9 +487,9 @@ def only_known_common_roots(F, polys, known_points, rng: random.Random,
             if q[1] == F.zero:
                 ok = False
                 break
-            v = F.mul(q[0], F.inv(q[1]))
+            v = F.reduce(q[0] * F.inv(q[1]))
             while uni_degree(g) >= 1 and uni_eval(F, g, v) == F.zero:
-                g, r = uni_divmod(F, g, [F.neg(v), F.one])
+                g, r = uni_divmod(F, g, [F.reduce(-v), F.one])
                 assert not r
         if not ok:
             continue
@@ -540,14 +522,14 @@ def find_unique_common_root(polys, rng: random.Random, tries: int = 8):
         g = uni_squarefree_part(F, uni_gcd(F, r1, r2))
         if uni_degree(g) != 1:
             continue
-        v = F.neg(F.mul(g[0], F.inv(g[1])))
+        v = F.reduce(-g[0] * F.inv(g[1]))
         # recover x3 from the univariate restrictions of the first two curves
         u1 = _restrict_to_fiber(F, changed[0], v)
         u2 = _restrict_to_fiber(F, changed[1], v)
         h = uni_squarefree_part(F, uni_gcd(F, u1, u2))
         if uni_degree(h) != 1:
             continue
-        w = F.neg(F.mul(h[0], F.inv(h[1])))
+        w = F.reduce(-h[0] * F.inv(h[1]))
         pt = _mat3_apply(F, m, (v, F.one, w))
         if all(p3_eval(F, p, pt) == F.zero for p in polys):
             return pt
@@ -555,16 +537,10 @@ def find_unique_common_root(polys, rng: random.Random, tries: int = 8):
 
 
 def _restrict_to_fiber(F, poly, x1):
-    out: dict[int, object] = {}
-    for (e1, e2, e3), c in poly.items():
-        v = c
-        for _ in range(e1):
-            v = F.mul(v, x1)
-        out[e3] = F.add(out.get(e3, F.zero), v)
-    coeffs = [F.zero] * (max(out, default=0) + 1)
-    for e, c in out.items():
-        coeffs[e] = c
-    return _trim(F, coeffs)
+    out = [F.zero] * (max((e3 for _, _, e3 in poly), default=0) + 1)
+    for (e1, _, e3), c in poly.items():
+        out[e3] += c * x1 ** e1
+    return _reduced(F, out)
 
 
 def monomials_of_degree(d: int):

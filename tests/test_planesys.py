@@ -2,23 +2,32 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prym6 import planesys as ps
+
+GF_P = ps.GF(ps.random_prime_ge_2_61(random.Random(5)))
 
 
 class TestFields:
     def test_gf_arithmetic(self):
         F = ps.GF(101)
-        assert F.add(100, 2) == 1
-        assert F.mul(F.inv(7), 7) == 1
+        assert F.reduce(100 + 2) == 1
+        assert F.reduce(-3) == 98
+        assert F.reduce(F.inv(7) * 7) == F.one
+        assert F.inv(7 + 101) == F.inv(7)
         assert F.from_rational(Fraction(1, 2)) == 51
         with pytest.raises(ZeroDivisionError):
             F.from_rational(Fraction(1, 101))
+        with pytest.raises(ZeroDivisionError):
+            F.inv(202)
 
     def test_qq_field(self):
         F = ps.QQ
         assert F.inv(Fraction(2, 3)) == Fraction(3, 2)
-        assert F.sub(F.one, F.one) == F.zero
+        assert F.reduce(Fraction(-7, 3)) == Fraction(-7, 3)
+        assert F.reduce(F.one - F.one) == F.zero
 
 
 class TestPrimes:
@@ -121,6 +130,46 @@ class TestDetField:
         assert ps.det_field(F, []) == 1
 
 
+def _sylvester_low_first(F, a, b):
+    """deg b rows of a's coefficients, then deg a rows of b's, low degree first."""
+    n, m = len(a) - 1, len(b) - 1
+    return ([[F.zero] * i + list(a) + [F.zero] * (m - 1 - i) for i in range(m)]
+            + [[F.zero] * i + list(b) + [F.zero] * (n - 1 - i) for i in range(n)])
+
+
+#: an integer polynomial of degree 0 to 3 with leading coefficient in 1..9,
+#: so that it keeps its degree over Q and modulo a prime above 81
+_small_poly = st.builds(lambda low, lead: low + [lead],
+                        st.lists(st.integers(-9, 9), max_size=3),
+                        st.integers(1, 9))
+
+
+class TestUniResultant:
+    @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+    @settings(max_examples=60, deadline=None)
+    @given(a=_small_poly, b=_small_poly,
+           h=st.one_of(st.just([1]), _small_poly))
+    # x^4 + x^2 + 2x + 1 mod x^3 + x is 2x + 1: a remainder two degrees
+    # down, so that the sign (-1)^(deg f deg r) of the loop is -1
+    @example(a=[1, 2, 1, 0, 1], b=[0, 1, 0, 1], h=[1])
+    @example(a=[0, 1, 0, 1], b=[1, 2, 1, 0, 1], h=[1])
+    # constant operands: c^deg of the other, and 1 (an empty matrix) for two
+    @example(a=[3], b=[2, -1, 5], h=[1])
+    @example(a=[2, -1, 5], b=[3], h=[1])
+    @example(a=[3], b=[3], h=[1])
+    def test_equals_low_first_sylvester_determinant(self, F, a, b, h):
+        # a*h and b*h have degrees 0 to 6; a non-constant h is a shared
+        # factor, so the resultant is 0
+        def lift(c):
+            return [F.from_rational(v) for v in c]
+        a, b, h = (lift(c) for c in (a, b, h))
+        a, b = ps.uni_mul(F, a, h), ps.uni_mul(F, b, h)
+        expected = ps.det_field(F, _sylvester_low_first(F, a, b))
+        assert ps.uni_resultant(F, a, b) == expected
+        if len(h) > 1:
+            assert expected == F.zero
+
+
 class TestResultant:
     def test_resultant_detects_common_root(self):
         F = ps.QQ
@@ -194,14 +243,16 @@ class TestFindUniqueCommonRoot:
         assert ps.find_unique_common_root(polys, random.Random(9)) is None
 
 
-def test_linear_change_is_substitution():
-    F = ps.QQ
+@pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+def test_linear_change_is_substitution(F):
     rng = random.Random(12)
-    poly = {(2, 1, 0): Fraction(3), (0, 0, 3): Fraction(-1, 2)}
+    poly = {(2, 1, 0): F.from_rational(3), (0, 0, 3): F.from_rational(Fraction(-1, 2)),
+            (1, 1, 1): F.from_rational(7)}
     m, _ = ps._random_invertible(F, rng)
     changed = ps.p3_linear_change(F, poly, m)
+    assert ps.p3_degree(changed) == 3
     for _ in range(5):
-        pt = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
+        pt = tuple(F.from_rational(rng.randint(-5, 5)) for _ in range(3))
         image = ps._mat3_apply(F, m, pt)
         assert ps.p3_eval(F, changed, pt) == ps.p3_eval(F, poly, image)
 
@@ -210,3 +261,15 @@ def test_monomials_of_degree():
     assert len(ps.monomials_of_degree(2)) == 6
     assert len(ps.monomials_of_degree(6)) == 28
     assert all(sum(e) == 4 for e in ps.monomials_of_degree(4))
+
+
+def test_completeness_check_draw_count():
+    # pins how many draws the mod-p check takes from its rng on seed 1's
+    # sextic: the prime, then one matrix per change of coordinates.  The
+    # literal is the next draw recorded before the kernels moved to native
+    # ints; any change to the draws changes every sweep output.
+    from prym6 import conicbundle as cb
+    inst = cb.construct_instance(1)
+    rng = random.Random(1)
+    assert cb.singular_locus_is_exactly(inst.gamma, inst.nodes, rng)
+    assert rng.random() == 0.9014274576114836
