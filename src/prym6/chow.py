@@ -92,10 +92,6 @@ class ChowClass:
     def integrate(self) -> Fraction:
         return self.ring.integrate(self)
 
-    def codim_part(self, k: int) -> "ChowClass":
-        return ChowClass(self.ring, {key: v for key, v in self.coeffs.items()
-                                     if self.ring.codim(key) == k})
-
 
 class ProductProjectiveRing:
     """CH of a product of projective spaces P^{d_1} x ... x P^{d_k}."""
@@ -116,9 +112,6 @@ class ProductProjectiveRing:
 
     def zero(self) -> ChowClass:
         return ChowClass(self, {})
-
-    def codim(self, key) -> int:
-        return sum(key)
 
     def key_name(self, key) -> str:
         return "*".join(f"h{i+1}^{e}" for i, e in enumerate(key) if e) or "1"
@@ -168,9 +161,6 @@ class DelPezzoRing:
     def euler_number(self) -> int:
         # b0 + b2 + b4 with b2 = Picard rank
         return 2 + self.picard_rank
-
-    def codim(self, key) -> int:
-        return _DP_CODIM[key]
 
     def key_name(self, key) -> str:
         return key
@@ -236,10 +226,6 @@ class ProjectiveBundleRing:
 
     def zero(self) -> ChowClass:
         return ChowClass(self, {})
-
-    def codim(self, key) -> int:
-        a, s = key
-        return a + self.base.codim(s)
 
     def key_name(self, key) -> str:
         a, s = key

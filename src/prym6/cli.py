@@ -205,8 +205,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        inst = conicbundle.construct_instance(
-            args.seed, exact_elimination=args.exact_elimination)
+        inst = conicbundle.construct_instance(args.seed)
     except conicbundle.GenericityError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
@@ -226,8 +225,7 @@ def _frac_json(v: Fraction):
 
 def cmd_sweep(args) -> int:
     try:
-        report = conicbundle.sweep(args.seed, args.samples,
-                                   exact_elimination=args.exact_elimination)
+        report = conicbundle.sweep(args.seed, args.samples)
     except conicbundle.GenericityError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -280,16 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="build and certify a seeded instance")
     p_construct.add_argument("--seed", type=int, required=True)
     p_construct.add_argument("--json", metavar="PATH", default=None)
-    p_construct.add_argument("--exact-elimination", action="store_true",
-                             help="use exact elimination instead of a random "
-                                  "large prime for the completeness check")
     p_construct.set_defaults(func=cmd_construct)
 
     p_sweep = sub.add_parser("sweep", help="run the net-and-pencil pipeline")
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--samples", type=_positive_int, default=3)
     p_sweep.add_argument("--json", metavar="PATH", default=None)
-    p_sweep.add_argument("--exact-elimination", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

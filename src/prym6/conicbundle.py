@@ -5,7 +5,7 @@ diagonal points, cuts it down by lines in fibers to a unique member, extracts
 the symmetric matrix of quadratic forms, and certifies that the discriminant
 sextic is nodal exactly at the four prescribed points.  Everything is exact;
 the only probabilistic ingredient is the no-extra-singularity check, which
-runs modulo one large random prime (or over Q behind a flag).
+runs modulo one large random prime.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ T_BLOCKS = (("t", 3),)
 STANDARD_NODES: tuple[tuple[Fraction, ...], ...] = tuple(
     tuple(Fraction(c) for c in pt)
     for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+#: random configurations `construct_instance` and `sweep` draw before they
+#: give up with `GenericityError`
+_RETRIES = 16
 
 
 class DegenerateConfigurationError(ValueError):
@@ -259,19 +263,20 @@ def impose_line(sys: LinearSystem, lf: LineInFiber,
                 expected_drop, f"line in fiber over {lf.o}")
 
 
-def impose_point(sys: LinearSystem, x: Sequence[Fraction], y: Sequence[Fraction],
-                 expected_drop: int = 1) -> LinearSystem:
+def impose_point(sys: LinearSystem, x: Sequence[Fraction],
+                 y: Sequence[Fraction]) -> LinearSystem:
+    """Cut the system by vanishing at the point (x, y) (codim 1)."""
     rows = [_monomial_row(sys.monomials, tuple(x) + tuple(y))]
-    return _cut(sys, rows, expected_drop, f"point ({tuple(x)}, {tuple(y)})")
+    return _cut(sys, rows, 1, f"point ({tuple(x)}, {tuple(y)})")
 
 
-def stacked_condition_matrix(points, lines: Sequence[LineInFiber],
-                             bidegree=(2, 2), order: int = 2) -> QMatrix:
-    """All node and line conditions as one matrix on raw coefficient vectors."""
-    monomials = bidegree_monomials(bidegree)
+def stacked_condition_matrix(points, lines: Sequence[LineInFiber]) -> QMatrix:
+    """All (2,2) node and line conditions as one matrix on raw coefficient
+    vectors."""
+    monomials = bidegree_monomials((2, 2))
     rows = []
     for pt in points:
-        rows.extend(node_condition_rows(monomials, pt, order))
+        rows.extend(node_condition_rows(monomials, pt, 2))
     return QMatrix(rows + _line_rows(monomials, lines))
 
 
@@ -391,8 +396,8 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     return only_known_common_roots(F, polys, list(points), rng)
 
 
-def certify_nodes(gamma: MultiPoly, points, rng: random.Random,
-                  exact_elimination: bool = False) -> tuple[NodeCertificate, ...]:
+def certify_nodes(gamma: MultiPoly, points,
+                  rng: random.Random) -> tuple[NodeCertificate, ...]:
     """Nodality at each point plus the no-extra-singularity completeness check."""
     certs = []
     for pt in points:
@@ -400,7 +405,7 @@ def certify_nodes(gamma: MultiPoly, points, rng: random.Random,
         if not cert.is_node:
             raise CertificationError(f"point {tuple(pt)} is not an ordinary node")
         certs.append(cert)
-    if not singular_locus_is_exactly(gamma, points, rng, exact=exact_elimination):
+    if not singular_locus_is_exactly(gamma, points, rng):
         raise CertificationError("singular locus has unexplained components")
     return tuple(certs)
 
@@ -423,9 +428,8 @@ def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
     return y
 
 
-def rational_points_on_curve(gamma: MultiPoly, nodes,
-                             max_points: int = 8) -> list[tuple[Fraction, ...]]:
-    """Rational points of the sextic on chords of its nodes, if any.
+def rational_points_on_curve(gamma: MultiPoly, nodes) -> list[tuple[Fraction, ...]]:
+    """Up to eight rational points of the sextic on chords of its nodes.
 
     On the line through two nodes the restricted binary sextic is divisible
     by the square of each node's parameter; rational roots of the residual
@@ -446,7 +450,7 @@ def rational_points_on_curve(gamma: MultiPoly, nodes,
                                      for p, q in zip(nodes[a], nodes[b])))
                 if pt not in out and pt not in nodes:
                     out.append(pt)
-                if len(out) >= max_points:
+                if len(out) >= 8:
                     return out
     return out
 
@@ -673,8 +677,8 @@ class ConicBundleInstance:
                    residuals=residuals, seed=data.get("seed"))
 
 
-def random_rational(rng: random.Random, bound: int = 97) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
 
 
 def random_line_in_fiber(rng: random.Random) -> LineInFiber:
@@ -685,8 +689,7 @@ def random_line_in_fiber(rng: random.Random) -> LineInFiber:
             return LineInFiber(o, dual)
 
 
-def zeta(lines: Sequence[LineInFiber],
-         nodes=STANDARD_NODES) -> tuple[MultiPoly, LinearSystem]:
+def zeta(lines: Sequence[LineInFiber]) -> tuple[MultiPoly, LinearSystem]:
     """The unique (2,2) form through five lines in fibers, up to scale.
 
     One cut of the 16-dimensional base system by the 15 line rows; it gives
@@ -694,47 +697,43 @@ def zeta(lines: Sequence[LineInFiber],
     """
     if len(lines) != 5:
         raise ValueError("exactly five lines are required")
-    base = base_system(tuple(tuple(p) for p in nodes))
+    base = base_system(STANDARD_NODES)
     sys = _cut(base, _line_rows(base.monomials, lines), 15, "five lines in fibers")
     return sys.basis[0], sys
 
 
 def certify_instance(Q: MultiPoly, lines, rng: random.Random,
-                     nodes=STANDARD_NODES, seed: int | None = None,
-                     exact_elimination: bool = False) -> ConicBundleInstance:
+                     seed: int | None = None) -> ConicBundleInstance:
     """Run the whole certificate chain on a candidate (2,2) form."""
     A = to_symmetric_matrix(Q)
     gamma = discriminant(A)
-    certs = certify_nodes(gamma, nodes, rng, exact_elimination=exact_elimination)
-    ys = tuple(singular_point_on_Q(A, Q, pt) for pt in nodes)
-    rank_stratification_check(A, gamma, nodes, rng)
+    certs = certify_nodes(gamma, STANDARD_NODES, rng)
+    ys = tuple(singular_point_on_Q(A, Q, pt) for pt in STANDARD_NODES)
+    rank_stratification_check(A, gamma, STANDARD_NODES, rng)
     # residual_line raises if the marked-line invariant is broken
     residuals = tuple(residual_line(Q, lf) for lf in lines)
     return ConicBundleInstance(
-        nodes=tuple(tuple(Fraction(c) for c in p) for p in nodes),
-        Q=Q, A=A, gamma=gamma, node_certificates=certs,
+        nodes=STANDARD_NODES, Q=Q, A=A, gamma=gamma, node_certificates=certs,
         fiber_singular_points=ys, marked_lines=tuple(lines),
         residuals=residuals, seed=seed)
 
 
-def construct_instance(seed: int, retries: int = 16,
-                       exact_elimination: bool = False,
+def construct_instance(seed: int,
                        line_sampler: Callable[[random.Random], LineInFiber]
                        | None = None) -> ConicBundleInstance:
     """Seeded end-to-end construction with genericity resampling."""
     rng = random.Random(seed)
     sampler = line_sampler or random_line_in_fiber
     last: Exception | None = None
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         lines = [sampler(rng) for _ in range(5)]
         try:
             Q, _ = zeta(lines)
-            return certify_instance(Q, lines, rng, seed=seed,
-                                    exact_elimination=exact_elimination)
+            return certify_instance(Q, lines, rng, seed=seed)
         except (NonGenericDropError, CertificationError,
                 DegenerateConfigurationError, MarkedLineInvariantError) as exc:
             last = exc
-    raise GenericityError(f"no generic configuration in {retries} tries: {last}")
+    raise GenericityError(f"no generic configuration in {_RETRIES} tries: {last}")
 
 
 # -- the net of conic bundles through a point ---------------------------------
@@ -751,8 +750,7 @@ class NetT:
         return self.system.basis
 
 
-def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber],
-                nodes=STANDARD_NODES) -> NetT:
+def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
     """The net of members through (o, o) containing four fixed fiber lines."""
     if len(fixed_lines) != 4:
         raise ValueError("exactly four fixed lines are required")
@@ -761,7 +759,7 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber],
         if primitive(lf.o) == o and sum(a * b for a, b in zip(lf.dual, o)) == 0:
             raise DegenerateConfigurationError(
                 "base point lies on a fixed line in its own fiber")
-    base = base_system(tuple(tuple(p) for p in nodes))
+    base = base_system(STANDARD_NODES)
     rows = (_line_rows(base.monomials, fixed_lines)
             + [_monomial_row(base.monomials, o + o)])
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
@@ -817,14 +815,13 @@ def pencil_line_through(o, rng: random.Random) -> LineInFiber:
             return LineInFiber(tuple(o), dual)
 
 
-def sweep(seed: int, samples: int, retries: int = 16,
-          exact_elimination: bool = False) -> dict:
+def sweep(seed: int, samples: int) -> dict:
     """Fix four lines and o, certify the net, and sweep the pencil through o."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     last: Exception | None = None
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         fixed = [random_line_in_fiber(rng) for _ in range(4)]
         o = tuple(random_rational(rng) for _ in range(3))
         if not any(o):
@@ -837,13 +834,13 @@ def sweep(seed: int, samples: int, retries: int = 16,
                 DegenerateConfigurationError) as exc:
             last = exc
     else:
-        raise GenericityError(f"no generic net in {retries} tries: {last}")
+        raise GenericityError(f"no generic net in {_RETRIES} tries: {last}")
 
     results = []
     attempts = 0
     while len(results) < samples:
         attempts += 1
-        if attempts > retries + samples:
+        if attempts > _RETRIES + samples:
             raise GenericityError("pencil sampling exhausted its retry budget")
         lf = pencil_line_through(net.o, rng)
         try:
@@ -852,8 +849,7 @@ def sweep(seed: int, samples: int, retries: int = 16,
                 raise NonGenericDropError("pencil line did not single out a member")
             Q = cut.basis[0]
             inst = certify_instance(Q, list(net.fixed_lines) + [lf], rng,
-                                    seed=seed,
-                                    exact_elimination=exact_elimination)
+                                    seed=seed)
             # the marked lines are the fixed lines followed by lf
             sections = [{"index": j, "residual": m, "point": y}
                         for j, (m, y) in enumerate(inst.residuals[:4])]

@@ -448,13 +448,13 @@ class QMatrix:
                 and self.dens == other.dens)
 
     def rank(self) -> int:
-        echelon, pivots = _bareiss_echelon(self.nums)
+        _, pivots, _ = _bareiss_echelon(self.nums)
         return len(pivots)
 
     def kernel(self) -> list[tuple[int, ...]]:
         """Exact basis of the right null space, primitive integer vectors."""
         nc = self.cols
-        echelon, pivots = _bareiss_echelon(self.nums)
+        echelon, pivots, _ = _bareiss_echelon(self.nums)
         pivset = set(pivots)
         free = [c for c in range(nc) if c not in pivset]
         basis = []
@@ -478,31 +478,40 @@ class QMatrix:
         return basis
 
     def det(self) -> Fraction:
+        """Sign times the last Bareiss pivot at full rank, and 0 below it."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return Fraction(1)
-        d, sign = _bareiss_det([list(r) for r in self.nums])
-        return Fraction(sign * d, prod(self.dens))
+        echelon, pivots, sign = _bareiss_echelon(self.nums)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * echelon[-1][-1], prod(self.dens))
 
 
-def _bareiss_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(m: Sequence[Sequence[int]]
+                     ) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form with column pivoting.
 
-    Returns the nonzero echelon rows and the list of pivot columns.  All
-    divisions are exact (Bareiss), so intermediate growth stays bounded by
-    minor sizes.
+    Returns the nonzero echelon rows, the list of pivot columns and the sign
+    of the row permutation.  All divisions are exact (Bareiss), so
+    intermediate growth stays bounded by minor sizes, and the pivot of row k
+    is the leading (k+1)-minor of the permuted rows on the pivot columns: at
+    full rank, the last pivot of a square matrix is sign times its
+    determinant.
     """
     m = [list(r) for r in m]
     nr = len(m)
     nc = len(m[0]) if m else 0
     pivots: list[int] = []
-    r, prev = 0, 1
+    r, prev, sign = 0, 1, 1
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, nr):
             mic = m[i][c]
             for j in range(c + 1, nc):
@@ -513,27 +522,7 @@ def _bareiss_echelon(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[
         r += 1
         if r == nr:
             break
-    return m[:r], pivots
-
-
-def _bareiss_det(m: list[list[int]]) -> tuple[int, int]:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return 0, 1
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return m[n - 1][n - 1], sign
+    return m[:r], pivots, sign
 
 
 def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

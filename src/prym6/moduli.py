@@ -32,6 +32,9 @@ R6_BASIS = ("lambda", "delta0_prime", "delta0_dblprime", "delta0_ram",
 #: quoted, not derivable here: the pencil avoids the second boundary piece
 E_DELTA0_DBLPRIME = Fraction(0)
 
+#: genus of the curves of the ledger: R6 over the moduli of genus-6 curves
+GENUS = 6
+
 
 class MarkerPairingError(RuntimeError):
     """Pairing a marked class with a curve not declared marker-orthogonal."""
@@ -75,14 +78,6 @@ class DivClassR6:
 
     def vector(self) -> tuple[Fraction, ...]:
         return tuple(self[k] for k in R6_BASIS)
-
-
-@dataclass(frozen=True)
-class DivClassA6:
-    """Divisor class a*lambda1 - b*D on the perfect-cone compactification."""
-
-    lambda1: Fraction
-    boundary: Fraction
 
 
 @dataclass(frozen=True)
@@ -146,15 +141,13 @@ def ap_psi_coefficients(g: int, restricted: bool = False) -> tuple[Fraction, ...
     return half if restricted else half + (Fraction(2),)
 
 
-def ap_pullback_theta(restricted: bool = False, g: int = 6) -> DivClassR6:
+def ap_pullback_theta(restricted: bool = False) -> DivClassR6:
     """Theta pullback as a marked divisor class on the genus-6 ledger.
 
     The lambda and boundary coefficients are exactly zero; the omitted
     boundary corrections are the unknown-boundary marker.
     """
-    if g != 6:
-        raise ValueError("only the genus-6 basis is wired")
-    psis = ap_psi_coefficients(g, restricted)
+    psis = ap_psi_coefficients(GENUS, restricted)
     coeffs = {f"psi{j + 1}": c for j, c in enumerate(psis)}
     return DivClassR6(coeffs, unknown_boundary=True)
 
@@ -210,17 +203,15 @@ def _h0_product(dims, degs) -> int:
     return out
 
 
-def lambda_degree_from_family(chi: Fraction | None = None,
-                              g: int = 6) -> Fraction:
+def lambda_degree_from_family(chi: Fraction | None = None) -> Fraction:
     """Degree of lambda on the pencil: chi(O of the family) + g - 1."""
     if chi is None:
         chi = chi_of_Y_chain()["chi"]
-    return Fraction(chi) + g - 1
+    return Fraction(chi) + GENUS - 1
 
 
 def solve_double_line_count(e_lambda: Fraction | None = None,
                             e_delta0_prime: Fraction | None = None,
-                            e_delta0_dblprime: Fraction = E_DELTA0_DBLPRIME,
                             unreduced: bool = False) -> Fraction:
     """Count of double-line members of the pencil, from the vanishing of the
     Gieseker-Petri-type relation 47 e.lambda - 6 e.delta0' - 12 e.delta0ram = 0
@@ -232,9 +223,9 @@ def solve_double_line_count(e_lambda: Fraction | None = None,
     if e_lambda <= 0:
         raise ValueError("degenerate family: lambda-degree must be positive")
     if unreduced:
-        return (94 * e_lambda - 12 * (e_delta0_prime + e_delta0_dblprime)) \
+        return (94 * e_lambda - 12 * (e_delta0_prime + E_DELTA0_DBLPRIME)) \
             / Fraction(24)
-    return (47 * e_lambda - 6 * (e_delta0_prime + e_delta0_dblprime)) \
+    return (47 * e_lambda - 6 * (e_delta0_prime + E_DELTA0_DBLPRIME)) \
         / Fraction(12)
 
 
@@ -247,8 +238,7 @@ def degree_nine_lemma() -> Fraction:
     return cls.integrate()
 
 
-def psi_degree_via_Z(l_h1: Fraction = Fraction(0),
-                     l_h3: Fraction = Fraction(3)) -> Fraction:
+def psi_degree_via_Z() -> Fraction:
     """Degree of each psi class on the sweeping curve, via the threefold Z.
 
     Z is a complete intersection in P^2 x P^2 x P^2 of three divisors of
@@ -263,6 +253,7 @@ def psi_degree_via_Z(l_h1: Fraction = Fraction(0),
     omega = canonical + ci
     if omega != 3 * h[0] + 3 * h[2]:
         raise ArithmeticError("adjunction gives an unexpected dualizing class")
+    l_h1, l_h3 = 0, 3  # the section line's degrees (L.h1, L.h3)
     return omega.coeffs[(1, 0, 0)] * l_h1 + omega.coeffs[(0, 0, 1)] * l_h3
 
 
@@ -316,10 +307,10 @@ def slope_bound(variant: str = "full",
     return lam, boundary, boundary / lam
 
 
-def general_type_threshold_report(g: int = 6) -> dict:
+def general_type_threshold_report() -> dict:
     """Compare the slope bound with the general-type threshold g + 1."""
     bound = slope_bound("full")[2]
-    return {"bound": bound, "threshold": Fraction(g + 1),
+    return {"bound": bound, "threshold": Fraction(GENUS + 1),
             # a lower bound below the threshold decides nothing either way
             "implies_general_type": False,
-            "below_threshold": bound < g + 1}
+            "below_threshold": bound < GENUS + 1}

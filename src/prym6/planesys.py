@@ -2,8 +2,8 @@
 
 Used to certify that the singular locus of a plane curve contains no points
 beyond a known list, and to locate the unique node of a plane cubic.  The
-same code runs over Q (exact mode) and over a large prime field
-(probabilistic mode); the field is passed explicitly.
+same code runs over Q and over a large prime field; the field is passed
+explicitly.
 
 Polynomials in three variables are plain dicts mapping exponent triples to
 field elements; univariate polynomials are coefficient lists, low degree
@@ -455,8 +455,11 @@ def _mat3_apply(F, m, v):
                  for i in range(3))
 
 
-def only_known_common_roots(F, polys, known_points, rng: random.Random,
-                            tries: int = 8) -> bool:
+#: random changes of coordinates an elimination draws before it gives up
+_TRIES = 8
+
+
+def only_known_common_roots(F, polys, known_points, rng: random.Random) -> bool:
     """Certify that three plane curves meet only at the listed points.
 
     polys are homogeneous trivariate exponent dicts over F; known_points are
@@ -469,7 +472,7 @@ def only_known_common_roots(F, polys, known_points, rng: random.Random,
     """
     degs = [p3_degree(p) for p in polys]
     known = [tuple(F.from_rational(c) for c in pt) for pt in known_points]
-    for _ in range(tries):
+    for _ in range(_TRIES):
         m, det = _random_invertible(F, rng)
         minv = _mat3_inverse(F, m, det)
         try:
@@ -500,7 +503,7 @@ def only_known_common_roots(F, polys, known_points, rng: random.Random,
     return False
 
 
-def find_unique_common_root(polys, rng: random.Random, tries: int = 8):
+def find_unique_common_root(polys, rng: random.Random):
     """Rational common root of three plane curves meeting in a single point.
 
     Works over Q.  Returns the point as a primitive rational triple, or
@@ -509,7 +512,7 @@ def find_unique_common_root(polys, rng: random.Random, tries: int = 8):
     """
     F = QQ
     degs = [p3_degree(p) for p in polys]
-    for _ in range(tries):
+    for _ in range(_TRIES):
         m, det = _random_invertible(F, rng)
         try:
             changed = [p3_linear_change(F, p, m) for p in polys]

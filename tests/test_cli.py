@@ -115,6 +115,17 @@ class TestConstruct:
             main(["construct"])
 
 
+@pytest.mark.parametrize("command", ["construct", "sweep"])
+def test_removed_exact_flag_is_a_usage_error(command, capsys):
+    # the parser alone, so that a parser that still accepted the flag could
+    # not start a construction
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(
+            [command, "--seed", "1", "--exact-elimination"])
+    assert exc.value.code == 2
+    assert "--exact-elimination" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_report(self, capsys):
         assert main(["sweep", "--seed", "7", "--samples", "2"]) == 0

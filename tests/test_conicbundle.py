@@ -466,7 +466,7 @@ class TestInstancePipeline:
         fixed = cb.LineInFiber((Fraction(1), Fraction(0), Fraction(0)),
                                (Fraction(0), Fraction(0), Fraction(1)))
         with pytest.raises(cb.GenericityError):
-            cb.construct_instance(1, retries=3, line_sampler=lambda rng: fixed)
+            cb.construct_instance(1, line_sampler=lambda rng: fixed)
 
 
 class TestNetAndSweep:

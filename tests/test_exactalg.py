@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,20 @@ class TestQMatrix:
         assert m.det() == Fraction(1, 2) * Fraction(4, 5) - 6
         with pytest.raises(ValueError):
             QMatrix([[1, 2]]).det()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_det_matches_leibniz(self, rows):
+        # small entries often leave a leading column zero, so the elimination
+        # skips a column and the matrix is singular, or swaps rows
+        n = len(rows)
+        leibniz = sum(
+            (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            * prod(rows[i][perm[i]] for i in range(n))
+            for perm in permutations(range(n)))
+        assert QMatrix(rows).det() == leibniz
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(small_fracs, min_size=4, max_size=4),

@@ -59,8 +59,6 @@ class TestPullbackFormulas:
         assert ap_psi_coefficients(8, restricted=True) == (Fraction(1, 2),) * 6
         with pytest.raises(ValueError):
             ap_psi_coefficients(7)
-        with pytest.raises(ValueError):
-            ap_pullback_theta(g=8)
 
     def test_boundary_pullback_structure(self):
         bp = pullback_boundary_D6()
@@ -97,7 +95,7 @@ class TestEnumerativeChain:
 
     def test_lambda_degree(self):
         assert moduli.lambda_degree_from_family() == 18
-        assert moduli.lambda_degree_from_family(chi=Fraction(13), g=6) == 18
+        assert moduli.lambda_degree_from_family(chi=Fraction(13)) == 18
 
     def test_double_line_count_both_relations(self):
         assert moduli.solve_double_line_count() == 32
@@ -112,7 +110,6 @@ class TestEnumerativeChain:
 
     def test_psi_degree(self):
         assert moduli.psi_degree_via_Z() == 9
-        assert moduli.psi_degree_via_Z(l_h3=Fraction(0)) == 0
 
 
 class TestCurveClasses:
