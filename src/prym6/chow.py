@@ -72,9 +72,6 @@ class ChowClass:
         return (isinstance(other, ChowClass) and self.ring is other.ring
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((id(self.ring), frozenset(self.coeffs.items())))
-
     def __repr__(self):
         if not self.coeffs:
             return "ChowClass(0)"
@@ -187,7 +184,6 @@ class DelPezzoRing:
 class ChernData:
     """Chern data of a rank-3 bundle on a surface; c3 is implicitly zero."""
 
-    rank: int
     c1: ChowClass
     c2: Fraction
 
@@ -207,8 +203,6 @@ class ProjectiveBundleRing:
     top_dimension = 4
 
     def __init__(self, base: DelPezzoRing, chern: ChernData):
-        if chern.rank != 3:
-            raise ValueError("rank-3 bundle data required")
         self.base = base
         self.chern = chern
         self._hilbert: tuple[Fraction, ...] | None = None
@@ -258,23 +252,9 @@ class ProjectiveBundleRing:
         return cls.coeffs.get((2, "pt"), Fraction(0))
 
 
-# -- ring constructors ---------------------------------------------------
-
-def product_projective_ring(dims) -> ProductProjectiveRing:
-    return ProductProjectiveRing(dims)
-
-
-def del_pezzo_ring() -> DelPezzoRing:
-    return DelPezzoRing()
-
-
 def conic_bundle_chern_data(S: DelPezzoRing) -> ChernData:
     """The rank-3 bundle carrying the 4-nodal conic bundles: c1 = -K_S, c2 = 3."""
-    return ChernData(rank=3, c1=-S.canonical(), c2=Fraction(3))
-
-
-def projective_bundle_ring(base: DelPezzoRing, chern: ChernData) -> ProjectiveBundleRing:
-    return ProjectiveBundleRing(base, chern)
+    return ChernData(c1=-S.canonical(), c2=Fraction(3))
 
 
 # -- blow-up intersection table -------------------------------------------
@@ -288,7 +268,7 @@ def blowup_intersection_table() -> dict[tuple[int, int, int, int], Fraction]:
     N^3.H2 = 0 and N^2.(anything pulled back) = 0; N-free monomials are
     computed on S x P^2.
     """
-    S = del_pezzo_ring()
+    S = DelPezzoRing()
     mk = -S.canonical()
     table: dict[tuple[int, int, int, int], Fraction] = {}
     for n in range(5):
@@ -344,28 +324,15 @@ def intersection_number(table, divisors: list[dict[str, Fraction]]) -> Fraction:
     return total
 
 
-def quartic_self_intersection(table, divisor: dict[str, Fraction]) -> Fraction:
-    return intersection_number(table, [divisor] * 4)
-
-
-def _default_bundle_ring() -> ProjectiveBundleRing:
-    S = del_pezzo_ring()
-    return projective_bundle_ring(S, conic_bundle_chern_data(S))
-
-
-def verify_deg_h_two_ways(table=None, P: ProjectiveBundleRing | None = None
+def verify_deg_h_two_ways(table, P: ProjectiveBundleRing
                           ) -> tuple[Fraction, Fraction]:
     """deg of the half-anticanonical double cover P -> P^4, two routes.
 
     Route one expands (H1 + H2 - N)^4 against the blow-up table; route two
     integrates zeta^4 in the projective bundle ring.  Both must equal 2.
     """
-    if table is None:
-        table = blowup_intersection_table()
-    if P is None:
-        P = _default_bundle_ring()
-    blowup_route = quartic_self_intersection(
-        table, {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)})
+    zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
+    blowup_route = intersection_number(table, [zeta] * 4)
     bundle_route = (P.zeta() ** 4).integrate()
     if blowup_route != bundle_route:
         raise ArithmeticError(
@@ -403,12 +370,10 @@ def _eliminate_H(vec: dict[str, Fraction]) -> dict[str, Fraction]:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def kb_squared(table=None) -> Fraction:
+def kb_squared(table) -> Fraction:
     """K_B^2 = 4 (H1+H2-N)^4 = 8 for the base surface of a pencil."""
-    if table is None:
-        table = blowup_intersection_table()
     zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
-    return 4 * quartic_self_intersection(table, zeta)
+    return 4 * intersection_number(table, [zeta] * 4)
 
 
 # -- Riemann-Roch on P -------------------------------------------------------
@@ -476,29 +441,28 @@ def sections_formula(d: int) -> int:
     return comb(d + 4, 4) + comb(d + 2, 4)
 
 
-def koszul_chi_B(P: ProjectiveBundleRing | None = None) -> Fraction:
+def koszul_chi_B(P: ProjectiveBundleRing) -> Fraction:
     """chi(O_B) for the base surface of a pencil in |O_P(2)|, via Koszul.
 
     B is the complete intersection of two members, so
     chi(O_B) = chi(O_P) - 2 chi(O_P(-2)) + chi(O_P(-4)).
     """
-    if P is None:
-        P = _default_bundle_ring()
     return hrr_chi(P, 0) - 2 * hrr_chi(P, -2) + hrr_chi(P, -4)
 
 
 # -- Euler numbers and the pencil count --------------------------------------
 
-def euler_numbers() -> dict[str, Fraction]:
+def euler_numbers(chi_b: Fraction, kb2: Fraction) -> dict[str, Fraction]:
     """Topological Euler numbers feeding the count of singular pencil members.
 
     e(S) = 7; the discriminant of a smooth member is a genus-6 curve C in
     |-2K_S| (adjunction), so e(C) = -10 and e(Q) = 2e(S) + e(C) = 4; a
     one-nodal discriminant raises e by 1, giving e(Q0) = 5.  e(P) = 3e(S)
-    for the P^2-bundle and e(B) = c2(B) = 12 chi(O_B) - K_B^2 = 64.  The
-    count of singular members of a pencil is e(P) + e(B) - 2 e(Q) = 77.
+    for the P^2-bundle and e(B) = c2(B) = 12 chi(O_B) - K_B^2 = 64, from
+    chi_b = `koszul_chi_B` and kb2 = `kb_squared`.  The count of singular
+    members of a pencil is e(P) + e(B) - 2 e(Q) = 77.
     """
-    S = del_pezzo_ring()
+    S = DelPezzoRing()
     e_s = Fraction(S.euler_number())
     d = -2 * S.canonical()
     two_g_minus_2 = (d * (d + S.canonical())).integrate()
@@ -507,8 +471,6 @@ def euler_numbers() -> dict[str, Fraction]:
     e_q = 2 * e_s + e_c
     e_q0 = 2 * e_s + (e_c + 1)  # one node contracts a vanishing cycle
     e_p = 3 * e_s
-    chi_b = koszul_chi_B()
-    kb2 = kb_squared()
     e_b = 12 * chi_b - kb2
     delta = e_p + e_b - 2 * e_q
     return {

@@ -28,19 +28,38 @@ class Check:
     compute: Callable[[], Fraction]
 
 
-# Each suite builder wraps every number its checks share in a `cache` local
-# to that build, on a ring and a blow-up table built once.  The first check
-# that reads a number computes it, so its `millis` include that work; nothing
-# is kept between builds, and every report replays the whole computation.
+#: the suites of `prym6 verify`; each selects the checks whose identifier
+#: starts with its name and a dot
+SUITES = ("chow", "counts", "slope")
 
-def _chow_checks() -> list[Check]:
+
+def _checks() -> list[Check]:
+    """Every check of the report, on one bundle ring and one blow-up table.
+
+    Each number that more than one check or computation reads is wrapped in
+    a `cache` local to this build, so it is computed once, by the first
+    check that reads it, and its `millis` include that work.  Nothing is
+    kept between builds: every report replays the whole computation.
+    """
+    S = chow.DelPezzoRing()
+    P = chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
     table = cache(chow.blowup_intersection_table)
-    S = chow.del_pezzo_ring()
-    P = chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
     kp = cache(lambda: chow.canonical_classes()[0])
     deg_h = cache(lambda: chow.verify_deg_h_two_ways(table(), P))
     kb2 = cache(lambda: chow.kb_squared(table()))
-    checks = [
+    chi_b = cache(lambda: chow.koszul_chi_B(P))
+    eul = cache(lambda: chow.euler_numbers(chi_b(), kb2()))
+    chain = cache(moduli.chi_of_Y_chain)
+    e_lambda = cache(lambda: moduli.lambda_degree_from_family(chain()["chi"]))
+    double_lines = cache(lambda unreduced: moduli.solve_double_line_count(
+        e_lambda(), eul()["singular_members"], unreduced))
+    psi_degree = cache(moduli.psi_degree_via_Z)
+    curves = cache(lambda: moduli.pencil_curve_numbers(
+        e_lambda(), eul()["singular_members"], double_lines(False),
+        psi_degree()))
+    bound = cache(lambda variant: moduli.slope_bound(
+        variant, curves()["sweeping"]))
+    return [
         Check("chow.blowup.N4", "exceptional quartic self-intersection",
               Fraction(-4), lambda: table()[(4, 0, 0, 0)]),
         Check("chow.blowup.N3H", "cubic exceptional against anticanonical",
@@ -74,21 +93,7 @@ def _chow_checks() -> list[Check]:
         Check("chow.hrr.chi_2", "sections of the conic-bundle system",
               Fraction(16), lambda: chow.hrr_chi(P, 2)),
         Check("chow.koszul.chi_B", "chi(O) of the pencil base surface",
-              Fraction(6), lambda: chow.koszul_chi_B(P)),
-    ]
-    return checks
-
-
-def _counts_checks() -> list[Check]:
-    eul = cache(chow.euler_numbers)
-    chain = cache(moduli.chi_of_Y_chain)
-    e_lambda = cache(lambda: moduli.lambda_degree_from_family(chain()["chi"]))
-
-    def double_lines(unreduced=False):
-        return moduli.solve_double_line_count(
-            e_lambda(), eul()["singular_members"], unreduced=unreduced)
-
-    return [
+              Fraction(6), chi_b),
         Check("counts.euler.S", "Euler number of the del Pezzo surface",
               Fraction(7), lambda: eul()["e_S"]),
         Check("counts.euler.genus_C", "genus of the discriminant curve",
@@ -116,21 +121,13 @@ def _counts_checks() -> list[Check]:
         Check("counts.lambda_degree", "lambda-degree of the pencil",
               Fraction(18), e_lambda),
         Check("counts.double_lines", "double-line members of a pencil",
-              Fraction(32), double_lines),
+              Fraction(32), lambda: double_lines(False)),
         Check("counts.double_lines_unreduced", "same count, unreduced relation",
-              Fraction(32), lambda: double_lines(unreduced=True)),
+              Fraction(32), lambda: double_lines(True)),
         Check("counts.degree_nine", "triple-product intersection number",
               Fraction(9), moduli.degree_nine_lemma),
         Check("counts.psi_degree", "point-class degree on the sweeping curve",
-              Fraction(9), moduli.psi_degree_via_Z),
-    ]
-
-
-def _slope_checks() -> list[Check]:
-    curves = cache(moduli.pencil_curve_numbers)
-    bound = cache(lambda variant: moduli.slope_bound(
-        variant, curves()["sweeping"]))
-    return [
+              Fraction(9), psi_degree),
         Check("slope.pairing.delta0", "pencil against the boundary pullback",
               Fraction(141),
               lambda: curves()["single"].pair(moduli.pullback_delta0())),
@@ -155,19 +152,14 @@ def _slope_checks() -> list[Check]:
     ]
 
 
-SUITES = {
-    "chow": _chow_checks,
-    "counts": _counts_checks,
-    "slope": _slope_checks,
-}
-
-
 def run_checks(suite: str) -> dict:
-    names = list(SUITES) if suite == "all" else [suite]
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(SUITES[name]())
-    checks.sort(key=lambda c: c.identifier)
+    """Run the checks of one suite, or of all of them, sorted by identifier."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; "
+                         f"expected 'all' or one of {', '.join(SUITES)}")
+    checks = sorted((c for c in _checks()
+                     if suite == "all" or c.identifier.startswith(suite + ".")),
+                    key=lambda c: c.identifier)
     results = []
     for c in checks:
         start = time.perf_counter()

@@ -4,8 +4,8 @@ Everything here is finite-dimensional exact linear algebra: divisor classes
 are vectors over a fixed ordered basis, curve classes are the dual vectors
 of intersection numbers, and each named operation returns one specific
 pullback or pairing.  The enumerative inputs (77 singular members, 32 double
-lines, lambda-degree 18) are wired in from the intersection-theory module,
-never retyped.
+lines, lambda-degree 18) are computed by the intersection-theory module and
+the chi-chain and passed in as arguments, never retyped.
 
 One modelling point deserves emphasis: the theta pullback is only known up
 to boundary terms that are never written down.  Those are carried as an
@@ -101,11 +101,10 @@ class CurveClass:
             raise KeyError(key)
         return self.numbers.get(key, Fraction(0))
 
-    def scaled(self, factor, provenance: str | None = None) -> "CurveClass":
+    def scaled(self, factor, provenance: str) -> "CurveClass":
         c = Fraction(factor)
         return CurveClass({k: v * c for k, v in self.numbers.items()},
-                          provenance or f"{self.provenance} x {factor}",
-                          self.marker_orthogonal)
+                          provenance, self.marker_orthogonal)
 
     def pair(self, div: DivClassR6) -> Fraction:
         if div.unknown_boundary and not self.marker_orthogonal:
@@ -178,7 +177,7 @@ def chi_of_Y_chain() -> dict:
     Four of the exceptional (-1)-lines of the actual family each absorb a
     pencil of sections, leaving h^0(omega) = 12 and chi(O) = 1 - 0 + 12 = 13.
     """
-    ring = chow.product_projective_ring((2, 1))
+    ring = chow.ProductProjectiveRing((2, 1))
     h1, h2 = ring.h(0), ring.h(1)
     canonical = -3 * h1 - 2 * h2
     surface_class = 6 * h1 + 3 * h2
@@ -203,23 +202,18 @@ def _h0_product(dims, degs) -> int:
     return out
 
 
-def lambda_degree_from_family(chi: Fraction | None = None) -> Fraction:
-    """Degree of lambda on the pencil: chi(O of the family) + g - 1."""
-    if chi is None:
-        chi = chi_of_Y_chain()["chi"]
+def lambda_degree_from_family(chi: Fraction) -> Fraction:
+    """Degree of lambda on the pencil: chi(O of the family) + g - 1, with
+    chi from `chi_of_Y_chain`."""
     return Fraction(chi) + GENUS - 1
 
 
-def solve_double_line_count(e_lambda: Fraction | None = None,
-                            e_delta0_prime: Fraction | None = None,
+def solve_double_line_count(e_lambda: Fraction, e_delta0_prime: Fraction,
                             unreduced: bool = False) -> Fraction:
     """Count of double-line members of the pencil, from the vanishing of the
     Gieseker-Petri-type relation 47 e.lambda - 6 e.delta0' - 12 e.delta0ram = 0
-    (or its unreduced double, as a cross-check)."""
-    if e_lambda is None:
-        e_lambda = lambda_degree_from_family()
-    if e_delta0_prime is None:
-        e_delta0_prime = chow.euler_numbers()["singular_members"]
+    (or its unreduced double, as a cross-check).  e_delta0_prime is the count
+    of singular members from `chow.euler_numbers`."""
     if e_lambda <= 0:
         raise ValueError("degenerate family: lambda-degree must be positive")
     if unreduced:
@@ -232,7 +226,7 @@ def solve_double_line_count(e_lambda: Fraction | None = None,
 def degree_nine_lemma() -> Fraction:
     """The key intersection number on P^2 x P^2 x P^2 behind the psi-degree:
     (2h1 + h2 + h3)^3 . 3h3 . h1^2 = 9."""
-    ring = chow.product_projective_ring((2, 2, 2))
+    ring = chow.ProductProjectiveRing((2, 2, 2))
     h1, h2, h3 = ring.h(0), ring.h(1), ring.h(2)
     cls = (2 * h1 + h2 + h3) ** 3 * (3 * h3) * h1 * h1
     return cls.integrate()
@@ -246,7 +240,7 @@ def psi_degree_via_Z() -> Fraction:
     multidegree (3,0,3).  Pairing against a section line with degrees
     (L.h1, L.h3) = (0, 3) gives psi = 3*0 + 3*3 = 9.
     """
-    ring = chow.product_projective_ring((2, 2, 2))
+    ring = chow.ProductProjectiveRing((2, 2, 2))
     h = [ring.h(i) for i in range(3)]
     canonical = -3 * h[0] - 3 * h[1] - 3 * h[2]
     ci = 3 * (2 * h[0] + h[1] + h[2]) + 3 * h[2]
@@ -259,25 +253,24 @@ def psi_degree_via_Z() -> Fraction:
 
 # -- curve classes -----------------------------------------------------------
 
-def pencil_curve_numbers() -> dict[str, CurveClass]:
-    """The three curve classes of the story, with wired-in inputs.
+def pencil_curve_numbers(e_lambda: Fraction, e_delta0_prime: Fraction,
+                         e_delta0_ram: Fraction, psi_degree: Fraction
+                         ) -> dict[str, CurveClass]:
+    """The three curve classes of the story, from the computed inputs.
 
-    single: one pencil of conic bundles; its boundary numbers are the
-    computed counts (77 singular members, 32 double lines) and its
-    lambda-degree comes from the chi-chain.
+    single: one pencil of conic bundles; its lambda-degree comes from the
+    chi-chain (`lambda_degree_from_family`) and its boundary numbers are the
+    computed counts (77 singular members, 32 double lines from
+    `solve_double_line_count`).
     triple: the same pencil traced three times around the nodal-cubic base.
     sweeping: the triple curve on the universal-curve product, where each of
-    the five point classes has degree 9.
+    the five point classes has degree psi_degree (`psi_degree_via_Z`).
     """
-    e_lambda = lambda_degree_from_family()
-    e_prime = chow.euler_numbers()["singular_members"]
-    e_ram = solve_double_line_count(e_lambda, e_prime)
     single = CurveClass(
-        {"lambda": e_lambda, "delta0_prime": e_prime,
-         "delta0_dblprime": E_DELTA0_DBLPRIME, "delta0_ram": e_ram},
+        {"lambda": e_lambda, "delta0_prime": e_delta0_prime,
+         "delta0_dblprime": E_DELTA0_DBLPRIME, "delta0_ram": e_delta0_ram},
         provenance="pencil of conic bundles")
     triple = single.scaled(3, "pencil traced over the nodal cubic")
-    psi_degree = psi_degree_via_Z()
     psi = {f"psi{j}": psi_degree for j in range(1, 6)}
     sweeping = CurveClass(
         dict(triple.numbers, **psi),
@@ -286,8 +279,8 @@ def pencil_curve_numbers() -> dict[str, CurveClass]:
     return {"single": single, "triple": triple, "sweeping": sweeping}
 
 
-def slope_bound(variant: str = "full",
-                curve: CurveClass | None = None) -> tuple[Fraction, Fraction, Fraction]:
+def slope_bound(variant: str, curve: CurveClass
+                ) -> tuple[Fraction, Fraction, Fraction]:
     """(degree on lambda1, degree on the boundary, slope bound).
 
     full: sweeping curve against the boundary pullback on the whole space;
@@ -297,20 +290,9 @@ def slope_bound(variant: str = "full",
     """
     if variant not in ("full", "u4"):
         raise ValueError("variant must be 'full' or 'u4'")
-    if curve is None:
-        curve = pencil_curve_numbers()["sweeping"]
     lam = curve.pair(prym_pullback_lambda())
     boundary = curve.pair(pullback_boundary_D6().expanded(
         restricted=(variant == "u4")))
     if lam <= 0:
         raise ValueError("nonpositive lambda-degree: no slope bound")
     return lam, boundary, boundary / lam
-
-
-def general_type_threshold_report() -> dict:
-    """Compare the slope bound with the general-type threshold g + 1."""
-    bound = slope_bound("full")[2]
-    return {"bound": bound, "threshold": Fraction(GENUS + 1),
-            # a lower bound below the threshold decides nothing either way
-            "implies_general_type": False,
-            "below_threshold": bound < GENUS + 1}

@@ -1,0 +1,42 @@
+"""Inputs of the Chow and moduli computations, built once per test module.
+
+Each fixture computes its number from the ones before it, as a `verify`
+report does, so a test reads computed inputs and never retypes one.
+"""
+
+import pytest
+
+from prym6 import chow, moduli
+
+
+@pytest.fixture(scope="module")
+def S():
+    return chow.DelPezzoRing()
+
+
+@pytest.fixture(scope="module")
+def P(S):
+    return chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+
+
+@pytest.fixture(scope="module")
+def table():
+    return chow.blowup_intersection_table()
+
+
+@pytest.fixture(scope="module")
+def euler(P, table):
+    return chow.euler_numbers(chow.koszul_chi_B(P), chow.kb_squared(table))
+
+
+@pytest.fixture(scope="module")
+def e_lambda():
+    return moduli.lambda_degree_from_family(moduli.chi_of_Y_chain()["chi"])
+
+
+@pytest.fixture(scope="module")
+def curves(e_lambda, euler):
+    e_prime = euler["singular_members"]
+    return moduli.pencil_curve_numbers(
+        e_lambda, e_prime, moduli.solve_double_line_count(e_lambda, e_prime),
+        moduli.psi_degree_via_Z())

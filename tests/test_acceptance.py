@@ -46,43 +46,41 @@ def test_criterion_01_dimension_ladder(capfd):
             assert sys_ == cb.zeta(lines)[1], f"seed {seed}"
 
 
-def test_criterion_02_degree_of_double_cover(capfd):
+def test_criterion_02_degree_of_double_cover(capfd, table, P):
     with _announce(2, "degree 2 of the half-anticanonical map, two routes", capfd):
-        blowup_route, segre_route = chow.verify_deg_h_two_ways()
+        blowup_route, segre_route = chow.verify_deg_h_two_ways(table, P)
         assert blowup_route == 2
         assert segre_route == 2
         # the Segre route is c1^2 - c2 = 5 - 3 on the nose
-        S = chow.del_pezzo_ring()
-        cd = chow.conic_bundle_chern_data(S)
+        cd = P.chern
         assert (cd.c1 * cd.c1).integrate() - cd.c2 == 2
 
 
-def test_criterion_03_blowup_table(capfd):
+def test_criterion_03_blowup_table(capfd, table):
     with _announce(3, "exceptional intersection table on the blown-up bundle", capfd):
-        t = chow.blowup_intersection_table()
-        assert t[(4, 0, 0, 0)] == -4
-        assert t[(3, 1, 0, 0)] == 4
-        assert t[(3, 0, 1, 0)] == 0
-        assert t[(3, 0, 0, 1)] == 0
-        assert t[(2, 2, 0, 0)] == 0
-        assert t[(2, 0, 2, 0)] == 0
-        assert t[(2, 0, 0, 2)] == 0
+        assert table[(4, 0, 0, 0)] == -4
+        assert table[(3, 1, 0, 0)] == 4
+        assert table[(3, 0, 1, 0)] == 0
+        assert table[(3, 0, 0, 1)] == 0
+        assert table[(2, 2, 0, 0)] == 0
+        assert table[(2, 0, 2, 0)] == 0
+        assert table[(2, 0, 0, 2)] == 0
 
 
-def test_criterion_04_canonical_and_chi(capfd):
+def test_criterion_04_canonical_and_chi(capfd, table, P, euler):
     with _announce(4, "K_P, K_B^2 = 8, chi(O_B) = 6, c2(B) = 64", capfd):
         kp, _ = chow.canonical_classes()
         assert kp == {"H1": Fraction(-3), "H2": Fraction(-3), "N": Fraction(3)}
-        assert chow.kb_squared() == 8
-        assert chow.koszul_chi_B() == 6
-        e = chow.euler_numbers()
+        assert chow.kb_squared(table) == 8
+        assert chow.koszul_chi_B(P) == 6
+        e = euler
         assert e["e_B"] == 64
         assert 12 * e["chi_B"] == e["K_B^2"] + e["e_B"]
 
 
-def test_criterion_05_euler_numbers_and_pencil_count(capfd):
+def test_criterion_05_euler_numbers_and_pencil_count(capfd, euler):
     with _announce(5, "Euler numbers and the 77 singular pencil members", capfd):
-        e = chow.euler_numbers()
+        e = euler
         assert e["e_S"] == 7
         assert e["g_C"] == 6
         assert e["e_C"] == -10
@@ -93,15 +91,18 @@ def test_criterion_05_euler_numbers_and_pencil_count(capfd):
         assert e["singular_members"] == e["e_P"] + e["e_B"] - 2 * e["e_Q"]
 
 
-def test_criterion_06_double_line_count(capfd):
+def test_criterion_06_double_line_count(capfd, euler):
     with _announce(6, "chi-chain and relation give 32 double lines", capfd):
         chain = moduli.chi_of_Y_chain()
         assert chain["omega_class"] == (3, 1)
         assert chain["h0_omega_ambient"] == 20
         assert chain["chi"] == 13
-        assert moduli.lambda_degree_from_family() == 18
-        assert moduli.solve_double_line_count() == 32
-        assert moduli.solve_double_line_count(unreduced=True) == 32
+        e_lambda = moduli.lambda_degree_from_family(chain["chi"])
+        assert e_lambda == 18
+        e_prime = euler["singular_members"]
+        assert moduli.solve_double_line_count(e_lambda, e_prime) == 32
+        assert moduli.solve_double_line_count(
+            e_lambda, e_prime, unreduced=True) == 32
 
 
 def test_criterion_07_degree_nine_lemma(capfd):
@@ -110,19 +111,19 @@ def test_criterion_07_degree_nine_lemma(capfd):
         assert moduli.psi_degree_via_Z() == 9
 
 
-def test_criterion_08_triple_pencil_numbers(capfd):
+def test_criterion_08_triple_pencil_numbers(capfd, curves):
     with _announce(8, "triple-pencil numbers (54, 231, 0, 96) = 3x single", capfd):
-        curves = moduli.pencil_curve_numbers()
         single, triple = curves["single"], curves["triple"]
         keys = ("lambda", "delta0_prime", "delta0_dblprime", "delta0_ram")
         assert tuple(triple[k] for k in keys) == (54, 231, 0, 96)
         assert all(triple[k] == 3 * single[k] for k in keys)
 
 
-def test_criterion_09_slope_pipeline(capfd):
+def test_criterion_09_slope_pipeline(capfd, curves):
     with _announce(9, "slope bounds 53/10 and 13/2", capfd):
-        assert moduli.slope_bound("full") == (30, 159, Fraction(53, 10))
-        lam, boundary, bound = moduli.slope_bound("u4")
+        sweeping = curves["sweeping"]
+        assert moduli.slope_bound("full", sweeping) == (30, 159, Fraction(53, 10))
+        lam, boundary, bound = moduli.slope_bound("u4", sweeping)
         assert (lam, boundary, bound) == (30, 195, Fraction(13, 2))
 
 

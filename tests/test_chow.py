@@ -6,26 +6,16 @@ import pytest
 from prym6 import chow
 
 
-@pytest.fixture(scope="module")
-def S():
-    return chow.del_pezzo_ring()
-
-
-@pytest.fixture(scope="module")
-def P(S):
-    return chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
-
-
 class TestProductProjectiveRing:
     def test_degrees_and_truncation(self):
-        R = chow.product_projective_ring((2, 1))
+        R = chow.ProductProjectiveRing((2, 1))
         h1, h2 = R.h(0), R.h(1)
         assert (h1 ** 2 * h2).integrate() == 1
         assert (h1 ** 3).coeffs == {}
         assert (h1 * h1 * h2 * h2).coeffs == {}
 
     def test_ring_axioms_on_random_elements(self):
-        R = chow.product_projective_ring((2, 2, 2))
+        R = chow.ProductProjectiveRing((2, 2, 2))
         a = 2 * R.h(0) + R.h(1)
         b = R.h(1) - 3 * R.h(2)
         c = R.one() + R.h(0) * R.h(2)
@@ -33,8 +23,15 @@ class TestProductProjectiveRing:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
+    def test_classes_are_unhashable(self):
+        # a class equals a scalar (R.one() == 1), which no hash can respect
+        R = chow.ProductProjectiveRing((2, 1))
+        assert R.one() == 1
+        with pytest.raises(TypeError):
+            hash(R.one())
+
     def test_degree_nine_integral(self):
-        R = chow.product_projective_ring((2, 2, 2))
+        R = chow.ProductProjectiveRing((2, 2, 2))
         h1, h2, h3 = R.h(0), R.h(1), R.h(2)
         cls = (2 * h1 + h2 + h3) ** 3 * (3 * h3) * h1 * h1
         assert cls.integrate() == 9
@@ -42,7 +39,7 @@ class TestProductProjectiveRing:
     def test_multinomial_oracle(self):
         # (h1 + h2)^3 on P^2 x P^1 integrates against h2 wrongly unless the
         # truncation h2^2 = 0 is active: top coefficient is C(3,1) = 3
-        R = chow.product_projective_ring((2, 1))
+        R = chow.ProductProjectiveRing((2, 1))
         val = ((R.h(0) + R.h(1)) ** 3).integrate()
         assert val == 3
 
@@ -103,60 +100,50 @@ class TestProjectiveBundleRing:
 
 
 class TestBlowupTable:
-    def test_frozen_exceptional_numbers(self):
-        t = chow.blowup_intersection_table()
-        assert t[(4, 0, 0, 0)] == -4
-        assert t[(3, 1, 0, 0)] == 4
-        assert t[(3, 0, 1, 0)] == 0
-        assert t[(3, 0, 0, 1)] == 0
-        assert t[(2, 2, 0, 0)] == 0
-        assert t[(2, 0, 2, 0)] == 0
-        assert t[(2, 0, 0, 2)] == 0
+    def test_frozen_exceptional_numbers(self, table):
+        assert table[(4, 0, 0, 0)] == -4
+        assert table[(3, 1, 0, 0)] == 4
+        assert table[(3, 0, 1, 0)] == 0
+        assert table[(3, 0, 0, 1)] == 0
+        assert table[(2, 2, 0, 0)] == 0
+        assert table[(2, 0, 2, 0)] == 0
+        assert table[(2, 0, 0, 2)] == 0
 
-    def test_pullback_entries(self):
-        t = chow.blowup_intersection_table()
-        assert t[(0, 2, 0, 2)] == 5   # (-K)^2 on the surface factor
-        assert t[(0, 1, 1, 2)] == 3   # (-K).L
-        assert t[(0, 0, 2, 2)] == 1   # L^2
-        assert t[(0, 2, 2, 0)] == 0   # fewer than two fiber hyperplanes
+    def test_pullback_entries(self, table):
+        assert table[(0, 2, 0, 2)] == 5   # (-K)^2 on the surface factor
+        assert table[(0, 1, 1, 2)] == 3   # (-K).L
+        assert table[(0, 0, 2, 2)] == 1   # L^2
+        assert table[(0, 2, 2, 0)] == 0   # fewer than two fiber hyperplanes
 
-    def test_table_is_complete(self):
-        t = chow.blowup_intersection_table()
-        assert len(t) == 35  # compositions of 4 into 4 parts
-        assert all(sum(k) == 4 for k in t)
+    def test_table_is_complete(self, table):
+        assert len(table) == 35  # compositions of 4 into 4 parts
+        assert all(sum(k) == 4 for k in table)
 
-    def test_intersection_number_multilinear(self):
-        t = chow.blowup_intersection_table()
+    def test_intersection_number_multilinear(self, table):
         d = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
         e = {"H": Fraction(2)}
-        v1 = chow.intersection_number(t, [d, d, d, e])
+        v1 = chow.intersection_number(table, [d, d, d, e])
         scaled = {k: 5 * v for k, v in d.items()}
-        assert chow.intersection_number(t, [scaled, d, d, e]) == 5 * v1
+        assert chow.intersection_number(table, [scaled, d, d, e]) == 5 * v1
 
 
-    def test_intersection_number_rejects_unknown_keys(self):
-        t = chow.blowup_intersection_table()
-        assert chow.intersection_number(t, [{"H1": 1, "H2": 1}] * 4) == 6
+    def test_intersection_number_rejects_unknown_keys(self, table):
+        assert chow.intersection_number(table, [{"H1": 1, "H2": 1}] * 4) == 6
         with pytest.raises(ValueError, match="h1"):
-            chow.intersection_number(t, [{"h1": 1, "H2": 1}] * 4)
+            chow.intersection_number(table, [{"h1": 1, "H2": 1}] * 4)
 
 
 class TestDegreeAndCanonical:
-    def test_deg_h_two_routes(self):
-        assert chow.verify_deg_h_two_ways() == (2, 2)
-
-    def test_shared_inputs_give_the_default_values(self, P):
-        t = chow.blowup_intersection_table()
-        assert chow.verify_deg_h_two_ways(t, P) == (2, 2)
-        assert chow.kb_squared(t) == chow.kb_squared()
+    def test_deg_h_two_routes(self, table, P):
+        assert chow.verify_deg_h_two_ways(table, P) == (2, 2)
 
     def test_canonical_classes(self):
         kp, kb = chow.canonical_classes()
         assert kp == {"H1": Fraction(-3), "H2": Fraction(-3), "N": Fraction(3)}
         assert kb == {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
 
-    def test_kb_squared(self):
-        assert chow.kb_squared() == 8
+    def test_kb_squared(self, table):
+        assert chow.kb_squared(table) == 8
 
 
 class TestRiemannRoch:
@@ -169,7 +156,7 @@ class TestRiemannRoch:
 
     def test_chi_is_the_direct_integral(self, S):
         # a fresh ring, so its Hilbert coefficients are computed in this test
-        P = chow.projective_bundle_ring(S, chow.conic_bundle_chern_data(S))
+        P = chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
         td = P.one() + sum(chow.todd_classes(*chow.tangent_chern_classes(P)),
                            P.zero())
         for d in range(-6, 7):
@@ -205,18 +192,16 @@ class TestRiemannRoch:
 
     def test_koszul_chi_B(self, P):
         assert chow.koszul_chi_B(P) == 6
-        assert chow.koszul_chi_B() == 6
 
-    def test_noether_identity(self, P):
+    def test_noether_identity(self, P, table, euler):
         # 12 chi(O_B) = K_B^2 + c2(B)
         chi_b = chow.koszul_chi_B(P)
-        e_b = chow.euler_numbers()["e_B"]
-        assert 12 * chi_b == chow.kb_squared() + e_b
+        assert 12 * chi_b == chow.kb_squared(table) + euler["e_B"]
 
 
 class TestEulerNumbers:
-    def test_full_ledger(self):
-        e = chow.euler_numbers()
+    def test_full_ledger(self, euler):
+        e = euler
         assert e["e_S"] == 7
         assert e["g_C"] == 6
         assert e["e_C"] == -10
@@ -228,6 +213,6 @@ class TestEulerNumbers:
         assert e["e_B"] == 64
         assert e["singular_members"] == 77
 
-    def test_count_is_wired_not_retyped(self):
-        e = chow.euler_numbers()
+    def test_count_is_wired_not_retyped(self, euler):
+        e = euler
         assert e["singular_members"] == e["e_P"] + e["e_B"] - 2 * e["e_Q"]

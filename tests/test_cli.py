@@ -40,6 +40,18 @@ class TestVerify:
             report = run_checks(suite)
             assert report["pass"], [c for c in report["checks"] if not c["pass"]]
 
+    def test_suites_partition_the_report(self):
+        # an unknown suite would select no check and pass vacuously
+        with pytest.raises(ValueError, match="chow, counts, slope"):
+            run_checks("bogus")
+        ids = {suite: [c["identifier"] for c in run_checks(suite)["checks"]]
+               for suite in cli.SUITES}
+        assert {s: len(v) for s, v in ids.items()} == {
+            "chow": 17, "counts": 17, "slope": 10}
+        every = [c["identifier"] for c in run_checks("all")["checks"]]
+        assert len(every) == 44
+        assert sorted(i for v in ids.values() for i in v) == every
+
     def test_key_values_present(self):
         report = run_checks("all")
         by_id = {c["identifier"]: c for c in report["checks"]}
@@ -61,7 +73,7 @@ class TestVerify:
         assert a == b
 
     def test_each_report_computes_each_number_once(self, monkeypatch):
-        calls = {"rings": 0, "tangent": 0, "euler": 0}
+        calls = {"rings": 0, "tangent": 0, "euler": 0, "table": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -75,22 +87,19 @@ class TestVerify:
                             counted("tangent", chow.tangent_chern_classes))
         monkeypatch.setattr(chow, "euler_numbers",
                             counted("euler", chow.euler_numbers))
-        per_report = []
+        monkeypatch.setattr(chow, "blowup_intersection_table",
+                            counted("table", chow.blowup_intersection_table))
         for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
             assert run_checks("all")["pass"]
-            per_report.append(dict(calls))
-        # equal nonzero counts: the second report recomputes, caches nothing
-        assert per_report[0] == per_report[1]
-        assert all(per_report[0].values())
-        assert per_report[0]["tangent"] <= per_report[0]["rings"]
-        assert per_report[0]["euler"] <= len(cli.SUITES)
+            # once in every report: the second recomputes, caches nothing
+            assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction
-        broken = cli.Check("broken.check", "injected failure",
+        broken = cli.Check("chow.broken", "injected failure",
                            Fraction(1), lambda: Fraction(2))
-        monkeypatch.setitem(cli.SUITES, "chow", lambda: [broken])
+        monkeypatch.setattr(cli, "_checks", lambda: [broken])
         assert main(["verify", "--suite", "chow"]) == 1
 
 

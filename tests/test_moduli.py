@@ -5,8 +5,8 @@ import pytest
 from prym6 import moduli
 from prym6.moduli import (CurveClass, DivClassR6, MarkerPairingError,
                           ap_psi_coefficients, ap_pullback_theta,
-                          pencil_curve_numbers, prym_pullback_lambda,
-                          pullback_boundary_D6, pullback_delta0, slope_bound)
+                          prym_pullback_lambda, pullback_boundary_D6,
+                          pullback_delta0, slope_bound)
 
 
 class TestDivClassAlgebra:
@@ -94,16 +94,20 @@ class TestEnumerativeChain:
         assert chain["chi"] == 13
 
     def test_lambda_degree(self):
-        assert moduli.lambda_degree_from_family() == 18
-        assert moduli.lambda_degree_from_family(chi=Fraction(13)) == 18
+        chi = moduli.chi_of_Y_chain()["chi"]
+        assert moduli.lambda_degree_from_family(chi) == 18
+        assert moduli.lambda_degree_from_family(Fraction(13)) == 18
 
-    def test_double_line_count_both_relations(self):
-        assert moduli.solve_double_line_count() == 32
-        assert moduli.solve_double_line_count(unreduced=True) == 32
+    def test_double_line_count_both_relations(self, e_lambda, euler):
+        e_prime = euler["singular_members"]
+        assert moduli.solve_double_line_count(e_lambda, e_prime) == 32
+        assert moduli.solve_double_line_count(
+            e_lambda, e_prime, unreduced=True) == 32
 
-    def test_double_line_count_degenerate_input(self):
+    def test_double_line_count_degenerate_input(self, euler):
         with pytest.raises(ValueError):
-            moduli.solve_double_line_count(e_lambda=Fraction(0))
+            moduli.solve_double_line_count(
+                Fraction(0), euler["singular_members"])
 
     def test_degree_nine_lemma(self):
         assert moduli.degree_nine_lemma() == 9
@@ -113,15 +117,14 @@ class TestEnumerativeChain:
 
 
 class TestCurveClasses:
-    def test_single_pencil_numbers(self):
-        single = pencil_curve_numbers()["single"]
+    def test_single_pencil_numbers(self, curves):
+        single = curves["single"]
         assert single["lambda"] == 18
         assert single["delta0_prime"] == 77
         assert single["delta0_dblprime"] == 0
         assert single["delta0_ram"] == 32
 
-    def test_triple_is_three_times_single(self):
-        curves = pencil_curve_numbers()
+    def test_triple_is_three_times_single(self, curves):
         single, triple = curves["single"], curves["triple"]
         for key in ("lambda", "delta0_prime", "delta0_dblprime", "delta0_ram"):
             assert triple[key] == 3 * single[key]
@@ -129,53 +132,50 @@ class TestCurveClasses:
         assert triple["delta0_prime"] == 231
         assert triple["delta0_ram"] == 96
 
-    def test_sweeping_psi_numbers(self):
-        sweeping = pencil_curve_numbers()["sweeping"]
+    def test_sweeping_psi_numbers(self, curves):
+        sweeping = curves["sweeping"]
         for j in range(1, 6):
             assert sweeping[f"psi{j}"] == 9
         assert sweeping.marker_orthogonal
 
-    def test_pairing_with_delta0_pullback(self):
-        single = pencil_curve_numbers()["single"]
+    def test_pairing_with_delta0_pullback(self, curves):
+        single = curves["single"]
         assert single.pair(pullback_delta0()) == 141
 
-    def test_scaling_scales_pairings(self):
-        single = pencil_curve_numbers()["single"]
-        assert single.scaled(5).pair(pullback_delta0()) == 5 * 141
+    def test_scaling_scales_pairings(self, curves):
+        single = curves["single"]
+        five = single.scaled(5, "five pencils")
+        assert five.pair(pullback_delta0()) == 5 * 141
+        assert five.provenance == "five pencils"
 
 
 class TestSlopeBounds:
-    def test_full_variant(self):
-        assert slope_bound("full") == (30, 159, Fraction(53, 10))
+    def test_full_variant(self, curves):
+        assert slope_bound("full", curves["sweeping"]) == (
+            30, 159, Fraction(53, 10))
 
-    def test_u4_variant(self):
-        lam, boundary, bound = slope_bound("u4")
+    def test_u4_variant(self, curves):
+        lam, boundary, bound = slope_bound("u4", curves["sweeping"])
         assert (lam, boundary) == (30, 195)
         assert bound == Fraction(13, 2)
 
-    def test_unknown_variant(self):
+    def test_unknown_variant(self, curves):
         with pytest.raises(ValueError):
-            slope_bound("bogus")
+            slope_bound("bogus", curves["sweeping"])
 
-    def test_requires_marker_orthogonality(self):
-        undeclared = pencil_curve_numbers()["sweeping"]
+    def test_requires_marker_orthogonality(self, curves):
+        undeclared = curves["sweeping"]
         undeclared = CurveClass(undeclared.numbers, "copy",
                                 marker_orthogonal=False)
         with pytest.raises(MarkerPairingError):
             slope_bound("full", curve=undeclared)
 
-    def test_sensitivity_no_hardcoding(self):
+    def test_sensitivity_no_hardcoding(self, curves):
         # nudging any single curve number must change the output
-        base = pencil_curve_numbers()["sweeping"]
-        reference = slope_bound("full")
+        base = curves["sweeping"]
+        reference = slope_bound("full", base)
         for key in ("lambda", "delta0_prime", "delta0_ram", "psi1", "psi5"):
             bumped = dict(base.numbers)
             bumped[key] = bumped.get(key, Fraction(0)) + 1
             curve = CurveClass(bumped, "perturbed", marker_orthogonal=True)
             assert slope_bound("full", curve=curve) != reference
-
-    def test_threshold_report(self):
-        report = moduli.general_type_threshold_report()
-        assert report["bound"] == Fraction(53, 10)
-        assert report["below_threshold"]
-        assert not report["implies_general_type"]
