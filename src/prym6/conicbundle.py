@@ -194,19 +194,37 @@ def line_condition_rows(monomials, lf: LineInFiber) -> list[list[int]]:
     """Vanishing on {o} x line, as 3 rows of monomial values.
 
     A fiber conic restricted to a line is a binary quadratic, so vanishing
-    at three distinct points of the line kills it.
+    at three distinct points of the line kills it.  The rows are those of
+    `_monomial_row` at (o, y), each entry the product of one value from a
+    table of the x-monomials at o and one from a table of the y-monomials
+    at y.
     """
     p, q = lf.spanning_points()
     third = tuple(a + b for a, b in zip(p, q))
-    # the rows of `_monomial_row` at (o, y), with o's block computed once
-    o = primitive(lf.o)
-    x_values = [prod(v ** e for v, e in zip(o, exp[:3]) if e) for exp in monomials]
+    x_exps, y_exps, index = _block_exponents(tuple(monomials))
+    x_values = _power_products(primitive(lf.o), x_exps)
     rows = []
     for y in (p, q, third):
-        y = primitive(y)
-        rows.append([xv * prod(v ** e for v, e in zip(y, exp[3:]) if e)
-                     for xv, exp in zip(x_values, monomials)])
+        y_values = _power_products(primitive(y), y_exps)
+        rows.append([x_values[i] * y_values[j] for i, j in index])
     return rows
+
+
+@lru_cache(maxsize=None)
+def _block_exponents(monomials):
+    """The distinct x- and y-exponents of the monomials, and for each
+    monomial the positions of its two halves in those lists."""
+    x_exps = sorted({e[:3] for e in monomials})
+    y_exps = sorted({e[3:] for e in monomials})
+    x_pos = {e: i for i, e in enumerate(x_exps)}
+    y_pos = {e: i for i, e in enumerate(y_exps)}
+    return x_exps, y_exps, [(x_pos[e[:3]], y_pos[e[3:]]) for e in monomials]
+
+
+def _power_products(point, exps) -> list[int]:
+    """The value of each exponent triple's monomial at an integer point."""
+    a, b, c = point
+    return [a ** i * b ** j * c ** k for i, j, k in exps]
 
 
 def _cut(sys: LinearSystem, rows: list[list[int]],
@@ -282,6 +300,10 @@ def stacked_condition_matrix(points, lines: Sequence[LineInFiber]) -> QMatrix:
 
 # -- symmetric matrix and discriminant ---------------------------------------
 
+#: the exponents of the six quadratic monomials in one block of three
+_DEG2 = monomials_of_degree(2)
+
+
 @dataclass(frozen=True)
 class SymQuadricMatrix:
     """3x3 symmetric matrix of quadratic forms in x representing a (2,2) form."""
@@ -295,10 +317,24 @@ class SymQuadricMatrix:
                     raise ValueError("matrix is not symmetric")
 
     def evaluated(self, x: Sequence[Fraction]) -> QMatrix:
-        """A(x), evaluating each of its six distinct entries once."""
-        at = {"x": tuple(x)}
-        upper = {(i, j): self.entries[i][j].evaluate(at)
-                 for i in range(3) for j in range(i, 3)}
+        """A(x), from one table of the six quadratic monomials at x.
+
+        With x = P/d for an integer vector P, an entry N/D takes the value
+        N(P) / (D d^2): the integer dot product of its numerators with the
+        table, divided once.  Each of the six distinct entries is computed
+        once.
+        """
+        x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
+        d = lcm(*(v.denominator for v in x))
+        table = dict(zip(_DEG2, _power_products(
+            [v.numerator * (d // v.denominator) for v in x], _DEG2)))
+        upper = {}
+        for i in range(3):
+            for j in range(i, 3):
+                entry = self.entries[i][j]
+                upper[i, j] = Fraction(
+                    sum(n * table[e] for e, n in entry.nums.items()),
+                    entry.den * d * d)
         return QMatrix([[upper[min(i, j), max(i, j)] for j in range(3)]
                         for i in range(3)])
 
@@ -539,8 +575,6 @@ def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly, nodes,
 
 # -- residual lines -----------------------------------------------------------
 
-_Y_DEG2 = monomials_of_degree(2)
-
 
 def restricted_conic(Q: MultiPoly, o: Sequence[Fraction]) -> MultiPoly:
     """Q restricted to the fiber {o} x P^2, a conic in y."""
@@ -556,7 +590,7 @@ def residual_line(Q: MultiPoly, lf: LineInFiber):
     conic = restricted_conic(Q, lf.o)
     # numerators of the conic over the 6 degree-2 monomials in y: the conic
     # times its denominator, which scales m by a factor `primitive` removes
-    target = [conic.nums.get(m, 0) for m in _Y_DEG2]
+    target = [conic.nums.get(m, 0) for m in _DEG2]
     # matrix of the multiplication map m -> (dual . y)(m . y)
     cols = []
     for k in range(3):
@@ -566,7 +600,7 @@ def residual_line(Q: MultiPoly, lf: LineInFiber):
                 e = tuple((1 if a == i else 0) + (1 if a == k else 0)
                           for a in range(3))
                 prod[e] = prod.get(e, 0) + lf.dual[i]
-        cols.append([prod.get(m, 0) for m in _Y_DEG2])
+        cols.append([prod.get(m, 0) for m in _DEG2])
     M = QMatrix([[cols[k][r] for k in range(3)] for r in range(6)])
     m = solve_exact(M, target)
     if m is None:

@@ -298,6 +298,11 @@ class MultiPoly:
         block b, so every sum runs in integers.  A derivative in a
         coordinate of block b lowers |e_b| by one, so its output takes one
         factor d_b back; each output is divided once.
+
+        A term whose degree in the point's zero coordinates exceeds
+        ``order`` is skipped: every derivative of order at most ``order``
+        keeps a positive power of a zero coordinate, so the term adds 0 to
+        each output.
         """
         if not 0 <= order <= 2:
             raise ValueError("order must be 0, 1 or 2")
@@ -319,12 +324,19 @@ class MultiPoly:
             coords += [v.numerator * (d // v.denominator) for v in pt]
             back += [d] * size
         n = len(coords)
+        zeros = [k for k, v in enumerate(coords) if not v]
         tops = map(max, zip(*self.nums)) if self.nums else [0] * n
         pw = [[v ** e for e in range(top + 1)] for v, top in zip(coords, tops)]
         value = 0
         grad = [0] * n
         hess = [[0] * n for _ in range(n)]
         for exp, C in self.nums.items():
+            if zeros:
+                vanishing = 0
+                for k in zeros:
+                    vanishing += exp[k]
+                if vanishing > order:
+                    continue
             for a, b, d, deg in lifts:
                 C *= d ** (deg - sum(exp[a:b]))
             support = [k for k in range(n) if exp[k]]

@@ -10,16 +10,20 @@ field elements; univariate polynomials are coefficient lists, low degree
 first.
 
 A field object supplies ``zero``, ``one``, ``reduce``, ``inv``,
-``from_rational`` and ``random_element``; sums and products are Python's own
-operators on its elements.  ``reduce`` maps such a sum or product back to a
-field element: ``v % p`` over GF(p), the identity over Q.  Reduction is
-lazy: a kernel sums unreduced products and reduces each coefficient once,
-before it compares it with ``zero``, returns it or uses it as a key.
+``inv_all``, ``from_rational`` and ``random_element``; sums and products are
+Python's own operators on its elements.  ``reduce`` maps such a sum or
+product back to a field element: ``v % p`` over GF(p), the identity over Q.
+Reduction is lazy: a kernel sums unreduced products and reduces each
+coefficient once, before it compares it with ``zero``, returns it or uses it
+as a key.  ``inv_all`` inverts a whole list: over GF(p) by Montgomery's
+trick, one modular inverse and three products per entry, since an inverse
+mod p costs about as much as sixteen products.
 
 A resultant is computed by the Euclidean remainder sequence,
 Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, in O(deg^2)
-field operations and one inverse per remainder, instead of a Sylvester
-determinant.
+field operations, instead of a Sylvester determinant.  The sequences of a
+batch of pairs advance in lockstep, so each round of remainders costs one
+``inv_all``, not one inverse per pair.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ class QQ:
         return Fraction(1) / a
 
     @staticmethod
+    def inv_all(values):
+        return [Fraction(1) / a for a in values]
+
+    @staticmethod
     def random_element(rng: random.Random):
         return Fraction(rng.randint(-30, 30))
 
@@ -73,6 +81,28 @@ class GF:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def inv_all(self, values):
+        """The inverse of each entry, from one modular inverse.
+
+        prefix[i] is the product of the entries before i; with inv the
+        inverse of the product of the first i + 1 entries, prefix[i] * inv
+        is the inverse of entry i, and inv times entry i is the next inv.
+        """
+        p = self.p
+        prefix = []
+        acc = 1
+        for v in values:
+            prefix.append(acc)
+            acc = acc * v % p
+        if acc == 0:
+            raise ZeroDivisionError("inverse of zero")
+        inv = pow(acc, -1, p)
+        out = [0] * len(prefix)
+        for i in range(len(prefix) - 1, -1, -1):
+            out[i] = prefix[i] * inv % p
+            inv = inv * values[i] % p
+        return out
 
     def random_element(self, rng: random.Random):
         return rng.randrange(self.p)
@@ -154,10 +184,14 @@ def uni_divmod(F, a, b):
     """Quotient and remainder; a's entries are reduced only as they are read."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    return _divmod_by(F, a, b, F.inv(b[-1]))
+
+
+def _divmod_by(F, a, b, inv_lead):
+    """`uni_divmod` for a nonzero b whose leading inverse is inv_lead."""
     a = list(a)
     top = len(b) - 1
     q = [F.zero] * max(0, len(a) - top)
-    inv_lead = F.inv(b[-1])
     for k in range(len(a) - len(b), -1, -1):
         f = F.reduce(a[k + top] * inv_lead)
         if f == F.zero:
@@ -250,27 +284,44 @@ def uni_squarefree_part(F, a):
     return uni_monic(F, q)
 
 
-def uni_resultant(F, a, b):
-    """Determinant of the low-first Sylvester matrix of a and b.
+def uni_resultants(F, pairs):
+    """Determinant of the low-first Sylvester matrix of each pair (a, b).
 
     That matrix has deg b rows a_0 .. a_n and deg a rows b_0 .. b_m, each
     shifted one column right of the row before, and its determinant is
-    (-1)^(deg a deg b) Res(a, b) = Res(b, a).  a and b are nonzero and
-    trimmed.  The loop keeps the answer as res * Res(f, g): with r = g mod f
-    of degree k, Res(f, g) = lc(f)^(deg g - k) Res(f, r), Res(f, 0) = 0 for
-    deg f > 0, Res(f, r) = (-1)^(deg f k) Res(r, f), and a constant f gives
+    (-1)^(deg a deg b) Res(a, b) = Res(b, a).  Each a and b is nonzero and
+    trimmed.  A pair's answer is kept as res * Res(f, g), starting from
+    f, g = b, a: with r = g mod f of degree k, Res(f, g) =
+    lc(f)^(deg g - k) Res(f, r), Res(f, 0) = 0 for deg f > 0,
+    Res(f, r) = (-1)^(deg f k) Res(r, f), and a constant f gives
     f_0^(deg g).
+
+    The remainder sequences advance in lockstep: each round divides every
+    pair still running by its current f, with the leading inverses of all
+    of them from one ``inv_all``.  A pair leaves when its f is constant or
+    its remainder is 0, so pairs whose degrees drop by more than one leave
+    early and the rest go on.
     """
-    res = F.one
-    f, g = b, a
-    while len(f) > 1:
-        _, r = uni_divmod(F, g, f)
-        if not r:
-            return F.zero
-        m, n, k = len(f) - 1, len(g) - 1, len(r) - 1
-        res = F.reduce(res * f[-1] ** (n - k) * (-1) ** (m * k))
-        f, g = r, f
-    return F.reduce(res * f[0] ** (len(g) - 1))
+    out = [F.one] * len(pairs)
+    running = [(i, b, a) for i, (a, b) in enumerate(pairs)]
+    while running:
+        dividing = []
+        for i, f, g in running:
+            if len(f) > 1:
+                dividing.append((i, f, g))
+            else:
+                out[i] = F.reduce(out[i] * f[0] ** (len(g) - 1))
+        running = []
+        invs = F.inv_all([f[-1] for _, f, _ in dividing])
+        for (i, f, g), inv_lead in zip(dividing, invs):
+            _, r = _divmod_by(F, g, f, inv_lead)
+            if not r:
+                out[i] = F.zero
+                continue
+            m, n, k = len(f) - 1, len(g) - 1, len(r) - 1
+            out[i] = F.reduce(out[i] * f[-1] ** (n - k) * (-1) ** (m * k))
+            running.append((i, r, f))
+    return out
 
 
 def uni_interpolate(F, points):
@@ -278,22 +329,26 @@ def uni_interpolate(F, points):
 
     The master polynomial prod (x - x_j) is built once; each Lagrange
     numerator is its quotient by (x - x_i), by synthetic division, so the
-    whole interpolation takes O(n^2) field operations.  The master, the
-    quotients and the sum stay unreduced; each output coefficient is reduced
-    once.
+    whole interpolation takes O(n^2) field operations.  The denominators
+    prod_{j != i} (x_i - x_j) of the points with y_i != 0 are inverted in
+    one ``inv_all``; a repeated x makes one of them 0 and raises
+    ZeroDivisionError.  The master, the quotients and the sum stay
+    unreduced; each output coefficient is reduced once.
     """
     master = [F.one]
     for xj, _ in points:
         master = [a - xj * b for a, b in zip([F.zero] + master, master + [F.zero])]
-    result = [F.zero] * len(points)
-    for xi, yi in points:
-        if yi == F.zero:
-            continue
+    used = [(i, xi, yi) for i, (xi, yi) in enumerate(points) if yi != F.zero]
+    dens = []
+    for i, xi, _ in used:
         den = F.one
-        for xj, _ in points:
-            if xj != xi:
+        for j, (xj, _) in enumerate(points):
+            if j != i:
                 den *= xi - xj
-        scale = F.reduce(yi * F.inv(F.reduce(den)))
+        dens.append(F.reduce(den))
+    result = [F.zero] * len(points)
+    for (_, xi, yi), inv_den in zip(used, F.inv_all(dens)):
+        scale = F.reduce(yi * inv_den)
         carry = F.zero
         for k in range(len(points), 0, -1):
             carry = master[k] + xi * carry
@@ -414,18 +469,18 @@ def resultant_x3(F, f, g, d1, d2):
     (their top x3 coefficients must be nonzero constants).  The result is a
     univariate polynomial in x1 of degree at most d1*d2; its value at each
     sample x1 is the determinant of the low-first Sylvester matrix in x3.
+    The d1*d2 + 1 sample resultants run in lockstep through
+    `uni_resultants`, one ``inv_all`` per round of remainders, and
+    `uni_interpolate` inverts its denominators in one more.
     """
     tf = _x3_tower(F, f, d1)
     tg = _x3_tower(F, g, d2)
     if uni_degree(tf[d1]) != 0 or uni_degree(tg[d2]) != 0:
         raise ValueError("leading x3 coefficient is not a nonzero constant")
-    pts = []
-    for k in range(d1 * d2 + 1):
-        x = F.from_rational(k)
-        fc = [uni_eval(F, level, x) for level in tf]
-        gc = [uni_eval(F, level, x) for level in tg]
-        pts.append((x, uni_resultant(F, fc, gc)))
-    return uni_interpolate(F, pts)
+    xs = [F.from_rational(k) for k in range(d1 * d2 + 1)]
+    pairs = [([uni_eval(F, level, x) for level in tf],
+              [uni_eval(F, level, x) for level in tg]) for x in xs]
+    return uni_interpolate(F, list(zip(xs, uni_resultants(F, pairs))))
 
 
 def _random_invertible(F, rng):

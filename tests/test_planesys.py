@@ -29,6 +29,29 @@ class TestFields:
         assert F.reduce(Fraction(-7, 3)) == Fraction(-7, 3)
         assert F.reduce(F.one - F.one) == F.zero
 
+    @pytest.mark.parametrize("F", [ps.GF(101), GF_P, ps.QQ],
+                             ids=["gf101", "gf", "qq"])
+    def test_inv_all_equals_elementwise_inv(self, F):
+        rng = random.Random(14)
+        values = [F.random_element(rng) or F.one for _ in range(30)]
+        if F is not ps.QQ:
+            # unreduced entries, as the kernels pass them
+            values[3] += 5 * F.p
+            values[7] -= F.p
+        assert F.inv_all(values) == [F.inv(v) for v in values]
+        assert F.inv_all(values[:1]) == [F.inv(values[0])]
+        assert F.inv_all([]) == []
+
+    @pytest.mark.parametrize("F", [ps.GF(101), GF_P, ps.QQ],
+                             ids=["gf101", "gf", "qq"])
+    def test_inv_all_of_zero_raises(self, F):
+        zero = F.zero if F is ps.QQ else F.p  # p is an unreduced zero
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
+        for values in ([zero], [F.one, zero, F.one + F.one], [F.one, zero]):
+            with pytest.raises(ZeroDivisionError):
+                F.inv_all(values)
+
 
 class TestPrimes:
     def test_small_cases(self):
@@ -99,6 +122,17 @@ class TestUnivariate:
         assert ps.uni_degree(poly) <= 25
         assert all(ps.uni_eval(G, poly, x) == y for x, y in pts)
 
+    @pytest.mark.parametrize("F", [ps.GF(101), ps.QQ], ids=["gf", "qq"])
+    def test_interpolate_repeated_x_raises(self, F):
+        def pts(*pairs):
+            return [(F.from_rational(x), F.from_rational(y)) for x, y in pairs]
+        with pytest.raises(ZeroDivisionError):
+            ps.uni_interpolate(F, pts((1, 5), (1, 6), (2, 7)))
+        # one of the two points at x = 2 has y = 0 and is skipped, but the
+        # other's denominator still has the factor x_i - x_j = 0
+        with pytest.raises(ZeroDivisionError):
+            ps.uni_interpolate(F, pts((1, 0), (2, 3), (2, 0)))
+
     @pytest.mark.parametrize(
         "F", [ps.GF(ps.random_prime_ge_2_61(random.Random(5))), ps.QQ],
         ids=["gf", "qq"])
@@ -144,30 +178,40 @@ _small_poly = st.builds(lambda low, lead: low + [lead],
                         st.integers(1, 9))
 
 
+#: a pair (a, b) and a factor h of both, as in the batch of `uni_resultants`
+_pair = st.tuples(_small_poly, _small_poly, st.one_of(st.just([1]), _small_poly))
+
+
 class TestUniResultant:
     @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
     @settings(max_examples=60, deadline=None)
-    @given(a=_small_poly, b=_small_poly,
-           h=st.one_of(st.just([1]), _small_poly))
-    # x^4 + x^2 + 2x + 1 mod x^3 + x is 2x + 1: a remainder two degrees
-    # down, so that the sign (-1)^(deg f deg r) of the loop is -1
-    @example(a=[1, 2, 1, 0, 1], b=[0, 1, 0, 1], h=[1])
-    @example(a=[0, 1, 0, 1], b=[1, 2, 1, 0, 1], h=[1])
-    # constant operands: c^deg of the other, and 1 (an empty matrix) for two
-    @example(a=[3], b=[2, -1, 5], h=[1])
-    @example(a=[2, -1, 5], b=[3], h=[1])
-    @example(a=[3], b=[3], h=[1])
-    def test_equals_low_first_sylvester_determinant(self, F, a, b, h):
-        # a*h and b*h have degrees 0 to 6; a non-constant h is a shared
-        # factor, so the resultant is 0
+    @given(batch=st.lists(_pair, min_size=1, max_size=8))
+    # one batch with every edge case: x^4 + x^2 + 2x + 1 mod x^3 + x is
+    # 2x + 1, a remainder two degrees down, so that the sign
+    # (-1)^(deg f deg r) of the loop is -1; constant operands, c^deg of the
+    # other, and 1 (an empty matrix) for two; a shared factor; and a
+    # coprime pair whose sequence runs longest
+    @example(batch=[([1, 2, 1, 0, 1], [0, 1, 0, 1], [1]),
+                    ([0, 1, 0, 1], [1, 2, 1, 0, 1], [1]),
+                    ([3], [2, -1, 5], [1]), ([2, -1, 5], [3], [1]),
+                    ([3], [3], [1]), ([1, 1], [2, 1], [-1, 0, 1]),
+                    ([1, 0, 2, 0, 3, 0, 1], [1, 1, 0, 0, 0, 1], [1])])
+    def test_equals_low_first_sylvester_determinant(self, F, batch):
+        # each a*h and b*h has degree 0 to 6; a non-constant h is a shared
+        # factor, so that pair's resultant is 0.  The pairs run in lockstep
+        # and leave the loop in different rounds.
         def lift(c):
             return [F.from_rational(v) for v in c]
-        a, b, h = (lift(c) for c in (a, b, h))
-        a, b = ps.uni_mul(F, a, h), ps.uni_mul(F, b, h)
-        expected = ps.det_field(F, _sylvester_low_first(F, a, b))
-        assert ps.uni_resultant(F, a, b) == expected
-        if len(h) > 1:
-            assert expected == F.zero
+        pairs, shared = [], []
+        for a, b, h in batch:
+            a, b, h = (lift(c) for c in (a, b, h))
+            pairs.append((ps.uni_mul(F, a, h), ps.uni_mul(F, b, h)))
+            shared.append(len(h) > 1)
+        expected = [ps.det_field(F, _sylvester_low_first(F, a, b)) for a, b in pairs]
+        assert ps.uni_resultants(F, pairs) == expected
+        for value, common in zip(expected, shared):
+            if common:
+                assert value == F.zero
 
 
 class TestResultant:
