@@ -4,8 +4,8 @@ Builds the 16-dimensional linear system of (2,2) forms singular at four
 diagonal points, cuts it down by lines in fibers to a unique member, extracts
 the symmetric matrix of quadratic forms, and certifies that the discriminant
 sextic is nodal exactly at the four prescribed points.  Everything is exact;
-the only probabilistic ingredient is the no-extra-singularity check, which
-runs modulo one large random prime.
+the no-extra-singularity proof runs modulo one large random prime, and is
+sound for every prime.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -418,7 +418,15 @@ def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertifi
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
-    """Certify Sing(gamma) = {points}; mod a large prime unless exact."""
+    """Certify Sing(gamma) = {points}, all ordinary nodes; mod a large prime
+    unless exact.  The count of `only_known_common_roots` needs the points
+    to be distinct singular points, which is checked here exactly over Q."""
+    listed = [primitive(pt) for pt in points]
+    if len(set(listed)) != len(listed):
+        return False
+    for pt in listed:
+        if not any(pt) or any(gamma.jet({"x": pt}, 1)[1]):
+            return False
     partials = [gamma.partial("x", j) for j in range(3)]
     if exact:
         F = QQ
@@ -429,7 +437,7 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
         # mod p: reducing them needs no inverse and keeps the zero set
         F = GF(random_prime_ge_2_61(rng))
         polys = [{e: n % F.p for e, n in p.nums.items()} for p in partials]
-    return only_known_common_roots(F, polys, list(points), rng)
+    return only_known_common_roots(F, polys, listed, rng)
 
 
 def certify_nodes(gamma: MultiPoly, points,
@@ -464,113 +472,23 @@ def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
     return y
 
 
-def rational_points_on_curve(gamma: MultiPoly, nodes) -> list[tuple[Fraction, ...]]:
-    """Up to eight rational points of the sextic on chords of its nodes.
+def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly,
+                              rng: random.Random) -> None:
+    """Probe rank A = 3 at a random point off the sextic.
 
-    On the line through two nodes the restricted binary sextic is divisible
-    by the square of each node's parameter; rational roots of the residual
-    quadratic give exact points on the curve.  May legitimately return [].
-    Raises CertificationError when a listed node is not a singular point,
-    since its chords then lack those square factors.
+    Rank 2 on the whole sextic over Q-bar needs no sample: det A(x) = 0
+    there, and rank A(x) <= 1 gives adj A(x) = 0, so d det A / dx_i =
+    tr(adj A(x) dA/dx_i) = 0 and x is singular on gamma: one of the nodes,
+    by the completeness proof, where `singular_point_on_Q` proves rank 2.
     """
-    out: list[tuple[Fraction, ...]] = []
-    nodes = [tuple(Fraction(c) for c in p) for p in nodes]
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            coeffs = _restrict_to_chord(gamma, nodes[a], nodes[b])
-            if coeffs[0] != 0 or coeffs[1] != 0 or coeffs[5] != 0 or coeffs[6] != 0:
-                raise CertificationError(
-                    f"{nodes[a]} or {nodes[b]} is not a singular point of the curve")
-            for s, t in _rational_roots_of_quadratic(coeffs[2], coeffs[3], coeffs[4]):
-                pt = primitive(tuple(s * p + t * q
-                                     for p, q in zip(nodes[a], nodes[b])))
-                if pt not in out and pt not in nodes:
-                    out.append(pt)
-                if len(out) >= 8:
-                    return out
-    return out
-
-
-def _restrict_to_chord(gamma: MultiPoly, p, q) -> list[Fraction]:
-    """Coefficients of gamma(s p + t q) as a binary sextic, by t-degree.
-
-    With p = P/dp and q = Q/dq for integer vectors P and Q, gamma(s p + t q)
-    is gamma(s' P + t' Q) at s' = s/dp, t' = t/dq.  The integer form
-    D gamma is expanded with power tables of (s P_m + t Q_m), and the one
-    division, by D dp^(6-k) dq^k, comes last.
-    """
-    D = gamma.den
-    dp, dq = lcm(*(c.denominator for c in p)), lcm(*(c.denominator for c in q))
-    # powers[m][e]: the pairs (k, c) with c the nonzero coefficient of t^k in
-    # (s P_m + t Q_m)^e; a coordinate that is 0 at one or both ends of the
-    # chord leaves most of them 0, and their products are skipped
-    powers = []
-    for a, b in zip(p, q):
-        a, b = int(a * dp), int(b * dq)
-        table = [[1]]
-        for _ in range(6):
-            prev = table[-1]
-            table.append([u * a + v * b for u, v in zip(prev + [0], [0] + prev)])
-        powers.append([[(k, c) for k, c in enumerate(row) if c] for row in table])
-    acc = [0] * 7
-    for exp, n in gamma.nums.items():
-        term = [n]
-        for m in range(3):
-            nxt = [0] * (len(term) + exp[m])
-            for i, u in enumerate(term):
-                if u:
-                    for j, v in powers[m][exp[m]]:
-                        nxt[i + j] += u * v
-            term = nxt
-        for k, v in enumerate(term):
-            acc[k] += v
-    return [Fraction(v, D * dp ** (6 - k) * dq ** k) for k, v in enumerate(acc)]
-
-
-def _rational_roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction):
-    """Projective rational roots (s, t) of a s^2 + b s t + c t^2."""
-    if a == 0 and b == 0 and c == 0:
-        return []
-    if a == 0:
-        # t (b s + c t): roots (1, 0) and (c, -b) if b != 0
-        return [(Fraction(1), Fraction(0))] + (
-            [(Fraction(c), Fraction(-b))] if b != 0 else [])
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    num, den = disc.numerator, disc.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return []
-    root = Fraction(rn, rd)
-    return [(-b + root, 2 * a), (-b - root, 2 * a)] if root != 0 else [(-b, 2 * a)]
-
-
-def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly, nodes,
-                              rng: random.Random) -> dict:
-    """Spot-check rank A = 2 on the sextic and rank 3 off it."""
-    samples = rational_points_on_curve(gamma, nodes)
-    on_curve = []
-    for pt in samples:
-        r = A.evaluated(pt).rank()
-        if r != 2:
-            raise CertificationError(f"rank {r} at curve point {pt}")
-        on_curve.append({"point": pt, "rank": r})
-    for pt in nodes:
-        r = A.evaluated(pt).rank()
-        if r != 2:
-            raise CertificationError(f"rank {r} at node {tuple(pt)}")
-    # a random point off the sextic must have rank 3
+    # kept: perfbench pins the sweep pencil draws that follow, and traces this name
     for _ in range(16):
         pt = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
         if any(pt) and gamma.evaluate({"x": pt}) != 0:
             if A.evaluated(pt).rank() != 3:
                 raise CertificationError(f"degenerate fiber off the sextic at {pt}")
-            break
-    else:
-        raise CertificationError("no point off the sextic in 16 draws")
-    return {"curve_samples": len(on_curve), "all_rank_two": True,
-            "skipped": not on_curve}
+            return
+    raise CertificationError("no point off the sextic in 16 draws")
 
 
 # -- residual lines -----------------------------------------------------------
@@ -661,12 +579,12 @@ class ConicBundleInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ConicBundleInstance":
-        """Load an instance and check every stored certificate against Q.
+        """Load an instance and rerun `certify_instance` on its Q.
 
-        Each node certificate and fiber singular point is recomputed from
-        the loaded form, and each marked line is divided out of its fiber
-        conic; a mismatch, a non-node or a non-dividing line raises
-        `CertificationError`.  The completeness check is not rerun.
+        The completeness proof reruns with a fixed rng; it holds for every
+        prime, so none is stored.  Nodes other than `STANDARD_NODES`, stored
+        certificates or fiber points unlike the recomputed ones, a failed
+        certificate or a non-dividing marked line raise `CertificationError`.
         """
         data = json.loads(text)
         if data.get("format") != "conic-bundle-instance-v1":
@@ -678,37 +596,24 @@ class ConicBundleInstance:
         def vec(t):
             return tuple(frac(c) for c in t)
 
-        nodes = tuple(vec(p) for p in data["nodes"])
+        if tuple(vec(p) for p in data["nodes"]) != STANDARD_NODES:
+            raise CertificationError("stored nodes are not the standard nodes")
         Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
                                   for e, c in data["coefficients"]})
         lines = tuple(LineInFiber(vec(d["o"]), vec(d["dual"]))
                       for d in data["marked_lines"])
-        A = to_symmetric_matrix(Q)
-        gamma = discriminant(A)
-        stored = data["certificates"]
-        if len(stored) != len(nodes):
-            raise CertificationError("one certificate per node is required")
-        certs, ys = [], []
-        for node, c in zip(nodes, stored):
-            cert = node_certificate(gamma, node)
-            if not cert.is_node:
-                raise CertificationError(f"point {node} is not an ordinary node")
-            if cert != NodeCertificate(point=vec(c["point"]), chart=c["chart"],
-                                       gradient=vec(c["gradient"]),
-                                       hessian_minor=frac(c["hessian_minor"])):
-                raise CertificationError(f"stored certificate of {node} does not match")
-            y = singular_point_on_Q(A, Q, node)
-            if y != vec(c["fiber_singular_point"]):
-                raise CertificationError(f"stored fiber point over {node} does not match")
-            certs.append(cert)
-            ys.append(y)
         try:
-            residuals = tuple(residual_line(Q, lf) for lf in lines)
+            inst = certify_instance(Q, lines, random.Random(0), seed=data.get("seed"))
         except MarkedLineInvariantError as exc:
             raise CertificationError(str(exc)) from exc
-        return cls(nodes=nodes, Q=Q, A=A, gamma=gamma, node_certificates=tuple(certs),
-                   fiber_singular_points=tuple(ys), marked_lines=lines,
-                   residuals=residuals, seed=data.get("seed"))
+        stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
+                                        gradient=vec(c["gradient"]),
+                                        hessian_minor=frac(c["hessian_minor"])),
+                        vec(c["fiber_singular_point"]))
+                       for c in data["certificates"])
+        if stored != tuple(zip(inst.node_certificates, inst.fiber_singular_points)):
+            raise CertificationError("stored certificates do not match Q")
+        return inst
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -743,7 +648,7 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
     gamma = discriminant(A)
     certs = certify_nodes(gamma, STANDARD_NODES, rng)
     ys = tuple(singular_point_on_Q(A, Q, pt) for pt in STANDARD_NODES)
-    rank_stratification_check(A, gamma, STANDARD_NODES, rng)
+    rank_stratification_check(A, gamma, rng)
     # residual_line raises if the marked-line invariant is broken
     residuals = tuple(residual_line(Q, lf) for lf in lines)
     return ConicBundleInstance(

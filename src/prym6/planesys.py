@@ -487,22 +487,10 @@ def _random_invertible(F, rng):
     for _ in range(64):
         m = [[F.random_element(rng) for _ in range(3)] for _ in range(3)]
         (a, b, c), (d, e, f), (g, h, i) = m
-        det = F.reduce(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-        if det != F.zero:
-            return m, det
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if F.reduce(det) != F.zero:
+            return m
     raise RuntimeError("failed to draw an invertible matrix")
-
-
-def _mat3_inverse(F, m, det):
-    inv_det = F.inv(det)
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        r = [a for a in range(3) if a != i]
-        for j in range(3):
-            c = [a for a in range(3) if a != j]
-            minor = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            cof[j][i] = F.reduce((-1) ** (i + j) * minor * inv_det)
-    return cof
 
 
 def _mat3_apply(F, m, v):
@@ -515,46 +503,59 @@ _TRIES = 8
 
 
 def only_known_common_roots(F, polys, known_points, rng: random.Random) -> bool:
-    """Certify that three plane curves meet only at the listed points.
+    """Certify that three plane curves of one degree d meet only at the k
+    listed points, each a common root of length one.
 
-    polys are homogeneous trivariate exponent dicts over F; known_points are
-    projective points with rational coordinates.  After a random change of
-    coordinates, every common root projects to a common root of two
-    x3-resultants; dividing out the known projections must leave a constant.
-    Structural bad luck (degree drop, spurious projection collisions)
-    triggers a retry with a fresh change of coordinates; a genuine extra
-    common root makes every attempt fail.
+    Precondition, checked by the caller: the listed points are distinct
+    common roots.  polys are homogeneous trivariate exponent dicts over F,
+    here the partials p_k of a curve gamma (integers reduced mod p over
+    GF(p)).  Each attempt draws an invertible m and takes
+    c_j = sum_k m[k][j] (p_k o m), the partials of gamma o m; they generate
+    the ideal J of the p_k o m.  It accepts when r1 = Res_x3(c0, c1) and
+    r2 = Res_x3(c0, c2), on the chart x2 = 1, have full degree d^2 and
+    deg gcd(r1, r2) = k.  Let Z be the scheme of J over the closure of F,
+    tau_p its length and tau_Q the length of the scheme over Q-bar.
+
+    1. Semicontinuity: the rank of each graded piece of the integer ideal
+       can only drop mod p, so if Z is finite, so is the scheme over Q-bar,
+       and tau_p >= tau_Q >= k + (the number of unlisted common roots).
+    2. Degree check: if Z is not finite, c0 and c1 share a component and
+       r1 = 0.  As the leading x3-coefficients are nonzero constants,
+       full degree means no common root of c0 and c_i lies on x2 = 0.
+    3. I_P(c0, c_i) >= len_P Z: r_i is a constant times the product of
+       (x1 - v)^e, e the sum of I_P(c0, c_i) over the roots P projecting to
+       v (the resultant description of intersection numbers, W. Fulton,
+       Algebraic Curves), so deg gcd(r1, r2) >= tau_p.  Points on one fiber
+       line add up; a colliding projection hides none of them.
+    4. Conclusion: deg gcd = k gives k <= tau_Q <= tau_p <= k, so there is
+       no unlisted common root and each listed one has length 1: for the
+       partials of gamma, Tjurina number 1 (gamma is in J by Euler's
+       formula), an ordinary node.
+
+    This holds for every prime and every m, so a bad draw (a leading
+    coefficient that is not constant, a short degree, a gcd raised by a
+    tangency) can only reject, and is retried with a fresh m.
     """
-    degs = [p3_degree(p) for p in polys]
-    known = [tuple(F.from_rational(c) for c in pt) for pt in known_points]
+    degs = {p3_degree(p) for p in polys if p}  # a zero partial adds nothing
+    if len(polys) != 3 or len(degs) != 1:
+        raise ValueError("expected three forms of one degree, not all zero")
+    (d,) = degs
     for _ in range(_TRIES):
-        m, det = _random_invertible(F, rng)
-        minv = _mat3_inverse(F, m, det)
+        m = _random_invertible(F, rng)
+        c: list[dict] = [{}, {}, {}]  # unreduced: resultant_x3 reduces
+        for row, poly in zip(m, polys):
+            for e, v in p3_linear_change(F, poly, m).items():
+                for j in range(3):
+                    c[j][e] = c[j].get(e, F.zero) + row[j] * v
         try:
-            changed = [p3_linear_change(F, p, m) for p in polys]
-            r1 = resultant_x3(F, changed[0], changed[1], degs[0], degs[1])
-            r2 = resultant_x3(F, changed[0], changed[2], degs[0], degs[2])
-        except (ValueError, ZeroDivisionError):
-            continue
-        if uni_degree(r1) != degs[0] * degs[1] or uni_degree(r2) != degs[0] * degs[2]:
-            continue  # root at infinity of the chart; re-randomize
-        g = uni_gcd(F, r1, r2)
-        ok = True
-        for pt in known:
-            q = _mat3_apply(F, minv, pt)
-            if q[1] == F.zero:
-                ok = False
-                break
-            v = F.reduce(q[0] * F.inv(q[1]))
-            while uni_degree(g) >= 1 and uni_eval(F, g, v) == F.zero:
-                g, r = uni_divmod(F, g, [F.reduce(-v), F.one])
-                assert not r
-        if not ok:
-            continue
-        if uni_degree(g) <= 0:
+            r1 = resultant_x3(F, c[0], c[1], d, d)
+            r2 = resultant_x3(F, c[0], c[2], d, d)
+        except ValueError:
+            continue  # a leading x3 coefficient is not a nonzero constant
+        if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
+            continue  # a common root on the line x2 = 0
+        if uni_degree(uni_gcd(F, r1, r2)) == len(known_points):
             return True
-        # leftover factor: either an extra common root or a projection
-        # collision; retry distinguishes the two
     return False
 
 
@@ -568,7 +569,7 @@ def find_unique_common_root(polys, rng: random.Random):
     F = QQ
     degs = [p3_degree(p) for p in polys]
     for _ in range(_TRIES):
-        m, det = _random_invertible(F, rng)
+        m = _random_invertible(F, rng)
         try:
             changed = [p3_linear_change(F, p, m) for p in polys]
             r1 = resultant_x3(F, changed[0], changed[1], degs[0], degs[1])

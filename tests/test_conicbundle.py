@@ -265,11 +265,13 @@ class TestNodeCertificates:
                              random.Random(0))
 
     def test_completeness_check_rejects_extra_node(self):
-        # three concurrent double lines: singular everywhere on each line
-        gamma = MultiPoly(X, {(2, 2, 2): Fraction(1)})
+        # three double lines: singular everywhere on each line; and two
+        # triple lines, free of x1, so one partial is 0
         rng = random.Random(3)
-        assert not cb.singular_locus_is_exactly(
-            gamma, [(Fraction(1), Fraction(1), Fraction(1))], rng)
+        for exp, pt in (((2, 2, 2), (1, 1, 1)), ((0, 3, 3), (1, 0, 0))):
+            gamma = MultiPoly(X, {exp: Fraction(1)})
+            assert not cb.singular_locus_is_exactly(
+                gamma, [tuple(Fraction(c) for c in pt)], rng)
 
     def test_mod_p_completeness_on_instance(self):
         lines, rng = lines_for(110)
@@ -297,17 +299,64 @@ class TestNodeCertificates:
         assert not cb.singular_locus_is_exactly(gamma, pts[:3], random.Random(2),
                                                 exact=True)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     def test_exact_mode_rejects_unlisted_node_for_every_draw(self):
         # the node (-1 : -1 : 1) is left out; a sound check rejects the
-        # curve whatever change of coordinates it draws.  Today draws 8, 10,
-        # 11 and 13 accept: the unlisted node projects onto a listed one
-        # and is divided away with it.
+        # curve whatever change of coordinates it draws, also on draws 8,
+        # 10, 11 and 13, where the unlisted node projects onto a listed one
         gamma, pts = self.two_conics()
         accepted = [i for i in range(1, 17)
                     if cb.singular_locus_is_exactly(
                         gamma, pts[:3], random.Random(f"control:{i}"), exact=True)]
         assert accepted == []
+
+    def test_smooth_point_listed_as_node_is_rejected(self):
+        # a point of seed 103's sextic on the chord of the nodes (0:1:0)
+        # and (0:0:1), which is not singular there
+        lines, _ = lines_for(103)
+        Q, _ = cb.zeta(lines)
+        gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
+        pt = (Fraction(0), Fraction(231), Fraction(1943))
+        assert gamma.evaluate({"x": pt}) == 0
+        assert not cb.singular_locus_is_exactly(
+            gamma, cb.STANDARD_NODES[:3] + (pt,), random.Random(0))
+
+    def test_repeated_or_zero_point_is_rejected(self):
+        # either would make up the count of four with a node left unlisted
+        gamma, pts = self.two_conics()
+        for fourth in (tuple(2 * c for c in pts[0]), (Fraction(0),) * 3):
+            assert not cb.singular_locus_is_exactly(
+                gamma, pts[:3] + [fourth], random.Random(2), exact=True)
+
+    @staticmethod
+    def fifth_node_member(coeffs):
+        """A member of the 12-dimensional system singular at the four
+        standard nodes and at (1:2:3), cut by three lines in fibers."""
+        fifth = (Fraction(1), Fraction(2), Fraction(3))
+        monomials = cb.bidegree_monomials((2, 2))
+        rows = [row for pt in cb.STANDARD_NODES + (fifth,)
+                for row in cb.node_condition_rows(monomials, pt, 2)]
+        kernel = QMatrix(rows).kernel()
+        assert len(rows) == 25 and len(kernel) == 12
+        sys = cb.LinearSystem((2, 2), monomials, tuple(kernel))
+        rng = random.Random(5)
+        for _ in range(3):
+            sys = cb.impose_line(sys, cb.random_line_in_fiber(rng))
+        Q = sum((c * b for c, b in zip(coeffs, sys.basis)), MultiPoly.zero(XY))
+        return cb.discriminant(cb.to_symmetric_matrix(Q)), cb.STANDARD_NODES + (fifth,)
+
+    def test_unlisted_fifth_node_is_rejected(self):
+        gamma, nodes = self.fifth_node_member((1, 2, -3))
+        assert all(cb.node_certificate(gamma, pt).is_node for pt in nodes)
+        assert not cb.singular_locus_is_exactly(gamma, nodes[:4], random.Random(0))
+        assert cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
+
+    def test_listed_non_node_is_rejected(self):
+        # (0:0:1) is singular on the first basis member but not an ordinary
+        # node, so its Tjurina number exceeds 1 and the count exceeds five
+        gamma, nodes = self.fifth_node_member((1, 0, 0))
+        cert = cb.node_certificate(gamma, nodes[2])
+        assert all(g == 0 for g in cert.gradient) and not cert.is_node
+        assert not cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
 
 
 class TestSingularPointOnQ:
@@ -321,31 +370,20 @@ class TestSingularPointOnQ:
             assert Q.evaluate({"x": u, "y": y}) == 0
 
     def test_smooth_curve_point_is_not_singular_on_Q(self):
-        # seed chosen so the node chords carry rational residual points
+        # a point of seed 132's sextic on the chord of the nodes (1:0:0)
+        # and (0:1:0): rank 2 there, but its kernel point is smooth on Q
         lines, _ = lines_for(132)
         Q, _ = cb.zeta(lines)
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
-        samples = cb.rational_points_on_curve(gamma, cb.STANDARD_NODES)
-        assert len(samples) == 2
-        pt = samples[0]
+        pt = (Fraction(117), Fraction(230), Fraction(0))
+        assert gamma.evaluate({"x": pt}) == 0
         assert A.evaluated(pt).rank() == 2
         with pytest.raises(cb.CertificationError):
             cb.singular_point_on_Q(A, Q, pt)
 
 
 class TestRankStratification:
-    def test_report_on_instance(self):
-        # seed 103 has rational points on the node chords, so the curve
-        # samples are nonempty and the rank-2 stratum is genuinely exercised
-        lines, rng = lines_for(103)
-        Q, _ = cb.zeta(lines)
-        A = cb.to_symmetric_matrix(Q)
-        gamma = cb.discriminant(A)
-        report = cb.rank_stratification_check(A, gamma, cb.STANDARD_NODES, rng)
-        assert report["all_rank_two"]
-        assert report["curve_samples"] > 0 and not report["skipped"]
-
     def test_off_curve_probe_must_find_a_point(self):
         # every draw is the zero vector, so the rank-3 probe checks nothing
         class ZeroRng:
@@ -357,7 +395,7 @@ class TestRankStratification:
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
         with pytest.raises(cb.CertificationError):
-            cb.rank_stratification_check(A, gamma, cb.STANDARD_NODES, ZeroRng())
+            cb.rank_stratification_check(A, gamma, ZeroRng())
 
     def test_generic_point_rank_three(self):
         lines, _ = lines_for(114)
@@ -367,35 +405,6 @@ class TestRankStratification:
         pt = (Fraction(1), Fraction(2), Fraction(5))
         assert gamma.evaluate({"x": pt}) != 0
         assert A.evaluated(pt).rank() == 3
-
-
-class TestChordRestriction:
-    def test_matches_evaluation(self):
-        lines, _ = lines_for(1)
-        Q, _ = cb.zeta(lines)
-        gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
-        p = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
-        q = (Fraction(-2), Fraction(5, 4), Fraction(3, 7))
-        coeffs = cb._restrict_to_chord(gamma, p, q)
-        pairs = [(1, 0), (0, 1), (1, 1), (2, -1), (Fraction(1, 3), 5),
-                 (-4, Fraction(2, 9)), (7, 3)]
-        for s, t in pairs:
-            at = tuple(s * a + t * b for a, b in zip(p, q))
-            value = sum(c * Fraction(s) ** (6 - k) * Fraction(t) ** k
-                        for k, c in enumerate(coeffs))
-            assert value == gamma.evaluate({"x": at})
-
-    def test_smooth_point_listed_as_node_is_rejected(self):
-        # seed 103 has rational points on the node chords; such a point is
-        # on the sextic but not singular, so its chords are not as expected
-        lines, _ = lines_for(103)
-        Q, _ = cb.zeta(lines)
-        gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
-        smooth = cb.rational_points_on_curve(gamma, cb.STANDARD_NODES)[0]
-        assert gamma.evaluate({"x": smooth}) == 0
-        assert not cb.node_certificate(gamma, smooth).is_node
-        with pytest.raises(cb.CertificationError):
-            cb.rational_points_on_curve(gamma, cb.STANDARD_NODES[:3] + (smooth,))
 
 
 class TestResidualLine:

@@ -264,6 +264,12 @@ class TestOnlyKnownCommonRoots:
         assert ps.only_known_common_roots(F, fp, pts, rng)
         assert not ps.only_known_common_roots(F, fp, pts[:2], rng)
 
+    def test_rejects_forms_of_different_degrees(self):
+        polys, pts = _circle_pair()
+        with pytest.raises(ValueError):
+            ps.only_known_common_roots(ps.QQ, polys[:2] + [{(3, 0, 0): ps.QQ.one}],
+                                       pts, random.Random(2))
+
 
 class TestFindUniqueCommonRoot:
     def test_locates_single_point(self):
@@ -292,7 +298,7 @@ def test_linear_change_is_substitution(F):
     rng = random.Random(12)
     poly = {(2, 1, 0): F.from_rational(3), (0, 0, 3): F.from_rational(Fraction(-1, 2)),
             (1, 1, 1): F.from_rational(7)}
-    m, _ = ps._random_invertible(F, rng)
+    m = ps._random_invertible(F, rng)
     changed = ps.p3_linear_change(F, poly, m)
     assert ps.p3_degree(changed) == 3
     for _ in range(5):
