@@ -338,20 +338,6 @@ class SymQuadricMatrix:
         return QMatrix([[upper[min(i, j), max(i, j)] for j in range(3)]
                         for i in range(3)])
 
-    def reassemble(self) -> MultiPoly:
-        acc = MultiPoly.zero(XY_BLOCKS)
-        for i in range(3):
-            for j in range(3):
-                entry = self.entries[i][j]
-                acc = acc + MultiPoly.from_ints(
-                    XY_BLOCKS, {e + _Y_EXPS[i][j]: n for e, n in entry.nums.items()},
-                    entry.den)
-        return acc
-
-
-_Y_EXPS = [[tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(3))
-            for j in range(3)] for i in range(3)]
-
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
     """Write a (2,2) form as y^T A(x) y with A symmetric.
@@ -372,10 +358,7 @@ def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
              for ij, grid in grids.items()}
     entries = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(3))
                     for i in range(3))
-    A = SymQuadricMatrix(entries)
-    if A.reassemble() != Q:  # reassembly identity is part of the contract
-        raise AssertionError("reassembly identity failed")
-    return A
+    return SymQuadricMatrix(entries)
 
 
 def discriminant(A: SymQuadricMatrix) -> MultiPoly:
@@ -427,17 +410,13 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     for pt in listed:
         if not any(pt) or any(gamma.jet({"x": pt}, 1)[1]):
             return False
-    partials = [gamma.partial("x", j) for j in range(3)]
     if exact:
-        F = QQ
-        polys = [p.terms for p in partials]
+        F, curve = QQ, gamma.terms
     else:
-        # the numerators of a partial are the partial times its denominator,
-        # which divides 8 for a Q with integer coefficients and so is a unit
-        # mod p: reducing them needs no inverse and keeps the zero set
+        # the integer form den * gamma has the same singular points
         F = GF(random_prime_ge_2_61(rng))
-        polys = [{e: n % F.p for e, n in p.nums.items()} for p in partials]
-    return only_known_common_roots(F, polys, listed, rng)
+        curve = {e: n % F.p for e, n in gamma.nums.items()}
+    return only_known_common_roots(F, curve, len(listed), rng)
 
 
 def certify_nodes(gamma: MultiPoly, points,
@@ -725,8 +704,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     cubic = det3_poly(entries)
     if cubic.is_zero():
         raise DegenerateConfigurationError("identically singular net")
-    partials = [dict(cubic.partial("t", j).terms) for j in range(3)]
-    tstar = find_unique_common_root(partials, rng)
+    tstar = find_unique_common_root(cubic.terms, rng)
     if tstar is None:
         raise CertificationError("net discriminant is not a one-nodal cubic")
     tstar = primitive(tstar)

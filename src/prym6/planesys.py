@@ -1,7 +1,7 @@
 """Resultant-based elimination for plane polynomial systems.
 
-Used to certify that the singular locus of a plane curve contains no points
-beyond a known list, and to locate the unique node of a plane cubic.  The
+Used to certify that a plane curve is singular only at k known points, all
+ordinary nodes, and to locate the unique node of a plane cubic.  The
 same code runs over Q and over a large prime field; the field is passed
 explicitly.
 
@@ -278,9 +278,7 @@ def uni_squarefree_part(F, a):
     d = uni_derivative(F, a)
     if not d:
         return uni_monic(F, a)
-    g = uni_gcd(F, a, d)
-    q, r = uni_divmod(F, a, g)
-    assert not r
+    q, _ = uni_divmod(F, a, uni_gcd(F, a, d))
     return uni_monic(F, q)
 
 
@@ -406,6 +404,13 @@ def p3_eval(F, poly, pt):
                         for (e1, e2, e3), c in poly.items()))
 
 
+def p3_partial(F, poly, j: int):
+    """The partial derivative of poly in x_j."""
+    terms = ((e[:j] + (e[j] - 1,) + e[j + 1:], F.reduce(e[j] * c))
+             for e, c in poly.items() if e[j])
+    return {e: v for e, v in terms if v != F.zero}
+
+
 def p3_linear_change(F, poly, m):
     """Substitute x_i -> sum_j m[i][j] x_j.
 
@@ -502,23 +507,23 @@ def _mat3_apply(F, m, v):
 _TRIES = 8
 
 
-def only_known_common_roots(F, polys, known_points, rng: random.Random) -> bool:
-    """Certify that three plane curves of one degree d meet only at the k
-    listed points, each a common root of length one.
+def only_known_common_roots(F, curve, k: int, rng: random.Random) -> bool:
+    """Certify that a plane curve has no singular points beyond k known ones,
+    each an ordinary node.
 
-    Precondition, checked by the caller: the listed points are distinct
-    common roots.  polys are homogeneous trivariate exponent dicts over F,
-    here the partials p_k of a curve gamma (integers reduced mod p over
-    GF(p)).  Each attempt draws an invertible m and takes
-    c_j = sum_k m[k][j] (p_k o m), the partials of gamma o m; they generate
-    the ideal J of the p_k o m.  It accepts when r1 = Res_x3(c0, c1) and
+    Precondition, checked by the caller: the curve has k distinct singular
+    points.  curve, gamma, is a homogeneous trivariate exponent dict over F
+    of degree n >= 2 (integers reduced mod p over GF(p)).  Each attempt
+    draws an invertible m, moves the curve once to gamma o m and sets
+    c_j = d(gamma o m)/dx_j, forms of degree d = n - 1 that generate the
+    Jacobian ideal J of gamma o m.  It accepts when r1 = Res_x3(c0, c1) and
     r2 = Res_x3(c0, c2), on the chart x2 = 1, have full degree d^2 and
     deg gcd(r1, r2) = k.  Let Z be the scheme of J over the closure of F,
     tau_p its length and tau_Q the length of the scheme over Q-bar.
 
     1. Semicontinuity: the rank of each graded piece of the integer ideal
        can only drop mod p, so if Z is finite, so is the scheme over Q-bar,
-       and tau_p >= tau_Q >= k + (the number of unlisted common roots).
+       and tau_p >= tau_Q >= k + (the number of unlisted singular points).
     2. Degree check: if Z is not finite, c0 and c1 share a component and
        r1 = 0.  As the leading x3-coefficients are nonzero constants,
        full degree means no common root of c0 and c_i lies on x2 = 0.
@@ -528,25 +533,19 @@ def only_known_common_roots(F, polys, known_points, rng: random.Random) -> bool:
        Algebraic Curves), so deg gcd(r1, r2) >= tau_p.  Points on one fiber
        line add up; a colliding projection hides none of them.
     4. Conclusion: deg gcd = k gives k <= tau_Q <= tau_p <= k, so there is
-       no unlisted common root and each listed one has length 1: for the
-       partials of gamma, Tjurina number 1 (gamma is in J by Euler's
-       formula), an ordinary node.
+       no unlisted singular point and each known one has length 1: Tjurina
+       number 1 (gamma is in J by Euler's formula), an ordinary node.
 
     This holds for every prime and every m, so a bad draw (a leading
     coefficient that is not constant, a short degree, a gcd raised by a
     tangency) can only reject, and is retried with a fresh m.
     """
-    degs = {p3_degree(p) for p in polys if p}  # a zero partial adds nothing
-    if len(polys) != 3 or len(degs) != 1:
-        raise ValueError("expected three forms of one degree, not all zero")
-    (d,) = degs
+    d = p3_degree(curve) - 1
+    if d < 1:
+        raise ValueError("expected a curve of degree at least 2")
     for _ in range(_TRIES):
-        m = _random_invertible(F, rng)
-        c: list[dict] = [{}, {}, {}]  # unreduced: resultant_x3 reduces
-        for row, poly in zip(m, polys):
-            for e, v in p3_linear_change(F, poly, m).items():
-                for j in range(3):
-                    c[j][e] = c[j].get(e, F.zero) + row[j] * v
+        moved = p3_linear_change(F, curve, _random_invertible(F, rng))
+        c = [p3_partial(F, moved, j) for j in range(3)]
         try:
             r1 = resultant_x3(F, c[0], c[1], d, d)
             r2 = resultant_x3(F, c[0], c[2], d, d)
@@ -554,19 +553,20 @@ def only_known_common_roots(F, polys, known_points, rng: random.Random) -> bool:
             continue  # a leading x3 coefficient is not a nonzero constant
         if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
             continue  # a common root on the line x2 = 0
-        if uni_degree(uni_gcd(F, r1, r2)) == len(known_points):
+        if uni_degree(uni_gcd(F, r1, r2)) == k:
             return True
     return False
 
 
-def find_unique_common_root(polys, rng: random.Random):
-    """Rational common root of three plane curves meeting in a single point.
+def find_unique_common_root(curve, rng: random.Random):
+    """Rational singular point of a plane curve that has exactly one.
 
-    Works over Q.  Returns the point as a primitive rational triple, or
-    None when the system does not have exactly one common root (up to the
-    retry budget).
+    Works over Q on the three partials of the curve.  Returns the point as
+    a primitive rational triple, or None when the partials do not have
+    exactly one common root (up to the retry budget).
     """
     F = QQ
+    polys = [p3_partial(F, curve, j) for j in range(3)]
     degs = [p3_degree(p) for p in polys]
     for _ in range(_TRIES):
         m = _random_invertible(F, rng)

@@ -171,21 +171,21 @@ class TestSymmetricMatrix:
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(st.sampled_from(cb.bidegree_monomials((2, 2))),
                            fracs, min_size=1, max_size=12),
-           st.tuples(coords, coords, coords))
-    def test_evaluated_matches_entrywise_evaluate(self, terms, x):
+           st.tuples(coords, coords, coords), st.tuples(coords, coords, coords))
+    def test_evaluated_matches_entrywise_evaluate(self, terms, x, y):
         # forms and points with denominators and zero coordinates
-        A = cb.to_symmetric_matrix(MultiPoly(XY, terms))
+        Q = MultiPoly(XY, terms)
+        A = cb.to_symmetric_matrix(Q)
         at = {"x": x}
         values = [[e.evaluate(at) for e in row] for row in A.entries]
         assert A.evaluated(x).entries == tuple(map(tuple, values))
         # the same integer rows and row denominators, as NetT.restricted
         # hands them on
         assert A.evaluated(x) == QMatrix(values)
-
-    def test_reassembly_identity_random(self):
-        lines, _ = lines_for(107)
-        Q, _ = cb.zeta(lines)
-        assert cb.to_symmetric_matrix(Q).reassemble() == Q
+        # the defining identity Q(x, y) = y^T A(x) y
+        Ax = A.evaluated(x)
+        assert sum(y[i] * Ax[i, j] * y[j] for i in range(3) for j in range(3)) \
+            == Q.evaluate({"x": x, "y": y})
 
     def test_rejects_wrong_bidegree(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from prym6 import conicbundle as cb
 from prym6 import planesys as ps
+from prym6.exactalg import MultiPoly, primitive
 
 GF_P = ps.GF(ps.random_prime_ge_2_61(random.Random(5)))
 
@@ -236,61 +239,148 @@ class TestResultant:
         assert ps.uni_eval(F, r, Fraction(0)) == 0
 
 
-def _circle_pair():
-    """Two conics meeting in exactly the four points (±1 : ±1 : 1)."""
-    one = Fraction(1)
-    f = {(2, 0, 0): one, (0, 2, 0): one, (0, 0, 2): Fraction(-2)}
-    g = {(2, 0, 0): one, (0, 2, 0): Fraction(4), (0, 0, 2): Fraction(-5)}
-    h = {(2, 0, 0): Fraction(2), (0, 2, 0): Fraction(3), (0, 0, 2): Fraction(-5)}
-    pts = [(a, b, one) for a in (1, -1) for b in (1, -1)]
-    return [f, g, h], pts
+def _product(*factors):
+    """The product of trivariate exponent dicts over Q."""
+    out = MultiPoly.constant(cb.X_BLOCKS, 1)
+    for f in factors:
+        out = out * MultiPoly(cb.X_BLOCKS, f)
+    return out.terms
+
+
+def _two_conics():
+    """f * g for two conics meeting transversally in exactly the four points
+    (+-1 : +-1 : 1): a quartic with four nodes there."""
+    f = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(-2)}
+    g = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(4), (0, 0, 2): Fraction(-5)}
+    return _product(f, g)
+
+
+#: y^2 z - x^3 - x^2 z, a cubic whose only singular point is the node (0:0:1)
+NODAL_CUBIC = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
+               (2, 0, 1): Fraction(-1)}
 
 
 class TestOnlyKnownCommonRoots:
     def test_accepts_complete_list(self):
-        polys, pts = _circle_pair()
-        assert ps.only_known_common_roots(ps.QQ, polys, pts, random.Random(2))
+        assert ps.only_known_common_roots(ps.QQ, _two_conics(), 4, random.Random(2))
 
     def test_rejects_incomplete_list(self):
-        polys, pts = _circle_pair()
-        assert not ps.only_known_common_roots(ps.QQ, polys, pts[:3],
+        assert not ps.only_known_common_roots(ps.QQ, _two_conics(), 3,
                                               random.Random(2))
 
     def test_mod_p_agrees(self):
         rng = random.Random(4)
         F = ps.GF(ps.random_prime_ge_2_61(rng))
-        polys, pts = _circle_pair()
-        fp = [{e: F.from_rational(c) for e, c in p.items()} for p in polys]
-        assert ps.only_known_common_roots(F, fp, pts, rng)
-        assert not ps.only_known_common_roots(F, fp, pts[:2], rng)
+        curve = {e: F.from_rational(c) for e, c in _two_conics().items()}
+        assert ps.only_known_common_roots(F, curve, 4, rng)
+        assert not ps.only_known_common_roots(F, curve, 2, rng)
 
-    def test_rejects_forms_of_different_degrees(self):
-        polys, pts = _circle_pair()
-        with pytest.raises(ValueError):
-            ps.only_known_common_roots(ps.QQ, polys[:2] + [{(3, 0, 0): ps.QQ.one}],
-                                       pts, random.Random(2))
+    def test_rejects_curve_of_degree_below_two(self):
+        for curve in ({(1, 0, 0): ps.QQ.one}, {(0, 0, 0): ps.QQ.one}, {}):
+            with pytest.raises(ValueError):
+                ps.only_known_common_roots(ps.QQ, curve, 0, random.Random(2))
 
 
 class TestFindUniqueCommonRoot:
     def test_locates_single_point(self):
-        # three conics through (1 : 2 : 1) and otherwise in general position;
-        # the x1 x3 term breaks the sign symmetry that would otherwise force
-        # a second common point at (-1 : -2 : 1)
-        def conic(a, b, c, d):
-            val = a + 4 * b + c + d
-            return {(2, 0, 0): Fraction(a), (0, 2, 0): Fraction(b),
-                    (0, 0, 2): Fraction(c), (1, 0, 1): Fraction(d),
-                    (1, 1, 0): Fraction(-val, 2)}
-        polys = [conic(1, 1, 1, 1), conic(2, -1, 3, 0), conic(1, 0, -2, 2)]
-        pt = ps.find_unique_common_root(polys, random.Random(9))
+        # the nodal cubic moved by x -> x - z, y -> y - 2z: its one node
+        # goes from (0:0:1) to (1:2:1)
+        cubic = ps.p3_linear_change(ps.QQ, NODAL_CUBIC,
+                                    [[1, 0, -1], [0, 1, -2], [0, 0, 1]])
+        pt = ps.find_unique_common_root(cubic, random.Random(9))
         assert pt is not None
-        assert all(ps.p3_eval(ps.QQ, p, pt) == 0 for p in polys)
-        from prym6.exactalg import primitive
+        assert all(ps.p3_eval(ps.QQ, ps.p3_partial(ps.QQ, cubic, j), pt) == 0
+                   for j in range(3))
         assert primitive(pt) == (1, 2, 1)
 
     def test_returns_none_without_unique_root(self):
-        polys, _ = _circle_pair()  # four common points
-        assert ps.find_unique_common_root(polys, random.Random(9)) is None
+        # four nodes
+        assert ps.find_unique_common_root(_two_conics(), random.Random(9)) is None
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _det3(a, b, c):
+    return sum(x * y for x, y in zip(_cross(a, b), c))
+
+
+small_lines = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=2, max_size=4)
+
+
+class TestAdversarialCurves:
+    """Curves with known singular sets.  The check accepts exactly when
+    every singular point is an ordinary node and all of them are listed."""
+
+    @staticmethod
+    def certify(curve, points, seed, exact=False):
+        gamma = MultiPoly(cb.X_BLOCKS, curve)
+        pts = [tuple(Fraction(c) for c in pt) for pt in points]
+        return cb.singular_locus_is_exactly(gamma, pts, random.Random(seed),
+                                            exact=exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_lines, st.integers(0, 2 ** 16))
+    def test_lines_in_general_position(self, lines, seed):
+        # k lines, no two equal and no three concurrent: the C(k, 2) pairwise
+        # meets are ordinary nodes and the only singular points
+        assume(all(any(_cross(a, b)) for a, b in combinations(lines, 2)))
+        assume(all(_det3(*triple) for triple in combinations(lines, 3)))
+        curve = _product(*({e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), a)
+                            if c} for a in lines))
+        nodes = [_cross(a, b) for a, b in combinations(lines, 2)]
+        assert self.certify(curve, nodes, seed)
+        assert not self.certify(curve, nodes[1:], seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nodal_cubic(self, seed):
+        assert self.certify(NODAL_CUBIC, [(0, 0, 1)], seed)
+        assert not self.certify(NODAL_CUBIC, [], seed)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["gf", "qq"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cusp_listed_as_node(self, seed, exact):
+        # y^2 z - x^3: the cusp (0:0:1) has Tjurina number 2
+        cusp = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1)}
+        assert not self.certify(cusp, [(0, 0, 1)], seed, exact)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_times_conic(self, seed):
+        # x (x^2 + y^2 - z^2): the line meets the conic at (0 : +-1 : 1)
+        curve = {(3, 0, 0): Fraction(1), (1, 2, 0): Fraction(1),
+                 (1, 0, 2): Fraction(-1)}
+        nodes = [(0, 1, 1), (0, -1, 1)]
+        assert self.certify(curve, nodes, seed)
+        assert not self.certify(curve, nodes[:1], seed)
+        assert not self.certify(curve, nodes[1:], seed)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["gf", "qq"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_reduced_curve(self, seed, exact):
+        # x^2 (y^2 - z^2) is singular along the whole line x = 0
+        curve = {(2, 2, 0): Fraction(1), (2, 0, 2): Fraction(-1)}
+        assert not self.certify(curve, [(0, 1, 1), (0, 1, -1), (1, 0, 0)],
+                                seed, exact)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_listed_smooth_point(self, seed):
+        # (0:1:0) lies on the nodal cubic but is not singular there
+        assert not self.certify(NODAL_CUBIC, [(0, 0, 1), (0, 1, 0)], seed)
+
+
+@pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.dictionaries(
+    st.sampled_from(ps.monomials_of_degree(d)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+    min_size=1, max_size=10)), st.integers(0, 2))
+def test_partial_matches_multipoly_partial(F, terms, j):
+    expected = MultiPoly(cb.X_BLOCKS, terms).partial("x", j).terms
+    poly = {e: F.from_rational(c) for e, c in terms.items()}
+    assert ps.p3_partial(F, poly, j) == {e: F.from_rational(c)
+                                         for e, c in expected.items()}
 
 
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
@@ -318,7 +408,6 @@ def test_completeness_check_draw_count():
     # sextic: the prime, then one matrix per change of coordinates.  The
     # literal is the next draw recorded before the kernels moved to native
     # ints; any change to the draws changes every sweep output.
-    from prym6 import conicbundle as cb
     inst = cb.construct_instance(1)
     rng = random.Random(1)
     assert cb.singular_locus_is_exactly(inst.gamma, inst.nodes, rng)
