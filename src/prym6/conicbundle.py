@@ -441,10 +441,10 @@ def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
     gradient blocks of Q are verified to vanish at (u, y).
     """
     u = tuple(Fraction(c) for c in u)
-    mat = A.evaluated(u)
-    if mat.rank() != 2:
+    kernel = A.evaluated(u).kernel()
+    if len(kernel) != 1:  # rank 2 <=> a one-dimensional kernel
         raise CertificationError(f"rank A({u}) != 2")
-    (y,) = mat.kernel()
+    (y,) = kernel
     _, grad = Q.jet({"x": u, "y": y}, 1)
     if any(grad):
         raise CertificationError(f"({u}, {y}) is a kernel point but not singular on Q")
@@ -713,9 +713,10 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
         raise CertificationError("singular member of the net is not a node")
     B = QMatrix([[sum((tstar[k] * net.restricted[k][i, j] for k in range(3)),
                       Fraction(0)) for j in range(3)] for i in range(3)])
-    if B.rank() != 2:
+    kernel = B.kernel()
+    if len(kernel) != 1:  # rank 2 <=> a one-dimensional kernel
         raise CertificationError("singular net member is not a rank-2 conic")
-    vertex = B.kernel()[0]
+    (vertex,) = kernel
     if primitive(vertex) != primitive(net.o):
         raise CertificationError("singular conic does not split through o")
     return {"cubic": cubic, "node": tstar, "certificate": cert,

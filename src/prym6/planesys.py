@@ -9,28 +9,38 @@ Polynomials in three variables are plain dicts mapping exponent triples to
 field elements; univariate polynomials are coefficient lists, low degree
 first.
 
-A field object supplies ``zero``, ``one``, ``reduce``, ``inv``,
-``inv_all``, ``from_rational`` and ``random_element``; sums and products are
-Python's own operators on its elements.  ``reduce`` maps such a sum or
-product back to a field element: ``v % p`` over GF(p), the identity over Q.
-Reduction is lazy: a kernel sums unreduced products and reduces each
-coefficient once, before it compares it with ``zero``, returns it or uses it
-as a key.  ``inv_all`` inverts a whole list: over GF(p) by Montgomery's
-trick, one modular inverse and three products per entry, since an inverse
-mod p costs about as much as sixteen products.
+A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all``,
+``inv``, ``inv_all``, ``from_rational`` and ``random_element``; sums and
+products are Python's own operators on its elements.  ``reduce`` maps such
+a sum or product back to a field element: ``v % p`` over GF(p), the
+identity over Q; ``reduce_all`` does so for a whole list.  Reduction is
+lazy: a kernel sums unreduced products and reduces each coefficient once,
+before it compares it with ``zero``, returns it or uses it as a key.
+``inv_all`` inverts a whole list: over GF(p) by Montgomery's trick, one
+modular inverse and three products per entry, since an inverse mod p costs
+about as much as sixteen products.
 
 A resultant is computed by the Euclidean remainder sequence,
 Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, in O(deg^2)
-field operations, instead of a Sylvester determinant.  The sequences of a
-batch of pairs advance in lockstep, so each round of remainders costs one
-``inv_all``, not one inverse per pair.
+field operations, instead of a Sylvester determinant.  `resultant_x3` finds
+a bivariate resultant by evaluation at the fixed sample points
+x = 0 .. n - 1 and interpolation.  Its sample pairs are stored column-major:
+column j of a polynomial holds its x3^j coefficient in every lane (one lane
+per sample), so each step of the remainder sequences, and of the
+evaluation, is one list operation across all lanes, and each round of
+remainders costs one ``inv_all``.  Interpolation at 0 .. n - 1 is a dot
+product per coefficient with a cached integer Lagrange table, which depends
+on n alone, and one inverse per call.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb, factorial
+from operator import mul
 
 
 class QQ:
@@ -42,6 +52,10 @@ class QQ:
     @staticmethod
     def reduce(v):
         return v
+
+    @staticmethod
+    def reduce_all(values):
+        return list(values)
 
     @staticmethod
     def from_rational(v):
@@ -70,6 +84,10 @@ class GF:
 
     def reduce(self, v):
         return v % self.p
+
+    def reduce_all(self, values):
+        p = self.p
+        return [v % p for v in values]
 
     def from_rational(self, v):
         v = Fraction(v)
@@ -112,9 +130,19 @@ class GF:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+#: 399165290221 * 798330580441, the least strong pseudoprime to every base in
+#: _SMALL_PRIMES (J. Sorenson and J. Webster, Math. Comp. 86 (2017))
+_MILLER_RABIN_BOUND = 318665857834031151167461
+
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (covers 62-bit inputs)."""
+    """Miller-Rabin to the bases 2 .. 37, deterministic for n below
+    318665857834031151167461 (which covers 62-bit inputs).
+
+    Raises ValueError for larger n rather than return an unproven answer.
+    """
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError("n is beyond the proven range of the Miller-Rabin bases")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -124,7 +152,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -161,34 +189,11 @@ def uni_degree(c) -> int:
     return len(c) - 1  # -1 for the zero polynomial
 
 
-def uni_eval(F, c, x):
-    acc = F.zero
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return F.reduce(acc)
-
-
-def uni_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == F.zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _reduced(F, out)
-
-
 def uni_divmod(F, a, b):
     """Quotient and remainder; a's entries are reduced only as they are read."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    return _divmod_by(F, a, b, F.inv(b[-1]))
-
-
-def _divmod_by(F, a, b, inv_lead):
-    """`uni_divmod` for a nonzero b whose leading inverse is inv_lead."""
+    inv_lead = F.inv(b[-1])
     a = list(a)
     top = len(b) - 1
     q = [F.zero] * max(0, len(a) - top)
@@ -288,70 +293,118 @@ def uni_resultants(F, pairs):
     That matrix has deg b rows a_0 .. a_n and deg a rows b_0 .. b_m, each
     shifted one column right of the row before, and its determinant is
     (-1)^(deg a deg b) Res(a, b) = Res(b, a).  Each a and b is nonzero and
-    trimmed.  A pair's answer is kept as res * Res(f, g), starting from
-    f, g = b, a: with r = g mod f of degree k, Res(f, g) =
-    lc(f)^(deg g - k) Res(f, r), Res(f, 0) = 0 for deg f > 0,
-    Res(f, r) = (-1)^(deg f k) Res(r, f), and a constant f gives
-    f_0^(deg g).
+    trimmed.  With r = g mod f of degree k, Res(f, g) = lc(f)^(n - k)
+    Res(f, r) for m = deg f and n = deg g, Res(f, 0) = 0 for m > 0,
+    Res(f, r) = (-1)^(m k) Res(r, f), and a constant f gives f_0^n.
 
-    The remainder sequences advance in lockstep: each round divides every
-    pair still running by its current f, with the leading inverses of all
-    of them from one ``inv_all``.  A pair leaves when its f is constant or
-    its remainder is 0, so pairs whose degrees drop by more than one leave
-    early and the rest go on.
+    The pairs run as lanes, starting from f, g = b, a.  Lanes with the same
+    (m, n) form a group (lanes, acc, sign, f, g): the index of each lane,
+    the product acc of leading-coefficient powers met so far in each lane,
+    one sign, and f and g as lists of coefficient columns, low degree
+    first, where column j holds the x^j coefficient of every lane.  Each
+    lane's answer is sign * acc * Res(f, g).  Each round divides every
+    group with m > 0, one list operation across its lanes per quotient
+    coefficient and per column of f, with the leading inverses of all
+    dividing lanes from one ``inv_all``.  When every remainder of a group
+    has degree m - 1, the group goes on whole as (r, f); otherwise its
+    lanes split into one group per remainder degree, and a lane whose
+    remainder is 0 leaves with the answer 0.
     """
-    out = [F.one] * len(pairs)
-    running = [(i, b, a) for i, (a, b) in enumerate(pairs)]
-    while running:
+    by_degrees: dict = {}
+    for i, (a, b) in enumerate(pairs):
+        by_degrees.setdefault((len(a), len(b)), []).append(i)
+    groups = [(lanes, [F.one] * len(lanes), 1,
+               [list(col) for col in zip(*(pairs[i][1] for i in lanes))],
+               [list(col) for col in zip(*(pairs[i][0] for i in lanes))])
+              for lanes in by_degrees.values()]
+    out = [F.zero] * len(pairs)
+    while groups:
         dividing = []
-        for i, f, g in running:
+        for lanes, acc, sign, f, g in groups:
             if len(f) > 1:
-                dividing.append((i, f, g))
-            else:
-                out[i] = F.reduce(out[i] * f[0] ** (len(g) - 1))
-        running = []
-        invs = F.inv_all([f[-1] for _, f, _ in dividing])
-        for (i, f, g), inv_lead in zip(dividing, invs):
-            _, r = _divmod_by(F, g, f, inv_lead)
-            if not r:
-                out[i] = F.zero
+                dividing.append((lanes, acc, sign, f, g))
                 continue
-            m, n, k = len(f) - 1, len(g) - 1, len(r) - 1
-            out[i] = F.reduce(out[i] * f[-1] ** (n - k) * (-1) ** (m * k))
-            running.append((i, r, f))
+            e = len(g) - 1
+            for i, a, c in zip(lanes, acc, f[0]):
+                out[i] = F.reduce(sign * a * c ** e)
+        invs = F.inv_all([v for group in dividing for v in group[3][-1]])
+        groups, start = [], 0
+        for lanes, acc, sign, f, g in dividing:
+            inv = invs[start:start + len(lanes)]
+            start += len(lanes)
+            m, n = len(f) - 1, len(g) - 1
+            g = list(g)
+            for k in range(n - m, -1, -1):
+                q = F.reduce_all(map(mul, g[k + m], inv))
+                for j in range(m):
+                    g[k + j] = [a - c * b for a, c, b in zip(g[k + j], q, f[j])]
+            r = [F.reduce_all(col) for col in g[:m]]
+            lead = f[-1]
+            if len(r) == m and F.zero not in r[-1]:
+                # k = m - 1 in every lane; (-1)^(m (m - 1)) = 1
+                e = n - m + 1
+                acc = F.reduce_all(a * c ** e for a, c in zip(acc, lead))
+                groups.append((lanes, acc, sign, r, f))
+                continue
+            by_degree: dict = {}
+            for pos, i in enumerate(lanes):
+                k = len(r) - 1
+                while k >= 0 and r[k][pos] == F.zero:
+                    k -= 1
+                if k < 0:
+                    out[i] = F.zero
+                else:
+                    by_degree.setdefault(k, []).append(pos)
+            for k, kept in by_degree.items():
+                groups.append(([lanes[p] for p in kept],
+                               [F.reduce(acc[p] * lead[p] ** (n - k)) for p in kept],
+                               sign * (-1) ** (m * k),
+                               [[col[p] for p in kept] for col in r[:k + 1]],
+                               [[col[p] for p in kept] for col in f]))
     return out
 
 
-def uni_interpolate(F, points):
-    """Lagrange interpolation through (x, y) pairs with distinct x.
+@lru_cache(maxsize=None)
+def _lagrange_table(n: int):
+    """Integer Lagrange numerators for the n sample points x = 0 .. n - 1.
 
-    The master polynomial prod (x - x_j) is built once; each Lagrange
-    numerator is its quotient by (x - x_i), by synthetic division, so the
-    whole interpolation takes O(n^2) field operations.  The denominators
-    prod_{j != i} (x_i - x_j) of the points with y_i != 0 are inverted in
-    one ``inv_all``; a repeated x makes one of them 0 and raises
-    ZeroDivisionError.  The master, the quotients and the sum stay
-    unreduced; each output coefficient is reduced once.
+    With D = (n - 1)! and w_i = (-1)^(n-1-i) C(n-1, i), the Lagrange basis
+    polynomial of the point i is N_i / D for the integer polynomial
+    N_i = w_i prod_{j != i} (x - j), since prod_{j != i} (i - j) =
+    (-1)^(n-1-i) i! (n-1-i)!.  Each N_i is the master polynomial
+    prod_j (x - j) divided by x - i by synthetic division.  Returns the rows
+    (N_0[k], .., N_{n-1}[k]) for k = 0 .. n - 1 and D: the polynomial with
+    values y has k-th coefficient (row k . y) / D.  No entry depends on a
+    prime, so each n is built once per process.
     """
-    master = [F.one]
-    for xj, _ in points:
-        master = [a - xj * b for a, b in zip([F.zero] + master, master + [F.zero])]
-    used = [(i, xi, yi) for i, (xi, yi) in enumerate(points) if yi != F.zero]
-    dens = []
-    for i, xi, _ in used:
-        den = F.one
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                den *= xi - xj
-        dens.append(F.reduce(den))
-    result = [F.zero] * len(points)
-    for (_, xi, yi), inv_den in zip(used, F.inv_all(dens)):
-        scale = F.reduce(yi * inv_den)
-        carry = F.zero
-        for k in range(len(points), 0, -1):
-            carry = master[k] + xi * carry
-            result[k - 1] += scale * carry
-    return _reduced(F, result)
+    master = [1]
+    for j in range(n):
+        master = [a - j * b for a, b in zip([0] + master, master + [0])]
+    numerators = []
+    for i in range(n):
+        w = (-1) ** (n - 1 - i) * comb(n - 1, i)
+        quotient, carry = [0] * n, 0
+        for k in range(n, 0, -1):
+            carry = master[k] + i * carry
+            quotient[k - 1] = w * carry
+        numerators.append(quotient)
+    return tuple(zip(*numerators)), factorial(n - 1)
+
+
+def uni_interpolate(F, ys):
+    """The polynomial of degree < n that takes the value ys[x] at each
+    sample point x = 0 .. n - 1, n = len(ys).
+
+    Each coefficient is one dot product of ys with a row of the cached
+    integer Lagrange numerators of `_lagrange_table`, times the inverse of
+    their common denominator D = (n - 1)!: one inverse per call.  Over GF(p)
+    with p <= n - 1 two sample points coincide mod p, D vanishes, and the
+    call raises ZeroDivisionError.
+    """
+    lagrange, den = _lagrange_table(len(ys))
+    inv = F.inv(den)
+    return _trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero) * inv
+                                 for row in lagrange))
 
 
 def det_field(F, m):
@@ -473,19 +526,33 @@ def resultant_x3(F, f, g, d1, d2):
     f and g are trivariate exponent dicts with formal x3-degrees d1 and d2
     (their top x3 coefficients must be nonzero constants).  The result is a
     univariate polynomial in x1 of degree at most d1*d2; its value at each
-    sample x1 is the determinant of the low-first Sylvester matrix in x3.
-    The d1*d2 + 1 sample resultants run in lockstep through
+    sample x1 = 0 .. d1*d2 is the determinant of the low-first Sylvester
+    matrix in x3.  Each x3-level of f and g, a polynomial in x1, is
+    evaluated at all samples at once, as one coefficient column: Horner's
+    rule steps a whole column of values, one list operation per
+    coefficient, with small integer samples and one reduction at the end.
+    The d1*d2 + 1 sample resultants run as one group of lanes in
     `uni_resultants`, one ``inv_all`` per round of remainders, and
-    `uni_interpolate` inverts its denominators in one more.
+    `uni_interpolate` takes one more inverse.
     """
     tf = _x3_tower(F, f, d1)
     tg = _x3_tower(F, g, d2)
     if uni_degree(tf[d1]) != 0 or uni_degree(tg[d2]) != 0:
         raise ValueError("leading x3 coefficient is not a nonzero constant")
-    xs = [F.from_rational(k) for k in range(d1 * d2 + 1)]
-    pairs = [([uni_eval(F, level, x) for level in tf],
-              [uni_eval(F, level, x) for level in tg]) for x in xs]
-    return uni_interpolate(F, list(zip(xs, uni_resultants(F, pairs))))
+    xs = range(d1 * d2 + 1)
+
+    def columns(tower):
+        """Each level's values at all samples, by Horner's rule on columns."""
+        out = []
+        for level in tower:
+            col = [level[-1] if level else F.zero] * len(xs)
+            for c in reversed(level[:-1]):
+                col = [v * x + c for v, x in zip(col, xs)]
+            out.append(F.reduce_all(col))
+        return out
+
+    pairs = list(zip(zip(*columns(tf)), zip(*columns(tg))))
+    return uni_interpolate(F, uni_resultants(F, pairs))
 
 
 def _random_invertible(F, rng):

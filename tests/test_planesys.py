@@ -13,6 +13,23 @@ from prym6.exactalg import MultiPoly, primitive
 GF_P = ps.GF(ps.random_prime_ge_2_61(random.Random(5)))
 
 
+def uni_eval(F, c, x):
+    """The value of a coefficient list at x, by Horner's rule."""
+    acc = F.zero
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return F.reduce(acc)
+
+
+def uni_mul(F, a, b):
+    """The product of two coefficient lists, reduced and trimmed."""
+    out = [F.zero] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return ps._reduced(F, out)
+
+
 class TestFields:
     def test_gf_arithmetic(self):
         F = ps.GF(101)
@@ -64,6 +81,17 @@ class TestPrimes:
         assert not ps.is_probable_prime(561)  # Carmichael number
         assert not ps.is_probable_prime(2 ** 61)
 
+    def test_refuses_beyond_proven_range(self):
+        # a strong pseudoprime to every base 2 .. 37: Miller-Rabin to those
+        # bases passes it, so no answer for it or above it is proven
+        composite = 318665857834031151167461
+        assert composite == 399165290221 * 798330580441
+        for n in (composite, composite + 2, 2 ** 80):
+            with pytest.raises(ValueError):
+                ps.is_probable_prime(n)
+        assert not ps.is_probable_prime(composite - 2)  # divisible by 3
+        assert ps.is_probable_prime(2 ** 61 - 1)  # a Mersenne prime
+
     def test_random_prime_size_and_determinism(self):
         rng = random.Random(3)
         p = ps.random_prime_ge_2_61(rng)
@@ -77,7 +105,7 @@ class TestUnivariate:
         F = ps.GF(10007)
         a = [F.from_rational(c) for c in (2, 0, 1)]   # x^2 + 2
         b = [F.from_rational(c) for c in (1, 1)]      # x + 1
-        prod = ps.uni_mul(F, a, b)
+        prod = uni_mul(F, a, b)
         q, r = ps.uni_divmod(F, prod, b)
         assert q == a and r == []
         g = ps.uni_gcd(F, prod, b)
@@ -86,55 +114,51 @@ class TestUnivariate:
     def test_gcd_qq_fast_path_matches_structure(self):
         F = ps.QQ
         # (x-1)(x-2)(x+3) and (x-1)(x+3)(x+5): gcd (x-1)(x+3)
-        f = ps.uni_mul(F, ps.uni_mul(F, [-1, 1], [-2, 1]), [3, 1])
-        g = ps.uni_mul(F, ps.uni_mul(F, [-1, 1], [3, 1]), [5, 1])
-        expect = ps.uni_monic(F, ps.uni_mul(F, [-1, 1], [3, 1]))
+        f = uni_mul(F, uni_mul(F, [-1, 1], [-2, 1]), [3, 1])
+        g = uni_mul(F, uni_mul(F, [-1, 1], [3, 1]), [5, 1])
+        expect = ps.uni_monic(F, uni_mul(F, [-1, 1], [3, 1]))
         assert ps.uni_gcd(F, f, g) == [Fraction(c) for c in expect]
 
     def test_gcd_qq_big_coefficients(self):
         F = ps.QQ
         big = Fraction(10 ** 40 + 1, 3)
-        f = ps.uni_mul(F, [big, 1], [-2, 1])
-        g = ps.uni_mul(F, [big, 1], [7, 1])
+        f = uni_mul(F, [big, 1], [-2, 1])
+        g = uni_mul(F, [big, 1], [7, 1])
         assert ps.uni_gcd(F, f, g) == [big, Fraction(1)]
 
     def test_squarefree_part(self):
         F = ps.QQ
-        f = ps.uni_mul(F, ps.uni_mul(F, [-1, 1], [-1, 1]), [2, 1])
+        f = uni_mul(F, uni_mul(F, [-1, 1], [-1, 1]), [2, 1])
         sf = ps.uni_squarefree_part(F, f)
         assert ps.uni_degree(sf) == 2
-        assert ps.uni_eval(F, sf, Fraction(1)) == 0
-        assert ps.uni_eval(F, sf, Fraction(-2)) == 0
+        assert uni_eval(F, sf, Fraction(1)) == 0
+        assert uni_eval(F, sf, Fraction(-2)) == 0
 
     def test_interpolate(self):
-        F = ps.QQ
-        pts = [(Fraction(k), Fraction(k * k + 1)) for k in range(3)]
-        assert ps.uni_interpolate(F, pts) == [1, 0, 1]
-        # non-integer x values
-        f = [Fraction(3, 7), Fraction(-2), Fraction(0), Fraction(5, 3)]
-        xs = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-9, 4)]
-        assert ps.uni_interpolate(F, [(x, ps.uni_eval(F, f, x)) for x in xs]) == f
-        # a single point, and all-zero values
-        assert ps.uni_interpolate(F, [(Fraction(5, 2), Fraction(-3))]) == [-3]
-        assert ps.uni_interpolate(F, [(Fraction(k, 3), F.zero) for k in range(6)]) == []
-        # 26 random points over a 62-bit prime field
+        # random polynomials of degree < n through their values at 0 .. n-1
         rng = random.Random(1)
-        G = ps.GF(ps.random_prime_ge_2_61(random.Random(1)))
-        pts = [(x, G.random_element(rng)) for x in rng.sample(range(G.p), 26)]
-        poly = ps.uni_interpolate(G, pts)
-        assert ps.uni_degree(poly) <= 25
-        assert all(ps.uni_eval(G, poly, x) == y for x, y in pts)
+        for F in (GF_P, ps.QQ):
+            for n in range(1, 27):
+                poly = ps._trim(F, [F.from_rational(Fraction(rng.randint(-30, 30),
+                                                             rng.randint(1, 9)))
+                                    for _ in range(n)])
+                ys = [uni_eval(F, poly, F.from_rational(x)) for x in range(n)]
+                assert ps.uni_interpolate(F, ys) == poly
+                assert ps.uni_interpolate(F, [F.zero] * n) == []
+        ys = [Fraction(k * k + 1) for k in range(3)]
+        assert ps.uni_interpolate(ps.QQ, ys) == [1, 0, 1]
 
-    @pytest.mark.parametrize("F", [ps.GF(101), ps.QQ], ids=["gf", "qq"])
-    def test_interpolate_repeated_x_raises(self, F):
-        def pts(*pairs):
-            return [(F.from_rational(x), F.from_rational(y)) for x, y in pairs]
-        with pytest.raises(ZeroDivisionError):
-            ps.uni_interpolate(F, pts((1, 5), (1, 6), (2, 7)))
-        # one of the two points at x = 2 has y = 0 and is skipped, but the
-        # other's denominator still has the factor x_i - x_j = 0
-        with pytest.raises(ZeroDivisionError):
-            ps.uni_interpolate(F, pts((1, 0), (2, 3), (2, 0)))
+    def test_interpolate_repeated_x_raises(self):
+        # over GF(p) with p <= n - 1 the sample points 0 .. n-1 repeat mod p
+        for p in (2, 3, 5, 23):
+            F = ps.GF(p)
+            for n in (p + 1, 26):
+                with pytest.raises(ZeroDivisionError):
+                    ps.uni_interpolate(F, [F.one] * n)
+                with pytest.raises(ZeroDivisionError):
+                    ps.uni_interpolate(F, [F.zero] * n)
+            # n = p points are distinct mod p
+            assert ps.uni_interpolate(F, [F.one] * p) == [F.one]
 
     @pytest.mark.parametrize(
         "F", [ps.GF(ps.random_prime_ge_2_61(random.Random(5))), ps.QQ],
@@ -208,13 +232,69 @@ class TestUniResultant:
         pairs, shared = [], []
         for a, b, h in batch:
             a, b, h = (lift(c) for c in (a, b, h))
-            pairs.append((ps.uni_mul(F, a, h), ps.uni_mul(F, b, h)))
+            pairs.append((uni_mul(F, a, h), uni_mul(F, b, h)))
             shared.append(len(h) > 1)
         expected = [ps.det_field(F, _sylvester_low_first(F, a, b)) for a, b in pairs]
         assert ps.uni_resultants(F, pairs) == expected
         for value, common in zip(expected, shared):
             if common:
                 assert value == F.zero
+
+
+def _poly_of_degree(d):
+    """An integer polynomial of degree exactly d, leading coefficient 1..9."""
+    return st.builds(lambda low, lead: low + [lead],
+                     st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+                     st.integers(1, 9))
+
+
+#: pairs of one shared degree, which run as one group of lanes, mixed with
+#: pairs of any degrees
+_mixed_batch = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda d: st.lists(st.tuples(_poly_of_degree(d[0]), _poly_of_degree(d[1]),
+                                 st.one_of(st.just([1]), _small_poly)),
+                       min_size=1, max_size=8)
+).flatmap(lambda same: st.lists(_pair, max_size=4).map(lambda other: same + other))
+
+
+class TestLaneResultants:
+    @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_mixed_batch)
+    # four pairs (a, b) of degrees (4, 3) and one of degrees (1, 0):
+    # (x^4 + 2x^2 + 5x + 1, 2x^3 + 2x + 10) has remainders x^2 + 1 and then
+    # 10, two degrees down in the second round; (x^4 + x^2 + 2x + 1, x^3 + x)
+    # drops two in the first; ((x + 2)(x^2 + 1)(x + 1), (x^2 + 1)(x + 1))
+    # has remainder 0 in the first; (x^4 + x + 1, x^3 + 2x^2 + 3) goes one
+    # degree at a time; and (x + 2, 3) has a constant b
+    @example(batch=[([1, 5, 2, 0, 1], [10, 2, 0, 2], [1]),
+                    ([1, 2, 1, 0, 1], [0, 1, 0, 1], [1]),
+                    ([2, 1, 2, 1], [1, 0, 1], [1, 1]),
+                    ([1, 1, 0, 0, 1], [3, 0, 2, 1], [1]),
+                    ([2, 1], [3], [1])])
+    def test_batch_equals_one_pair_calls(self, F, batch):
+        def lift(c):
+            return [F.from_rational(v) for v in c]
+        pairs = [(uni_mul(F, lift(a), lift(h)), uni_mul(F, lift(b), lift(h)))
+                 for a, b, h in batch]
+        assert ps.uni_resultants(F, pairs) == [ps.uni_resultants(F, [pair])[0]
+                                               for pair in pairs]
+
+    def test_resultant_x3_equals_sylvester_determinant_at_each_sample(self):
+        # two random quintic forms over a 62-bit prime: on the chart x2 = 1
+        # the value at x1 = x is the low-first Sylvester determinant in x3
+        # of the two forms with x1 = x
+        F = GF_P
+        rng = random.Random(13)
+        f, g = ({e: F.random_element(rng) for e in ps.monomials_of_degree(5)}
+                for _ in range(2))
+        r = ps.resultant_x3(F, f, g, 5, 5)
+        assert ps.uni_degree(r) == 25
+        for x in range(26):
+            a, b = (ps._reduced(F, [sum(c * x ** e1 for (e1, _, e3), c in poly.items()
+                                        if e3 == k) for k in range(6)])
+                    for poly in (f, g))
+            assert uni_eval(F, r, x) == ps.det_field(F, _sylvester_low_first(F, a, b))
 
 
 class TestResultant:
@@ -236,7 +316,7 @@ class TestResultant:
         r = ps.resultant_x3(F, f, g, 1, 1)
         # Res = x1 evaluated pointwise: linear with root only at x1 = 0
         assert ps.uni_degree(r) == 1
-        assert ps.uni_eval(F, r, Fraction(0)) == 0
+        assert uni_eval(F, r, Fraction(0)) == 0
 
 
 def _product(*factors):

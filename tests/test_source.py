@@ -1,0 +1,16 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "prym6"
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # silently stop running; a check in src/ raises an exception instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
