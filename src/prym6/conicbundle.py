@@ -20,7 +20,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive, solve_exact
-from .planesys import (GF, QQ, find_unique_common_root, monomials_of_degree,
+from .planesys import (GF, QQ, _random_invertible, monomials_of_degree,
                        only_known_common_roots, random_prime_ge_2_61)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
@@ -377,6 +377,10 @@ class NodeCertificate:
     chart: int
     gradient: tuple[Fraction, ...]
     hessian_minor: Fraction
+    #: the full Hessian at the point, for a caller that certifies more there;
+    #: not part of the certificate's value, so not compared or serialized
+    hessian: tuple[tuple[Fraction, ...], ...] = field(
+        default=(), compare=False, repr=False)
 
     @property
     def is_node(self) -> bool:
@@ -396,7 +400,43 @@ def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertifi
     a, b = (j for j in range(3) if j != k)
     minor = hess[a][a] * hess[b][b] - hess[a][b] * hess[b][a]
     return NodeCertificate(point=point, chart=k,
-                           gradient=(value,) + grad, hessian_minor=minor)
+                           gradient=(value,) + grad, hessian_minor=minor,
+                           hessian=hess)
+
+
+def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
+    """Certify that no line through a singular point t* lies on a plane cubic.
+
+    node is the certificate of t*, from `node_certificate`.  Let k be its
+    chart and a, b the other two indices.  As cubic(t*) and its gradient
+    vanish, Taylor's formula gives
+
+        cubic(Z t* + X e_a + Y e_b) = Z q(X, Y) / 2 + c(X, Y),
+
+    with q = H_aa X^2 + 2 H_ab XY + H_bb Y^2 from the Hessian H at t*, and
+    c the cubic restricted to the line t_k = 0.  Every line through t* meets
+    t_k = 0 in one point (X : Y), and lies on the cubic exactly when q and c
+    both vanish there.  So the line exists if and only if the binary forms
+    q and c have a common root in P^1, that is, when their 5x5 Sylvester
+    determinant is 0.  Returns True when it is not.
+    """
+    if cubic.multidegree() != (3,) or any(node.gradient) or not node.hessian:
+        raise ValueError("expected a plane cubic and the certificate of a "
+                         "singular point computed on it")
+    k = node.chart
+    a, b = (j for j in range(3) if j != k)
+    h = node.hessian
+    q = [h[a][a], 2 * h[a][b], h[b][b]]  # coefficients of X^2, XY, Y^2
+    c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3, times cubic.den
+    for e, v in cubic.nums.items():
+        if e[k] == 0:
+            c[3 - e[a]] = v
+    # scaling q or c changes the determinant by a nonzero factor; dividing
+    # out their contents (hundreds of bits for q) makes it cheaper
+    q, c = list(primitive(q)), list(primitive(c))
+    sylvester = QMatrix([q + [0, 0], [0] + q + [0], [0, 0] + q,
+                         c + [0], [0] + c])
+    return sylvester.det() != 0
 
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
@@ -690,12 +730,27 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
 
 
 def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
-    """det(t1 A1 + t2 A2 + t3 A3) on the fiber over o: a nodal plane cubic.
+    """det(t1 A1 + t2 A2 + t3 A3) on the fiber over o: a one-nodal plane cubic.
 
-    Certifies: the cubic has exactly one singular point, that point is an
-    ordinary node (so the cubic is irreducible: every reducible cubic has
-    either several singular points or a worse one), and the corresponding
-    rank-2 member splits as two lines through o (its vertex is o itself).
+    Certifies, exactly and with no random choice, that the cubic C has
+    exactly one singular point t*, that t* is an ordinary node, and that
+    the rank-2 member B = sum t*_k A_k(o) splits as two lines through o
+    (its vertex is o itself).
+
+    1. The node t* spans the kernel of the 3x3 matrix whose column k is
+       A_k(o) o.  Every member of the net passes through (o, o), so
+       o^T A_k(o) o = 0 and B o = 0; when B has rank 2, adj B = lambda o o^T
+       and d det / dt_k = tr(adj B A_k(o)) = lambda o^T A_k(o) o = 0.  The
+       node certificate below checks the gradient at t* anyway.
+    2. `node_certificate`: t* is an ordinary node.
+    3. `no_line_through_node`: no line through t* lies on C.  So t* is the
+       only singular point: the line through t* and another singular point
+       would meet C with multiplicity at least 4 > 3 and so lie on C, by
+       Bezout (W. Fulton, Algebraic Curves, ch. 5).  And C is irreducible:
+       a reducible cubic singular at t* contains a line through t* (t* lies
+       on its line component, or is the vertex of its conic component,
+       which is then a line pair).
+    4. B has rank 2 and its kernel is o.
     """
     t = [MultiPoly.variable(T_BLOCKS, "t", i) for i in range(3)]
     entries = [[sum((t[k] * MultiPoly.constant(T_BLOCKS, net.restricted[k][i, j])
@@ -704,13 +759,21 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     cubic = det3_poly(entries)
     if cubic.is_zero():
         raise DegenerateConfigurationError("identically singular net")
-    tstar = find_unique_common_root(cubic.terms, rng)
-    if tstar is None:
-        raise CertificationError("net discriminant is not a one-nodal cubic")
-    tstar = primitive(tstar)
+    # kept: perfbench pins the sweep pencil draws that follow; the
+    # elimination that used to find t* drew this change of coordinates
+    _random_invertible(QQ, rng)
+    images = [[sum((m[i, j] * c for j, c in enumerate(net.o)), Fraction(0))
+               for i in range(3)] for m in net.restricted]  # A_k(o) o
+    kernel = QMatrix([[images[k][i] for k in range(3)]
+                      for i in range(3)]).kernel()
+    if len(kernel) != 1:
+        raise CertificationError("the net has no unique member singular at o")
+    tstar = primitive(kernel[0])
     cert = node_certificate(cubic, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
+    if not no_line_through_node(cubic, cert):
+        raise CertificationError("net discriminant is not a one-nodal cubic")
     B = QMatrix([[sum((tstar[k] * net.restricted[k][i, j] for k in range(3)),
                       Fraction(0)) for j in range(3)] for i in range(3)])
     kernel = B.kernel()

@@ -630,7 +630,9 @@ def find_unique_common_root(curve, rng: random.Random):
 
     Works over Q on the three partials of the curve.  Returns the point as
     a primitive rational triple, or None when the partials do not have
-    exactly one common root (up to the retry budget).
+    exactly one common root (up to the retry budget).  The package no
+    longer calls it: the net cubic's node comes from a 3x3 kernel.  The
+    tests compare the two routes, and the benchmark's tracer names it.
     """
     F = QQ
     polys = [p3_partial(F, curve, j) for j in range(3)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prym6 import conicbundle as cb
+from prym6 import planesys as ps
 from prym6.exactalg import MultiPoly, QMatrix, det3_poly, primitive
 
 XY = cb.XY_BLOCKS
@@ -499,6 +501,49 @@ class TestInstancePipeline:
             cb.construct_instance(1, line_sampler=lambda rng: fixed)
 
 
+def _plane_variables():
+    return [MultiPoly.variable(X, "x", i) for i in range(3)]
+
+
+#: plane cubics singular at (0:0:1), as functions of the coordinates, and
+#: whether a line through (0:0:1) lies on them
+NODAL_AT_ORIGIN = {
+    "nodal cubic y^2 z - x^3 - x^2 z": (
+        lambda x, y, z: y * y * z - x * x * x - x * x * z, False),
+    "line x times conic yz - x^2 through the node": (
+        lambda x, y, z: x * (y * z - x * x), True),
+    "three lines x y (x + y + z)": (
+        lambda x, y, z: x * y * (x + y + z), True),
+    "line pair x^2 - y^2 through the node times z + x": (
+        lambda x, y, z: (x * x - y * y) * (z + x), True),
+}
+
+
+class TestNoLineThroughNode:
+    """The uniqueness step of the net cubic's certificate: it accepts
+    exactly when no line through the node lies on the cubic."""
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["origin", "moved"])
+    @pytest.mark.parametrize("name", list(NODAL_AT_ORIGIN))
+    def test_accepts_only_without_a_line(self, name, moved):
+        curve, has_line = NODAL_AT_ORIGIN[name]
+        x, y, z = _plane_variables()
+        if moved:
+            # x -> N x with N (1, 2, 3) = (0, 0, 3) moves the node to (1:2:3)
+            cubic, node = curve(2 * x - y, 3 * x - z, z), (1, 2, 3)
+        else:
+            cubic, node = curve(x, y, z), (0, 0, 1)
+        cert = cb.node_certificate(cubic, node)
+        assert cert.is_node
+        assert cb.no_line_through_node(cubic, cert) is not has_line
+
+    def test_needs_a_singular_point(self):
+        x, y, z = _plane_variables()
+        cubic = y * y * z - x * x * x - x * x * z
+        with pytest.raises(ValueError):
+            cb.no_line_through_node(cubic, cb.node_certificate(cubic, (0, 1, 0)))
+
+
 class TestNetAndSweep:
     def test_net_dimension_and_cubic(self):
         rng = random.Random(21)
@@ -516,6 +561,25 @@ class TestNetAndSweep:
         assert report["cubic"].multidegree() == (3,)
         assert report["certificate"].is_node
         assert primitive(report["vertex"]) == primitive(net.o)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_kernel_node_is_the_elimination_root(self, seed):
+        # the node from the 3x3 kernel is the point the Q elimination finds
+        report = cb.sweep(seed, 1)["cubic"]
+        root = ps.find_unique_common_root(report["cubic"].terms,
+                                          random.Random(seed))
+        assert primitive(root) == report["node"]
+
+    def test_net_with_several_members_singular_at_o_is_rejected(self):
+        # three equal restrictions: every t with t1 + t2 + t3 = 0 gives the
+        # zero conic, so the 3x3 kernel has dimension 2
+        rng = random.Random(21)
+        fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
+        o = tuple(cb.random_rational(rng) for _ in range(3))
+        net = cb.build_net_T(o, fixed)
+        same = dataclasses.replace(net, restricted=(net.restricted[0],) * 3)
+        with pytest.raises(cb.CertificationError, match="unique member"):
+            cb.discriminant_cubic(same, rng)
 
     def test_degenerate_base_point_flagged(self):
         rng = random.Random(22)

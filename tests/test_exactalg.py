@@ -227,6 +227,22 @@ class TestDet3Poly:
         scaled = [[3 * e for e in m[0]], m[1], m[2]]
         assert det3_poly(scaled) == 3 * det3_poly(m)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        xs = sympy.symbols("x0:3")
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # a 3x3 matrix of linear forms, each as its three coefficients
+        m = [[[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+             for _ in range(3)]
+        ours = det3_poly([[MultiPoly(X, dict(zip(units, map(Fraction, a))))
+                           for a in row] for row in m])
+        theirs = sympy.Poly(sympy.Matrix(
+            [[sum(c * v for c, v in zip(a, xs)) for a in row] for row in m]
+        ).det(), *xs)
+        assert ours.terms == {e: Fraction(int(c)) for e, c in theirs.terms()}
+
 
 class TestQMatrix:
     def test_rank_and_kernel_dims(self):

@@ -426,6 +426,24 @@ class TestAdversarialCurves:
         cusp = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1)}
         assert not self.certify(cusp, [(0, 0, 1)], seed, exact)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["gf", "qq"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cusp_times_conic(self, seed, exact):
+        # (y^2 z - x^3)(y^2 - 14 x^2 + 49 xz - 36 z^2): the conic misses the
+        # cusp (0:0:1) and meets the cubic (t^2 : t^3 : 1) transversally at
+        # t = +-1, +-2, +-3, the roots of (t^2 - 1)(t^2 - 4)(t^2 - 9); the six
+        # nodes are all listed, so only the cusp's Tjurina number 2 is wrong
+        cusp = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1)}
+        conic = {(0, 2, 0): Fraction(1), (2, 0, 0): Fraction(-14),
+                 (1, 0, 1): Fraction(49), (0, 0, 2): Fraction(-36)}
+        nodes = [(t * t, t ** 3, 1) for t in (1, -1, 2, -2, 3, -3)]
+        curve = _product(cusp, conic)
+        gamma = MultiPoly(cb.X_BLOCKS, curve)
+        for pt in [(0, 0, 1)] + nodes:  # so the count, not the listing, rejects
+            assert not any(gamma.jet({"x": pt}, 1)[1])
+        assert not self.certify(curve, [(0, 0, 1)] + nodes, seed, exact)
+        assert not self.certify(curve, nodes, seed, exact)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_line_times_conic(self, seed):
         # x (x^2 + y^2 - z^2): the line meets the conic at (0 : +-1 : 1)
