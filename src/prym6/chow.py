@@ -12,25 +12,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, gt
 from typing import Mapping
+
+from .exactalg import _reduced
 
 
 class ChowClass:
-    """Element of a ChowRing: a rational combination of basis monomials."""
+    """Element of a Chow ring: a rational combination of basis monomials.
 
-    __slots__ = ("ring", "coeffs")
+    The class is ``nums / den``: ``nums`` maps basis keys to nonzero integer
+    numerators, and ``den`` is a positive integer with no factor common to
+    all of them (1 for the zero class), so equal classes have equal ``nums``
+    and ``den``.  Products multiply numerators by the ring's integer
+    structure constants and reduce once per result.  Coefficients and
+    scalars are `int` or `Fraction`; anything else, a float included,
+    raises `TypeError`.  ``coeffs`` gives the coefficients as `Fraction`s.
+    """
+
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, coeffs: Mapping):
+        vals = {k: _rational(v) for k, v in coeffs.items()}
+        den = lcm(*(v.denominator for v in vals.values()))
         self.ring = ring
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        self.nums, self.den = _reduced(
+            {k: v.numerator * (den // v.denominator) for k, v in vals.items()},
+            den)
+
+    @classmethod
+    def from_ints(cls, ring, nums: Mapping, den: int = 1) -> "ChowClass":
+        """The class nums / den, for integer numerators and den > 0 (not
+        checked); zero numerators are dropped and the result is reduced."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.nums, self.den = _reduced(nums, den)
+        return self
+
+    @property
+    def coeffs(self) -> dict:
+        """Basis key -> nonzero `Fraction` coefficient, built on demand."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ChowClass(self.ring, out)
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        out = {k: n * s1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + n * s2
+        return ChowClass.from_ints(self.ring, out, den)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -42,27 +75,35 @@ class ChowClass:
         return self._coerce(other) + (-self)
 
     def __neg__(self):
-        return ChowClass(self.ring, {k: -v for k, v in self.coeffs.items()})
+        return ChowClass.from_ints(
+            self.ring, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return ChowClass(self.ring, {k: v * c for k, v in self.coeffs.items()})
-        other = self._coerce(other)
+        if not isinstance(other, ChowClass):
+            c = _rational(other)
+            return ChowClass.from_ints(
+                self.ring, {k: n * c.numerator for k, n in self.nums.items()},
+                self.den * c.denominator)
+        if other.ring is not self.ring:
+            raise ValueError("classes live in different rings")
+        mul_basis = self.ring.mul_basis
         out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                for k, c in self.ring.mul_basis(k1, k2).items():
-                    out[k] = out.get(k, Fraction(0)) + v1 * v2 * c
-        return ChowClass(self.ring, out)
+        for k1, n1 in self.nums.items():
+            for k2, n2 in other.nums.items():
+                n = n1 * n2
+                for k, c in mul_basis(k1, k2).items():
+                    out[k] = out.get(k, 0) + n * c
+        return ChowClass.from_ints(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("Chow classes have no negative powers")
-        acc = self.ring.one()
-        for _ in range(n):
+        if n == 0:
+            return self.ring.one()
+        acc = self
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 
@@ -70,24 +111,32 @@ class ChowClass:
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
         return (isinstance(other, ChowClass) and self.ring is other.ring
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "ChowClass(0)"
         bits = [f"{v}*{self.ring.key_name(k)}" for k, v in sorted(
             self.coeffs.items(), key=lambda kv: str(kv[0]))]
         return "ChowClass(" + " + ".join(bits) + ")"
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.ring.one() * Fraction(other)
-        if not isinstance(other, ChowClass) or other.ring is not self.ring:
+        if not isinstance(other, ChowClass):
+            return self.ring.one() * other
+        if other.ring is not self.ring:
             raise ValueError("classes live in different rings")
         return other
 
     def integrate(self) -> Fraction:
         return self.ring.integrate(self)
+
+
+def _rational(value):
+    """value itself if it is an int or a Fraction; TypeError otherwise."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError("Chow coefficients and scalars are int or Fraction, "
+                    f"not {type(value).__name__}")
 
 
 class ProductProjectiveRing:
@@ -102,25 +151,25 @@ class ProductProjectiveRing:
     def h(self, i: int) -> ChowClass:
         exp = [0] * len(self.dims)
         exp[i] = 1
-        return ChowClass(self, {tuple(exp): Fraction(1)})
+        return ChowClass.from_ints(self, {tuple(exp): 1})
 
     def one(self) -> ChowClass:
-        return ChowClass(self, {(0,) * len(self.dims): Fraction(1)})
+        return ChowClass.from_ints(self, {(0,) * len(self.dims): 1})
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, {})
+        return ChowClass.from_ints(self, {})
 
     def key_name(self, key) -> str:
         return "*".join(f"h{i+1}^{e}" for i, e in enumerate(key) if e) or "1"
 
-    def mul_basis(self, k1, k2):
-        k = tuple(a + b for a, b in zip(k1, k2))
-        if any(e > d for e, d in zip(k, self.dims)):
+    def mul_basis(self, k1, k2) -> dict:
+        k = tuple(map(add, k1, k2))
+        if any(map(gt, k, self.dims)):
             return {}
-        return {k: Fraction(1)}
+        return {k: 1}
 
     def integrate(self, cls: ChowClass) -> Fraction:
-        return cls.coeffs.get(self.dims, Fraction(0))
+        return Fraction(cls.nums.get(self.dims, 0), cls.den)
 
 
 _DP_CODIM = {"1": 0, "L": 1, "E1": 1, "E2": 1, "E3": 1, "E4": 1, "pt": 2}
@@ -136,21 +185,21 @@ class DelPezzoRing:
     top_dimension = 2
 
     def L(self) -> ChowClass:
-        return ChowClass(self, {"L": Fraction(1)})
+        return ChowClass.from_ints(self, {"L": 1})
 
     def E(self, i: int) -> ChowClass:
         if not 1 <= i <= 4:
             raise ValueError("exceptional index out of range")
-        return ChowClass(self, {f"E{i}": Fraction(1)})
+        return ChowClass.from_ints(self, {f"E{i}": 1})
 
     def pt(self) -> ChowClass:
-        return ChowClass(self, {"pt": Fraction(1)})
+        return ChowClass.from_ints(self, {"pt": 1})
 
     def one(self) -> ChowClass:
-        return ChowClass(self, {"1": Fraction(1)})
+        return ChowClass.from_ints(self, {"1": 1})
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, {})
+        return ChowClass.from_ints(self, {})
 
     def canonical(self) -> ChowClass:
         return -3 * self.L() + sum((self.E(i) for i in range(1, 5)), self.zero())
@@ -162,30 +211,40 @@ class DelPezzoRing:
     def key_name(self, key) -> str:
         return key
 
-    def mul_basis(self, k1, k2):
+    def mul_basis(self, k1, k2) -> dict:
         c1, c2 = _DP_CODIM[k1], _DP_CODIM[k2]
         if c1 + c2 > 2:
             return {}
         if k1 == "1":
-            return {k2: Fraction(1)}
+            return {k2: 1}
         if k2 == "1":
-            return {k1: Fraction(1)}
+            return {k1: 1}
         if k1 == "L" and k2 == "L":
-            return {"pt": Fraction(1)}
+            return {"pt": 1}
         if k1 == k2:  # Ei.Ei
-            return {"pt": Fraction(-1)}
+            return {"pt": -1}
         return {}
 
     def integrate(self, cls: ChowClass) -> Fraction:
-        return cls.coeffs.get("pt", Fraction(0))
+        return Fraction(cls.nums.get("pt", 0), cls.den)
 
 
 @dataclass(frozen=True)
 class ChernData:
-    """Chern data of a rank-3 bundle on a surface; c3 is implicitly zero."""
+    """Chern data of a rank-3 bundle on a surface; c3 is implicitly zero.
+
+    The Chern classes of a vector bundle are integral, and the bundle ring
+    relies on it: c1 must have integer coefficients and c2 be an integer,
+    or `ValueError` is raised.
+    """
 
     c1: ChowClass
     c2: Fraction
+
+    def __post_init__(self):
+        if self.c1.den != 1 or _rational(self.c2).denominator != 1:
+            raise ValueError("Chern classes of a vector bundle are integral: "
+                             "c1 needs integer coefficients, c2 an integer")
 
 
 class ProjectiveBundleRing:
@@ -196,8 +255,11 @@ class ProjectiveBundleRing:
     of zeta equals the Segre number c1(M)^2 - c2(M); concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
 
-    The Hilbert coefficients behind `hrr_chi` are kept per ring as Fractions,
-    never as a ChowClass, so a ring and its classes form no reference cycle.
+    The integer structure constants of each pair of basis monomials are
+    reduced through that relation once per ring, on first use, and kept in
+    ``_products``, one row per first factor.  The Hilbert coefficients behind `hrr_chi` are kept per
+    ring as integers over one denominator, never as a ChowClass, so a ring
+    and its classes form no reference cycle.
     """
 
     top_dimension = 4
@@ -205,51 +267,57 @@ class ProjectiveBundleRing:
     def __init__(self, base: DelPezzoRing, chern: ChernData):
         self.base = base
         self.chern = chern
-        self._hilbert: tuple[Fraction, ...] | None = None
+        self._products: dict = {}
+        self._hilbert: tuple[tuple[int, ...], int] | None = None
 
     def zeta(self) -> ChowClass:
-        return ChowClass(self, {(1, "1"): Fraction(1)})
+        return ChowClass.from_ints(self, {(1, "1"): 1})
 
     def pull(self, cls: ChowClass) -> ChowClass:
         if cls.ring is not self.base:
             raise ValueError("can only pull back classes from the base")
-        return ChowClass(self, {(0, k): v for k, v in cls.coeffs.items()})
+        return ChowClass.from_ints(
+            self, {(0, k): n for k, n in cls.nums.items()}, cls.den)
 
     def one(self) -> ChowClass:
-        return ChowClass(self, {(0, "1"): Fraction(1)})
+        return ChowClass.from_ints(self, {(0, "1"): 1})
 
     def zero(self) -> ChowClass:
-        return ChowClass(self, {})
+        return ChowClass.from_ints(self, {})
 
     def key_name(self, key) -> str:
         a, s = key
         z = f"z^{a}*" if a else ""
         return z + s
 
-    def mul_basis(self, k1, k2):
-        a = k1[0] + k2[0]
-        out: dict = {}
-        for s, c in self.base.mul_basis(k1[1], k2[1]).items():
-            for key, c2 in self._reduce(a, s).items():
-                out[key] = out.get(key, Fraction(0)) + c * c2
+    def mul_basis(self, k1, k2) -> dict:
+        row = self._products.setdefault(k1, {})
+        out = row.get(k2)
+        if out is None:
+            out = {}
+            for s, c in self.base.mul_basis(k1[1], k2[1]).items():
+                for key, r in self._reduce(k1[0] + k2[0], s).items():
+                    out[key] = out.get(key, 0) + c * r
+            out = row[k2] = {k: v for k, v in out.items() if v}
         return out
 
-    def _reduce(self, a: int, s: str):
+    def _reduce(self, a: int, s: str) -> dict:
         if a <= 2:
-            return {(a, s): Fraction(1)}
-        # zeta^3 = c1 zeta^2 - c2 zeta, applied recursively
+            return {(a, s): 1}
+        # zeta^3 = c1 zeta^2 - c2 zeta, applied recursively; c1 has den 1
         out: dict = {}
-        for sk, sc in self.chern.c1.coeffs.items():
+        for sk, sc in self.chern.c1.nums.items():
             for bs, bc in self.base.mul_basis(s, sk).items():
                 for key, c in self._reduce(a - 1, bs).items():
-                    out[key] = out.get(key, Fraction(0)) + sc * bc * c
+                    out[key] = out.get(key, 0) + sc * bc * c
+        c2 = self.chern.c2.numerator
         for bs, bc in self.base.mul_basis(s, "pt").items():
             for key, c in self._reduce(a - 2, bs).items():
-                out[key] = out.get(key, Fraction(0)) - self.chern.c2 * bc * c
+                out[key] = out.get(key, 0) - c2 * bc * c
         return out
 
     def integrate(self, cls: ChowClass) -> Fraction:
-        return cls.coeffs.get((2, "pt"), Fraction(0))
+        return Fraction(cls.nums.get((2, "pt"), 0), cls.den)
 
 
 def conic_bundle_chern_data(S: DelPezzoRing) -> ChernData:
@@ -295,33 +363,37 @@ def blowup_intersection_table() -> dict[tuple[int, int, int, int], Fraction]:
 
 
 def intersection_number(table, divisors: list[dict[str, Fraction]]) -> Fraction:
-    """Multiply four divisors written over {N, H, H1, H2} against the table."""
+    """Multiply four divisors written over {N, H, H1, H2} against the table.
+
+    The divisors are folded in one at a time, in integers: the state maps
+    each count tuple (n, h, h1, h2) of the product so far to its numerator
+    (at most 35 states), over the product of the divisors' denominators.
+    """
     if len(divisors) != 4:
         raise ValueError("need exactly four divisor factors")
     order = ("N", "H", "H1", "H2")
+    steps, den = [], 1
     for div in divisors:
         unknown = sorted(set(div) - set(order))
         if unknown:
             raise ValueError(f"unknown divisor keys {unknown}; "
                              f"expected a subset of {list(order)}")
-    total = Fraction(0)
-
-    def rec(i, counts, coeff):
-        nonlocal total
-        if coeff == 0:
-            return
-        if i == 4:
-            total += coeff * table[counts]
-            return
-        for j, name in enumerate(order):
-            c = Fraction(divisors[i].get(name, 0))
-            if c:
-                nxt = list(counts)
-                nxt[j] += 1
-                rec(i + 1, tuple(nxt), coeff * c)
-
-    rec(0, (0, 0, 0, 0), Fraction(1))
-    return total
+        vals = [_rational(div.get(name, 0)) for name in order]
+        d = lcm(*(v.denominator for v in vals))
+        steps.append([(j, v.numerator * (d // v.denominator))
+                      for j, v in enumerate(vals) if v])
+        den *= d
+    states = {(0, 0, 0, 0): 1}
+    for step in steps:
+        nxt: dict = {}
+        for counts, c in states.items():
+            for j, n in step:
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
+                nxt[key] = nxt.get(key, 0) + c * n
+        states = nxt
+    # most table entries are 0, and a Fraction product costs more than a look
+    return sum((c * t for k, c in states.items() if c and (t := table[k])),
+               Fraction(0)) / den
 
 
 def verify_deg_h_two_ways(table, P: ProjectiveBundleRing
@@ -414,7 +486,8 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
 
     ch(O_P(d)) = sum_k d^k zeta^k / k!, so the integral of ch(O_P(d)).Td(T_P)
     is the quartic sum_k c_k d^k with c_k = integral of zeta^k.Td(T_P) / k!.
-    The five c_k are computed once per ring, on first use.
+    The five c_k are computed once per ring, on first use, and kept as
+    integer numerators over one denominator.
     """
     if P._hilbert is None:
         # zeta^k meets only the codimension-(4 - k) Todd class in degree 4
@@ -423,8 +496,11 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
         for k in range(5):
             coeffs.append((zk * td[4 - k]).integrate() / factorial(k))
             zk = zk * P.zeta()
-        P._hilbert = tuple(coeffs)
-    return sum((c * d ** k for k, c in enumerate(P._hilbert)), Fraction(0))
+        den = lcm(*(c.denominator for c in coeffs))
+        P._hilbert = (tuple(c.numerator * (den // c.denominator)
+                            for c in coeffs), den)
+    nums, den = P._hilbert
+    return Fraction(sum(n * d ** k for k, n in enumerate(nums)), den)
 
 
 def sections_formula(d: int) -> int:

@@ -413,12 +413,24 @@ def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
 
         cubic(Z t* + X e_a + Y e_b) = Z q(X, Y) / 2 + c(X, Y),
 
-    with q = H_aa X^2 + 2 H_ab XY + H_bb Y^2 from the Hessian H at t*, and
-    c the cubic restricted to the line t_k = 0.  Every line through t* meets
+    with q = q0 X^2 + q1 XY + q2 Y^2 = H_aa X^2 + 2 H_ab XY + H_bb Y^2 from
+    the Hessian H at t*, and c = k0 X^3 + k1 X^2 Y + k2 XY^2 + k3 Y^3 the
+    cubic restricted to the line t_k = 0.  Every line through t* meets
     t_k = 0 in one point (X : Y), and lies on the cubic exactly when q and c
-    both vanish there.  So the line exists if and only if the binary forms
-    q and c have a common root in P^1, that is, when their 5x5 Sylvester
-    determinant is 0.  Returns True when it is not.
+    both vanish there.  Returns True when the binary forms q and c have no
+    common root in P^1, decided in integers:
+
+    - if q0 = 0, swap X and Y in both forms; if q0 is still 0, q = q1 XY,
+      whose roots (1 : 0) and (0 : 1) are roots of c when k0 = 0 or k3 = 0
+      (q1 = 0 only if t* is a triple point, and then every line through it
+      lies on the cubic);
+    - otherwise q has no root at (1 : 0), and one pseudo-division gives
+      q0^2 c = (A X + B Y) q + r1 X Y^2 + r0 Y^3 with u = q0 k1 - q1 k0,
+      r1 = q0^2 k2 - q0 q2 k0 - q1 u and r0 = q0^2 k3 - q2 u.  So q and c
+      share a root exactly when q and the remainder Y^2 (r1 X + r0 Y) do,
+      that is, when q(-r0, r1) = q0 r0^2 - q1 r0 r1 + q2 r1^2 = 0.  (If
+      r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
+      are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
     """
     if cubic.multidegree() != (3,) or any(node.gradient) or not node.hessian:
         raise ValueError("expected a plane cubic and the certificate of a "
@@ -426,17 +438,22 @@ def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
     k = node.chart
     a, b = (j for j in range(3) if j != k)
     h = node.hessian
-    q = [h[a][a], 2 * h[a][b], h[b][b]]  # coefficients of X^2, XY, Y^2
     c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3, times cubic.den
     for e, v in cubic.nums.items():
         if e[k] == 0:
             c[3 - e[a]] = v
-    # scaling q or c changes the determinant by a nonzero factor; dividing
-    # out their contents (hundreds of bits for q) makes it cheaper
-    q, c = list(primitive(q)), list(primitive(c))
-    sylvester = QMatrix([q + [0, 0], [0] + q + [0], [0, 0] + q,
-                         c + [0], [0] + c])
-    return sylvester.det() != 0
+    # scaling q or c keeps their roots; dividing out their contents (hundreds
+    # of bits for q) keeps the integers below small
+    q0, q1, q2 = primitive([h[a][a], 2 * h[a][b], h[b][b]])
+    k0, k1, k2, k3 = primitive(c)
+    if q0 == 0:
+        q0, q2, k0, k1, k2, k3 = q2, q0, k3, k2, k1, k0
+    if q0 == 0:
+        return q1 != 0 and k0 != 0 and k3 != 0
+    u = q0 * k1 - q1 * k0
+    r1 = q0 * q0 * k2 - q0 * q2 * k0 - q1 * u
+    r0 = q0 * q0 * k3 - q2 * u
+    return q0 * r0 * r0 - q1 * r0 * r1 + q2 * r1 * r1 != 0
 
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,

@@ -1,9 +1,12 @@
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prym6 import chow
+from prym6 import chow, cli
 
 
 class TestProductProjectiveRing:
@@ -216,3 +219,223 @@ class TestEulerNumbers:
     def test_count_is_wired_not_retyped(self, euler):
         e = euler
         assert e["singular_members"] == e["e_P"] + e["e_B"] - 2 * e["e_Q"]
+
+
+# -- the integer arithmetic against a Fraction reference ---------------------
+
+def ref_mul_basis(ring, k1, k2):
+    """Structure constants as Fractions, computed the way the rings did
+    before they kept integers: exponent sums on a product of projective
+    spaces, the intersection form on S, and the zeta^3 reduction on P."""
+    if isinstance(ring, chow.ProductProjectiveRing):
+        k = tuple(a + b for a, b in zip(k1, k2))
+        if any(e > d for e, d in zip(k, ring.dims)):
+            return {}
+        return {k: Fraction(1)}
+    if isinstance(ring, chow.DelPezzoRing):
+        if k1 == "1":
+            return {k2: Fraction(1)}
+        if k2 == "1":
+            return {k1: Fraction(1)}
+        if k1 == k2 == "L":
+            return {"pt": Fraction(1)}
+        if k1 == k2 and k1.startswith("E"):
+            return {"pt": Fraction(-1)}
+        return {}
+    out = {}
+    for s, c in ref_mul_basis(ring.base, k1[1], k2[1]).items():
+        for key, r in ref_reduce(ring, k1[0] + k2[0], s).items():
+            out[key] = out.get(key, Fraction(0)) + c * r
+    return out
+
+
+def ref_reduce(P, a, s):
+    """zeta^a s in the basis of P, by zeta^3 = c1 zeta^2 - c2 zeta."""
+    if a <= 2:
+        return {(a, s): Fraction(1)}
+    out = {}
+    for sk, sc in P.chern.c1.coeffs.items():
+        for bs, bc in ref_mul_basis(P.base, s, sk).items():
+            for key, c in ref_reduce(P, a - 1, bs).items():
+                out[key] = out.get(key, Fraction(0)) + sc * bc * c
+    for bs, bc in ref_mul_basis(P.base, s, "pt").items():
+        for key, c in ref_reduce(P, a - 2, bs).items():
+            out[key] = out.get(key, Fraction(0)) - Fraction(P.chern.c2) * bc * c
+    return out
+
+
+def ref_product(x, y):
+    """x * y as a dict of nonzero Fractions, from the reference constants."""
+    out = {}
+    for k1, v1 in x.coeffs.items():
+        for k2, v2 in y.coeffs.items():
+            for k, c in ref_mul_basis(x.ring, k1, k2).items():
+                out[k] = out.get(k, Fraction(0)) + v1 * v2 * c
+    return {k: v for k, v in out.items() if v}
+
+
+S_KEYS = ["1", "L", "E1", "E2", "E3", "E4", "pt"]
+#: ring name -> its basis keys
+BASES = {
+    "S": S_KEYS,
+    "P": [(a, s) for a in range(3) for s in S_KEYS],
+    "P2xP2xP2": list(product(range(3), repeat=3)),
+}
+
+
+def make_ring(name):
+    if name == "S":
+        return chow.DelPezzoRing()
+    if name == "P":
+        S = chow.DelPezzoRing()
+        return chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+    return chow.ProductProjectiveRing((2, 2, 2))
+
+
+small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def class_strategy(ring, keys):
+    return st.dictionaries(st.sampled_from(keys), small_fracs,
+                           max_size=6).map(lambda c: chow.ChowClass(ring, c))
+
+
+def assert_canonical(x):
+    """nums / den in lowest terms, with no zero numerator and den > 0."""
+    assert x.den > 0
+    assert all(x.nums.values())
+    assert gcd(x.den, *x.nums.values()) == 1
+
+
+class TestIntegerArithmetic:
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_products_match_the_fraction_reference(self, name):
+        ring = make_ring(name)
+        classes = class_strategy(ring, BASES[name])
+
+        @settings(max_examples=40, deadline=None)
+        @given(classes, classes)
+        def check(x, y):
+            xy = x * y
+            assert_canonical(xy)
+            assert xy.coeffs == ref_product(x, y)
+            assert (x + y).coeffs == {
+                k: v for k in set(x.coeffs) | set(y.coeffs)
+                if (v := x.coeffs.get(k, 0) + y.coeffs.get(k, 0))}
+
+        check()
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_equal_classes_have_equal_numerators(self, name):
+        ring = make_ring(name)
+        classes = class_strategy(ring, BASES[name])
+
+        @settings(max_examples=40, deadline=None)
+        @given(classes, classes)
+        def check(x, y):
+            assert_canonical(x)
+            third = x * Fraction(1, 3)
+            assert_canonical(third)
+            back = third * 3
+            assert back == x
+            assert (back.nums, back.den) == (x.nums, x.den)
+            assert (x * y - y * x).nums == {}
+            assert (x - x).den == 1
+
+        check()
+
+    def test_zero_coefficients_are_dropped(self, S):
+        x = chow.ChowClass(S, {"L": 0, "E1": Fraction(2, 4), "pt": Fraction(0)})
+        assert (x.nums, x.den) == ({"E1": 1}, 2)
+        assert x.coeffs == {"E1": Fraction(1, 2)}
+        cancelled = S.L() * S.E(1) + S.E(2) - S.E(2)
+        assert (cancelled.nums, cancelled.den) == ({}, 1)
+
+    def test_structure_constants_are_integers(self, P):
+        z, L = P.zeta(), P.pull(P.base.L())
+        for x in (z, z * z, z * L, P.pull(P.base.E(2))):
+            for y in (z, z * z, L):
+                for k1 in x.nums:
+                    for k2 in y.nums:
+                        assert all(type(c) is int
+                                   for c in P.mul_basis(k1, k2).values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(["N", "H", "H1", "H2"]),
+                                    small_fracs, max_size=4),
+                    min_size=4, max_size=4))
+    def test_intersection_number_is_the_term_expansion(self, divisors):
+        table = chow.blowup_intersection_table()
+        order = ("N", "H", "H1", "H2")
+        brute = Fraction(0)
+        for choice in product(*(d.items() for d in divisors)):
+            counts = tuple(sum(name == n for n, _ in choice) for name in order)
+            brute += table[counts] * prod(c for _, c in choice)
+        assert chow.intersection_number(table, divisors) == brute
+
+
+class TestRejectsFloats:
+    def test_class_coefficients(self, S):
+        with pytest.raises(TypeError):
+            chow.ChowClass(S, {"L": 0.1})
+
+    def test_intersection_number_coefficients(self, table):
+        with pytest.raises(TypeError):
+            chow.intersection_number(table, [{"H1": 0.1, "H2": 1}] * 4)
+
+    def test_scalars(self, S):
+        with pytest.raises(TypeError):
+            S.L() * 0.5
+        with pytest.raises(TypeError):
+            0.5 * S.L()
+        with pytest.raises(TypeError):
+            S.L() + 0.5
+        assert (S.L() * Fraction(1, 2)).coeffs == {"L": Fraction(1, 2)}
+
+
+class TestChernData:
+    def test_rejects_non_integral_chern_classes(self, S):
+        with pytest.raises(ValueError, match="integral"):
+            chow.ProjectiveBundleRing(
+                S, chow.ChernData(c1=S.L() * Fraction(1, 2), c2=3))
+        with pytest.raises(ValueError, match="integral"):
+            chow.ProjectiveBundleRing(
+                S, chow.ChernData(c1=-S.canonical(), c2=Fraction(1, 2)))
+
+    @pytest.mark.parametrize("first", [3, 4])
+    def test_each_ring_reduces_with_its_own_chern_data(self, first):
+        # the Segre number c1^2 - c2, with c1 = -K_S (so c1^2 = 5), whichever
+        # ring is built and used first: the reduction memo is per ring
+        S = chow.DelPezzoRing()
+        for c2 in (first, 7 - first):
+            P = chow.ProjectiveBundleRing(
+                S, chow.ChernData(c1=-S.canonical(), c2=c2))
+            assert (P.zeta() ** 4).integrate() == 5 - c2
+
+
+def rings_of(checks):
+    """Every ring that the checks' computations close over."""
+    kinds = (chow.DelPezzoRing, chow.ProjectiveBundleRing)
+    rings, seen, stack = [], set(), [c.compute for c in checks]
+    while stack:
+        fn = stack.pop()
+        fn = getattr(fn, "__wrapped__", fn)  # the functions under `cache`
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in getattr(fn, "__closure__", None) or ():
+            value = cell.cell_contents
+            if isinstance(value, kinds):
+                rings += [value, getattr(value, "base", value)]
+            elif callable(value):
+                stack.append(value)
+    return rings
+
+
+def test_each_report_builds_its_own_rings():
+    # a ring shared between reports would carry its memo and its Hilbert
+    # coefficients over, and turn the benchmark's items into lookups
+    first, second = rings_of(cli._checks()), rings_of(cli._checks())
+    assert any(isinstance(r, chow.ProjectiveBundleRing) for r in first)
+    assert any(isinstance(r, chow.DelPezzoRing) for r in first)
+    assert not {id(r) for r in first} & {id(r) for r in second}

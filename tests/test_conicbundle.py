@@ -544,6 +544,84 @@ class TestNoLineThroughNode:
             cb.no_line_through_node(cubic, cb.node_certificate(cubic, (0, 1, 0)))
 
 
+def sylvester_says_no_line(cubic, node):
+    """Reference for `no_line_through_node`: the 5x5 Sylvester determinant
+    of the tangent cone q and the cubic c on t_k = 0 is nonzero exactly when
+    they share no root, that is, when no line through the node lies on the
+    cubic."""
+    k = node.chart
+    a, b = (j for j in range(3) if j != k)
+    h = node.hessian
+    q = [h[a][a], 2 * h[a][b], h[b][b]]
+    c = [Fraction(0)] * 4
+    for e, v in cubic.terms.items():
+        if e[k] == 0:
+            c[3 - e[a]] = v
+    return QMatrix([q + [0, 0], [0] + q + [0], [0, 0] + q,
+                    c + [0], [0] + c]).det() != 0
+
+
+#: z Q(x, y) + C(x, y), singular at (0:0:1) with tangent cone q ~ Q and c = C,
+#: for the branches of the check: Q without x^2 (q0 = 0), Q = xy (q0 = q2 = 0),
+#: and Q = x^2 + y^2 with k0 = k2 (remainder r1 = 0)
+BRANCH_CASES = {
+    "q0=0, no line": (lambda x, y: x * y + y * y,
+                      lambda x, y: x * x * x + 2 * y * y * y, False),
+    "q0=0, line y = -x": (lambda x, y: x * y + y * y,
+                          lambda x, y: x * x * x + y * y * y, True),
+    "q0=q2=0, no line": (lambda x, y: x * y,
+                         lambda x, y: x * x * x + y * y * y, False),
+    "q0=q2=0, line x = 0": (lambda x, y: x * y,
+                            lambda x, y: x * x * x + x * x * y + x * y * y,
+                            True),
+    "q0=q2=0, line y = 0": (lambda x, y: x * y,
+                            lambda x, y: y * y * y + x * y * y, True),
+    "r1=0, r0 != 0": (lambda x, y: x * x + y * y,
+                      lambda x, y: x * x * x + x * y * y + y * y * y, False),
+    "r1=r0=0, lines x = +-iy": (lambda x, y: x * x + y * y,
+                                lambda x, y: x * x * x + x * y * y, True),
+}
+
+small = st.integers(-2, 2)
+
+
+class TestNoLineThroughNodeOracle:
+    """The integer check of `no_line_through_node` against the Sylvester
+    determinant it replaced."""
+
+    @pytest.mark.parametrize("name", list(BRANCH_CASES))
+    def test_branches(self, name):
+        quad, cub, has_line = BRANCH_CASES[name]
+        x, y, z = _plane_variables()
+        cubic = z * quad(x, y) + cub(x, y)
+        cert = cb.node_certificate(cubic, (0, 0, 1))
+        assert cert.is_node
+        verdict = cb.no_line_through_node(cubic, cert)
+        assert verdict is not has_line
+        assert verdict == sylvester_says_no_line(cubic, cert)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small, min_size=3, max_size=3),
+           st.lists(small, min_size=4, max_size=4))
+    def test_random_singular_cubics(self, q, c):
+        # every singular point, ordinary or not, including q = 0
+        x, y, z = _plane_variables()
+        cubic = (z * (q[0] * x * x + q[1] * x * y + q[2] * y * y)
+                 + c[0] * x * x * x + c[1] * x * x * y + c[2] * x * y * y
+                 + c[3] * y * y * y)
+        assume(not cubic.is_zero())
+        cert = cb.node_certificate(cubic, (0, 0, 1))
+        assert (cb.no_line_through_node(cubic, cert)
+                == sylvester_says_no_line(cubic, cert))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_sweep_nets(self, seed):
+        report = cb.sweep(seed, 1)["cubic"]
+        cubic, cert = report["cubic"], report["certificate"]
+        assert cb.no_line_through_node(cubic, cert)
+        assert sylvester_says_no_line(cubic, cert)
+
+
 class TestNetAndSweep:
     def test_net_dimension_and_cubic(self):
         rng = random.Random(21)
