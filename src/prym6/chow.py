@@ -1,91 +1,39 @@
 """Intersection rings for the geometry of 4-nodal conic bundles.
 
-Three tiny graded rings are enough: products of projective spaces, the
-degree-5 del Pezzo surface S (the plane blown up in four points), and the
-P^2-bundle P over S carrying the conic bundles.  On top of them sit the
-blow-up intersection table, the Riemann-Roch engine for O_P(d), and the
-Euler-number bookkeeping behind the count of 77 singular members and 32
-double lines in a pencil.
+Four tiny graded rings are enough: products of projective spaces, the
+degree-5 del Pezzo surface S (the plane blown up in four points), the
+P^2-bundle P over S carrying the conic bundles, and the divisor monomials
+on the blown-up S x P^2, integrated by the blow-up intersection table.
+Their classes are `ChowClass`es, exact vectors over the ring's basis.  On
+top of them sit the Riemann-Roch engine for O_P(d) and the Euler-number
+bookkeeping behind the count of 77 singular members and 32 double lines in
+a pencil.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, gt
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .exactalg import _reduced
+from .exactalg import QVector, rational
 
 
-class ChowClass:
+class ChowClass(QVector):
     """Element of a Chow ring: a rational combination of basis monomials.
 
-    The class is ``nums / den``: ``nums`` maps basis keys to nonzero integer
-    numerators, and ``den`` is a positive integer with no factor common to
-    all of them (1 for the zero class), so equal classes have equal ``nums``
-    and ``den``.  Products multiply numerators by the ring's integer
-    structure constants and reduce once per result.  Coefficients and
-    scalars are `int` or `Fraction`; anything else, a float included,
-    raises `TypeError`.  ``coeffs`` gives the coefficients as `Fraction`s.
+    A `QVector` whose space is its ring.  Products multiply numerators by
+    the ring's integer structure constants (``ring.mul_basis``) and reduce
+    once per result.
     """
 
-    __slots__ = ("ring", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, ring, coeffs: Mapping):
-        vals = {k: _rational(v) for k, v in coeffs.items()}
-        den = lcm(*(v.denominator for v in vals.values()))
-        self.ring = ring
-        self.nums, self.den = _reduced(
-            {k: v.numerator * (den // v.denominator) for k, v in vals.items()},
-            den)
+    ring = QVector.space
 
-    @classmethod
-    def from_ints(cls, ring, nums: Mapping, den: int = 1) -> "ChowClass":
-        """The class nums / den, for integer numerators and den > 0 (not
-        checked); zero numerators are dropped and the result is reduced."""
-        self = object.__new__(cls)
-        self.ring = ring
-        self.nums, self.den = _reduced(nums, den)
-        return self
-
-    @property
-    def coeffs(self) -> dict:
-        """Basis key -> nonzero `Fraction` coefficient, built on demand."""
-        den = self.den
-        return {k: Fraction(n, den) for k, n in self.nums.items()}
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, den // other.den
-        out = {k: n * s1 for k, n in self.nums.items()}
-        for k, n in other.nums.items():
-            out[k] = out.get(k, 0) + n * s2
-        return ChowClass.from_ints(self.ring, out, den)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __neg__(self):
-        return ChowClass.from_ints(
-            self.ring, {k: -n for k, n in self.nums.items()}, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, ChowClass):
-            c = _rational(other)
-            return ChowClass.from_ints(
-                self.ring, {k: n * c.numerator for k, n in self.nums.items()},
-                self.den * c.denominator)
-        if other.ring is not self.ring:
-            raise ValueError("classes live in different rings")
+    def _product(self, other):
         mul_basis = self.ring.mul_basis
         out: dict = {}
         for k1, n1 in self.nums.items():
@@ -93,9 +41,7 @@ class ChowClass:
                 n = n1 * n2
                 for k, c in mul_basis(k1, k2).items():
                     out[k] = out.get(k, 0) + n * c
-        return ChowClass.from_ints(self.ring, out, self.den * other.den)
-
-    __rmul__ = __mul__
+        return self._like(out, self.den * other.den, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -107,36 +53,8 @@ class ChowClass:
             acc = acc * self
         return acc
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        return (isinstance(other, ChowClass) and self.ring is other.ring
-                and self.den == other.den and self.nums == other.nums)
-
-    def __repr__(self):
-        if not self.nums:
-            return "ChowClass(0)"
-        bits = [f"{v}*{self.ring.key_name(k)}" for k, v in sorted(
-            self.coeffs.items(), key=lambda kv: str(kv[0]))]
-        return "ChowClass(" + " + ".join(bits) + ")"
-
-    def _coerce(self, other):
-        if not isinstance(other, ChowClass):
-            return self.ring.one() * other
-        if other.ring is not self.ring:
-            raise ValueError("classes live in different rings")
-        return other
-
     def integrate(self) -> Fraction:
         return self.ring.integrate(self)
-
-
-def _rational(value):
-    """value itself if it is an int or a Fraction; TypeError otherwise."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise TypeError("Chow coefficients and scalars are int or Fraction, "
-                    f"not {type(value).__name__}")
 
 
 class ProductProjectiveRing:
@@ -146,7 +64,6 @@ class ProductProjectiveRing:
         self.dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in self.dims):
             raise ValueError("each factor must have dimension >= 1")
-        self.top_dimension = sum(self.dims)
 
     def h(self, i: int) -> ChowClass:
         exp = [0] * len(self.dims)
@@ -155,12 +72,6 @@ class ProductProjectiveRing:
 
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {(0,) * len(self.dims): 1})
-
-    def zero(self) -> ChowClass:
-        return ChowClass.from_ints(self, {})
-
-    def key_name(self, key) -> str:
-        return "*".join(f"h{i+1}^{e}" for i, e in enumerate(key) if e) or "1"
 
     def mul_basis(self, k1, k2) -> dict:
         k = tuple(map(add, k1, k2))
@@ -182,7 +93,6 @@ class DelPezzoRing:
     """
 
     picard_rank = 5
-    top_dimension = 2
 
     def L(self) -> ChowClass:
         return ChowClass.from_ints(self, {"L": 1})
@@ -198,18 +108,12 @@ class DelPezzoRing:
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {"1": 1})
 
-    def zero(self) -> ChowClass:
-        return ChowClass.from_ints(self, {})
-
     def canonical(self) -> ChowClass:
-        return -3 * self.L() + sum((self.E(i) for i in range(1, 5)), self.zero())
+        return sum((self.E(i) for i in range(1, 5)), -3 * self.L())
 
     def euler_number(self) -> int:
         # b0 + b2 + b4 with b2 = Picard rank
         return 2 + self.picard_rank
-
-    def key_name(self, key) -> str:
-        return key
 
     def mul_basis(self, k1, k2) -> dict:
         c1, c2 = _DP_CODIM[k1], _DP_CODIM[k2]
@@ -239,10 +143,10 @@ class ChernData:
     """
 
     c1: ChowClass
-    c2: Fraction
+    c2: int | Fraction
 
     def __post_init__(self):
-        if self.c1.den != 1 or _rational(self.c2).denominator != 1:
+        if self.c1.den != 1 or rational(self.c2).denominator != 1:
             raise ValueError("Chern classes of a vector bundle are integral: "
                              "c1 needs integer coefficients, c2 an integer")
 
@@ -257,18 +161,17 @@ class ProjectiveBundleRing:
 
     The integer structure constants of each pair of basis monomials are
     reduced through that relation once per ring, on first use, and kept in
-    ``_products``, one row per first factor.  The Hilbert coefficients behind `hrr_chi` are kept per
-    ring as integers over one denominator, never as a ChowClass, so a ring
-    and its classes form no reference cycle.
+    ``_products``, one row per first factor.  The Hilbert coefficients
+    behind `hrr_chi` are kept per ring as a `QVector` over the powers of d,
+    never as a ChowClass, so a ring and its classes form no reference
+    cycle.
     """
-
-    top_dimension = 4
 
     def __init__(self, base: DelPezzoRing, chern: ChernData):
         self.base = base
         self.chern = chern
         self._products: dict = {}
-        self._hilbert: tuple[tuple[int, ...], int] | None = None
+        self._hilbert: QVector | None = None
 
     def zeta(self) -> ChowClass:
         return ChowClass.from_ints(self, {(1, "1"): 1})
@@ -281,14 +184,6 @@ class ProjectiveBundleRing:
 
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {(0, "1"): 1})
-
-    def zero(self) -> ChowClass:
-        return ChowClass.from_ints(self, {})
-
-    def key_name(self, key) -> str:
-        a, s = key
-        z = f"z^{a}*" if a else ""
-        return z + s
 
     def mul_basis(self, k1, k2) -> dict:
         row = self._products.setdefault(k1, {})
@@ -322,7 +217,7 @@ class ProjectiveBundleRing:
 
 def conic_bundle_chern_data(S: DelPezzoRing) -> ChernData:
     """The rank-3 bundle carrying the 4-nodal conic bundles: c1 = -K_S, c2 = 3."""
-    return ChernData(c1=-S.canonical(), c2=Fraction(3))
+    return ChernData(c1=-S.canonical(), c2=3)
 
 
 # -- blow-up intersection table -------------------------------------------
@@ -362,88 +257,91 @@ def blowup_intersection_table() -> dict[tuple[int, int, int, int], Fraction]:
     return table
 
 
-def intersection_number(table, divisors: list[dict[str, Fraction]]) -> Fraction:
-    """Multiply four divisors written over {N, H, H1, H2} against the table.
+#: count-tuple key of each divisor generator of `BlowupRing`
+_BLOWUP_GENERATORS = {"N": (1, 0, 0, 0), "H": (0, 1, 0, 0),
+                      "H1": (0, 0, 1, 0), "H2": (0, 0, 0, 1)}
 
-    The divisors are folded in one at a time, in integers: the state maps
-    each count tuple (n, h, h1, h2) of the product so far to its numerator
-    (at most 35 states), over the product of the divisors' denominators.
+
+class BlowupRing:
+    """Divisor monomials on the blown-up S x P^2, integrated by the table.
+
+    The monomial N^n H^h H1^h1 H2^h2 is keyed by its count tuple
+    (n, h, h1, h2).  A product adds count tuples and drops those of degree
+    above 4, and `integrate` reads the degree-4 part against ``table``, the
+    `blowup_intersection_table`.  No relation is imposed below degree 4, so
+    only integrals are intersection numbers.
     """
-    if len(divisors) != 4:
-        raise ValueError("need exactly four divisor factors")
-    order = ("N", "H", "H1", "H2")
-    steps, den = [], 1
-    for div in divisors:
-        unknown = sorted(set(div) - set(order))
+
+    def __init__(self, table: Mapping[tuple[int, int, int, int], Fraction]):
+        self.table = table
+
+    def divisor(self, coeffs: Mapping[str, int | Fraction]) -> ChowClass:
+        """The divisor with the given coefficients on N, H, H1 and H2."""
+        unknown = sorted(set(coeffs) - set(_BLOWUP_GENERATORS))
         if unknown:
             raise ValueError(f"unknown divisor keys {unknown}; "
-                             f"expected a subset of {list(order)}")
-        vals = [_rational(div.get(name, 0)) for name in order]
-        d = lcm(*(v.denominator for v in vals))
-        steps.append([(j, v.numerator * (d // v.denominator))
-                      for j, v in enumerate(vals) if v])
-        den *= d
-    states = {(0, 0, 0, 0): 1}
-    for step in steps:
-        nxt: dict = {}
-        for counts, c in states.items():
-            for j, n in step:
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1:]
-                nxt[key] = nxt.get(key, 0) + c * n
-        states = nxt
-    # most table entries are 0, and a Fraction product costs more than a look
-    return sum((c * t for k, c in states.items() if c and (t := table[k])),
-               Fraction(0)) / den
+                             f"expected a subset of {list(_BLOWUP_GENERATORS)}")
+        return ChowClass(self, {_BLOWUP_GENERATORS[name]: c
+                                for name, c in coeffs.items()})
+
+    def zeta(self) -> ChowClass:
+        """zeta = H1 + H2 - N, the class of O_P(1) on the bundle P."""
+        return self.divisor({"H1": 1, "H2": 1, "N": -1})
+
+    def mul_basis(self, k1, k2) -> dict:
+        k = tuple(map(add, k1, k2))
+        return {k: 1} if sum(k) <= 4 else {}
+
+    def integrate(self, cls: ChowClass) -> Fraction:
+        table = self.table
+        # most table entries are 0, and a Fraction product costs more than a look
+        return sum((n * t for k, n in cls.nums.items()
+                    if sum(k) == 4 and (t := table[k])), Fraction(0)) / cls.den
 
 
-def verify_deg_h_two_ways(table, P: ProjectiveBundleRing
+def intersection_number(divisors: Sequence[ChowClass]) -> Fraction:
+    """The product of four divisors of one `BlowupRing`, integrated."""
+    a, b, c, d = divisors  # ValueError unless there are four
+    return (a * b * c * d).integrate()
+
+
+def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundleRing
                           ) -> tuple[Fraction, Fraction]:
     """deg of the half-anticanonical double cover P -> P^4, two routes.
 
-    Route one expands (H1 + H2 - N)^4 against the blow-up table; route two
-    integrates zeta^4 in the projective bundle ring.  Both should equal 2;
-    the `verify` report checks each.
+    Route one integrates zeta^4 = (H1 + H2 - N)^4 against the blow-up
+    table; route two integrates zeta^4 in the projective bundle ring.  Both
+    should equal 2; the `verify` report checks each.
     """
-    zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
-    blowup_route = intersection_number(table, [zeta] * 4)
+    blowup_route = intersection_number([X.zeta()] * 4)
     bundle_route = (P.zeta() ** 4).integrate()
     return blowup_route, bundle_route
 
 
 # -- canonical classes ------------------------------------------------------
 
-def canonical_classes() -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """(K_P, K_B) as vectors over {H1, H2, N} on the bundle P.
+def canonical_classes(X: BlowupRing) -> tuple[ChowClass, ChowClass]:
+    """(K_P, K_B) as divisors of X over H1, H2 and N on the bundle P.
 
     K_P comes from pushing the blow-up canonical class forward and
     eliminating H via the relation H = 3H1 - N (valid on P, where the
     contracted divisors are gone).  K_B is checked against adjunction for
-    the base surface B of a pencil: K_B = (K_P + 4 zeta)|_B with
-    zeta = H1 + H2 - N.
+    the base surface B of a pencil: K_B = (K_P + 4 zeta)|_B = zeta.
     """
-    # upstairs: K = pullback(K_S x K_{P^2}) + 2N = -H - 3H2 + 2N
-    kp = {"H": Fraction(-1), "H2": Fraction(-3), "N": Fraction(2)}
-    kp = _eliminate_H(kp)
-    zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
-    kb = {k: kp.get(k, Fraction(0)) + 4 * zeta.get(k, Fraction(0))
-          for k in ("H1", "H2", "N")}
+    # upstairs K = pullback(K_S x K_{P^2}) + 2N = -H - 3H2 + 2N, and on P
+    # the relation H = 3H1 - N eliminates H
+    h_on_P = X.divisor({"H1": 3, "N": -1})
+    kp = X.divisor({"H2": -3, "N": 2}) - h_on_P
+    zeta = X.zeta()
+    kb = kp + 4 * zeta
     if kb != zeta:
         raise ArithmeticError("adjunction K_B = zeta|_B fails")
     return kp, kb
 
 
-def _eliminate_H(vec: dict[str, Fraction]) -> dict[str, Fraction]:
-    h = vec.get("H", Fraction(0))
-    out = {k: Fraction(v) for k, v in vec.items() if k != "H"}
-    out["H1"] = out.get("H1", Fraction(0)) + 3 * h
-    out["N"] = out.get("N", Fraction(0)) - h
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def kb_squared(table) -> Fraction:
-    """K_B^2 = 4 (H1+H2-N)^4 = 8 for the base surface of a pencil."""
-    zeta = {"H1": Fraction(1), "H2": Fraction(1), "N": Fraction(-1)}
-    return 4 * intersection_number(table, [zeta] * 4)
+def kb_squared(X: BlowupRing) -> Fraction:
+    """K_B^2 = 4 zeta^4 = 8 for the base surface of a pencil."""
+    return 4 * intersection_number([X.zeta()] * 4)
 
 
 # -- Riemann-Roch on P -------------------------------------------------------
@@ -462,7 +360,7 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     rel2 = 3 * z * z - 2 * z * c1m + c2m
     rel3 = z ** 3 - z * z * c1m + z * c2m  # vanishes by the bundle relation
     ts1 = P.pull(-S.canonical())
-    ts2 = Fraction(S.euler_number()) * P.pull(S.pt())
+    ts2 = S.euler_number() * P.pull(S.pt())
     c1 = rel1 + ts1
     c2 = rel2 + rel1 * ts1 + ts2
     c3 = rel3 + rel2 * ts1 + rel1 * ts2
@@ -492,15 +390,13 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
     if P._hilbert is None:
         # zeta^k meets only the codimension-(4 - k) Todd class in degree 4
         td = (P.one(), *todd_classes(*tangent_chern_classes(P)))
-        zk, coeffs = P.one(), []
+        zk, coeffs = P.one(), {}
         for k in range(5):
-            coeffs.append((zk * td[4 - k]).integrate() / factorial(k))
+            coeffs[k] = (zk * td[4 - k]).integrate() / factorial(k)
             zk = zk * P.zeta()
-        den = lcm(*(c.denominator for c in coeffs))
-        P._hilbert = (tuple(c.numerator * (den // c.denominator)
-                            for c in coeffs), den)
-    nums, den = P._hilbert
-    return Fraction(sum(n * d ** k for k, n in enumerate(nums)), den)
+        P._hilbert = QVector("d^k", coeffs)
+    h = P._hilbert
+    return Fraction(sum(n * d ** k for k, n in h.nums.items()), h.den)
 
 
 def sections_formula(d: int) -> int:

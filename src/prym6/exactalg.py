@@ -1,13 +1,16 @@
-"""Exact rational arithmetic: multihomogeneous polynomials and linear algebra.
+"""Exact rational arithmetic: sparse rational vectors, multihomogeneous
+polynomials and linear algebra.
 
 Everything in this module is exact, and the arithmetic runs on Python ints.
-A `MultiPoly` stores integer numerators over one positive common
-denominator, reduced by their gcd once per result; a `QMatrix` stores each
-row as integer numerators over a positive row denominator.  Linear algebra
-goes through fraction-free (Bareiss) elimination on the integer rows, so
-ranks and kernels are certified, not numerical.  `fractions.Fraction`
-appears only at the interface: coefficients read through `MultiPoly.terms`,
-entries through `QMatrix.entries`, and values, gradients and determinants.
+A `QVector` is integer numerators over one positive common denominator,
+keyed by basis keys and reduced by their gcd once per result; it carries the
+linear arithmetic of `MultiPoly` here, of `chow.ChowClass` and of the
+divisor and curve classes of `moduli`.  A `QMatrix` stores each row as
+integer numerators over a positive row denominator.  Linear algebra goes
+through fraction-free (Bareiss) elimination on the integer rows, so ranks
+and kernels are certified, not numerical.  `fractions.Fraction` appears only
+at the interface: coefficients read through `QVector.coeffs`, entries
+through `QMatrix.entries`, and values, gradients and determinants.
 """
 
 from __future__ import annotations
@@ -18,8 +21,20 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
-class BlockMismatchError(ValueError):
-    """Raised when combining polynomials over different variable blocks."""
+class SpaceMismatchError(ValueError):
+    """Raised when combining vectors over different spaces."""
+
+
+def rational(value):
+    """value itself if it is an int or a Fraction; TypeError otherwise.
+
+    Exact values enter the package through this check, so a float, which
+    would round silently, raises instead.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError("exact values are int or Fraction, "
+                    f"not {type(value).__name__}")
 
 
 def primitive(vector: Sequence) -> tuple[int, ...]:
@@ -39,55 +54,150 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-class MultiPoly:
-    """Multihomogeneous polynomial over named variable blocks.
+def _reduced(nums: Mapping, den: int) -> tuple[dict, int]:
+    """nums / den in lowest terms, with the zero numerators dropped."""
+    nums = {e: n for e, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {e: n // g for e, n in nums.items()}
+        den //= g
+    return nums, den
 
-    ``blocks`` is an ordered tuple such as ``(("x", 3), ("y", 3))``.  The
-    polynomial is ``nums / den``: ``nums`` maps flat exponent tuples
-    (concatenated over the blocks) to nonzero integer numerators, and
-    ``den`` is a positive integer with no factor common to all of them (1
-    for the zero polynomial).  Equal polynomials therefore have equal
-    ``nums`` and ``den``.  ``terms`` gives the coefficients as `Fraction`s.
+
+class QVector:
+    """Sparse rational vector over a space, stored as integer numerators.
+
+    The vector is ``nums / den``: ``nums`` maps basis keys to nonzero
+    integer numerators, and ``den`` is a positive integer with no factor
+    common to all of them (1 for the zero vector), so equal vectors have
+    equal ``nums``, ``den`` and hash.  Coefficients and scalars are `int` or
+    `Fraction`; anything else, a float included, raises `TypeError`.
+    ``coeffs`` gives the coefficients as `Fraction`s.
+
+    Sums, differences and products combine two vectors of one type over
+    equal spaces (``==``: value equality for a tuple of blocks, identity for
+    a ring) and raise `SpaceMismatchError` otherwise.  A subclass supplies
+    its product as ``_product``.  A subclass whose vectors carry more than
+    the coefficients declares it in ``__slots__``, which == and hash
+    compare, and passes it on to results in ``_like``.
     """
 
-    __slots__ = ("blocks", "nums", "den")
+    __slots__ = ("space", "nums", "den")
 
-    def __init__(self, blocks, terms: Mapping | None = None):
-        self.blocks = tuple((str(n), int(s)) for n, s in blocks)
-        nvars = sum(s for _, s in self.blocks)
-        clean: dict = {}
-        if terms:
-            for exp, c in terms.items():
-                if not isinstance(c, int):
-                    c = Fraction(c)
-                if c == 0:
-                    continue
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp!r}")
-                clean[exp] = clean.get(exp, 0) + c
-        den = lcm(*(c.denominator for c in clean.values()))
+    def __init__(self, space, coeffs: Mapping | None = None):
+        vals = {k: rational(v) for k, v in coeffs.items()} if coeffs else {}
+        den = lcm(*(v.denominator for v in vals.values()))
+        self.space = space
         self.nums, self.den = _reduced(
-            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            {k: v.numerator * (den // v.denominator) for k, v in vals.items()},
             den)
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
-    def from_ints(cls, blocks, nums: Mapping[tuple[int, ...], int],
-                  den: int = 1) -> "MultiPoly":
-        """The polynomial nums / den, for integer numerators and den > 0.
-
-        ``blocks`` must be a tuple of (name, size) pairs and the exponent
-        tuples must fit it; neither is checked.  Zero numerators are
-        dropped and the result is reduced to lowest terms.
-        """
+    def from_ints(cls, space, nums: Mapping, den: int = 1):
+        """nums / den for integer numerators and den > 0, reduced; neither
+        the space nor the keys are checked."""
         if den <= 0:
             raise ValueError("the denominator must be positive")
         self = object.__new__(cls)
-        self.blocks = blocks
+        self.space = space
         self.nums, self.den = _reduced(nums, den)
         return self
+
+    def _like(self, nums: Mapping, den: int, other: "QVector"):
+        """nums / den over this space, as the result of self and other."""
+        out = object.__new__(type(self))
+        out.space = self.space
+        out.nums, out.den = _reduced(nums, den)
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        """Basis key -> nonzero `Fraction` coefficient, built on demand."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
+    def _matches(self, other) -> bool:
+        """Whether other has this type; raises if it is over another space."""
+        if type(other) is not type(self):
+            return False
+        if self.space != other.space:
+            raise SpaceMismatchError(f"{self.space} vs {other.space}")
+        return True
+
+    def _combine(self, other, sign: int):
+        if not self._matches(other):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, sign * (den // other.den)
+        out = {k: n * s1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + n * s2
+        return self._like(out, den, other)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -n for k, n in self.nums.items()}, self.den, self)
+
+    def __mul__(self, other):
+        if isinstance(other, QVector):
+            return self._product(other) if self._matches(other) else NotImplemented
+        c = rational(other)
+        return self._like({k: n * c.numerator for k, n in self.nums.items()},
+                          self.den * c.denominator, self)
+
+    __rmul__ = __mul__
+
+    def _product(self, other):
+        return NotImplemented
+
+    def _tags(self) -> tuple:
+        return tuple(getattr(self, a) for a in self.__slots__
+                     if a not in QVector.__slots__)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space == other.space
+                and self.den == other.den and self.nums == other.nums
+                and self._tags() == other._tags())
+
+    def __hash__(self):
+        return hash((self.space, self.den, frozenset(self.nums.items()),
+                     self._tags()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coeffs})"
+
+
+class MultiPoly(QVector):
+    """Multihomogeneous polynomial over named variable blocks.
+
+    A `QVector` whose space is ``blocks``, an ordered tuple such as
+    ``(("x", 3), ("y", 3))``, and whose keys are flat exponent tuples
+    (concatenated over the blocks).  ``terms`` gives the coefficients as
+    `Fraction`s.
+    """
+
+    __slots__ = ()
+
+    blocks = QVector.space
+    terms = QVector.coeffs
+
+    def __init__(self, blocks, terms: Mapping | None = None):
+        blocks = tuple((str(n), int(s)) for n, s in blocks)
+        nvars = sum(s for _, s in blocks)
+        clean: dict = {}
+        for exp, c in (terms or {}).items():
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != nvars or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent vector {exp!r}")
+            clean[exp] = clean.get(exp, 0) + c
+        super().__init__(blocks, clean)
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, blocks) -> "MultiPoly":
@@ -114,16 +224,6 @@ class MultiPoly:
         raise ValueError(f"no block named {block!r}")
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Exponent tuple -> nonzero `Fraction` coefficient, built on demand."""
-        den = self.den
-        return {e: Fraction(n, den) for e, n in self.nums.items()}
-
-    @property
-    def nvars(self) -> int:
-        return sum(s for _, s in self.blocks)
 
     def block_offset(self, block: str) -> tuple[int, int]:
         off = 0
@@ -153,66 +253,13 @@ class MultiPoly:
                 return None
         return degs
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_blocks(self, other: "MultiPoly"):
-        if self.blocks != other.blocks:
-            raise BlockMismatchError(f"{self.blocks} vs {other.blocks}")
-
-    def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_blocks(other)
-            den = lcm(self.den, other.den)
-            s1, s2 = den // self.den, den // other.den
-            merged = {e: n * s1 for e, n in self.nums.items()}
-            for e, n in other.nums.items():
-                merged[e] = merged.get(e, 0) + n * s2
-            return MultiPoly.from_ints(self.blocks, merged, den)
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiPoly.from_ints(self.blocks,
-                                   {e: -n for e, n in self.nums.items()}, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_blocks(other)
-            out: dict = {}
-            for e1, c1 in self.nums.items():
-                for e2, c2 in other.nums.items():
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-            return MultiPoly.from_ints(self.blocks, out, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return MultiPoly.from_ints(
-                self.blocks, {e: n * c.numerator for e, n in self.nums.items()},
-                self.den * c.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.blocks == other.blocks
-                and self.den == other.den and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.blocks, self.den, frozenset(self.nums.items())))
-
-    def __repr__(self):
-        if not self.nums:
-            return "MultiPoly(0)"
-        names = [f"{n}{i+1}" for n, s in self.blocks for i in range(s)]
-        terms = self.terms
-        bits = []
-        for exp in sorted(terms):
-            mono = "*".join(f"{v}^{e}" if e > 1 else v
-                            for v, e in zip(names, exp) if e)
-            bits.append(f"{terms[exp]}" + (f"*{mono}" if mono else ""))
-        return "MultiPoly(" + " + ".join(bits) + ")"
+    def _product(self, other):
+        out: dict = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._like(out, self.den * other.den, other)
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -388,16 +435,6 @@ class MultiPoly:
             raise ValueError(f"terms outside the monomial list: {sorted(extra)[:3]}")
         terms = self.terms
         return tuple(terms.get(m, Fraction(0)) for m in monomials)
-
-
-def _reduced(nums: Mapping, den: int) -> tuple[dict, int]:
-    """nums / den in lowest terms, with the zero numerators dropped."""
-    nums = {e: n for e, n in nums.items() if n}
-    g = gcd(den, *nums.values())
-    if g != 1:
-        nums = {e: n // g for e, n in nums.items()}
-        den //= g
-    return nums, den
 
 
 def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

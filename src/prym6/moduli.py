@@ -1,11 +1,14 @@
 """Divisor-class bookkeeping on the genus-6 Prym moduli side.
 
-Everything here is finite-dimensional exact linear algebra: divisor classes
-are vectors over a fixed ordered basis, curve classes are the dual vectors
-of intersection numbers, and each named operation returns one specific
-pullback or pairing.  The enumerative inputs (77 singular members, 32 double
-lines, lambda-degree 18) are computed by the intersection-theory module and
-the chi-chain and passed in as arguments, never retyped.
+Everything here is finite-dimensional exact linear algebra.  Divisor
+classes and curve classes are `QVector`s over one ordered basis,
+`R6_BASIS`, stored as integer numerators over one denominator: a curve
+class holds its intersection numbers against the basis, and pairing it
+with a divisor class is one integer dot product.  Each named operation
+returns one specific pullback or pairing.  The enumerative inputs (77
+singular members, 32 double lines, lambda-degree 18) are computed by the
+intersection-theory module and the chi-chain and passed in as arguments,
+never retyped.
 
 One modelling point deserves emphasis: the theta pullback is only known up
 to boundary terms that are never written down.  Those are carried as an
@@ -22,6 +25,7 @@ from math import comb
 from typing import Mapping
 
 from . import chow
+from .exactalg import QVector, rational
 
 #: ordered basis of the divisor-class ledger: Hodge class, the three
 #: boundary pieces of the Prym compactification, and the five point classes
@@ -30,7 +34,7 @@ R6_BASIS = ("lambda", "delta0_prime", "delta0_dblprime", "delta0_ram",
             "psi1", "psi2", "psi3", "psi4", "psi5")
 
 #: quoted, not derivable here: the pencil avoids the second boundary piece
-E_DELTA0_DBLPRIME = Fraction(0)
+E_DELTA0_DBLPRIME = 0
 
 #: genus of the curves of the ledger: R6 over the moduli of genus-6 curves
 GENUS = 6
@@ -40,78 +44,80 @@ class MarkerPairingError(RuntimeError):
     """Pairing a marked class with a curve not declared marker-orthogonal."""
 
 
-@dataclass(frozen=True)
-class DivClassR6:
-    """Divisor class over R6_BASIS, optionally carrying the unknown-boundary
-    marker for omitted boundary terms."""
+class _LedgerVector(QVector):
+    """A `QVector` over R6_BASIS; a name outside the basis raises."""
 
-    coeffs: Mapping[str, Fraction]
-    unknown_boundary: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = set(self.coeffs) - set(R6_BASIS)
+    def __init__(self, coeffs: Mapping[str, int | Fraction]):
+        bad = set(coeffs) - set(R6_BASIS)
         if bad:
             raise ValueError(f"unknown basis elements: {sorted(bad)}")
-        clean = {k: Fraction(v) for k, v in self.coeffs.items() if v != 0}
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(R6_BASIS, coeffs)
 
     def __getitem__(self, key: str) -> Fraction:
         if key not in R6_BASIS:
             raise KeyError(key)
-        return self.coeffs.get(key, Fraction(0))
+        return Fraction(self.nums.get(key, 0), self.den)
 
-    def __add__(self, other: "DivClassR6") -> "DivClassR6":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return DivClassR6(out, self.unknown_boundary or other.unknown_boundary)
 
-    def __sub__(self, other: "DivClassR6") -> "DivClassR6":
-        return self + (-1) * other
+class DivClassR6(_LedgerVector):
+    """Divisor class over R6_BASIS, optionally carrying the unknown-boundary
+    marker for omitted boundary terms; sums and multiples keep the marker."""
 
-    def __mul__(self, scalar) -> "DivClassR6":
-        c = Fraction(scalar)
-        return DivClassR6({k: v * c for k, v in self.coeffs.items()},
-                          self.unknown_boundary)
+    __slots__ = ("unknown_boundary",)
 
-    __rmul__ = __mul__
+    def __init__(self, coeffs: Mapping[str, int | Fraction],
+                 unknown_boundary: bool = False):
+        super().__init__(coeffs)
+        self.unknown_boundary = unknown_boundary
+
+    def _like(self, nums, den, other):
+        out = super()._like(nums, den, other)
+        out.unknown_boundary = self.unknown_boundary or other.unknown_boundary
+        return out
 
     def vector(self) -> tuple[Fraction, ...]:
         return tuple(self[k] for k in R6_BASIS)
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Intersection numbers of a 1-cycle against R6_BASIS."""
+class CurveClass(_LedgerVector):
+    """Intersection numbers of a 1-cycle against R6_BASIS.
 
-    numbers: Mapping[str, Fraction]
-    provenance: str
-    marker_orthogonal: bool = False
+    ``numbers`` gives them as `Fraction`s.  A sum or multiple keeps the
+    provenance of its left operand and is marker-orthogonal when both
+    operands are.
+    """
 
-    def __post_init__(self):
-        bad = set(self.numbers) - set(R6_BASIS)
-        if bad:
-            raise ValueError(f"unknown basis elements: {sorted(bad)}")
-        object.__setattr__(
-            self, "numbers",
-            {k: Fraction(v) for k, v in self.numbers.items() if v != 0})
+    __slots__ = ("provenance", "marker_orthogonal")
 
-    def __getitem__(self, key: str) -> Fraction:
-        if key not in R6_BASIS:
-            raise KeyError(key)
-        return self.numbers.get(key, Fraction(0))
+    numbers = QVector.coeffs
 
-    def scaled(self, factor, provenance: str) -> "CurveClass":
-        c = Fraction(factor)
-        return CurveClass({k: v * c for k, v in self.numbers.items()},
-                          provenance, self.marker_orthogonal)
+    def __init__(self, numbers: Mapping[str, int | Fraction], provenance: str,
+                 marker_orthogonal: bool = False):
+        super().__init__(numbers)
+        self.provenance = provenance
+        self.marker_orthogonal = marker_orthogonal
+
+    def _like(self, nums, den, other):
+        out = super()._like(nums, den, other)
+        out.provenance = self.provenance
+        out.marker_orthogonal = self.marker_orthogonal and other.marker_orthogonal
+        return out
+
+    def scaled(self, factor: int | Fraction, provenance: str) -> "CurveClass":
+        out = self * factor
+        out.provenance = provenance
+        return out
 
     def pair(self, div: DivClassR6) -> Fraction:
         if div.unknown_boundary and not self.marker_orthogonal:
             raise MarkerPairingError(
                 "class carries unknown boundary terms; declare the curve "
                 "marker-orthogonal before pairing")
-        return sum((self[k] * v for k, v in div.coeffs.items()), Fraction(0))
+        get = div.nums.get
+        return Fraction(sum(n * get(k, 0) for k, n in self.nums.items()),
+                        self.den * div.den)
 
 
 # -- pullback formulas -------------------------------------------------------
@@ -155,7 +161,7 @@ def ap_pullback_theta(restricted: bool = False) -> DivClassR6:
 class BoundaryPullback:
     """The boundary divisor of A6-bar pulled back: -2 theta + delta0'."""
 
-    theta_coeff: Fraction
+    theta_coeff: int
     tail: DivClassR6
 
     def expanded(self, restricted: bool = False) -> DivClassR6:
@@ -163,7 +169,7 @@ class BoundaryPullback:
 
 
 def pullback_boundary_D6() -> BoundaryPullback:
-    return BoundaryPullback(theta_coeff=Fraction(-2),
+    return BoundaryPullback(theta_coeff=-2,
                             tail=DivClassR6({"delta0_prime": 1}))
 
 
@@ -182,14 +188,14 @@ def chi_of_Y_chain() -> dict:
     canonical = -3 * h1 - 2 * h2
     surface_class = 6 * h1 + 3 * h2
     omega = canonical + surface_class
-    omega_class = tuple(omega.coeffs.get(k, Fraction(0)) for k in ((1, 0), (0, 1)))
-    h0_omega_ambient = _h0_product((2, 1), [int(c) for c in omega_class])
+    # omega is integral (its den is 1), so its numerators are its degrees
+    omega_class = tuple(omega.nums.get(k, 0) for k in ((1, 0), (0, 1)))
+    h0_omega_ambient = _h0_product((2, 1), omega_class)
     correction = 4 * _h0_product((1,), (1,))  # one pencil per contracted line
     h0_omega = h0_omega_ambient - correction
     chi = 1 - 0 + h0_omega  # h^1(O) = 0: the family is a rational surface
-    return {"omega_class": omega_class,
-            "h0_omega_ambient": Fraction(h0_omega_ambient),
-            "h0_omega": Fraction(h0_omega), "chi": Fraction(chi)}
+    return {"omega_class": omega_class, "h0_omega_ambient": h0_omega_ambient,
+            "h0_omega": h0_omega, "chi": chi}
 
 
 def _h0_product(dims, degs) -> int:
@@ -199,25 +205,25 @@ def _h0_product(dims, degs) -> int:
     return out
 
 
-def lambda_degree_from_family(chi: Fraction) -> Fraction:
+def lambda_degree_from_family(chi: int | Fraction) -> int | Fraction:
     """Degree of lambda on the pencil: chi(O of the family) + g - 1, with
     chi from `chi_of_Y_chain`."""
-    return Fraction(chi) + GENUS - 1
+    return rational(chi) + GENUS - 1
 
 
-def solve_double_line_count(e_lambda: Fraction, e_delta0_prime: Fraction,
+def solve_double_line_count(e_lambda: int | Fraction,
+                            e_delta0_prime: int | Fraction,
                             unreduced: bool = False) -> Fraction:
     """Count of double-line members of the pencil, from the vanishing of the
     Gieseker-Petri-type relation 47 e.lambda - 6 e.delta0' - 12 e.delta0ram = 0
     (or its unreduced double, as a cross-check).  e_delta0_prime is the count
     of singular members from `chow.euler_numbers`."""
-    if e_lambda <= 0:
+    if rational(e_lambda) <= 0:
         raise ValueError("degenerate family: lambda-degree must be positive")
+    e_delta0 = rational(e_delta0_prime) + E_DELTA0_DBLPRIME
     if unreduced:
-        return (94 * e_lambda - 12 * (e_delta0_prime + E_DELTA0_DBLPRIME)) \
-            / Fraction(24)
-    return (47 * e_lambda - 6 * (e_delta0_prime + E_DELTA0_DBLPRIME)) \
-        / Fraction(12)
+        return Fraction(94 * e_lambda - 12 * e_delta0, 24)
+    return Fraction(47 * e_lambda - 6 * e_delta0, 12)
 
 
 def degree_nine_lemma() -> Fraction:

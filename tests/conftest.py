@@ -25,8 +25,13 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def euler(P, table):
-    return chow.euler_numbers(chow.koszul_chi_B(P), chow.kb_squared(table))
+def blowup(table):
+    return chow.BlowupRing(table)
+
+
+@pytest.fixture(scope="module")
+def euler(P, blowup):
+    return chow.euler_numbers(chow.koszul_chi_B(P), chow.kb_squared(blowup))
 
 
 @pytest.fixture(scope="module")

@@ -46,9 +46,9 @@ def test_criterion_01_dimension_ladder(capfd):
             assert sys_ == cb.zeta(lines)[1], f"seed {seed}"
 
 
-def test_criterion_02_degree_of_double_cover(capfd, table, P):
+def test_criterion_02_degree_of_double_cover(capfd, blowup, P):
     with _announce(2, "degree 2 of the half-anticanonical map, two routes", capfd):
-        blowup_route, segre_route = chow.verify_deg_h_two_ways(table, P)
+        blowup_route, segre_route = chow.verify_deg_h_two_ways(blowup, P)
         assert blowup_route == 2
         assert segre_route == 2
         # the Segre route is c1^2 - c2 = 5 - 3 on the nose
@@ -67,11 +67,11 @@ def test_criterion_03_blowup_table(capfd, table):
         assert table[(2, 0, 0, 2)] == 0
 
 
-def test_criterion_04_canonical_and_chi(capfd, table, P, euler):
+def test_criterion_04_canonical_and_chi(capfd, blowup, P, euler):
     with _announce(4, "K_P, K_B^2 = 8, chi(O_B) = 6, c2(B) = 64", capfd):
-        kp, _ = chow.canonical_classes()
-        assert kp == {"H1": Fraction(-3), "H2": Fraction(-3), "N": Fraction(3)}
-        assert chow.kb_squared(table) == 8
+        kp, _ = chow.canonical_classes(blowup)
+        assert kp == blowup.divisor({"H1": -3, "H2": -3, "N": 3})
+        assert chow.kb_squared(blowup) == 8
         assert chow.koszul_chi_B(P) == 6
         e = euler
         assert e["e_B"] == 64

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prym6.exactalg import (BlockMismatchError, MultiPoly, QMatrix, det3_poly,
-                            primitive, solve_exact)
+from prym6 import chow, moduli
+from prym6.exactalg import (MultiPoly, QMatrix, QVector, SpaceMismatchError,
+                            det3_poly, primitive, solve_exact)
+from prym6.moduli import R6_BASIS, CurveClass, DivClassR6
 
 XY = (("x", 3), ("y", 3))
 X = (("x", 3),)
@@ -46,7 +48,7 @@ class TestMultiPoly:
         assert x1.partial("y", 2).is_zero()
 
     def test_block_mismatch(self):
-        with pytest.raises(BlockMismatchError):
+        with pytest.raises(SpaceMismatchError):
             MultiPoly.zero(XY) + MultiPoly.zero(X)
 
     @settings(max_examples=40, deadline=None)
@@ -106,6 +108,36 @@ class TestMultiPoly:
             p.coefficient_vector(monos[:-1])
 
 
+def _ring_classes(ring, keys):
+    return lambda c: chow.ChowClass(ring, c), st.sampled_from(keys)
+
+
+def _bundle_ring():
+    S = chow.DelPezzoRing()
+    return chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+
+
+DP_KEYS = ["1", "L", "E1", "E2", "E3", "E4", "pt"]
+#: every type built on QVector -> a maker of (make(coeffs), key strategy)
+VECTOR_TYPES = {
+    "QVector": lambda: (lambda c: QVector("test", c), st.integers(0, 5)),
+    "MultiPoly": lambda: (lambda c: MultiPoly(XY, c),
+                          st.tuples(*(st.integers(0, 2) for _ in range(6)))),
+    "ChowClass-S": lambda: _ring_classes(chow.DelPezzoRing(), DP_KEYS),
+    "ChowClass-P": lambda: _ring_classes(
+        _bundle_ring(), [(a, s) for a in range(3) for s in DP_KEYS]),
+    "ChowClass-P2xP2xP2": lambda: _ring_classes(
+        chow.ProductProjectiveRing((2, 2, 2)),
+        list(product(range(3), repeat=3))),
+    "ChowClass-blowup": lambda: _ring_classes(
+        chow.BlowupRing(chow.blowup_intersection_table()),
+        [k for k in product(range(3), repeat=4) if sum(k) <= 4]),
+    "DivClassR6": lambda: (DivClassR6, st.sampled_from(R6_BASIS)),
+    "CurveClass": lambda: (lambda c: CurveClass(c, "test"),
+                           st.sampled_from(R6_BASIS)),
+}
+
+
 class TestCanonicalForm:
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy(), poly_strategy(),
@@ -123,6 +155,43 @@ class TestCanonicalForm:
         for c in p.terms.values():
             assert type(c) is Fraction and c != 0
             assert gcd(c.numerator, c.denominator) == 1
+
+    @pytest.mark.parametrize("name", list(VECTOR_TYPES))
+    def test_every_vector_type_has_one_form(self, name):
+        make, keys = VECTOR_TYPES[name]()
+        coeffs = st.dictionaries(keys, small_fracs, max_size=5)
+
+        @settings(max_examples=40, deadline=None)
+        @given(coeffs, coeffs,
+               st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+        def check(cx, cy, k):
+            x, y = make(cx), make(cy)
+            assert x.coeffs == {key: c for key, c in cx.items() if c}
+            assert x.den > 0 and all(x.nums.values())
+            assert gcd(x.den, *x.nums.values()) == 1
+            for q in (make({key: k * c for key, c in cx.items()}) * (1 / k),
+                      (x * k) * (1 / k), (x + y) - y, -(-x), make(x.coeffs)):
+                assert q == x
+                assert hash(q) == hash(x)
+                assert (q.nums, q.den) == (x.nums, x.den)
+            zero = x - x
+            assert (zero.nums, zero.den) == ({}, 1)
+            assert zero == make({}) and hash(zero) == hash(make({}))
+
+        check()
+
+    def test_vectors_combine_only_over_one_space(self):
+        S1, S2 = chow.DelPezzoRing(), chow.DelPezzoRing()
+        with pytest.raises(SpaceMismatchError):
+            S1.L() + S2.L()
+        with pytest.raises(SpaceMismatchError):
+            S1.L() * S2.L()
+        assert S1.L() != S2.L()
+        with pytest.raises(TypeError):
+            DivClassR6({"lambda": 1}) + CurveClass({"lambda": 1}, "test")
+        with pytest.raises(TypeError):
+            DivClassR6({"lambda": 1}) * DivClassR6({"lambda": 1})
+        assert DivClassR6({"lambda": 1}) != CurveClass({"lambda": 1}, "test")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -145,6 +214,37 @@ class TestCanonicalForm:
         if m.rows == m.cols:
             assert m.det() == ints.det()
             assert scaled.det() == ints.det() / k ** m.rows
+
+
+#: every entry point of an exact value -> a call that passes it a float
+FLOAT_ENTRY_POINTS = {
+    "MultiPoly": lambda: MultiPoly(X, {(1, 0, 0): 0.1}),
+    "MultiPoly-scalar": lambda: MultiPoly.variable(X, "x", 0) * 0.5,
+    "ChowClass": lambda: chow.ChowClass(chow.DelPezzoRing(), {"L": 0.1}),
+    "ChowClass-scalar": lambda: chow.DelPezzoRing().L() * 0.5,
+    "ChowClass-rscalar": lambda: 0.5 * chow.DelPezzoRing().L(),
+    "ChowClass-sum": lambda: chow.DelPezzoRing().L() + 0.5,
+    "ChernData": lambda: chow.ChernData(
+        c1=-chow.DelPezzoRing().canonical(), c2=3.0),
+    "blowup-divisor": lambda: chow.BlowupRing(
+        chow.blowup_intersection_table()).divisor({"H1": 0.1, "H2": 1}),
+    "DivClassR6": lambda: DivClassR6({"lambda": 0.1}),
+    "DivClassR6-scalar": lambda: DivClassR6({"lambda": 1}) * 0.1,
+    "CurveClass": lambda: CurveClass({"lambda": 0.5}, "test"),
+    "CurveClass-scaled": lambda: CurveClass({"lambda": 18}, "test").scaled(
+        0.1, "tenth"),
+    "lambda-degree": lambda: moduli.lambda_degree_from_family(13.0),
+    "double-line-count": lambda: moduli.solve_double_line_count(18.0, 77),
+    "double-line-count-delta0": lambda: moduli.solve_double_line_count(18, 77.0),
+}
+
+
+class TestRejectsFloats:
+    @pytest.mark.parametrize("entry", list(FLOAT_ENTRY_POINTS))
+    def test_entry_point(self, entry):
+        # a float would round silently; every exact entry point raises
+        with pytest.raises(TypeError):
+            FLOAT_ENTRY_POINTS[entry]()
 
 
 def _substituted(p, at):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prym6 import moduli
-from prym6.moduli import (CurveClass, DivClassR6, MarkerPairingError,
+from prym6.moduli import (R6_BASIS, CurveClass, DivClassR6, MarkerPairingError,
                           ap_psi_coefficients, ap_pullback_theta,
                           prym_pullback_lambda, pullback_boundary_D6,
                           pullback_delta0, slope_bound)
@@ -179,3 +181,40 @@ class TestSlopeBounds:
             bumped[key] = bumped.get(key, Fraction(0)) + 1
             curve = CurveClass(bumped, "perturbed", marker_orthogonal=True)
             assert slope_bound("full", curve=curve) != reference
+
+
+# -- the integer ledger against a Fraction reference ---------------------------
+
+small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+ledger = st.dictionaries(st.sampled_from(R6_BASIS), small_fracs, max_size=6)
+
+
+def ref_combine(a, b, sign):
+    """a + sign * b as a dict of nonzero Fractions."""
+    return {k: v for k in set(a) | set(b)
+            if (v := a.get(k, Fraction(0)) + sign * b.get(k, Fraction(0)))}
+
+
+class TestLedgerArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(ledger, ledger, small_fracs, st.booleans(), st.booleans())
+    def test_matches_the_fraction_reference(self, a, b, k, ma, mb):
+        x, y = DivClassR6(a, ma), DivClassR6(b, mb)
+        assert (x + y).coeffs == ref_combine(a, b, 1)
+        assert (x - y).coeffs == ref_combine(a, b, -1)
+        assert (k * x).coeffs == ref_combine({}, a, k)
+        assert (x * k).coeffs == (k * x).coeffs
+        assert (-x).coeffs == ref_combine({}, a, -1)
+        assert (x + y).unknown_boundary == (x - y).unknown_boundary == (ma or mb)
+        assert (k * x).unknown_boundary == ma
+        assert x.vector() == tuple(a.get(key, 0) for key in R6_BASIS)
+
+        curve = CurveClass(b, "test", marker_orthogonal=True)
+        paired = sum((b.get(key, Fraction(0)) * v for key, v in a.items()),
+                     Fraction(0))
+        assert curve.pair(x) == paired
+        assert curve.pair(x + x) == 2 * paired
+        scaled = curve.scaled(k, "scaled")
+        assert scaled.pair(x) == k * paired
+        assert scaled.numbers == ref_combine({}, b, k)
+        assert (scaled.provenance, scaled.marker_orthogonal) == ("scaled", True)
