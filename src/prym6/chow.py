@@ -222,18 +222,19 @@ def conic_bundle_chern_data(S: DelPezzoRing) -> ChernData:
 
 # -- blow-up intersection table -------------------------------------------
 
-def blowup_intersection_table() -> dict[tuple[int, int, int, int], Fraction]:
+def blowup_intersection_table() -> dict[tuple[int, int, int, int], int]:
     """Top intersection numbers of (N, H, H1, H2) on the blown-up S x P^2.
 
     N is the sum of the four exceptional divisors over the curves
     E_i x {u_i}; H, H1, H2 pull back -K_S, L and the P^2 hyperplane.  The
     exceptional pushforward rules give N^4 = -4, N^3.H = 4, N^3.H1 =
     N^3.H2 = 0 and N^2.(anything pulled back) = 0; N-free monomials are
-    computed on S x P^2.
+    computed on S x P^2.  Every entry is an int: an intersection number on
+    S that is not an integer raises `ArithmeticError`.
     """
     S = DelPezzoRing()
     mk = -S.canonical()
-    table: dict[tuple[int, int, int, int], Fraction] = {}
+    table: dict[tuple[int, int, int, int], int] = {}
     for n in range(5):
         for h in range(5 - n):
             for h1 in range(5 - n - h):
@@ -241,19 +242,23 @@ def blowup_intersection_table() -> dict[tuple[int, int, int, int], Fraction]:
                 key = (n, h, h1, h2)
                 if n == 0:
                     if h2 != 2:
-                        table[key] = Fraction(0)
+                        table[key] = 0
                     else:
-                        table[key] = ((mk ** h) * (S.L() ** h1)).integrate()
+                        v = ((mk ** h) * (S.L() ** h1)).integrate()
+                        if v.denominator != 1:
+                            raise ArithmeticError(
+                                f"intersection number {v} on S is not an integer")
+                        table[key] = v.numerator
                 elif n in (1, 2):
-                    table[key] = Fraction(0)
+                    table[key] = 0
                 elif n == 3:
                     # N_i^3 . pullback(g) = deg(g restricted to E_i x {u_i})
                     if (h, h1, h2) == (1, 0, 0):
-                        table[key] = Fraction(4)  # (-K_S).E_i = 1 per centre
+                        table[key] = 4  # (-K_S).E_i = 1 per centre
                     else:
-                        table[key] = Fraction(0)
+                        table[key] = 0
                 else:
-                    table[key] = Fraction(-4)  # N_i^4 = -1 per centre
+                    table[key] = -4  # N_i^4 = -1 per centre
     return table
 
 
@@ -272,7 +277,7 @@ class BlowupRing:
     only integrals are intersection numbers.
     """
 
-    def __init__(self, table: Mapping[tuple[int, int, int, int], Fraction]):
+    def __init__(self, table: Mapping[tuple[int, int, int, int], int]):
         self.table = table
 
     def divisor(self, coeffs: Mapping[str, int | Fraction]) -> ChowClass:
@@ -294,9 +299,8 @@ class BlowupRing:
 
     def integrate(self, cls: ChowClass) -> Fraction:
         table = self.table
-        # most table entries are 0, and a Fraction product costs more than a look
-        return sum((n * t for k, n in cls.nums.items()
-                    if sum(k) == 4 and (t := table[k])), Fraction(0)) / cls.den
+        return Fraction(sum(n * table[k] for k, n in cls.nums.items()
+                            if sum(k) == 4), cls.den)
 
 
 def intersection_number(divisors: Sequence[ChowClass]) -> Fraction:

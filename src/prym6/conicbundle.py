@@ -15,11 +15,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .exactalg import MultiPoly, QMatrix, det3_poly, primitive, solve_exact
+from .exactalg import (MultiPoly, QMatrix, det3_poly, integer_numerators,
+                       primitive)
 from .planesys import (GF, QQ, _random_invertible, monomials_of_degree,
                        only_known_common_roots, random_prime_ge_2_61)
 
@@ -100,10 +101,6 @@ class LineInFiber:
         object.__setattr__(self, "dual", primitive(self.dual))
         if all(c == 0 for c in self.o) or all(c == 0 for c in self.dual):
             raise DegenerateConfigurationError("zero point or zero line")
-
-    def contains_base_point(self) -> bool:
-        """Whether o itself lies on the line (sweeping-curve incidence)."""
-        return sum(a * b for a, b in zip(self.dual, self.o)) == 0
 
     def spanning_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ker = QMatrix([self.dual]).kernel()
@@ -324,10 +321,8 @@ class SymQuadricMatrix:
         table, divided once.  Each of the six distinct entries is computed
         once.
         """
-        x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
-        d = lcm(*(v.denominator for v in x))
-        table = dict(zip(_DEG2, _power_products(
-            [v.numerator * (d // v.denominator) for v in x], _DEG2)))
+        P, d = integer_numerators(x)
+        table = dict(zip(_DEG2, _power_products(P, _DEG2)))
         upper = {}
         for i in range(3):
             for j in range(i, 3):
@@ -530,36 +525,32 @@ def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly,
 # -- residual lines -----------------------------------------------------------
 
 
-def restricted_conic(Q: MultiPoly, o: Sequence[Fraction]) -> MultiPoly:
-    """Q restricted to the fiber {o} x P^2, a conic in y."""
-    return Q.substitute({"x": tuple(o)})
-
-
-def residual_line(Q: MultiPoly, lf: LineInFiber):
-    """Split the restricted conic as (marked line) * (residual line).
+def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
+    """Split the fiber conic y^T A(o) y as (marked line) * (residual line).
 
     Returns (m, y) with m the residual dual vector and y the intersection
     point of the two lines; y is None in the double-line case m = line.
+
+    Write d for the marked line's dual vector and a_jk for the entries of
+    A(o).  If the conic is c (d . y)(m . y), then A(o) = c (d m^T + m d^T)/2.
+    For an i with d_i != 0, the vector with entries 2 a_ik d_i - d_k a_ii
+    is then c d_i^2 m, and with it as m, 2 d_i^2 A(o) = d m^T + m d^T.
+    Conversely that identity makes the conic (d . y)(m . y) / d_i^2.  So
+    the identity, checked entry by entry, holds exactly when d divides the
+    conic.  Row j of A(o) is nums_j / dens_j; m is taken over dens_i, and
+    each entry's equation is multiplied out, so the check runs in integers.
     """
-    conic = restricted_conic(Q, lf.o)
-    # numerators of the conic over the 6 degree-2 monomials in y: the conic
-    # times its denominator, which scales m by a factor `primitive` removes
-    target = [conic.nums.get(m, 0) for m in _DEG2]
-    # matrix of the multiplication map m -> (dual . y)(m . y)
-    cols = []
-    for k in range(3):
-        prod: dict = {}
-        for i in range(3):
-            if lf.dual[i]:
-                e = tuple((1 if a == i else 0) + (1 if a == k else 0)
-                          for a in range(3))
-                prod[e] = prod.get(e, 0) + lf.dual[i]
-        cols.append([prod.get(m, 0) for m in _DEG2])
-    M = QMatrix([[cols[k][r] for k in range(3)] for r in range(6)])
-    m = solve_exact(M, target)
-    if m is None:
+    a = A.evaluated(lf.o)
+    d = lf.dual
+    i = next(k for k in range(3) if d[k])
+    row = a.nums[i]
+    m = [2 * row[k] * d[i] - d[k] * row[i] for k in range(3)]
+    scale = 2 * d[i] * d[i] * a.dens[i]
+    # both sides are symmetric, so the upper triangle is the whole check
+    if any(scale * a.nums[j][k] != (d[j] * m[k] + m[j] * d[k]) * a.dens[j]
+           for j in range(3) for k in range(j, 3)):
         raise MarkedLineInvariantError(
-            "marked line does not divide the restricted conic")
+            "marked line does not divide the fiber conic")
     m = primitive(m)
     y = primitive(_cross(lf.dual, m))
     if all(c == 0 for c in y):
@@ -584,7 +575,7 @@ class ConicBundleInstance:
     node_certificates: tuple[NodeCertificate, ...]
     fiber_singular_points: tuple[tuple[int, ...], ...]
     marked_lines: tuple[LineInFiber, ...]
-    #: ``residual_line(Q, lf)`` for each marked line, in the same order
+    #: ``residual_line(A, lf)`` for each marked line, in the same order
     residuals: tuple[tuple[tuple[int, ...], tuple[int, ...] | None], ...]
     seed: int | None = None
 
@@ -686,7 +677,7 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
     ys = tuple(singular_point_on_Q(A, Q, pt) for pt in STANDARD_NODES)
     rank_stratification_check(A, gamma, rng)
     # residual_line raises if the marked-line invariant is broken
-    residuals = tuple(residual_line(Q, lf) for lf in lines)
+    residuals = tuple(residual_line(A, lf) for lf in lines)
     return ConicBundleInstance(
         nodes=STANDARD_NODES, Q=Q, A=A, gamma=gamma, node_certificates=certs,
         fiber_singular_points=ys, marked_lines=tuple(lines),
@@ -719,10 +710,6 @@ class NetT:
     fixed_lines: tuple[LineInFiber, ...]
     system: LinearSystem
     restricted: tuple[QMatrix, ...]  # A_i(o), symmetric 3x3 over Q
-
-    @property
-    def generators(self) -> tuple[MultiPoly, ...]:
-        return self.system.basis
 
 
 def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
@@ -856,8 +843,3 @@ def sweep(seed: int, samples: int) -> dict:
                 MarkedLineInvariantError, DegenerateConfigurationError):
             continue
     return {"net": net, "cubic": cubic_report, "samples": results}
-
-
-def expected_system_dimension(bidegree: tuple[int, int]) -> int:
-    """Vector-space dimension of all forms of the given bidegree."""
-    return comb(bidegree[0] + 2, 2) * comb(bidegree[1] + 2, 2)

@@ -37,15 +37,26 @@ def rational(value):
                     f"not {type(value).__name__}")
 
 
+def integer_numerators(values: Iterable) -> tuple[list[int], int]:
+    """(nums, d): the values as integer numerators over one denominator.
+
+    d is the least common multiple of the values' reduced denominators, so
+    values[k] = nums[k] / d, and no factor of d divides every numerator.
+    Each value passes through `rational`, so a float raises `TypeError`.
+    Every exact value that becomes integers goes through here.
+    """
+    vals = [rational(v) for v in values]
+    d = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
 def primitive(vector: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The result has coprime integer entries and its first nonzero entry is
     positive, which makes kernel bases deterministic.
     """
-    vals = [v if isinstance(v, int) else Fraction(v) for v in vector]
-    denom = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (denom // v.denominator) for v in vals]
+    ints, _ = integer_numerators(vector)
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)
@@ -85,12 +96,10 @@ class QVector:
     __slots__ = ("space", "nums", "den")
 
     def __init__(self, space, coeffs: Mapping | None = None):
-        vals = {k: rational(v) for k, v in coeffs.items()} if coeffs else {}
-        den = lcm(*(v.denominator for v in vals.values()))
+        coeffs = coeffs or {}
+        nums, den = integer_numerators(coeffs.values())
         self.space = space
-        self.nums, self.den = _reduced(
-            {k: v.numerator * (den // v.denominator) for k, v in vals.items()},
-            den)
+        self.nums, self.den = _reduced(dict(zip(coeffs, nums)), den)
 
     @classmethod
     def from_ints(cls, space, nums: Mapping, den: int = 1):
@@ -287,6 +296,11 @@ class MultiPoly(QVector):
         degree in that block is s takes P^e d^(top - s), top being the
         block's highest degree, so the sums run in integers and the result
         is over den times d^top for each block.
+
+        Nothing in the package calls it: `jet` evaluates, and a fiber conic
+        is read from `SymQuadricMatrix.evaluated`.  It stays as the general
+        restriction that the tests check `jet` against, and because
+        ``perfbench/tracer.py`` counts its calls (ROADMAP item 1).
         """
         spans = []  # (offset, P, d, top) of each substituted block
         keep_blocks: list[tuple[str, int]] = []
@@ -295,14 +309,11 @@ class MultiPoly(QVector):
         off = 0
         for name, size in self.blocks:
             if name in assignment:
-                pt = [v if isinstance(v, int) else Fraction(v)
-                      for v in assignment[name]]
-                if len(pt) != size:
+                P, d = integer_numerators(assignment[name])
+                if len(P) != size:
                     raise ValueError(f"point for block {name!r} has wrong size")
-                d = lcm(*(v.denominator for v in pt))
                 top = max((sum(e[off:off + size]) for e in self.nums), default=0)
-                spans.append((off, [v.numerator * (d // v.denominator) for v in pt],
-                              d, top))
+                spans.append((off, P, d, top))
                 den *= d ** top
             else:
                 keep_blocks.append((name, size))
@@ -359,16 +370,14 @@ class MultiPoly(QVector):
         for name, size in self.blocks:
             if name not in assignment:
                 raise ValueError("every block must be assigned")
-            pt = [v if isinstance(v, (int, Fraction)) else Fraction(v)
-                  for v in assignment[name]]
-            if len(pt) != size:
+            P, d = integer_numerators(assignment[name])
+            if len(P) != size:
                 raise ValueError(f"point for block {name!r} has wrong size")
-            d = lcm(*(v.denominator for v in pt))
             if d != 1:
                 a = len(coords)
                 deg = max((sum(e[a:a + size]) for e in self.nums), default=0)
                 lifts.append((a, a + size, d, deg))
-            coords += [v.numerator * (d // v.denominator) for v in pt]
+            coords += P
             back += [d] * size
         n = len(coords)
         zeros = [k for k, v in enumerate(coords) if not v]
@@ -429,13 +438,6 @@ class MultiPoly(QVector):
             out += (tuple(map(tuple, rows)),)
         return out
 
-    def coefficient_vector(self, monomials: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
-        extra = set(self.nums) - set(monomials)
-        if extra:
-            raise ValueError(f"terms outside the monomial list: {sorted(extra)[:3]}")
-        terms = self.terms
-        return tuple(terms.get(m, Fraction(0)) for m in monomials)
-
 
 def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """Determinant of a 3x3 matrix of polynomials, by permutation expansion."""
@@ -465,10 +467,8 @@ class QMatrix:
             else:
                 # over the lcm of the reduced denominators the row is
                 # already in lowest terms
-                row = [v if isinstance(v, int) else Fraction(v) for v in row]
-                d = lcm(*(v.denominator for v in row))
-                row = tuple(v.numerator * (d // v.denominator) for v in row)
-            nums.append(row)
+                row, d = integer_numerators(row)
+            nums.append(tuple(row))
             dens.append(d)
         if nums and any(len(r) != len(nums[0]) for r in nums):
             raise ValueError("ragged matrix")
@@ -580,6 +580,10 @@ def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...
     For underdetermined consistent systems an arbitrary (deterministic)
     solution is returned.  Row i of M is nums_i / d_i, so its equation is
     nums_i . x - d_i b_i = 0.
+
+    Nothing in the package calls it since residual lines are found by
+    dividing the fiber conic; it stays because ``perfbench/tracer.py`` spans
+    it, and goes with that span (ROADMAP item 1).
     """
     aug = QMatrix([row + (-d * b,)
                    for row, d, b in zip(matrix.nums, matrix.dens, rhs)])

@@ -121,6 +121,15 @@ class TestBlowupTable:
     def test_table_is_complete(self, table):
         assert len(table) == 35  # compositions of 4 into 4 parts
         assert all(sum(k) == 4 for k in table)
+        assert all(type(v) is int for v in table.values())
+
+    def test_non_integral_surface_number_raises(self, monkeypatch):
+        # an intersection number on S is an integer; the table refuses one
+        # that is not instead of storing it
+        monkeypatch.setattr(chow.DelPezzoRing, "integrate",
+                            lambda self, cls: Fraction(1, 2))
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            chow.blowup_intersection_table()
 
     def test_intersection_number_multilinear(self, blowup):
         d = blowup.divisor({"H1": 1, "H2": 1, "N": -1})

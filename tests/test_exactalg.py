@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prym6 import chow, moduli
+from prym6 import conicbundle as cb
 from prym6.exactalg import (MultiPoly, QMatrix, QVector, SpaceMismatchError,
-                            det3_poly, primitive, solve_exact)
+                            det3_poly, integer_numerators, primitive,
+                            solve_exact)
 from prym6.moduli import R6_BASIS, CurveClass, DivClassR6
 
 XY = (("x", 3), ("y", 3))
@@ -97,15 +99,6 @@ class TestMultiPoly:
     def test_multidegree_none_for_mixed(self):
         p = MultiPoly(XY, {(1, 0, 0, 0, 0, 0): 1, (2, 0, 0, 0, 0, 0): 1})
         assert p.multidegree() is None
-
-    def test_coefficient_vector_roundtrip(self):
-        rng = random.Random(1)
-        p = rand_poly(rng)
-        monos = sorted(p.terms)
-        vec = p.coefficient_vector(monos)
-        assert MultiPoly(XY, dict(zip(monos, vec))) == p
-        with pytest.raises(ValueError):
-            p.coefficient_vector(monos[:-1])
 
 
 def _ring_classes(ring, keys):
@@ -236,7 +229,29 @@ FLOAT_ENTRY_POINTS = {
     "lambda-degree": lambda: moduli.lambda_degree_from_family(13.0),
     "double-line-count": lambda: moduli.solve_double_line_count(18.0, 77),
     "double-line-count-delta0": lambda: moduli.solve_double_line_count(18, 77.0),
+    "primitive": lambda: primitive([0.1, 1]),
+    "QMatrix": lambda: QMatrix([[0.1, 1]]),
+    "MultiPoly-jet": lambda: MultiPoly.variable(X, "x", 0).jet(
+        {"x": (0.5, 1, 1)}),
+    "MultiPoly-evaluate": lambda: MultiPoly.variable(X, "x", 0).evaluate(
+        {"x": (0.5, 1, 1)}),
+    "MultiPoly-substitute": lambda: MultiPoly.variable(XY, "x", 0).substitute(
+        {"x": (0.5, 1, 1)}),
+    "SymQuadricMatrix-evaluated": lambda: cb.to_symmetric_matrix(
+        MultiPoly(XY, {(2, 0, 0, 2, 0, 0): 1})).evaluated((0.5, 1, 1)),
+    "LineInFiber": lambda: cb.LineInFiber((0.5, 1, 1), (1, 0, 0)),
 }
+
+
+class TestIntegerNumerators:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-50, 50), small_fracs), max_size=6))
+    def test_values_over_the_lcm(self, values):
+        nums, d = integer_numerators(values)
+        assert all(type(n) is int for n in nums) and d > 0
+        assert [Fraction(n, d) for n in nums] == values
+        # d is the least denominator: no factor of it divides every numerator
+        assert gcd(d, *nums) == 1
 
 
 class TestRejectsFloats:
