@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import combinations
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -103,7 +104,7 @@ class LineInFiber:
             raise DegenerateConfigurationError("zero point or zero line")
 
     def spanning_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        ker = QMatrix([self.dual]).kernel()
+        ker = QMatrix.from_ints([self.dual]).kernel()
         return ker[0], ker[1]
 
 
@@ -151,17 +152,6 @@ def node_condition_rows(monomials, point: Sequence[Fraction],
     return rows
 
 
-def _no_three_collinear(points) -> bool:
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            for k in range(j + 1, len(pts)):
-                d = QMatrix([pts[i], pts[j], pts[k]]).det()
-                if d == 0:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def base_system(points: tuple[tuple[Fraction, ...], ...],
                 bidegree: tuple[int, int] = (2, 2),
@@ -173,13 +163,13 @@ def base_system(points: tuple[tuple[Fraction, ...], ...],
     (1,1) and order 1 it is the 5-dimensional system of the base surface.
     """
     points = tuple(tuple(Fraction(c) for c in pt) for pt in points)
-    if not _no_three_collinear(points):
+    if not all(QMatrix(triple).det() for triple in combinations(points, 3)):
         raise DegenerateConfigurationError("three of the base points are collinear")
     monomials = bidegree_monomials(bidegree)
     rows = []
     for pt in points:
         rows.extend(node_condition_rows(monomials, pt, order))
-    matrix = QMatrix(rows)
+    matrix = QMatrix.from_ints(rows)
     rank = matrix.rank()
     if rank != len(rows):
         raise DegenerateConfigurationError(
@@ -249,8 +239,8 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     rows, so one drop check is the check of every step.
     """
     basis = sys.vectors
-    restricted = QMatrix([[sum(map(mul, row, vec)) for vec in basis]
-                          for row in rows])
+    restricted = QMatrix.from_ints([[sum(map(mul, row, vec)) for vec in basis]
+                                    for row in rows])
     ker = restricted.kernel()
     drop = sys.dim - len(ker)
     if drop != expected_drop:
@@ -285,16 +275,6 @@ def impose_point(sys: LinearSystem, x: Sequence[Fraction],
     return _cut(sys, rows, 1, f"point ({tuple(x)}, {tuple(y)})")
 
 
-def stacked_condition_matrix(points, lines: Sequence[LineInFiber]) -> QMatrix:
-    """All (2,2) node and line conditions as one matrix on raw coefficient
-    vectors."""
-    monomials = bidegree_monomials((2, 2))
-    rows = []
-    for pt in points:
-        rows.extend(node_condition_rows(monomials, pt, 2))
-    return QMatrix(rows + _line_rows(monomials, lines))
-
-
 # -- symmetric matrix and discriminant ---------------------------------------
 
 #: the exponents of the six quadratic monomials in one block of three
@@ -316,22 +296,18 @@ class SymQuadricMatrix:
     def evaluated(self, x: Sequence[Fraction]) -> QMatrix:
         """A(x), from one table of the six quadratic monomials at x.
 
-        With x = P/d for an integer vector P, an entry N/D takes the value
-        N(P) / (D d^2): the integer dot product of its numerators with the
-        table, divided once.  Each of the six distinct entries is computed
-        once.
+        With x = P/d for an integer vector P and L the lcm of the entries'
+        denominators, an entry N/D is (L/D) N(P) / (L d^2): each of the six
+        distinct entries is one integer dot product with the table.
         """
         P, d = integer_numerators(x)
         table = dict(zip(_DEG2, _power_products(P, _DEG2)))
-        upper = {}
-        for i in range(3):
-            for j in range(i, 3):
-                entry = self.entries[i][j]
-                upper[i, j] = Fraction(
-                    sum(n * table[e] for e, n in entry.nums.items()),
-                    entry.den * d * d)
-        return QMatrix([[upper[min(i, j), max(i, j)] for j in range(3)]
-                        for i in range(3)])
+        upper = {(i, j): self.entries[i][j] for i in range(3) for j in range(i, 3)}
+        L = lcm(*(entry.den for entry in upper.values()))
+        values = {ij: L // a.den * sum(n * table[e] for e, n in a.nums.items())
+                  for ij, a in upper.items()}
+        return QMatrix.from_ints([[values[min(i, j), max(i, j)] for j in range(3)]
+                                  for i in range(3)], L * d * d)
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
@@ -706,10 +682,17 @@ def construct_instance(seed: int,
 
 @dataclass(frozen=True)
 class NetT:
-    o: tuple[Fraction, ...]
+    o: tuple[int, ...]  # primitive
     fixed_lines: tuple[LineInFiber, ...]
     system: LinearSystem
-    restricted: tuple[QMatrix, ...]  # A_i(o), symmetric 3x3 over Q
+    restricted: tuple[QMatrix, ...]  # A_k(o) of basis member k; o^T A_k(o) o = 0
+
+
+def _over_one_denominator(matrices: Sequence[QMatrix]) -> tuple[list, int]:
+    """(rows, D): the integer rows of each matrix over one denominator D."""
+    D = lcm(*(d for m in matrices for d in m.dens))
+    return [[[n * (D // d) for n in row] for row, d in zip(m.nums, m.dens)]
+            for m in matrices], D
 
 
 def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
@@ -726,8 +709,9 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
             + [_monomial_row(base.monomials, o + o)])
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
     restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
-    if QMatrix([[m[i, j] for i in range(3) for j in range(i, 3)]
-                for m in restricted]).rank() != 3:
+    int_rows, _ = _over_one_denominator(restricted)
+    if QMatrix.from_ints([[m[i][j] for i in range(3) for j in range(i, 3)]
+                          for m in int_rows]).rank() != 3:
         raise NonGenericDropError("restriction to the fiber over o is not injective")
     return NetT(o=o, fixed_lines=tuple(fixed_lines), system=sys,
                 restricted=restricted)
@@ -738,12 +722,12 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
 
     Certifies, exactly and with no random choice, that the cubic C has
     exactly one singular point t*, that t* is an ordinary node, and that
-    the rank-2 member B = sum t*_k A_k(o) splits as two lines through o
-    (its vertex is o itself).
+    the member B = sum t*_k A_k(o) has rank 2 and vertex o, so it splits as
+    two lines through o.  It rests on o^T A_k(o) o = 0 for each k (every
+    member of the net passes through (o, o)), checked in integers first.
 
     1. The node t* spans the kernel of the 3x3 matrix whose column k is
-       A_k(o) o.  Every member of the net passes through (o, o), so
-       o^T A_k(o) o = 0 and B o = 0; when B has rank 2, adj B = lambda o o^T
+       A_k(o) o, so B o = 0.  As B has rank 2 (step 4), adj B = lambda o o^T
        and d det / dt_k = tr(adj B A_k(o)) = lambda o^T A_k(o) o = 0.  The
        node certificate below checks the gradient at t* anyway.
     2. `node_certificate`: t* is an ordinary node.
@@ -754,45 +738,46 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
        a reducible cubic singular at t* contains a line through t* (t* lies
        on its line component, or is the vertex of its conic component,
        which is then a line pair).
-    4. B has rank 2 and its kernel is o.
+    4. B has rank 2 and kernel o, with no check of its own: B o = 0 gives
+       rank B <= 2, and a node rules out rank B <= 1.  For suppose
+       B = lambda b b^T.  Take coordinates with o = e_1 (C changes by a
+       nonzero constant factor); then b_1 = 0, and S = sum s_k A_k(o) has
+       S_11 = 0.  So C(t* + s) = det(B + S) = lambda b^T adj(S) b + det S,
+       whose quadratic part lambda b^T adj(S) b =
+       -lambda (b_2 S_13 - b_3 S_12)^2 is a square of a linear form in s:
+       the Hessian at t* has rank <= 1, its chart minor is 0, and step 2
+       has already failed.
     """
-    t = [MultiPoly.variable(T_BLOCKS, "t", i) for i in range(3)]
-    entries = [[sum((t[k] * MultiPoly.constant(T_BLOCKS, net.restricted[k][i, j])
-                     for k in range(3)), MultiPoly.zero(T_BLOCKS))
-                for j in range(3)] for i in range(3)]
-    cubic = det3_poly(entries)
+    o = net.o
+    rows, D = _over_one_denominator(net.restricted)
+    images = [[sum(map(mul, row, o)) for row in m] for m in rows]  # D A_k(o) o
+    if any(sum(map(mul, o, image)) for image in images):
+        raise CertificationError("a member of the net misses the point (o, o)")
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    cubic = det3_poly([[MultiPoly.from_ints(
+        T_BLOCKS, {units[k]: rows[k][i][j] for k in range(3)}, D)
+        for j in range(3)] for i in range(3)])
     if cubic.is_zero():
         raise DegenerateConfigurationError("identically singular net")
     # kept: perfbench pins the sweep pencil draws that follow; the
     # elimination that used to find t* drew this change of coordinates
     _random_invertible(QQ, rng)
-    images = [[sum((m[i, j] * c for j, c in enumerate(net.o)), Fraction(0))
-               for i in range(3)] for m in net.restricted]  # A_k(o) o
-    kernel = QMatrix([[images[k][i] for k in range(3)]
-                      for i in range(3)]).kernel()
+    kernel = QMatrix.from_ints([[images[k][i] for k in range(3)]
+                                for i in range(3)]).kernel()
     if len(kernel) != 1:
         raise CertificationError("the net has no unique member singular at o")
-    tstar = primitive(kernel[0])
+    tstar = kernel[0]
     cert = node_certificate(cubic, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
     if not no_line_through_node(cubic, cert):
         raise CertificationError("net discriminant is not a one-nodal cubic")
-    B = QMatrix([[sum((tstar[k] * net.restricted[k][i, j] for k in range(3)),
-                      Fraction(0)) for j in range(3)] for i in range(3)])
-    kernel = B.kernel()
-    if len(kernel) != 1:  # rank 2 <=> a one-dimensional kernel
-        raise CertificationError("singular net member is not a rank-2 conic")
-    (vertex,) = kernel
-    if primitive(vertex) != primitive(net.o):
-        raise CertificationError("singular conic does not split through o")
-    return {"cubic": cubic, "node": tstar, "certificate": cert,
-            "vertex": primitive(vertex)}
+    return {"cubic": cubic, "node": tstar, "certificate": cert}
 
 
-def pencil_line_through(o, rng: random.Random) -> LineInFiber:
+def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:
     """A random line through o in its own fiber (the sweeping pencil)."""
-    basis = QMatrix([tuple(o)]).kernel()
+    basis = QMatrix.from_ints([o]).kernel()
     while True:
         a, b = random_rational(rng), random_rational(rng)
         dual = tuple(a * u + b * v for u, v in zip(basis[0], basis[1]))

@@ -451,29 +451,37 @@ class QMatrix:
     """Dense matrix with exact rational entries.
 
     Row i is stored as integer numerators ``nums[i]`` over a positive row
-    denominator ``dens[i]``, in lowest terms; a row built from ints is kept
-    as it is, over 1.  Rank, kernel and determinant eliminate on the
-    integer rows.  ``entries`` and ``m[i, j]`` give `Fraction`s.
+    denominator ``dens[i]``, in lowest terms.  The constructor checks exact
+    values; `from_ints` takes integer rows.  Rank, kernel and determinant
+    eliminate on the integer rows.  ``entries`` and ``m[i, j]`` give
+    `Fraction`s.
     """
 
     __slots__ = ("nums", "dens")
 
     def __init__(self, entries: Iterable[Iterable]):
+        self._set_rows([integer_numerators(row) for row in entries])
+
+    @classmethod
+    def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "QMatrix":
+        """rows / den for integer rows and den > 0; the entries are not
+        checked."""
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        self = object.__new__(cls)
+        self._set_rows([(row, den) for row in rows])
+        return self
+
+    def _set_rows(self, rows: list[tuple[Sequence[int], int]]) -> None:
+        """Store each (integer row, denominator) pair in lowest terms."""
         nums, dens = [], []
-        for row in entries:
-            row = tuple(row)
-            if all(type(v) is int for v in row):
-                d = 1
-            else:
-                # over the lcm of the reduced denominators the row is
-                # already in lowest terms
-                row, d = integer_numerators(row)
-            nums.append(tuple(row))
-            dens.append(d)
+        for row, d in rows:
+            g = gcd(d, *row)
+            nums.append(tuple(row) if g == 1 else tuple(v // g for v in row))
+            dens.append(d // g)
         if nums and any(len(r) != len(nums[0]) for r in nums):
             raise ValueError("ragged matrix")
-        self.nums = tuple(nums)
-        self.dens = tuple(dens)
+        self.nums, self.dens = tuple(nums), tuple(dens)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -578,15 +586,16 @@ def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...
     """Solve M x = b exactly; None when inconsistent.
 
     For underdetermined consistent systems an arbitrary (deterministic)
-    solution is returned.  Row i of M is nums_i / d_i, so its equation is
-    nums_i . x - d_i b_i = 0.
+    solution is returned.  Row i of M is nums_i / d_i and b is B / e with
+    integer B, so equation i is e nums_i . x - d_i B_i = 0, in integers.
 
     Nothing in the package calls it since residual lines are found by
     dividing the fiber conic; it stays because ``perfbench/tracer.py`` spans
     it, and goes with that span (ROADMAP item 1).
     """
-    aug = QMatrix([row + (-d * b,)
-                   for row, d, b in zip(matrix.nums, matrix.dens, rhs)])
+    B, e = integer_numerators(rhs)
+    aug = QMatrix.from_ints([tuple(e * n for n in row) + (-d * b,)
+                             for row, d, b in zip(matrix.nums, matrix.dens, B)])
     for vec in aug.kernel():
         if vec[-1] != 0:
             t = vec[-1]

@@ -119,12 +119,25 @@ class TestImposePoint:
         assert scaled.vectors == cut.vectors
 
 
+def stacked_condition_matrix(points, lines):
+    """All (2,2) node and line conditions as one matrix on raw coefficient
+    vectors: the route to the unique member that `zeta`'s cut of the base
+    system replaces, kept as its independent oracle."""
+    monomials = cb.bidegree_monomials((2, 2))
+    rows = []
+    for pt in points:
+        rows.extend(cb.node_condition_rows(monomials, pt, 2))
+    for lf in lines:
+        rows.extend(cb.line_condition_rows(monomials, lf))
+    return QMatrix.from_ints(rows)
+
+
 class TestZeta:
     def test_unique_member_and_rank(self):
         lines, _ = lines_for(104)
         Q, sys = cb.zeta(lines)
         assert sys.dim == 1
-        m = cb.stacked_condition_matrix(cb.STANDARD_NODES, lines)
+        m = stacked_condition_matrix(cb.STANDARD_NODES, lines)
         assert m.rows == 35 and m.cols == 36
         assert m.rank() == 35
         ker = m.kernel()
@@ -146,7 +159,7 @@ class TestZeta:
     def test_repeated_line_gives_kernel_four(self):
         lines, _ = lines_for(106)
         repeated = [lines[0], lines[0], lines[1], lines[2], lines[3]]
-        m = cb.stacked_condition_matrix(cb.STANDARD_NODES, repeated)
+        m = stacked_condition_matrix(cb.STANDARD_NODES, repeated)
         assert len(m.kernel()) == 4
         with pytest.raises(cb.NonGenericDropError):
             cb.zeta(repeated)
@@ -627,6 +640,45 @@ class TestNoLineThroughNodeOracle:
         assert sylvester_says_no_line(cubic, cert)
 
 
+def rank_one_net(rng):
+    """(cubic, net): a hand-built net whose member singular at o has rank 1.
+
+    Draws again until the member singular at o is unique (the columns
+    A_k o span a plane) and the cubic is not zero."""
+    t = [MultiPoly.variable(cb.T_BLOCKS, "t", k) for k in range(3)]
+
+    def draw():
+        return [rng.randint(-5, 5) for _ in range(3)]
+
+    while True:
+        o, v = draw(), draw()
+        b = [o[1] * v[2] - o[2] * v[1], o[2] * v[0] - o[0] * v[2],
+             o[0] * v[1] - o[1] * v[0]]  # o x v, so b . o = 0
+        if not any(b):
+            continue
+        mats = [[[b[i] * b[j] for j in range(3)] for i in range(3)]]
+        oo = sum(c * c for c in o)
+        for _ in range(2):
+            s = [[0] * 3 for _ in range(3)]
+            for i in range(3):
+                for j in range(i, 3):
+                    s[i][j] = s[j][i] = rng.randint(-5, 5)
+            oso = sum(o[i] * s[i][j] * o[j] for i in range(3) for j in range(3))
+            mats.append([[oo * s[i][j] - oso * (i == j) for j in range(3)]
+                         for i in range(3)])
+        images = [[sum(r * c for r, c in zip(row, o)) for row in m] for m in mats]
+        if QMatrix.from_ints(images).rank() != 2:
+            continue
+        cubic = det3_poly([[sum((t[k] * mats[k][i][j] for k in range(3)),
+                                MultiPoly.zero(cb.T_BLOCKS))
+                            for j in range(3)] for i in range(3)])
+        if cubic.is_zero():
+            continue
+        net = cb.NetT(o=primitive(o), fixed_lines=(), system=None,
+                      restricted=tuple(QMatrix.from_ints(m) for m in mats))
+        return cubic, net
+
+
 class TestNetAndSweep:
     def test_net_dimension_and_cubic(self):
         rng = random.Random(21)
@@ -643,7 +695,12 @@ class TestNetAndSweep:
         report = cb.discriminant_cubic(net, rng)
         assert report["cubic"].multidegree() == (3,)
         assert report["certificate"].is_node
-        assert primitive(report["vertex"]) == primitive(net.o)
+        # proved, not checked, by discriminant_cubic: the singular member
+        # has rank 2 and vertex o
+        B = QMatrix([[sum(t * m[i, j] for t, m in zip(report["node"],
+                                                     net.restricted))
+                      for j in range(3)] for i in range(3)])
+        assert B.kernel() == [net.o]
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_kernel_node_is_the_elimination_root(self, seed):
@@ -663,6 +720,29 @@ class TestNetAndSweep:
         same = dataclasses.replace(net, restricted=(net.restricted[0],) * 3)
         with pytest.raises(cb.CertificationError, match="unique member"):
             cb.discriminant_cubic(same, rng)
+
+    def test_member_off_the_base_point_is_rejected(self):
+        # o^T A_1(o) o != 0: the first member no longer passes through (o, o)
+        rng = random.Random(21)
+        fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
+        o = tuple(cb.random_rational(rng) for _ in range(3))
+        net = cb.build_net_T(o, fixed)
+        a = net.restricted[0]
+        off = QMatrix([[a[i, j] + (i == j) for j in range(3)] for i in range(3)])
+        bad = dataclasses.replace(net, restricted=(off,) + net.restricted[1:])
+        with pytest.raises(cb.CertificationError, match=r"misses the point"):
+            cb.discriminant_cubic(bad, rng)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_one_singular_member_is_not_a_node(self, seed):
+        # A_1 = b b^T with b . o = 0, and A_2, A_3 random with o^T A_k o = 0:
+        # the singular member is t* = e_1, B = A_1 has rank 1, and the node
+        # certificate rejects it, as the proof of step 4 says it must
+        cubic, net = rank_one_net(random.Random(seed))
+        cert = cb.node_certificate(cubic, (1, 0, 0))
+        assert not any(cert.gradient) and cert.hessian_minor == 0
+        with pytest.raises(cb.CertificationError, match="not a node"):
+            cb.discriminant_cubic(net, random.Random(seed))
 
     def test_degenerate_base_point_flagged(self):
         rng = random.Random(22)

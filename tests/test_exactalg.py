@@ -200,6 +200,8 @@ class TestCanonicalForm:
         assert m.kernel() == ints.kernel()
         # dividing by k keeps the row space and divides the det by k^n
         scaled = QMatrix([[Fraction(v, k) for v in row] for row in rows])
+        assert QMatrix.from_ints(rows) == ints
+        assert QMatrix.from_ints(rows, k) == scaled
         assert scaled.entries == tuple(tuple(Fraction(v, k) for v in row)
                                        for row in rows)
         assert scaled.rank() == ints.rank()
@@ -207,6 +209,25 @@ class TestCanonicalForm:
         if m.rows == m.cols:
             assert m.det() == ints.det()
             assert scaled.det() == ints.det() / k ** m.rows
+
+    def test_from_ints_reduces_each_row(self):
+        # a den sharing factors with some rows, a zero row, a negative row
+        rows = [[2, 4, 6], [3, 5, 0], [0, 0, 0], [-4, 0, 8]]
+        m = QMatrix.from_ints(rows, 4)
+        assert m.nums == ((1, 2, 3), (3, 5, 0), (0, 0, 0), (-1, 0, 2))
+        assert m.dens == (2, 4, 1, 1)
+        assert m == QMatrix([[Fraction(v, 4) for v in row] for row in rows])
+
+    @pytest.mark.parametrize("den", [0, -1, -6])
+    def test_from_ints_needs_a_positive_denominator(self, den):
+        with pytest.raises(ValueError):
+            QMatrix.from_ints([[1, 2]], den)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError, match="ragged"):
+            QMatrix.from_ints([[1, 2], [3]])
+        with pytest.raises(ValueError, match="ragged"):
+            QMatrix([[1, 2], [Fraction(1, 2)]])
 
 
 #: every entry point of an exact value -> a call that passes it a float
