@@ -4,8 +4,8 @@ Builds the 16-dimensional linear system of (2,2) forms singular at four
 diagonal points, cuts it down by lines in fibers to a unique member, extracts
 the symmetric matrix of quadratic forms, and certifies that the discriminant
 sextic is nodal exactly at the four prescribed points.  Everything is exact;
-the no-extra-singularity proof runs modulo one large random prime, and is
-sound for every prime.
+the no-extra-singularity proof runs modulo word-size primes, one per
+attempt, and is sound for every prime.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import lcm, prod
 from operator import mul
@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 from .exactalg import (MultiPoly, QMatrix, det3_poly, integer_numerators,
                        primitive)
-from .planesys import (GF, QQ, _random_invertible, monomials_of_degree,
-                       only_known_common_roots, random_prime_ge_2_61)
+from .planesys import (QQ, _random_invertible, monomials_of_degree,
+                       only_known_common_roots)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
@@ -429,22 +429,19 @@ def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
-    """Certify Sing(gamma) = {points}, all ordinary nodes; mod a large prime
-    unless exact.  The count of `only_known_common_roots` needs the points
-    to be distinct singular points, which is checked here exactly over Q."""
+    """Certify Sing(gamma) = {points}, all ordinary nodes; modulo word-size
+    primes unless exact.  The count of `only_known_common_roots` needs the
+    points to be distinct singular points, which is checked here exactly
+    over Q."""
     listed = [primitive(pt) for pt in points]
     if len(set(listed)) != len(listed):
         return False
     for pt in listed:
         if not any(pt) or any(gamma.jet({"x": pt}, 1)[1]):
             return False
-    if exact:
-        F, curve = QQ, gamma.terms
-    else:
-        # the integer form den * gamma has the same singular points
-        F = GF(random_prime_ge_2_61(rng))
-        curve = {e: n % F.p for e, n in gamma.nums.items()}
-    return only_known_common_roots(F, curve, len(listed), rng)
+    # the integer form den * gamma has the same singular points
+    curve = gamma.terms if exact else gamma.nums
+    return only_known_common_roots(curve, len(listed), rng, exact)
 
 
 def certify_nodes(gamma: MultiPoly, points,
@@ -761,7 +758,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
         raise DegenerateConfigurationError("identically singular net")
     # kept: perfbench pins the sweep pencil draws that follow; the
     # elimination that used to find t* drew this change of coordinates
-    _random_invertible(QQ, rng)
+    _random_invertible(QQ, partial(QQ.random_element, rng))
     kernel = QMatrix.from_ints([[images[k][i] for k in range(3)]
                                 for i in range(3)]).kernel()
     if len(kernel) != 1:

@@ -9,8 +9,8 @@ divisor and curve classes of `moduli`.  A `QMatrix` stores each row as
 integer numerators over a positive row denominator.  Linear algebra goes
 through fraction-free (Bareiss) elimination on the integer rows, so ranks
 and kernels are certified, not numerical.  `fractions.Fraction` appears only
-at the interface: coefficients read through `QVector.coeffs`, entries
-through `QMatrix.entries`, and values, gradients and determinants.
+at the interface: coefficients read through `QVector.coeffs`, and values,
+gradients and determinants.
 """
 
 from __future__ import annotations
@@ -205,32 +205,6 @@ class MultiPoly(QVector):
                 raise ValueError(f"bad exponent vector {exp!r}")
             clean[exp] = clean.get(exp, 0) + c
         super().__init__(blocks, clean)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, blocks) -> "MultiPoly":
-        return cls(blocks)
-
-    @classmethod
-    def constant(cls, blocks, value) -> "MultiPoly":
-        nvars = sum(int(s) for _, s in blocks)
-        return cls(blocks, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, blocks, block: str, index: int) -> "MultiPoly":
-        blocks = tuple((str(n), int(s)) for n, s in blocks)
-        off = 0
-        for name, size in blocks:
-            if name == block:
-                if not 0 <= index < size:
-                    raise ValueError(f"index {index} out of range in block {block!r}")
-                nvars = sum(s for _, s in blocks)
-                exp = [0] * nvars
-                exp[off + index] = 1
-                return cls(blocks, {tuple(exp): 1})
-            off += size
-        raise ValueError(f"no block named {block!r}")
 
     # -- structure ----------------------------------------------------
 
@@ -453,8 +427,7 @@ class QMatrix:
     Row i is stored as integer numerators ``nums[i]`` over a positive row
     denominator ``dens[i]``, in lowest terms.  The constructor checks exact
     values; `from_ints` takes integer rows.  Rank, kernel and determinant
-    eliminate on the integer rows.  ``entries`` and ``m[i, j]`` give
-    `Fraction`s.
+    eliminate on the integer rows.
     """
 
     __slots__ = ("nums", "dens")
@@ -484,21 +457,12 @@ class QMatrix:
         self.nums, self.dens = tuple(nums), tuple(dens)
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(n, d) for n in row)
-                     for row, d in zip(self.nums, self.dens))
-
-    @property
     def rows(self) -> int:
         return len(self.nums)
 
     @property
     def cols(self) -> int:
         return len(self.nums[0]) if self.nums else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return Fraction(self.nums[i][j], self.dens[i])
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.nums == other.nums

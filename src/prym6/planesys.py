@@ -2,20 +2,20 @@
 
 Used to certify that a plane curve is singular only at k known points, all
 ordinary nodes, and to locate the unique node of a plane cubic.  The
-same code runs over Q and over a large prime field; the field is passed
-explicitly.
+same code runs over Q and over prime fields GF(q) with q below 2^30, where
+every residue is a single machine word; the field is passed explicitly.
 
 Polynomials in three variables are plain dicts mapping exponent triples to
 field elements; univariate polynomials are coefficient lists, low degree
 first.
 
 A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all``,
-``inv``, ``inv_all``, ``from_rational`` and ``random_element``; sums and
-products are Python's own operators on its elements.  ``reduce`` maps such
-a sum or product back to a field element: ``v % p`` over GF(p), the
-identity over Q; ``reduce_all`` does so for a whole list.  Reduction is
-lazy: a kernel sums unreduced products and reduces each coefficient once,
-before it compares it with ``zero``, returns it or uses it as a key.
+``inv``, ``inv_all`` and ``from_rational``; sums and products are Python's
+own operators on its elements.  ``reduce`` maps such a sum or product back
+to a field element: ``v % p`` over GF(p), the identity over Q;
+``reduce_all`` does so for a whole list.  Reduction is lazy: a kernel sums
+unreduced products and reduces each coefficient once, before it compares
+it with ``zero``, returns it or uses it as a key.
 ``inv_all`` inverts a whole list: over GF(p) by Montgomery's trick, one
 modular inverse and three products per entry, since an inverse mod p costs
 about as much as sixteen products.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import mul
@@ -71,6 +71,7 @@ class QQ:
 
     @staticmethod
     def random_element(rng: random.Random):
+        """An entry of a change of coordinates over Q."""
         return Fraction(rng.randint(-30, 30))
 
 
@@ -121,55 +122,6 @@ class GF:
             out[i] = prefix[i] * inv % p
             inv = inv * values[i] % p
         return out
-
-    def random_element(self, rng: random.Random):
-        return rng.randrange(self.p)
-
-
-# -- primes ------------------------------------------------------------
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-#: 399165290221 * 798330580441, the least strong pseudoprime to every base in
-#: _SMALL_PRIMES (J. Sorenson and J. Webster, Math. Comp. 86 (2017))
-_MILLER_RABIN_BOUND = 318665857834031151167461
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2 .. 37, deterministic for n below
-    318665857834031151167461 (which covers 62-bit inputs).
-
-    Raises ValueError for larger n rather than return an unproven answer.
-    """
-    if n >= _MILLER_RABIN_BOUND:
-        raise ValueError("n is beyond the proven range of the Miller-Rabin bases")
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime_ge_2_61(rng: random.Random) -> int:
-    n = rng.getrandbits(62) | (1 << 61) | 1
-    while not is_probable_prime(n):
-        n += 2
-    return n
 
 
 # -- univariate polynomials over a field -------------------------------
@@ -555,9 +507,11 @@ def resultant_x3(F, f, g, d1, d2):
     return uni_interpolate(F, uni_resultants(F, pairs))
 
 
-def _random_invertible(F, rng):
+def _random_invertible(F, draw):
+    """A 3x3 matrix of entries draw(), drawn again while it is singular
+    over F."""
     for _ in range(64):
-        m = [[F.random_element(rng) for _ in range(3)] for _ in range(3)]
+        m = [[draw() for _ in range(3)] for _ in range(3)]
         (a, b, c), (d, e, f), (g, h, i) = m
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if F.reduce(det) != F.zero:
@@ -573,20 +527,54 @@ def _mat3_apply(F, m, v):
 #: random changes of coordinates an elimination draws before it gives up
 _TRIES = 8
 
+#: the eight largest primes below 2^30, one per attempt of the mod-p proof;
+#: each is above 25, the last sample point of `resultant_x3` on a sextic
+WORD_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
+               1073741717, 1073741689, 1073741671)
 
-def only_known_common_roots(F, curve, k: int, rng: random.Random) -> bool:
+
+def _moved_curves(curve, rng: random.Random, exact: bool):
+    """Each attempt's field F and the curve over F, moved by a fresh random
+    invertible m.
+
+    If exact: QQ and the curve as given, _TRIES times.  Otherwise attempt i
+    is over GF(q) for q = WORD_PRIMES[i], and an integer curve that reduces
+    to 0 mod q yields nothing, so that attempt rejects.  Each entry of m is
+    rng.randrange(bound) mod q, for one bound drawn per call.
+    """
+    if exact:
+        draw = partial(QQ.random_element, rng)
+        for _ in range(_TRIES):
+            yield QQ, p3_linear_change(QQ, curve, _random_invertible(QQ, draw))
+        return
+    # the bound only keeps the rng stream that perfbench/digests.json pins;
+    # a new stream is for the benchmark revision (ROADMAP item 1)
+    bound = rng.getrandbits(62) | 1 << 61 | 1
+    for q in WORD_PRIMES:
+        reduced = {e: c % q for e, c in curve.items() if c % q}
+        if reduced:
+            F = GF(q)
+            m = _random_invertible(F, lambda: rng.randrange(bound) % q)
+            yield F, p3_linear_change(F, reduced, m)
+
+
+def only_known_common_roots(curve, k: int, rng: random.Random,
+                            exact: bool = False) -> bool:
     """Certify that a plane curve has no singular points beyond k known ones,
     each an ordinary node.
 
     Precondition, checked by the caller: the curve has k distinct singular
-    points.  curve, gamma, is a homogeneous trivariate exponent dict over F
-    of degree n >= 2 (integers reduced mod p over GF(p)).  Each attempt
-    draws an invertible m, moves the curve once to gamma o m and sets
-    c_j = d(gamma o m)/dx_j, forms of degree d = n - 1 that generate the
-    Jacobian ideal J of gamma o m.  It accepts when r1 = Res_x3(c0, c1) and
-    r2 = Res_x3(c0, c2), on the chart x2 = 1, have full degree d^2 and
-    deg gcd(r1, r2) = k.  Let Z be the scheme of J over the closure of F,
-    tau_p its length and tau_Q the length of the scheme over Q-bar.
+    points.  curve, gamma, is a homogeneous trivariate exponent dict of
+    degree n >= 2, with integer coefficients, or rational ones if exact.
+    Each attempt works over its own field: Q if exact, otherwise GF(q) for
+    the next prime q of WORD_PRIMES, with gamma reduced mod q (a reduction
+    that is 0 rejects the attempt).  It draws an invertible m, moves the
+    curve once to gamma o m and sets c_j = d(gamma o m)/dx_j, forms of
+    degree d = n - 1 that generate the Jacobian ideal J of gamma o m.  It
+    accepts when r1 = Res_x3(c0, c1) and r2 = Res_x3(c0, c2), on the chart
+    x2 = 1, have full degree d^2 and deg gcd(r1, r2) = k.  Let Z be the
+    scheme of J over the closure of the field, tau_p its length and tau_Q
+    the length of the scheme over Q-bar.
 
     1. Semicontinuity: the rank of each graded piece of the integer ideal
        can only drop mod p, so if Z is finite, so is the scheme over Q-bar,
@@ -605,13 +593,18 @@ def only_known_common_roots(F, curve, k: int, rng: random.Random) -> bool:
 
     This holds for every prime and every m, so a bad draw (a leading
     coefficient that is not constant, a short degree, a gcd raised by a
-    tangency) can only reject, and is retried with a fresh m.
+    tangency) can only reject, and the next attempt draws a fresh m.  So
+    can a bad prime, one where gamma mod q gains a singular point or
+    vanishes; as each attempt has its own prime, it costs one attempt.  The
+    size of the primes only sets how often an attempt rejects.  The entries
+    of m are drawn below a 62-bit bound and then reduced mod q, which keeps
+    the random stream, and the outputs pinned on it, of a proof modulo one
+    random 62-bit prime.
     """
     d = p3_degree(curve) - 1
     if d < 1:
         raise ValueError("expected a curve of degree at least 2")
-    for _ in range(_TRIES):
-        moved = p3_linear_change(F, curve, _random_invertible(F, rng))
+    for F, moved in _moved_curves(curve, rng, exact):
         c = [p3_partial(F, moved, j) for j in range(3)]
         try:
             r1 = resultant_x3(F, c[0], c[1], d, d)
@@ -638,7 +631,7 @@ def find_unique_common_root(curve, rng: random.Random):
     polys = [p3_partial(F, curve, j) for j in range(3)]
     degs = [p3_degree(p) for p in polys]
     for _ in range(_TRIES):
-        m = _random_invertible(F, rng)
+        m = _random_invertible(F, partial(QQ.random_element, rng))
         try:
             changed = [p3_linear_change(F, p, m) for p in polys]
             r1 = resultant_x3(F, changed[0], changed[1], degs[0], degs[1])

@@ -20,7 +20,14 @@ coords = st.one_of(st.just(Fraction(0)), fracs)
 
 
 def var(block, i):
-    return MultiPoly.variable(XY, block, i)
+    """The coordinate x_i or y_i as a form on P^2 x P^2."""
+    k = i + (3 if block == "y" else 0)
+    return MultiPoly.from_ints(XY, {tuple(int(j == k) for j in range(6)): 1})
+
+
+def entry(m, i, j):
+    """The entry (i, j) of a QMatrix."""
+    return Fraction(m.nums[i][j], m.dens[i])
 
 
 def lines_for(seed):
@@ -176,7 +183,7 @@ class TestSymmetricMatrix:
 
     def test_diagonal_form(self):
         Q = sum((var("x", i) * var("x", i) * var("y", i) * var("y", i)
-                 for i in range(3)), MultiPoly.zero(XY))
+                 for i in range(3)), MultiPoly(XY))
         A = cb.to_symmetric_matrix(Q)
         for i in range(3):
             assert A.entries[i][i] == MultiPoly(
@@ -194,13 +201,12 @@ class TestSymmetricMatrix:
         A = cb.to_symmetric_matrix(Q)
         at = {"x": x}
         values = [[e.evaluate(at) for e in row] for row in A.entries]
-        assert A.evaluated(x).entries == tuple(map(tuple, values))
         # the same integer rows and row denominators, as NetT.restricted
         # hands them on
         assert A.evaluated(x) == QMatrix(values)
         # the defining identity Q(x, y) = y^T A(x) y
         Ax = A.evaluated(x)
-        assert sum(y[i] * Ax[i, j] * y[j] for i in range(3) for j in range(3)) \
+        assert sum(y[i] * entry(Ax, i, j) * y[j] for i in range(3) for j in range(3)) \
             == Q.evaluate({"x": x, "y": y})
 
     def test_rejects_wrong_bidegree(self):
@@ -230,7 +236,7 @@ class TestDiscriminant:
         Q = ell * K
         gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
         # independent assembly of the linear symmetric matrix of K
-        b = [[MultiPoly.zero(X) for _ in range(3)] for _ in range(3)]
+        b = [[MultiPoly(X) for _ in range(3)] for _ in range(3)]
         for exp, c in K.terms.items():
             xe, ye = exp[:3], exp[3:]
             idx = [k for k in range(3) for _ in range(ye[k])]
@@ -245,7 +251,7 @@ class TestDiscriminant:
 
     def test_identically_zero_rejected(self):
         zero = cb.SymQuadricMatrix(tuple(
-            tuple(MultiPoly.zero(X) for _ in range(3)) for _ in range(3)))
+            tuple(MultiPoly(X) for _ in range(3)) for _ in range(3)))
         with pytest.raises(cb.DegenerateConfigurationError):
             cb.discriminant(zero)
 
@@ -357,7 +363,7 @@ class TestNodeCertificates:
         rng = random.Random(5)
         for _ in range(3):
             sys = cb.impose_line(sys, cb.random_line_in_fiber(rng))
-        Q = sum((c * b for c, b in zip(coeffs, sys.basis)), MultiPoly.zero(XY))
+        Q = sum((c * b for c, b in zip(coeffs, sys.basis)), MultiPoly(XY))
         return cb.discriminant(cb.to_symmetric_matrix(Q)), cb.STANDARD_NODES + (fifth,)
 
     def test_unlisted_fifth_node_is_rejected(self):
@@ -467,7 +473,7 @@ class TestResidualLine:
 
     def test_nondividing_line_is_internal_error(self):
         Q = sum((var("x", i) * var("x", i) * var("y", i) * var("y", i)
-                 for i in range(3)), MultiPoly.zero(XY))
+                 for i in range(3)), MultiPoly(XY))
         lf = cb.LineInFiber((Fraction(1), Fraction(1), Fraction(1)),
                             (Fraction(1), Fraction(0), Fraction(0)))
         with pytest.raises(cb.MarkedLineInvariantError):
@@ -520,7 +526,8 @@ class TestInstancePipeline:
 
 
 def _plane_variables():
-    return [MultiPoly.variable(X, "x", i) for i in range(3)]
+    return [MultiPoly.from_ints(X, {unit: 1})
+            for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 #: plane cubics singular at (0:0:1), as functions of the coordinates, and
@@ -645,7 +652,8 @@ def rank_one_net(rng):
 
     Draws again until the member singular at o is unique (the columns
     A_k o span a plane) and the cubic is not zero."""
-    t = [MultiPoly.variable(cb.T_BLOCKS, "t", k) for k in range(3)]
+    t = [MultiPoly.from_ints(cb.T_BLOCKS, {unit: 1})
+         for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
     def draw():
         return [rng.randint(-5, 5) for _ in range(3)]
@@ -670,7 +678,7 @@ def rank_one_net(rng):
         if QMatrix.from_ints(images).rank() != 2:
             continue
         cubic = det3_poly([[sum((t[k] * mats[k][i][j] for k in range(3)),
-                                MultiPoly.zero(cb.T_BLOCKS))
+                                MultiPoly(cb.T_BLOCKS))
                             for j in range(3)] for i in range(3)])
         if cubic.is_zero():
             continue
@@ -697,8 +705,8 @@ class TestNetAndSweep:
         assert report["certificate"].is_node
         # proved, not checked, by discriminant_cubic: the singular member
         # has rank 2 and vertex o
-        B = QMatrix([[sum(t * m[i, j] for t, m in zip(report["node"],
-                                                     net.restricted))
+        B = QMatrix([[sum(t * entry(m, i, j) for t, m in zip(report["node"],
+                                                            net.restricted))
                       for j in range(3)] for i in range(3)])
         assert B.kernel() == [net.o]
 
@@ -728,7 +736,8 @@ class TestNetAndSweep:
         o = tuple(cb.random_rational(rng) for _ in range(3))
         net = cb.build_net_T(o, fixed)
         a = net.restricted[0]
-        off = QMatrix([[a[i, j] + (i == j) for j in range(3)] for i in range(3)])
+        off = QMatrix([[entry(a, i, j) + (i == j) for j in range(3)]
+                       for i in range(3)])
         bad = dataclasses.replace(net, restricted=(off,) + net.restricted[1:])
         with pytest.raises(cb.CertificationError, match=r"misses the point"):
             cb.discriminant_cubic(bad, rng)

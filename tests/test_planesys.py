@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,14 @@ from prym6 import conicbundle as cb
 from prym6 import planesys as ps
 from prym6.exactalg import MultiPoly, primitive
 
-GF_P = ps.GF(ps.random_prime_ge_2_61(random.Random(5)))
+#: a Mersenne prime of 61 bits: its residues take two CPython digits, so the
+#: kernels keep a multi-digit test beside the word-size primes of the proof
+GF_P = ps.GF(2 ** 61 - 1)
+
+
+def _element(F, rng):
+    """A random element of F."""
+    return F.random_element(rng) if F is ps.QQ else rng.randrange(F.p)
 
 
 def uni_eval(F, c, x):
@@ -53,7 +61,7 @@ class TestFields:
                              ids=["gf101", "gf", "qq"])
     def test_inv_all_equals_elementwise_inv(self, F):
         rng = random.Random(14)
-        values = [F.random_element(rng) or F.one for _ in range(30)]
+        values = [_element(F, rng) or F.one for _ in range(30)]
         if F is not ps.QQ:
             # unreduced entries, as the kernels pass them
             values[3] += 5 * F.p
@@ -73,31 +81,17 @@ class TestFields:
                 F.inv_all(values)
 
 
-class TestPrimes:
-    def test_small_cases(self):
-        assert ps.is_probable_prime(2)
-        assert ps.is_probable_prime(97)
-        assert not ps.is_probable_prime(1)
-        assert not ps.is_probable_prime(561)  # Carmichael number
-        assert not ps.is_probable_prime(2 ** 61)
-
-    def test_refuses_beyond_proven_range(self):
-        # a strong pseudoprime to every base 2 .. 37: Miller-Rabin to those
-        # bases passes it, so no answer for it or above it is proven
-        composite = 318665857834031151167461
-        assert composite == 399165290221 * 798330580441
-        for n in (composite, composite + 2, 2 ** 80):
-            with pytest.raises(ValueError):
-                ps.is_probable_prime(n)
-        assert not ps.is_probable_prime(composite - 2)  # divisible by 3
-        assert ps.is_probable_prime(2 ** 61 - 1)  # a Mersenne prime
-
-    def test_random_prime_size_and_determinism(self):
-        rng = random.Random(3)
-        p = ps.random_prime_ge_2_61(rng)
-        assert p >= 2 ** 61
-        assert ps.is_probable_prime(p)
-        assert p == ps.random_prime_ge_2_61(random.Random(3))
+class TestWordPrimes:
+    def test_table_entries_are_distinct_word_primes(self):
+        # each prime exceeds 25, the last sample point of a sextic's
+        # resultants, so the sample points stay distinct mod q; below 2^30,
+        # trial division up to isqrt(q) < 2^15 decides primality
+        primes = ps.WORD_PRIMES
+        assert len(primes) == ps._TRIES
+        assert len(set(primes)) == len(primes)
+        for q in primes:
+            assert 25 < q < 2 ** 30
+            assert all(q % f for f in range(2, isqrt(q) + 1))
 
 
 class TestUnivariate:
@@ -160,18 +154,16 @@ class TestUnivariate:
             # n = p points are distinct mod p
             assert ps.uni_interpolate(F, [F.one] * p) == [F.one]
 
-    @pytest.mark.parametrize(
-        "F", [ps.GF(ps.random_prime_ge_2_61(random.Random(5))), ps.QQ],
-        ids=["gf", "qq"])
+    @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
     def test_derivative_degree_25(self, F):
         rng = random.Random(6)
-        a = [F.random_element(rng) for _ in range(25)] + [F.one]
+        a = [_element(F, rng) for _ in range(25)] + [F.one]
         expect = [F.from_rational(i * a[i]) for i in range(1, 26)]
         assert ps.uni_derivative(F, a) == expect
 
 
 class TestDetField:
-    @pytest.mark.parametrize("p", [101, ps.random_prime_ge_2_61(random.Random(8))])
+    @pytest.mark.parametrize("p", [101, GF_P.p])
     def test_gf_matches_exact_determinant(self, p):
         from prym6.exactalg import QMatrix
         rng = random.Random(p)
@@ -281,12 +273,12 @@ class TestLaneResultants:
                                                for pair in pairs]
 
     def test_resultant_x3_equals_sylvester_determinant_at_each_sample(self):
-        # two random quintic forms over a 62-bit prime: on the chart x2 = 1
+        # two random quintic forms over GF(2^61 - 1): on the chart x2 = 1
         # the value at x1 = x is the low-first Sylvester determinant in x3
         # of the two forms with x1 = x
         F = GF_P
         rng = random.Random(13)
-        f, g = ({e: F.random_element(rng) for e in ps.monomials_of_degree(5)}
+        f, g = ({e: rng.randrange(F.p) for e in ps.monomials_of_degree(5)}
                 for _ in range(2))
         r = ps.resultant_x3(F, f, g, 5, 5)
         assert ps.uni_degree(r) == 25
@@ -321,7 +313,7 @@ class TestResultant:
 
 def _product(*factors):
     """The product of trivariate exponent dicts over Q."""
-    out = MultiPoly.constant(cb.X_BLOCKS, 1)
+    out = MultiPoly.from_ints(cb.X_BLOCKS, {(0, 0, 0): 1})
     for f in factors:
         out = out * MultiPoly(cb.X_BLOCKS, f)
     return out.terms
@@ -340,25 +332,63 @@ NODAL_CUBIC = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
                (2, 0, 1): Fraction(-1)}
 
 
+def _integer(curve):
+    """An exponent dict over Q with integer values, as ints."""
+    return {e: int(c) for e, c in curve.items()}
+
+
 class TestOnlyKnownCommonRoots:
     def test_accepts_complete_list(self):
-        assert ps.only_known_common_roots(ps.QQ, _two_conics(), 4, random.Random(2))
+        assert ps.only_known_common_roots(_two_conics(), 4, random.Random(2),
+                                          exact=True)
 
     def test_rejects_incomplete_list(self):
-        assert not ps.only_known_common_roots(ps.QQ, _two_conics(), 3,
-                                              random.Random(2))
+        assert not ps.only_known_common_roots(_two_conics(), 3,
+                                              random.Random(2), exact=True)
 
-    def test_mod_p_agrees(self):
-        rng = random.Random(4)
-        F = ps.GF(ps.random_prime_ge_2_61(rng))
-        curve = {e: F.from_rational(c) for e, c in _two_conics().items()}
-        assert ps.only_known_common_roots(F, curve, 4, rng)
-        assert not ps.only_known_common_roots(F, curve, 2, rng)
+    @staticmethod
+    def primes_tried(monkeypatch, curve, k, seed):
+        """The proof's answer, and the prime of each attempt that moved
+        the curve."""
+        moved, change = [], ps.p3_linear_change
+
+        def spy(F, poly, m):
+            moved.append(F.p)
+            return change(F, poly, m)
+        monkeypatch.setattr(ps, "p3_linear_change", spy)
+        accepted = ps.only_known_common_roots(curve, k, random.Random(seed))
+        monkeypatch.undo()
+        return accepted, moved
+
+    def test_mod_p_agrees(self, monkeypatch):
+        # accepted at the first prime; an incomplete list rejects at all
+        # eight, each attempt modulo the next prime of the table
+        curve = _integer(_two_conics())
+        assert self.primes_tried(monkeypatch, curve, 4, 4) == (
+            True, [ps.WORD_PRIMES[0]])
+        assert self.primes_tried(monkeypatch, curve, 2, 4) == (
+            False, list(ps.WORD_PRIMES))
+
+    def test_curve_that_vanishes_mod_the_first_prime(self, monkeypatch):
+        # q0 * (two conics) is 0 mod q0: attempt 1 rejects before any draw,
+        # and attempt 2 accepts modulo the second prime
+        q0 = ps.WORD_PRIMES[0]
+        curve = {e: q0 * c for e, c in _integer(_two_conics()).items()}
+        assert self.primes_tried(monkeypatch, curve, 4, 4) == (
+            True, [ps.WORD_PRIMES[1]])
+
+    def test_curve_that_vanishes_mod_every_prime_is_rejected(self, monkeypatch):
+        # a multiple of every prime of the table reduces to 0 at each
+        # attempt, and a zero reduction never accepts
+        scale = prod(ps.WORD_PRIMES)
+        curve = {e: scale * c for e, c in _integer(_two_conics()).items()}
+        assert self.primes_tried(monkeypatch, curve, 4, 4) == (False, [])
 
     def test_rejects_curve_of_degree_below_two(self):
         for curve in ({(1, 0, 0): ps.QQ.one}, {(0, 0, 0): ps.QQ.one}, {}):
             with pytest.raises(ValueError):
-                ps.only_known_common_roots(ps.QQ, curve, 0, random.Random(2))
+                ps.only_known_common_roots(curve, 0, random.Random(2),
+                                           exact=True)
 
 
 class TestFindUniqueCommonRoot:
@@ -486,7 +516,7 @@ def test_linear_change_is_substitution(F):
     rng = random.Random(12)
     poly = {(2, 1, 0): F.from_rational(3), (0, 0, 3): F.from_rational(Fraction(-1, 2)),
             (1, 1, 1): F.from_rational(7)}
-    m = ps._random_invertible(F, rng)
+    m = ps._random_invertible(F, lambda: _element(F, rng))
     changed = ps.p3_linear_change(F, poly, m)
     assert ps.p3_degree(changed) == 3
     for _ in range(5):
@@ -503,10 +533,12 @@ def test_monomials_of_degree():
 
 def test_completeness_check_draw_count():
     # pins how many draws the mod-p check takes from its rng on seed 1's
-    # sextic: the prime, then one matrix per change of coordinates.  The
-    # literal is the next draw recorded before the kernels moved to native
-    # ints; any change to the draws changes every sweep output.
+    # sextic: one 62-bit bound, then nine entries per change of
+    # coordinates.  Each literal is the next draw recorded when the proof
+    # ran modulo one random 62-bit prime; any change to the draws changes
+    # every sweep output.
     inst = cb.construct_instance(1)
-    rng = random.Random(1)
-    assert cb.singular_locus_is_exactly(inst.gamma, inst.nodes, rng)
-    assert rng.random() == 0.9014274576114836
+    for seed, after in ((1, 0.9014274576114836), (0, 0.25050634136244054)):
+        rng = random.Random(seed)
+        assert cb.singular_locus_is_exactly(inst.gamma, cb.STANDARD_NODES, rng)
+        assert rng.random() == after
