@@ -239,8 +239,9 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     rows, so one drop check is the check of every step.
     """
     basis = sys.vectors
-    restricted = QMatrix.from_ints([[sum(map(mul, row, vec)) for vec in basis]
-                                    for row in rows])
+    supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
+    restricted = QMatrix.from_ints([[sum(row[i] * v for i, v in support)
+                                     for support in supports] for row in rows])
     ker = restricted.kernel()
     drop = sys.dim - len(ker)
     if drop != expected_drop:
@@ -458,22 +459,32 @@ def certify_nodes(gamma: MultiPoly, points,
     return tuple(certs)
 
 
-def singular_point_on_Q(A: SymQuadricMatrix, Q: MultiPoly,
-                        u: Sequence[Fraction]) -> tuple[int, ...]:
-    """The unique fiber point making (u, y) a singular point of Q.
+def singular_point_on_Q(A: SymQuadricMatrix,
+                        cert: NodeCertificate) -> tuple[int, ...]:
+    """The unique fiber point y making (u, y) a singular point of Q.
 
-    Requires rank A(u) = 2; the kernel direction y is then unique, and both
-    gradient blocks of Q are verified to vanish at (u, y).
+    cert is the certificate of u on gamma = det A from `node_certificate`,
+    and Q = y^T A(x) y.  The point is rejected with `CertificationError`
+    unless the certificate's gradient, which holds the value, is 0 (so
+    det A(u) = 0), and some cross product of two rows of A(u) is nonzero
+    (so rank A(u) = 2).  That cross product spans the kernel of A(u); y is
+    its primitive form.  No jet of Q is taken, by Jacobi's formula:
+
+    - A(u) has rank 2, so adj A(u) = lambda y y^T with lambda != 0;
+    - so d_i gamma(u) = tr(adj A(u) d_i A(u)) = lambda y^T d_i A(u) y,
+      which is lambda dQ/dx_i (u, y), while dQ/dy (u, y) = 2 A(u) y = 0;
+    - so (u, y) is singular on Q exactly when grad gamma(u) = 0, which the
+      certificate has shown.
     """
-    u = tuple(Fraction(c) for c in u)
-    kernel = A.evaluated(u).kernel()
-    if len(kernel) != 1:  # rank 2 <=> a one-dimensional kernel
-        raise CertificationError(f"rank A({u}) != 2")
-    (y,) = kernel
-    _, grad = Q.jet({"x": u, "y": y}, 1)
-    if any(grad):
-        raise CertificationError(f"({u}, {y}) is a kernel point but not singular on Q")
-    return y
+    u = cert.point
+    if any(cert.gradient):
+        raise CertificationError(f"{u} is not a singular point of det A")
+    rows = A.evaluated(u).nums
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        y = _cross(rows[i], rows[j])
+        if any(y):
+            return primitive(y)
+    raise CertificationError(f"rank A({u}) < 2")
 
 
 def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly,
@@ -647,7 +658,7 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
     A = to_symmetric_matrix(Q)
     gamma = discriminant(A)
     certs = certify_nodes(gamma, STANDARD_NODES, rng)
-    ys = tuple(singular_point_on_Q(A, Q, pt) for pt in STANDARD_NODES)
+    ys = tuple(singular_point_on_Q(A, cert) for cert in certs)
     rank_stratification_check(A, gamma, rng)
     # residual_line raises if the marked-line invariant is broken
     residuals = tuple(residual_line(A, lf) for lf in lines)

@@ -7,7 +7,9 @@ every residue is a single machine word; the field is passed explicitly.
 
 Polynomials in three variables are plain dicts mapping exponent triples to
 field elements; univariate polynomials are coefficient lists, low degree
-first.
+first.  Inside `p3_linear_change` a homogeneous form of degree k is a dense
+list over the C(k + 2, 2) monomials of `monomials_of_degree`, so a product
+by a linear form is one list comprehension over a cached index map.
 
 A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all``,
 ``inv``, ``inv_all`` and ``from_rational``; sums and products are Python's
@@ -29,8 +31,9 @@ column j of a polynomial holds its x3^j coefficient in every lane (one lane
 per sample), so each step of the remainder sequences, and of the
 evaluation, is one list operation across all lanes, and each round of
 remainders costs one ``inv_all``.  Interpolation at 0 .. n - 1 is a dot
-product per coefficient with a cached integer Lagrange table, which depends
-on n alone, and one inverse per call.
+product per coefficient with a Lagrange table cached per field and n, its
+entries already divided by the common denominator, so over GF(p) every
+entry is one word.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ class GF:
         self.p = p
         self.zero = 0
         self.one = 1 % p
+
+    def __eq__(self, other):
+        return isinstance(other, GF) and other.p == self.p
+
+    def __hash__(self):
+        return hash((GF, self.p))
 
     def reduce(self, v):
         return v % self.p
@@ -316,18 +325,21 @@ def uni_resultants(F, pairs):
     return out
 
 
-@lru_cache(maxsize=None)
-def _lagrange_table(n: int):
-    """Integer Lagrange numerators for the n sample points x = 0 .. n - 1.
+@lru_cache(maxsize=32)
+def _lagrange_table(F, n: int):
+    """The Lagrange interpolation rows over F for the n sample points
+    x = 0 .. n - 1.
 
     With D = (n - 1)! and w_i = (-1)^(n-1-i) C(n-1, i), the Lagrange basis
     polynomial of the point i is N_i / D for the integer polynomial
     N_i = w_i prod_{j != i} (x - j), since prod_{j != i} (i - j) =
     (-1)^(n-1-i) i! (n-1-i)!.  Each N_i is the master polynomial
     prod_j (x - j) divided by x - i by synthetic division.  Returns the rows
-    (N_0[k], .., N_{n-1}[k]) for k = 0 .. n - 1 and D: the polynomial with
-    values y has k-th coefficient (row k . y) / D.  No entry depends on a
-    prime, so each n is built once per process.
+    (N_0[k], .., N_{n-1}[k]) / D for k = 0 .. n - 1, as field elements: the
+    polynomial with values y has k-th coefficient row k . y.  Over GF(p)
+    each entry is one word; with p <= n - 1, D vanishes mod p and ``F.inv``
+    raises ZeroDivisionError.  One table per field and n, so the mod-p
+    proof builds at most one per prime of WORD_PRIMES.
     """
     master = [1]
     for j in range(n):
@@ -340,7 +352,9 @@ def _lagrange_table(n: int):
             carry = master[k] + i * carry
             quotient[k - 1] = w * carry
         numerators.append(quotient)
-    return tuple(zip(*numerators)), factorial(n - 1)
+    inv = F.inv(factorial(n - 1))
+    return tuple(tuple(F.reduce_all(v * inv for v in row))
+                 for row in zip(*numerators))
 
 
 def uni_interpolate(F, ys):
@@ -348,15 +362,13 @@ def uni_interpolate(F, ys):
     sample point x = 0 .. n - 1, n = len(ys).
 
     Each coefficient is one dot product of ys with a row of the cached
-    integer Lagrange numerators of `_lagrange_table`, times the inverse of
-    their common denominator D = (n - 1)!: one inverse per call.  Over GF(p)
-    with p <= n - 1 two sample points coincide mod p, D vanishes, and the
-    call raises ZeroDivisionError.
+    Lagrange table of `_lagrange_table` over F, whose entries already carry
+    the inverse of the common denominator (n - 1)!.  Over GF(p) with
+    p <= n - 1 two sample points coincide mod p, and the call raises
+    ZeroDivisionError.
     """
-    lagrange, den = _lagrange_table(len(ys))
-    inv = F.inv(den)
-    return _trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero) * inv
-                                 for row in lagrange))
+    return _trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero)
+                                 for row in _lagrange_table(F, len(ys))))
 
 
 def det_field(F, m):
@@ -417,49 +429,66 @@ def p3_partial(F, poly, j: int):
 
 
 def p3_linear_change(F, poly, m):
-    """Substitute x_i -> sum_j m[i][j] x_j.
+    """Substitute x_i -> sum_j m[i][j] x_j in a homogeneous form.
 
-    An exponent triple (a, b, c) is packed into the int key
-    a << 16 | b << 8 | c, so multiplying by x_j adds a fixed unit to a key.
-    poly is evaluated at the three linear forms by Horner's rule in x1 and,
-    within each x1-coefficient, in x2; x3^e becomes the e-th power of the
-    third form, from a table.  Sums stay unreduced, and each output
-    coefficient is reduced once.
+    Each form of degree k on the way is a dense list over the monomials of
+    degree k, in the order of `monomials_of_degree`.  poly is evaluated at
+    the three linear forms by Horner's rule in x1 and, within each
+    x1-coefficient, in x2; x3^e becomes the e-th power of the third form,
+    from a table.  As poly is homogeneous of degree n, every step of both
+    Horner sums is homogeneous too: the x2-sum of x1^e1 has degree
+    n - e1 - e2 after the step at e2, and the x1-sum degree n - e1, so a
+    product by a linear form is one list comprehension over `_shifts`.
+    Sums stay unreduced, and each output coefficient is reduced once.
+    Raises ValueError when poly is not homogeneous; the empty form gives
+    the empty form.
     """
-    deg = p3_degree(poly)
-    units = (1 << 16, 1 << 8, 1)
-    forms = [[(u, a) for u, a in zip(units, row) if a != F.zero] for row in m]
+    if not poly:
+        return {}
+    n = p3_degree(poly)
+    if any(sum(e) != n for e in poly):
+        raise ValueError("expected a homogeneous form")
+    zero = F.zero
 
-    def times(acc, form):
-        out: dict = {}
-        for k, v in acc.items():
-            for u, a in form:
-                out[k + u] = out.get(k + u, F.zero) + v * a
-        return out
+    def times(form, dense, k):
+        """The degree-k dense form times a linear form."""
+        a, b, c = form
+        padded = dense + [zero]
+        return [a * padded[i] + b * padded[j] + c * padded[l]
+                for i, j, l in _shifts(k)]
 
-    x3_powers = [{0: F.one}]
-    for _ in range(deg):
-        x3_powers.append({k: F.reduce(v) for k, v in times(x3_powers[-1], forms[2]).items()})
-    by_x1_x2: dict = {}
-    for (e1, e2, e3), c in poly.items():
-        by_x1_x2.setdefault((e1, e2), []).append((e3, c))
-    acc: dict = {}
-    for e1 in range(deg, -1, -1):
-        inner: dict = {}
-        for e2 in range(deg - e1, -1, -1):
-            inner = times(inner, forms[1])
-            for e3, c in by_x1_x2.get((e1, e2), ()):
-                for k, v in x3_powers[e3].items():
-                    inner[k] = inner.get(k, F.zero) + c * v
-        acc = times(acc, forms[0])
-        for k, v in inner.items():
-            acc[k] = acc.get(k, F.zero) + v
+    x3_powers = [[F.one]]
+    for k in range(n):
+        x3_powers.append(F.reduce_all(times(m[2], x3_powers[-1], k)))
+    acc = [poly.get((n, 0, 0), zero)]
+    for e1 in range(n - 1, -1, -1):
+        inner = [poly.get((e1, n - e1, 0), zero)]
+        for e3 in range(1, n - e1 + 1):
+            inner = times(m[1], inner, e3 - 1)
+            c = poly.get((e1, n - e1 - e3, e3))
+            if c:
+                inner = [v + c * w for v, w in zip(inner, x3_powers[e3])]
+        acc = [v + w for v, w in zip(times(m[0], acc, n - e1 - 1), inner)]
     changed = {}
-    for k, v in acc.items():
+    for e, v in zip(monomials_of_degree(n), acc):
         v = F.reduce(v)
-        if v != F.zero:
-            changed[(k >> 16, (k >> 8) & 255, k & 255)] = v
+        if v != zero:
+            changed[e] = v
     return changed
+
+
+@lru_cache(maxsize=None)
+def _shifts(k: int):
+    """For each monomial x^f of degree k + 1, the positions of x^f / x_j
+    among the monomials of degree k for j = 0, 1, 2, or the pad position
+    past the end where f_j = 0: the index map of a product of a dense form
+    of degree k by a linear form."""
+    lower = monomials_of_degree(k)
+    pos = {e: i for i, e in enumerate(lower)}
+    pad = len(lower)
+    return tuple(tuple(pos[f[:j] + (f[j] - 1,) + f[j + 1:]] if f[j] else pad
+                       for j in range(3))
+                 for f in monomials_of_degree(k + 1))
 
 
 def _x3_tower(F, poly, deg3: int):
@@ -485,7 +514,7 @@ def resultant_x3(F, f, g, d1, d2):
     coefficient, with small integer samples and one reduction at the end.
     The d1*d2 + 1 sample resultants run as one group of lanes in
     `uni_resultants`, one ``inv_all`` per round of remainders, and
-    `uni_interpolate` takes one more inverse.
+    `uni_interpolate` takes the coefficients from its cached table.
     """
     tf = _x3_tower(F, f, d1)
     tg = _x3_tower(F, g, d2)
@@ -664,7 +693,8 @@ def _restrict_to_fiber(F, poly, x1):
     return _reduced(F, out)
 
 
-def monomials_of_degree(d: int):
+@lru_cache(maxsize=None)
+def monomials_of_degree(d: int) -> tuple[tuple[int, int, int], ...]:
     """All exponent triples of total degree d, in a fixed order."""
     out = []
     for combo in combinations_with_replacement(range(3), d):
@@ -672,4 +702,4 @@ def monomials_of_degree(d: int):
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return out
+    return tuple(out)

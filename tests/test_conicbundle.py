@@ -381,28 +381,70 @@ class TestNodeCertificates:
         assert not cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
 
 
+def kernel_point_by_jet(A, Q, u):
+    """The route `singular_point_on_Q` replaced: the Bareiss kernel of A(u),
+    and the gradient of Q at (u, y) checked to vanish."""
+    kernel = A.evaluated(u).kernel()
+    assert len(kernel) == 1
+    (y,) = kernel
+    _, grad = Q.jet({"x": u, "y": y}, 1)
+    return y, grad
+
+
 class TestSingularPointOnQ:
     def test_unique_fiber_point(self):
         lines, _ = lines_for(111)
         Q, _ = cb.zeta(lines)
         A = cb.to_symmetric_matrix(Q)
+        gamma = cb.discriminant(A)
         for u in cb.STANDARD_NODES:
-            y = cb.singular_point_on_Q(A, Q, u)
+            y = cb.singular_point_on_Q(A, cb.node_certificate(gamma, u))
             assert A.evaluated(u).rank() == 2
             assert Q.evaluate({"x": u, "y": y}) == 0
 
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_matches_kernel_and_jet(self, seed):
+        # the cross product is the Bareiss kernel vector, and Jacobi's
+        # formula holds: the jet of Q vanishes there, as it used to be checked
+        inst = cb.construct_instance(seed)
+        for cert, y in zip(inst.node_certificates, inst.fiber_singular_points):
+            expected, grad = kernel_point_by_jet(inst.A, inst.Q, cert.point)
+            assert cb.singular_point_on_Q(inst.A, cert) == y == expected
+            assert not any(grad)
+
     def test_smooth_curve_point_is_not_singular_on_Q(self):
         # a point of seed 132's sextic on the chord of the nodes (1:0:0)
-        # and (0:1:0): rank 2 there, but its kernel point is smooth on Q
+        # and (0:1:0): rank 2 there, but its kernel point is smooth on Q,
+        # and the sextic's gradient there is not 0
         lines, _ = lines_for(132)
         Q, _ = cb.zeta(lines)
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
         pt = (Fraction(117), Fraction(230), Fraction(0))
-        assert gamma.evaluate({"x": pt}) == 0
+        cert = cb.node_certificate(gamma, pt)
+        assert cert.gradient[0] == 0 and any(cert.gradient)
         assert A.evaluated(pt).rank() == 2
+        _, grad = kernel_point_by_jet(A, Q, pt)
+        assert any(grad)
         with pytest.raises(cb.CertificationError):
-            cb.singular_point_on_Q(A, Q, pt)
+            cb.singular_point_on_Q(A, cert)
+
+    def test_rank_one_point_is_rejected(self):
+        # A = diag(x^2, y^2, z^2) has gamma = x^2 y^2 z^2, singular at
+        # (1:0:0) with A(1:0:0) of rank 1: a zero gradient, but no unique
+        # kernel point
+        zero = MultiPoly(X)
+        squares = [MultiPoly.from_ints(X, {tuple(2 * (j == i) for j in range(3)): 1})
+                   for i in range(3)]
+        A = cb.SymQuadricMatrix(tuple(tuple(squares[i] if i == j else zero
+                                            for j in range(3)) for i in range(3)))
+        gamma = cb.discriminant(A)
+        assert gamma == MultiPoly.from_ints(X, {(2, 2, 2): 1})
+        cert = cb.node_certificate(gamma, (1, 0, 0))
+        assert not any(cert.gradient)
+        assert A.evaluated(cert.point).rank() == 1
+        with pytest.raises(cb.CertificationError):
+            cb.singular_point_on_Q(A, cert)
 
 
 class TestRankStratification:

@@ -525,6 +525,87 @@ def test_linear_change_is_substitution(F):
         assert ps.p3_eval(F, changed, pt) == ps.p3_eval(F, poly, image)
 
 
+def dict_linear_change(F, poly, m):
+    """x_i -> sum_j m[i][j] x_j on exponent dicts, by Horner's rule in x1
+    and x2 with the powers of the third form: the sparse route that
+    `p3_linear_change` replaced, kept as its oracle."""
+    deg = ps.p3_degree(poly)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def times(acc, form):
+        out = {}
+        for e, v in acc.items():
+            for u, a in zip(units, form):
+                k = tuple(x + y for x, y in zip(e, u))
+                out[k] = out.get(k, F.zero) + v * a
+        return out
+
+    x3_powers = [{(0, 0, 0): F.one}]
+    for _ in range(deg):
+        x3_powers.append(times(x3_powers[-1], m[2]))
+    acc = {}
+    for e1 in range(deg, -1, -1):
+        inner = {}
+        for e2 in range(deg - e1, -1, -1):
+            inner = times(inner, m[1])
+            for (f1, f2, e3), c in poly.items():
+                if (f1, f2) == (e1, e2):
+                    for k, v in x3_powers[e3].items():
+                        inner[k] = inner.get(k, F.zero) + c * v
+        acc = times(acc, m[0])
+        for k, v in inner.items():
+            acc[k] = acc.get(k, F.zero) + v
+    reduced = {k: F.reduce(v) for k, v in acc.items()}
+    return {k: v for k, v in reduced.items() if v != F.zero}
+
+
+fracs_nonzero = st.fractions(min_value=-20, max_value=20,
+                             max_denominator=12).filter(bool)
+
+
+def _forms(d):
+    """Homogeneous forms of degree d over Q: sparse, or on every monomial."""
+    mons = ps.monomials_of_degree(d)
+    return st.one_of(
+        st.dictionaries(st.sampled_from(mons), fracs_nonzero, min_size=1,
+                        max_size=6),
+        st.lists(fracs_nonzero, min_size=len(mons), max_size=len(mons)).map(
+            lambda cs: dict(zip(mons, cs))))
+
+
+#: entries of a change of coordinates: zeros, small and word-size integers
+_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(0, 2 ** 62))
+
+
+@pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), GF_P, ps.QQ],
+                         ids=["gf-word", "gf", "qq"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(_forms),
+       st.lists(_entries, min_size=9, max_size=9))
+def test_linear_change_matches_dict_oracle(F, terms, entries):
+    m = [[F.from_rational(v) for v in entries[3 * i:3 * i + 3]]
+         for i in range(3)]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    assume(F.reduce(a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g)) != F.zero)
+    poly = {exp: F.from_rational(v) for exp, v in terms.items()}
+    poly = {exp: v for exp, v in poly.items() if v != F.zero}
+    assert ps.p3_linear_change(F, poly, m) == dict_linear_change(F, poly, m)
+
+
+def test_linear_change_of_the_empty_form():
+    m = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
+    assert ps.p3_linear_change(ps.QQ, {}, m) == {}
+    assert ps.p3_linear_change(GF_P, {}, m) == {}
+
+
+def test_linear_change_rejects_a_form_that_is_not_homogeneous():
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        ps.p3_linear_change(ps.QQ, {(2, 0, 0): Fraction(1),
+                                    (0, 1, 0): Fraction(1)}, m)
+
+
 def test_monomials_of_degree():
     assert len(ps.monomials_of_degree(2)) == 6
     assert len(ps.monomials_of_degree(6)) == 28
