@@ -433,15 +433,21 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     """Certify Sing(gamma) = {points}, all ordinary nodes; modulo word-size
     primes unless exact.  The count of `only_known_common_roots` needs the
     points to be distinct singular points, which is checked here exactly
-    over Q."""
+    over Q.  gamma is a nonzero form in one block, x or t, as in
+    `node_certificate`; anything else raises ValueError."""
+    degree = gamma.multidegree()
+    if len(gamma.blocks) != 1 or degree is None:
+        raise ValueError("expected a homogeneous form in one block")
+    ((block, _),) = gamma.blocks
     listed = [primitive(pt) for pt in points]
     if len(set(listed)) != len(listed):
         return False
     for pt in listed:
-        if not any(pt) or any(gamma.jet({"x": pt}, 1)[1]):
+        if not any(pt) or any(gamma.jet({block: pt}, 1)[1]):
             return False
     # the integer form den * gamma has the same singular points
-    curve = gamma.terms if exact else gamma.nums
+    coeffs = gamma.terms if exact else gamma.nums
+    curve = [coeffs.get(e, 0) for e in monomials_of_degree(*degree)]
     return only_known_common_roots(curve, len(listed), rng, exact)
 
 

@@ -5,19 +5,20 @@ ordinary nodes, and to locate the unique node of a plane cubic.  The
 same code runs over Q and over prime fields GF(q) with q below 2^30, where
 every residue is a single machine word; the field is passed explicitly.
 
-Polynomials in three variables are plain dicts mapping exponent triples to
-field elements; univariate polynomials are coefficient lists, low degree
-first.  Inside `p3_linear_change` a homogeneous form of degree k is a dense
-list over the C(k + 2, 2) monomials of `monomials_of_degree`, so a product
-by a linear form is one list comprehension over a cached index map.
+A form of degree n in three variables is a dense list of coefficients on
+the C(n + 2, 2) monomials of `monomials_of_degree(n)`, in that order, so
+its length gives its degree and it is homogeneous by construction.  The
+monomials with x1^e1 form one run of n - e1 + 1 entries, x1^n first, with
+x3^e3 at offset e3.  Univariate polynomials are coefficient lists, low
+degree first.
 
 A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all``,
-``inv``, ``inv_all`` and ``from_rational``; sums and products are Python's
-own operators on its elements.  ``reduce`` maps such a sum or product back
-to a field element: ``v % p`` over GF(p), the identity over Q;
-``reduce_all`` does so for a whole list.  Reduction is lazy: a kernel sums
-unreduced products and reduces each coefficient once, before it compares
-it with ``zero``, returns it or uses it as a key.
+``inv`` and ``inv_all``; sums and products are Python's own operators on
+its elements.  ``reduce`` maps such a sum or product back to a field
+element: ``v % p`` over GF(p), the identity over Q; ``reduce_all`` does so
+for a whole list.  Reduction is lazy: a kernel sums unreduced products and
+reduces each coefficient once, before it compares it with ``zero``,
+returns it or uses it as a key.
 ``inv_all`` inverts a whole list: over GF(p) by Montgomery's trick, one
 modular inverse and three products per entry, since an inverse mod p costs
 about as much as sixteen products.
@@ -42,7 +43,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import mul
 
 
@@ -59,10 +60,6 @@ class QQ:
     @staticmethod
     def reduce_all(values):
         return list(values)
-
-    @staticmethod
-    def from_rational(v):
-        return Fraction(v)
 
     @staticmethod
     def inv(a):
@@ -98,12 +95,6 @@ class GF:
     def reduce_all(self, values):
         p = self.p
         return [v % p for v in values]
-
-    def from_rational(self, v):
-        v = Fraction(v)
-        if v.denominator % self.p == 0:
-            raise ZeroDivisionError("denominator vanishes mod p")
-        return v.numerator * pow(v.denominator, -1, self.p) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -409,50 +400,54 @@ def det_field(F, m):
     return det * pow(scale, -1, p) % p
 
 
-# -- trivariate polynomials as exponent dicts ---------------------------
+# -- trivariate forms as dense lists -----------------------------------
 
-def p3_degree(poly) -> int:
-    return max((sum(e) for e in poly), default=-1)
+def p3_degree(form) -> int:
+    """The degree n of a dense form, from its length C(n + 2, 2); -1 for
+    the empty form.  Raises ValueError on any other length."""
+    n = (isqrt(8 * len(form) + 1) - 3) // 2
+    if (n + 1) * (n + 2) // 2 != len(form):
+        raise ValueError(f"no form of any degree has {len(form)} coefficients")
+    return n
 
 
-def p3_eval(F, poly, pt):
+def p3_eval(F, form, pt):
     x, y, z = pt
-    return F.reduce(sum(c * x ** e1 * y ** e2 * z ** e3
-                        for (e1, e2, e3), c in poly.items()))
+    return F.reduce(sum(c * x ** e1 * y ** e2 * z ** e3 for (e1, e2, e3), c
+                        in zip(monomials_of_degree(p3_degree(form)), form)))
 
 
-def p3_partial(F, poly, j: int):
-    """The partial derivative of poly in x_j."""
-    terms = ((e[:j] + (e[j] - 1,) + e[j + 1:], F.reduce(e[j] * c))
-             for e, c in poly.items() if e[j])
-    return {e: v for e, v in terms if v != F.zero}
+def p3_partial(F, form, j: int):
+    """The partial derivative of form in x_j: the coefficient of x^f is
+    (f_j + 1) times that of x^f x_j, which `_shifts` places."""
+    n = p3_degree(form)
+    if n < 1:
+        return []
+    out = [F.zero] * len(monomials_of_degree(n - 1))
+    for e, c, s in zip(monomials_of_degree(n), form, _shifts(n - 1)):
+        if e[j]:
+            out[s[j]] = e[j] * c
+    return F.reduce_all(out)
 
 
-def p3_linear_change(F, poly, m):
-    """Substitute x_i -> sum_j m[i][j] x_j in a homogeneous form.
+def p3_linear_change(F, form, m):
+    """Substitute x_i -> sum_j m[i][j] x_j in a dense form.
 
-    Each form of degree k on the way is a dense list over the monomials of
-    degree k, in the order of `monomials_of_degree`.  poly is evaluated at
-    the three linear forms by Horner's rule in x1 and, within each
-    x1-coefficient, in x2; x3^e becomes the e-th power of the third form,
-    from a table.  As poly is homogeneous of degree n, every step of both
-    Horner sums is homogeneous too: the x2-sum of x1^e1 has degree
-    n - e1 - e2 after the step at e2, and the x1-sum degree n - e1, so a
-    product by a linear form is one list comprehension over `_shifts`.
-    Sums stay unreduced, and each output coefficient is reduced once.
-    Raises ValueError when poly is not homogeneous; the empty form gives
-    the empty form.
+    form is evaluated at the three linear forms by Horner's rule in x1 and,
+    within each x1-coefficient, in x2; x3^e becomes the e-th power of the
+    third form, from a table; the x2-sum of x1^e1 reads its run of the
+    dense layout by slicing.  Every step of both Horner sums is homogeneous:
+    the x2-sum of x1^e1 has degree n - e1 - e2 after the step at e2, and
+    the x1-sum degree n - e1, so a product by a linear form is one list
+    comprehension over `_shifts`.  Sums stay unreduced, and each output
+    coefficient is reduced once.  The empty form gives the empty form.
     """
-    if not poly:
-        return {}
-    n = p3_degree(poly)
-    if any(sum(e) != n for e in poly):
-        raise ValueError("expected a homogeneous form")
+    n = p3_degree(form)
     zero = F.zero
 
-    def times(form, dense, k):
+    def times(linear, dense, k):
         """The degree-k dense form times a linear form."""
-        a, b, c = form
+        a, b, c = linear
         padded = dense + [zero]
         return [a * padded[i] + b * padded[j] + c * padded[l]
                 for i, j, l in _shifts(k)]
@@ -460,21 +455,17 @@ def p3_linear_change(F, poly, m):
     x3_powers = [[F.one]]
     for k in range(n):
         x3_powers.append(F.reduce_all(times(m[2], x3_powers[-1], k)))
-    acc = [poly.get((n, 0, 0), zero)]
+    acc, start = form[:1], 1
     for e1 in range(n - 1, -1, -1):
-        inner = [poly.get((e1, n - e1, 0), zero)]
-        for e3 in range(1, n - e1 + 1):
+        run = form[start:start + n - e1 + 1]
+        start += len(run)
+        inner = run[:1]
+        for e3, c in enumerate(run[1:], 1):
             inner = times(m[1], inner, e3 - 1)
-            c = poly.get((e1, n - e1 - e3, e3))
             if c:
                 inner = [v + c * w for v, w in zip(inner, x3_powers[e3])]
         acc = [v + w for v, w in zip(times(m[0], acc, n - e1 - 1), inner)]
-    changed = {}
-    for e, v in zip(monomials_of_degree(n), acc):
-        v = F.reduce(v)
-        if v != zero:
-            changed[e] = v
-    return changed
+    return F.reduce_all(acc)
 
 
 @lru_cache(maxsize=None)
@@ -491,21 +482,20 @@ def _shifts(k: int):
                  for f in monomials_of_degree(k + 1))
 
 
-def _x3_tower(F, poly, deg3: int):
+def _x3_tower(F, form):
     """Coefficients of x3^k after setting x2 = 1, as univariates in x1."""
-    tower = [[] for _ in range(deg3 + 1)]
-    for (e1, _, e3), c in poly.items():
-        level = tower[e3]
-        level.extend([F.zero] * (e1 + 1 - len(level)))
-        level[e1] += c
+    n = p3_degree(form)
+    tower = [[F.zero] * (n - e3 + 1) for e3 in range(n + 1)]
+    for (e1, _, e3), c in zip(monomials_of_degree(n), form):
+        tower[e3][e1] = c
     return [_reduced(F, level) for level in tower]
 
 
-def resultant_x3(F, f, g, d1, d2):
+def resultant_x3(F, f, g):
     """Res_{x3}(f, g) on the chart x2 = 1, by evaluation/interpolation.
 
-    f and g are trivariate exponent dicts with formal x3-degrees d1 and d2
-    (their top x3 coefficients must be nonzero constants).  The result is a
+    f and g are dense forms of degrees d1 and d2, read from their lengths,
+    whose x3^d1 and x3^d2 coefficients must be nonzero.  The result is a
     univariate polynomial in x1 of degree at most d1*d2; its value at each
     sample x1 = 0 .. d1*d2 is the determinant of the low-first Sylvester
     matrix in x3.  Each x3-level of f and g, a polynomial in x1, is
@@ -516,8 +506,8 @@ def resultant_x3(F, f, g, d1, d2):
     `uni_resultants`, one ``inv_all`` per round of remainders, and
     `uni_interpolate` takes the coefficients from its cached table.
     """
-    tf = _x3_tower(F, f, d1)
-    tg = _x3_tower(F, g, d2)
+    tf, tg = _x3_tower(F, f), _x3_tower(F, g)
+    d1, d2 = len(tf) - 1, len(tg) - 1
     if uni_degree(tf[d1]) != 0 or uni_degree(tg[d2]) != 0:
         raise ValueError("leading x3 coefficient is not a nonzero constant")
     xs = range(d1 * d2 + 1)
@@ -580,8 +570,8 @@ def _moved_curves(curve, rng: random.Random, exact: bool):
     # a new stream is for the benchmark revision (ROADMAP item 1)
     bound = rng.getrandbits(62) | 1 << 61 | 1
     for q in WORD_PRIMES:
-        reduced = {e: c % q for e, c in curve.items() if c % q}
-        if reduced:
+        reduced = [c % q for c in curve]
+        if any(reduced):
             F = GF(q)
             m = _random_invertible(F, lambda: rng.randrange(bound) % q)
             yield F, p3_linear_change(F, reduced, m)
@@ -593,8 +583,8 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
     each an ordinary node.
 
     Precondition, checked by the caller: the curve has k distinct singular
-    points.  curve, gamma, is a homogeneous trivariate exponent dict of
-    degree n >= 2, with integer coefficients, or rational ones if exact.
+    points.  curve, gamma, is a dense form of degree n >= 2, with integer
+    coefficients, or rational ones if exact.
     Each attempt works over its own field: Q if exact, otherwise GF(q) for
     the next prime q of WORD_PRIMES, with gamma reduced mod q (a reduction
     that is 0 rejects the attempt).  It draws an invertible m, moves the
@@ -636,8 +626,8 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
     for F, moved in _moved_curves(curve, rng, exact):
         c = [p3_partial(F, moved, j) for j in range(3)]
         try:
-            r1 = resultant_x3(F, c[0], c[1], d, d)
-            r2 = resultant_x3(F, c[0], c[2], d, d)
+            r1 = resultant_x3(F, c[0], c[1])
+            r2 = resultant_x3(F, c[0], c[2])
         except ValueError:
             continue  # a leading x3 coefficient is not a nonzero constant
         if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
@@ -650,24 +640,25 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
 def find_unique_common_root(curve, rng: random.Random):
     """Rational singular point of a plane curve that has exactly one.
 
-    Works over Q on the three partials of the curve.  Returns the point as
-    a primitive rational triple, or None when the partials do not have
-    exactly one common root (up to the retry budget).  The package no
-    longer calls it: the net cubic's node comes from a 3x3 kernel.  The
-    tests compare the two routes, and the benchmark's tracer names it.
+    Works over Q on the three partials of curve, a dense form with rational
+    coefficients.  Returns the point as a rational triple, or None when
+    the partials do not have exactly one common root (up to the retry
+    budget).  The package no longer calls it: the net cubic's node comes
+    from a 3x3 kernel.  The tests compare the two routes, and the
+    benchmark's tracer names it.
     """
     F = QQ
     polys = [p3_partial(F, curve, j) for j in range(3)]
-    degs = [p3_degree(p) for p in polys]
+    d = p3_degree(curve) - 1
     for _ in range(_TRIES):
         m = _random_invertible(F, partial(QQ.random_element, rng))
         try:
             changed = [p3_linear_change(F, p, m) for p in polys]
-            r1 = resultant_x3(F, changed[0], changed[1], degs[0], degs[1])
-            r2 = resultant_x3(F, changed[0], changed[2], degs[0], degs[2])
+            r1 = resultant_x3(F, changed[0], changed[1])
+            r2 = resultant_x3(F, changed[0], changed[2])
         except (ValueError, ZeroDivisionError):
             continue
-        if uni_degree(r1) != degs[0] * degs[1] or uni_degree(r2) != degs[0] * degs[2]:
+        if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
             continue
         g = uni_squarefree_part(F, uni_gcd(F, r1, r2))
         if uni_degree(g) != 1:
@@ -686,9 +677,10 @@ def find_unique_common_root(curve, rng: random.Random):
     return None
 
 
-def _restrict_to_fiber(F, poly, x1):
-    out = [F.zero] * (max((e3 for _, _, e3 in poly), default=0) + 1)
-    for (e1, _, e3), c in poly.items():
+def _restrict_to_fiber(F, form, x1):
+    n = p3_degree(form)
+    out = [F.zero] * (n + 1)
+    for (e1, _, e3), c in zip(monomials_of_degree(n), form):
         out[e3] += c * x1 ** e1
     return _reduced(F, out)
 

@@ -342,6 +342,26 @@ class TestNodeCertificates:
         assert not cb.singular_locus_is_exactly(
             gamma, cb.STANDARD_NODES[:3] + (pt,), random.Random(0))
 
+    def test_curve_over_t_is_certified_as_over_x(self):
+        # the same quartic over the block t, as a net's cubic is: the check
+        # reads the block from gamma, for both verdicts and both fields
+        gamma, pts = self.two_conics()
+        over_t = MultiPoly(cb.T_BLOCKS, gamma.terms)
+        for exact in (False, True):
+            for listed in (pts, pts[:3]):
+                assert (cb.singular_locus_is_exactly(
+                            over_t, listed, random.Random(2), exact)
+                        == cb.singular_locus_is_exactly(
+                            gamma, listed, random.Random(2), exact)
+                        == (listed == pts))
+
+    def test_form_in_two_blocks_raises(self):
+        # gamma(x) * y0 on P^2 x P^2
+        gamma, pts = self.two_conics()
+        times_y0 = MultiPoly(XY, {e + (1, 0, 0): c for e, c in gamma.terms.items()})
+        with pytest.raises(ValueError, match="one block"):
+            cb.singular_locus_is_exactly(times_y0, pts, random.Random(2))
+
     def test_repeated_or_zero_point_is_rejected(self):
         # either would make up the count of four with a node left unlisted
         gamma, pts = self.two_conics()
@@ -756,8 +776,9 @@ class TestNetAndSweep:
     def test_kernel_node_is_the_elimination_root(self, seed):
         # the node from the 3x3 kernel is the point the Q elimination finds
         report = cb.sweep(seed, 1)["cubic"]
-        root = ps.find_unique_common_root(report["cubic"].terms,
-                                          random.Random(seed))
+        terms = report["cubic"].terms
+        cubic = [terms.get(e, Fraction(0)) for e in ps.monomials_of_degree(3)]
+        root = ps.find_unique_common_root(cubic, random.Random(seed))
         assert primitive(root) == report["node"]
 
     def test_net_with_several_members_singular_at_o_is_rejected(self):

@@ -16,6 +16,21 @@ from prym6.exactalg import MultiPoly, primitive
 GF_P = ps.GF(2 ** 61 - 1)
 
 
+def lift(F, v):
+    """The rational v as an element of F: itself over Q, its residue over
+    GF(p)."""
+    v = Fraction(v)
+    if F is ps.QQ:
+        return v
+    return v.numerator * pow(v.denominator, -1, F.p) % F.p
+
+
+def dense(F, poly, n):
+    """An exponent dict over Q, homogeneous of degree n, as a dense form
+    over F: its coefficients on `monomials_of_degree(n)`, in that order."""
+    return [lift(F, poly.get(e, 0)) for e in ps.monomials_of_degree(n)]
+
+
 def _element(F, rng):
     """A random element of F."""
     return F.random_element(rng) if F is ps.QQ else rng.randrange(F.p)
@@ -45,9 +60,6 @@ class TestFields:
         assert F.reduce(-3) == 98
         assert F.reduce(F.inv(7) * 7) == F.one
         assert F.inv(7 + 101) == F.inv(7)
-        assert F.from_rational(Fraction(1, 2)) == 51
-        with pytest.raises(ZeroDivisionError):
-            F.from_rational(Fraction(1, 101))
         with pytest.raises(ZeroDivisionError):
             F.inv(202)
 
@@ -97,8 +109,8 @@ class TestWordPrimes:
 class TestUnivariate:
     def test_divmod_and_gcd_gf(self):
         F = ps.GF(10007)
-        a = [F.from_rational(c) for c in (2, 0, 1)]   # x^2 + 2
-        b = [F.from_rational(c) for c in (1, 1)]      # x + 1
+        a = [lift(F, c) for c in (2, 0, 1)]   # x^2 + 2
+        b = [lift(F, c) for c in (1, 1)]      # x + 1
         prod = uni_mul(F, a, b)
         q, r = ps.uni_divmod(F, prod, b)
         assert q == a and r == []
@@ -133,10 +145,10 @@ class TestUnivariate:
         rng = random.Random(1)
         for F in (GF_P, ps.QQ):
             for n in range(1, 27):
-                poly = ps._trim(F, [F.from_rational(Fraction(rng.randint(-30, 30),
-                                                             rng.randint(1, 9)))
+                poly = ps._trim(F, [lift(F, Fraction(rng.randint(-30, 30),
+                                                     rng.randint(1, 9)))
                                     for _ in range(n)])
-                ys = [uni_eval(F, poly, F.from_rational(x)) for x in range(n)]
+                ys = [uni_eval(F, poly, lift(F, x)) for x in range(n)]
                 assert ps.uni_interpolate(F, ys) == poly
                 assert ps.uni_interpolate(F, [F.zero] * n) == []
         ys = [Fraction(k * k + 1) for k in range(3)]
@@ -158,7 +170,7 @@ class TestUnivariate:
     def test_derivative_degree_25(self, F):
         rng = random.Random(6)
         a = [_element(F, rng) for _ in range(25)] + [F.one]
-        expect = [F.from_rational(i * a[i]) for i in range(1, 26)]
+        expect = [lift(F, i * a[i]) for i in range(1, 26)]
         assert ps.uni_derivative(F, a) == expect
 
 
@@ -219,11 +231,9 @@ class TestUniResultant:
         # each a*h and b*h has degree 0 to 6; a non-constant h is a shared
         # factor, so that pair's resultant is 0.  The pairs run in lockstep
         # and leave the loop in different rounds.
-        def lift(c):
-            return [F.from_rational(v) for v in c]
         pairs, shared = [], []
         for a, b, h in batch:
-            a, b, h = (lift(c) for c in (a, b, h))
+            a, b, h = ([lift(F, v) for v in c] for c in (a, b, h))
             pairs.append((uni_mul(F, a, h), uni_mul(F, b, h)))
             shared.append(len(h) > 1)
         expected = [ps.det_field(F, _sylvester_low_first(F, a, b)) for a, b in pairs]
@@ -265,9 +275,9 @@ class TestLaneResultants:
                     ([1, 1, 0, 0, 1], [3, 0, 2, 1], [1]),
                     ([2, 1], [3], [1])])
     def test_batch_equals_one_pair_calls(self, F, batch):
-        def lift(c):
-            return [F.from_rational(v) for v in c]
-        pairs = [(uni_mul(F, lift(a), lift(h)), uni_mul(F, lift(b), lift(h)))
+        def lifted(c):
+            return [lift(F, v) for v in c]
+        pairs = [(uni_mul(F, lifted(a), lifted(h)), uni_mul(F, lifted(b), lifted(h)))
                  for a, b, h in batch]
         assert ps.uni_resultants(F, pairs) == [ps.uni_resultants(F, [pair])[0]
                                                for pair in pairs]
@@ -278,34 +288,32 @@ class TestLaneResultants:
         # of the two forms with x1 = x
         F = GF_P
         rng = random.Random(13)
-        f, g = ({e: rng.randrange(F.p) for e in ps.monomials_of_degree(5)}
-                for _ in range(2))
-        r = ps.resultant_x3(F, f, g, 5, 5)
+        mons = ps.monomials_of_degree(5)
+        f, g = ([rng.randrange(F.p) for _ in mons] for _ in range(2))
+        r = ps.resultant_x3(F, f, g)
         assert ps.uni_degree(r) == 25
         for x in range(26):
-            a, b = (ps._reduced(F, [sum(c * x ** e1 for (e1, _, e3), c in poly.items()
+            a, b = (ps._reduced(F, [sum(c * x ** e1 for (e1, _, e3), c in zip(mons, form)
                                         if e3 == k) for k in range(6)])
-                    for poly in (f, g))
+                    for form in (f, g))
             assert uni_eval(F, r, x) == ps.det_field(F, _sylvester_low_first(F, a, b))
 
 
 class TestResultant:
     def test_resultant_detects_common_root(self):
         F = ps.QQ
-        # f = (x3 - x1)(x3 - 2), g = (x3 - x1)(x3 + 1) on the chart x2 = 1
-        f = {(0, 0, 2): F.one, (1, 0, 1): Fraction(-1), (0, 0, 1): Fraction(-2),
-             (1, 0, 0): Fraction(2)}
-        g = {(0, 0, 2): F.one, (1, 0, 1): Fraction(-1), (0, 0, 1): Fraction(1),
-             (1, 0, 0): Fraction(-1)}
-        r = ps.resultant_x3(F, f, g, 2, 2)
+        # f = (x3 - x1)(x3 - 2 x2), g = (x3 - x1)(x3 + x2)
+        f = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): -2, (1, 1, 0): 2}, 2)
+        g = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): 1, (1, 1, 0): -1}, 2)
+        r = ps.resultant_x3(F, f, g)
         # common root x3 = x1 for every x1, so the resultant vanishes identically
         assert r == []
 
     def test_resultant_of_coprime(self):
         F = ps.QQ
-        f = {(0, 0, 1): F.one, (1, 0, 0): Fraction(-1)}  # x3 - x1
-        g = {(0, 0, 1): F.one, (1, 0, 0): Fraction(-2)}  # x3 - 2 x1
-        r = ps.resultant_x3(F, f, g, 1, 1)
+        f = dense(F, {(0, 0, 1): 1, (1, 0, 0): -1}, 1)  # x3 - x1
+        g = dense(F, {(0, 0, 1): 1, (1, 0, 0): -2}, 1)  # x3 - 2 x1
+        r = ps.resultant_x3(F, f, g)
         # Res = x1 evaluated pointwise: linear with root only at x1 = 0
         assert ps.uni_degree(r) == 1
         assert uni_eval(F, r, Fraction(0)) == 0
@@ -321,10 +329,10 @@ def _product(*factors):
 
 def _two_conics():
     """f * g for two conics meeting transversally in exactly the four points
-    (+-1 : +-1 : 1): a quartic with four nodes there."""
+    (+-1 : +-1 : 1): a quartic with four nodes there, as a dense form over Q."""
     f = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(-2)}
     g = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(4), (0, 0, 2): Fraction(-5)}
-    return _product(f, g)
+    return dense(ps.QQ, _product(f, g), 4)
 
 
 #: y^2 z - x^3 - x^2 z, a cubic whose only singular point is the node (0:0:1)
@@ -333,8 +341,8 @@ NODAL_CUBIC = {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
 
 
 def _integer(curve):
-    """An exponent dict over Q with integer values, as ints."""
-    return {e: int(c) for e, c in curve.items()}
+    """A dense form over Q with integer values, as ints."""
+    return [int(c) for c in curve]
 
 
 class TestOnlyKnownCommonRoots:
@@ -352,9 +360,9 @@ class TestOnlyKnownCommonRoots:
         the curve."""
         moved, change = [], ps.p3_linear_change
 
-        def spy(F, poly, m):
+        def spy(F, form, m):
             moved.append(F.p)
-            return change(F, poly, m)
+            return change(F, form, m)
         monkeypatch.setattr(ps, "p3_linear_change", spy)
         accepted = ps.only_known_common_roots(curve, k, random.Random(seed))
         monkeypatch.undo()
@@ -373,7 +381,7 @@ class TestOnlyKnownCommonRoots:
         # q0 * (two conics) is 0 mod q0: attempt 1 rejects before any draw,
         # and attempt 2 accepts modulo the second prime
         q0 = ps.WORD_PRIMES[0]
-        curve = {e: q0 * c for e, c in _integer(_two_conics()).items()}
+        curve = [q0 * c for c in _integer(_two_conics())]
         assert self.primes_tried(monkeypatch, curve, 4, 4) == (
             True, [ps.WORD_PRIMES[1]])
 
@@ -381,11 +389,11 @@ class TestOnlyKnownCommonRoots:
         # a multiple of every prime of the table reduces to 0 at each
         # attempt, and a zero reduction never accepts
         scale = prod(ps.WORD_PRIMES)
-        curve = {e: scale * c for e, c in _integer(_two_conics()).items()}
+        curve = [scale * c for c in _integer(_two_conics())]
         assert self.primes_tried(monkeypatch, curve, 4, 4) == (False, [])
 
     def test_rejects_curve_of_degree_below_two(self):
-        for curve in ({(1, 0, 0): ps.QQ.one}, {(0, 0, 0): ps.QQ.one}, {}):
+        for curve in ([ps.QQ.one, ps.QQ.zero, ps.QQ.zero], [ps.QQ.one], []):
             with pytest.raises(ValueError):
                 ps.only_known_common_roots(curve, 0, random.Random(2),
                                            exact=True)
@@ -395,7 +403,7 @@ class TestFindUniqueCommonRoot:
     def test_locates_single_point(self):
         # the nodal cubic moved by x -> x - z, y -> y - 2z: its one node
         # goes from (0:0:1) to (1:2:1)
-        cubic = ps.p3_linear_change(ps.QQ, NODAL_CUBIC,
+        cubic = ps.p3_linear_change(ps.QQ, dense(ps.QQ, NODAL_CUBIC, 3),
                                     [[1, 0, -1], [0, 1, -2], [0, 0, 1]])
         pt = ps.find_unique_common_root(cubic, random.Random(9))
         assert pt is not None
@@ -505,22 +513,27 @@ class TestAdversarialCurves:
     st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
     min_size=1, max_size=10)), st.integers(0, 2))
 def test_partial_matches_multipoly_partial(F, terms, j):
+    d = sum(next(iter(terms)))
     expected = MultiPoly(cb.X_BLOCKS, terms).partial("x", j).terms
-    poly = {e: F.from_rational(c) for e, c in terms.items()}
-    assert ps.p3_partial(F, poly, j) == {e: F.from_rational(c)
-                                         for e, c in expected.items()}
+    assert ps.p3_partial(F, dense(F, terms, d), j) == dense(F, expected, d - 1)
+
+
+@pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+def test_partial_of_a_constant_is_the_empty_form(F):
+    for j in range(3):
+        assert ps.p3_partial(F, [F.one], j) == []
+        assert ps.p3_partial(F, [], j) == []
 
 
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
 def test_linear_change_is_substitution(F):
     rng = random.Random(12)
-    poly = {(2, 1, 0): F.from_rational(3), (0, 0, 3): F.from_rational(Fraction(-1, 2)),
-            (1, 1, 1): F.from_rational(7)}
+    poly = dense(F, {(2, 1, 0): 3, (0, 0, 3): Fraction(-1, 2), (1, 1, 1): 7}, 3)
     m = ps._random_invertible(F, lambda: _element(F, rng))
     changed = ps.p3_linear_change(F, poly, m)
     assert ps.p3_degree(changed) == 3
     for _ in range(5):
-        pt = tuple(F.from_rational(rng.randint(-5, 5)) for _ in range(3))
+        pt = tuple(lift(F, rng.randint(-5, 5)) for _ in range(3))
         image = ps._mat3_apply(F, m, pt)
         assert ps.p3_eval(F, changed, pt) == ps.p3_eval(F, poly, image)
 
@@ -529,7 +542,7 @@ def dict_linear_change(F, poly, m):
     """x_i -> sum_j m[i][j] x_j on exponent dicts, by Horner's rule in x1
     and x2 with the powers of the third form: the sparse route that
     `p3_linear_change` replaced, kept as its oracle."""
-    deg = ps.p3_degree(poly)
+    deg = max((sum(e) for e in poly), default=-1)
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def times(acc, form):
@@ -583,27 +596,37 @@ _entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(0, 2 ** 62))
 @given(st.integers(0, 6).flatmap(_forms),
        st.lists(_entries, min_size=9, max_size=9))
 def test_linear_change_matches_dict_oracle(F, terms, entries):
-    m = [[F.from_rational(v) for v in entries[3 * i:3 * i + 3]]
-         for i in range(3)]
+    m = [[lift(F, v) for v in entries[3 * i:3 * i + 3]] for i in range(3)]
     (a, b, c), (d, e, f), (g, h, i) = m
     assume(F.reduce(a * (e * i - f * h) - b * (d * i - f * g)
                     + c * (d * h - e * g)) != F.zero)
-    poly = {exp: F.from_rational(v) for exp, v in terms.items()}
+    n = sum(next(iter(terms)))
+    poly = {exp: lift(F, v) for exp, v in terms.items()}
     poly = {exp: v for exp, v in poly.items() if v != F.zero}
-    assert ps.p3_linear_change(F, poly, m) == dict_linear_change(F, poly, m)
+    assert (ps.p3_linear_change(F, dense(F, terms, n), m)
+            == dense(F, dict_linear_change(F, poly, m), n))
 
 
 def test_linear_change_of_the_empty_form():
     m = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
-    assert ps.p3_linear_change(ps.QQ, {}, m) == {}
-    assert ps.p3_linear_change(GF_P, {}, m) == {}
+    assert ps.p3_linear_change(ps.QQ, [], m) == []
+    assert ps.p3_linear_change(GF_P, [], m) == []
 
 
-def test_linear_change_rejects_a_form_that_is_not_homogeneous():
-    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+def test_degree_of_a_dense_form_is_read_from_its_length():
+    for n in range(-1, 7):
+        assert ps.p3_degree([0] * ((n + 1) * (n + 2) // 2)) == n
+    for length in (2, 4, 5, 7, 27):
+        with pytest.raises(ValueError):
+            ps.p3_degree([0] * length)
+
+
+def test_completeness_check_rejects_a_form_that_is_not_homogeneous():
+    # x^2 + y is no plane curve, so no dense form of one degree holds it
+    gamma = MultiPoly(cb.X_BLOCKS, {(2, 0, 0): Fraction(1),
+                                    (0, 1, 0): Fraction(1)})
     with pytest.raises(ValueError):
-        ps.p3_linear_change(ps.QQ, {(2, 0, 0): Fraction(1),
-                                    (0, 1, 0): Fraction(1)}, m)
+        cb.singular_locus_is_exactly(gamma, [], random.Random(2))
 
 
 def test_monomials_of_degree():
