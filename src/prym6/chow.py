@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import add, gt
 from typing import Mapping, Sequence
 
@@ -401,18 +401,6 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
         P._hilbert = QVector("d^k", coeffs)
     h = P._hilbert
     return Fraction(sum(n * d ** k for k, n in h.nums.items()), h.den)
-
-
-def sections_formula(d: int) -> int:
-    """h^0(P, O_P(d)) for d >= 0, via the double-cover eigenspace split.
-
-    The degree-2 map to P^4 pushes the structure sheaf forward as
-    O + O(-2), so sections of O_P(d) split as degree-d plus degree-(d-2)
-    forms on P^4.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    return comb(d + 4, 4) + comb(d + 2, 4)
 
 
 def koszul_chi_B(P: ProjectiveBundleRing) -> Fraction:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .exactalg import (MultiPoly, QMatrix, det3_poly, integer_numerators,
                        primitive)
 from .planesys import (QQ, _random_invertible, monomials_of_degree,
-                       only_known_common_roots)
+                       only_known_common_roots, p3_degree, p3_jet)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
@@ -162,8 +162,9 @@ def base_system(points: tuple[tuple[Fraction, ...], ...],
     16-dimensional system at the heart of the construction; with bidegree
     (1,1) and order 1 it is the 5-dimensional system of the base surface.
     """
-    points = tuple(tuple(Fraction(c) for c in pt) for pt in points)
-    if not all(QMatrix(triple).det() for triple in combinations(points, 3)):
+    points = [primitive(pt) for pt in points]
+    if not all(sum(map(mul, a, _cross(b, c)))
+               for a, b, c in combinations(points, 3)):
         raise DegenerateConfigurationError("three of the base points are collinear")
     monomials = bidegree_monomials(bidegree)
     rows = []
@@ -359,21 +360,46 @@ class NodeCertificate:
         return (all(g == 0 for g in self.gradient) and self.hessian_minor != 0)
 
 
+def _dense_form(curve: MultiPoly) -> list[int]:
+    """den * curve as a dense integer form over `monomials_of_degree(n)`.
+
+    curve is a nonzero homogeneous form in a single block of three
+    variables: x for the discriminant sextic, t for the discriminant cubic
+    of a net.  Anything else raises ValueError: a term of another degree or
+    length is not on the list, so fewer entries than terms are nonzero.
+    """
+    nums = curve.nums
+    if len(curve.blocks) != 1 or not nums:
+        raise ValueError("expected a nonzero homogeneous form in one block")
+    form = [nums.get(e, 0) for e in monomials_of_degree(sum(next(iter(nums))))]
+    if len(form) - form.count(0) != len(nums):
+        raise ValueError("expected a nonzero homogeneous form in one block")
+    return form
+
+
 def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertificate:
     """Exact gradient and chart-Hessian data of a plane curve at a point.
 
-    gamma is a form in a single block of three variables: x for the
-    discriminant sextic, t for the discriminant cubic of a net.
+    gamma is a form as `_dense_form` takes it, N / den for its dense
+    integer form N of degree n.  The point is written P / d with integer P,
+    and `p3_jet` takes N at P: the value at the point is N(P) / (den d^n),
+    and the gradient and the Hessian, of degrees n - 1 and n - 2, are those
+    of N at P times d and d^2 over den d^n.
     """
-    ((block, _),) = gamma.blocks
-    point = tuple(Fraction(c) for c in point)
-    value, grad, hess = gamma.jet({block: point}, 2)
-    k = _chart_index(point)
+    form = _dense_form(gamma)
+    P, d = integer_numerators(point)
+    value, grad, hess = p3_jet(form, P, 2)
+    total = gamma.den * d ** p3_degree(form)
+    k = _chart_index(P)
     a, b = (j for j in range(3) if j != k)
     minor = hess[a][a] * hess[b][b] - hess[a][b] * hess[b][a]
-    return NodeCertificate(point=point, chart=k,
-                           gradient=(value,) + grad, hessian_minor=minor,
-                           hessian=hess)
+    return NodeCertificate(
+        point=tuple(Fraction(c, d) for c in P), chart=k,
+        gradient=(Fraction(value, total),)
+        + tuple(Fraction(g * d, total) for g in grad),
+        hessian_minor=Fraction(minor * d ** 4, total * total),
+        hessian=tuple(tuple(Fraction(h * d * d, total) for h in row)
+                      for row in hess))
 
 
 def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
@@ -404,14 +430,15 @@ def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
       r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
       are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
     """
-    if cubic.multidegree() != (3,) or any(node.gradient) or not node.hessian:
+    form = _dense_form(cubic)
+    if len(form) != 10 or any(node.gradient) or not node.hessian:
         raise ValueError("expected a plane cubic and the certificate of a "
                          "singular point computed on it")
     k = node.chart
     a, b = (j for j in range(3) if j != k)
     h = node.hessian
     c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3, times cubic.den
-    for e, v in cubic.nums.items():
+    for e, v in zip(monomials_of_degree(3), form):
         if e[k] == 0:
             c[3 - e[a]] = v
     # scaling q or c keeps their roots; dividing out their contents (hundreds
@@ -433,21 +460,18 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     """Certify Sing(gamma) = {points}, all ordinary nodes; modulo word-size
     primes unless exact.  The count of `only_known_common_roots` needs the
     points to be distinct singular points, which is checked here exactly
-    over Q.  gamma is a nonzero form in one block, x or t, as in
-    `node_certificate`; anything else raises ValueError."""
-    degree = gamma.multidegree()
-    if len(gamma.blocks) != 1 or degree is None:
-        raise ValueError("expected a homogeneous form in one block")
-    ((block, _),) = gamma.blocks
+    over Q.  gamma is a form as `_dense_form` takes it; anything else raises
+    ValueError."""
+    # the integer form den * gamma has the same singular points
+    curve = _dense_form(gamma)
     listed = [primitive(pt) for pt in points]
     if len(set(listed)) != len(listed):
         return False
     for pt in listed:
-        if not any(pt) or any(gamma.jet({block: pt}, 1)[1]):
+        if not any(pt) or any(p3_jet(curve, pt, 1)[1]):
             return False
-    # the integer form den * gamma has the same singular points
-    coeffs = gamma.terms if exact else gamma.nums
-    curve = [coeffs.get(e, 0) for e in monomials_of_degree(*degree)]
+    if exact:
+        curve = [Fraction(c, gamma.den) for c in curve]
     return only_known_common_roots(curve, len(listed), rng, exact)
 
 
@@ -828,10 +852,8 @@ def sweep(seed: int, samples: int) -> dict:
             raise GenericityError("pencil sampling exhausted its retry budget")
         lf = pencil_line_through(net.o, rng)
         try:
-            cut = impose_line(net.system, lf, expected_drop=2)
-            if cut.dim != 1:
-                raise NonGenericDropError("pencil line did not single out a member")
-            Q = cut.basis[0]
+            # net.system has dim 3, so a drop of 2 leaves one member
+            Q = impose_line(net.system, lf, expected_drop=2).basis[0]
             inst = certify_instance(Q, list(net.fixed_lines) + [lf], rng,
                                     seed=seed)
             # the marked lines are the fixed lines followed by lf

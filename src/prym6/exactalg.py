@@ -9,8 +9,8 @@ divisor and curve classes of `moduli`.  A `QMatrix` stores each row as
 integer numerators over a positive row denominator.  Linear algebra goes
 through fraction-free (Bareiss) elimination on the integer rows, so ranks
 and kernels are certified, not numerical.  `fractions.Fraction` appears only
-at the interface: coefficients read through `QVector.coeffs`, and values,
-gradients and determinants.
+at the interface: coefficients read through `QVector.coeffs`, and values
+and determinants.
 """
 
 from __future__ import annotations
@@ -271,10 +271,9 @@ class MultiPoly(QVector):
         block's highest degree, so the sums run in integers and the result
         is over den times d^top for each block.
 
-        Nothing in the package calls it: `jet` evaluates, and a fiber conic
-        is read from `SymQuadricMatrix.evaluated`.  It stays as the general
-        restriction that the tests check `jet` against, and because
-        ``perfbench/tracer.py`` counts its calls (ROADMAP item 1).
+        `evaluate` is the one caller; a fiber conic is read from
+        `SymQuadricMatrix.evaluated`, and a plane curve's jet from
+        `planesys.p3_jet`.
         """
         spans = []  # (offset, P, d, top) of each substituted block
         keep_blocks: list[tuple[str, int]] = []
@@ -312,105 +311,10 @@ class MultiPoly(QVector):
         return MultiPoly.from_ints(tuple(keep_blocks), out, den)
 
     def evaluate(self, assignment: Mapping[str, Sequence]) -> Fraction:
-        """Fully evaluate; every block must be assigned."""
-        return self.jet(assignment, 0)[0]
-
-    def jet(self, assignment: Mapping[str, Sequence], order: int = 2) -> tuple:
-        """Value, gradient and Hessian at a rational point, in one pass.
-
-        Every block must be assigned.  Returns ``order + 1`` entries: the
-        value; for order >= 1 the gradient over all variables, in the flat
-        order of the exponent tuples; for order 2 the Hessian as a tuple of
-        rows.
-
-        Each block's point is written P/d with integer P, and each
-        coefficient is its numerator C over ``den``.  A term whose block
-        degrees are |e_b| then adds C P^e prod_b d_b^(deg_b - |e_b|) to
-        den prod_b d_b^deg_b times the value, deg_b being the top degree of
-        block b, so every sum runs in integers.  A derivative in a
-        coordinate of block b lowers |e_b| by one, so its output takes one
-        factor d_b back; each output is divided once.
-
-        A term whose degree in the point's zero coordinates exceeds
-        ``order`` is skipped: every derivative of order at most ``order``
-        keeps a positive power of a zero coordinate, so the term adds 0 to
-        each output.
-        """
-        if not 0 <= order <= 2:
-            raise ValueError("order must be 0, 1 or 2")
-        coords: list[int] = []
-        back: list[int] = []  # per variable, the denominator d of its block
-        lifts = []  # (start, stop, d, deg) of each block with d != 1
-        for name, size in self.blocks:
-            if name not in assignment:
-                raise ValueError("every block must be assigned")
-            P, d = integer_numerators(assignment[name])
-            if len(P) != size:
-                raise ValueError(f"point for block {name!r} has wrong size")
-            if d != 1:
-                a = len(coords)
-                deg = max((sum(e[a:a + size]) for e in self.nums), default=0)
-                lifts.append((a, a + size, d, deg))
-            coords += P
-            back += [d] * size
-        n = len(coords)
-        zeros = [k for k, v in enumerate(coords) if not v]
-        tops = map(max, zip(*self.nums)) if self.nums else [0] * n
-        pw = [[v ** e for e in range(top + 1)] for v, top in zip(coords, tops)]
-        value = 0
-        grad = [0] * n
-        hess = [[0] * n for _ in range(n)]
-        for exp, C in self.nums.items():
-            if zeros:
-                vanishing = 0
-                for k in zeros:
-                    vanishing += exp[k]
-                if vanishing > order:
-                    continue
-            for a, b, d, deg in lifts:
-                C *= d ** (deg - sum(exp[a:b]))
-            support = [k for k in range(n) if exp[k]]
-            mono = [pw[k][exp[k]] for k in support]
-            term = C
-            for m in mono:
-                term *= m
-            value += term
-            if not order:
-                continue
-            for i, k in enumerate(support):
-                e = exp[k]
-                # C times every factor of the monomial but the k-th
-                rest = C
-                for j, m in enumerate(mono):
-                    if j != i:
-                        rest *= m
-                grad[k] += e * pw[k][e - 1] * rest
-                if order < 2:
-                    continue
-                if e >= 2:
-                    hess[k][k] += e * (e - 1) * pw[k][e - 2] * rest
-                for i2 in range(i + 1, len(support)):
-                    l = support[i2]
-                    f = exp[l]
-                    mixed = C * e * pw[k][e - 1] * f * pw[l][f - 1]
-                    for j, m in enumerate(mono):
-                        if j != i and j != i2:
-                            mixed *= m
-                    hess[k][l] += mixed
-        total = self.den
-        for _, _, d, deg in lifts:
-            total *= d ** deg
-        out: tuple = (Fraction(value, total),)
-        if order:
-            out += (tuple(Fraction(g * back[k], total) for k, g in enumerate(grad)),)
-        if order == 2:
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for k in range(n):
-                for l in range(k, n):
-                    rows[k][l] = rows[l][k] = Fraction(
-                        hess[k][l] * back[k] * back[l], total)
-            out += (tuple(map(tuple, rows)),)
-        return out
+        """Fully evaluate: `substitute` with every block assigned."""
+        if any(name not in assignment for name, _ in self.blocks):
+            raise ValueError("every block must be assigned")
+        return self.substitute(assignment).terms.get((), Fraction(0))
 
 
 def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -4,6 +4,8 @@ Used to certify that a plane curve is singular only at k known points, all
 ordinary nodes, and to locate the unique node of a plane cubic.  The
 same code runs over Q and over prime fields GF(q) with q below 2^30, where
 every residue is a single machine word; the field is passed explicitly.
+`p3_jet`, the value, gradient and Hessian of a form at a point, runs on
+integers, with no field: it is the one jet of the node certificates.
 
 A form of degree n in three variables is a dense list of coefficients on
 the C(n + 2, 2) monomials of `monomials_of_degree(n)`, in that order, so
@@ -415,6 +417,47 @@ def p3_eval(F, form, pt):
     x, y, z = pt
     return F.reduce(sum(c * x ** e1 * y ** e2 * z ** e3 for (e1, e2, e3), c
                         in zip(monomials_of_degree(p3_degree(form)), form)))
+
+
+def p3_jet(form, point, order: int):
+    """(value, gradient, Hessian)[:order + 1] of a dense integer form at an
+    integer point, in one pass over the form: the gradient is a triple, the
+    Hessian a triple of rows, and every entry an int.
+
+    A term c x^e adds c times a product of the factors x_k^(e_k), one or two
+    of them differentiated, to each output; the powers come from one table
+    per coordinate.  A term whose degree in the point's zero coordinates
+    exceeds ``order`` is skipped: every derivative of order at most
+    ``order`` keeps a positive power of a zero coordinate, so the term adds
+    0 to each output.
+    """
+    if len(point) != 3 or not 0 <= order <= 2:
+        raise ValueError("expected a point of P^2 and an order of 0, 1 or 2")
+    n = p3_degree(form)
+    zeros = [k for k in range(3) if not point[k]]
+    pw = [[v ** e for e in range(n + 1)] for v in point]
+    value, grad, hess = 0, [0, 0, 0], [[0] * 3 for _ in range(3)]
+    for e, c in zip(monomials_of_degree(n), form):
+        if not c or sum(e[k] for k in zeros) > order:
+            continue
+        f = [pw[k][e[k]] for k in range(3)]
+        value += c * (f[0] * f[1] * f[2])
+        if not order:
+            continue
+        d1 = [e[k] * pw[k][e[k] - 1] if e[k] else 0 for k in range(3)]
+        # each pair (k, l) of distinct indices once, m the third index
+        for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if not e[k]:
+                continue
+            grad[k] += c * (d1[k] * f[l] * f[m])
+            if order == 2:
+                if e[k] > 1:
+                    hess[k][k] += c * (e[k] * (e[k] - 1) * pw[k][e[k] - 2]
+                                       * f[l] * f[m])
+                mixed = c * (d1[k] * d1[l] * f[m])
+                hess[k][l] += mixed
+                hess[l][k] += mixed
+    return (value, tuple(grad), tuple(map(tuple, hess)))[:order + 1]
 
 
 def p3_partial(F, form, j: int):

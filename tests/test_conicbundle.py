@@ -64,11 +64,13 @@ class TestBaseSystem:
                 == cb.base_system(cb.STANDARD_NODES).vectors)
 
     def test_collinear_points_rejected(self):
-        bad = (cb.STANDARD_NODES[0], cb.STANDARD_NODES[1],
-               (Fraction(1), Fraction(1), Fraction(0)),
-               cb.STANDARD_NODES[3])
-        with pytest.raises(cb.DegenerateConfigurationError):
-            cb.base_system(bad)
+        # (1:0:0), (0:1:0) and a point of the line x3 = 0, or a zero point,
+        # whose triple product with any two points is 0
+        for third in ((1, 1, 0), (Fraction(-1, 2), 3, 0), (0, 0, 0)):
+            bad = (cb.STANDARD_NODES[0], cb.STANDARD_NODES[1], third,
+                   cb.STANDARD_NODES[3])
+            with pytest.raises(cb.DegenerateConfigurationError):
+                cb.base_system(bad)
 
 
 class TestImposeLine:
@@ -362,6 +364,50 @@ class TestNodeCertificates:
         with pytest.raises(ValueError, match="one block"):
             cb.singular_locus_is_exactly(times_y0, pts, random.Random(2))
 
+    def test_form_not_homogeneous_in_one_block_raises_at_every_reader(self):
+        # gamma(x) * y0, gamma and the nodal cubic plus a linear term, and
+        # 0: the three certificates that read a plane curve reject each
+        gamma, pts = self.two_conics()
+        cubic = MultiPoly(X, {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
+                              (2, 0, 1): Fraction(-1)})
+        cert = cb.node_certificate(cubic, (0, 0, 1))
+        assert cert.is_node and cb.no_line_through_node(cubic, cert)
+        x1 = MultiPoly(X, {(1, 0, 0): Fraction(1)})
+        times_y0 = MultiPoly(XY, {e + (1, 0, 0): c for e, c in gamma.terms.items()})
+        for bad in (times_y0, gamma + x1, cubic + x1, MultiPoly(X)):
+            with pytest.raises(ValueError, match="one block"):
+                cb.node_certificate(bad, pts[0])
+            with pytest.raises(ValueError, match="one block"):
+                cb.no_line_through_node(bad, cert)
+            with pytest.raises(ValueError, match="one block"):
+                cb.singular_locus_is_exactly(bad, pts, random.Random(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.dictionaries(
+               st.sampled_from(ps.monomials_of_degree(n)), fracs,
+               min_size=1, max_size=8)),
+           st.tuples(coords, coords, coords))
+    def test_matches_partials_at_a_rational_point(self, terms, pt):
+        # forms of degree 0 to 4 with denominators, and points with
+        # denominators and zero coordinates; below degree 2 the Hessian is 0
+        assume(any(pt))
+        gamma = MultiPoly(X, terms)
+        at = {"x": pt}
+        cert = cb.node_certificate(gamma, pt)
+        firsts = [gamma.partial("x", j) for j in range(3)]
+        hess = tuple(tuple(f.partial("x", j).evaluate(at) for j in range(3))
+                     for f in firsts)
+        assert cert.point == pt
+        assert cert.chart == max(k for k in range(3) if pt[k])
+        assert cert.gradient == ((gamma.evaluate(at),)
+                                 + tuple(f.evaluate(at) for f in firsts))
+        assert cert.hessian == hess
+        a, b = (j for j in range(3) if j != cert.chart)
+        assert cert.hessian_minor == hess[a][a] * hess[b][b] - hess[a][b] ** 2
+        values = (*cert.point, *cert.gradient, cert.hessian_minor,
+                  *sum(cert.hessian, ()))
+        assert all(type(v) is Fraction for v in values)
+
     def test_repeated_or_zero_point_is_rejected(self):
         # either would make up the count of four with a node left unlisted
         gamma, pts = self.two_conics()
@@ -407,8 +453,8 @@ def kernel_point_by_jet(A, Q, u):
     kernel = A.evaluated(u).kernel()
     assert len(kernel) == 1
     (y,) = kernel
-    _, grad = Q.jet({"x": u, "y": y}, 1)
-    return y, grad
+    at = {"x": u, "y": y}
+    return y, tuple(Q.partial(b, j).evaluate(at) for b in "xy" for j in range(3))
 
 
 class TestSingularPointOnQ:

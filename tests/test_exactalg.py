@@ -99,6 +99,22 @@ class TestMultiPoly:
         assert r.terms == {(0, 1, 0): Fraction(2)}
         assert q.evaluate({"x": (2, 0, 0), "y": (0, 5, 0)}) == 10
 
+    def test_every_block_must_be_assigned(self):
+        with pytest.raises(ValueError):
+            X1_XY.evaluate({"x": (1, 2, 3)})
+        with pytest.raises(ValueError):
+            X1_XY.evaluate({"x": (1, 2), "y": (1, 2, 3)})
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(), st.tuples(*[st.one_of(st.just(0), small_fracs)] * 6))
+    def test_evaluate_matches_termwise_sum(self, p, pt):
+        # points with denominators and zero coordinates; the zero
+        # polynomial is among the draws
+        value = p.evaluate({"x": pt[:3], "y": pt[3:]})
+        assert isinstance(value, Fraction)
+        assert value == sum(c * prod(v ** e for v, e in zip(pt, exp))
+                            for exp, c in p.terms.items())
+
     def test_multidegree_none_for_mixed(self):
         p = MultiPoly(XY, {(1, 0, 0, 0, 0, 0): 1, (2, 0, 0, 0, 0, 0): 1})
         assert p.multidegree() is None
@@ -255,12 +271,14 @@ FLOAT_ENTRY_POINTS = {
     "double-line-count-delta0": lambda: moduli.solve_double_line_count(18, 77.0),
     "primitive": lambda: primitive([0.1, 1]),
     "QMatrix": lambda: QMatrix([[0.1, 1]]),
-    "MultiPoly-jet": lambda: X1.jet({"x": (0.5, 1, 1)}),
     "MultiPoly-evaluate": lambda: X1.evaluate({"x": (0.5, 1, 1)}),
     "MultiPoly-substitute": lambda: X1_XY.substitute({"x": (0.5, 1, 1)}),
     "SymQuadricMatrix-evaluated": lambda: cb.to_symmetric_matrix(
         MultiPoly(XY, {(2, 0, 0, 2, 0, 0): 1})).evaluated((0.5, 1, 1)),
     "LineInFiber": lambda: cb.LineInFiber((0.5, 1, 1), (1, 0, 0)),
+    "node_certificate": lambda: cb.node_certificate(X1, (0.5, 1, 1)),
+    "base_system": lambda: cb.base_system(
+        ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
 }
 
 
@@ -281,49 +299,6 @@ class TestRejectsFloats:
         # a float would round silently; every exact entry point raises
         with pytest.raises(TypeError):
             FLOAT_ENTRY_POINTS[entry]()
-
-
-def _substituted(p, at):
-    """Value of p at a point through `substitute`, the reference for `jet`."""
-    return p.substitute(at).terms.get((), Fraction(0))
-
-
-def _points():
-    coord = st.one_of(st.just(Fraction(0)), small_fracs)
-    return st.tuples(*(st.tuples(coord, coord, coord) for _ in range(2)))
-
-
-class TestJet:
-    @settings(max_examples=60, deadline=None)
-    @given(poly_strategy(), _points())
-    def test_matches_partial_and_substitute(self, p, pts):
-        # two-block polynomials of mixed degrees, points with denominators
-        # and zero coordinates; the zero polynomial is among the draws
-        at = {"x": pts[0], "y": pts[1]}
-        value, grad, hess = p.jet(at, 2)
-        assert value == _substituted(p, at) == p.evaluate(at)
-        variables = [(b, j) for b in ("x", "y") for j in range(3)]
-        firsts = [p.partial(b, j) for b, j in variables]
-        assert grad == tuple(_substituted(f, at) for f in firsts)
-        assert hess == tuple(tuple(_substituted(f.partial(b, j), at)
-                                   for b, j in variables) for f in firsts)
-        assert p.jet(at, 1) == (value, grad)
-        assert p.jet(at, 0) == (value,)
-
-    def test_zero_polynomial(self):
-        at = {"x": (Fraction(1, 2), 0, 3), "y": (1, 1, Fraction(-2, 5))}
-        value, grad, hess = MultiPoly(XY).jet(at)
-        assert value == 0 and grad == (0,) * 6
-        assert hess == ((0,) * 6,) * 6
-
-    def test_every_block_must_be_assigned(self):
-        p = X1_XY
-        with pytest.raises(ValueError):
-            p.jet({"x": (1, 2, 3)})
-        with pytest.raises(ValueError):
-            p.evaluate({"x": (1, 2), "y": (1, 2, 3)})
-        with pytest.raises(ValueError):
-            p.jet({"x": (1, 2, 3), "y": (1, 2, 3)}, 3)
 
 
 class TestPrimitive:

@@ -476,9 +476,9 @@ class TestAdversarialCurves:
                  (1, 0, 1): Fraction(49), (0, 0, 2): Fraction(-36)}
         nodes = [(t * t, t ** 3, 1) for t in (1, -1, 2, -2, 3, -3)]
         curve = _product(cusp, conic)
-        gamma = MultiPoly(cb.X_BLOCKS, curve)
+        form = [int(curve.get(e, 0)) for e in ps.monomials_of_degree(6)]
         for pt in [(0, 0, 1)] + nodes:  # so the count, not the listing, rejects
-            assert not any(gamma.jet({"x": pt}, 1)[1])
+            assert not any(ps.p3_jet(form, pt, 1)[1])
         assert not self.certify(curve, [(0, 0, 1)] + nodes, seed, exact)
         assert not self.certify(curve, nodes, seed, exact)
 
@@ -504,6 +504,46 @@ class TestAdversarialCurves:
     def test_listed_smooth_point(self, seed):
         # (0:1:0) lies on the nodal cubic but is not singular there
         assert not self.certify(NODAL_CUBIC, [(0, 0, 1), (0, 1, 0)], seed)
+
+
+def _substituted(p, pt):
+    """The value of a form over x at a point, through `MultiPoly.substitute`."""
+    return p.substitute({"x": pt}).terms.get((), Fraction(0))
+
+
+class TestJet:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6).map(lambda n: len(ps.monomials_of_degree(n)))
+           .flatmap(lambda size: st.lists(
+               st.one_of(st.just(0), st.integers(-20, 20)),
+               min_size=size, max_size=size)),
+           st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 3))
+    def test_matches_partial_and_substitute(self, form, pt):
+        # forms of degree 0 to 6 with zero coefficients, points with zero
+        # coordinates, so the skip of terms vanishing to high order is met;
+        # the zero form is among the draws
+        n = ps.p3_degree(form)
+        p = MultiPoly(cb.X_BLOCKS, dict(zip(ps.monomials_of_degree(n), form)))
+        value, grad, hess = ps.p3_jet(form, pt, 2)
+        assert value == _substituted(p, pt)
+        firsts = [p.partial("x", j) for j in range(3)]
+        assert grad == tuple(_substituted(f, pt) for f in firsts)
+        assert hess == tuple(tuple(_substituted(f.partial("x", j), pt)
+                                   for j in range(3)) for f in firsts)
+        assert ps.p3_jet(form, pt, 1) == (value, grad)
+        assert ps.p3_jet(form, pt, 0) == (value,)
+        assert all(type(v) is int for v in (value, *grad, *sum(hess, ())))
+
+    def test_zero_polynomial(self):
+        value, grad, hess = ps.p3_jet([0] * 10, (2, 0, -1), 2)
+        assert value == 0 and grad == (0,) * 3
+        assert hess == ((0,) * 3,) * 3
+
+    @pytest.mark.parametrize("point, order", [((1, 1, 1), -1), ((1, 1, 1), 3),
+                                              ((1, 1), 1), ((1, 1, 1, 1), 1)])
+    def test_bad_point_or_order_raises(self, point, order):
+        with pytest.raises(ValueError):
+            ps.p3_jet([1, 2, 3], point, order)
 
 
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])

@@ -57,7 +57,6 @@ UNCALLED_PUBLIC = {
     "planesys.det_field": "spanned by perfbench/tracer.py (ROADMAP item 1)",
     "planesys.find_unique_common_root":
         "spanned by perfbench/tracer.py (ROADMAP item 1)",
-    "chow.sections_formula": "the closed form that test_chow compares against",
 }
 
 
@@ -80,9 +79,6 @@ UNCALLED_PUBLIC_METHODS = {
     "conicbundle.ConicBundleInstance.from_json":
         "the public loader of instance JSON, which the CI installed-script "
         "step runs",
-    "exactalg.MultiPoly.substitute":
-        "counted by perfbench/tracer.py, and the oracle of MultiPoly.jet in "
-        "the tests",
 }
 
 
