@@ -293,6 +293,9 @@ class BlowupRing:
         """zeta = H1 + H2 - N, the class of O_P(1) on the bundle P."""
         return self.divisor({"H1": 1, "H2": 1, "N": -1})
 
+    def one(self) -> ChowClass:
+        return ChowClass.from_ints(self, {(0, 0, 0, 0): 1})
+
     def mul_basis(self, k1, k2) -> dict:
         k = tuple(map(add, k1, k2))
         return {k: 1} if sum(k) <= 4 else {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -346,14 +346,19 @@ def discriminant(A: SymQuadricMatrix) -> MultiPoly:
 
 @dataclass(frozen=True)
 class NodeCertificate:
+    """What the instance JSON stores of the curve N / den at the point
+    P / d, for a dense integer form N of degree n and an integer vector P.
+
+    ``gradient`` is the value followed by the three partials: N(P) and
+    d dN/dx_j (P), over den d^n.  ``hessian_minor`` is the chart minor: the
+    2x2 minor of the Hessian off ``chart``, the index of P's last nonzero
+    coordinate.
+    """
+
     point: tuple[Fraction, ...]
     chart: int
     gradient: tuple[Fraction, ...]
     hessian_minor: Fraction
-    #: the full Hessian at the point, for a caller that certifies more there;
-    #: not part of the certificate's value, so not compared or serialized
-    hessian: tuple[tuple[Fraction, ...], ...] = field(
-        default=(), compare=False, repr=False)
 
     @property
     def is_node(self) -> bool:
@@ -377,19 +382,21 @@ def _dense_form(curve: MultiPoly) -> list[int]:
     return form
 
 
-def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertificate:
+def node_certificate(form: Sequence[int], den: int,
+                     point: Sequence[Fraction]) -> NodeCertificate:
     """Exact gradient and chart-Hessian data of a plane curve at a point.
 
-    gamma is a form as `_dense_form` takes it, N / den for its dense
-    integer form N of degree n.  The point is written P / d with integer P,
+    The curve is N / den for the dense integer form N = form of degree n
+    that `_dense_form` returns.  The point is written P / d with integer P,
     and `p3_jet` takes N at P: the value at the point is N(P) / (den d^n),
     and the gradient and the Hessian, of degrees n - 1 and n - 2, are those
     of N at P times d and d^2 over den d^n.
     """
-    form = _dense_form(gamma)
+    if not form:
+        raise ValueError("the empty form is no curve")
     P, d = integer_numerators(point)
     value, grad, hess = p3_jet(form, P, 2)
-    total = gamma.den * d ** p3_degree(form)
+    total = den * d ** p3_degree(form)
     k = _chart_index(P)
     a, b = (j for j in range(3) if j != k)
     minor = hess[a][a] * hess[b][b] - hess[a][b] * hess[b][a]
@@ -397,17 +404,16 @@ def node_certificate(gamma: MultiPoly, point: Sequence[Fraction]) -> NodeCertifi
         point=tuple(Fraction(c, d) for c in P), chart=k,
         gradient=(Fraction(value, total),)
         + tuple(Fraction(g * d, total) for g in grad),
-        hessian_minor=Fraction(minor * d ** 4, total * total),
-        hessian=tuple(tuple(Fraction(h * d * d, total) for h in row)
-                      for row in hess))
+        hessian_minor=Fraction(minor * d ** 4, total * total))
 
 
-def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
+def no_line_through_node(form: Sequence[int], point: Sequence[Fraction]) -> bool:
     """Certify that no line through a singular point t* lies on a plane cubic.
 
-    node is the certificate of t*, from `node_certificate`.  Let k be its
-    chart and a, b the other two indices.  As cubic(t*) and its gradient
-    vanish, Taylor's formula gives
+    form is the cubic as the dense integer list of 10 coefficients that
+    `_dense_form` returns, and ValueError is raised unless its value and
+    gradient vanish at point, t*.  Let k be the chart of t* and a, b the
+    other two indices.  Taylor's formula gives
 
         cubic(Z t* + X e_a + Y e_b) = Z q(X, Y) / 2 + c(X, Y),
 
@@ -430,14 +436,13 @@ def no_line_through_node(cubic: MultiPoly, node: NodeCertificate) -> bool:
       r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
       are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
     """
-    form = _dense_form(cubic)
-    if len(form) != 10 or any(node.gradient) or not node.hessian:
-        raise ValueError("expected a plane cubic and the certificate of a "
-                         "singular point computed on it")
-    k = node.chart
+    P, _ = integer_numerators(point)
+    value, grad, h = p3_jet(form, P, 2)
+    if len(form) != 10 or value or any(grad):
+        raise ValueError("expected a plane cubic and a singular point on it")
+    k = _chart_index(P)
     a, b = (j for j in range(3) if j != k)
-    h = node.hessian
-    c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3, times cubic.den
+    c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3
     for e, v in zip(monomials_of_degree(3), form):
         if e[k] == 0:
             c[3 - e[a]] = v
@@ -478,9 +483,10 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
 def certify_nodes(gamma: MultiPoly, points,
                   rng: random.Random) -> tuple[NodeCertificate, ...]:
     """Nodality at each point plus the no-extra-singularity completeness check."""
+    form = _dense_form(gamma)
     certs = []
     for pt in points:
-        cert = node_certificate(gamma, pt)
+        cert = node_certificate(form, gamma.den, pt)
         if not cert.is_node:
             raise CertificationError(f"point {tuple(pt)} is not an ordinary node")
         certs.append(cert)
@@ -620,10 +626,12 @@ class ConicBundleInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ConicBundleInstance":
-        """Load an instance and rerun `certify_instance` on its Q.
+        """Load an instance and replay its certificate chain: Q is `zeta` of
+        its five marked lines, then `certify_instance` reruns on Q.
 
         The completeness proof reruns with a fixed rng; it holds for every
-        prime, so none is stored.  Nodes other than `STANDARD_NODES`, stored
+        prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
+        lines that are not five or whose unique member is not Q, stored
         certificates or fiber points unlike the recomputed ones, a failed
         certificate or a non-dividing marked line raise `CertificationError`.
         """
@@ -644,8 +652,11 @@ class ConicBundleInstance:
         lines = tuple(LineInFiber(vec(d["o"]), vec(d["dual"]))
                       for d in data["marked_lines"])
         try:
+            if len(lines) != 5 or zeta(lines)[0] != Q:
+                raise CertificationError(
+                    "Q is not the unique member through five marked lines")
             inst = certify_instance(Q, lines, random.Random(0), seed=data.get("seed"))
-        except MarkedLineInvariantError as exc:
+        except (NonGenericDropError, MarkedLineInvariantError) as exc:
             raise CertificationError(str(exc)) from exc
         stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
                                         gradient=vec(c["gradient"]),
@@ -805,10 +816,11 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     if len(kernel) != 1:
         raise CertificationError("the net has no unique member singular at o")
     tstar = kernel[0]
-    cert = node_certificate(cubic, tstar)
+    form = _dense_form(cubic)
+    cert = node_certificate(form, cubic.den, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
-    if not no_line_through_node(cubic, cert):
+    if not no_line_through_node(form, tstar):
         raise CertificationError("net discriminant is not a one-nodal cubic")
     return {"cubic": cubic, "node": tstar, "certificate": cert}
 

@@ -144,6 +144,11 @@ class TestBlowupTable:
         with pytest.raises(ValueError, match="h1"):
             blowup.divisor({"h1": 1, "H2": 1})
 
+    def test_zeroth_power_is_the_unit(self, blowup):
+        z = blowup.zeta()
+        assert z ** 0 == blowup.one()
+        assert z ** 0 * z == z
+
 
 class TestDegreeAndCanonical:
     def test_deg_h_two_routes(self, blowup, P):

@@ -30,6 +30,11 @@ def entry(m, i, j):
     return Fraction(m.nums[i][j], m.dens[i])
 
 
+def node_cert(curve, point):
+    """The node certificate of a `MultiPoly` plane curve at a point."""
+    return cb.node_certificate(cb._dense_form(curve), curve.den, point)
+
+
 def lines_for(seed):
     rng = random.Random(seed)
     return [cb.random_line_in_fiber(rng) for _ in range(5)], rng
@@ -272,7 +277,7 @@ class TestNodeCertificates:
 
     def test_smooth_point_fails_gradient(self):
         gamma = MultiPoly(X, {(2, 2, 2): Fraction(1)})  # x^2 y^2 z^2
-        cert = cb.node_certificate(gamma, (1, 1, 1))
+        cert = node_cert(gamma, (1, 1, 1))
         assert not cert.is_node
         assert any(g != 0 for g in cert.gradient)
 
@@ -280,7 +285,7 @@ class TestNodeCertificates:
         # x2^2 x3^4 - x1^3 x3^3: gradient vanishes at (1:0:0) but the chart
         # Hessian is identically zero there (worse-than-nodal singularity)
         gamma = MultiPoly(X, {(0, 2, 4): Fraction(1), (3, 0, 3): Fraction(-1)})
-        cert = cb.node_certificate(gamma, (1, 0, 0))
+        cert = node_cert(gamma, (1, 0, 0))
         assert all(g == 0 for g in cert.gradient)
         assert cert.hessian_minor == 0
         assert not cert.is_node
@@ -366,21 +371,29 @@ class TestNodeCertificates:
 
     def test_form_not_homogeneous_in_one_block_raises_at_every_reader(self):
         # gamma(x) * y0, gamma and the nodal cubic plus a linear term, and
-        # 0: the three certificates that read a plane curve reject each
+        # 0: the conversion to a dense form and the completeness check
+        # reject each; the two certificates that take a dense form reject a
+        # list of a length no form has, and no_line_through_node any form
+        # but a cubic
         gamma, pts = self.two_conics()
         cubic = MultiPoly(X, {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
                               (2, 0, 1): Fraction(-1)})
-        cert = cb.node_certificate(cubic, (0, 0, 1))
-        assert cert.is_node and cb.no_line_through_node(cubic, cert)
+        form = cb._dense_form(cubic)
+        assert node_cert(cubic, (0, 0, 1)).is_node
+        assert cb.no_line_through_node(form, (0, 0, 1))
         x1 = MultiPoly(X, {(1, 0, 0): Fraction(1)})
         times_y0 = MultiPoly(XY, {e + (1, 0, 0): c for e, c in gamma.terms.items()})
         for bad in (times_y0, gamma + x1, cubic + x1, MultiPoly(X)):
             with pytest.raises(ValueError, match="one block"):
-                cb.node_certificate(bad, pts[0])
-            with pytest.raises(ValueError, match="one block"):
-                cb.no_line_through_node(bad, cert)
+                cb._dense_form(bad)
             with pytest.raises(ValueError, match="one block"):
                 cb.singular_locus_is_exactly(bad, pts, random.Random(2))
+        for length in (0, 2, 4, 5, 7, 9, 11, 27):
+            with pytest.raises(ValueError):
+                cb.node_certificate([1] * length, 1, (0, 0, 1))
+        for length in (0, 1, 2, 3, 6, 7, 9, 11, 15):
+            with pytest.raises(ValueError):
+                cb.no_line_through_node([0] * length, (0, 0, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.dictionaries(
@@ -393,7 +406,7 @@ class TestNodeCertificates:
         assume(any(pt))
         gamma = MultiPoly(X, terms)
         at = {"x": pt}
-        cert = cb.node_certificate(gamma, pt)
+        cert = node_cert(gamma, pt)
         firsts = [gamma.partial("x", j) for j in range(3)]
         hess = tuple(tuple(f.partial("x", j).evaluate(at) for j in range(3))
                      for f in firsts)
@@ -401,11 +414,9 @@ class TestNodeCertificates:
         assert cert.chart == max(k for k in range(3) if pt[k])
         assert cert.gradient == ((gamma.evaluate(at),)
                                  + tuple(f.evaluate(at) for f in firsts))
-        assert cert.hessian == hess
         a, b = (j for j in range(3) if j != cert.chart)
         assert cert.hessian_minor == hess[a][a] * hess[b][b] - hess[a][b] ** 2
-        values = (*cert.point, *cert.gradient, cert.hessian_minor,
-                  *sum(cert.hessian, ()))
+        values = (*cert.point, *cert.gradient, cert.hessian_minor)
         assert all(type(v) is Fraction for v in values)
 
     def test_repeated_or_zero_point_is_rejected(self):
@@ -434,7 +445,7 @@ class TestNodeCertificates:
 
     def test_unlisted_fifth_node_is_rejected(self):
         gamma, nodes = self.fifth_node_member((1, 2, -3))
-        assert all(cb.node_certificate(gamma, pt).is_node for pt in nodes)
+        assert all(node_cert(gamma, pt).is_node for pt in nodes)
         assert not cb.singular_locus_is_exactly(gamma, nodes[:4], random.Random(0))
         assert cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
 
@@ -442,7 +453,7 @@ class TestNodeCertificates:
         # (0:0:1) is singular on the first basis member but not an ordinary
         # node, so its Tjurina number exceeds 1 and the count exceeds five
         gamma, nodes = self.fifth_node_member((1, 0, 0))
-        cert = cb.node_certificate(gamma, nodes[2])
+        cert = node_cert(gamma, nodes[2])
         assert all(g == 0 for g in cert.gradient) and not cert.is_node
         assert not cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
 
@@ -464,7 +475,7 @@ class TestSingularPointOnQ:
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
         for u in cb.STANDARD_NODES:
-            y = cb.singular_point_on_Q(A, cb.node_certificate(gamma, u))
+            y = cb.singular_point_on_Q(A, node_cert(gamma, u))
             assert A.evaluated(u).rank() == 2
             assert Q.evaluate({"x": u, "y": y}) == 0
 
@@ -487,7 +498,7 @@ class TestSingularPointOnQ:
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
         pt = (Fraction(117), Fraction(230), Fraction(0))
-        cert = cb.node_certificate(gamma, pt)
+        cert = node_cert(gamma, pt)
         assert cert.gradient[0] == 0 and any(cert.gradient)
         assert A.evaluated(pt).rank() == 2
         _, grad = kernel_point_by_jet(A, Q, pt)
@@ -506,7 +517,7 @@ class TestSingularPointOnQ:
                                             for j in range(3)) for i in range(3)))
         gamma = cb.discriminant(A)
         assert gamma == MultiPoly.from_ints(X, {(2, 2, 2): 1})
-        cert = cb.node_certificate(gamma, (1, 0, 0))
+        cert = node_cert(gamma, (1, 0, 0))
         assert not any(cert.gradient)
         assert A.evaluated(cert.point).rank() == 1
         with pytest.raises(cb.CertificationError):
@@ -608,15 +619,50 @@ class TestInstancePipeline:
         lambda d: d["certificates"][3]["fiber_singular_point"][0].__setitem__(0, 7),
         lambda d: d["certificates"].pop(),
         lambda d: d["marked_lines"][2]["dual"][0].__setitem__(0, 1234),
+        # Q passes every certificate with four of its lines, but four lines
+        # cut a system of dimension 4, so they do not determine Q
+        lambda d: d["marked_lines"].pop(),
         lambda d: d["coefficients"][0][1].__setitem__(
             0, d["coefficients"][0][1][0] + 1),
     ], ids=["minor", "gradient", "chart", "node", "point", "fiber-point",
-            "missing", "marked-line", "coefficient"])
+            "missing", "marked-line", "dropped-line", "coefficient"])
     def test_tampered_json_is_rejected(self, tamper):
         data = json.loads(cb.construct_instance(1).to_json())
         tamper(data)
         with pytest.raises(cb.CertificationError):
             cb.ConicBundleInstance.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("repeat", [0, 1], ids=["four-lines", "first-twice"])
+    def test_other_member_of_the_four_line_system_is_rejected(self, repeat):
+        # the combination (-2, 4, 3, -3) of the basis of the system through
+        # seed 1's first four lines passes certify_instance with those lines,
+        # and with the first of them marked twice, where zeta finds no
+        # unique member
+        inst = cb.construct_instance(1)
+        four = list(inst.marked_lines[:4])
+        sys = cb.base_system(cb.STANDARD_NODES)
+        for lf in four:
+            sys = cb.impose_line(sys, lf)
+        Q = sum((c * b for c, b in zip((-2, 4, 3, -3), sys.basis)), MultiPoly(XY))
+        other = cb.certify_instance(Q, four + four[:repeat], random.Random(0))
+        with pytest.raises(cb.CertificationError):
+            cb.ConicBundleInstance.from_json(other.to_json())
+
+    def test_rescaled_form_is_rejected(self):
+        # 2Q has the same certificates up to scale, but the stored form is
+        # the primitive member that zeta gives
+        inst = cb.construct_instance(1)
+        twice = cb.certify_instance(2 * inst.Q, inst.marked_lines,
+                                    random.Random(0), seed=1)
+        with pytest.raises(cb.CertificationError, match="unique member"):
+            cb.ConicBundleInstance.from_json(twice.to_json())
+
+    def test_sweep_instances_load(self):
+        # a sweep member is cut from the net by its pencil line, not by
+        # zeta, and is still zeta's member through its five marked lines
+        for sample in cb.sweep(7, 3)["samples"]:
+            text = sample["instance"].to_json()
+            assert cb.ConicBundleInstance.from_json(text).to_json() == text
 
     def test_determinism(self):
         a = cb.construct_instance(12)
@@ -666,25 +712,40 @@ class TestNoLineThroughNode:
             cubic, node = curve(2 * x - y, 3 * x - z, z), (1, 2, 3)
         else:
             cubic, node = curve(x, y, z), (0, 0, 1)
-        cert = cb.node_certificate(cubic, node)
-        assert cert.is_node
-        assert cb.no_line_through_node(cubic, cert) is not has_line
+        assert node_cert(cubic, node).is_node
+        assert cb.no_line_through_node(cb._dense_form(cubic), node) is not has_line
 
     def test_needs_a_singular_point(self):
+        # (0:1:0) is a smooth point of the nodal cubic, (1:1:1) is off it,
+        # and the zero vector is no point
         x, y, z = _plane_variables()
-        cubic = y * y * z - x * x * x - x * x * z
-        with pytest.raises(ValueError):
-            cb.no_line_through_node(cubic, cb.node_certificate(cubic, (0, 1, 0)))
+        form = cb._dense_form(y * y * z - x * x * x - x * x * z)
+        for point in ((0, 1, 0), (1, 1, 1), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                cb.no_line_through_node(form, point)
+
+    def test_reads_the_jet_of_its_own_cubic(self):
+        # x (y^2 + x z) is singular at (0:0:1) and contains the line x = 0
+        # through it; the check must see that from this cubic's Hessian, not
+        # from the nodal cubic's, which a certificate computed on another
+        # curve would carry
+        x, y, z = _plane_variables()
+        cubic = x * (y * y + x * z)
+        assert not cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
+        assert not sylvester_says_no_line(cubic, (0, 0, 1))
 
 
-def sylvester_says_no_line(cubic, node):
+def sylvester_says_no_line(cubic, point):
     """Reference for `no_line_through_node`: the 5x5 Sylvester determinant
     of the tangent cone q and the cubic c on t_k = 0 is nonzero exactly when
-    they share no root, that is, when no line through the node lies on the
-    cubic."""
-    k = node.chart
+    they share no root, that is, when no line through the singular point
+    lies on the cubic.  The Hessian comes from `MultiPoly.partial`."""
+    k = max(j for j in range(3) if point[j])
     a, b = (j for j in range(3) if j != k)
-    h = node.hessian
+    ((name, _),) = cubic.blocks
+    firsts = [cubic.partial(name, j) for j in range(3)]
+    h = [[f.partial(name, j).evaluate({name: point}) for j in range(3)]
+         for f in firsts]
     q = [h[a][a], 2 * h[a][b], h[b][b]]
     c = [Fraction(0)] * 4
     for e, v in cubic.terms.items():
@@ -727,11 +788,10 @@ class TestNoLineThroughNodeOracle:
         quad, cub, has_line = BRANCH_CASES[name]
         x, y, z = _plane_variables()
         cubic = z * quad(x, y) + cub(x, y)
-        cert = cb.node_certificate(cubic, (0, 0, 1))
-        assert cert.is_node
-        verdict = cb.no_line_through_node(cubic, cert)
+        assert node_cert(cubic, (0, 0, 1)).is_node
+        verdict = cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
         assert verdict is not has_line
-        assert verdict == sylvester_says_no_line(cubic, cert)
+        assert verdict == sylvester_says_no_line(cubic, (0, 0, 1))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(small, min_size=3, max_size=3),
@@ -743,16 +803,15 @@ class TestNoLineThroughNodeOracle:
                  + c[0] * x * x * x + c[1] * x * x * y + c[2] * x * y * y
                  + c[3] * y * y * y)
         assume(not cubic.is_zero())
-        cert = cb.node_certificate(cubic, (0, 0, 1))
-        assert (cb.no_line_through_node(cubic, cert)
-                == sylvester_says_no_line(cubic, cert))
+        assert (cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
+                == sylvester_says_no_line(cubic, (0, 0, 1)))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
         report = cb.sweep(seed, 1)["cubic"]
-        cubic, cert = report["cubic"], report["certificate"]
-        assert cb.no_line_through_node(cubic, cert)
-        assert sylvester_says_no_line(cubic, cert)
+        cubic, node = report["cubic"], report["node"]
+        assert cb.no_line_through_node(cb._dense_form(cubic), node)
+        assert sylvester_says_no_line(cubic, node)
 
 
 def rank_one_net(rng):
@@ -857,7 +916,7 @@ class TestNetAndSweep:
         # the singular member is t* = e_1, B = A_1 has rank 1, and the node
         # certificate rejects it, as the proof of step 4 says it must
         cubic, net = rank_one_net(random.Random(seed))
-        cert = cb.node_certificate(cubic, (1, 0, 0))
+        cert = node_cert(cubic, (1, 0, 0))
         assert not any(cert.gradient) and cert.hessian_minor == 0
         with pytest.raises(cb.CertificationError, match="not a node"):
             cb.discriminant_cubic(net, random.Random(seed))

@@ -276,7 +276,9 @@ FLOAT_ENTRY_POINTS = {
     "SymQuadricMatrix-evaluated": lambda: cb.to_symmetric_matrix(
         MultiPoly(XY, {(2, 0, 0, 2, 0, 0): 1})).evaluated((0.5, 1, 1)),
     "LineInFiber": lambda: cb.LineInFiber((0.5, 1, 1), (1, 0, 0)),
-    "node_certificate": lambda: cb.node_certificate(X1, (0.5, 1, 1)),
+    "node_certificate": lambda: cb.node_certificate(
+        cb._dense_form(X1), 1, (0.5, 1, 1)),
+    "no_line_through_node": lambda: cb.no_line_through_node([0] * 10, (0.5, 1, 1)),
     "base_system": lambda: cb.base_system(
         ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
 }

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prym6"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prym6"
 
 
 def _nodes(kind):
@@ -92,3 +94,21 @@ def test_uncalled_public_methods_are_pinned():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_") and node.name not in used}
     assert uncalled == set(UNCALLED_PUBLIC_METHODS)
+
+
+def test_tests_the_readme_names_exist():
+    # README cites tests as evidence for its certificates; a renamed or
+    # deleted test must not leave a citation behind
+    defined = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        defined |= {method.name, f"{node.name}::{method.name}"}
+    cited = re.findall(r"`((?:Test\w+::)?(?:test_|Test)\w+)`",
+                       (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert len(cited) >= 8
+    assert [name for name in cited if name not in defined] == []
