@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -62,6 +62,7 @@ class MarkedLineInvariantError(RuntimeError):
 
 # -- linear systems ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def bidegree_monomials(bidegree: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
     """Exponent 6-tuples of the monomials of a given (x, y)-bidegree."""
     return tuple(ex + ey for ex in monomials_of_degree(bidegree[0])
@@ -285,31 +286,25 @@ _DEG2 = monomials_of_degree(2)
 
 @dataclass(frozen=True)
 class SymQuadricMatrix:
-    """3x3 symmetric matrix of quadratic forms in x representing a (2,2) form."""
+    """3x3 symmetric matrix of quadratic forms in x representing a (2,2) form.
 
-    entries: tuple[tuple[MultiPoly, ...], ...]
+    Entry (i, j) is entries[i][j] / den: six integer coefficients on `_DEG2`,
+    the `planesys` layout of a plane curve; entries (i, j) and (j, i) are equal.
+    """
 
-    def __post_init__(self):
-        for i in range(3):
-            for j in range(3):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("matrix is not symmetric")
+    entries: tuple[tuple[tuple[int, ...], ...], ...]
+    den: int
 
     def evaluated(self, x: Sequence[Fraction]) -> QMatrix:
         """A(x), from one table of the six quadratic monomials at x.
 
-        With x = P/d for an integer vector P and L the lcm of the entries'
-        denominators, an entry N/D is (L/D) N(P) / (L d^2): each of the six
-        distinct entries is one integer dot product with the table.
+        With x = P/d for an integer vector P, an entry N / den is
+        N(P) / (den d^2): one integer dot product with the table.
         """
         P, d = integer_numerators(x)
-        table = dict(zip(_DEG2, _power_products(P, _DEG2)))
-        upper = {(i, j): self.entries[i][j] for i in range(3) for j in range(i, 3)}
-        L = lcm(*(entry.den for entry in upper.values()))
-        values = {ij: L // a.den * sum(n * table[e] for e, n in a.nums.items())
-                  for ij, a in upper.items()}
-        return QMatrix.from_ints([[values[min(i, j), max(i, j)] for j in range(3)]
-                                  for i in range(3)], L * d * d)
+        table = _power_products(P, _DEG2)
+        return QMatrix.from_ints([[sum(map(mul, entry, table)) for entry in row]
+                                  for row in self.entries], self.den * d * d)
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
@@ -317,26 +312,24 @@ def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
 
     With Q = N / D, the coefficient c of x^e y_i y_j goes to A_ii as
     2 N_e / 2D when i = j, and to A_ij and A_ji as N_e / 2D otherwise; the
-    six distinct entries share the denominator 2D.
+    entries share the denominator 2D.
     """
     if Q.multidegree() != (2, 2):
         raise ValueError("expected a form of bidegree (2, 2)")
-    grids: dict[tuple[int, int], dict] = {
-        (i, j): {} for i in range(3) for j in range(i, 3)}
+    upper = {(i, j): [0] * len(_DEG2) for i in range(3) for j in range(i, 3)}
     for exp, n in Q.nums.items():
-        xexp, yexp = exp[:3], exp[3:]
-        i, j = [k for k in range(3) for _ in range(yexp[k])]
-        grids[i, j][xexp] = 2 * n if i == j else n
-    upper = {ij: MultiPoly.from_ints(X_BLOCKS, grid, 2 * Q.den)
-             for ij, grid in grids.items()}
-    entries = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(3))
-                    for i in range(3))
-    return SymQuadricMatrix(entries)
+        i, j = [k for k in range(3) for _ in range(exp[3 + k])]
+        upper[i, j][_DEG2.index(exp[:3])] = 2 * n if i == j else n
+    return SymQuadricMatrix(tuple(tuple(tuple(upper[min(i, j), max(i, j)])
+                                        for j in range(3)) for i in range(3)),
+                            2 * Q.den)
 
 
 def discriminant(A: SymQuadricMatrix) -> MultiPoly:
     """det A(x): the plane sextic of degenerate fibers."""
-    gamma = det3_poly(A.entries)
+    poly = {e: MultiPoly.from_ints(X_BLOCKS, dict(zip(_DEG2, e)), A.den)
+            for row in A.entries for e in row}
+    gamma = det3_poly([[poly[e] for e in row] for row in A.entries])
     if gamma.is_zero():
         raise DegenerateConfigurationError("identically degenerate pencil of conics")
     return gamma
@@ -523,9 +516,8 @@ def singular_point_on_Q(A: SymQuadricMatrix,
     raise CertificationError(f"rank A({u}) < 2")
 
 
-def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly,
-                              rng: random.Random) -> None:
-    """Probe rank A = 3 at a random point off the sextic.
+def rank_stratification_check(gamma: MultiPoly, rng: random.Random) -> None:
+    """Find a random point off the sextic gamma = det A, so of rank A = 3.
 
     Rank 2 on the whole sextic over Q-bar needs no sample: det A(x) = 0
     there, and rank A(x) <= 1 gives adj A(x) = 0, so d det A / dx_i =
@@ -536,8 +528,6 @@ def rank_stratification_check(A: SymQuadricMatrix, gamma: MultiPoly,
     for _ in range(16):
         pt = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
         if any(pt) and gamma.evaluate({"x": pt}) != 0:
-            if A.evaluated(pt).rank() != 3:
-                raise CertificationError(f"degenerate fiber off the sextic at {pt}")
             return
     raise CertificationError("no point off the sextic in 16 draws")
 
@@ -557,17 +547,16 @@ def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
     is then c d_i^2 m, and with it as m, 2 d_i^2 A(o) = d m^T + m d^T.
     Conversely that identity makes the conic (d . y)(m . y) / d_i^2.  So
     the identity, checked entry by entry, holds exactly when d divides the
-    conic.  Row j of A(o) is nums_j / dens_j; m is taken over dens_i, and
-    each entry's equation is multiplied out, so the check runs in integers.
+    conic.  The identity is linear in A(o) = N / D, so it is checked in
+    integers on N, with m taken from N.
     """
-    a = A.evaluated(lf.o)
+    a = A.evaluated(lf.o).nums
     d = lf.dual
     i = next(k for k in range(3) if d[k])
-    row = a.nums[i]
-    m = [2 * row[k] * d[i] - d[k] * row[i] for k in range(3)]
-    scale = 2 * d[i] * d[i] * a.dens[i]
+    m = [2 * a[i][k] * d[i] - d[k] * a[i][i] for k in range(3)]
+    scale = 2 * d[i] * d[i]
     # both sides are symmetric, so the upper triangle is the whole check
-    if any(scale * a.nums[j][k] != (d[j] * m[k] + m[j] * d[k]) * a.dens[j]
+    if any(scale * a[j][k] != d[j] * m[k] + m[j] * d[k]
            for j in range(3) for k in range(j, 3)):
         raise MarkedLineInvariantError(
             "marked line does not divide the fiber conic")
@@ -633,7 +622,8 @@ class ConicBundleInstance:
         prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
         lines that are not five or whose unique member is not Q, stored
         certificates or fiber points unlike the recomputed ones, a failed
-        certificate or a non-dividing marked line raise `CertificationError`.
+        certificate, a degenerate configuration or a non-dividing marked line
+        raise `CertificationError`.
         """
         data = json.loads(text)
         if data.get("format") != "conic-bundle-instance-v1":
@@ -649,14 +639,15 @@ class ConicBundleInstance:
             raise CertificationError("stored nodes are not the standard nodes")
         Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
                                   for e, c in data["coefficients"]})
-        lines = tuple(LineInFiber(vec(d["o"]), vec(d["dual"]))
-                      for d in data["marked_lines"])
         try:
+            lines = tuple(LineInFiber(vec(d["o"]), vec(d["dual"]))
+                          for d in data["marked_lines"])
             if len(lines) != 5 or zeta(lines)[0] != Q:
                 raise CertificationError(
                     "Q is not the unique member through five marked lines")
             inst = certify_instance(Q, lines, random.Random(0), seed=data.get("seed"))
-        except (NonGenericDropError, MarkedLineInvariantError) as exc:
+        except (NonGenericDropError, DegenerateConfigurationError,
+                MarkedLineInvariantError) as exc:
             raise CertificationError(str(exc)) from exc
         stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
                                         gradient=vec(c["gradient"]),
@@ -695,12 +686,24 @@ def zeta(lines: Sequence[LineInFiber]) -> tuple[MultiPoly, LinearSystem]:
 
 def certify_instance(Q: MultiPoly, lines, rng: random.Random,
                      seed: int | None = None) -> ConicBundleInstance:
-    """Run the whole certificate chain on a candidate (2,2) form."""
+    """Run the whole certificate chain on a candidate (2,2) form.
+
+    Q must be the unique member through the five marked lines, as `zeta`
+    returns it (`from_json` checks that).  ValueError is raised unless Q's
+    coefficients on `bidegree_monomials((2, 2))` are their own `primitive`
+    (coprime, the first nonzero positive), so `to_json` writes no file that
+    `from_json` refuses.
+    """
+    if len(lines) != 5:
+        raise ValueError("exactly five marked lines are required")
+    coeffs = [Q.nums.get(e, 0) for e in bidegree_monomials((2, 2))]
+    if Q.den != 1 or gcd(*coeffs) != 1 or next(filter(None, coeffs)) < 0:
+        raise ValueError("Q is not a primitive integer coefficient vector")
     A = to_symmetric_matrix(Q)
     gamma = discriminant(A)
     certs = certify_nodes(gamma, STANDARD_NODES, rng)
     ys = tuple(singular_point_on_Q(A, cert) for cert in certs)
-    rank_stratification_check(A, gamma, rng)
+    rank_stratification_check(gamma, rng)
     # residual_line raises if the marked-line invariant is broken
     residuals = tuple(residual_line(A, lf) for lf in lines)
     return ConicBundleInstance(
@@ -737,13 +740,6 @@ class NetT:
     restricted: tuple[QMatrix, ...]  # A_k(o) of basis member k; o^T A_k(o) o = 0
 
 
-def _over_one_denominator(matrices: Sequence[QMatrix]) -> tuple[list, int]:
-    """(rows, D): the integer rows of each matrix over one denominator D."""
-    D = lcm(*(d for m in matrices for d in m.dens))
-    return [[[n * (D // d) for n in row] for row, d in zip(m.nums, m.dens)]
-            for m in matrices], D
-
-
 def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
     """The net of members through (o, o) containing four fixed fiber lines."""
     if len(fixed_lines) != 4:
@@ -758,9 +754,9 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
             + [_monomial_row(base.monomials, o + o)])
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
     restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
-    int_rows, _ = _over_one_denominator(restricted)
-    if QMatrix.from_ints([[m[i][j] for i in range(3) for j in range(i, 3)]
-                          for m in int_rows]).rank() != 3:
+    # each member's numerators: a positive scale per row keeps the rank
+    if QMatrix.from_ints([[m.nums[i][j] for i in range(3) for j in range(i, 3)]
+                          for m in restricted]).rank() != 3:
         raise NonGenericDropError("restriction to the fiber over o is not injective")
     return NetT(o=o, fixed_lines=tuple(fixed_lines), system=sys,
                 restricted=restricted)
@@ -798,7 +794,9 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
        has already failed.
     """
     o = net.o
-    rows, D = _over_one_denominator(net.restricted)
+    D = lcm(*(m.den for m in net.restricted))
+    rows = [[[n * (D // m.den) for n in row] for row in m.nums]
+            for m in net.restricted]
     images = [[sum(map(mul, row, o)) for row in m] for m in rows]  # D A_k(o) o
     if any(sum(map(mul, o, image)) for image in images):
         raise CertificationError("a member of the net misses the point (o, o)")

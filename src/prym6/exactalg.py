@@ -5,10 +5,10 @@ Everything in this module is exact, and the arithmetic runs on Python ints.
 A `QVector` is integer numerators over one positive common denominator,
 keyed by basis keys and reduced by their gcd once per result; it carries the
 linear arithmetic of `MultiPoly` here, of `chow.ChowClass` and of the
-divisor and curve classes of `moduli`.  A `QMatrix` stores each row as
-integer numerators over a positive row denominator.  Linear algebra goes
-through fraction-free (Bareiss) elimination on the integer rows, so ranks
-and kernels are certified, not numerical.  `fractions.Fraction` appears only
+divisor and curve classes of `moduli`.  A `QMatrix` stores integer rows
+over one positive denominator.  Linear algebra goes through fraction-free
+(Bareiss) elimination on the integer rows, so ranks and kernels are
+certified, not numerical.  `fractions.Fraction` appears only
 at the interface: coefficients read through `QVector.coeffs`, and values
 and determinants.
 """
@@ -16,7 +16,7 @@ and determinants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -328,16 +328,18 @@ def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 class QMatrix:
     """Dense matrix with exact rational entries.
 
-    Row i is stored as integer numerators ``nums[i]`` over a positive row
-    denominator ``dens[i]``, in lowest terms.  The constructor checks exact
-    values; `from_ints` takes integer rows.  Rank, kernel and determinant
-    eliminate on the integer rows.
+    The matrix is the integer rows ``nums`` over one positive denominator
+    ``den``, in lowest terms: no factor of ``den`` divides every entry.  The
+    constructor checks exact values; `from_ints` takes integer rows.  Rank,
+    kernel and determinant eliminate on the integer rows.
     """
 
-    __slots__ = ("nums", "dens")
+    __slots__ = ("nums", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
-        self._set_rows([integer_numerators(row) for row in entries])
+        rows = [integer_numerators(row) for row in entries]
+        den = lcm(*(d for _, d in rows))
+        self._store([[n * (den // d) for n in row] for row, d in rows], den)
 
     @classmethod
     def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "QMatrix":
@@ -346,19 +348,18 @@ class QMatrix:
         if den <= 0:
             raise ValueError("the denominator must be positive")
         self = object.__new__(cls)
-        self._set_rows([(row, den) for row in rows])
+        self._store(rows, den)
         return self
 
-    def _set_rows(self, rows: list[tuple[Sequence[int], int]]) -> None:
-        """Store each (integer row, denominator) pair in lowest terms."""
-        nums, dens = [], []
-        for row, d in rows:
-            g = gcd(d, *row)
-            nums.append(tuple(row) if g == 1 else tuple(v // g for v in row))
-            dens.append(d // g)
+    def _store(self, rows: Iterable[Sequence[int]], den: int) -> None:
+        """Store rows / den, divided by the gcd of den and every entry."""
+        nums = [tuple(row) for row in rows]
         if nums and any(len(r) != len(nums[0]) for r in nums):
             raise ValueError("ragged matrix")
-        self.nums, self.dens = tuple(nums), tuple(dens)
+        g = gcd(den, *(v for row in nums for v in row))
+        if g != 1:
+            nums = [tuple(v // g for v in row) for row in nums]
+        self.nums, self.den = tuple(nums), den // g
 
     @property
     def rows(self) -> int:
@@ -370,7 +371,7 @@ class QMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.nums == other.nums
-                and self.dens == other.dens)
+                and self.den == other.den)
 
     def rank(self) -> int:
         _, pivots, _ = _bareiss_echelon(self.nums)
@@ -411,7 +412,7 @@ class QMatrix:
         echelon, pivots, sign = _bareiss_echelon(self.nums)
         if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction(sign * echelon[-1][-1], prod(self.dens))
+        return Fraction(sign * echelon[-1][-1], self.den ** self.rows)
 
 
 def _bareiss_echelon(m: Sequence[Sequence[int]]
@@ -454,16 +455,16 @@ def solve_exact(matrix: QMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...
     """Solve M x = b exactly; None when inconsistent.
 
     For underdetermined consistent systems an arbitrary (deterministic)
-    solution is returned.  Row i of M is nums_i / d_i and b is B / e with
-    integer B, so equation i is e nums_i . x - d_i B_i = 0, in integers.
+    solution is returned.  M is nums / D and b is B / e with integer B, so
+    equation i is e nums_i . x - D B_i = 0, in integers.
 
     Nothing in the package calls it since residual lines are found by
     dividing the fiber conic; it stays because ``perfbench/tracer.py`` spans
     it, and goes with that span (ROADMAP item 1).
     """
     B, e = integer_numerators(rhs)
-    aug = QMatrix.from_ints([tuple(e * n for n in row) + (-d * b,)
-                             for row, d, b in zip(matrix.nums, matrix.dens, B)])
+    aug = QMatrix.from_ints([tuple(e * n for n in row) + (-matrix.den * b,)
+                             for row, b in zip(matrix.nums, B)])
     for vec in aug.kernel():
         if vec[-1] != 0:
             t = vec[-1]

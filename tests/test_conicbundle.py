@@ -27,7 +27,13 @@ def var(block, i):
 
 def entry(m, i, j):
     """The entry (i, j) of a QMatrix."""
-    return Fraction(m.nums[i][j], m.dens[i])
+    return Fraction(m.nums[i][j], m.den)
+
+
+def quadric(A, i, j):
+    """The entry (i, j) of a SymQuadricMatrix as a `MultiPoly` in x."""
+    return MultiPoly(X, {e: Fraction(n, A.den)
+                         for e, n in zip(cb._DEG2, A.entries[i][j])})
 
 
 def node_cert(curve, point):
@@ -183,17 +189,16 @@ class TestSymmetricMatrix:
     def test_single_cross_term(self):
         Q = var("x", 0) * var("x", 0) * var("y", 0) * var("y", 1)
         A = cb.to_symmetric_matrix(Q)
-        x1sq_half = MultiPoly(X, {(2, 0, 0): Fraction(1, 2)})
-        assert A.entries[0][1] == x1sq_half
-        assert A.entries[1][0] == x1sq_half
-        assert A.entries[2][2].is_zero()
+        assert quadric(A, 0, 1) == MultiPoly(X, {(2, 0, 0): Fraction(1, 2)})
+        assert A.entries[1][0] == A.entries[0][1]
+        assert not any(A.entries[2][2])
 
     def test_diagonal_form(self):
         Q = sum((var("x", i) * var("x", i) * var("y", i) * var("y", i)
                  for i in range(3)), MultiPoly(XY))
         A = cb.to_symmetric_matrix(Q)
         for i in range(3):
-            assert A.entries[i][i] == MultiPoly(
+            assert quadric(A, i, i) == MultiPoly(
                 X, {tuple(2 if k == i else 0 for k in range(3)): 1})
         gamma = cb.discriminant(A)
         assert gamma == MultiPoly(X, {(2, 2, 2): Fraction(1)})
@@ -206,9 +211,11 @@ class TestSymmetricMatrix:
         # forms and points with denominators and zero coordinates
         Q = MultiPoly(XY, terms)
         A = cb.to_symmetric_matrix(Q)
-        at = {"x": x}
-        values = [[e.evaluate(at) for e in row] for row in A.entries]
-        # the same integer rows and row denominators, as NetT.restricted
+        assert all(A.entries[i][j] == A.entries[j][i]
+                   for i in range(3) for j in range(3))
+        values = [[quadric(A, i, j).evaluate({"x": x}) for j in range(3)]
+                  for i in range(3)]
+        # the same integer rows over the same denominator, as NetT.restricted
         # hands them on
         assert A.evaluated(x) == QMatrix(values)
         # the defining identity Q(x, y) = y^T A(x) y
@@ -257,8 +264,7 @@ class TestDiscriminant:
         assert gamma == ell_x * ell_x * ell_x * det3_poly(b)
 
     def test_identically_zero_rejected(self):
-        zero = cb.SymQuadricMatrix(tuple(
-            tuple(MultiPoly(X) for _ in range(3)) for _ in range(3)))
+        zero = cb.SymQuadricMatrix((((0,) * 6,) * 3,) * 3, 1)
         with pytest.raises(cb.DegenerateConfigurationError):
             cb.discriminant(zero)
 
@@ -510,11 +516,8 @@ class TestSingularPointOnQ:
         # A = diag(x^2, y^2, z^2) has gamma = x^2 y^2 z^2, singular at
         # (1:0:0) with A(1:0:0) of rank 1: a zero gradient, but no unique
         # kernel point
-        zero = MultiPoly(X)
-        squares = [MultiPoly.from_ints(X, {tuple(2 * (j == i) for j in range(3)): 1})
-                   for i in range(3)]
-        A = cb.SymQuadricMatrix(tuple(tuple(squares[i] if i == j else zero
-                                            for j in range(3)) for i in range(3)))
+        A = cb.to_symmetric_matrix(sum((var("x", i) * var("x", i) * var("y", i)
+                                        * var("y", i) for i in range(3)), MultiPoly(XY)))
         gamma = cb.discriminant(A)
         assert gamma == MultiPoly.from_ints(X, {(2, 2, 2): 1})
         cert = node_cert(gamma, (1, 0, 0))
@@ -536,7 +539,7 @@ class TestRankStratification:
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
         with pytest.raises(cb.CertificationError):
-            cb.rank_stratification_check(A, gamma, ZeroRng())
+            cb.rank_stratification_check(gamma, ZeroRng())
 
     def test_generic_point_rank_three(self):
         lines, _ = lines_for(114)
@@ -624,8 +627,9 @@ class TestInstancePipeline:
         lambda d: d["marked_lines"].pop(),
         lambda d: d["coefficients"][0][1].__setitem__(
             0, d["coefficients"][0][1][0] + 1),
+        lambda d: d["marked_lines"][0].update(dual=[[0, 1]] * 3),
     ], ids=["minor", "gradient", "chart", "node", "point", "fiber-point",
-            "missing", "marked-line", "dropped-line", "coefficient"])
+            "missing", "marked-line", "dropped-line", "coefficient", "zero-line"])
     def test_tampered_json_is_rejected(self, tamper):
         data = json.loads(cb.construct_instance(1).to_json())
         tamper(data)
@@ -634,28 +638,79 @@ class TestInstancePipeline:
 
     @pytest.mark.parametrize("repeat", [0, 1], ids=["four-lines", "first-twice"])
     def test_other_member_of_the_four_line_system_is_rejected(self, repeat):
-        # the combination (-2, 4, 3, -3) of the basis of the system through
-        # seed 1's first four lines passes certify_instance with those lines,
-        # and with the first of them marked twice, where zeta finds no
-        # unique member
+        # the primitive form of the combination (-2, 4, 3, -3) of the basis
+        # of the system through seed 1's first four lines passes
+        # certify_instance with the first of them marked twice, where zeta
+        # finds no unique member; its file with four marked lines, which
+        # certify_instance refuses to write, is rejected too
         inst = cb.construct_instance(1)
         four = list(inst.marked_lines[:4])
         sys = cb.base_system(cb.STANDARD_NODES)
         for lf in four:
             sys = cb.impose_line(sys, lf)
-        Q = sum((c * b for c, b in zip((-2, 4, 3, -3), sys.basis)), MultiPoly(XY))
-        other = cb.certify_instance(Q, four + four[:repeat], random.Random(0))
+        coeffs = primitive([sum(c * v[k] for c, v in zip((-2, 4, 3, -3), sys.vectors))
+                            for k in range(len(sys.monomials))])
+        Q = MultiPoly.from_ints(XY, dict(zip(sys.monomials, coeffs)))
+        with pytest.raises(ValueError, match="five"):
+            cb.certify_instance(Q, four, random.Random(0))
+        data = json.loads(cb.certify_instance(Q, four + four[:1],
+                                              random.Random(0)).to_json())
+        data["marked_lines"] = data["marked_lines"][:4 + repeat]
         with pytest.raises(cb.CertificationError):
-            cb.ConicBundleInstance.from_json(other.to_json())
+            cb.ConicBundleInstance.from_json(json.dumps(data))
 
     def test_rescaled_form_is_rejected(self):
         # 2Q has the same certificates up to scale, but the stored form is
         # the primitive member that zeta gives
         inst = cb.construct_instance(1)
-        twice = cb.certify_instance(2 * inst.Q, inst.marked_lines,
-                                    random.Random(0), seed=1)
+        data = json.loads(inst.to_json())
+        for _, c in data["coefficients"]:
+            c[0] *= 2
         with pytest.raises(cb.CertificationError, match="unique member"):
-            cb.ConicBundleInstance.from_json(twice.to_json())
+            cb.ConicBundleInstance.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("change", [
+        lambda Q, lines: (2 * Q, lines),
+        lambda Q, lines: (-Q, lines),
+        lambda Q, lines: (Q * Fraction(1, 3), lines),
+        lambda Q, lines: (Q, lines[:4]),
+    ], ids=["twice", "negated", "third", "four-lines"])
+    def test_certify_instance_takes_only_the_zeta_form(self, change):
+        # each certifies up to scale or with four lines, but from_json
+        # would refuse the file to_json wrote of it
+        inst = cb.construct_instance(1)
+        Q, lines = change(inst.Q, inst.marked_lines)
+        with pytest.raises(ValueError):
+            cb.certify_instance(Q, lines, random.Random(0))
+
+    def test_reducible_member_is_a_certification_error(self):
+        # l m for two members of the (1, 1) base system, three marked lines
+        # on l and two on m: zeta's unique member is l m, whose det A is 0
+        base = cb.base_system(cb.STANDARD_NODES, (1, 1), 1).basis
+
+        def member(coeffs):
+            return sum((c * b for c, b in zip(coeffs, base)), MultiPoly(XY))
+
+        def line_on(form, o):
+            restricted = form.substitute({"x": o})
+            return cb.LineInFiber(o, [restricted.terms.get(e, 0)
+                                      for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+
+        ell, m = member((1, 2, -1, 3, 1)), member((2, -1, 1, 1, -3))
+        lines = ([line_on(ell, o) for o in ((1, 2, 3), (2, -1, 1), (3, 1, -2))]
+                 + [line_on(m, o) for o in ((1, -3, 2), (-2, 1, 5))])
+        Q, _ = cb.zeta(lines)
+        assert Q in (ell * m, -(ell * m))
+        with pytest.raises(cb.DegenerateConfigurationError):
+            cb.discriminant(cb.to_symmetric_matrix(Q))
+        data = json.loads(cb.construct_instance(1).to_json())
+        data["coefficients"] = [[list(e), [c.numerator, c.denominator]]
+                                for e, c in sorted(Q.terms.items())]
+        data["marked_lines"] = [
+            {key: [[int(c), 1] for c in getattr(lf, key)] for key in ("o", "dual")}
+            for lf in lines]
+        with pytest.raises(cb.CertificationError, match="degenerate"):
+            cb.ConicBundleInstance.from_json(json.dumps(data))
 
     def test_sweep_instances_load(self):
         # a sweep member is cut from the net by its pencil line, not by

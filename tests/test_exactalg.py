@@ -220,8 +220,8 @@ class TestCanonicalForm:
         scaled = QMatrix([[Fraction(v, k) for v in row] for row in rows])
         assert QMatrix.from_ints(rows) == ints
         assert QMatrix.from_ints(rows, k) == scaled
-        assert [[Fraction(n, d) for n in row]
-                for row, d in zip(scaled.nums, scaled.dens)] == [
+        assert gcd(scaled.den, *(n for row in scaled.nums for n in row)) == 1
+        assert [[Fraction(n, scaled.den) for n in row] for row in scaled.nums] == [
             [Fraction(v, k) for v in row] for row in rows]
         assert scaled.rank() == ints.rank()
         assert scaled.kernel() == ints.kernel()
@@ -229,13 +229,15 @@ class TestCanonicalForm:
             assert m.det() == ints.det()
             assert scaled.det() == ints.det() / k ** m.rows
 
-    def test_from_ints_reduces_each_row(self):
-        # a den sharing factors with some rows, a zero row, a negative row
-        rows = [[2, 4, 6], [3, 5, 0], [0, 0, 0], [-4, 0, 8]]
+    def test_from_ints_reduces_by_one_gcd(self):
+        # the gcd of den and every entry, not of each row: rows that share
+        # factors with den, a zero row and a negative row keep their ratio
+        rows = [[2, 4, 6], [6, 10, 0], [0, 0, 0], [-4, 0, 8]]
         m = QMatrix.from_ints(rows, 4)
-        assert m.nums == ((1, 2, 3), (3, 5, 0), (0, 0, 0), (-1, 0, 2))
-        assert m.dens == (2, 4, 1, 1)
+        assert m.nums == ((1, 2, 3), (3, 5, 0), (0, 0, 0), (-2, 0, 4))
+        assert m.den == 2
         assert m == QMatrix([[Fraction(v, 4) for v in row] for row in rows])
+        assert QMatrix.from_ints([[0, 0]], 6).den == 1
 
     @pytest.mark.parametrize("den", [0, -1, -6])
     def test_from_ints_needs_a_positive_denominator(self, den):

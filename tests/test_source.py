@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -70,6 +71,22 @@ def test_uncalled_public_functions_are_pinned():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_") and node.name not in used}
     assert uncalled == set(UNCALLED_PUBLIC)
+
+
+def test_tracer_pins_are_spanned():
+    # an entry kept for the benchmark's tracer is dead code once the tracer
+    # stops spanning it; the tracer is loaded, not run, as in
+    # test_perfbench_names.py
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spanned = {f"{mod}.{func}" for mod, funcs in tracer.SPANNED.items()
+               for func in funcs}
+    pinned = [name for name, reason in UNCALLED_PUBLIC.items()
+              if "perfbench/tracer.py" in reason]
+    assert pinned
+    assert [name for name in pinned if name not in spanned] == []
 
 
 #: public methods that nothing in the package names, each with the reason
