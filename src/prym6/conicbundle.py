@@ -105,8 +105,27 @@ class LineInFiber:
             raise DegenerateConfigurationError("zero point or zero line")
 
     def spanning_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        ker = QMatrix.from_ints([self.dual]).kernel()
-        return ker[0], ker[1]
+        return _plane_basis(self.dual)
+
+
+def _plane_basis(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A basis of the plane orthogonal to a nonzero integer triple v: the
+    vectors that `QMatrix.kernel` gives for the one row v, in closed form.
+
+    With p the first nonzero index of v, the row's one pivot is at p and
+    each other index f is a free column, in increasing order.  The kernel
+    vector of f is v_p e_f - v_f e_p, scaled to its `primitive` form.
+    """
+    p = next((k for k in range(3) if v[k]), None)
+    if p is None:
+        raise ValueError("the zero vector has no orthogonal plane")
+    basis = []
+    for f in range(3):
+        if f != p:
+            x = [0, 0, 0]
+            x[f], x[p] = v[p], -v[f]
+            basis.append(primitive(x))
+    return basis[0], basis[1]
 
 
 def _chart_index(point: Sequence[Fraction]) -> int:
@@ -326,10 +345,14 @@ def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
 
 
 def discriminant(A: SymQuadricMatrix) -> MultiPoly:
-    """det A(x): the plane sextic of degenerate fibers."""
-    poly = {e: MultiPoly.from_ints(X_BLOCKS, dict(zip(_DEG2, e)), A.den)
-            for row in A.entries for e in row}
-    gamma = det3_poly([[poly[e] for e in row] for row in A.entries])
+    """det A(x): the plane sextic of degenerate fibers.
+
+    `det3_poly` takes the dense integer entries and gives the dense sextic
+    of their determinant, which is over den^3.
+    """
+    gamma = MultiPoly.from_ints(X_BLOCKS, dict(zip(monomials_of_degree(6),
+                                                   det3_poly(A.entries))),
+                                A.den ** 3)
     if gamma.is_zero():
         raise DegenerateConfigurationError("identically degenerate pencil of conics")
     return gamma
@@ -362,9 +385,10 @@ def _dense_form(curve: MultiPoly) -> list[int]:
     """den * curve as a dense integer form over `monomials_of_degree(n)`.
 
     curve is a nonzero homogeneous form in a single block of three
-    variables: x for the discriminant sextic, t for the discriminant cubic
-    of a net.  Anything else raises ValueError: a term of another degree or
-    length is not on the list, so fewer entries than terms are nonzero.
+    variables, such as the discriminant sextic in x, which `certify_nodes`
+    and `singular_locus_is_exactly` read through here.  Anything else
+    raises ValueError: a term of another degree or length is not on the
+    list, so fewer entries than terms are nonzero.
     """
     nums = curve.nums
     if len(curve.blocks) != 1 or not nums:
@@ -379,11 +403,11 @@ def node_certificate(form: Sequence[int], den: int,
                      point: Sequence[Fraction]) -> NodeCertificate:
     """Exact gradient and chart-Hessian data of a plane curve at a point.
 
-    The curve is N / den for the dense integer form N = form of degree n
-    that `_dense_form` returns.  The point is written P / d with integer P,
-    and `p3_jet` takes N at P: the value at the point is N(P) / (den d^n),
-    and the gradient and the Hessian, of degrees n - 1 and n - 2, are those
-    of N at P times d and d^2 over den d^n.
+    The curve is N / den for the dense integer form N = form of degree n,
+    as `_dense_form` or `det3_poly` gives it.  The point is written P / d
+    with integer P, and `p3_jet` takes N at P: the value at the point is
+    N(P) / (den d^n), and the gradient and the Hessian, of degrees n - 1
+    and n - 2, are those of N at P times d and d^2 over den d^n.
     """
     if not form:
         raise ValueError("the empty form is no curve")
@@ -403,8 +427,8 @@ def node_certificate(form: Sequence[int], den: int,
 def no_line_through_node(form: Sequence[int], point: Sequence[Fraction]) -> bool:
     """Certify that no line through a singular point t* lies on a plane cubic.
 
-    form is the cubic as the dense integer list of 10 coefficients that
-    `_dense_form` returns, and ValueError is raised unless its value and
+    form is the cubic as a dense integer list of 10 coefficients, as
+    `det3_poly` gives it, and ValueError is raised unless its value and
     gradient vanish at point, t*.  Let k be the chart of t* and a, b the
     other two indices.  Taylor's formula gives
 
@@ -618,6 +642,11 @@ class ConicBundleInstance:
         """Load an instance and replay its certificate chain: Q is `zeta` of
         its five marked lines, then `certify_instance` reruns on Q.
 
+        Every field is read before anything is replayed.  A file of another
+        format raises ``ValueError("unknown instance format")``; one with a
+        field missing, of the wrong shape or with a zero denominator, or a
+        seed that is not an integer or null, raises
+        ``ValueError("malformed instance file ...")``.
         The completeness proof reruns with a fixed rng; it holds for every
         prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
         lines that are not five or whose unique member is not Q, stored
@@ -626,7 +655,8 @@ class ConicBundleInstance:
         raise `CertificationError`.
         """
         data = json.loads(text)
-        if data.get("format") != "conic-bundle-instance-v1":
+        if (not isinstance(data, dict)
+                or data.get("format") != "conic-bundle-instance-v1"):
             raise ValueError("unknown instance format")
 
         def frac(v):
@@ -635,25 +665,32 @@ class ConicBundleInstance:
         def vec(t):
             return tuple(frac(c) for c in t)
 
-        if tuple(vec(p) for p in data["nodes"]) != STANDARD_NODES:
-            raise CertificationError("stored nodes are not the standard nodes")
-        Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
-                                  for e, c in data["coefficients"]})
         try:
-            lines = tuple(LineInFiber(vec(d["o"]), vec(d["dual"]))
-                          for d in data["marked_lines"])
+            nodes = tuple(vec(p) for p in data["nodes"])
+            Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
+                                      for e, c in data["coefficients"]})
+            marked = [(vec(d["o"]), vec(d["dual"])) for d in data["marked_lines"]]
+            stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
+                                            gradient=vec(c["gradient"]),
+                                            hessian_minor=frac(c["hessian_minor"])),
+                            vec(c["fiber_singular_point"]))
+                           for c in data["certificates"])
+            seed = data.get("seed")
+            if seed is not None and type(seed) is not int:
+                raise TypeError(f"the seed {seed!r} is not an integer")
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed instance file: {exc!r}") from exc
+        if nodes != STANDARD_NODES:
+            raise CertificationError("stored nodes are not the standard nodes")
+        try:
+            lines = tuple(LineInFiber(o, dual) for o, dual in marked)
             if len(lines) != 5 or zeta(lines)[0] != Q:
                 raise CertificationError(
                     "Q is not the unique member through five marked lines")
-            inst = certify_instance(Q, lines, random.Random(0), seed=data.get("seed"))
+            inst = certify_instance(Q, lines, random.Random(0), seed=seed)
         except (NonGenericDropError, DegenerateConfigurationError,
                 MarkedLineInvariantError) as exc:
             raise CertificationError(str(exc)) from exc
-        stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
-                                        gradient=vec(c["gradient"]),
-                                        hessian_minor=frac(c["hessian_minor"])),
-                        vec(c["fiber_singular_point"]))
-                       for c in data["certificates"])
         if stored != tuple(zip(inst.node_certificates, inst.fiber_singular_points)):
             raise CertificationError("stored certificates do not match Q")
         return inst
@@ -800,11 +837,11 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     images = [[sum(map(mul, row, o)) for row in m] for m in rows]  # D A_k(o) o
     if any(sum(map(mul, o, image)) for image in images):
         raise CertificationError("a member of the net misses the point (o, o)")
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    cubic = det3_poly([[MultiPoly.from_ints(
-        T_BLOCKS, {units[k]: rows[k][i][j] for k in range(3)}, D)
-        for j in range(3)] for i in range(3)])
-    if cubic.is_zero():
+    # entry (i, j) of D sum t_k A_k(o) is the dense linear form of its
+    # three coefficients, so C is the dense cubic form over D^3
+    form = det3_poly([[[m[i][j] for m in rows] for j in range(3)]
+                      for i in range(3)])
+    if not any(form):
         raise DegenerateConfigurationError("identically singular net")
     # kept: perfbench pins the sweep pencil draws that follow; the
     # elimination that used to find t* drew this change of coordinates
@@ -814,21 +851,22 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     if len(kernel) != 1:
         raise CertificationError("the net has no unique member singular at o")
     tstar = kernel[0]
-    form = _dense_form(cubic)
-    cert = node_certificate(form, cubic.den, tstar)
+    cert = node_certificate(form, D ** 3, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
     if not no_line_through_node(form, tstar):
         raise CertificationError("net discriminant is not a one-nodal cubic")
+    cubic = MultiPoly.from_ints(T_BLOCKS, dict(zip(monomials_of_degree(3), form)),
+                                D ** 3)
     return {"cubic": cubic, "node": tstar, "certificate": cert}
 
 
 def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:
     """A random line through o in its own fiber (the sweeping pencil)."""
-    basis = QMatrix.from_ints([o]).kernel()
+    p, q = _plane_basis(o)
     while True:
         a, b = random_rational(rng), random_rational(rng)
-        dual = tuple(a * u + b * v for u, v in zip(basis[0], basis[1]))
+        dual = tuple(a * u + b * v for u, v in zip(p, q))
         if any(dual):
             return LineInFiber(tuple(o), dual)
 

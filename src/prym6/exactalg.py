@@ -8,17 +8,20 @@ linear arithmetic of `MultiPoly` here, of `chow.ChowClass` and of the
 divisor and curve classes of `moduli`.  A `QMatrix` stores integer rows
 over one positive denominator.  Linear algebra goes through fraction-free
 (Bareiss) elimination on the integer rows, so ranks and kernels are
-certified, not numerical.  `fractions.Fraction` appears only
-at the interface: coefficients read through `QVector.coeffs`, and values
-and determinants.
+certified, not numerical.  `det3_poly` takes dense integer forms, the
+layout of `planesys`, and multiplies them with `planesys.p3_mul`.
+`fractions.Fraction` appears only at the interface: coefficients read
+through `QVector.coeffs`, and values and determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
+
+from .planesys import p3_mul
 
 
 class SpaceMismatchError(ValueError):
@@ -54,9 +57,14 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The result has coprime integer entries and its first nonzero entry is
-    positive, which makes kernel bases deterministic.
+    positive, which makes kernel bases deterministic.  A vector of ints is
+    read as it is; any other goes through `integer_numerators`, so a float
+    raises `TypeError`.
     """
-    ints, _ = integer_numerators(vector)
+    if all(type(v) is int for v in vector):
+        ints = vector
+    else:
+        ints, _ = integer_numerators(vector)
     g = gcd(*ints)
     if g == 0:
         return tuple(ints)
@@ -317,12 +325,18 @@ class MultiPoly(QVector):
         return self.substitute(assignment).terms.get((), Fraction(0))
 
 
-def det3_poly(entries: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a 3x3 matrix of polynomials, by permutation expansion."""
+def det3_poly(entries: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Determinant of a 3x3 matrix of dense integer forms of one degree n,
+    as a dense form of degree 3n: the cofactor expansion along the first
+    row, each product a `planesys.p3_mul`."""
     a = entries
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+    def minor(j, k):
+        return list(map(sub, p3_mul(a[1][j], a[2][k]), p3_mul(a[1][k], a[2][j])))
+
+    return [u - v + w for u, v, w in zip(p3_mul(a[0][0], minor(1, 2)),
+                                         p3_mul(a[0][1], minor(0, 2)),
+                                         p3_mul(a[0][2], minor(0, 1)))]
 
 
 class QMatrix:

@@ -6,6 +6,8 @@ same code runs over Q and over prime fields GF(q) with q below 2^30, where
 every residue is a single machine word; the field is passed explicitly.
 `p3_jet`, the value, gradient and Hessian of a form at a point, runs on
 integers, with no field: it is the one jet of the node certificates.
+`p3_mul`, the product of two forms, runs on integers too: it builds the
+determinants of `exactalg.det3_poly`.
 
 A form of degree n in three variables is a dense list of coefficients on
 the C(n + 2, 2) monomials of `monomials_of_degree(n)`, in that order, so
@@ -419,6 +421,35 @@ def p3_eval(F, form, pt):
                         in zip(monomials_of_degree(p3_degree(form)), form)))
 
 
+def p3_mul(f, g):
+    """The product of two dense integer forms, as a dense form.
+
+    Term i of f times term j of g lands at ``_product_table(a, b)[i][j]``
+    for the degrees a and b of f and g.  A product with the empty form is
+    the empty form.
+    """
+    if not f or not g:
+        return []
+    a, b = p3_degree(f), p3_degree(g)
+    out = [0] * ((a + b + 1) * (a + b + 2) // 2)
+    for c, row in zip(f, _product_table(a, b)):
+        if c:
+            for v, k in zip(g, row):
+                out[k] += c * v
+    return out
+
+
+@lru_cache(maxsize=None)
+def _product_table(a: int, b: int):
+    """For each monomial x^e of degree a, the positions of x^e x^f among
+    the monomials of degree a + b, for each x^f of degree b in order: the
+    index map of a product of dense forms of degrees a and b."""
+    pos = {e: i for i, e in enumerate(monomials_of_degree(a + b))}
+    return tuple(tuple(pos[e[0] + f[0], e[1] + f[1], e[2] + f[2]]
+                       for f in monomials_of_degree(b))
+                 for e in monomials_of_degree(a))
+
+
 def p3_jet(form, point, order: int):
     """(value, gradient, Hessian)[:order + 1] of a dense integer form at an
     integer point, in one pass over the form: the gradient is a triple, the
@@ -427,18 +458,19 @@ def p3_jet(form, point, order: int):
     A term c x^e adds c times a product of the factors x_k^(e_k), one or two
     of them differentiated, to each output; the powers come from one table
     per coordinate.  A term whose degree in the point's zero coordinates
-    exceeds ``order`` is skipped: every derivative of order at most
+    exceeds ``order`` is not read: every derivative of order at most
     ``order`` keeps a positive power of a zero coordinate, so the term adds
-    0 to each output.
+    0 to each output.  The terms that are read come from `_jet_terms`.
     """
     if len(point) != 3 or not 0 <= order <= 2:
         raise ValueError("expected a point of P^2 and an order of 0, 1 or 2")
     n = p3_degree(form)
-    zeros = [k for k in range(3) if not point[k]]
+    zeros = tuple(k for k in range(3) if not point[k])
     pw = [[v ** e for e in range(n + 1)] for v in point]
     value, grad, hess = 0, [0, 0, 0], [[0] * 3 for _ in range(3)]
-    for e, c in zip(monomials_of_degree(n), form):
-        if not c or sum(e[k] for k in zeros) > order:
+    for i, e in _jet_terms(n, zeros, order):
+        c = form[i]
+        if not c:
             continue
         f = [pw[k][e[k]] for k in range(3)]
         value += c * (f[0] * f[1] * f[2])
@@ -458,6 +490,15 @@ def p3_jet(form, point, order: int):
                 hess[k][l] += mixed
                 hess[l][k] += mixed
     return (value, tuple(grad), tuple(map(tuple, hess)))[:order + 1]
+
+
+@lru_cache(maxsize=None)
+def _jet_terms(n: int, zeros: tuple[int, ...], order: int):
+    """(position, exponent) of each monomial of degree n whose degree in
+    the coordinates ``zeros`` is at most ``order``: the terms that a jet of
+    that order reads at a point whose zero coordinates are ``zeros``."""
+    return tuple((i, e) for i, e in enumerate(monomials_of_degree(n))
+                 if sum(e[k] for k in zeros) <= order)
 
 
 def p3_partial(F, form, j: int):

@@ -127,6 +127,19 @@ class TestLineConditionRows:
             for y in (p, q, third)]
 
 
+class TestPlaneBasis:
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(*[st.integers(-40, 40) | st.just(0)] * 3))
+    def test_matches_the_kernel(self, v):
+        # zero and negative entries, the first nonzero one anywhere
+        assume(any(v))
+        assert list(cb._plane_basis(v)) == QMatrix.from_ints([v]).kernel()
+
+    def test_zero_vector_raises(self):
+        with pytest.raises(ValueError):
+            cb._plane_basis((0, 0, 0))
+
+
 class TestImposePoint:
     def test_rescaled_point_gives_the_same_cut(self):
         sys = cb.base_system(cb.STANDARD_NODES)
@@ -249,19 +262,23 @@ class TestDiscriminant:
         K = MultiPoly(XY, kterms)
         Q = ell * K
         gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
-        # independent assembly of the linear symmetric matrix of K
-        b = [[MultiPoly(X) for _ in range(3)] for _ in range(3)]
-        for exp, c in K.terms.items():
+        # independent assembly of twice the linear symmetric matrix B of K,
+        # each entry the dense list of its three coefficients
+        b = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for exp, c in K.nums.items():
             xe, ye = exp[:3], exp[3:]
             idx = [k for k in range(3) for _ in range(ye[k])]
             i, j = idx
+            at = ps.monomials_of_degree(1).index(xe)
             if i == j:
-                b[i][i] = b[i][i] + MultiPoly(X, {xe: c})
+                b[i][i][at] += 2 * c
             else:
-                b[i][j] = b[i][j] + MultiPoly(X, {xe: c / 2})
-                b[j][i] = b[j][i] + MultiPoly(X, {xe: c / 2})
+                b[i][j][at] += c
+                b[j][i][at] += c
+        det_2b = MultiPoly.from_ints(X, dict(zip(ps.monomials_of_degree(3),
+                                                 det3_poly(b))), K.den ** 3)
         ell_x = MultiPoly(X, {(1, 0, 0): 1, (0, 1, 0): 2})
-        assert gamma == ell_x * ell_x * ell_x * det3_poly(b)
+        assert gamma == ell_x * ell_x * ell_x * det_2b * Fraction(1, 8)
 
     def test_identically_zero_rejected(self):
         zero = cb.SymQuadricMatrix((((0,) * 6,) * 3,) * 3, 1)
@@ -636,6 +653,43 @@ class TestInstancePipeline:
         with pytest.raises(cb.CertificationError):
             cb.ConicBundleInstance.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("tamper", [
+        lambda d: d["coefficients"][0][1].__setitem__(1, 0),
+        lambda d: d["nodes"][1][0].__setitem__(1, 0),
+        lambda d: d["marked_lines"][3]["o"][2].__setitem__(1, 0),
+        lambda d: d["certificates"][0]["gradient"][0].__setitem__(1, 0),
+        lambda d: d["marked_lines"][0].pop("dual"),
+        lambda d: d.update(seed=[1, "x"]),
+    ], ids=["coefficient", "node", "marked-line", "certificate", "missing-dual",
+            "seed"])
+    def test_malformed_json_is_a_value_error(self, tamper):
+        data = json.loads(cb.construct_instance(1).to_json())
+        tamper(data)
+        with pytest.raises(ValueError, match="malformed instance file"):
+            cb.ConicBundleInstance.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("text", ["[]", "1", '{"format": "other"}'])
+    def test_other_formats_are_rejected(self, text):
+        with pytest.raises(ValueError, match="unknown instance format"):
+            cb.ConicBundleInstance.from_json(text)
+
+    def test_missing_certificates_fail_before_any_replay(self, monkeypatch):
+        data = json.loads(cb.construct_instance(1).to_json())
+        del data["certificates"]
+        replays = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                replays.append(name)
+                raise AssertionError(f"{name} ran")
+            return record
+
+        monkeypatch.setattr(cb, "zeta", spy("zeta"))
+        monkeypatch.setattr(cb, "certify_instance", spy("certify_instance"))
+        with pytest.raises(ValueError, match="malformed instance file"):
+            cb.ConicBundleInstance.from_json(json.dumps(data))
+        assert replays == []
+
     @pytest.mark.parametrize("repeat", [0, 1], ids=["four-lines", "first-twice"])
     def test_other_member_of_the_four_line_system_is_rejected(self, repeat):
         # the primitive form of the combination (-2, 4, 3, -3) of the basis
@@ -870,12 +924,11 @@ class TestNoLineThroughNodeOracle:
 
 
 def rank_one_net(rng):
-    """(cubic, net): a hand-built net whose member singular at o has rank 1.
+    """(cubic, net): a hand-built net whose member singular at o has rank 1,
+    with its cubic as a dense integer list.
 
     Draws again until the member singular at o is unique (the columns
     A_k o span a plane) and the cubic is not zero."""
-    t = [MultiPoly.from_ints(cb.T_BLOCKS, {unit: 1})
-         for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
     def draw():
         return [rng.randint(-5, 5) for _ in range(3)]
@@ -899,10 +952,10 @@ def rank_one_net(rng):
         images = [[sum(r * c for r, c in zip(row, o)) for row in m] for m in mats]
         if QMatrix.from_ints(images).rank() != 2:
             continue
-        cubic = det3_poly([[sum((t[k] * mats[k][i][j] for k in range(3)),
-                                MultiPoly(cb.T_BLOCKS))
-                            for j in range(3)] for i in range(3)])
-        if cubic.is_zero():
+        # entry (i, j) of sum t_k A_k is the linear form of its coefficients
+        cubic = det3_poly([[[m[i][j] for m in mats] for j in range(3)]
+                           for i in range(3)])
+        if not any(cubic):
             continue
         net = cb.NetT(o=primitive(o), fixed_lines=(), system=None,
                       restricted=tuple(QMatrix.from_ints(m) for m in mats))
@@ -971,7 +1024,7 @@ class TestNetAndSweep:
         # the singular member is t* = e_1, B = A_1 has rank 1, and the node
         # certificate rejects it, as the proof of step 4 says it must
         cubic, net = rank_one_net(random.Random(seed))
-        cert = node_cert(cubic, (1, 0, 0))
+        cert = cb.node_certificate(cubic, 1, (1, 0, 0))
         assert not any(cert.gradient) and cert.hessian_minor == 0
         with pytest.raises(cb.CertificationError, match="not a node"):
             cb.discriminant_cubic(net, random.Random(seed))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prym6 import chow, moduli
 from prym6 import conicbundle as cb
+from prym6 import planesys as ps
 from prym6.exactalg import (MultiPoly, QMatrix, QVector, SpaceMismatchError,
                             det3_poly, integer_numerators, primitive,
                             solve_exact)
@@ -311,6 +312,18 @@ class TestPrimitive:
         assert primitive((Fraction(-2), Fraction(4))) == (1, -2)
         assert primitive((0, 0)) == (0, 0)
 
+    def test_float_entry_raises_among_ints(self):
+        # the all-int path checks the type of every entry, not the first
+        with pytest.raises(TypeError):
+            primitive((2, 4.0, 6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+    def test_ints_match_the_rational_path(self, vec):
+        # a vector of ints skips integer_numerators; Fractions go through it
+        assert primitive(vec) == primitive([Fraction(v) for v in vec])
+        assert primitive(tuple(vec)) == primitive(vec)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(small_fracs, min_size=1, max_size=6))
     def test_invariance_under_scaling(self, vec):
@@ -321,42 +334,90 @@ class TestPrimitive:
         assert lead is None or lead > 0
 
 
+def form_poly(form):
+    """A dense form of `planesys` as a `MultiPoly` in x."""
+    n = ps.p3_degree(form)
+    return MultiPoly.from_ints(X, dict(zip(ps.monomials_of_degree(n), form)))
+
+
+def multipoly_det3(m):
+    """The permutation expansion of a 3x3 determinant of `MultiPoly`
+    entries: the oracle of `det3_poly`."""
+    out = MultiPoly(X)
+    for p in permutations(range(3)):
+        inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        out = out + (-1) ** inversions * (m[0][p[0]] * m[1][p[1]] * m[2][p[2]])
+    return out
+
+
+def rand_form(rng, n, nterms):
+    """A dense integer form of degree n with up to nterms nonzero terms."""
+    form = [0] * len(ps.monomials_of_degree(n))
+    for _ in range(nterms):
+        form[rng.randrange(len(form))] = rng.randint(-9, 9)
+    return form
+
+
 class TestDet3Poly:
     def test_matches_laplace_oracle(self):
         rng = random.Random(7)
-        m = [[rand_poly(rng, X, 3, 2) for _ in range(3)] for _ in range(3)]
+        m = [[rand_form(rng, 2, 3) for _ in range(3)] for _ in range(3)]
+        p = [[form_poly(e) for e in row] for row in m]
         # independent cofactor expansion along the second row
         co = lambda i, j: (
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-        oracle = sum((m[1][j] * co(1, j) for j in range(3)),
+            p[(i + 1) % 3][(j + 1) % 3] * p[(i + 2) % 3][(j + 2) % 3]
+            - p[(i + 1) % 3][(j + 2) % 3] * p[(i + 2) % 3][(j + 1) % 3])
+        oracle = sum((p[1][j] * co(1, j) for j in range(3)),
                      MultiPoly(X))
-        assert det3_poly(m) == oracle
+        assert form_poly(det3_poly(m)) == oracle == multipoly_det3(p)
 
     def test_alternating_and_multilinear(self):
         rng = random.Random(8)
-        m = [[rand_poly(rng, X, 3, 2) for _ in range(3)] for _ in range(3)]
+        m = [[rand_form(rng, 2, 3) for _ in range(3)] for _ in range(3)]
+        det = det3_poly(m)
+        assert len(det) == len(ps.monomials_of_degree(6))
         swapped = [m[1], m[0], m[2]]
-        assert det3_poly(swapped) == -1 * det3_poly(m)
-        assert det3_poly([m[0], m[0], m[2]]).is_zero()
-        scaled = [[3 * e for e in m[0]], m[1], m[2]]
-        assert det3_poly(scaled) == 3 * det3_poly(m)
+        assert det3_poly(swapped) == [-c for c in det]
+        assert not any(det3_poly([m[0], m[0], m[2]]))
+        scaled = [[[3 * c for c in e] for e in m[0]], m[1], m[2]]
+        assert det3_poly(scaled) == [3 * c for c in det]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_sympy(self, seed):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(seed)
         xs = sympy.symbols("x0:3")
-        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        # a 3x3 matrix of linear forms, each as its three coefficients
+        # a 3x3 matrix of linear forms, each the dense list of its three
+        # coefficients
         m = [[[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
              for _ in range(3)]
-        ours = det3_poly([[MultiPoly(X, dict(zip(units, map(Fraction, a))))
-                           for a in row] for row in m])
+        ours = det3_poly(m)
         theirs = sympy.Poly(sympy.Matrix(
             [[sum(c * v for c, v in zip(a, xs)) for a in row] for row in m]
         ).det(), *xs)
-        assert ours.terms == {e: Fraction(int(c)) for e, c in theirs.terms()}
+        assert ({e: c for e, c in zip(ps.monomials_of_degree(3), ours) if c}
+                == {e: int(c) for e, c in theirs.terms() if c})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(-30, 30) | st.just(0), min_size=6,
+                             max_size=6) | st.just([0] * 6),
+                    min_size=6, max_size=6),
+           st.integers(1, 12))
+    def test_det_of_symmetric_quadrics_matches_multipoly(self, upper, den):
+        # the upper triangle of a symmetric matrix of dense quadrics, with
+        # zero coefficients and zero entries, as `SymQuadricMatrix` holds it
+        pos = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
+        entries = tuple(tuple(tuple(upper[pos[min(i, j), max(i, j)]])
+                              for j in range(3)) for i in range(3))
+        det = det3_poly(entries)
+        oracle = multipoly_det3([[form_poly(e) for e in row] for row in entries])
+        assert form_poly(det) == oracle
+        A = cb.SymQuadricMatrix(entries, den)
+        if oracle.is_zero():
+            with pytest.raises(cb.DegenerateConfigurationError):
+                cb.discriminant(A)
+        else:
+            assert cb.discriminant(A) == oracle * Fraction(1, den ** 3)
 
 
 class TestQMatrix:

@@ -546,6 +546,32 @@ class TestJet:
             ps.p3_jet([1, 2, 3], point, order)
 
 
+def _int_forms(degrees):
+    """Dense integer forms of the given degrees, with zero coefficients."""
+    return degrees.map(lambda n: len(ps.monomials_of_degree(n))).flatmap(
+        lambda size: st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
+                              min_size=size, max_size=size))
+
+
+class TestMul:
+    @settings(max_examples=80, deadline=None)
+    @given(_int_forms(st.integers(0, 4)), _int_forms(st.integers(0, 4)))
+    def test_matches_multipoly_product(self, f, g):
+        # degrees 0 to 4 on each side; zero forms are among the draws
+        def poly(form):
+            n = ps.p3_degree(form)
+            return MultiPoly.from_ints(cb.X_BLOCKS,
+                                       dict(zip(ps.monomials_of_degree(n), form)))
+
+        product = ps.p3_mul(f, g)
+        assert ps.p3_degree(product) == ps.p3_degree(f) + ps.p3_degree(g)
+        assert poly(product) == poly(f) * poly(g)
+
+    @pytest.mark.parametrize("f, g", [([], []), ([], [1, 2, 3]), ([5], [])])
+    def test_empty_form_gives_the_empty_form(self, f, g):
+        assert ps.p3_mul(f, g) == []
+
+
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda d: st.dictionaries(
