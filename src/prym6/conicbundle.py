@@ -259,8 +259,7 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     the drops by each group, and no group drops by more than its number of
     rows, so one drop check is the check of every step.
     """
-    basis = sys.vectors
-    supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in basis]
+    supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in sys.vectors]
     restricted = QMatrix.from_ints([[sum(row[i] * v for i, v in support)
                                      for support in supports] for row in rows])
     ker = restricted.kernel()
@@ -271,8 +270,10 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     vectors = []
     for kv in ker:
         acc = [0] * len(sys.monomials)
-        for k, vec in zip(kv, basis):
-            acc = [a + k * v for a, v in zip(acc, vec)]
+        for k, support in zip(kv, supports):
+            if k:
+                for i, v in support:
+                    acc[i] += k * v
         vectors.append(primitive(acc))
     return LinearSystem(sys.bidegree, sys.monomials, tuple(vectors))
 
@@ -301,6 +302,11 @@ def impose_point(sys: LinearSystem, x: Sequence[Fraction],
 
 #: the exponents of the six quadratic monomials in one block of three
 _DEG2 = monomials_of_degree(2)
+
+#: exponent of x^e y_i y_j (i <= j) -> ((i, j), index of e in `_DEG2`, factor)
+_SYM_POSITIONS = {ex + tuple((m == i) + (m == j) for m in range(3)):
+                  ((i, j), k, 2 if i == j else 1) for k, ex in enumerate(_DEG2)
+                  for i in range(3) for j in range(i, 3)}
 
 
 @dataclass(frozen=True)
@@ -337,8 +343,8 @@ def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
         raise ValueError("expected a form of bidegree (2, 2)")
     upper = {(i, j): [0] * len(_DEG2) for i in range(3) for j in range(i, 3)}
     for exp, n in Q.nums.items():
-        i, j = [k for k in range(3) for _ in range(exp[3 + k])]
-        upper[i, j][_DEG2.index(exp[:3])] = 2 * n if i == j else n
+        entry, k, factor = _SYM_POSITIONS[exp]
+        upper[entry][k] = factor * n
     return SymQuadricMatrix(tuple(tuple(tuple(upper[min(i, j), max(i, j)])
                                         for j in range(3)) for i in range(3)),
                             2 * Q.den)

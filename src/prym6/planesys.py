@@ -5,7 +5,8 @@ ordinary nodes, and to locate the unique node of a plane cubic.  The
 same code runs over Q and over prime fields GF(q) with q below 2^30, where
 every residue is a single machine word; the field is passed explicitly.
 `p3_jet`, the value, gradient and Hessian of a form at a point, runs on
-integers, with no field: it is the one jet of the node certificates.
+integers, with no field, as dot products with cached weight tables: it is
+the one jet of the node certificates.
 `p3_mul`, the product of two forms, runs on integers too: it builds the
 determinants of `exactalg.det3_poly`.
 
@@ -30,15 +31,15 @@ about as much as sixteen products.
 A resultant is computed by the Euclidean remainder sequence,
 Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, in O(deg^2)
 field operations, instead of a Sylvester determinant.  `resultant_x3` finds
-a bivariate resultant by evaluation at the fixed sample points
-x = 0 .. n - 1 and interpolation.  Its sample pairs are stored column-major:
-column j of a polynomial holds its x3^j coefficient in every lane (one lane
-per sample), so each step of the remainder sequences, and of the
-evaluation, is one list operation across all lanes, and each round of
-remainders costs one ``inv_all``.  Interpolation at 0 .. n - 1 is a dot
-product per coefficient with a Lagrange table cached per field and n, its
-entries already divided by the common denominator, so over GF(p) every
-entry is one word.
+the bivariate resultants of one f and several g by evaluation at the fixed
+sample points x = 0 .. n - 1 and interpolation, one lane per sample and g:
+52 lanes for a completeness proof's two on a sextic.  Column j of a
+polynomial holds its x3^j coefficient in every lane, so each step of the
+remainder sequences, and of the evaluation, is one list operation across
+all lanes, and each round of remainders costs one ``inv_all``.
+Interpolation at 0 .. n - 1 is a dot product per coefficient with a
+Lagrange table cached per field and n, its entries already divided by the
+common denominator, so over GF(p) every entry is one word.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement
-from math import comb, factorial, isqrt
+from itertools import combinations_with_replacement, compress
+from math import comb, factorial, isqrt, perm, prod
 from operator import mul
 
 
@@ -452,53 +453,46 @@ def _product_table(a: int, b: int):
 
 def p3_jet(form, point, order: int):
     """(value, gradient, Hessian)[:order + 1] of a dense integer form at an
-    integer point, in one pass over the form: the gradient is a triple, the
-    Hessian a triple of rows, and every entry an int.
-
-    A term c x^e adds c times a product of the factors x_k^(e_k), one or two
-    of them differentiated, to each output; the powers come from one table
-    per coordinate.  A term whose degree in the point's zero coordinates
-    exceeds ``order`` is not read: every derivative of order at most
-    ``order`` keeps a positive power of a zero coordinate, so the term adds
-    0 to each output.  The terms that are read come from `_jet_terms`.
+    int point, in ints, each entry one dot product of the form's terms with
+    a row of `_jet_table`; the gradient is a triple, the Hessian a triple of
+    rows.  A coordinate that is not an int raises TypeError: it would round,
+    or share the cached table of an equal int.
     """
     if len(point) != 3 or not 0 <= order <= 2:
         raise ValueError("expected a point of P^2 and an order of 0, 1 or 2")
-    n = p3_degree(form)
-    zeros = tuple(k for k in range(3) if not point[k])
+    if any(type(c) is not int for c in point):
+        raise TypeError("p3_jet takes a point of int coordinates")
+    read, rows = _jet_table(p3_degree(form), tuple(point), order)
+    coeffs = list(compress(form, read))
+    # the table has no rows past the order; their outputs are cut off
+    out = [sum(map(mul, coeffs, row)) for row in rows] + [0] * 9
+    h = out[4:]
+    return (out[0], tuple(out[1:4]), ((h[0], h[1], h[2]), (h[1], h[3], h[4]),
+                                      (h[2], h[4], h[5])))[:order + 1]
+
+
+@lru_cache(maxsize=16)
+def _jet_table(n: int, point: tuple[int, int, int], order: int):
+    """The mask of the terms of degree n that a jet of that order reads at
+    point, and for the value, the partials and the Hessian entries 00, 01,
+    02, 11, 12, 22, up to the order, the weight of each term read: that
+    derivative of its monomial at point.  A term of degree above ``order``
+    in the point's zero coordinates is not read: each of its derivatives
+    keeps a zero coordinate.  The cache is bounded, since the net cubic
+    asks at a new point t* on every sweep item.
+    """
+    read = tuple(sum(a for a, v in zip(e, point) if not v) <= order
+                 for e in monomials_of_degree(n))
     pw = [[v ** e for e in range(n + 1)] for v in point]
-    value, grad, hess = 0, [0, 0, 0], [[0] * 3 for _ in range(3)]
-    for i, e in _jet_terms(n, zeros, order):
-        c = form[i]
-        if not c:
-            continue
-        f = [pw[k][e[k]] for k in range(3)]
-        value += c * (f[0] * f[1] * f[2])
-        if not order:
-            continue
-        d1 = [e[k] * pw[k][e[k] - 1] if e[k] else 0 for k in range(3)]
-        # each pair (k, l) of distinct indices once, m the third index
-        for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            if not e[k]:
-                continue
-            grad[k] += c * (d1[k] * f[l] * f[m])
-            if order == 2:
-                if e[k] > 1:
-                    hess[k][k] += c * (e[k] * (e[k] - 1) * pw[k][e[k] - 2]
-                                       * f[l] * f[m])
-                mixed = c * (d1[k] * d1[l] * f[m])
-                hess[k][l] += mixed
-                hess[l][k] += mixed
-    return (value, tuple(grad), tuple(map(tuple, hess)))[:order + 1]
 
+    def weight(e, d):
+        return prod(perm(a, b) * pw[k][a - b] if a >= b else 0
+                    for k, (a, b) in enumerate(zip(e, d)))
 
-@lru_cache(maxsize=None)
-def _jet_terms(n: int, zeros: tuple[int, ...], order: int):
-    """(position, exponent) of each monomial of degree n whose degree in
-    the coordinates ``zeros`` is at most ``order``: the terms that a jet of
-    that order reads at a point whose zero coordinates are ``zeros``."""
-    return tuple((i, e) for i, e in enumerate(monomials_of_degree(n))
-                 if sum(e[k] for k in zeros) <= order)
+    ds = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+          (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)][:(1, 4, 10)[order]]
+    terms = list(compress(monomials_of_degree(n), read))
+    return read, tuple(tuple(weight(e, d) for e in terms) for d in ds)
 
 
 def p3_partial(F, form, j: int):
@@ -575,39 +569,41 @@ def _x3_tower(F, form):
     return [_reduced(F, level) for level in tower]
 
 
-def resultant_x3(F, f, g):
-    """Res_{x3}(f, g) on the chart x2 = 1, by evaluation/interpolation.
+def resultant_x3(F, f, gs):
+    """Res_{x3}(f, g) for each g in gs, on the chart x2 = 1, by
+    evaluation/interpolation.
 
-    f and g are dense forms of degrees d1 and d2, read from their lengths,
-    whose x3^d1 and x3^d2 coefficients must be nonzero.  The result is a
-    univariate polynomial in x1 of degree at most d1*d2; its value at each
-    sample x1 = 0 .. d1*d2 is the determinant of the low-first Sylvester
-    matrix in x3.  Each x3-level of f and g, a polynomial in x1, is
-    evaluated at all samples at once, as one coefficient column: Horner's
-    rule steps a whole column of values, one list operation per
-    coefficient, with small integer samples and one reduction at the end.
-    The d1*d2 + 1 sample resultants run as one group of lanes in
-    `uni_resultants`, one ``inv_all`` per round of remainders, and
-    `uni_interpolate` takes the coefficients from its cached table.
+    f and the gs are dense forms of degrees d1 and d2, read from their
+    lengths, whose x3^d1 and x3^d2 coefficients must be nonzero constants;
+    anything else, or gs of two degrees, raises ValueError.  Each result is
+    a univariate polynomial in x1 of degree at most d1*d2; its value at each
+    sample x1 = 0 .. d1*d2 is the low-first Sylvester determinant in x3.
+    Each x3-level, a polynomial in x1, is evaluated at all samples at once
+    by Horner's rule on a column of values, f's once for all gs.  All
+    len(gs) * (d1*d2 + 1) sample resultants run as lanes of one
+    `uni_resultants` call; `uni_interpolate` reads each g's slice.
     """
-    tf, tg = _x3_tower(F, f), _x3_tower(F, g)
-    d1, d2 = len(tf) - 1, len(tg) - 1
-    if uni_degree(tf[d1]) != 0 or uni_degree(tg[d2]) != 0:
-        raise ValueError("leading x3 coefficient is not a nonzero constant")
-    xs = range(d1 * d2 + 1)
+    tf, tgs = _x3_tower(F, f), [_x3_tower(F, g) for g in gs]
+    if (len({len(t) for t in tgs}) != 1
+            or any(uni_degree(t[-1]) != 0 for t in [tf] + tgs)):
+        raise ValueError("no gs, gs of two degrees, or a leading x3 "
+                         "coefficient that is not a nonzero constant")
+    xs = range((len(tf) - 1) * (len(tgs[0]) - 1) + 1)
 
-    def columns(tower):
-        """Each level's values at all samples, by Horner's rule on columns."""
+    def lanes(tower):
+        """Each sample's x3-levels, by Horner's rule on columns."""
         out = []
         for level in tower:
             col = [level[-1] if level else F.zero] * len(xs)
             for c in reversed(level[:-1]):
                 col = [v * x + c for v, x in zip(col, xs)]
             out.append(F.reduce_all(col))
-        return out
+        return list(zip(*out))
 
-    pairs = list(zip(zip(*columns(tf)), zip(*columns(tg))))
-    return uni_interpolate(F, uni_resultants(F, pairs))
+    at_f = lanes(tf)
+    values = uni_resultants(F, [pair for t in tgs for pair in zip(at_f, lanes(t))])
+    return [uni_interpolate(F, values[i:i + len(xs)])
+            for i in range(0, len(values), len(xs))]
 
 
 def _random_invertible(F, draw):
@@ -710,8 +706,7 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
     for F, moved in _moved_curves(curve, rng, exact):
         c = [p3_partial(F, moved, j) for j in range(3)]
         try:
-            r1 = resultant_x3(F, c[0], c[1])
-            r2 = resultant_x3(F, c[0], c[2])
+            r1, r2 = resultant_x3(F, c[0], c[1:])
         except ValueError:
             continue  # a leading x3 coefficient is not a nonzero constant
         if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
@@ -738,8 +733,7 @@ def find_unique_common_root(curve, rng: random.Random):
         m = _random_invertible(F, partial(QQ.random_element, rng))
         try:
             changed = [p3_linear_change(F, p, m) for p in polys]
-            r1 = resultant_x3(F, changed[0], changed[1])
-            r2 = resultant_x3(F, changed[0], changed[2])
+            r1, r2 = resultant_x3(F, changed[0], changed[1:])
         except (ValueError, ZeroDivisionError):
             continue
         if uni_degree(r1) != d * d or uni_degree(r2) != d * d:

@@ -290,7 +290,7 @@ class TestLaneResultants:
         rng = random.Random(13)
         mons = ps.monomials_of_degree(5)
         f, g = ([rng.randrange(F.p) for _ in mons] for _ in range(2))
-        r = ps.resultant_x3(F, f, g)
+        r, = ps.resultant_x3(F, f, [g])
         assert ps.uni_degree(r) == 25
         for x in range(26):
             a, b = (ps._reduced(F, [sum(c * x ** e1 for (e1, _, e3), c in zip(mons, form)
@@ -305,7 +305,7 @@ class TestResultant:
         # f = (x3 - x1)(x3 - 2 x2), g = (x3 - x1)(x3 + x2)
         f = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): -2, (1, 1, 0): 2}, 2)
         g = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): 1, (1, 1, 0): -1}, 2)
-        r = ps.resultant_x3(F, f, g)
+        r, = ps.resultant_x3(F, f, [g])
         # common root x3 = x1 for every x1, so the resultant vanishes identically
         assert r == []
 
@@ -313,10 +313,57 @@ class TestResultant:
         F = ps.QQ
         f = dense(F, {(0, 0, 1): 1, (1, 0, 0): -1}, 1)  # x3 - x1
         g = dense(F, {(0, 0, 1): 1, (1, 0, 0): -2}, 1)  # x3 - 2 x1
-        r = ps.resultant_x3(F, f, g)
+        r, = ps.resultant_x3(F, f, [g])
         # Res = x1 evaluated pointwise: linear with root only at x1 = 0
         assert ps.uni_degree(r) == 1
         assert uni_eval(F, r, Fraction(0)) == 0
+
+    # gs of two degrees; an x3^d coefficient, d the degree of the form, that
+    # is x1 or 0 in f, or x1 in the second g; no g at all
+    @pytest.mark.parametrize("f, gs", [
+        ({(0, 0, 3): 1, (1, 1, 1): 1, (3, 0, 0): 1, (0, 3, 0): 1},
+         [{(0, 0, 1): 1, (1, 0, 0): 1}, {(0, 0, 2): 1, (2, 0, 0): 1}]),
+        ({(1, 0, 1): 1, (0, 2, 0): 1}, [{(0, 0, 1): 1, (1, 0, 0): 1}]),
+        ({(2, 0, 0): 1, (0, 1, 1): 1}, [{(0, 0, 2): 1, (2, 0, 0): 1}]),
+        ({(0, 0, 1): 1, (1, 0, 0): 1},
+         [{(0, 0, 2): 1, (2, 0, 0): 1}, {(1, 0, 1): 1, (0, 2, 0): 1}]),
+        ({(0, 0, 1): 1, (1, 0, 0): 1}, []),
+    ], ids=["degrees-differ", "f-lead-x1", "f-lead-0", "g-lead-x1", "no-g"])
+    @pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), ps.QQ],
+                             ids=["gf", "qq"])
+    def test_rejects_what_it_cannot_interpolate(self, F, f, gs):
+        # only_known_common_roots rejects an attempt on this ValueError
+        def form(poly):
+            return dense(F, poly, sum(next(iter(poly))))
+        with pytest.raises(ValueError):
+            ps.resultant_x3(F, form(f), [form(g) for g in gs])
+
+    @pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), ps.QQ],
+                             ids=["gf", "qq"])
+    def test_batch_equals_one_g_calls(self, F, monkeypatch):
+        # f = x3 g1 + x1^3 + x2^3 for g1 = x3^2 + x1 x2, so on x2 = 1 every
+        # lane of g1 has the constant remainder x1^3 + 1, two degrees down,
+        # while g2 = x3^2 + x1 x3 + x2^2 goes one degree at a time: two
+        # degree groups in one uni_resultants call
+        f = dense(F, {(0, 0, 3): 1, (1, 1, 1): 1, (3, 0, 0): 1, (0, 3, 0): 1}, 3)
+        g1 = dense(F, {(0, 0, 2): 1, (1, 1, 0): 1}, 2)
+        g2 = dense(F, {(0, 0, 2): 1, (1, 0, 1): 1, (0, 2, 0): 1}, 2)
+        rng = random.Random(15)
+        g3 = [_element(F, rng) for _ in ps.monomials_of_degree(2)]
+        g3[-1] = F.one
+        singles = [ps.resultant_x3(F, f, [g])[0] for g in (g1, g2, g3)]
+        calls, lanes = [], ps.uni_resultants
+
+        def spy(F, pairs):
+            calls.append(len(pairs))
+            return lanes(F, pairs)
+        monkeypatch.setattr(ps, "uni_resultants", spy)
+        assert ps.resultant_x3(F, f, [g1, g2, g3]) == singles
+        assert ps.resultant_x3(F, f, [g1, g2]) == singles[:2]
+        assert calls == [21, 14]
+        # Res(f, g1) is the product of f over the two roots of g1, at each
+        # of which f is x1^3 + 1
+        assert singles[0] == [lift(F, v) for v in (1, 0, 0, 2, 0, 0, 1)]
 
 
 def _product(*factors):
@@ -376,6 +423,19 @@ class TestOnlyKnownCommonRoots:
             True, [ps.WORD_PRIMES[0]])
         assert self.primes_tried(monkeypatch, curve, 2, 4) == (
             False, list(ps.WORD_PRIMES))
+
+    def test_one_resultant_batch_per_attempt(self, monkeypatch):
+        # Res(c0, c1) and Res(c0, c2) run as one call, at each of the eight
+        # attempts of a rejected proof
+        calls, batch = [], ps.resultant_x3
+
+        def spy(F, f, gs):
+            calls.append(len(gs))
+            return batch(F, f, gs)
+        monkeypatch.setattr(ps, "resultant_x3", spy)
+        assert not ps.only_known_common_roots(_integer(_two_conics()), 2,
+                                              random.Random(4))
+        assert calls == [2] * len(ps.WORD_PRIMES)
 
     def test_curve_that_vanishes_mod_the_first_prime(self, monkeypatch):
         # q0 * (two conics) is 0 mod q0: attempt 1 rejects before any draw,
@@ -544,6 +604,68 @@ class TestJet:
     def test_bad_point_or_order_raises(self, point, order):
         with pytest.raises(ValueError):
             ps.p3_jet([1, 2, 3], point, order)
+
+    @pytest.mark.parametrize("point", [(1.0, 0, 0), (Fraction(1), 0, 0),
+                                       (1, 0, True)])
+    def test_point_of_other_type_raises(self, point):
+        # (1.0, 0, 0) == (1, 0, 0), so a cached table would also serve it
+        ps.p3_jet([1, 2, 3], (1, 0, 0), 1)
+        with pytest.raises(TypeError):
+            ps.p3_jet([1, 2, 3], point, 1)
+
+    @pytest.fixture(scope="class")
+    def gammas(self):
+        # about 1800-bit coefficients
+        return [cb._dense_form(cb.construct_instance(seed).gamma)
+                for seed in (1, 2, 3)]
+
+    def test_sextics_match_the_one_pass_loop(self, gammas):
+        assert max(abs(c) for c in gammas[0]).bit_length() > 1000
+        big = (3 ** 90 + 1, -(2 ** 130), 7 ** 41)
+        for form in gammas:
+            for pt in (*(primitive(p) for p in cb.STANDARD_NODES), big):
+                for order in range(3):
+                    assert ps.p3_jet(form, pt, order) == one_pass_jet(form, pt, order)
+
+    def test_tables_survive_eviction(self, gammas):
+        # more distinct points than the cache holds, then the standard
+        # nodes again
+        form = gammas[0]
+        rng = random.Random(16)
+        points = [tuple(rng.randrange(-10 ** 20, 10 ** 20) for _ in range(3))
+                  for _ in range(ps._jet_table.cache_info().maxsize + 4)]
+        points += [primitive(p) for p in cb.STANDARD_NODES]
+        for pt in points * 2:
+            assert ps.p3_jet(form, pt, 2) == one_pass_jet(form, pt, 2)
+            assert ps.p3_jet(form, pt, 1) == one_pass_jet(form, pt, 1)
+
+
+def one_pass_jet(form, point, order):
+    """p3_jet as one pass over the terms, each derivative of each term
+    built from a power table per coordinate, skipping the terms that
+    vanish to order greater than ``order`` at a zero coordinate."""
+    n = ps.p3_degree(form)
+    zeros = [k for k in range(3) if not point[k]]
+    pw = [[v ** e for e in range(n + 1)] for v in point]
+    value, grad, hess = 0, [0, 0, 0], [[0] * 3 for _ in range(3)]
+    for c, e in zip(form, ps.monomials_of_degree(n)):
+        if not c or sum(e[k] for k in zeros) > order:
+            continue
+        f = [pw[k][e[k]] for k in range(3)]
+        value += c * (f[0] * f[1] * f[2])
+        d1 = [e[k] * pw[k][e[k] - 1] if e[k] else 0 for k in range(3)]
+        # each pair (k, l) of distinct indices once, m the third index
+        for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if not e[k]:
+                continue
+            grad[k] += c * (d1[k] * f[l] * f[m])
+            if e[k] > 1:
+                hess[k][k] += c * (e[k] * (e[k] - 1) * pw[k][e[k] - 2]
+                                   * f[l] * f[m])
+            mixed = c * (d1[k] * d1[l] * f[m])
+            hess[k][l] += mixed
+            hess[l][k] += mixed
+    return (value, tuple(grad), tuple(map(tuple, hess)))[:order + 1]
 
 
 def _int_forms(degrees):

@@ -89,6 +89,45 @@ def test_tracer_pins_are_spanned():
     assert [name for name in pinned if name not in spanned] == []
 
 
+#: caches in the package with no finite maxsize, each with the reason its
+#: keys are finite; a cache keyed on input data needs a bound instead, or
+#: it grows peak memory with every new input
+UNBOUNDED_CACHES = {
+    "conicbundle.bidegree_monomials": "keyed on a degree pair",
+    "conicbundle.base_system": "the package asks it at STANDARD_NODES only",
+    "conicbundle._block_exponents": "keyed on the monomials of a degree pair",
+    "planesys._product_table": "keyed on a degree pair",
+    "planesys._shifts": "keyed on a degree",
+    "planesys.monomials_of_degree": "keyed on a degree",
+}
+
+
+def _cache_maxsize(decorator):
+    """The maxsize of a functools cache decorator: None when it is unbounded
+    or not an int literal, False when the decorator is no cache."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    name = ast.unparse(call.func if call else decorator).rsplit(".", 1)[-1]
+    if name not in ("cache", "lru_cache"):
+        return False
+    if not call:
+        return None if name == "cache" else 128
+    args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args
+    if not args:
+        return 128
+    value = getattr(args[0], "value", None)
+    return value if type(value) is int else None
+
+
+def test_every_cache_is_bounded_or_pinned():
+    sizes = [(f"{path.stem}.{node.name}", _cache_maxsize(d))
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for d in node.decorator_list]
+    assert ("planesys._jet_table", 16) in sizes
+    assert {name for name, size in sizes if size is None} == set(UNBOUNDED_CACHES)
+
+
 #: public methods that nothing in the package names, each with the reason
 #: it stays; a new one fails the test below until it has a caller or an
 #: entry here.  Matching is by name, as for functions, so a method that
