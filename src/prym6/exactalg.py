@@ -224,26 +224,6 @@ class MultiPoly(QVector):
             off += size
         raise ValueError(f"no block named {block!r}")
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def multidegree(self) -> tuple[int, ...] | None:
-        """Per-block degree tuple, or None if not multihomogeneous."""
-        if not self.nums:
-            return None
-        degs = None
-        for exp in self.nums:
-            cur, off = [], 0
-            for _, size in self.blocks:
-                cur.append(sum(exp[off:off + size]))
-                off += size
-            cur = tuple(cur)
-            if degs is None:
-                degs = cur
-            elif degs != cur:
-                return None
-        return degs
-
     def _product(self, other):
         out: dict = {}
         for e1, c1 in self.nums.items():
@@ -277,11 +257,8 @@ class MultiPoly(QVector):
         Each substituted point is written P/d with integer P.  A term whose
         degree in that block is s takes P^e d^(top - s), top being the
         block's highest degree, so the sums run in integers and the result
-        is over den times d^top for each block.
-
-        `evaluate` is the one caller; a fiber conic is read from
-        `SymQuadricMatrix.evaluated`, and a plane curve's jet from
-        `planesys.p3_jet`.
+        is over den times d^top for each block.  `evaluate` is the one
+        caller; the package reads forms at points through dense tables.
         """
         spans = []  # (offset, P, d, top) of each substituted block
         keep_blocks: list[tuple[str, int]] = []

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from prym6.exactalg import MultiPoly, QMatrix, det3_poly, primitive
 
 XY = cb.XY_BLOCKS
 X = cb.X_BLOCKS
+T = (("t", 3),)
 
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
@@ -41,6 +44,22 @@ def node_cert(curve, point):
     return cb.node_certificate(cb._dense_form(curve), curve.den, point)
 
 
+def monomial_row(monomials, point, d=None):
+    """Reference for every condition row: the value of each monomial, or of
+    its partial in coordinate d, at the 6-tuple point (x, y), with each block
+    first scaled to a primitive integer vector.  The product loop that the
+    outer products of `cb._block_values` tables replaced."""
+    point = [c for block in (point[:3], point[3:]) for c in primitive(block)]
+    row = []
+    for exp in monomials:
+        c = 1
+        if d is not None:
+            # d z^e = e z^(e-1); at e = 0, c is 0 and the max avoids 0^-1
+            c, exp = exp[d], exp[:d] + (max(exp[d] - 1, 0),) + exp[d + 1:]
+        row.append(c * prod(v ** e for v, e in zip(point, exp) if e))
+    return row
+
+
 def lines_for(seed):
     rng = random.Random(seed)
     return [cb.random_line_in_fiber(rng) for _ in range(5)], rng
@@ -51,7 +70,7 @@ class TestBaseSystem:
         sys = cb.base_system(cb.STANDARD_NODES)
         assert sys.dim == 16
         assert sys.bidegree == (2, 2)
-        assert len(sys.monomials) == 36
+        assert {len(v) for v in sys.vectors} == {36}
 
     def test_bidegree_one_one_analog(self):
         sys = cb.base_system(cb.STANDARD_NODES, (1, 1), 1)
@@ -73,6 +92,12 @@ class TestBaseSystem:
                        for f, pt in zip(factors, cb.STANDARD_NODES))
         assert (cb.base_system(scaled).vectors
                 == cb.base_system(cb.STANDARD_NODES).vectors)
+
+    @pytest.mark.parametrize("order", [0, -1, 3])
+    def test_order_other_than_one_or_two_raises(self, order):
+        # each used to give the system of order 1 (0 and -1) or 2 (3)
+        with pytest.raises(ValueError, match="order"):
+            cb.base_system(cb.STANDARD_NODES, (2, 2), order)
 
     def test_collinear_points_rejected(self):
         # (1:0:0), (0:1:0) and a point of the line x3 = 0, or a zero point,
@@ -112,19 +137,51 @@ integer_lines = st.tuples(*[st.integers(-20, 20)] * 6)
 rational_lines = st.tuples(*[fracs] * 6)
 
 
+#: the bidegrees on which every condition row is checked against
+#: `monomial_row`, and points with zero coordinates and denominators
+bidegrees = st.sampled_from([(1, 1), (2, 2), (1, 2)])
+points = st.tuples(coords, coords, coords).filter(any)
+
+
 class TestLineConditionRows:
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(integer_lines, rational_lines))
-    def test_matches_monomial_row(self, data):
+    @settings(max_examples=60, deadline=None)
+    @given(bidegrees, st.one_of(integer_lines, rational_lines))
+    def test_matches_monomial_row(self, bidegree, data):
         o, dual = data[:3], data[3:]
         assume(any(o) and any(dual))
         lf = cb.LineInFiber(o, dual)
-        monomials = cb.bidegree_monomials((2, 2))
+        monomials = cb.bidegree_monomials(bidegree)
         p, q = lf.spanning_points()
         third = tuple(a + b for a, b in zip(p, q))
-        assert cb.line_condition_rows(monomials, lf) == [
-            cb._monomial_row(monomials, tuple(lf.o) + tuple(y))
+        assert cb.line_condition_rows(bidegree, lf) == [
+            monomial_row(monomials, tuple(lf.o) + tuple(y))
             for y in (p, q, third)]
+
+
+class TestConditionRowsOracle:
+    """Node and point rows against `monomial_row`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bidegrees, points)
+    def test_node_rows_every_partial(self, bidegree, u):
+        monomials = cb.bidegree_monomials(bidegree)
+        at = u + u
+        k = max(j for j in range(3) if u[j])
+        partials = [monomial_row(monomials, at, 3 * block + j)
+                    for block in (0, 1) for j in range(3) if j != k]
+        value = monomial_row(monomials, at)
+        assert cb.node_condition_rows(bidegree, u, 1) == [value]
+        assert cb.node_condition_rows(bidegree, u, 2) == [value] + partials
+
+    @settings(max_examples=60, deadline=None)
+    @given(bidegrees, points, points)
+    def test_point_rows(self, bidegree, x, y):
+        # the row impose_point cuts by, read from its call of _cut
+        with mock.patch.object(cb, "_cut") as cut:
+            cb.impose_point(cb.LinearSystem(bidegree, ()), x, y)
+        (_, rows, drop, _), _ = cut.call_args
+        assert drop == 1
+        assert rows == [monomial_row(cb.bidegree_monomials(bidegree), x + y)]
 
 
 class TestPlaneBasis:
@@ -151,17 +208,32 @@ class TestImposePoint:
                                  tuple(Fraction(7, 2) * c for c in y))
         assert scaled.vectors == cut.vectors
 
+    def test_point_without_three_coordinates_raises(self):
+        # (1, 0, 0) and (1, 2) used to give a 15-dimensional cut, the five
+        # coordinates zipped against six-entry exponents
+        sys = cb.base_system(cb.STANDARD_NODES)
+        for x, y in (((1, 0, 0), (1, 2)), ((1, 2), (1, 0, 0)),
+                     ((1, 0, 0, 0), (1, 2, 3)), ((), ())):
+            with pytest.raises(ValueError, match="not a point"):
+                cb.impose_point(sys, x, y)
+
+    def test_zero_point_is_degenerate(self):
+        # (0, 0, 0) used to make a zero row, and a NonGenericDropError
+        sys = cb.base_system(cb.STANDARD_NODES)
+        for x, y in (((0, 0, 0), (1, 2, 3)), ((1, 2, 3), (0, 0, 0))):
+            with pytest.raises(cb.DegenerateConfigurationError):
+                cb.impose_point(sys, x, y)
+
 
 def stacked_condition_matrix(points, lines):
     """All (2,2) node and line conditions as one matrix on raw coefficient
     vectors: the route to the unique member that `zeta`'s cut of the base
     system replaces, kept as its independent oracle."""
-    monomials = cb.bidegree_monomials((2, 2))
     rows = []
     for pt in points:
-        rows.extend(cb.node_condition_rows(monomials, pt, 2))
+        rows.extend(cb.node_condition_rows((2, 2), pt, 2))
     for lf in lines:
-        rows.extend(cb.line_condition_rows(monomials, lf))
+        rows.extend(cb.line_condition_rows((2, 2), lf))
     return QMatrix.from_ints(rows)
 
 
@@ -240,13 +312,22 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             cb.to_symmetric_matrix(var("x", 0) * var("y", 0))
 
+    def test_rejects_a_mixed_zero_or_other_block_form(self):
+        # a form of two bidegrees, the zero form, and a (2, 2) form over
+        # blocks other than XY_BLOCKS
+        Q = var("x", 0) * var("x", 1) * var("y", 2) * var("y", 2)
+        for bad in (Q + var("x", 0) * var("y", 0), MultiPoly(XY),
+                    MultiPoly((("a", 3), ("b", 3)), Q.terms)):
+            with pytest.raises(ValueError, match="bidegree"):
+                cb.to_symmetric_matrix(bad)
+
 
 class TestDiscriminant:
     def test_zeta_instance_sextic_vanishing_at_nodes(self):
         lines, _ = lines_for(108)
         Q, _ = cb.zeta(lines)
         gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
-        assert gamma.multidegree() == (6,)
+        assert gamma.blocks == X and {sum(e) for e in gamma.nums} == {6}
         for u in cb.STANDARD_NODES:
             assert gamma.evaluate({"x": u}) == 0
 
@@ -376,7 +457,7 @@ class TestNodeCertificates:
         # the same quartic over the block t, as a net's cubic is: the check
         # reads the block from gamma, for both verdicts and both fields
         gamma, pts = self.two_conics()
-        over_t = MultiPoly(cb.T_BLOCKS, gamma.terms)
+        over_t = MultiPoly(T, gamma.terms)
         for exact in (False, True):
             for listed in (pts, pts[:3]):
                 assert (cb.singular_locus_is_exactly(
@@ -454,12 +535,11 @@ class TestNodeCertificates:
         """A member of the 12-dimensional system singular at the four
         standard nodes and at (1:2:3), cut by three lines in fibers."""
         fifth = (Fraction(1), Fraction(2), Fraction(3))
-        monomials = cb.bidegree_monomials((2, 2))
         rows = [row for pt in cb.STANDARD_NODES + (fifth,)
-                for row in cb.node_condition_rows(monomials, pt, 2)]
+                for row in cb.node_condition_rows((2, 2), pt, 2)]
         kernel = QMatrix(rows).kernel()
         assert len(rows) == 25 and len(kernel) == 12
-        sys = cb.LinearSystem((2, 2), monomials, tuple(kernel))
+        sys = cb.LinearSystem((2, 2), tuple(kernel))
         rng = random.Random(5)
         for _ in range(3):
             sys = cb.impose_line(sys, cb.random_line_in_fiber(rng))
@@ -544,7 +624,46 @@ class TestSingularPointOnQ:
             cb.singular_point_on_Q(A, cert)
 
 
+def probe_by_evaluate(gamma, rng):
+    """The off-sextic probe as it read gamma through `MultiPoly.evaluate`:
+    the number of points drawn until one is off gamma, or None after 16."""
+    for n in range(1, 17):
+        pt = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+        if any(pt) and gamma.evaluate({"x": pt}) != 0:
+            return n
+    return None
+
+
 class TestRankStratification:
+    @staticmethod
+    def same_draws(gamma, seed):
+        """The probe's verdict and rng state against `probe_by_evaluate`
+        from the same seed; returns the reference's number of draws."""
+        ours, theirs = random.Random(seed), random.Random(seed)
+        try:
+            cb.rank_stratification_check(gamma, ours)
+            found = True
+        except cb.CertificationError:
+            found = False
+        drawn = probe_by_evaluate(gamma, theirs)
+        assert found == (drawn is not None)
+        assert ours.getstate() == theirs.getstate()
+        return drawn
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_same_draws_as_evaluate_on_construct_sextics(self, seed):
+        gamma = cb.construct_instance(seed).gamma
+        for s in range(10):
+            self.same_draws(gamma, s)
+
+    def test_same_draws_as_evaluate_when_draws_land_on_the_curve(self):
+        # x y z (x y z / 3 - 2 x^3 / 5) vanishes on the three coordinate
+        # lines, so every draw with a zero coordinate lands on it
+        gamma = MultiPoly(X, {(2, 2, 2): Fraction(1, 3), (4, 1, 1): Fraction(-2, 5)})
+        drawn = [self.same_draws(gamma, s) for s in range(40)]
+        assert max(drawn) > 1
+
+
     def test_off_curve_probe_must_find_a_point(self):
         # every draw is the zero vector, so the rank-3 probe checks nothing
         class ZeroRng:
@@ -703,8 +822,8 @@ class TestInstancePipeline:
         for lf in four:
             sys = cb.impose_line(sys, lf)
         coeffs = primitive([sum(c * v[k] for c, v in zip((-2, 4, 3, -3), sys.vectors))
-                            for k in range(len(sys.monomials))])
-        Q = MultiPoly.from_ints(XY, dict(zip(sys.monomials, coeffs)))
+                            for k in range(36)])
+        Q = MultiPoly.from_ints(XY, dict(zip(cb.bidegree_monomials((2, 2)), coeffs)))
         with pytest.raises(ValueError, match="five"):
             cb.certify_instance(Q, four, random.Random(0))
         data = json.loads(cb.certify_instance(Q, four + four[:1],
@@ -911,15 +1030,17 @@ class TestNoLineThroughNodeOracle:
         cubic = (z * (q[0] * x * x + q[1] * x * y + q[2] * y * y)
                  + c[0] * x * x * x + c[1] * x * x * y + c[2] * x * y * y
                  + c[3] * y * y * y)
-        assume(not cubic.is_zero())
+        assume(cubic.nums)
         assert (cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
                 == sylvester_says_no_line(cubic, (0, 0, 1)))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
         report = cb.sweep(seed, 1)["cubic"]
-        cubic, node = report["cubic"], report["node"]
-        assert cb.no_line_through_node(cb._dense_form(cubic), node)
+        form, node = report["cubic"], report["node"]
+        cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)),
+                                    report["den"])
+        assert cb.no_line_through_node(form, node)
         assert sylvester_says_no_line(cubic, node)
 
 
@@ -976,7 +1097,7 @@ class TestNetAndSweep:
         for g in net.system.basis:
             assert g.evaluate({"x": net.o, "y": net.o}) == 0
         report = cb.discriminant_cubic(net, rng)
-        assert report["cubic"].multidegree() == (3,)
+        assert len(report["cubic"]) == 10 and any(report["cubic"])
         assert report["certificate"].is_node
         # proved, not checked, by discriminant_cubic: the singular member
         # has rank 2 and vertex o
@@ -989,8 +1110,7 @@ class TestNetAndSweep:
     def test_kernel_node_is_the_elimination_root(self, seed):
         # the node from the 3x3 kernel is the point the Q elimination finds
         report = cb.sweep(seed, 1)["cubic"]
-        terms = report["cubic"].terms
-        cubic = [terms.get(e, Fraction(0)) for e in ps.monomials_of_degree(3)]
+        cubic = [Fraction(c, report["den"]) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
         assert primitive(root) == report["node"]
 

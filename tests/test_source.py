@@ -75,18 +75,19 @@ def test_uncalled_public_functions_are_pinned():
 
 def test_tracer_pins_are_spanned():
     # an entry kept for the benchmark's tracer is dead code once the tracer
-    # stops spanning it; the tracer is loaded, not run, as in
+    # stops spanning or counting it; the tracer is loaded, not run, as in
     # test_perfbench_names.py
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    spanned = {f"{mod}.{func}" for mod, funcs in tracer.SPANNED.items()
-               for func in funcs}
-    pinned = [name for name, reason in UNCALLED_PUBLIC.items()
-              if "perfbench/tracer.py" in reason]
-    assert pinned
-    assert [name for name in pinned if name not in spanned] == []
+    traced = {f"{mod}.{func}" for table in (tracer.SPANNED, tracer.COUNTED)
+              for mod, funcs in table.items() for func in funcs}
+    for pins in (UNCALLED_PUBLIC, UNCALLED_PUBLIC_METHODS):
+        pinned = [name for name, reason in pins.items()
+                  if "perfbench/tracer.py" in reason]
+        assert pinned
+        assert [name for name in pinned if name not in traced] == []
 
 
 #: caches in the package with no finite maxsize, each with the reason its
@@ -95,7 +96,6 @@ def test_tracer_pins_are_spanned():
 UNBOUNDED_CACHES = {
     "conicbundle.bidegree_monomials": "keyed on a degree pair",
     "conicbundle.base_system": "the package asks it at STANDARD_NODES only",
-    "conicbundle._block_exponents": "keyed on the monomials of a degree pair",
     "planesys._product_table": "keyed on a degree pair",
     "planesys._shifts": "keyed on a degree",
     "planesys.monomials_of_degree": "keyed on a degree",
@@ -137,6 +137,7 @@ UNCALLED_PUBLIC_METHODS = {
     "conicbundle.ConicBundleInstance.from_json":
         "the public loader of instance JSON, which the CI installed-script "
         "step runs",
+    "exactalg.MultiPoly.evaluate": "counted by perfbench/tracer.py (ROADMAP item 1)",
 }
 
 
