@@ -28,6 +28,12 @@ from .planesys import (QQ, _random_invertible, monomials_of_degree,
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
 
+#: the exponents of the six quadratic monomials in one block of three
+_DEG2 = monomials_of_degree(2)
+
+#: exponent 6-tuples of the 36 monomials of bidegree (2, 2), x-major
+XY_MONOMIALS = tuple(ex + ey for ex in _DEG2 for ey in _DEG2)
+
 #: the four nodes of every discriminant sextic built here; any four general
 #: points can be moved to these by a projectivity
 STANDARD_NODES: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -61,19 +67,11 @@ class MarkedLineInvariantError(RuntimeError):
 
 # -- linear systems ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def bidegree_monomials(bidegree: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Exponent 6-tuples of the monomials of a given (x, y)-bidegree."""
-    return tuple(ex + ey for ex in monomials_of_degree(bidegree[0])
-                 for ey in monomials_of_degree(bidegree[1]))
-
-
 @dataclass(frozen=True)
 class LinearSystem:
-    """A linear system of fixed bidegree, stored by primitive integer
-    coefficient vectors over `bidegree_monomials(bidegree)`."""
+    """A linear system of (2,2) forms, stored by primitive integer
+    coefficient vectors over `XY_MONOMIALS`."""
 
-    bidegree: tuple[int, int]
     vectors: tuple[tuple[int, ...], ...]
 
     @property
@@ -82,8 +80,7 @@ class LinearSystem:
 
     @property
     def basis(self) -> tuple[MultiPoly, ...]:
-        monomials = bidegree_monomials(self.bidegree)
-        return tuple(MultiPoly.from_ints(XY_BLOCKS, dict(zip(monomials, v)))
+        return tuple(MultiPoly.from_ints(XY_BLOCKS, dict(zip(XY_MONOMIALS, v)))
                      for v in self.vectors)
 
 
@@ -102,9 +99,6 @@ class LineInFiber:
         object.__setattr__(self, "dual", primitive(self.dual))
         if all(c == 0 for c in self.o) or all(c == 0 for c in self.dual):
             raise DegenerateConfigurationError("zero point or zero line")
-
-    def spanning_points(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _plane_basis(self.dual)
 
 
 def _plane_basis(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -138,9 +132,9 @@ def _block_values(P: Sequence[int], n: int, d: int | None = None) -> list[int]:
     """The value at the integer point P of each monomial of
     `monomials_of_degree(n)`, or with d of its partial in x_d.
 
-    `bidegree_monomials` is x-major, so the values of the bidegree-(a, b)
-    monomials at (x, y) are the outer product [u * v for u in X for v in Y]
-    of the table X of degree a at x and the table Y of degree b at y.
+    `XY_MONOMIALS` is x-major, so the values of its monomials at (x, y) are
+    the outer product [u * v for u in X for v in Y] of the quadratic tables
+    X at x and Y at y.
     """
     if d is None:
         a, b, c = P
@@ -150,55 +144,40 @@ def _block_values(P: Sequence[int], n: int, d: int | None = None) -> list[int]:
             if e[d] else 0 for e in monomials_of_degree(n)]
 
 
-def node_condition_rows(bidegree: tuple[int, int], point: Sequence[Fraction],
-                        order: int) -> list[list[int]]:
-    """Rows over `bidegree_monomials(bidegree)` for vanishing at (u, u),
-    with u scaled to a primitive integer vector.
-
-    order 1 is plain vanishing; order 2 adds the four chart partials, in x
-    and then in y (the Euler relations make value + four partials
-    equivalent to all six); any other order raises ValueError.
+def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
+    """Rows over `XY_MONOMIALS` for vanishing to order 2 at (u, u), with u
+    scaled to a primitive integer vector: the value and the four chart
+    partials, in x and then in y (the Euler relations make value + four
+    partials equivalent to all six).
     """
-    if order not in (1, 2):
-        raise ValueError(f"vanishing order {order!r} is not 1 or 2")
     P = primitive(point)
-    a, b = bidegree
-    X, Y = _block_values(P, a), _block_values(P, b)
-    tables = [(X, Y)]
-    if order == 2:
-        others = [j for j in range(3) if j != _chart_index(P)]
-        tables += ([(_block_values(P, a, j), Y) for j in others]
-                   + [(X, _block_values(P, b, j)) for j in others])
+    T = _block_values(P, 2)
+    partials = [_block_values(P, 2, j) for j in range(3) if j != _chart_index(P)]
+    tables = [(T, T)] + [(D, T) for D in partials] + [(T, D) for D in partials]
     return [[u * v for u in U for v in V] for U, V in tables]
 
 
 @lru_cache(maxsize=None)
-def base_system(points: tuple[tuple[Fraction, ...], ...],
-                bidegree: tuple[int, int] = (2, 2),
-                order: int = 2) -> LinearSystem:
-    """Forms of the given bidegree vanishing to the given order, 1 or 2,
-    at (u, u); any other order raises ValueError.
-
-    With bidegree (2,2) and order 2 at four general points this is the
-    16-dimensional system at the heart of the construction; with bidegree
-    (1,1) and order 1 it is the 5-dimensional system of the base surface.
-    """
+def base_system(points: tuple[tuple[Fraction, ...], ...]) -> LinearSystem:
+    """(2,2) forms vanishing to order 2 at (u, u) for each of the points:
+    at four general points, the 16-dimensional system at the heart of the
+    construction."""
     points = [primitive(pt) for pt in points]
     if not all(sum(map(mul, a, _cross(b, c)))
                for a, b, c in combinations(points, 3)):
         raise DegenerateConfigurationError("three of the base points are collinear")
     rows = []
     for pt in points:
-        rows.extend(node_condition_rows(bidegree, pt, order))
+        rows.extend(node_condition_rows(pt))
     matrix = QMatrix.from_ints(rows)
     rank = matrix.rank()
     if rank != len(rows):
         raise DegenerateConfigurationError(
             f"dependent point conditions: rank {rank} of {len(rows)} rows")
-    return LinearSystem(bidegree, tuple(matrix.kernel()))
+    return LinearSystem(tuple(matrix.kernel()))
 
 
-def line_condition_rows(bidegree, lf: LineInFiber) -> list[list[int]]:
+def line_condition_rows(lf: LineInFiber) -> list[list[int]]:
     """Vanishing on {o} x line, as 3 rows of monomial values.
 
     A fiber conic restricted to a line is a binary quadratic, so vanishing
@@ -206,9 +185,9 @@ def line_condition_rows(bidegree, lf: LineInFiber) -> list[list[int]]:
     product of one table at o and one at a point y of the line, both
     primitive integer vectors.
     """
-    p, q = lf.spanning_points()
-    X = _block_values(lf.o, bidegree[0])
-    tables = [_block_values(y, bidegree[1])
+    p, q = _plane_basis(lf.dual)
+    X = _block_values(lf.o, 2)
+    tables = [_block_values(y, 2)
               for y in (p, q, primitive([a + b for a, b in zip(p, q)]))]
     return [[u * v for u in X for v in Y] for Y in tables]
 
@@ -247,17 +226,17 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
             f"{label}: dimension dropped by {drop}, expected {expected_drop}")
     vectors = []
     for kv in ker:
-        acc = [0] * len(bidegree_monomials(sys.bidegree))
+        acc = [0] * len(XY_MONOMIALS)
         for k, support in zip(kv, supports):
             if k:
                 for i, v in support:
                     acc[i] += k * v
         vectors.append(primitive(acc))
-    return LinearSystem(sys.bidegree, tuple(vectors))
+    return LinearSystem(tuple(vectors))
 
 
-def _line_rows(bidegree, lines: Sequence[LineInFiber]) -> list[list[int]]:
-    return [row for lf in lines for row in line_condition_rows(bidegree, lf)]
+def _line_rows(lines: Sequence[LineInFiber]) -> list[list[int]]:
+    return [row for lf in lines for row in line_condition_rows(lf)]
 
 
 def impose_line(sys: LinearSystem, lf: LineInFiber,
@@ -265,7 +244,7 @@ def impose_line(sys: LinearSystem, lf: LineInFiber,
     """Cut the system by vanishing on {o} x line (generically codim 3)."""
     if sys.dim == 0:
         raise ValueError("cannot impose conditions on the zero system")
-    return _cut(sys, line_condition_rows(sys.bidegree, lf),
+    return _cut(sys, line_condition_rows(lf),
                 expected_drop, f"line in fiber over {lf.o}")
 
 
@@ -278,15 +257,11 @@ def impose_point(sys: LinearSystem, x: Sequence[Fraction],
         raise ValueError(f"({x}, {y}) is not a point of P^2 x P^2")
     if not any(x) or not any(y):
         raise DegenerateConfigurationError(f"zero coordinates in ({x}, {y})")
-    X = _block_values(primitive(x), sys.bidegree[0])
-    Y = _block_values(primitive(y), sys.bidegree[1])
+    X, Y = _block_values(primitive(x), 2), _block_values(primitive(y), 2)
     return _cut(sys, [[u * v for u in X for v in Y]], 1, f"point ({x}, {y})")
 
 
 # -- symmetric matrix and discriminant ---------------------------------------
-
-#: the exponents of the six quadratic monomials in one block of three
-_DEG2 = monomials_of_degree(2)
 
 #: exponent of x^e y_i y_j (i <= j) -> ((i, j), index of e in `_DEG2`, factor)
 _SYM_POSITIONS = {ex + tuple((m == i) + (m == j) for m in range(3)):
@@ -710,7 +685,7 @@ def zeta(lines: Sequence[LineInFiber]) -> tuple[MultiPoly, LinearSystem]:
     if len(lines) != 5:
         raise ValueError("exactly five lines are required")
     base = base_system(STANDARD_NODES)
-    sys = _cut(base, _line_rows(base.bidegree, lines), 15, "five lines in fibers")
+    sys = _cut(base, _line_rows(lines), 15, "five lines in fibers")
     return sys.basis[0], sys
 
 
@@ -720,13 +695,13 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
 
     Q must be the unique member through the five marked lines, as `zeta`
     returns it (`from_json` checks that).  ValueError is raised unless Q's
-    coefficients on `bidegree_monomials((2, 2))` are their own `primitive`
+    coefficients on `XY_MONOMIALS` are their own `primitive`
     (coprime, the first nonzero positive), so `to_json` writes no file that
     `from_json` refuses.
     """
     if len(lines) != 5:
         raise ValueError("exactly five marked lines are required")
-    coeffs = [Q.nums.get(e, 0) for e in bidegree_monomials((2, 2))]
+    coeffs = [Q.nums.get(e, 0) for e in XY_MONOMIALS]
     if Q.den != 1 or gcd(*coeffs) != 1 or next(filter(None, coeffs)) < 0:
         raise ValueError("Q is not a primitive integer coefficient vector")
     A = to_symmetric_matrix(Q)
@@ -781,8 +756,7 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
                 "base point lies on a fixed line in its own fiber")
     base = base_system(STANDARD_NODES)
     table = _block_values(o, 2)
-    rows = (_line_rows(base.bidegree, fixed_lines)
-            + [[u * v for u in table for v in table]])
+    rows = _line_rows(fixed_lines) + [[u * v for u in table for v in table]]
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
     restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
     # each member's numerators: a positive scale per row keeps the rank

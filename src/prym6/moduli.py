@@ -19,7 +19,6 @@ turns a silent assumption into an auditable one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping
@@ -77,37 +76,23 @@ class DivClassR6(_LedgerVector):
         out.unknown_boundary = self.unknown_boundary or other.unknown_boundary
         return out
 
-    def vector(self) -> tuple[Fraction, ...]:
-        return tuple(self[k] for k in R6_BASIS)
-
 
 class CurveClass(_LedgerVector):
     """Intersection numbers of a 1-cycle against R6_BASIS.
 
-    ``numbers`` gives them as `Fraction`s.  A sum or multiple keeps the
-    provenance of its left operand and is marker-orthogonal when both
-    operands are.
+    A sum or multiple is marker-orthogonal when both operands are.
     """
 
-    __slots__ = ("provenance", "marker_orthogonal")
+    __slots__ = ("marker_orthogonal",)
 
-    numbers = QVector.coeffs
-
-    def __init__(self, numbers: Mapping[str, int | Fraction], provenance: str,
+    def __init__(self, numbers: Mapping[str, int | Fraction],
                  marker_orthogonal: bool = False):
         super().__init__(numbers)
-        self.provenance = provenance
         self.marker_orthogonal = marker_orthogonal
 
     def _like(self, nums, den, other):
         out = super()._like(nums, den, other)
-        out.provenance = self.provenance
         out.marker_orthogonal = self.marker_orthogonal and other.marker_orthogonal
-        return out
-
-    def scaled(self, factor: int | Fraction, provenance: str) -> "CurveClass":
-        out = self * factor
-        out.provenance = provenance
         return out
 
     def pair(self, div: DivClassR6) -> Fraction:
@@ -134,43 +119,24 @@ def prym_pullback_lambda() -> DivClassR6:
     return DivClassR6({"lambda": 1, "delta0_ram": Fraction(-1, 4)})
 
 
-def ap_psi_coefficients(g: int, restricted: bool = False) -> tuple[Fraction, ...]:
-    """Point-class coefficients of the Abel-Prym theta pullback, genus g even.
-
-    Full variant: 1/2 on the first g-2 points and 2 on point g-1.
-    Restricted variant (only g-2 marked points): the 1/2 coefficients alone.
-    """
-    if g % 2 != 0 or g < 4:
-        raise ValueError("the formula requires even genus >= 4")
-    half = tuple(Fraction(1, 2) for _ in range(g - 2))
-    return half if restricted else half + (Fraction(2),)
-
-
 def ap_pullback_theta(restricted: bool = False) -> DivClassR6:
     """Theta pullback as a marked divisor class on the genus-6 ledger.
 
-    The lambda and boundary coefficients are exactly zero; the omitted
-    boundary corrections are the unknown-boundary marker.
+    Full variant: 1/2 on the first GENUS - 2 point classes and 2 on point
+    GENUS - 1.  Restricted variant (only GENUS - 2 marked points): the 1/2
+    coefficients alone.  The lambda and boundary coefficients are exactly
+    zero; the omitted boundary corrections are the unknown-boundary marker.
     """
-    psis = ap_psi_coefficients(GENUS, restricted)
-    coeffs = {f"psi{j + 1}": c for j, c in enumerate(psis)}
+    coeffs = {f"psi{j}": Fraction(1, 2) for j in range(1, GENUS - 1)}
+    if not restricted:
+        coeffs[f"psi{GENUS - 1}"] = 2
     return DivClassR6(coeffs, unknown_boundary=True)
 
 
-@dataclass(frozen=True)
-class BoundaryPullback:
-    """The boundary divisor of A6-bar pulled back: -2 theta + delta0'."""
-
-    theta_coeff: int
-    tail: DivClassR6
-
-    def expanded(self, restricted: bool = False) -> DivClassR6:
-        return self.theta_coeff * ap_pullback_theta(restricted) + self.tail
-
-
-def pullback_boundary_D6() -> BoundaryPullback:
-    return BoundaryPullback(theta_coeff=-2,
-                            tail=DivClassR6({"delta0_prime": 1}))
+def pullback_boundary_D6(restricted: bool = False) -> DivClassR6:
+    """The boundary divisor of A6-bar pulled back: -2 theta + delta0',
+    with theta the full or restricted `ap_pullback_theta`."""
+    return -2 * ap_pullback_theta(restricted) + DivClassR6({"delta0_prime": 1})
 
 
 # -- enumerative inputs ------------------------------------------------------
@@ -271,13 +237,11 @@ def pencil_curve_numbers(e_lambda: Fraction, e_delta0_prime: Fraction,
     """
     single = CurveClass(
         {"lambda": e_lambda, "delta0_prime": e_delta0_prime,
-         "delta0_dblprime": E_DELTA0_DBLPRIME, "delta0_ram": e_delta0_ram},
-        provenance="pencil of conic bundles")
-    triple = single.scaled(3, "pencil traced over the nodal cubic")
+         "delta0_dblprime": E_DELTA0_DBLPRIME, "delta0_ram": e_delta0_ram})
+    triple = 3 * single
     psi = {f"psi{j}": psi_degree for j in range(1, 6)}
     sweeping = CurveClass(
-        dict(triple.numbers, **psi),
-        provenance="sweeping curve on the universal-curve product",
+        dict(triple.coeffs, **psi),
         marker_orthogonal=True)  # assumed orthogonal to omitted boundary terms
     return {"single": single, "triple": triple, "sweeping": sweeping}
 
@@ -294,8 +258,7 @@ def slope_bound(variant: str, curve: CurveClass
     if variant not in ("full", "u4"):
         raise ValueError("variant must be 'full' or 'u4'")
     lam = curve.pair(prym_pullback_lambda())
-    boundary = curve.pair(pullback_boundary_D6().expanded(
-        restricted=(variant == "u4")))
+    boundary = curve.pair(pullback_boundary_D6(restricted=(variant == "u4")))
     if lam <= 0:
         raise ValueError("nonpositive lambda-degree: no slope bound")
     return lam, boundary, boundary / lam

@@ -69,12 +69,7 @@ class TestBaseSystem:
     def test_standard_dimension_sixteen(self):
         sys = cb.base_system(cb.STANDARD_NODES)
         assert sys.dim == 16
-        assert sys.bidegree == (2, 2)
         assert {len(v) for v in sys.vectors} == {36}
-
-    def test_bidegree_one_one_analog(self):
-        sys = cb.base_system(cb.STANDARD_NODES, (1, 1), 1)
-        assert sys.dim == 5
 
     def test_imposed_conditions_hold(self):
         sys = cb.base_system(cb.STANDARD_NODES)
@@ -92,12 +87,6 @@ class TestBaseSystem:
                        for f, pt in zip(factors, cb.STANDARD_NODES))
         assert (cb.base_system(scaled).vectors
                 == cb.base_system(cb.STANDARD_NODES).vectors)
-
-    @pytest.mark.parametrize("order", [0, -1, 3])
-    def test_order_other_than_one_or_two_raises(self, order):
-        # each used to give the system of order 1 (0 and -1) or 2 (3)
-        with pytest.raises(ValueError, match="order"):
-            cb.base_system(cb.STANDARD_NODES, (2, 2), order)
 
     def test_collinear_points_rejected(self):
         # (1:0:0), (0:1:0) and a point of the line x3 = 0, or a zero point,
@@ -137,24 +126,22 @@ integer_lines = st.tuples(*[st.integers(-20, 20)] * 6)
 rational_lines = st.tuples(*[fracs] * 6)
 
 
-#: the bidegrees on which every condition row is checked against
-#: `monomial_row`, and points with zero coordinates and denominators
-bidegrees = st.sampled_from([(1, 1), (2, 2), (1, 2)])
+#: points with zero coordinates and denominators, on which every condition
+#: row is checked against `monomial_row`
 points = st.tuples(coords, coords, coords).filter(any)
 
 
 class TestLineConditionRows:
     @settings(max_examples=60, deadline=None)
-    @given(bidegrees, st.one_of(integer_lines, rational_lines))
-    def test_matches_monomial_row(self, bidegree, data):
+    @given(st.one_of(integer_lines, rational_lines))
+    def test_matches_monomial_row(self, data):
         o, dual = data[:3], data[3:]
         assume(any(o) and any(dual))
         lf = cb.LineInFiber(o, dual)
-        monomials = cb.bidegree_monomials(bidegree)
-        p, q = lf.spanning_points()
+        p, q = cb._plane_basis(lf.dual)
         third = tuple(a + b for a, b in zip(p, q))
-        assert cb.line_condition_rows(bidegree, lf) == [
-            monomial_row(monomials, tuple(lf.o) + tuple(y))
+        assert cb.line_condition_rows(lf) == [
+            monomial_row(cb.XY_MONOMIALS, tuple(lf.o) + tuple(y))
             for y in (p, q, third)]
 
 
@@ -162,26 +149,24 @@ class TestConditionRowsOracle:
     """Node and point rows against `monomial_row`."""
 
     @settings(max_examples=60, deadline=None)
-    @given(bidegrees, points)
-    def test_node_rows_every_partial(self, bidegree, u):
-        monomials = cb.bidegree_monomials(bidegree)
+    @given(points)
+    def test_node_rows_every_partial(self, u):
         at = u + u
         k = max(j for j in range(3) if u[j])
-        partials = [monomial_row(monomials, at, 3 * block + j)
+        partials = [monomial_row(cb.XY_MONOMIALS, at, 3 * block + j)
                     for block in (0, 1) for j in range(3) if j != k]
-        value = monomial_row(monomials, at)
-        assert cb.node_condition_rows(bidegree, u, 1) == [value]
-        assert cb.node_condition_rows(bidegree, u, 2) == [value] + partials
+        value = monomial_row(cb.XY_MONOMIALS, at)
+        assert cb.node_condition_rows(u) == [value] + partials
 
     @settings(max_examples=60, deadline=None)
-    @given(bidegrees, points, points)
-    def test_point_rows(self, bidegree, x, y):
+    @given(points, points)
+    def test_point_rows(self, x, y):
         # the row impose_point cuts by, read from its call of _cut
         with mock.patch.object(cb, "_cut") as cut:
-            cb.impose_point(cb.LinearSystem(bidegree, ()), x, y)
+            cb.impose_point(cb.LinearSystem(()), x, y)
         (_, rows, drop, _), _ = cut.call_args
         assert drop == 1
-        assert rows == [monomial_row(cb.bidegree_monomials(bidegree), x + y)]
+        assert rows == [monomial_row(cb.XY_MONOMIALS, x + y)]
 
 
 class TestPlaneBasis:
@@ -231,9 +216,9 @@ def stacked_condition_matrix(points, lines):
     system replaces, kept as its independent oracle."""
     rows = []
     for pt in points:
-        rows.extend(cb.node_condition_rows((2, 2), pt, 2))
+        rows.extend(cb.node_condition_rows(pt))
     for lf in lines:
-        rows.extend(cb.line_condition_rows((2, 2), lf))
+        rows.extend(cb.line_condition_rows(lf))
     return QMatrix.from_ints(rows)
 
 
@@ -247,16 +232,15 @@ class TestZeta:
         assert m.rank() == 35
         ker = m.kernel()
         assert len(ker) == 1
-        monos = cb.bidegree_monomials((2, 2))
-        assert set(Q.nums) <= set(monos)
-        assert primitive([Q.coeffs.get(m, 0) for m in monos]) in (
+        assert set(Q.nums) <= set(cb.XY_MONOMIALS)
+        assert primitive([Q.coeffs.get(m, 0) for m in cb.XY_MONOMIALS]) in (
             ker[0], tuple(-v for v in ker[0]))
 
     def test_membership_of_marked_lines(self):
         lines, _ = lines_for(105)
         Q, _ = cb.zeta(lines)
         for lf in lines:
-            p, q = lf.spanning_points()
+            p, q = cb._plane_basis(lf.dual)
             for t in range(4):
                 y = tuple(a + t * b for a, b in zip(p, q))
                 assert Q.evaluate({"x": lf.o, "y": y}) == 0
@@ -289,7 +273,7 @@ class TestSymmetricMatrix:
         assert gamma == MultiPoly(X, {(2, 2, 2): Fraction(1)})
 
     @settings(max_examples=40, deadline=None)
-    @given(st.dictionaries(st.sampled_from(cb.bidegree_monomials((2, 2))),
+    @given(st.dictionaries(st.sampled_from(cb.XY_MONOMIALS),
                            fracs, min_size=1, max_size=12),
            st.tuples(coords, coords, coords), st.tuples(coords, coords, coords))
     def test_evaluated_matches_entrywise_evaluate(self, terms, x, y):
@@ -336,10 +320,9 @@ class TestDiscriminant:
         rng = random.Random(9)
         ell = var("x", 0) + 2 * var("x", 1)
         kterms = {}
-        for xe in cb.bidegree_monomials((1, 0)):
-            for ye in cb.bidegree_monomials((0, 2)):
-                exp = tuple(a + b for a, b in zip(xe, ye))
-                kterms[exp] = Fraction(rng.randint(-5, 5))
+        for xe in ps.monomials_of_degree(1):
+            for ye in ps.monomials_of_degree(2):
+                kterms[xe + ye] = Fraction(rng.randint(-5, 5))
         K = MultiPoly(XY, kterms)
         Q = ell * K
         gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
@@ -536,10 +519,10 @@ class TestNodeCertificates:
         standard nodes and at (1:2:3), cut by three lines in fibers."""
         fifth = (Fraction(1), Fraction(2), Fraction(3))
         rows = [row for pt in cb.STANDARD_NODES + (fifth,)
-                for row in cb.node_condition_rows((2, 2), pt, 2)]
+                for row in cb.node_condition_rows(pt)]
         kernel = QMatrix(rows).kernel()
         assert len(rows) == 25 and len(kernel) == 12
-        sys = cb.LinearSystem((2, 2), tuple(kernel))
+        sys = cb.LinearSystem(tuple(kernel))
         rng = random.Random(5)
         for _ in range(3):
             sys = cb.impose_line(sys, cb.random_line_in_fiber(rng))
@@ -823,7 +806,7 @@ class TestInstancePipeline:
             sys = cb.impose_line(sys, lf)
         coeffs = primitive([sum(c * v[k] for c, v in zip((-2, 4, 3, -3), sys.vectors))
                             for k in range(36)])
-        Q = MultiPoly.from_ints(XY, dict(zip(cb.bidegree_monomials((2, 2)), coeffs)))
+        Q = MultiPoly.from_ints(XY, dict(zip(cb.XY_MONOMIALS, coeffs)))
         with pytest.raises(ValueError, match="five"):
             cb.certify_instance(Q, four, random.Random(0))
         data = json.loads(cb.certify_instance(Q, four + four[:1],
@@ -857,9 +840,15 @@ class TestInstancePipeline:
             cb.certify_instance(Q, lines, random.Random(0))
 
     def test_reducible_member_is_a_certification_error(self):
-        # l m for two members of the (1, 1) base system, three marked lines
-        # on l and two on m: zeta's unique member is l m, whose det A is 0
-        base = cb.base_system(cb.STANDARD_NODES, (1, 1), 1).basis
+        # l m for two (1, 1) forms vanishing at (u, u) for each standard
+        # node u, three marked lines on l and two on m: zeta's unique member
+        # is l m, whose det A is 0
+        monomials = [ex + ey for ex in ps.monomials_of_degree(1)
+                     for ey in ps.monomials_of_degree(1)]
+        rows = [monomial_row(monomials, u + u) for u in cb.STANDARD_NODES]
+        base = [MultiPoly.from_ints(XY, dict(zip(monomials, v)))
+                for v in QMatrix.from_ints(rows).kernel()]
+        assert len(base) == 5
 
         def member(coeffs):
             return sum((c * b for c, b in zip(coeffs, base)), MultiPoly(XY))

@@ -141,8 +141,7 @@ VECTOR_TYPES = {
         chow.BlowupRing(chow.blowup_intersection_table()),
         [k for k in product(range(3), repeat=4) if sum(k) <= 4]),
     "DivClassR6": lambda: (DivClassR6, st.sampled_from(R6_BASIS)),
-    "CurveClass": lambda: (lambda c: CurveClass(c, "test"),
-                           st.sampled_from(R6_BASIS)),
+    "CurveClass": lambda: (CurveClass, st.sampled_from(R6_BASIS)),
 }
 
 
@@ -196,10 +195,10 @@ class TestCanonicalForm:
             S1.L() * S2.L()
         assert S1.L() != S2.L()
         with pytest.raises(TypeError):
-            DivClassR6({"lambda": 1}) + CurveClass({"lambda": 1}, "test")
+            DivClassR6({"lambda": 1}) + CurveClass({"lambda": 1})
         with pytest.raises(TypeError):
             DivClassR6({"lambda": 1}) * DivClassR6({"lambda": 1})
-        assert DivClassR6({"lambda": 1}) != CurveClass({"lambda": 1}, "test")
+        assert DivClassR6({"lambda": 1}) != CurveClass({"lambda": 1})
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -261,9 +260,7 @@ FLOAT_ENTRY_POINTS = {
         chow.blowup_intersection_table()).divisor({"H1": 0.1, "H2": 1}),
     "DivClassR6": lambda: DivClassR6({"lambda": 0.1}),
     "DivClassR6-scalar": lambda: DivClassR6({"lambda": 1}) * 0.1,
-    "CurveClass": lambda: CurveClass({"lambda": 0.5}, "test"),
-    "CurveClass-scaled": lambda: CurveClass({"lambda": 18}, "test").scaled(
-        0.1, "tenth"),
+    "CurveClass": lambda: CurveClass({"lambda": 0.5}),
     "lambda-degree": lambda: moduli.lambda_degree_from_family(13.0),
     "double-line-count": lambda: moduli.solve_double_line_count(18.0, 77),
     "double-line-count-delta0": lambda: moduli.solve_double_line_count(18, 77.0),
@@ -490,7 +487,7 @@ def test_node_condition_matrix_has_rank_twenty():
     from prym6.conicbundle import STANDARD_NODES, node_condition_rows
     rows = []
     for pt in STANDARD_NODES:
-        rows.extend(node_condition_rows((2, 2), pt, 2))
+        rows.extend(node_condition_rows(pt))
     m = QMatrix(rows)
     assert m.rank() == 20
     assert len(m.kernel()) == 16

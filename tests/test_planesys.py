@@ -392,6 +392,79 @@ def _integer(curve):
     return [int(c) for c in curve]
 
 
+def _rank_mod(rows, q):
+    """The rank of an integer matrix modulo the prime q, by row reduction;
+    the rows are reduced in place."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        head = [v * inv % q for v in rows[rank][col:]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r][col:] = [(a - f * b) % q for a, b in zip(rows[r][col:], head)]
+        rank += 1
+    return rank
+
+
+def jacobian_hilbert(form, k, q):
+    """H_q(k) = dim (S/J)_k over GF(q), for the Jacobian ideal J of a dense
+    integer plane form of degree n: C(k + 2, 2) minus the rank mod q of the
+    products m * d_i form, over the monomials m of degree k - n + 1 (none
+    when k < n - 1).
+
+    Ranks only drop mod q, so H_q(k) >= H_Q(k).  A singular point of the
+    curve adds its Tjurina number to H_Q(k) for k large, and for a reduced
+    curve H_Q(3(n - 2)) is the sum of the Tjurina numbers (A. Dimca,
+    "Syzygies of Jacobian ideals and defects of linear systems", 2013).  A
+    curve singular along a component has H_Q(k) growing with k.  No random
+    choice, resultant or gcd enters, so it shares nothing with
+    `only_known_common_roots` but the form.
+    """
+    n = ps.p3_degree(form)
+    partials = [[(tuple(a - (j == i) for j, a in enumerate(e)), e[i] * c)
+                 for e, c in zip(ps.monomials_of_degree(n), form) if e[i] and c]
+                for i in range(3)]
+    column = {e: j for j, e in enumerate(ps.monomials_of_degree(k))}
+    rows = []
+    for m in ps.monomials_of_degree(k - n + 1) if k >= n - 1 else ():
+        for terms in partials:
+            row = [0] * len(column)
+            for e, c in terms:
+                row[column[tuple(a + b for a, b in zip(m, e))]] = c % q
+            rows.append(row)
+    return len(column) - _rank_mod(rows, q)
+
+
+class TestJacobianOracle:
+    def test_small_curves(self):
+        # the sum of the Tjurina numbers at 3(n - 2): four nodes, one node,
+        # and a cusp of Tjurina number 2
+        cusp = {(0, 2, 1): 1, (3, 0, 0): -1}
+        for curve, n, tau in ((_integer(_two_conics()), 4, 4),
+                              (dense(ps.QQ, NODAL_CUBIC, 3), 3, 1),
+                              (dense(ps.QQ, cusp, 3), 3, 2)):
+            assert jacobian_hilbert(_integer(curve), 3 * (n - 2), GF_P.p) == tau
+
+    def test_non_reduced_curve_grows(self):
+        # x^2 (y^2 - z^2), of `TestAdversarialCurves`: its Jacobian scheme
+        # contains the line x = 0, so H grows with k
+        form = _integer(dense(ps.QQ, {(2, 2, 0): 1, (2, 0, 2): -1}, 4))
+        values = [jacobian_hilbert(form, k, GF_P.p) for k in range(4, 10)]
+        assert all(a < b for a, b in zip(values, values[1:])), values
+
+    def test_construct_sextics_have_four_nodes(self):
+        # the gamma of every seed the proof accepted: four ordinary nodes
+        # and no other singular point
+        for seed in range(1, 21):
+            gamma = cb.construct_instance(seed).gamma
+            assert jacobian_hilbert(cb._dense_form(gamma), 12, GF_P.p) == 4, seed
+
+
 class TestOnlyKnownCommonRoots:
     def test_accepts_complete_list(self):
         assert ps.only_known_common_roots(_two_conics(), 4, random.Random(2),
@@ -494,10 +567,16 @@ class TestAdversarialCurves:
 
     @staticmethod
     def certify(curve, points, seed, exact=False):
+        """The check's answer, which must be whether `jacobian_hilbert` at
+        3(n - 2) reads the number of listed points."""
         gamma = MultiPoly(cb.X_BLOCKS, curve)
         pts = [tuple(Fraction(c) for c in pt) for pt in points]
-        return cb.singular_locus_is_exactly(gamma, pts, random.Random(seed),
-                                            exact=exact)
+        accepted = cb.singular_locus_is_exactly(gamma, pts, random.Random(seed),
+                                                exact=exact)
+        form = cb._dense_form(gamma)
+        n = ps.p3_degree(form)
+        assert accepted == (jacobian_hilbert(form, 3 * (n - 2), GF_P.p) == len(pts))
+        return accepted
 
     @settings(max_examples=25, deadline=None)
     @given(small_lines, st.integers(0, 2 ** 16))

@@ -94,7 +94,6 @@ def test_tracer_pins_are_spanned():
 #: keys are finite; a cache keyed on input data needs a bound instead, or
 #: it grows peak memory with every new input
 UNBOUNDED_CACHES = {
-    "conicbundle.bidegree_monomials": "keyed on a degree pair",
     "conicbundle.base_system": "the package asks it at STANDARD_NODES only",
     "planesys._product_table": "keyed on a degree pair",
     "planesys._shifts": "keyed on a degree",
@@ -128,21 +127,23 @@ def test_every_cache_is_bounded_or_pinned():
     assert {name for name, size in sizes if size is None} == set(UNBOUNDED_CACHES)
 
 
-#: public methods that nothing in the package names, each with the reason
-#: it stays; a new one fails the test below until it has a caller or an
-#: entry here.  Matching is by name, as for functions, so a method that
-#: shares its name with anything the package uses looks called:
-#: ``functools.partial`` hides ``MultiPoly.partial``.
+#: public methods that nothing in the package reads as an attribute, each
+#: with the reason it stays; a new one fails the test below until it has a
+#: caller or an entry here.  Matching is by attribute name, so a plain name
+#: (``functools.partial``, a parameter ``vector``) hides no method, but any
+#: attribute of the same name (``QVector.coeffs`` for a ``coeffs`` method
+#: elsewhere) does.
 UNCALLED_PUBLIC_METHODS = {
     "conicbundle.ConicBundleInstance.from_json":
         "the public loader of instance JSON, which the CI installed-script "
         "step runs",
     "exactalg.MultiPoly.evaluate": "counted by perfbench/tracer.py (ROADMAP item 1)",
+    "exactalg.MultiPoly.partial": "counted by perfbench/tracer.py (ROADMAP item 1)",
 }
 
 
 def test_uncalled_public_methods_are_pinned():
-    used = _names_used()
+    used = {node.attr for _, node in _nodes(ast.Attribute)}
     uncalled = {f"{path.stem}.{cls.name}.{node.name}"
                 for path in sorted(SRC.glob("*.py"))
                 for cls in ast.parse(path.read_text(encoding="utf-8")).body
@@ -151,6 +152,26 @@ def test_uncalled_public_methods_are_pinned():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_") and node.name not in used}
     assert uncalled == set(UNCALLED_PUBLIC_METHODS)
+
+
+def test_every_import_is_used():
+    # an import nothing in its module reads is a leftover of deleted code;
+    # __init__.py imports to re-export, and __future__ imports set flags
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
 
 
 def test_tests_the_readme_names_exist():
