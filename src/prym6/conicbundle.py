@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from .exactalg import (MultiPoly, QMatrix, det3_poly, integer_numerators,
                        primitive)
-from .planesys import (QQ, _random_invertible, monomials_of_degree,
-                       only_known_common_roots, p3_degree, p3_jet)
+from .planesys import (QQ, _cross, _random_invertible, monomials_of_degree,
+                       only_known_common_roots, p3_degree, p3_jet, p3_weights)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
@@ -31,7 +31,8 @@ X_BLOCKS = (("x", 3),)
 #: the exponents of the six quadratic monomials in one block of three
 _DEG2 = monomials_of_degree(2)
 
-#: exponent 6-tuples of the 36 monomials of bidegree (2, 2), x-major
+#: exponent 6-tuples of the 36 monomials of bidegree (2, 2), x-major: their
+#: values at (x, y) are the outer product of `p3_weights` at x and at y
 XY_MONOMIALS = tuple(ex + ey for ex in _DEG2 for ey in _DEG2)
 
 #: the four nodes of every discriminant sextic built here; any four general
@@ -88,13 +89,17 @@ class LinearSystem:
 class LineInFiber:
     """A line in the fiber {o} x P^2, stored by its dual vector.
 
-    Both vectors are stored scaled to primitive integer vectors.
+    Both vectors are stored scaled to primitive integer vectors.  A vector
+    of other than 3 entries raises ValueError, a zero one
+    `DegenerateConfigurationError`.
     """
 
     o: tuple[int, ...]
     dual: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.o) != 3 or len(self.dual) != 3:
+            raise ValueError("a line in a fiber needs o and dual of 3 entries")
         object.__setattr__(self, "o", primitive(self.o))
         object.__setattr__(self, "dual", primitive(self.dual))
         if all(c == 0 for c in self.o) or all(c == 0 for c in self.dual):
@@ -128,22 +133,6 @@ def _chart_index(point: Sequence[Fraction]) -> int:
     raise ValueError("zero point has no chart")
 
 
-def _block_values(P: Sequence[int], n: int, d: int | None = None) -> list[int]:
-    """The value at the integer point P of each monomial of
-    `monomials_of_degree(n)`, or with d of its partial in x_d.
-
-    `XY_MONOMIALS` is x-major, so the values of its monomials at (x, y) are
-    the outer product [u * v for u in X for v in Y] of the quadratic tables
-    X at x and Y at y.
-    """
-    if d is None:
-        a, b, c = P
-        return [a ** i * b ** j * c ** k for i, j, k in monomials_of_degree(n)]
-    # d x^e / dx_d = e_d x^(e - 1_d), which is 0 where e_d = 0
-    return [e[d] * prod(v ** (k - (j == d)) for j, (v, k) in enumerate(zip(P, e)))
-            if e[d] else 0 for e in monomials_of_degree(n)]
-
-
 def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
     """Rows over `XY_MONOMIALS` for vanishing to order 2 at (u, u), with u
     scaled to a primitive integer vector: the value and the four chart
@@ -151,8 +140,9 @@ def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
     partials equivalent to all six).
     """
     P = primitive(point)
-    T = _block_values(P, 2)
-    partials = [_block_values(P, 2, j) for j in range(3) if j != _chart_index(P)]
+    T, k = p3_weights(P, 2), _chart_index(P)
+    partials = [p3_weights(P, 2, d) for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                if not d[k]]
     tables = [(T, T)] + [(D, T) for D in partials] + [(T, D) for D in partials]
     return [[u * v for u in U for v in V] for U, V in tables]
 
@@ -186,15 +176,16 @@ def line_condition_rows(lf: LineInFiber) -> list[list[int]]:
     primitive integer vectors.
     """
     p, q = _plane_basis(lf.dual)
-    X = _block_values(lf.o, 2)
-    tables = [_block_values(y, 2)
+    X = p3_weights(lf.o, 2)
+    tables = [p3_weights(y, 2)
               for y in (p, q, primitive([a + b for a, b in zip(p, q)]))]
     return [[u * v for u in X for v in Y] for Y in tables]
 
 
 def _cut(sys: LinearSystem, rows: list[list[int]],
          expected_drop: int, label: str) -> LinearSystem:
-    """The members of sys on which every condition row vanishes.
+    """The members of sys on which every condition row vanishes; the zero
+    system raises ValueError.
 
     The integer rows are restricted to the primitive integer basis of sys;
     each kernel vector of that matrix gives a member, combined in integers
@@ -216,6 +207,8 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     the drops by each group, and no group drops by more than its number of
     rows, so one drop check is the check of every step.
     """
+    if sys.dim == 0:
+        raise ValueError("cannot impose conditions on the zero system")
     supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in sys.vectors]
     restricted = QMatrix.from_ints([[sum(row[i] * v for i, v in support)
                                      for support in supports] for row in rows])
@@ -242,8 +235,6 @@ def _line_rows(lines: Sequence[LineInFiber]) -> list[list[int]]:
 def impose_line(sys: LinearSystem, lf: LineInFiber,
                 expected_drop: int = 3) -> LinearSystem:
     """Cut the system by vanishing on {o} x line (generically codim 3)."""
-    if sys.dim == 0:
-        raise ValueError("cannot impose conditions on the zero system")
     return _cut(sys, line_condition_rows(lf),
                 expected_drop, f"line in fiber over {lf.o}")
 
@@ -257,7 +248,7 @@ def impose_point(sys: LinearSystem, x: Sequence[Fraction],
         raise ValueError(f"({x}, {y}) is not a point of P^2 x P^2")
     if not any(x) or not any(y):
         raise DegenerateConfigurationError(f"zero coordinates in ({x}, {y})")
-    X, Y = _block_values(primitive(x), 2), _block_values(primitive(y), 2)
+    X, Y = p3_weights(primitive(x), 2), p3_weights(primitive(y), 2)
     return _cut(sys, [[u * v for u in X for v in Y]], 1, f"point ({x}, {y})")
 
 
@@ -287,7 +278,7 @@ class SymQuadricMatrix:
         N(P) / (den d^2): one integer dot product with the table.
         """
         P, d = integer_numerators(x)
-        table = _block_values(P, 2)
+        table = p3_weights(P, 2)
         return QMatrix.from_ints([[sum(map(mul, entry, table)) for entry in row]
                                   for row in self.entries], self.den * d * d)
 
@@ -519,7 +510,7 @@ def rank_stratification_check(gamma: MultiPoly, rng: random.Random) -> None:
     form = _dense_form(gamma)
     for _ in range(16):
         pt = [rng.randint(-9, 9) for _ in range(3)]
-        if any(pt) and sum(map(mul, form, _block_values(pt, p3_degree(form)))):
+        if any(pt) and sum(map(mul, form, p3_weights(pt, p3_degree(form)))):
             return
     raise CertificationError("no point off the sextic in 16 draws")
 
@@ -557,12 +548,6 @@ def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
     if all(c == 0 for c in y):
         return m, None  # double line: residual equals the marked line
     return m, y
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 # -- full instances -----------------------------------------------------------
@@ -619,8 +604,8 @@ class ConicBundleInstance:
         prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
         lines that are not five or whose unique member is not Q, stored
         certificates or fiber points unlike the recomputed ones, a failed
-        certificate, a degenerate configuration or a non-dividing marked line
-        raise `CertificationError`.
+        certificate or a degenerate configuration raise `CertificationError`.
+        Each marked line lies on Q, so it divides its fiber conic.
         """
         data = json.loads(text)
         if (not isinstance(data, dict)
@@ -638,6 +623,8 @@ class ConicBundleInstance:
             Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
                                       for e, c in data["coefficients"]})
             marked = [(vec(d["o"]), vec(d["dual"])) for d in data["marked_lines"]]
+            if any(len(v) != 3 for line in marked for v in line):
+                raise ValueError("a marked line needs 3 entries in o and in dual")
             stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
                                             gradient=vec(c["gradient"]),
                                             hessian_minor=frac(c["hessian_minor"])),
@@ -656,8 +643,7 @@ class ConicBundleInstance:
                 raise CertificationError(
                     "Q is not the unique member through five marked lines")
             inst = certify_instance(Q, lines, random.Random(0), seed=seed)
-        except (NonGenericDropError, DegenerateConfigurationError,
-                MarkedLineInvariantError) as exc:
+        except (NonGenericDropError, DegenerateConfigurationError) as exc:
             raise CertificationError(str(exc)) from exc
         if stored != tuple(zip(inst.node_certificates, inst.fiber_singular_points)):
             raise CertificationError("stored certificates do not match Q")
@@ -720,7 +706,7 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
 def construct_instance(seed: int,
                        line_sampler: Callable[[random.Random], LineInFiber]
                        | None = None) -> ConicBundleInstance:
-    """Seeded end-to-end construction with genericity resampling."""
+    """Seeded end-to-end construction, resampling non-generic draws only."""
     rng = random.Random(seed)
     sampler = line_sampler or random_line_in_fiber
     last: Exception | None = None
@@ -730,7 +716,7 @@ def construct_instance(seed: int,
             Q, _ = zeta(lines)
             return certify_instance(Q, lines, rng, seed=seed)
         except (NonGenericDropError, CertificationError,
-                DegenerateConfigurationError, MarkedLineInvariantError) as exc:
+                DegenerateConfigurationError) as exc:
             last = exc
     raise GenericityError(f"no generic configuration in {_RETRIES} tries: {last}")
 
@@ -755,7 +741,7 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
             raise DegenerateConfigurationError(
                 "base point lies on a fixed line in its own fiber")
     base = base_system(STANDARD_NODES)
-    table = _block_values(o, 2)
+    table = p3_weights(o, 2)
     rows = _line_rows(fixed_lines) + [[u * v for u in table for v in table]]
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
     restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
@@ -876,6 +862,6 @@ def sweep(seed: int, samples: int) -> dict:
                         for j, (m, y) in enumerate(inst.residuals[:4])]
             results.append({"line": lf, "instance": inst, "sections": sections})
         except (NonGenericDropError, CertificationError,
-                MarkedLineInvariantError, DegenerateConfigurationError):
+                DegenerateConfigurationError):
             continue
     return {"net": net, "cubic": cubic_report, "samples": results}

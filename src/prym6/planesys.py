@@ -5,8 +5,8 @@ ordinary nodes, and to locate the unique node of a plane cubic.  The
 same code runs over Q and over prime fields GF(q) with q below 2^30, where
 every residue is a single machine word; the field is passed explicitly.
 `p3_jet`, the value, gradient and Hessian of a form at a point, runs on
-integers, with no field, as dot products with cached weight tables: it is
-the one jet of the node certificates.
+integers, with no field, as dot products with cached tables of
+`p3_weights`: it is the one jet of the node certificates.
 `p3_mul`, the product of two forms, runs on integers too: it builds the
 determinants of `exactalg.det3_poly`.
 
@@ -181,26 +181,6 @@ def uni_gcd(F, a, b):
     return uni_monic(F, a)
 
 
-def _int_primitive_poly(c: list[int]) -> list[int]:
-    from math import gcd
-    g = 0
-    for v in c:
-        g = gcd(g, v)
-    if g == 0:
-        return []
-    if c[-1] < 0:
-        g = -g
-    return [v // g for v in c]
-
-
-def _to_int_poly(c) -> list[int]:
-    from math import lcm
-    if not c:
-        return []
-    den = lcm(*(Fraction(v).denominator for v in c))
-    return _int_primitive_poly([int(Fraction(v) * den) for v in c])
-
-
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of integer polynomials (coefficient lists)."""
     a = list(a)
@@ -221,15 +201,15 @@ def _uni_gcd_q(a, b):
     """Monic gcd over Q via a primitive pseudo-remainder sequence over Z.
 
     Avoids the catastrophic coefficient growth of naive Euclid on Fractions
-    when the inputs come from resultants of large exact data.
+    when the inputs come from resultants of large exact data.  Each
+    remainder is scaled to its `primitive` form; the sign that fixes does
+    not matter, since the gcd is made monic at the end.
     """
-    A, B = _to_int_poly(a), _to_int_poly(b)
+    from .exactalg import primitive  # exactalg imports this module
+    A, B = primitive(a), primitive(b)
     while B:
-        A, B = B, _int_primitive_poly(_int_prem(A, B))
-    if not A:
-        return []
-    lead = Fraction(A[-1])
-    return [Fraction(v) / lead for v in A]
+        A, B = B, primitive(_int_prem(A, B))
+    return uni_monic(QQ, list(A))
 
 
 def uni_derivative(F, a):
@@ -368,41 +348,14 @@ def uni_interpolate(F, ys):
 
 
 def det_field(F, m):
-    """Determinant over a field by Gaussian elimination.
+    """Determinant over a field, by the Bareiss elimination of `QMatrix`.
 
-    Over Q this delegates to fraction-free Bareiss elimination, which is
-    far faster on the huge exact entries produced by resultant towers.
-    Over GF(p) the entries are plain ints in [0, p), and the elimination
-    runs on ints with one reduction per update.  It divides by no pivot:
-    row i becomes pivot * row i - row_i[k] * pivot row, which multiplies
-    the determinant by the pivot.  Those factors are collected in one scale
-    and inverted once at the end, since an inverse mod p costs more than a
-    whole row update.
+    Over GF(p) the entries are ints, and the integer determinant reduced
+    mod p is the determinant over GF(p), as reduction mod p is a ring map.
     """
-    if F is QQ:
-        from .exactalg import QMatrix
-        return QMatrix(m).det()
-    p = F.p
-    m = [row[:] for row in m]
-    n = len(m)
-    det = scale = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        top = m[k][k + 1:]
-        pk = m[k][k]
-        det = det * pk % p
-        for i in range(k + 1, n):
-            row = m[i]
-            rk = row[k]
-            if rk:
-                row[k + 1:] = [(pk * a - rk * b) % p for a, b in zip(row[k + 1:], top)]
-                scale = scale * pk % p
-    return det * pow(scale, -1, p) % p
+    from .exactalg import QMatrix  # exactalg imports this module
+    det = QMatrix(m).det()
+    return det if F is QQ else F.reduce(int(det))
 
 
 # -- trivariate forms as dense lists -----------------------------------
@@ -417,9 +370,22 @@ def p3_degree(form) -> int:
 
 
 def p3_eval(F, form, pt):
-    x, y, z = pt
-    return F.reduce(sum(c * x ** e1 * y ** e2 * z ** e3 for (e1, e2, e3), c
-                        in zip(monomials_of_degree(p3_degree(form)), form)))
+    return F.reduce(sum(map(mul, form, p3_weights(pt, p3_degree(form)))))
+
+
+def p3_weights(point, n: int, d=(0, 0, 0)) -> list[int]:
+    """The x^d-derivative, for an exponent triple d, of each monomial of
+    `monomials_of_degree(n)` at an integer point: the weights of that
+    derivative of a dense form of degree n.  With d = 0, the values, as
+    products of powers, which take field elements as well; otherwise the
+    product over k of perm(e_k, d_k) x_k^(e_k - d_k), 0 if some d_k > e_k.
+    """
+    if not any(d):
+        a, b, c = point
+        return [a ** i * b ** j * c ** k for i, j, k in monomials_of_degree(n)]
+    return [prod(perm(e, f) * v ** (e - f) if e >= f else 0
+                 for v, e, f in zip(point, ex, d))
+            for ex in monomials_of_degree(n)]
 
 
 def p3_mul(f, g):
@@ -475,24 +441,16 @@ def p3_jet(form, point, order: int):
 def _jet_table(n: int, point: tuple[int, int, int], order: int):
     """The mask of the terms of degree n that a jet of that order reads at
     point, and for the value, the partials and the Hessian entries 00, 01,
-    02, 11, 12, 22, up to the order, the weight of each term read: that
-    derivative of its monomial at point.  A term of degree above ``order``
-    in the point's zero coordinates is not read: each of its derivatives
-    keeps a zero coordinate.  The cache is bounded, since the net cubic
-    asks at a new point t* on every sweep item.
+    02, 11, 12, 22, up to the order, the `p3_weights` of each term read.
+    A term of degree above ``order`` in the point's zero coordinates is not
+    read: each of its derivatives keeps a zero coordinate.  The cache is
+    bounded, since the net cubic asks at a new point t* on every sweep item.
     """
     read = tuple(sum(a for a, v in zip(e, point) if not v) <= order
                  for e in monomials_of_degree(n))
-    pw = [[v ** e for e in range(n + 1)] for v in point]
-
-    def weight(e, d):
-        return prod(perm(a, b) * pw[k][a - b] if a >= b else 0
-                    for k, (a, b) in enumerate(zip(e, d)))
-
     ds = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
           (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)][:(1, 4, 10)[order]]
-    terms = list(compress(monomials_of_degree(n), read))
-    return read, tuple(tuple(weight(e, d) for e in terms) for d in ds)
+    return read, tuple(tuple(compress(p3_weights(point, n, d), read)) for d in ds)
 
 
 def p3_partial(F, form, j: int):
@@ -611,11 +569,15 @@ def _random_invertible(F, draw):
     over F."""
     for _ in range(64):
         m = [[draw() for _ in range(3)] for _ in range(3)]
-        (a, b, c), (d, e, f), (g, h, i) = m
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if F.reduce(det) != F.zero:
+        if F.reduce(sum(map(mul, m[0], _cross(m[1], m[2])))) != F.zero:
             return m
     raise RuntimeError("failed to draw an invertible matrix")
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 def _mat3_apply(F, m, v):
@@ -756,11 +718,9 @@ def find_unique_common_root(curve, rng: random.Random):
 
 
 def _restrict_to_fiber(F, form, x1):
-    n = p3_degree(form)
-    out = [F.zero] * (n + 1)
-    for (e1, _, e3), c in zip(monomials_of_degree(n), form):
-        out[e3] += c * x1 ** e1
-    return _reduced(F, out)
+    """form at x1 on the chart x2 = 1, a univariate in x3, by `_x3_tower`."""
+    return _reduced(F, [sum((c * x1 ** e1 for e1, c in enumerate(level)), F.zero)
+                        for level in _x3_tower(F, form)])
 
 
 @lru_cache(maxsize=None)

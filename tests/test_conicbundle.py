@@ -48,7 +48,7 @@ def monomial_row(monomials, point, d=None):
     """Reference for every condition row: the value of each monomial, or of
     its partial in coordinate d, at the 6-tuple point (x, y), with each block
     first scaled to a primitive integer vector.  The product loop that the
-    outer products of `cb._block_values` tables replaced."""
+    outer products of `ps.p3_weights` tables replaced."""
     point = [c for block in (point[:3], point[3:]) for c in primitive(block)]
     row = []
     for exp in monomials:
@@ -169,6 +169,22 @@ class TestConditionRowsOracle:
         assert rows == [monomial_row(cb.XY_MONOMIALS, x + y)]
 
 
+class TestLineInFiber:
+    @pytest.mark.parametrize("o, dual", [
+        ((1, 2), (1, 2, 3)), ((1, 2, 3, 4), (1, 2, 3)), ((1, 2, 3), (1, 2)),
+        ((1, 2, 3), (1, 2, 3, 4)), ((), ())])
+    def test_vectors_without_three_entries_raise(self, o, dual):
+        # (1, 2) with (1, 2, 3) used to build a line
+        with pytest.raises(ValueError, match="3 entries"):
+            cb.LineInFiber(o, dual)
+
+    @pytest.mark.parametrize("o, dual", [((0, 0, 0), (1, 2, 3)),
+                                         ((1, 2, 3), (0, 0, 0))])
+    def test_zero_vectors_are_degenerate(self, o, dual):
+        with pytest.raises(cb.DegenerateConfigurationError):
+            cb.LineInFiber(o, dual)
+
+
 class TestPlaneBasis:
     @settings(max_examples=80, deadline=None)
     @given(st.tuples(*[st.integers(-40, 40) | st.just(0)] * 3))
@@ -201,6 +217,15 @@ class TestImposePoint:
                      ((1, 0, 0, 0), (1, 2, 3)), ((), ())):
             with pytest.raises(ValueError, match="not a point"):
                 cb.impose_point(sys, x, y)
+
+    def test_zero_system_raises_in_both_cuts(self):
+        # impose_point used to raise NonGenericDropError here and
+        # impose_line ValueError; the check is in _cut, which both share
+        zero = cb.LinearSystem(())
+        with pytest.raises(ValueError, match="zero system"):
+            cb.impose_point(zero, (1, 2, 3), (3, -1, 2))
+        with pytest.raises(ValueError, match="zero system"):
+            cb.impose_line(zero, cb.LineInFiber((1, 2, 3), (1, 0, -1)))
 
     def test_zero_point_is_degenerate(self):
         # (0, 0, 0) used to make a zero row, and a NonGenericDropError
@@ -762,13 +787,34 @@ class TestInstancePipeline:
         lambda d: d["certificates"][0]["gradient"][0].__setitem__(1, 0),
         lambda d: d["marked_lines"][0].pop("dual"),
         lambda d: d.update(seed=[1, "x"]),
+        # these used to raise a bare ValueError from tuple unpacking, and an
+        # IndexError
+        lambda d: d["marked_lines"][1]["o"].pop(),
+        lambda d: d["marked_lines"][1]["o"].append([1, 1]),
+        lambda d: d["marked_lines"][4]["dual"].pop(),
     ], ids=["coefficient", "node", "marked-line", "certificate", "missing-dual",
-            "seed"])
+            "seed", "short-o", "long-o", "short-dual"])
     def test_malformed_json_is_a_value_error(self, tamper):
         data = json.loads(cb.construct_instance(1).to_json())
         tamper(data)
         with pytest.raises(ValueError, match="malformed instance file"):
             cb.ConicBundleInstance.from_json(json.dumps(data))
+
+    def test_internal_error_is_not_resampled(self, monkeypatch):
+        # construct_instance used to catch it and resample, and raise
+        # GenericityError after 16 tries
+        calls = []
+
+        def broken(A, lf):
+            calls.append(lf)
+            raise cb.MarkedLineInvariantError("broken invariant")
+
+        monkeypatch.setattr(cb, "residual_line", broken)
+        with pytest.raises(cb.MarkedLineInvariantError, match="broken invariant"):
+            cb.construct_instance(1)
+        with pytest.raises(cb.MarkedLineInvariantError, match="broken invariant"):
+            cb.sweep(7, 1)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("text", ["[]", "1", '{"format": "other"}'])
     def test_other_formats_are_rejected(self, text):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, perm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -177,7 +177,9 @@ class TestUnivariate:
 class TestDetField:
     @pytest.mark.parametrize("p", [101, GF_P.p])
     def test_gf_matches_exact_determinant(self, p):
-        from prym6.exactalg import QMatrix
+        # det_field is the Bareiss determinant of QMatrix, so the oracle is
+        # sympy's, not QMatrix's
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(p)
         F = ps.GF(p)
         for trial in range(12):
@@ -190,9 +192,108 @@ class TestDetField:
                 m[0][0] = 0
             reduced = [[v % p for v in row] for row in m]
             det = ps.det_field(F, reduced)
-            assert det == int(QMatrix(m).det()) % p
+            assert det == int(sympy.Matrix(m).det()) % p
             assert 0 <= det < p
         assert ps.det_field(F, []) == 1
+
+
+#: Fractions with negative values and denominators, as `_uni_gcd_q` reads
+#: them
+_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+#: a nonzero polynomial over Q of degree 0 to 3, its leading coefficient of
+#: either sign
+_q_poly = st.builds(lambda low, lead: low + [lead], st.lists(_fracs, max_size=3),
+                    _fracs.filter(bool))
+
+
+class TestGcdQOracle:
+    """`_uni_gcd_q`, through `uni_gcd` over QQ, against sympy's monic gcd."""
+
+    @staticmethod
+    def sympy_gcd(a, b):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def poly(c):
+            return sympy.Poly([sympy.Rational(v.numerator, v.denominator)
+                               for v in reversed(c)] or [0], x, domain="QQ")
+
+        g = poly(a).gcd(poly(b))
+        if g.is_zero:
+            return []
+        return [Fraction(int(v.p), int(v.q)) for v in reversed(g.monic().all_coeffs())]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_q_poly, _q_poly, _q_poly, st.booleans())
+    @example([Fraction(3), Fraction(-2)], [Fraction(1, 2), Fraction(-5, 3)],
+             [Fraction(-7, 4), Fraction(0), Fraction(-1)], False)
+    def test_matches_sympy(self, h, u, v, swap):
+        # h divides both inputs; each may have a negative leading coefficient
+        a, b = uni_mul(ps.QQ, h, u), uni_mul(ps.QQ, h, v)
+        if swap:
+            a, b = b, a
+        assert ps.uni_gcd(ps.QQ, a, b) == self.sympy_gcd(a, b)
+
+    def test_zero_inputs(self):
+        a = [Fraction(-3, 2), Fraction(0), Fraction(-6)]
+        assert ps.uni_gcd(ps.QQ, a, []) == self.sympy_gcd(a, []) == [
+            Fraction(1, 4), 0, 1]
+        assert ps.uni_gcd(ps.QQ, [], []) == []
+
+
+#: the exponents of the value, the partials and the Hessian entries
+_ORDER_2 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+            (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+def parent_block_values(P, n, d=None):
+    """The monomial table that `p3_weights` replaced in `conicbundle`: the
+    values at P, or with a coordinate index d the partials in x_d."""
+    if d is None:
+        a, b, c = P
+        return [a ** i * b ** j * c ** k for i, j, k in ps.monomials_of_degree(n)]
+    return [e[d] * prod(v ** (k - (j == d)) for j, (v, k) in enumerate(zip(P, e)))
+            if e[d] else 0 for e in ps.monomials_of_degree(n)]
+
+
+def parent_jet_weights(P, n, d):
+    """The weights that `_jet_table` built before `p3_weights`, from a power
+    table per coordinate."""
+    pw = [[v ** e for e in range(n + 1)] for v in P]
+    return [prod(perm(a, b) * pw[k][a - b] if a >= b else 0
+                 for k, (a, b) in enumerate(zip(e, d)))
+            for e in ps.monomials_of_degree(n)]
+
+
+class TestP3Weights:
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.integers(-9, 9)] * 3), st.integers(0, 7),
+           st.sampled_from(_ORDER_2))
+    @example((0, 0, 0), 3, (1, 1, 0))
+    @example((0, -1, 0), 2, (0, 0, 2))
+    @example((3 ** 40, -(2 ** 70), 0), 6, (1, 0, 1))
+    def test_matches_the_parent_tables(self, point, n, d):
+        weights = ps.p3_weights(point, n, d)
+        assert all(type(w) is int for w in weights)
+        assert weights == parent_jet_weights(point, n, d)
+        if sum(d) <= 1:
+            index = d.index(1) if any(d) else None
+            assert weights == parent_block_values(point, n, index)
+
+    def test_matches_sympy_derivatives(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x0:3")
+        for point in ((2, -3, 0), (0, 0, 5), (-1, 4, 7)):
+            at = dict(zip(xs, point))
+            for n in range(5):
+                monomials = [sympy.prod(x ** k for x, k in zip(xs, e))
+                             for e in ps.monomials_of_degree(n)]
+                for d in _ORDER_2:
+                    wrt = [x for x, k in zip(xs, d) for _ in range(k)]
+                    expect = [int((sympy.diff(m, *wrt) if wrt else m).subs(at))
+                              for m in monomials]
+                    assert ps.p3_weights(point, n, d) == expect
 
 
 def _sylvester_low_first(F, a, b):
