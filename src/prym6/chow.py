@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import add, gt
+from operator import add, gt, index
 from typing import Mapping, Sequence
 
 from .exactalg import QVector, rational
@@ -61,7 +61,7 @@ class ProductProjectiveRing:
     """CH of a product of projective spaces P^{d_1} x ... x P^{d_k}."""
 
     def __init__(self, dims):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(index, dims))
         if any(d < 1 for d in self.dims):
             raise ValueError("each factor must have dimension >= 1")
 
@@ -98,6 +98,8 @@ class DelPezzoRing:
         return ChowClass.from_ints(self, {"L": 1})
 
     def E(self, i: int) -> ChowClass:
+        if type(i) is not int:
+            raise TypeError(f"an exceptional index is an int, not {i!r}")
         if not 1 <= i <= 4:
             raise ValueError("exceptional index out of range")
         return ChowClass.from_ints(self, {f"E{i}": 1})

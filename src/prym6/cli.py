@@ -226,19 +226,20 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "net_dimension": net.system.dim,
         "base_point": [_frac_json(c) for c in net.o],
-        "cubic_node": [_frac_json(c) for c in report["cubic"]["node"]],
+        "cubic_node": [_frac_json(c)
+                       for c in report["cubic"]["certificate"].point],
         "samples": [
             {
-                "line_dual": [_frac_json(c) for c in s["line"].dual],
-                "certified_nodes": len(s["instance"].node_certificates),
+                "line_dual": [_frac_json(c) for c in inst.marked_lines[4].dual],
+                "certified_nodes": len(inst.node_certificates),
                 "sections": [
-                    {"index": sec["index"],
-                     "residual_dual": [_frac_json(c) for c in sec["residual"]],
-                     "point": None if sec["point"] is None
-                     else [_frac_json(c) for c in sec["point"]]}
-                    for sec in s["sections"]],
+                    {"index": j,
+                     "residual_dual": [_frac_json(c) for c in m],
+                     "point": None if y is None
+                     else [_frac_json(c) for c in y]}
+                    for j, (m, y) in enumerate(inst.residuals[:4])],
             }
-            for s in report["samples"]],
+            for inst in report["samples"]],
     }
     _dump(data, args.json)
     return 0

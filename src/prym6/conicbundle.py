@@ -20,8 +20,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .exactalg import (MultiPoly, QMatrix, det3_poly, integer_numerators,
-                       primitive)
+from .exactalg import MultiPoly, QMatrix, det3_poly, primitive
 from .planesys import (QQ, _cross, _random_invertible, monomials_of_degree,
                        only_known_common_roots, p3_degree, p3_jet, p3_weights)
 
@@ -37,9 +36,7 @@ XY_MONOMIALS = tuple(ex + ey for ex in _DEG2 for ey in _DEG2)
 
 #: the four nodes of every discriminant sextic built here; any four general
 #: points can be moved to these by a projectivity
-STANDARD_NODES: tuple[tuple[Fraction, ...], ...] = tuple(
-    tuple(Fraction(c) for c in pt)
-    for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+STANDARD_NODES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 #: random configurations `construct_instance` and `sweep` draw before they
 #: give up with `GenericityError`
@@ -126,7 +123,7 @@ def _plane_basis(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return basis[0], basis[1]
 
 
-def _chart_index(point: Sequence[Fraction]) -> int:
+def _chart_index(point: Sequence[int]) -> int:
     for k in range(len(point) - 1, -1, -1):
         if point[k] != 0:
             return k
@@ -271,16 +268,14 @@ class SymQuadricMatrix:
     entries: tuple[tuple[tuple[int, ...], ...], ...]
     den: int
 
-    def evaluated(self, x: Sequence[Fraction]) -> QMatrix:
-        """A(x), from one table of the six quadratic monomials at x.
-
-        With x = P/d for an integer vector P, an entry N / den is
-        N(P) / (den d^2): one integer dot product with the table.
-        """
-        P, d = integer_numerators(x)
-        table = p3_weights(P, 2)
+    def evaluated(self, x: Sequence[int]) -> QMatrix:
+        """A(x) at an int point x (any other coordinate raises TypeError):
+        each entry N / den is N(x), one dot product with a table, over den."""
+        if any(type(c) is not int for c in x):
+            raise TypeError("A(x) takes a point of int coordinates")
+        table = p3_weights(x, 2)
         return QMatrix.from_ints([[sum(map(mul, entry, table)) for entry in row]
-                                  for row in self.entries], self.den * d * d)
+                                  for row in self.entries], self.den)
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
@@ -319,16 +314,16 @@ def discriminant(A: SymQuadricMatrix) -> MultiPoly:
 
 @dataclass(frozen=True)
 class NodeCertificate:
-    """What the instance JSON stores of the curve N / den at the point
-    P / d, for a dense integer form N of degree n and an integer vector P.
+    """What the instance JSON stores of the curve N / den at the int point
+    P, for a dense integer form N.
 
     ``gradient`` is the value followed by the three partials: N(P) and
-    d dN/dx_j (P), over den d^n.  ``hessian_minor`` is the chart minor: the
-    2x2 minor of the Hessian off ``chart``, the index of P's last nonzero
-    coordinate.
+    dN/dx_j (P), over den.  ``hessian_minor`` is the chart minor: the 2x2
+    minor of the Hessian off ``chart``, the index of P's last nonzero
+    coordinate, over den^2.
     """
 
-    point: tuple[Fraction, ...]
+    point: tuple[int, ...]
     chart: int
     gradient: tuple[Fraction, ...]
     hessian_minor: Fraction
@@ -358,36 +353,32 @@ def _dense_form(curve: MultiPoly) -> list[int]:
 
 
 def node_certificate(form: Sequence[int], den: int,
-                     point: Sequence[Fraction]) -> NodeCertificate:
-    """Exact gradient and chart-Hessian data of a plane curve at a point.
+                     point: Sequence[int]) -> NodeCertificate:
+    """Exact gradient and chart-Hessian data of a plane curve at an int point.
 
-    The curve is N / den for the dense integer form N = form of degree n,
-    as `_dense_form` or `det3_poly` gives it.  The point is written P / d
-    with integer P, and `p3_jet` takes N at P: the value at the point is
-    N(P) / (den d^n), and the gradient and the Hessian, of degrees n - 1
-    and n - 2, are those of N at P times d and d^2 over den d^n.
+    The curve is N / den for the dense integer form N = form, as
+    `_dense_form` or `det3_poly` gives it, and `p3_jet` takes N at the
+    point, so a coordinate that is not an int raises TypeError.
     """
     if not form:
         raise ValueError("the empty form is no curve")
-    P, d = integer_numerators(point)
-    value, grad, hess = p3_jet(form, P, 2)
-    total = den * d ** p3_degree(form)
-    k = _chart_index(P)
+    value, grad, hess = p3_jet(form, point, 2)
+    k = _chart_index(point)
     a, b = (j for j in range(3) if j != k)
     minor = hess[a][a] * hess[b][b] - hess[a][b] * hess[b][a]
     return NodeCertificate(
-        point=tuple(Fraction(c, d) for c in P), chart=k,
-        gradient=(Fraction(value, total),)
-        + tuple(Fraction(g * d, total) for g in grad),
-        hessian_minor=Fraction(minor * d ** 4, total * total))
+        point=tuple(point), chart=k,
+        gradient=tuple(Fraction(g, den) for g in (value, *grad)),
+        hessian_minor=Fraction(minor, den * den))
 
 
-def no_line_through_node(form: Sequence[int], point: Sequence[Fraction]) -> bool:
+def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
     """Certify that no line through a singular point t* lies on a plane cubic.
 
     form is the cubic as a dense integer list of 10 coefficients, as
     `det3_poly` gives it, and ValueError is raised unless its value and
-    gradient vanish at point, t*.  Let k be the chart of t* and a, b the
+    gradient vanish at point, t*, an int triple (`p3_jet` raises TypeError
+    on any other coordinate).  Let k be the chart of t* and a, b the
     other two indices.  Taylor's formula gives
 
         cubic(Z t* + X e_a + Y e_b) = Z q(X, Y) / 2 + c(X, Y),
@@ -411,11 +402,10 @@ def no_line_through_node(form: Sequence[int], point: Sequence[Fraction]) -> bool
       r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
       are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
     """
-    P, _ = integer_numerators(point)
-    value, grad, h = p3_jet(form, P, 2)
+    value, grad, h = p3_jet(form, point, 2)
     if len(form) != 10 or value or any(grad):
         raise ValueError("expected a plane cubic and a singular point on it")
-    k = _chart_index(P)
+    k = _chart_index(point)
     a, b = (j for j in range(3) if j != k)
     c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3
     for e, v in zip(monomials_of_degree(3), form):
@@ -455,17 +445,17 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     return only_known_common_roots(curve, len(listed), rng, exact)
 
 
-def certify_nodes(gamma: MultiPoly, points,
+def certify_nodes(gamma: MultiPoly,
                   rng: random.Random) -> tuple[NodeCertificate, ...]:
-    """Nodality at each point plus the no-extra-singularity completeness check."""
+    """Nodality at each of `STANDARD_NODES` plus the completeness check."""
     form = _dense_form(gamma)
     certs = []
-    for pt in points:
+    for pt in STANDARD_NODES:
         cert = node_certificate(form, gamma.den, pt)
         if not cert.is_node:
-            raise CertificationError(f"point {tuple(pt)} is not an ordinary node")
+            raise CertificationError(f"point {pt} is not an ordinary node")
         certs.append(cert)
-    if not singular_locus_is_exactly(gamma, points, rng):
+    if not singular_locus_is_exactly(gamma, STANDARD_NODES, rng):
         raise CertificationError("singular locus has unexplained components")
     return tuple(certs)
 
@@ -554,7 +544,7 @@ def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
 
 @dataclass(frozen=True)
 class ConicBundleInstance:
-    nodes: tuple[tuple[Fraction, ...], ...]
+    nodes = STANDARD_NODES
     Q: MultiPoly
     A: SymQuadricMatrix
     gamma: MultiPoly
@@ -598,8 +588,8 @@ class ConicBundleInstance:
         Every field is read before anything is replayed.  A file of another
         format raises ``ValueError("unknown instance format")``; one with a
         field missing, of the wrong shape or with a zero denominator, or a
-        seed that is not an integer or null, raises
-        ``ValueError("malformed instance file ...")``.
+        seed that is not an integer or null, or a monomial listed twice,
+        raises ``ValueError("malformed instance file ...")``.
         The completeness proof reruns with a fixed rng; it holds for every
         prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
         lines that are not five or whose unique member is not Q, stored
@@ -620,8 +610,10 @@ class ConicBundleInstance:
 
         try:
             nodes = tuple(vec(p) for p in data["nodes"])
-            Q = MultiPoly(XY_BLOCKS, {tuple(e): frac(c)
-                                      for e, c in data["coefficients"]})
+            terms = [(tuple(e), frac(c)) for e, c in data["coefficients"]]
+            if len(dict(terms)) != len(terms):
+                raise ValueError("a monomial is listed twice")
+            Q = MultiPoly(XY_BLOCKS, dict(terms))
             marked = [(vec(d["o"]), vec(d["dual"])) for d in data["marked_lines"]]
             if any(len(v) != 3 for line in marked for v in line):
                 raise ValueError("a marked line needs 3 entries in o and in dual")
@@ -692,13 +684,13 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
         raise ValueError("Q is not a primitive integer coefficient vector")
     A = to_symmetric_matrix(Q)
     gamma = discriminant(A)
-    certs = certify_nodes(gamma, STANDARD_NODES, rng)
+    certs = certify_nodes(gamma, rng)
     ys = tuple(singular_point_on_Q(A, cert) for cert in certs)
     rank_stratification_check(gamma, rng)
     # residual_line raises if the marked-line invariant is broken
     residuals = tuple(residual_line(A, lf) for lf in lines)
     return ConicBundleInstance(
-        nodes=STANDARD_NODES, Q=Q, A=A, gamma=gamma, node_certificates=certs,
+        Q=Q, A=A, gamma=gamma, node_certificates=certs,
         fiber_singular_points=ys, marked_lines=tuple(lines),
         residuals=residuals, seed=seed)
 
@@ -736,8 +728,10 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
     if len(fixed_lines) != 4:
         raise ValueError("exactly four fixed lines are required")
     o = primitive(o)
+    if not any(o):
+        raise DegenerateConfigurationError("the zero vector is no base point")
     for lf in fixed_lines:
-        if primitive(lf.o) == o and sum(a * b for a, b in zip(lf.dual, o)) == 0:
+        if lf.o == o and sum(a * b for a, b in zip(lf.dual, o)) == 0:
             raise DegenerateConfigurationError(
                 "base point lies on a fixed line in its own fiber")
     base = base_system(STANDARD_NODES)
@@ -761,7 +755,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     the member B = sum t*_k A_k(o) has rank 2 and vertex o, so it splits as
     two lines through o.  It rests on o^T A_k(o) o = 0 for each k (every
     member of the net passes through (o, o)), checked in integers first.
-    Returns C, dense, as "cubic" over "den", and t* as "node".
+    Returns C, dense, as "cubic" over "den", and the "certificate" of t*.
 
     1. The node t* spans the kernel of the 3x3 matrix whose column k is
        A_k(o) o, so B o = 0.  As B has rank 2 (step 4), adj B = lambda o o^T
@@ -811,7 +805,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
         raise CertificationError("singular member of the net is not a node")
     if not no_line_through_node(form, tstar):
         raise CertificationError("net discriminant is not a one-nodal cubic")
-    return {"cubic": form, "den": D ** 3, "node": tstar, "certificate": cert}
+    return {"cubic": form, "den": D ** 3, "certificate": cert}
 
 
 def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:
@@ -825,7 +819,8 @@ def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:
 
 
 def sweep(seed: int, samples: int) -> dict:
-    """Fix four lines and o, certify the net, and sweep the pencil through o."""
+    """Fix four lines and o, certify the net, and sweep the pencil through o;
+    each sample is the instance of a pencil line, marked after the four."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
@@ -833,8 +828,6 @@ def sweep(seed: int, samples: int) -> dict:
     for _ in range(_RETRIES):
         fixed = [random_line_in_fiber(rng) for _ in range(4)]
         o = tuple(random_rational(rng) for _ in range(3))
-        if not any(o):
-            continue
         try:
             net = build_net_T(o, fixed)
             cubic_report = discriminant_cubic(net, rng)
@@ -846,22 +839,16 @@ def sweep(seed: int, samples: int) -> dict:
         raise GenericityError(f"no generic net in {_RETRIES} tries: {last}")
 
     results = []
-    attempts = 0
-    while len(results) < samples:
-        attempts += 1
-        if attempts > _RETRIES + samples:
-            raise GenericityError("pencil sampling exhausted its retry budget")
+    for _ in range(_RETRIES + samples):
         lf = pencil_line_through(net.o, rng)
         try:
             # net.system has dim 3, so a drop of 2 leaves one member
             Q = impose_line(net.system, lf, expected_drop=2).basis[0]
-            inst = certify_instance(Q, list(net.fixed_lines) + [lf], rng,
-                                    seed=seed)
-            # the marked lines are the fixed lines followed by lf
-            sections = [{"index": j, "residual": m, "point": y}
-                        for j, (m, y) in enumerate(inst.residuals[:4])]
-            results.append({"line": lf, "instance": inst, "sections": sections})
+            results.append(certify_instance(Q, list(net.fixed_lines) + [lf],
+                                            rng, seed=seed))
         except (NonGenericDropError, CertificationError,
                 DegenerateConfigurationError):
             continue
-    return {"net": net, "cubic": cubic_report, "samples": results}
+        if len(results) == samples:
+            return {"net": net, "cubic": cubic_report, "samples": results}
+    raise GenericityError("pencil sampling exhausted its retry budget")

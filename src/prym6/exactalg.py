@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
 from .planesys import p3_mul
@@ -204,11 +204,11 @@ class MultiPoly(QVector):
     terms = QVector.coeffs
 
     def __init__(self, blocks, terms: Mapping | None = None):
-        blocks = tuple((str(n), int(s)) for n, s in blocks)
+        blocks = tuple((str(n), index(s)) for n, s in blocks)
         nvars = sum(s for _, s in blocks)
         clean: dict = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp!r}")
             clean[exp] = clean.get(exp, 0) + c

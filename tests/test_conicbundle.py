@@ -20,6 +20,8 @@ T = (("t", 3),)
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
 coords = st.one_of(st.just(Fraction(0)), fracs)
+#: int points, with zero coordinates, as the certificates take them
+int_points = st.tuples(*[st.integers(-20, 20)] * 3)
 
 
 def var(block, i):
@@ -300,9 +302,10 @@ class TestSymmetricMatrix:
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(st.sampled_from(cb.XY_MONOMIALS),
                            fracs, min_size=1, max_size=12),
-           st.tuples(coords, coords, coords), st.tuples(coords, coords, coords))
+           int_points, st.tuples(coords, coords, coords))
     def test_evaluated_matches_entrywise_evaluate(self, terms, x, y):
-        # forms and points with denominators and zero coordinates
+        # forms with denominators, int points x and points y with
+        # denominators, both with zero coordinates
         Q = MultiPoly(XY, terms)
         A = cb.to_symmetric_matrix(Q)
         assert all(A.entries[i][j] == A.entries[j][i]
@@ -380,7 +383,7 @@ class TestNodeCertificates:
         lines, rng = lines_for(109)
         Q, _ = cb.zeta(lines)
         gamma = cb.discriminant(cb.to_symmetric_matrix(Q))
-        certs = cb.certify_nodes(gamma, cb.STANDARD_NODES, rng)
+        certs = cb.certify_nodes(gamma, rng)
         assert len(certs) == 4
         for cert in certs:
             assert cert.is_node
@@ -401,9 +404,9 @@ class TestNodeCertificates:
         assert all(g == 0 for g in cert.gradient)
         assert cert.hessian_minor == 0
         assert not cert.is_node
-        with pytest.raises(cb.CertificationError):
-            cb.certify_nodes(gamma, [(Fraction(1), Fraction(0), Fraction(0))],
-                             random.Random(0))
+        # (1:0:0) is the first of the standard nodes
+        with pytest.raises(cb.CertificationError, match=r"\(1, 0, 0\)"):
+            cb.certify_nodes(gamma, random.Random(0))
 
     def test_completeness_check_rejects_extra_node(self):
         # three double lines: singular everywhere on each line; and two
@@ -511,10 +514,11 @@ class TestNodeCertificates:
     @given(st.integers(0, 4).flatmap(lambda n: st.dictionaries(
                st.sampled_from(ps.monomials_of_degree(n)), fracs,
                min_size=1, max_size=8)),
-           st.tuples(coords, coords, coords))
+           int_points)
     def test_matches_partials_at_a_rational_point(self, terms, pt):
-        # forms of degree 0 to 4 with denominators, and points with
-        # denominators and zero coordinates; below degree 2 the Hessian is 0
+        # forms of degree 0 to 4 with denominators, and int points (a
+        # rational point of P^2 scaled to integers) with zero coordinates;
+        # below degree 2 the Hessian is 0
         assume(any(pt))
         gamma = MultiPoly(X, terms)
         at = {"x": pt}
@@ -528,8 +532,22 @@ class TestNodeCertificates:
                                  + tuple(f.evaluate(at) for f in firsts))
         a, b = (j for j in range(3) if j != cert.chart)
         assert cert.hessian_minor == hess[a][a] * hess[b][b] - hess[a][b] ** 2
-        values = (*cert.point, *cert.gradient, cert.hessian_minor)
-        assert all(type(v) is Fraction for v in values)
+        assert all(type(v) is int for v in cert.point)
+        assert all(type(v) is Fraction for v in (*cert.gradient, cert.hessian_minor))
+
+    def test_certificates_take_int_points_only(self):
+        # an equal Fraction point raises, as a float does
+        x, y, z = _plane_variables()
+        cubic = y * y * z - x * x * x - x * x * z
+        x0, y0 = var("x", 0), var("y", 0)
+        A = cb.to_symmetric_matrix(x0 * x0 * y0 * y0)
+        point = (Fraction(0), Fraction(0), Fraction(1))
+        for call in (lambda: node_cert(cubic, point),
+                     lambda: cb.no_line_through_node(cb._dense_form(cubic), point),
+                     lambda: A.evaluated(point)):
+            with pytest.raises(TypeError, match="int coordinates"):
+                call()
+        assert node_cert(cubic, (0, 0, 1)).is_node
 
     def test_repeated_or_zero_point_is_rejected(self):
         # either would make up the count of four with a node left unlisted
@@ -542,7 +560,7 @@ class TestNodeCertificates:
     def fifth_node_member(coeffs):
         """A member of the 12-dimensional system singular at the four
         standard nodes and at (1:2:3), cut by three lines in fibers."""
-        fifth = (Fraction(1), Fraction(2), Fraction(3))
+        fifth = (1, 2, 3)
         rows = [row for pt in cb.STANDARD_NODES + (fifth,)
                 for row in cb.node_condition_rows(pt)]
         kernel = QMatrix(rows).kernel()
@@ -608,7 +626,7 @@ class TestSingularPointOnQ:
         Q, _ = cb.zeta(lines)
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
-        pt = (Fraction(117), Fraction(230), Fraction(0))
+        pt = (117, 230, 0)
         cert = node_cert(gamma, pt)
         assert cert.gradient[0] == 0 and any(cert.gradient)
         assert A.evaluated(pt).rank() == 2
@@ -690,7 +708,7 @@ class TestRankStratification:
         Q, _ = cb.zeta(lines)
         A = cb.to_symmetric_matrix(Q)
         gamma = cb.discriminant(A)
-        pt = (Fraction(1), Fraction(2), Fraction(5))
+        pt = (1, 2, 5)
         assert gamma.evaluate({"x": pt}) != 0
         assert A.evaluated(pt).rank() == 3
 
@@ -792,8 +810,14 @@ class TestInstancePipeline:
         lambda d: d["marked_lines"][1]["o"].pop(),
         lambda d: d["marked_lines"][1]["o"].append([1, 1]),
         lambda d: d["marked_lines"][4]["dual"].pop(),
+        # these used to load: int() truncated each exponent back, and the
+        # later of two entries of one monomial overwrote the earlier
+        lambda d: d["coefficients"][0].__setitem__(
+            0, [e + 0.5 if e else e for e in d["coefficients"][0][0]]),
+        lambda d: d["coefficients"].append(d["coefficients"][0]),
     ], ids=["coefficient", "node", "marked-line", "certificate", "missing-dual",
-            "seed", "short-o", "long-o", "short-dual"])
+            "seed", "short-o", "long-o", "short-dual", "float-exponent",
+            "duplicate-monomial"])
     def test_malformed_json_is_a_value_error(self, tamper):
         data = json.loads(cb.construct_instance(1).to_json())
         tamper(data)
@@ -924,7 +948,7 @@ class TestInstancePipeline:
         # a sweep member is cut from the net by its pencil line, not by
         # zeta, and is still zeta's member through its five marked lines
         for sample in cb.sweep(7, 3)["samples"]:
-            text = sample["instance"].to_json()
+            text = sample.to_json()
             assert cb.ConicBundleInstance.from_json(text).to_json() == text
 
     def test_determinism(self):
@@ -1072,7 +1096,7 @@ class TestNoLineThroughNodeOracle:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
         report = cb.sweep(seed, 1)["cubic"]
-        form, node = report["cubic"], report["node"]
+        form, node = report["cubic"], report["certificate"].point
         cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)),
                                     report["den"])
         assert cb.no_line_through_node(form, node)
@@ -1136,8 +1160,8 @@ class TestNetAndSweep:
         assert report["certificate"].is_node
         # proved, not checked, by discriminant_cubic: the singular member
         # has rank 2 and vertex o
-        B = QMatrix([[sum(t * entry(m, i, j) for t, m in zip(report["node"],
-                                                            net.restricted))
+        tstar = report["certificate"].point
+        B = QMatrix([[sum(t * entry(m, i, j) for t, m in zip(tstar, net.restricted))
                       for j in range(3)] for i in range(3)])
         assert B.kernel() == [net.o]
 
@@ -1147,7 +1171,7 @@ class TestNetAndSweep:
         report = cb.sweep(seed, 1)["cubic"]
         cubic = [Fraction(c, report["den"]) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
-        assert primitive(root) == report["node"]
+        assert primitive(root) == report["certificate"].point
 
     def test_net_with_several_members_singular_at_o_is_rejected(self):
         # three equal restrictions: every t with t1 + t2 + t3 = 0 gives the
@@ -1193,14 +1217,23 @@ class TestNetAndSweep:
         with pytest.raises(cb.DegenerateConfigurationError):
             cb.build_net_T(o, fixed + [bad])
 
+    @pytest.mark.parametrize("o", [(0, 0, 0), (Fraction(0),) * 3])
+    def test_zero_base_point_is_degenerate(self, o):
+        # it used to raise NonGenericDropError: the zero point's row is zero
+        rng = random.Random(21)
+        fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
+        with pytest.raises(cb.DegenerateConfigurationError, match="base point"):
+            cb.build_net_T(o, fixed)
+
     def test_sweep_shares_fixed_lines(self):
         report = cb.sweep(7, 2)
         assert report["net"].system.dim == 3
         assert len(report["samples"]) == 2
-        for s in report["samples"]:
-            inst = s["instance"]
+        for inst in report["samples"]:
+            assert type(inst) is cb.ConicBundleInstance
             assert len(inst.node_certificates) == 4
             assert inst.marked_lines[:4] == report["net"].fixed_lines
-            lf = s["line"]
+            # the fifth marked line is the pencil line, through o in its fiber
+            lf = inst.marked_lines[4]
+            assert lf.o == report["net"].o
             assert sum(a * b for a, b in zip(lf.dual, lf.o)) == 0
-            assert len(s["sections"]) == 4

@@ -277,6 +277,11 @@ FLOAT_ENTRY_POINTS = {
     "base_system": lambda: cb.base_system(
         ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
     "p3_jet": lambda: ps.p3_jet([1, 2, 3], (0.5, 1, 1), 1),
+    # counts and indices that int() would truncate
+    "MultiPoly-exponent": lambda: MultiPoly((("x", 3),), {(2.5, 0, 0): 1}),
+    "MultiPoly-block-size": lambda: MultiPoly((("x", 2.7),), {(1, 0): 1}),
+    "ProductProjectiveRing": lambda: chow.ProductProjectiveRing((2.5,)),
+    "DelPezzoRing-E": lambda: chow.DelPezzoRing().E(True),
 }
 
 

@@ -185,16 +185,37 @@ FUNCTION_LEVEL_IMPORTS = {
 }
 
 
+def _functions_with(predicate) -> set[str]:
+    """Every function of the package with a node, in its body or in a
+    nested function, for which predicate holds."""
+    return {f"{path.stem}.{func.name}"
+            for path in sorted(SRC.glob("*.py"))
+            for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(predicate, ast.walk(func)))}
+
+
 def test_function_level_imports_are_pinned():
-    # an import in a function body, in a nested function too, counts for
-    # every function that encloses it
-    found = {f"{path.stem}.{func.name}"
-             for path in sorted(SRC.glob("*.py"))
-             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(func)
-             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    found = _functions_with(lambda node: isinstance(node, (ast.Import, ast.ImportFrom)))
     assert found == set(FUNCTION_LEVEL_IMPORTS)
+
+
+#: functions in the package that call int(), each with the reason the
+#: conversion cannot truncate; a new one fails the test below until it states
+#: its reason here, since int() of a float or a Fraction rounds toward zero
+#: where `operator.index` raises
+INT_CALLS = {
+    "cli._positive_int": "parses the text of a command-line argument",
+    "planesys.det_field": "converts an integral Fraction, the determinant of "
+                          "an integer matrix",
+}
+
+
+def test_int_calls_are_pinned():
+    found = _functions_with(lambda node: isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name)
+                            and node.func.id == "int")
+    assert found == set(INT_CALLS)
 
 
 def test_tests_the_readme_names_exist():
