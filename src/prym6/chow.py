@@ -12,11 +12,10 @@ a pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import add, gt, index
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactalg import QVector, rational
 
@@ -135,8 +134,12 @@ class DelPezzoRing:
         return Fraction(cls.nums.get("pt", 0), cls.den)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class _ChernData(NamedTuple):
+    c1: ChowClass
+    c2: int | Fraction
+
+
+class ChernData(_ChernData):
     """Chern data of a rank-3 bundle on a surface; c3 is implicitly zero.
 
     The Chern classes of a vector bundle are integral, and the bundle ring
@@ -144,13 +147,13 @@ class ChernData:
     or `ValueError` is raised.
     """
 
-    c1: ChowClass
-    c2: int | Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c1.den != 1 or rational(self.c2).denominator != 1:
+    def __new__(cls, c1, c2):
+        if c1.den != 1 or rational(c2).denominator != 1:
             raise ValueError("Chern classes of a vector bundle are integral: "
                              "c1 needs integer coefficients, c2 an integer")
+        return super().__new__(cls, c1, c2)
 
 
 class ProjectiveBundleRing:

@@ -12,16 +12,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import chow, conicbundle, moduli
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     identifier: str
     anchor: str
     expected: int | Fraction

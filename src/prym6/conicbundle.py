@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive
 from .planesys import (QQ, _cross, _random_invertible, monomials_of_degree,
@@ -65,8 +64,7 @@ class MarkedLineInvariantError(RuntimeError):
 
 # -- linear systems ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """A linear system of (2,2) forms, stored by primitive integer
     coefficient vectors over `XY_MONOMIALS`."""
 
@@ -82,8 +80,12 @@ class LinearSystem:
                      for v in self.vectors)
 
 
-@dataclass(frozen=True)
-class LineInFiber:
+class _LineInFiber(NamedTuple):
+    o: tuple[int, ...]
+    dual: tuple[int, ...]
+
+
+class LineInFiber(_LineInFiber):
     """A line in the fiber {o} x P^2, stored by its dual vector.
 
     Both vectors are stored scaled to primitive integer vectors.  A vector
@@ -91,16 +93,15 @@ class LineInFiber:
     `DegenerateConfigurationError`.
     """
 
-    o: tuple[int, ...]
-    dual: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.o) != 3 or len(self.dual) != 3:
+    def __new__(cls, o, dual):
+        if len(o) != 3 or len(dual) != 3:
             raise ValueError("a line in a fiber needs o and dual of 3 entries")
-        object.__setattr__(self, "o", primitive(self.o))
-        object.__setattr__(self, "dual", primitive(self.dual))
-        if all(c == 0 for c in self.o) or all(c == 0 for c in self.dual):
+        o, dual = primitive(o), primitive(dual)
+        if all(c == 0 for c in o) or all(c == 0 for c in dual):
             raise DegenerateConfigurationError("zero point or zero line")
+        return super().__new__(cls, o, dual)
 
 
 def _plane_basis(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -257,8 +258,7 @@ _SYM_POSITIONS = {ex + tuple((m == i) + (m == j) for m in range(3)):
                   for i in range(3) for j in range(i, 3)}
 
 
-@dataclass(frozen=True)
-class SymQuadricMatrix:
+class SymQuadricMatrix(NamedTuple):
     """3x3 symmetric matrix of quadratic forms in x representing a (2,2) form.
 
     Entry (i, j) is entries[i][j] / den: six integer coefficients on `_DEG2`,
@@ -312,8 +312,7 @@ def discriminant(A: SymQuadricMatrix) -> MultiPoly:
 
 # -- certificates -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodeCertificate:
+class NodeCertificate(NamedTuple):
     """What the instance JSON stores of the curve N / den at the int point
     P, for a dense integer form N.
 
@@ -542,8 +541,7 @@ def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
 
 # -- full instances -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConicBundleInstance:
+class ConicBundleInstance(NamedTuple):
     nodes = STANDARD_NODES
     Q: MultiPoly
     A: SymQuadricMatrix
@@ -587,9 +585,10 @@ class ConicBundleInstance:
 
         Every field is read before anything is replayed.  A file of another
         format raises ``ValueError("unknown instance format")``; one with a
-        field missing, of the wrong shape or with a zero denominator, or a
-        seed that is not an integer or null, or a monomial listed twice,
-        raises ``ValueError("malformed instance file ...")``.
+        field missing, of the wrong shape or with a zero denominator, a
+        monomial listed twice, or other than an int (a bool or a float too)
+        where an integer goes, save a null seed, raises
+        ``ValueError("malformed instance file ...")``.
         The completeness proof reruns with a fixed rng; it holds for every
         prime, so none is stored.  Nodes other than `STANDARD_NODES`, marked
         lines that are not five or whose unique member is not Q, stored
@@ -602,29 +601,36 @@ class ConicBundleInstance:
                 or data.get("format") != "conic-bundle-instance-v1"):
             raise ValueError("unknown instance format")
 
+        def integer(v):
+            if type(v) is not int:
+                raise TypeError(f"{v!r} is not an integer")
+            return v
+
         def frac(v):
-            return Fraction(v[0], v[1])
+            return Fraction(integer(v[0]), integer(v[1]))
 
         def vec(t):
             return tuple(frac(c) for c in t)
 
         try:
             nodes = tuple(vec(p) for p in data["nodes"])
-            terms = [(tuple(e), frac(c)) for e, c in data["coefficients"]]
+            terms = [(tuple(map(integer, e)), frac(c))
+                     for e, c in data["coefficients"]]
             if len(dict(terms)) != len(terms):
                 raise ValueError("a monomial is listed twice")
             Q = MultiPoly(XY_BLOCKS, dict(terms))
             marked = [(vec(d["o"]), vec(d["dual"])) for d in data["marked_lines"]]
             if any(len(v) != 3 for line in marked for v in line):
                 raise ValueError("a marked line needs 3 entries in o and in dual")
-            stored = tuple((NodeCertificate(point=vec(c["point"]), chart=c["chart"],
+            stored = tuple((NodeCertificate(point=vec(c["point"]),
+                                            chart=integer(c["chart"]),
                                             gradient=vec(c["gradient"]),
                                             hessian_minor=frac(c["hessian_minor"])),
                             vec(c["fiber_singular_point"]))
                            for c in data["certificates"])
             seed = data.get("seed")
-            if seed is not None and type(seed) is not int:
-                raise TypeError(f"the seed {seed!r} is not an integer")
+            if seed is not None:
+                integer(seed)
         except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed instance file: {exc!r}") from exc
         if nodes != STANDARD_NODES:
@@ -715,8 +721,7 @@ def construct_instance(seed: int,
 
 # -- the net of conic bundles through a point ---------------------------------
 
-@dataclass(frozen=True)
-class NetT:
+class NetT(NamedTuple):
     o: tuple[int, ...]  # primitive
     fixed_lines: tuple[LineInFiber, ...]
     system: LinearSystem

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -764,6 +763,12 @@ class TestResidualLine:
             cb.residual_line(cb.to_symmetric_matrix(Q), lf)
 
 
+def _bool_exponent(data):
+    """Write the first exponent 1 of an instance file as true."""
+    exponents = next(e for e, _ in data["coefficients"] if 1 in e)
+    exponents[exponents.index(1)] = True
+
+
 class TestInstancePipeline:
     def test_construct_and_roundtrip(self):
         inst = cb.construct_instance(5)
@@ -815,9 +820,15 @@ class TestInstancePipeline:
         lambda d: d["coefficients"][0].__setitem__(
             0, [e + 0.5 if e else e for e in d["coefficients"][0][0]]),
         lambda d: d["coefficients"].append(d["coefficients"][0]),
+        # these used to load: a bool or a float equals the int it stands for
+        lambda d: d["certificates"][0].update(chart=0.0),
+        lambda d: d["certificates"][1].update(chart=True),
+        _bool_exponent,
+        lambda d: d["nodes"][0][0].__setitem__(0, True),
     ], ids=["coefficient", "node", "marked-line", "certificate", "missing-dual",
             "seed", "short-o", "long-o", "short-dual", "float-exponent",
-            "duplicate-monomial"])
+            "duplicate-monomial", "float-chart", "bool-chart", "bool-exponent",
+            "bool-numerator"])
     def test_malformed_json_is_a_value_error(self, tamper):
         data = json.loads(cb.construct_instance(1).to_json())
         tamper(data)
@@ -1180,7 +1191,7 @@ class TestNetAndSweep:
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
         o = tuple(cb.random_rational(rng) for _ in range(3))
         net = cb.build_net_T(o, fixed)
-        same = dataclasses.replace(net, restricted=(net.restricted[0],) * 3)
+        same = net._replace(restricted=(net.restricted[0],) * 3)
         with pytest.raises(cb.CertificationError, match="unique member"):
             cb.discriminant_cubic(same, rng)
 
@@ -1193,7 +1204,7 @@ class TestNetAndSweep:
         a = net.restricted[0]
         off = QMatrix([[entry(a, i, j) + (i == j) for j in range(3)]
                        for i in range(3)])
-        bad = dataclasses.replace(net, restricted=(off,) + net.restricted[1:])
+        bad = net._replace(restricted=(off,) + net.restricted[1:])
         with pytest.raises(cb.CertificationError, match=r"misses the point"):
             cb.discriminant_cubic(bad, rng)
 

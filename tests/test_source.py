@@ -156,11 +156,9 @@ def test_uncalled_public_methods_are_pinned():
 
 def test_every_import_is_used():
     # an import nothing in its module reads is a leftover of deleted code;
-    # __init__.py imports to re-export, and __future__ imports set flags
+    # __future__ imports set flags
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
