@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from operator import add, gt, index
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .exactalg import QVector, rational
+from .exactalg import QVector
 
 
 class ChowClass(QVector):
@@ -134,34 +134,15 @@ class DelPezzoRing:
         return Fraction(cls.nums.get("pt", 0), cls.den)
 
 
-class _ChernData(NamedTuple):
-    c1: ChowClass
-    c2: int | Fraction
-
-
-class ChernData(_ChernData):
-    """Chern data of a rank-3 bundle on a surface; c3 is implicitly zero.
-
-    The Chern classes of a vector bundle are integral, and the bundle ring
-    relies on it: c1 must have integer coefficients and c2 be an integer,
-    or `ValueError` is raised.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, c1, c2):
-        if c1.den != 1 or rational(c2).denominator != 1:
-            raise ValueError("Chern classes of a vector bundle are integral: "
-                             "c1 needs integer coefficients, c2 an integer")
-        return super().__new__(cls, c1, c2)
-
-
 class ProjectiveBundleRing:
-    """CH of the P^2-bundle P(M) -> S for a rank-3 bundle M on a surface.
+    """CH of the P^2-bundle P(M) -> S carrying the 4-nodal conic bundles.
 
-    Basis monomials are zeta^a * s with a <= 2 and s a basis class of the
-    base.  The sign convention is pinned so that the top self-intersection
-    of zeta equals the Segre number c1(M)^2 - c2(M); concretely
+    M is the rank-3 bundle on the quintic del Pezzo surface S with
+    c1(M) = -K_S and c2(M) = 3 times the point class (c3 = 0); ``base`` is
+    S and ``c1``, ``c2`` hold these Chern classes.  Basis monomials are
+    zeta^a * s with a <= 2 and s a basis class of the base.  The sign
+    convention is pinned so that the top self-intersection of zeta equals
+    the Segre number c1(M)^2 - c2(M) = 2; concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
 
     The integer structure constants of each pair of basis monomials are
@@ -172,9 +153,11 @@ class ProjectiveBundleRing:
     cycle.
     """
 
-    def __init__(self, base: DelPezzoRing, chern: ChernData):
-        self.base = base
-        self.chern = chern
+    c2 = 3
+
+    def __init__(self):
+        self.base = DelPezzoRing()
+        self.c1 = -self.base.canonical()
         self._products: dict = {}
         self._hilbert: QVector | None = None
 
@@ -206,23 +189,17 @@ class ProjectiveBundleRing:
             return {(a, s): 1}
         # zeta^3 = c1 zeta^2 - c2 zeta, applied recursively; c1 has den 1
         out: dict = {}
-        for sk, sc in self.chern.c1.nums.items():
+        for sk, sc in self.c1.nums.items():
             for bs, bc in self.base.mul_basis(s, sk).items():
                 for key, c in self._reduce(a - 1, bs).items():
                     out[key] = out.get(key, 0) + sc * bc * c
-        c2 = self.chern.c2.numerator
         for bs, bc in self.base.mul_basis(s, "pt").items():
             for key, c in self._reduce(a - 2, bs).items():
-                out[key] = out.get(key, 0) - c2 * bc * c
+                out[key] = out.get(key, 0) - self.c2 * bc * c
         return out
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get((2, "pt"), 0), cls.den)
-
-
-def conic_bundle_chern_data(S: DelPezzoRing) -> ChernData:
-    """The rank-3 bundle carrying the 4-nodal conic bundles: c1 = -K_S, c2 = 3."""
-    return ChernData(c1=-S.canonical(), c2=3)
 
 
 # -- blow-up intersection table -------------------------------------------
@@ -282,8 +259,8 @@ class BlowupRing:
     only integrals are intersection numbers.
     """
 
-    def __init__(self, table: Mapping[tuple[int, int, int, int], int]):
-        self.table = table
+    def __init__(self):
+        self.table = blowup_intersection_table()
 
     def divisor(self, coeffs: Mapping[str, int | Fraction]) -> ChowClass:
         """The divisor with the given coefficients on N, H, H1 and H2."""
@@ -366,8 +343,8 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     """
     S = P.base
     z = P.zeta()
-    c1m = P.pull(P.chern.c1)
-    c2m = P.chern.c2 * P.pull(S.pt())
+    c1m = P.pull(P.c1)
+    c2m = P.c2 * P.pull(S.pt())
     rel1 = 3 * z - c1m
     rel2 = 3 * z * z - 2 * z * c1m + c2m
     rel3 = z ** 3 - z * z * c1m + z * c2m  # vanishes by the bundle relation

@@ -39,9 +39,8 @@ def _checks() -> list[Check]:
     check that reads it, and its `millis` include that work.  Nothing is
     kept between builds: every report replays the whole computation.
     """
-    S = chow.DelPezzoRing()
-    P = chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
-    X = cache(lambda: chow.BlowupRing(chow.blowup_intersection_table()))
+    P = chow.ProjectiveBundleRing()
+    X = cache(chow.BlowupRing)
     kp = cache(lambda: chow.canonical_classes(X())[0])
     deg_h = cache(lambda: chow.verify_deg_h_two_ways(X(), P))
     kb2 = cache(lambda: chow.kb_squared(X()))

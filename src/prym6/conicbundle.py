@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -149,7 +149,9 @@ def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
 def base_system(points: tuple[tuple[Fraction, ...], ...]) -> LinearSystem:
     """(2,2) forms vanishing to order 2 at (u, u) for each of the points:
     at four general points, the 16-dimensional system at the heart of the
-    construction."""
+    construction.  No points raise ValueError."""
+    if not points:
+        raise ValueError("a base system needs at least one point")
     points = [primitive(pt) for pt in points]
     if not all(sum(map(mul, a, _cross(b, c)))
                for a, b, c in combinations(points, 3)):
@@ -268,14 +270,15 @@ class SymQuadricMatrix(NamedTuple):
     entries: tuple[tuple[tuple[int, ...], ...], ...]
     den: int
 
-    def evaluated(self, x: Sequence[int]) -> QMatrix:
-        """A(x) at an int point x (any other coordinate raises TypeError):
-        each entry N / den is N(x), one dot product with a table, over den."""
+    def evaluated(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """den * A(x) at an int point x, as int rows (any other coordinate
+        raises TypeError): each entry N / den gives N(x), one dot product
+        with a table."""
         if any(type(c) is not int for c in x):
             raise TypeError("A(x) takes a point of int coordinates")
         table = p3_weights(x, 2)
-        return QMatrix.from_ints([[sum(map(mul, entry, table)) for entry in row]
-                                  for row in self.entries], self.den)
+        return tuple(tuple(sum(map(mul, entry, table)) for entry in row)
+                     for row in self.entries)
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
@@ -479,7 +482,7 @@ def singular_point_on_Q(A: SymQuadricMatrix,
     u = cert.point
     if any(cert.gradient):
         raise CertificationError(f"{u} is not a singular point of det A")
-    rows = A.evaluated(u).nums
+    rows = A.evaluated(u)  # den * A(u): the same kernel
     for i, j in ((0, 1), (0, 2), (1, 2)):
         y = _cross(rows[i], rows[j])
         if any(y):
@@ -520,9 +523,9 @@ def residual_line(A: SymQuadricMatrix, lf: LineInFiber):
     Conversely that identity makes the conic (d . y)(m . y) / d_i^2.  So
     the identity, checked entry by entry, holds exactly when d divides the
     conic.  The identity is linear in A(o) = N / D, so it is checked in
-    integers on N, with m taken from N.
+    integers on N = `evaluated`, with m taken from N.
     """
-    a = A.evaluated(lf.o).nums
+    a = A.evaluated(lf.o)
     d = lf.dual
     i = next(k for k in range(3) if d[k])
     m = [2 * a[i][k] * d[i] - d[k] * a[i][i] for k in range(3)]
@@ -681,8 +684,11 @@ def certify_instance(Q: MultiPoly, lines, rng: random.Random,
     returns it (`from_json` checks that).  ValueError is raised unless Q's
     coefficients on `XY_MONOMIALS` are their own `primitive`
     (coprime, the first nonzero positive), so `to_json` writes no file that
-    `from_json` refuses.
+    `from_json` refuses; for the same reason a seed other than None or an
+    int (a bool or a float too) raises TypeError.
     """
+    if seed is not None and type(seed) is not int:
+        raise TypeError(f"the seed {seed!r} is not an int")
     if len(lines) != 5:
         raise ValueError("exactly five marked lines are required")
     coeffs = [Q.nums.get(e, 0) for e in XY_MONOMIALS]
@@ -725,7 +731,9 @@ class NetT(NamedTuple):
     o: tuple[int, ...]  # primitive
     fixed_lines: tuple[LineInFiber, ...]
     system: LinearSystem
-    restricted: tuple[QMatrix, ...]  # A_k(o) of basis member k; o^T A_k(o) o = 0
+    # 2 A_k(o) as int rows: basis member k is an integer form, so A_k has
+    # den 2; o^T A_k(o) o = 0
+    restricted: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
@@ -744,8 +752,7 @@ def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> Ne
     rows = _line_rows(fixed_lines) + [[u * v for u in table for v in table]]
     sys = _cut(base, rows, 13, "four fixed lines and the point (o, o)")
     restricted = tuple(to_symmetric_matrix(g).evaluated(o) for g in sys.basis)
-    # each member's numerators: a positive scale per row keeps the rank
-    if QMatrix.from_ints([[m.nums[i][j] for i in range(3) for j in range(i, 3)]
+    if QMatrix.from_ints([[m[i][j] for i in range(3) for j in range(i, 3)]
                           for m in restricted]).rank() != 3:
         raise NonGenericDropError("restriction to the fiber over o is not injective")
     return NetT(o=o, fixed_lines=tuple(fixed_lines), system=sys,
@@ -760,7 +767,7 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     the member B = sum t*_k A_k(o) has rank 2 and vertex o, so it splits as
     two lines through o.  It rests on o^T A_k(o) o = 0 for each k (every
     member of the net passes through (o, o)), checked in integers first.
-    Returns C, dense, as "cubic" over "den", and the "certificate" of t*.
+    Returns 8 C, dense, as "cubic", and the "certificate" of t*.
 
     1. The node t* spans the kernel of the 3x3 matrix whose column k is
        A_k(o) o, so B o = 0.  As B has rank 2 (step 4), adj B = lambda o o^T
@@ -785,15 +792,13 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
        has already failed.
     """
     o = net.o
-    D = lcm(*(m.den for m in net.restricted))
-    rows = [[[n * (D // m.den) for n in row] for row in m.nums]
-            for m in net.restricted]
-    images = [[sum(map(mul, row, o)) for row in m] for m in rows]  # D A_k(o) o
+    images = [[sum(map(mul, row, o)) for row in m]  # 2 A_k(o) o
+              for m in net.restricted]
     if any(sum(map(mul, o, image)) for image in images):
         raise CertificationError("a member of the net misses the point (o, o)")
-    # entry (i, j) of D sum t_k A_k(o) is the dense linear form of its
-    # three coefficients, so C is the dense cubic form over D^3
-    form = det3_poly([[[m[i][j] for m in rows] for j in range(3)]
+    # entry (i, j) of 2 sum t_k A_k(o) is the dense linear form of its
+    # three coefficients, so its determinant is the dense cubic form of 8 C
+    form = det3_poly([[[m[i][j] for m in net.restricted] for j in range(3)]
                       for i in range(3)])
     if not any(form):
         raise DegenerateConfigurationError("identically singular net")
@@ -805,12 +810,12 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     if len(kernel) != 1:
         raise CertificationError("the net has no unique member singular at o")
     tstar = kernel[0]
-    cert = node_certificate(form, D ** 3, tstar)
+    cert = node_certificate(form, 8, tstar)
     if not cert.is_node:
         raise CertificationError("singular member of the net is not a node")
     if not no_line_through_node(form, tstar):
         raise CertificationError("net discriminant is not a one-nodal cubic")
-    return {"cubic": form, "den": D ** 3, "certificate": cert}
+    return {"cubic": form, "certificate": cert}
 
 
 def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:

@@ -328,29 +328,24 @@ class QMatrix:
     __slots__ = ("nums", "den")
 
     def __init__(self, entries: Iterable[Iterable]):
+        # lowest terms with no gcd: each prime power of den is the
+        # denominator of some entry, whose numerator the prime does not divide
         rows = [integer_numerators(row) for row in entries]
         den = lcm(*(d for _, d in rows))
         self._store([[n * (den // d) for n in row] for row, d in rows], den)
 
     @classmethod
-    def from_ints(cls, rows: Iterable[Iterable[int]], den: int = 1) -> "QMatrix":
-        """rows / den for integer rows and den > 0; the entries are not
-        checked."""
-        if den <= 0:
-            raise ValueError("the denominator must be positive")
+    def from_ints(cls, rows: Iterable[Iterable[int]]) -> "QMatrix":
+        """The matrix of integer rows; the entries are not checked."""
         self = object.__new__(cls)
-        self._store(rows, den)
+        self._store(rows, 1)
         return self
 
     def _store(self, rows: Iterable[Sequence[int]], den: int) -> None:
-        """Store rows / den, divided by the gcd of den and every entry."""
-        nums = [tuple(row) for row in rows]
+        nums = tuple(map(tuple, rows))
         if nums and any(len(r) != len(nums[0]) for r in nums):
             raise ValueError("ragged matrix")
-        g = gcd(den, *(v for row in nums for v in row))
-        if g != 1:
-            nums = [tuple(v // g for v in row) for row in nums]
-        self.nums, self.den = tuple(nums), den // g
+        self.nums, self.den = nums, den
 
     @property
     def rows(self) -> int:

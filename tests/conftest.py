@@ -10,23 +10,23 @@ from prym6 import chow, moduli
 
 
 @pytest.fixture(scope="module")
-def S():
-    return chow.DelPezzoRing()
+def P():
+    return chow.ProjectiveBundleRing()
 
 
 @pytest.fixture(scope="module")
-def P(S):
-    return chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+def S(P):
+    return P.base
 
 
 @pytest.fixture(scope="module")
-def table():
-    return chow.blowup_intersection_table()
+def blowup():
+    return chow.BlowupRing()
 
 
 @pytest.fixture(scope="module")
-def blowup(table):
-    return chow.BlowupRing(table)
+def table(blowup):
+    return blowup.table
 
 
 @pytest.fixture(scope="module")

@@ -182,9 +182,9 @@ class TestRiemannRoch:
         assert chow.hrr_chi(P, -2) == 0
         assert chow.hrr_chi(P, -4) == 5
 
-    def test_chi_is_the_direct_integral(self, S):
+    def test_chi_is_the_direct_integral(self):
         # a fresh ring, so its Hilbert coefficients are computed in this test
-        P = chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+        P = chow.ProjectiveBundleRing()
         zero = chow.ChowClass(P, {})
         td = P.one() + sum(chow.todd_classes(*chow.tangent_chern_classes(P)),
                            zero)
@@ -280,13 +280,13 @@ def ref_reduce(P, a, s):
     if a <= 2:
         return {(a, s): Fraction(1)}
     out = {}
-    for sk, sc in P.chern.c1.coeffs.items():
+    for sk, sc in P.c1.coeffs.items():
         for bs, bc in ref_mul_basis(P.base, s, sk).items():
             for key, c in ref_reduce(P, a - 1, bs).items():
                 out[key] = out.get(key, Fraction(0)) + sc * bc * c
     for bs, bc in ref_mul_basis(P.base, s, "pt").items():
         for key, c in ref_reduce(P, a - 2, bs).items():
-            out[key] = out.get(key, Fraction(0)) - Fraction(P.chern.c2) * bc * c
+            out[key] = out.get(key, Fraction(0)) - Fraction(P.c2) * bc * c
     return out
 
 
@@ -313,8 +313,7 @@ def make_ring(name):
     if name == "S":
         return chow.DelPezzoRing()
     if name == "P":
-        S = chow.DelPezzoRing()
-        return chow.ProjectiveBundleRing(S, chow.conic_bundle_chern_data(S))
+        return chow.ProjectiveBundleRing()
     return chow.ProductProjectiveRing((2, 2, 2))
 
 
@@ -391,34 +390,14 @@ class TestIntegerArithmetic:
                                     small_fracs, max_size=4),
                     min_size=4, max_size=4))
     def test_intersection_number_is_the_term_expansion(self, divisors):
-        table = chow.blowup_intersection_table()
-        X = chow.BlowupRing(table)
+        X = chow.BlowupRing()
+        table = X.table
         order = ("N", "H", "H1", "H2")
         brute = Fraction(0)
         for choice in product(*(d.items() for d in divisors)):
             counts = tuple(sum(name == n for n, _ in choice) for name in order)
             brute += table[counts] * prod(c for _, c in choice)
         assert chow.intersection_number([X.divisor(d) for d in divisors]) == brute
-
-
-class TestChernData:
-    def test_rejects_non_integral_chern_classes(self, S):
-        with pytest.raises(ValueError, match="integral"):
-            chow.ProjectiveBundleRing(
-                S, chow.ChernData(c1=S.L() * Fraction(1, 2), c2=3))
-        with pytest.raises(ValueError, match="integral"):
-            chow.ProjectiveBundleRing(
-                S, chow.ChernData(c1=-S.canonical(), c2=Fraction(1, 2)))
-
-    @pytest.mark.parametrize("first", [3, 4])
-    def test_each_ring_reduces_with_its_own_chern_data(self, first):
-        # the Segre number c1^2 - c2, with c1 = -K_S (so c1^2 = 5), whichever
-        # ring is built and used first: the reduction memo is per ring
-        S = chow.DelPezzoRing()
-        for c2 in (first, 7 - first):
-            P = chow.ProjectiveBundleRing(
-                S, chow.ChernData(c1=-S.canonical(), c2=c2))
-            assert (P.zeta() ** 4).integrate() == 5 - c2
 
 
 def rings_of(checks):

@@ -29,9 +29,9 @@ def var(block, i):
     return MultiPoly.from_ints(XY, {tuple(int(j == k) for j in range(6)): 1})
 
 
-def entry(m, i, j):
-    """The entry (i, j) of a QMatrix."""
-    return Fraction(m.nums[i][j], m.den)
+def rank_at(A, x):
+    """The rank of A(x), from the int rows of den * A(x)."""
+    return QMatrix.from_ints(A.evaluated(x)).rank()
 
 
 def quadric(A, i, j):
@@ -97,6 +97,13 @@ class TestBaseSystem:
                    cb.STANDARD_NODES[3])
             with pytest.raises(cb.DegenerateConfigurationError):
                 cb.base_system(bad)
+
+    def test_no_points_raise(self):
+        # the condition matrix of no rows has no columns either, so its
+        # kernel would be the zero system, not all 36 forms
+        with pytest.raises(ValueError, match="at least one point"):
+            cb.base_system(())
+        assert cb.base_system(cb.STANDARD_NODES[:1]).dim == 31
 
 
 class TestImposeLine:
@@ -311,12 +318,13 @@ class TestSymmetricMatrix:
                    for i in range(3) for j in range(3))
         values = [[quadric(A, i, j).evaluate({"x": x}) for j in range(3)]
                   for i in range(3)]
-        # the same integer rows over the same denominator, as NetT.restricted
-        # hands them on
-        assert A.evaluated(x) == QMatrix(values)
-        # the defining identity Q(x, y) = y^T A(x) y
+        # den * A(x) as int rows, as NetT.restricted hands them on
         Ax = A.evaluated(x)
-        assert sum(y[i] * entry(Ax, i, j) * y[j] for i in range(3) for j in range(3)) \
+        assert all(type(v) is int for row in Ax for v in row)
+        assert Ax == tuple(tuple(A.den * v for v in row) for row in values)
+        # the defining identity Q(x, y) = y^T A(x) y
+        assert sum(y[i] * Fraction(Ax[i][j], A.den) * y[j]
+                   for i in range(3) for j in range(3)) \
             == Q.evaluate({"x": x, "y": y})
 
     def test_rejects_wrong_bidegree(self):
@@ -589,7 +597,7 @@ class TestNodeCertificates:
 def kernel_point_by_jet(A, Q, u):
     """The route `singular_point_on_Q` replaced: the Bareiss kernel of A(u),
     and the gradient of Q at (u, y) checked to vanish."""
-    kernel = A.evaluated(u).kernel()
+    kernel = QMatrix.from_ints(A.evaluated(u)).kernel()
     assert len(kernel) == 1
     (y,) = kernel
     at = {"x": u, "y": y}
@@ -604,7 +612,7 @@ class TestSingularPointOnQ:
         gamma = cb.discriminant(A)
         for u in cb.STANDARD_NODES:
             y = cb.singular_point_on_Q(A, node_cert(gamma, u))
-            assert A.evaluated(u).rank() == 2
+            assert rank_at(A, u) == 2
             assert Q.evaluate({"x": u, "y": y}) == 0
 
     @pytest.mark.parametrize("seed", range(1, 21))
@@ -628,7 +636,7 @@ class TestSingularPointOnQ:
         pt = (117, 230, 0)
         cert = node_cert(gamma, pt)
         assert cert.gradient[0] == 0 and any(cert.gradient)
-        assert A.evaluated(pt).rank() == 2
+        assert rank_at(A, pt) == 2
         _, grad = kernel_point_by_jet(A, Q, pt)
         assert any(grad)
         with pytest.raises(cb.CertificationError):
@@ -644,7 +652,7 @@ class TestSingularPointOnQ:
         assert gamma == MultiPoly.from_ints(X, {(2, 2, 2): 1})
         cert = node_cert(gamma, (1, 0, 0))
         assert not any(cert.gradient)
-        assert A.evaluated(cert.point).rank() == 1
+        assert rank_at(A, cert.point) == 1
         with pytest.raises(cb.CertificationError):
             cb.singular_point_on_Q(A, cert)
 
@@ -709,7 +717,7 @@ class TestRankStratification:
         gamma = cb.discriminant(A)
         pt = (1, 2, 5)
         assert gamma.evaluate({"x": pt}) != 0
-        assert A.evaluated(pt).rank() == 3
+        assert rank_at(A, pt) == 3
 
 
 class TestResidualLine:
@@ -779,6 +787,13 @@ class TestInstancePipeline:
         assert again.to_json() == text
         assert again.Q == inst.Q
         json.loads(text)  # valid JSON
+
+    @pytest.mark.parametrize("seed", ["abc", 2.0, True])
+    def test_seed_that_from_json_refuses_is_rejected(self, seed):
+        # to_json writes the seed as it is, and from_json refuses every seed
+        # but null and an int, so no such instance is made
+        with pytest.raises(TypeError, match="not an int"):
+            cb.construct_instance(seed)
 
     @pytest.mark.parametrize("tamper", [
         lambda d: d["certificates"][0].update(hessian_minor=[1, 1]),
@@ -1108,8 +1123,7 @@ class TestNoLineThroughNodeOracle:
     def test_sweep_nets(self, seed):
         report = cb.sweep(seed, 1)["cubic"]
         form, node = report["cubic"], report["certificate"].point
-        cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)),
-                                    report["den"])
+        cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)), 8)
         assert cb.no_line_through_node(form, node)
         assert sylvester_says_no_line(cubic, node)
 
@@ -1149,7 +1163,7 @@ def rank_one_net(rng):
         if not any(cubic):
             continue
         net = cb.NetT(o=primitive(o), fixed_lines=(), system=None,
-                      restricted=tuple(QMatrix.from_ints(m) for m in mats))
+                      restricted=tuple(tuple(map(tuple, m)) for m in mats))
         return cubic, net
 
 
@@ -1169,18 +1183,40 @@ class TestNetAndSweep:
         report = cb.discriminant_cubic(net, rng)
         assert len(report["cubic"]) == 10 and any(report["cubic"])
         assert report["certificate"].is_node
+        # "cubic" is 8 C for C = det(sum t_k A_k(o)), each A_k(o) read off
+        # member k's conic over o in Fractions
+        def a(g, i, j):
+            conic = g.substitute({"x": net.o}).terms
+            e = tuple((m == i) + (m == j) for m in range(3))
+            return conic.get(e, Fraction(0)) / (1 if i == j else 2)
+
+        assert net.restricted == tuple(
+            tuple(tuple(2 * a(g, i, j) for j in range(3)) for i in range(3))
+            for g in net.system.basis)
+        t = [MultiPoly(T, {tuple(int(j == k) for j in range(3)): 1})
+             for k in range(3)]
+        M = [[sum((a(g, i, j) * tk for g, tk in zip(net.system.basis, t)),
+                  MultiPoly(T)) for j in range(3)] for i in range(3)]
+        C = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+             - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+             + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+        assert C.nums
+        assert MultiPoly(T, dict(zip(ps.monomials_of_degree(3),
+                                     report["cubic"]))) == 8 * C
+        # and the certificate is that of C itself
+        assert report["certificate"] == node_cert(C, report["certificate"].point)
         # proved, not checked, by discriminant_cubic: the singular member
         # has rank 2 and vertex o
         tstar = report["certificate"].point
-        B = QMatrix([[sum(t * entry(m, i, j) for t, m in zip(tstar, net.restricted))
-                      for j in range(3)] for i in range(3)])
+        B = QMatrix.from_ints([[sum(t * m[i][j] for t, m in zip(tstar, net.restricted))
+                                for j in range(3)] for i in range(3)])
         assert B.kernel() == [net.o]
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_kernel_node_is_the_elimination_root(self, seed):
         # the node from the 3x3 kernel is the point the Q elimination finds
         report = cb.sweep(seed, 1)["cubic"]
-        cubic = [Fraction(c, report["den"]) for c in report["cubic"]]
+        cubic = [Fraction(c, 8) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
         assert primitive(root) == report["certificate"].point
 
@@ -1202,8 +1238,8 @@ class TestNetAndSweep:
         o = tuple(cb.random_rational(rng) for _ in range(3))
         net = cb.build_net_T(o, fixed)
         a = net.restricted[0]
-        off = QMatrix([[entry(a, i, j) + (i == j) for j in range(3)]
-                       for i in range(3)])
+        off = tuple(tuple(v + (i == j) for j, v in enumerate(row))
+                    for i, row in enumerate(a))
         bad = net._replace(restricted=(off,) + net.restricted[1:])
         with pytest.raises(cb.CertificationError, match=r"misses the point"):
             cb.discriminant_cubic(bad, rng)

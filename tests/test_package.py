@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from prym6 import chow, cli
+from prym6 import cli
 from prym6 import conicbundle as cb
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,7 +59,7 @@ def instance():
 
 @pytest.fixture(scope="module")
 def records(instance):
-    """One of each of the eight records."""
+    """One of each of the seven records."""
     rng = random.Random(21)
     o = tuple(cb.random_rational(rng) for _ in range(3))
     net = cb.build_net_T(o, [cb.random_line_in_fiber(rng) for _ in range(4)])
@@ -70,7 +70,6 @@ def records(instance):
         "NodeCertificate": instance.node_certificates[0],
         "ConicBundleInstance": instance,
         "NetT": net,
-        "ChernData": chow.conic_bundle_chern_data(chow.DelPezzoRing()),
         "Check": cli._checks()[0],
     }
 
@@ -90,8 +89,7 @@ def test_line_is_its_primitive_representative():
 
 @pytest.mark.parametrize("name", ["LinearSystem", "LineInFiber",
                                   "SymQuadricMatrix", "NodeCertificate",
-                                  "ConicBundleInstance", "NetT", "ChernData",
-                                  "Check"])
+                                  "ConicBundleInstance", "NetT", "Check"])
 def test_records_are_immutable_values(records, name):
     record = records[name]
     assert type(record).__name__ == name
