@@ -4,7 +4,7 @@ Builds the 16-dimensional linear system of (2,2) forms singular at four
 diagonal points, cuts it down by lines in fibers to a unique member, extracts
 the symmetric matrix of quadratic forms, and certifies that the discriminant
 sextic is nodal exactly at the four prescribed points.  Everything is exact;
-the no-extra-singularity proof runs modulo word-size primes, one per
+the no-extra-singularity proof runs modulo half-word primes, one per
 attempt, and is sound for every prime.
 """
 
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -429,7 +429,7 @@ def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
-    """Certify Sing(gamma) = {points}, all ordinary nodes; modulo word-size
+    """Certify Sing(gamma) = {points}, all ordinary nodes; modulo half-word
     primes unless exact.  The count of `only_known_common_roots` needs the
     points to be distinct singular points, which is checked here exactly
     over Q.  gamma is a form as `_dense_form` takes it; anything else raises
@@ -651,14 +651,19 @@ class ConicBundleInstance(NamedTuple):
         return inst
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
+def random_point(rng: random.Random) -> tuple[int, int, int]:
+    """A random point of three rationals a/c, each a = randint(-97, 97)
+    drawn before c = randint(1, 97), as an integer triple: the numerators
+    scaled by the lcm of the denominators.  Two draws per coordinate keep
+    the rng stream that perfbench/digests.json pins (ROADMAP item 6)."""
+    draws = [(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(3)]
+    scale = lcm(*(den for _, den in draws))
+    return tuple(num * (scale // den) for num, den in draws)
 
 
 def random_line_in_fiber(rng: random.Random) -> LineInFiber:
     while True:
-        o = tuple(random_rational(rng) for _ in range(3))
-        dual = tuple(random_rational(rng) for _ in range(3))
+        o, dual = random_point(rng), random_point(rng)
         if any(o) and any(dual):
             return LineInFiber(o, dual)
 
@@ -822,8 +827,10 @@ def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:
     """A random line through o in its own fiber (the sweeping pencil)."""
     p, q = _plane_basis(o)
     while True:
-        a, b = random_rational(rng), random_rational(rng)
-        dual = tuple(a * u + b * v for u, v in zip(p, q))
+        # the dual vector a/c p + b/d q, scaled by c d
+        a, c = rng.randint(-97, 97), rng.randint(1, 97)
+        b, d = rng.randint(-97, 97), rng.randint(1, 97)
+        dual = tuple(a * d * u + b * c * v for u, v in zip(p, q))
         if any(dual):
             return LineInFiber(tuple(o), dual)
 
@@ -837,7 +844,7 @@ def sweep(seed: int, samples: int) -> dict:
     last: Exception | None = None
     for _ in range(_RETRIES):
         fixed = [random_line_in_fiber(rng) for _ in range(4)]
-        o = tuple(random_rational(rng) for _ in range(3))
+        o = random_point(rng)
         try:
             net = build_net_T(o, fixed)
             cubic_report = discriminant_cubic(net, rng)

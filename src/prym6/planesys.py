@@ -2,8 +2,10 @@
 
 Used to certify that a plane curve is singular only at k known points, all
 ordinary nodes, and to locate the unique node of a plane cubic.  The
-same code runs over Q and over prime fields GF(q) with q below 2^30, where
-every residue is a single machine word; the field is passed explicitly.
+same code runs over Q and over prime fields GF(q); the field is passed
+explicitly.  The completeness proof runs over GF(q) for q below 2^15, so
+that q^2 < 2^30 and every product of two residues is one 30-bit CPython
+digit.
 `p3_jet`, the value, gradient and Hessian of a form at a point, runs on
 integers, with no field, as dot products with cached tables of
 `p3_weights`: it is the one jet of the node certificates.
@@ -35,16 +37,26 @@ the bivariate resultants of one f and several g by evaluation at the fixed
 sample points x = 0 .. n - 1 and interpolation, one lane per sample and g:
 52 lanes for a completeness proof's two on a sextic.  Column j of a
 polynomial holds its x3^j coefficient in every lane, so each step of the
-remainder sequences, and of the evaluation, is one list operation across
-all lanes, and each round of remainders costs one ``inv_all``.
-Interpolation at 0 .. n - 1 is a dot product per coefficient with a
-Lagrange table cached per field and n, its entries already divided by the
-common denominator, so over GF(p) every entry is one word.
+remainder sequences is one list operation across all lanes, and each round
+of remainders costs one ``inv_all``.
+
+Evaluation at the n sample points and interpolation from them are fixed
+matrices times a vector.  Over GF(p), when a sum of as many products of two
+residues as the matrix has columns stays below 2^64, each runs packed
+(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+Algebra, 8.4): a column of the matrix is one integer with its entry for row
+x in the 64-bit slot x, so the product is one big-integer multiply-add per
+input, read back slot by slot.  Over Q, and over primes too large for that
+bound, evaluation is Horner's rule on a column of values and interpolation
+a dot product per coefficient.  Both matrices are cached per field and n;
+the Lagrange table's entries already carry the inverse of the common
+denominator, so over GF(p) each entry is one residue.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, compress
@@ -301,9 +313,33 @@ def uni_resultants(F, pairs):
     return out
 
 
+def _packs(F, terms: int) -> bool:
+    """Whether a sum of `terms` products of two residues of F fits one
+    64-bit slot: the bound under which a matrix over GF(p) with `terms`
+    columns multiplies a vector packed."""
+    return isinstance(F, GF) and terms * (F.p - 1) ** 2 < 1 << 64
+
+
+def _unpack(F, packed: int, n: int) -> list[int]:
+    """The n 64-bit slots of a nonnegative packed sum, each reduced over F."""
+    p = F.p
+    return [v % p for v in struct.unpack("<%dQ" % n, packed.to_bytes(8 * n, "little"))]
+
+
+@lru_cache(maxsize=32)
+def _packed_powers(F, n: int, terms: int):
+    """W_e = sum_x (x^e mod p) 2^(64 x) over the sample points x = 0 .. n - 1,
+    for e = 0 .. terms - 1: a polynomial with reduced coefficients c_e has
+    its value at x in slot x of sum_e c_e W_e, below 2^64 when
+    `_packs(F, terms)`."""
+    p = F.p
+    return tuple(sum(pow(x, e, p) << 64 * x for x in range(n))
+                 for e in range(terms))
+
+
 @lru_cache(maxsize=32)
 def _lagrange_table(F, n: int):
-    """The Lagrange interpolation rows over F for the n sample points
+    """The Lagrange interpolation rows over F for the n >= 1 sample points
     x = 0 .. n - 1.
 
     With D = (n - 1)! and w_i = (-1)^(n-1-i) C(n-1, i), the Lagrange basis
@@ -313,9 +349,10 @@ def _lagrange_table(F, n: int):
     prod_j (x - j) divided by x - i by synthetic division.  Returns the rows
     (N_0[k], .., N_{n-1}[k]) / D for k = 0 .. n - 1, as field elements: the
     polynomial with values y has k-th coefficient row k . y.  Over GF(p)
-    each entry is one word; with p <= n - 1, D vanishes mod p and ``F.inv``
-    raises ZeroDivisionError.  One table per field and n, so the mod-p
-    proof builds at most one per prime of WORD_PRIMES.
+    each entry is one residue; with p <= n - 1, D vanishes mod p and
+    ``F.inv`` raises ZeroDivisionError.  One table per field and n, so the
+    mod-p proof builds at most one per prime of WORD_PRIMES;
+    `_packed_lagrange` packs its columns.
     """
     master = [1]
     for j in range(n):
@@ -333,18 +370,37 @@ def _lagrange_table(F, n: int):
                  for row in zip(*numerators))
 
 
+@lru_cache(maxsize=32)
+def _packed_lagrange(F, n: int):
+    """L_x = sum_k T[k][x] 2^(64 k) for the `_lagrange_table` T of F and n,
+    one per sample point x: values y_x reduced over F give the polynomial's
+    x^k coefficient in slot k of sum_x y_x L_x, below 2^64 when
+    `_packs(F, n)`."""
+    return tuple(sum(c << 64 * k for k, c in enumerate(col))
+                 for col in zip(*_lagrange_table(F, n)))
+
+
 def uni_interpolate(F, ys):
     """The polynomial of degree < n that takes the value ys[x] at each
-    sample point x = 0 .. n - 1, n = len(ys).
+    sample point x = 0 .. n - 1, n = len(ys); no values give the zero
+    polynomial.
 
     Each coefficient is one dot product of ys with a row of the cached
     Lagrange table of `_lagrange_table` over F, whose entries already carry
-    the inverse of the common denominator (n - 1)!.  Over GF(p) with
+    the inverse of the common denominator (n - 1)!.  Over GF(p) within the
+    slot bound of `_packs`, the ys are reduced and the dot products run as
+    one packed sum over the columns of `_packed_lagrange`.  Over GF(p) with
     p <= n - 1 two sample points coincide mod p, and the call raises
     ZeroDivisionError.
     """
+    n = len(ys)
+    if not n:
+        return []
+    if _packs(F, n):
+        return _trim(F, _unpack(F, sum(map(mul, F.reduce_all(ys),
+                                          _packed_lagrange(F, n))), n))
     return _trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero)
-                                 for row in _lagrange_table(F, len(ys))))
+                                 for row in _lagrange_table(F, n)))
 
 
 def det_field(F, m):
@@ -527,6 +583,30 @@ def _x3_tower(F, form):
     return [_reduced(F, level) for level in tower]
 
 
+def _tower_at_samples(F, tower, n: int):
+    """The x3-levels of an `_x3_tower`, polynomials in x1 with reduced
+    coefficients, at the sample points x1 = 0 .. n - 1: one tuple of level
+    values per sample.
+
+    Over GF(p) within the slot bound of `_packs`, each level is one packed
+    sum of its coefficients times the `_packed_powers`; otherwise it is
+    evaluated by Horner's rule on a column of values.
+    """
+    terms = max(map(len, tower))
+    if _packs(F, terms):
+        powers = _packed_powers(F, n, terms)
+        return list(zip(*(_unpack(F, sum(map(mul, level, powers)), n)
+                          for level in tower)))
+    xs = range(n)
+    out = []
+    for level in tower:
+        col = [level[-1] if level else F.zero] * n
+        for c in reversed(level[:-1]):
+            col = [v * x + c for v, x in zip(col, xs)]
+        out.append(F.reduce_all(col))
+    return list(zip(*out))
+
+
 def resultant_x3(F, f, gs):
     """Res_{x3}(f, g) for each g in gs, on the chart x2 = 1, by
     evaluation/interpolation.
@@ -536,32 +616,22 @@ def resultant_x3(F, f, gs):
     anything else, or gs of two degrees, raises ValueError.  Each result is
     a univariate polynomial in x1 of degree at most d1*d2; its value at each
     sample x1 = 0 .. d1*d2 is the low-first Sylvester determinant in x3.
-    Each x3-level, a polynomial in x1, is evaluated at all samples at once
-    by Horner's rule on a column of values, f's once for all gs.  All
-    len(gs) * (d1*d2 + 1) sample resultants run as lanes of one
-    `uni_resultants` call; `uni_interpolate` reads each g's slice.
+    `_tower_at_samples` evaluates each x3-level at all samples at once, f's
+    once for all gs: packed over GF(p) within its slot bound, otherwise by
+    Horner's rule.  All len(gs) * (d1*d2 + 1) sample resultants run as
+    lanes of one `uni_resultants` call; `uni_interpolate` reads each g's
+    slice.
     """
     tf, tgs = _x3_tower(F, f), [_x3_tower(F, g) for g in gs]
     if (len({len(t) for t in tgs}) != 1
             or any(uni_degree(t[-1]) != 0 for t in [tf] + tgs)):
         raise ValueError("no gs, gs of two degrees, or a leading x3 "
                          "coefficient that is not a nonzero constant")
-    xs = range((len(tf) - 1) * (len(tgs[0]) - 1) + 1)
-
-    def lanes(tower):
-        """Each sample's x3-levels, by Horner's rule on columns."""
-        out = []
-        for level in tower:
-            col = [level[-1] if level else F.zero] * len(xs)
-            for c in reversed(level[:-1]):
-                col = [v * x + c for v, x in zip(col, xs)]
-            out.append(F.reduce_all(col))
-        return list(zip(*out))
-
-    at_f = lanes(tf)
-    values = uni_resultants(F, [pair for t in tgs for pair in zip(at_f, lanes(t))])
-    return [uni_interpolate(F, values[i:i + len(xs)])
-            for i in range(0, len(values), len(xs))]
+    n = (len(tf) - 1) * (len(tgs[0]) - 1) + 1
+    at_f = _tower_at_samples(F, tf, n)
+    values = uni_resultants(F, [pair for t in tgs
+                                for pair in zip(at_f, _tower_at_samples(F, t, n))])
+    return [uni_interpolate(F, values[i:i + n]) for i in range(0, len(values), n)]
 
 
 def _random_invertible(F, draw):
@@ -588,10 +658,11 @@ def _mat3_apply(F, m, v):
 #: random changes of coordinates an elimination draws before it gives up
 _TRIES = 8
 
-#: the eight largest primes below 2^30, one per attempt of the mod-p proof;
-#: each is above 25, the last sample point of `resultant_x3` on a sextic
-WORD_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
-               1073741717, 1073741689, 1073741671)
+#: the eight largest primes below 2^15, one per attempt of the mod-p proof:
+#: q^2 < 2^30, so a product of two residues is one 30-bit CPython digit, and
+#: a sextic's 26 sample points pass the slot bound of `_packs`.  Each is
+#: above 25, the last sample point of `resultant_x3` on a sextic
+WORD_PRIMES = (32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653)
 
 
 def _moved_curves(curve, rng: random.Random, exact: bool):

@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -204,6 +206,50 @@ class TestPlaneBasis:
     def test_zero_vector_raises(self):
         with pytest.raises(ValueError):
             cb._plane_basis((0, 0, 0))
+
+
+def random_rational(rng):
+    """The Fraction draw that the integer draws replaced: their oracle."""
+    return Fraction(rng.randint(-97, 97), rng.randint(1, 97))
+
+
+def is_positive_multiple(v, w):
+    """Whether v = s w for a rational s > 0, w nonzero."""
+    return (all(a * d == b * c for (a, b), (c, d) in combinations(zip(v, w), 2))
+            and sum(map(mul, v, w)) > 0)
+
+
+class TestIntegerDraws:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_points_and_stream_as_the_fraction_draws(self, seed):
+        # each integer draw is a positive multiple of the rational one it
+        # replaced, after the same randint calls in the same order
+        rng, oracle = random.Random(seed), random.Random(seed)
+        o = cb.random_point(rng)
+        want = [random_rational(oracle) for _ in range(3)]
+        assert all(type(c) is int for c in o)
+        assert is_positive_multiple(o, want)
+        assert rng.getstate() == oracle.getstate()
+
+        lf = cb.random_line_in_fiber(rng)
+        while True:
+            ro = [random_rational(oracle) for _ in range(3)]
+            rd = [random_rational(oracle) for _ in range(3)]
+            if any(ro) and any(rd):
+                break
+        assert lf == cb.LineInFiber(ro, rd)
+        assert rng.getstate() == oracle.getstate()
+
+        o = lf.o
+        line = cb.pencil_line_through(o, rng)
+        p, q = cb._plane_basis(o)
+        while True:
+            a, b = random_rational(oracle), random_rational(oracle)
+            dual = [a * u + b * v for u, v in zip(p, q)]
+            if any(dual):
+                break
+        assert line == cb.LineInFiber(o, dual)
+        assert rng.getstate() == oracle.getstate()
 
 
 class TestImposePoint:
@@ -1171,7 +1217,7 @@ class TestNetAndSweep:
     def test_net_dimension_and_cubic(self):
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
-        o = tuple(cb.random_rational(rng) for _ in range(3))
+        o = cb.random_point(rng)
         net = cb.build_net_T(o, fixed)
         assert net.system.dim == 3
         ladder = cb.base_system(cb.STANDARD_NODES)
@@ -1225,7 +1271,7 @@ class TestNetAndSweep:
         # zero conic, so the 3x3 kernel has dimension 2
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
-        o = tuple(cb.random_rational(rng) for _ in range(3))
+        o = cb.random_point(rng)
         net = cb.build_net_T(o, fixed)
         same = net._replace(restricted=(net.restricted[0],) * 3)
         with pytest.raises(cb.CertificationError, match="unique member"):
@@ -1235,7 +1281,7 @@ class TestNetAndSweep:
         # o^T A_1(o) o != 0: the first member no longer passes through (o, o)
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
-        o = tuple(cb.random_rational(rng) for _ in range(3))
+        o = cb.random_point(rng)
         net = cb.build_net_T(o, fixed)
         a = net.restricted[0]
         off = tuple(tuple(v + (i == j) for j, v in enumerate(row))

@@ -61,7 +61,7 @@ def instance():
 def records(instance):
     """One of each of the seven records."""
     rng = random.Random(21)
-    o = tuple(cb.random_rational(rng) for _ in range(3))
+    o = cb.random_point(rng)
     net = cb.build_net_T(o, [cb.random_line_in_fiber(rng) for _ in range(4)])
     return {
         "LinearSystem": net.system,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, perm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -96,14 +97,22 @@ class TestFields:
 class TestWordPrimes:
     def test_table_entries_are_distinct_word_primes(self):
         # each prime exceeds 25, the last sample point of a sextic's
-        # resultants, so the sample points stay distinct mod q; below 2^30,
-        # trial division up to isqrt(q) < 2^15 decides primality
+        # resultants, so the sample points stay distinct mod q; below 2^15,
+        # trial division up to isqrt(q) < 2^8 decides primality
         primes = ps.WORD_PRIMES
         assert len(primes) == ps._TRIES
         assert len(set(primes)) == len(primes)
         for q in primes:
-            assert 25 < q < 2 ** 30
+            assert 25 < q < 2 ** 15
             assert all(q % f for f in range(2, isqrt(q) + 1))
+
+    @pytest.mark.parametrize("q", ps.WORD_PRIMES)
+    def test_products_are_one_digit_and_a_sextic_packs(self, q):
+        # a product of two residues is one 30-bit CPython digit; a sextic's
+        # partials are quintics, whose x3-levels have at most 6 terms, and
+        # their resultants have 26 sample points: both packed sums fit
+        assert q * q < 2 ** 30
+        assert ps._packs(ps.GF(q), 6) and ps._packs(ps.GF(q), 26)
 
 
 class TestUnivariate:
@@ -153,6 +162,12 @@ class TestUnivariate:
                 assert ps.uni_interpolate(F, [F.zero] * n) == []
         ys = [Fraction(k * k + 1) for k in range(3)]
         assert ps.uni_interpolate(ps.QQ, ys) == [1, 0, 1]
+
+    @pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), GF_P, ps.QQ],
+                             ids=["word", "gf", "qq"])
+    def test_interpolate_no_values_is_the_zero_polynomial(self, F):
+        # no sample point: the polynomial of degree below 0
+        assert ps.uni_interpolate(F, []) == []
 
     def test_interpolate_repeated_x_raises(self):
         # over GF(p) with p <= n - 1 the sample points 0 .. n-1 repeat mod p
@@ -398,6 +413,72 @@ class TestLaneResultants:
                                         if e3 == k) for k in range(6)])
                     for form in (f, g))
             assert uni_eval(F, r, x) == ps.det_field(F, _sylvester_low_first(F, a, b))
+
+
+def horner_at_samples(F, tower, n):
+    """The oracle of `_tower_at_samples`: each level by Horner's rule at
+    every sample point x = 0 .. n - 1."""
+    return list(zip(*([uni_eval(F, level, x) for x in range(n)] for level in tower)))
+
+
+def lagrange_dot_products(F, ys):
+    """The oracle of `uni_interpolate`: one dot product of ys with each row
+    of the Lagrange table."""
+    return ps._trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero)
+                                    for row in ps._lagrange_table(F, len(ys))))
+
+
+class TestPackedPath:
+    @pytest.mark.parametrize("q", ps.WORD_PRIMES)
+    def test_packed_evaluation_is_horner(self, q):
+        # random towers of reduced levels of up to 6 terms, as a quintic's,
+        # at 26 sample points, with empty (all-zero) levels and levels of
+        # top residue q - 1, the largest slot sum
+        F = ps.GF(q)
+        rng = random.Random(q)
+        for _ in range(20):
+            d = rng.randint(1, 5)
+            n = rng.choice([1, d * d + 1, 26])
+            tower = [ps._trim(F, [rng.choice([0, q - 1, rng.randrange(q)])
+                                  for _ in range(rng.randint(0, d - e3 + 1))])
+                     for e3 in range(d + 1)]
+            tower[rng.randrange(d + 1)] = []
+            tower[-1] = [rng.randrange(1, q)]
+            assert ps._tower_at_samples(F, tower, n) == horner_at_samples(F, tower, n)
+        top = [[q - 1] * 6, [], [q - 1]]
+        assert ps._tower_at_samples(F, top, 26) == horner_at_samples(F, top, 26)
+
+    @pytest.mark.parametrize("q", ps.WORD_PRIMES)
+    def test_packed_interpolation_is_the_lagrange_dot_products(self, q):
+        # random values, unreduced and negative ones among them; values of
+        # a polynomial of low degree, whose result trims; and the zero values
+        F = ps.GF(q)
+        rng = random.Random(q)
+        for n in range(1, 27):
+            ys = [rng.randint(-3 * q, 3 * q) for _ in range(n)]
+            assert ps.uni_interpolate(F, ys) == lagrange_dot_products(F, ys)
+            low = [rng.randrange(q) for _ in range(rng.randint(1, n))]
+            ys = [uni_eval(F, low, x) + rng.randint(-2, 2) * q for x in range(n)]
+            assert ps.uni_interpolate(F, ys) == ps._trim(F, low)
+            assert ps.uni_interpolate(F, [q * x for x in range(n)]) == []
+            assert ps.uni_interpolate(F, [q - 1] * n) == [q - 1]
+
+    @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
+    def test_large_prime_and_q_take_the_unpacked_path(self, F, monkeypatch):
+        # residues of 61 bits overflow a 64-bit slot; over Q there is none
+        assert not ps._packs(F, 1)
+
+        def fail(*args):
+            raise AssertionError("packed table built")
+        monkeypatch.setattr(ps, "_packed_powers", fail)
+        monkeypatch.setattr(ps, "_packed_lagrange", fail)
+        # on x2 = 1, Res(x3^2 + a, x3^2 + b x3 + c) = (c - a)^2 + a b^2 for
+        # a = 3 x1 - x1^2, b = x1 and c = 2
+        f = dense(F, {(0, 0, 2): 1, (2, 0, 0): -1, (1, 1, 0): 3}, 2)
+        g = dense(F, {(0, 0, 2): 1, (0, 2, 0): 2, (1, 0, 1): 1}, 2)
+        assert ps.resultant_x3(F, f, [g]) == [[lift(F, v) for v in (4, -12, 13, -3)]]
+        ys = [lift(F, x * x + 1) for x in range(5)]
+        assert ps.uni_interpolate(F, ys) == [F.one, F.zero, F.one]
 
 
 class TestResultant:
@@ -1014,3 +1095,36 @@ def test_completeness_check_draw_count():
         rng = random.Random(seed)
         assert cb.singular_locus_is_exactly(inst.gamma, cb.STANDARD_NODES, rng)
         assert rng.random() == after
+
+
+def test_construct_proofs_accept_at_the_first_attempt(monkeypatch):
+    # every completeness proof of gamma on construct seeds 1-20 accepts at
+    # its first attempt, modulo the first prime, with one change of
+    # coordinates of nine draws: a prime table that starts rejecting moves
+    # the rng stream that every sweep digest pins
+    proofs, calls, draws = [], [], []
+    batch, change, prove = ps.resultant_x3, ps._random_invertible, cb.only_known_common_roots
+
+    def count_batches(F, f, gs):
+        calls.append(F.p)
+        return batch(F, f, gs)
+
+    def count_draws(F, draw):
+        def counted():
+            draws.append(1)
+            return draw()
+        return change(F, counted)
+
+    def spy(curve, k, rng, exact=False):
+        calls.clear()
+        draws.clear()
+        accepted = prove(curve, k, rng, exact)
+        proofs.append((accepted, list(calls), len(draws)))
+        return accepted
+    monkeypatch.setattr(ps, "resultant_x3", count_batches)
+    monkeypatch.setattr(ps, "_random_invertible", count_draws)
+    monkeypatch.setattr(cb, "only_known_common_roots", spy)
+    for seed in range(1, 21):
+        cb.construct_instance(seed)
+    assert len(proofs) >= 20
+    assert all(p == (True, [ps.WORD_PRIMES[0]], 9) for p in proofs)
