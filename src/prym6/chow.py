@@ -374,8 +374,12 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
     ch(O_P(d)) = sum_k d^k zeta^k / k!, so the integral of ch(O_P(d)).Td(T_P)
     is the quartic sum_k c_k d^k with c_k = integral of zeta^k.Td(T_P) / k!.
     The five c_k are computed once per ring, on first use, and kept as
-    integer numerators over one denominator.
+    integer numerators over one denominator.  A twist d that is not an int
+    raises TypeError: the polynomial's value there is no Euler
+    characteristic.
     """
+    if type(d) is not int:
+        raise TypeError(f"a twist is an int, not {d!r}")
     if P._hilbert is None:
         # zeta^k meets only the codimension-(4 - k) Todd class in degree 4
         td = (P.one(), *todd_classes(*tangent_chern_classes(P)))

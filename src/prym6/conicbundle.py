@@ -131,7 +131,7 @@ def _chart_index(point: Sequence[int]) -> int:
     raise ValueError("zero point has no chart")
 
 
-def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
+def node_condition_rows(point: Sequence[int | Fraction]) -> list[list[int]]:
     """Rows over `XY_MONOMIALS` for vanishing to order 2 at (u, u), with u
     scaled to a primitive integer vector: the value and the four chart
     partials, in x and then in y (the Euler relations make value + four
@@ -146,12 +146,15 @@ def node_condition_rows(point: Sequence[Fraction]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def base_system(points: tuple[tuple[Fraction, ...], ...]) -> LinearSystem:
+def base_system(points: tuple[tuple[int | Fraction, ...], ...]) -> LinearSystem:
     """(2,2) forms vanishing to order 2 at (u, u) for each of the points:
     at four general points, the 16-dimensional system at the heart of the
-    construction.  No points raise ValueError."""
+    construction.  No points, or a point of other than 3 entries, raise
+    ValueError."""
     if not points:
         raise ValueError("a base system needs at least one point")
+    if any(len(pt) != 3 for pt in points):
+        raise ValueError("a base point needs 3 entries")
     points = [primitive(pt) for pt in points]
     if not all(sum(map(mul, a, _cross(b, c)))
                for a, b, c in combinations(points, 3)):
@@ -239,8 +242,8 @@ def impose_line(sys: LinearSystem, lf: LineInFiber,
                 expected_drop, f"line in fiber over {lf.o}")
 
 
-def impose_point(sys: LinearSystem, x: Sequence[Fraction],
-                 y: Sequence[Fraction]) -> LinearSystem:
+def impose_point(sys: LinearSystem, x: Sequence[int | Fraction],
+                 y: Sequence[int | Fraction]) -> LinearSystem:
     """Cut the system by vanishing at the point (x, y) (codim 1); a block
     of other than 3 coordinates, or of zeros, raises."""
     x, y = tuple(x), tuple(y)
@@ -741,7 +744,8 @@ class NetT(NamedTuple):
     restricted: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def build_net_T(o: Sequence[Fraction], fixed_lines: Sequence[LineInFiber]) -> NetT:
+def build_net_T(o: Sequence[int | Fraction],
+                fixed_lines: Sequence[LineInFiber]) -> NetT:
     """The net of members through (o, o) containing four fixed fiber lines."""
     if len(fixed_lines) != 4:
         raise ValueError("exactly four fixed lines are required")

@@ -40,17 +40,17 @@ polynomial holds its x3^j coefficient in every lane, so each step of the
 remainder sequences is one list operation across all lanes, and each round
 of remainders costs one ``inv_all``.
 
-Evaluation at the n sample points and interpolation from them are fixed
-matrices times a vector.  Over GF(p), when a sum of as many products of two
-residues as the matrix has columns stays below 2^64, each runs packed
+Evaluation at the n sample points and interpolation from them are two
+fixed n x n matrices times a vector, built once per field and n by
+`_sample_maps` and multiplied by `_times`.  Over GF(p), when a sum of n
+products of two residues stays below 2^64, the product runs packed
 (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
 Algebra, 8.4): a column of the matrix is one integer with its entry for row
-x in the 64-bit slot x, so the product is one big-integer multiply-add per
+i in the 64-bit slot i, so the product is one big-integer multiply-add per
 input, read back slot by slot.  Over Q, and over primes too large for that
-bound, evaluation is Horner's rule on a column of values and interpolation
-a dot product per coefficient.  Both matrices are cached per field and n;
-the Lagrange table's entries already carry the inverse of the common
-denominator, so over GF(p) each entry is one residue.
+bound, it is one dot product per row.  The interpolation matrix's entries
+already carry the inverse of the common denominator, so over GF(p) each
+entry is one residue.
 """
 
 from __future__ import annotations
@@ -326,33 +326,24 @@ def _unpack(F, packed: int, n: int) -> list[int]:
     return [v % p for v in struct.unpack("<%dQ" % n, packed.to_bytes(8 * n, "little"))]
 
 
-@lru_cache(maxsize=32)
-def _packed_powers(F, n: int, terms: int):
-    """W_e = sum_x (x^e mod p) 2^(64 x) over the sample points x = 0 .. n - 1,
-    for e = 0 .. terms - 1: a polynomial with reduced coefficients c_e has
-    its value at x in slot x of sum_e c_e W_e, below 2^64 when
-    `_packs(F, terms)`."""
-    p = F.p
-    return tuple(sum(pow(x, e, p) << 64 * x for x in range(n))
-                 for e in range(terms))
-
-
-@lru_cache(maxsize=32)
-def _lagrange_table(F, n: int):
-    """The Lagrange interpolation rows over F for the n >= 1 sample points
-    x = 0 .. n - 1.
+@lru_cache(maxsize=16)
+def _sample_maps(F, n: int):
+    """The evaluation and interpolation matrices over F of the n >= 1
+    sample points x = 0 .. n - 1: E[x][e] = x^e, and T with row k . y the
+    x^k coefficient of the polynomial of degree < n with values y.
 
     With D = (n - 1)! and w_i = (-1)^(n-1-i) C(n-1, i), the Lagrange basis
     polynomial of the point i is N_i / D for the integer polynomial
     N_i = w_i prod_{j != i} (x - j), since prod_{j != i} (i - j) =
     (-1)^(n-1-i) i! (n-1-i)!.  Each N_i is the master polynomial
-    prod_j (x - j) divided by x - i by synthetic division.  Returns the rows
-    (N_0[k], .., N_{n-1}[k]) / D for k = 0 .. n - 1, as field elements: the
-    polynomial with values y has k-th coefficient row k . y.  Over GF(p)
-    each entry is one residue; with p <= n - 1, D vanishes mod p and
-    ``F.inv`` raises ZeroDivisionError.  One table per field and n, so the
-    mod-p proof builds at most one per prime of WORD_PRIMES;
-    `_packed_lagrange` packs its columns.
+    prod_j (x - j) divided by x - i by synthetic division, and
+    T[k][x] = N_x[k] / D.  Over GF(p) each entry is one residue; with
+    p <= n - 1, D vanishes mod p and ``F.inv`` raises ZeroDivisionError.
+    Returns (E, T), each as its n columns packed into 64-bit slots, entry i
+    of a column in slot i, when `_packs(F, n)`, and as its n rows otherwise:
+    the two forms `_times` multiplies.  A sextic's proofs ask for n = 26
+    over the word primes and Q, the exact check of a quartic for n = 10
+    over Q: at most 10 keys, so 16 entries hold them all.
     """
     master = [1]
     for j in range(n):
@@ -366,18 +357,22 @@ def _lagrange_table(F, n: int):
             quotient[k - 1] = w * carry
         numerators.append(quotient)
     inv = F.inv(factorial(n - 1))
-    return tuple(tuple(F.reduce_all(v * inv for v in row))
-                 for row in zip(*numerators))
+    rows = ([F.reduce_all(x ** e for e in range(n)) for x in range(n)],
+            [F.reduce_all(v * inv for v in row) for row in zip(*numerators)])
+    if _packs(F, n):
+        return tuple(tuple(sum(c << 64 * i for i, c in enumerate(col))
+                           for col in zip(*m)) for m in rows)
+    return tuple(tuple(map(tuple, m)) for m in rows)
 
 
-@lru_cache(maxsize=32)
-def _packed_lagrange(F, n: int):
-    """L_x = sum_k T[k][x] 2^(64 k) for the `_lagrange_table` T of F and n,
-    one per sample point x: values y_x reduced over F give the polynomial's
-    x^k coefficient in slot k of sum_x y_x L_x, below 2^64 when
-    `_packs(F, n)`."""
-    return tuple(sum(c << 64 * k for k, c in enumerate(col))
-                 for col in zip(*_lagrange_table(F, n)))
+def _times(F, matrix, v):
+    """An n x n matrix of `_sample_maps` times the first n entries of v,
+    reduced over F: packed (its columns are ints), one multiply-add per
+    entry of v, which must be reduced, read back by `_unpack`; otherwise
+    one dot product per row."""
+    if type(matrix[0]) is int:
+        return _unpack(F, sum(map(mul, v, matrix)), len(matrix))
+    return F.reduce_all(sum(map(mul, row, v), F.zero) for row in matrix)
 
 
 def uni_interpolate(F, ys):
@@ -385,22 +380,14 @@ def uni_interpolate(F, ys):
     sample point x = 0 .. n - 1, n = len(ys); no values give the zero
     polynomial.
 
-    Each coefficient is one dot product of ys with a row of the cached
-    Lagrange table of `_lagrange_table` over F, whose entries already carry
-    the inverse of the common denominator (n - 1)!.  Over GF(p) within the
-    slot bound of `_packs`, the ys are reduced and the dot products run as
-    one packed sum over the columns of `_packed_lagrange`.  Over GF(p) with
-    p <= n - 1 two sample points coincide mod p, and the call raises
-    ZeroDivisionError.
+    One `_times` of the interpolation matrix of `_sample_maps`, whose
+    entries already carry the inverse of the common denominator (n - 1)!,
+    with the reduced ys.  Over GF(p) with p <= n - 1 two sample points
+    coincide mod p, and the call raises ZeroDivisionError.
     """
-    n = len(ys)
-    if not n:
+    if not ys:
         return []
-    if _packs(F, n):
-        return _trim(F, _unpack(F, sum(map(mul, F.reduce_all(ys),
-                                          _packed_lagrange(F, n))), n))
-    return _trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero)
-                                 for row in _lagrange_table(F, n)))
+    return _trim(F, _times(F, _sample_maps(F, len(ys))[1], F.reduce_all(ys)))
 
 
 def det_field(F, m):
@@ -586,25 +573,12 @@ def _x3_tower(F, form):
 def _tower_at_samples(F, tower, n: int):
     """The x3-levels of an `_x3_tower`, polynomials in x1 with reduced
     coefficients, at the sample points x1 = 0 .. n - 1: one tuple of level
-    values per sample.
-
-    Over GF(p) within the slot bound of `_packs`, each level is one packed
-    sum of its coefficients times the `_packed_powers`; otherwise it is
-    evaluated by Horner's rule on a column of values.
-    """
-    terms = max(map(len, tower))
-    if _packs(F, terms):
-        powers = _packed_powers(F, n, terms)
-        return list(zip(*(_unpack(F, sum(map(mul, level, powers)), n)
-                          for level in tower)))
-    xs = range(n)
-    out = []
-    for level in tower:
-        col = [level[-1] if level else F.zero] * n
-        for c in reversed(level[:-1]):
-            col = [v * x + c for v, x in zip(col, xs)]
-        out.append(F.reduce_all(col))
-    return list(zip(*out))
+    values per sample, each level one `_times` of the evaluation matrix of
+    `_sample_maps`.  A level has at most n terms when both forms of
+    `resultant_x3` have degree >= 1; otherwise n = 1, and the sample point
+    0 reads only the constant term, so reading the first n is exact."""
+    powers = _sample_maps(F, n)[0]
+    return list(zip(*(_times(F, powers, level) for level in tower)))
 
 
 def resultant_x3(F, f, gs):
@@ -617,10 +591,9 @@ def resultant_x3(F, f, gs):
     a univariate polynomial in x1 of degree at most d1*d2; its value at each
     sample x1 = 0 .. d1*d2 is the low-first Sylvester determinant in x3.
     `_tower_at_samples` evaluates each x3-level at all samples at once, f's
-    once for all gs: packed over GF(p) within its slot bound, otherwise by
-    Horner's rule.  All len(gs) * (d1*d2 + 1) sample resultants run as
-    lanes of one `uni_resultants` call; `uni_interpolate` reads each g's
-    slice.
+    once for all gs, one matrix product per level.  All
+    len(gs) * (d1*d2 + 1) sample resultants run as lanes of one
+    `uni_resultants` call; `uni_interpolate` reads each g's slice.
     """
     tf, tgs = _x3_tower(F, f), [_x3_tower(F, g) for g in gs]
     if (len({len(t) for t in tgs}) != 1

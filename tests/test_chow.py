@@ -182,6 +182,13 @@ class TestRiemannRoch:
         assert chow.hrr_chi(P, -2) == 0
         assert chow.hrr_chi(P, -4) == 5
 
+    def test_non_integer_twist_raises(self, P):
+        # the Hilbert polynomial has values off the integers (155/64 at
+        # 1/2), but O_P(d) is a sheaf only for an int d; a bool is no twist
+        for d in (Fraction(1, 2), Fraction(2), True, 1.0):
+            with pytest.raises(TypeError, match="twist"):
+                chow.hrr_chi(P, d)
+
     def test_chi_is_the_direct_integral(self):
         # a fresh ring, so its Hilbert coefficients are computed in this test
         P = chow.ProjectiveBundleRing()

@@ -107,6 +107,14 @@ class TestBaseSystem:
             cb.base_system(())
         assert cb.base_system(cb.STANDARD_NODES[:1]).dim == 31
 
+    def test_point_of_other_than_three_entries_raises(self):
+        # points of 2 and of 4 entries, alone or beside three good ones,
+        # are rejected before any cross product or monomial table
+        for bad in (((1, 0), (0, 1), (1, 1)), ((1, 0, 0, 1),),
+                    cb.STANDARD_NODES[:3] + ((1, 1, 1, 1),)):
+            with pytest.raises(ValueError, match="3 entries"):
+                cb.base_system(bad)
+
 
 class TestImposeLine:
     def test_dimension_chain(self):

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, perm, prod
-from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -421,11 +420,20 @@ def horner_at_samples(F, tower, n):
     return list(zip(*([uni_eval(F, level, x) for x in range(n)] for level in tower)))
 
 
-def lagrange_dot_products(F, ys):
-    """The oracle of `uni_interpolate`: one dot product of ys with each row
-    of the Lagrange table."""
-    return ps._trim(F, F.reduce_all(sum(map(mul, row, ys), F.zero)
-                                    for row in ps._lagrange_table(F, len(ys))))
+def lagrange_from_definition(F, ys):
+    """The oracle of `uni_interpolate`, from the definition:
+    sum_x y_x prod_{j != x} (t - j) / (x - j) over F, expanded by `uni_mul`."""
+    n = len(ys)
+    out = [F.zero] * n
+    for x, y in enumerate(ys):
+        basis, denominator = [F.one], 1
+        for j in range(n):
+            if j != x:
+                basis = uni_mul(F, basis, [lift(F, -j), F.one])
+                denominator *= x - j
+        scale = y * F.inv(lift(F, denominator))
+        out = [v + scale * c for v, c in zip(out, basis)]
+    return ps._reduced(F, out)
 
 
 class TestPackedPath:
@@ -456,7 +464,7 @@ class TestPackedPath:
         rng = random.Random(q)
         for n in range(1, 27):
             ys = [rng.randint(-3 * q, 3 * q) for _ in range(n)]
-            assert ps.uni_interpolate(F, ys) == lagrange_dot_products(F, ys)
+            assert ps.uni_interpolate(F, ys) == lagrange_from_definition(F, ys)
             low = [rng.randrange(q) for _ in range(rng.randint(1, n))]
             ys = [uni_eval(F, low, x) + rng.randint(-2, 2) * q for x in range(n)]
             assert ps.uni_interpolate(F, ys) == ps._trim(F, low)
@@ -469,9 +477,12 @@ class TestPackedPath:
         assert not ps._packs(F, 1)
 
         def fail(*args):
-            raise AssertionError("packed table built")
-        monkeypatch.setattr(ps, "_packed_powers", fail)
-        monkeypatch.setattr(ps, "_packed_lagrange", fail)
+            raise AssertionError("packed sum read back")
+        monkeypatch.setattr(ps, "_unpack", fail)
+        for n in (1, 4, 26):
+            for m in ps._sample_maps(F, n):
+                # rows of field elements, not packed columns
+                assert len(m) == n and all(len(row) == n for row in m)
         # on x2 = 1, Res(x3^2 + a, x3^2 + b x3 + c) = (c - a)^2 + a b^2 for
         # a = 3 x1 - x1^2, b = x1 and c = 2
         f = dense(F, {(0, 0, 2): 1, (2, 0, 0): -1, (1, 1, 0): 3}, 2)
@@ -479,6 +490,20 @@ class TestPackedPath:
         assert ps.resultant_x3(F, f, [g]) == [[lift(F, v) for v in (4, -12, 13, -3)]]
         ys = [lift(F, x * x + 1) for x in range(5)]
         assert ps.uni_interpolate(F, ys) == [F.one, F.zero, F.one]
+        rng = random.Random(5)
+        for n in (1, 4, 26):
+            ys = [_element(F, rng) for _ in range(n)]
+            assert ps.uni_interpolate(F, ys) == lagrange_from_definition(F, ys)
+
+    @pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), GF_P, ps.QQ],
+                             ids=["word", "gf", "qq"])
+    def test_constant_f_has_one_sample_point(self, F):
+        # Res_x3(c, g) = c^deg g: with f of degree 0 there is one sample
+        # point, 0, and the levels of g = x1^2 + x3^2, of up to 3 terms,
+        # are read at their constant terms only
+        g = dense(F, {(2, 0, 0): 1, (0, 0, 2): 1}, 2)
+        for c in (3, -7):
+            assert ps.resultant_x3(F, [lift(F, c)], [g]) == [[lift(F, c * c)]]
 
 
 class TestResultant:
