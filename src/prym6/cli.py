@@ -174,18 +174,28 @@ def run_checks(suite: str) -> dict:
             "pass": all(r["pass"] for r in results)}
 
 
-def _dump(data: dict, path: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2)
-    if path:
+def _dump(data: dict | str, path: str | None) -> int:
+    """Print data as JSON text, or write it to the ``--json`` path; 0, or
+    2 after one line on stderr if that file cannot be written."""
+    text = data if isinstance(data, str) else json.dumps(
+        data, sort_keys=True, indent=2)
+    if not path:
+        print(text)
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"prym6: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_verify(args) -> int:
     report = run_checks(args.suite)
-    _dump(report, args.json)
+    if _dump(report, args.json):
+        return 2
     if args.json:
         status = "ok" if report["pass"] else "FAILED"
         print(f"{args.suite}: {len(report['checks'])} checks {status}")
@@ -198,13 +208,10 @@ def cmd_construct(args) -> int:
     except conicbundle.GenericityError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    text = inst.to_json()
+    if _dump(inst.to_json(), args.json):
+        return 2
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
         print(f"instance written to {args.json}")
-    else:
-        print(text)
     return 0
 
 
@@ -238,8 +245,7 @@ def cmd_sweep(args) -> int:
             }
             for inst in report["samples"]],
     }
-    _dump(data, args.json)
-    return 0
+    return _dump(data, args.json)
 
 
 def _positive_int(text: str) -> int:

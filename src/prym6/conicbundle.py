@@ -162,12 +162,12 @@ def base_system(points: tuple[tuple[int | Fraction, ...], ...]) -> LinearSystem:
     rows = []
     for pt in points:
         rows.extend(node_condition_rows(pt))
-    matrix = QMatrix.from_ints(rows)
-    rank = matrix.rank()
+    kernel = QMatrix.from_ints(rows).kernel()
+    rank = len(rows[0]) - len(kernel)  # rank-nullity: one elimination
     if rank != len(rows):
         raise DegenerateConfigurationError(
             f"dependent point conditions: rank {rank} of {len(rows)} rows")
-    return LinearSystem(tuple(matrix.kernel()))
+    return LinearSystem(tuple(kernel))
 
 
 def line_condition_rows(lf: LineInFiber) -> list[list[int]]:
@@ -445,8 +445,6 @@ def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
     for pt in listed:
         if not any(pt) or any(p3_jet(curve, pt, 1)[1]):
             return False
-    if exact:
-        curve = [Fraction(c, gamma.den) for c in curve]
     return only_known_common_roots(curve, len(listed), rng, exact)
 
 

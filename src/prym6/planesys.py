@@ -669,8 +669,8 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
     each an ordinary node.
 
     Precondition, checked by the caller: the curve has k distinct singular
-    points.  curve, gamma, is a dense form of degree n >= 2, with integer
-    coefficients, or rational ones if exact.
+    points.  curve, gamma, is a dense form of degree n >= 2 with integer
+    coefficients, in both modes.
     Each attempt works over its own field: Q if exact, otherwise GF(q) for
     the next prime q of WORD_PRIMES, with gamma reduced mod q (a reduction
     that is 0 rejects the attempt).  It draws an invertible m, moves the

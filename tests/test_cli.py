@@ -160,6 +160,23 @@ class TestSweep:
         assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "chow"],
+    ["construct", "--seed", "1"],
+    ["sweep", "--seed", "7", "--samples", "1"],
+])
+def test_unwritable_json_path_exits_two(argv, tmp_path, capsys):
+    # exit status 1 means a failed check; a report that could not be saved
+    # is one line on stderr and status 2, not a traceback
+    path = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"prym6: cannot write {path}: No such file or directory"]
+    assert not path.parent.exists()
+
+
 def test_outputs_match_benchmark_digests(capsys):
     digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
     for seed in range(1, 21):

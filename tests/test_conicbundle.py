@@ -115,6 +115,15 @@ class TestBaseSystem:
             with pytest.raises(ValueError, match="3 entries"):
                 cb.base_system(bad)
 
+    def test_dependent_point_conditions_raise(self):
+        # eight points of the conic x1 x3 = x2^2, no three collinear: their
+        # 40 conditions on the 36 forms have rank 26
+        points = tuple((1, t, t * t) for t in range(8))
+        with pytest.raises(cb.DegenerateConfigurationError,
+                           match=r"^dependent point conditions: "
+                                 r"rank 26 of 40 rows$"):
+            cb.base_system(points)
+
 
 class TestImposeLine:
     def test_dimension_chain(self):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, perm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from prym6 import conicbundle as cb
 from prym6 import planesys as ps
-from prym6.exactalg import MultiPoly, primitive
+from prym6.exactalg import MultiPoly, QMatrix, primitive
 
 #: a Mersenne prime of 61 bits: its residues take two CPython digits, so the
 #: kernels keep a multi-digit test beside the word-size primes of the proof
@@ -670,6 +671,59 @@ class TestJacobianOracle:
         for seed in range(1, 21):
             gamma = cb.construct_instance(seed).gamma
             assert jacobian_hilbert(cb._dense_form(gamma), 12, GF_P.p) == 4, seed
+
+
+#: the extra singular point of each panel sextic; (1, -1, 0) and (1, 2, 0)
+#: lie on the line x3 = 0 through two standard nodes, and (3, 0, 1) on the
+#: line x2 = 0 through two others
+PANEL_POINTS = ((2, 3, 5), (1, -1, 0), (1, 2, 0), (3, 0, 1))
+
+
+def _partials_at(p, alphas):
+    """One row per exponent alpha: d^alpha m at p, for each sextic monomial
+    m in `monomials_of_degree(6)` order."""
+    return [[prod(perm(e, a) * c ** (e - a) if a <= e else 0
+                  for e, a, c in zip(m, alpha, p))
+             for m in ps.monomials_of_degree(6)] for alpha in alphas]
+
+
+def panel_sextic(kind, p):
+    """A sextic with nodes at `STANDARD_NODES` and a singular point of the
+    given kind at p, as a dense integer form: a fixed random member of the
+    kernel of their condition rows.
+
+    A node asks for the three first partials to vanish at p, a triple point
+    for the six second partials.  A cusp asks for the first partials and
+    for H e3 = 0, H the Hessian at p: with H p = 0 (Euler's formula) it has
+    rank at most 1 when p is not (0 : 0 : 1).
+    """
+    first, second = ps.monomials_of_degree(1), ps.monomials_of_degree(2)
+    alphas = {"node": first, "cusp": first + tuple(a for a in second if a[2]),
+              "triple": second}[kind]
+    rows = [row for q in cb.STANDARD_NODES for row in _partials_at(q, first)]
+    kernel = QMatrix.from_ints(rows + _partials_at(p, alphas)).kernel()
+    rng = random.Random(f"panel:{kind}:{p}")
+    coeffs = [rng.randint(-9, 9) for _ in kernel]
+    return [sum(map(mul, coeffs, column)) for column in zip(*kernel)]
+
+
+class TestSingularityPanel:
+    """Sextics singular at the four standard nodes and at one more point p:
+    a fifth node, a cusp or a triple point, with p listed and unlisted."""
+
+    @pytest.mark.parametrize("p", PANEL_POINTS, ids=str)
+    @pytest.mark.parametrize("kind", ["node", "cusp", "triple"])
+    def test_verdict_is_the_tjurina_count(self, kind, p):
+        # the proof accepts exactly when the sum of the Tjurina numbers is
+        # the number of listed points: each is then a node, and no other
+        # point is singular; a cusp or a triple point is never a node
+        form = panel_sextic(kind, p)
+        tau = jacobian_hilbert(form, 12, GF_P.p)
+        gamma = MultiPoly(cb.X_BLOCKS, dict(zip(ps.monomials_of_degree(6), form)))
+        for listed in (cb.STANDARD_NODES + (p,), cb.STANDARD_NODES):
+            assert cb.singular_locus_is_exactly(
+                gamma, listed, random.Random(1)) == (tau == len(listed))
+        assert cb.node_certificate(form, 1, p).is_node == (kind == "node")
 
 
 class TestOnlyKnownCommonRoots:

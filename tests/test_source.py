@@ -5,6 +5,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prym6"
 
@@ -232,3 +234,23 @@ def test_tests_the_readme_names_exist():
                        (ROOT / "README.md").read_text(encoding="utf-8"))
     assert len(cited) >= 8
     assert [name for name in cited if name not in defined] == []
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml allows Python 3.10, so no file of the package, its
+    # tests or its benchmark may use newer grammar; the parser's check is
+    # best-effort, but it knows an except* clause
+    files = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert len(files) >= 24
+    failed = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno} {exc.msg}")
+    assert failed == []
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
