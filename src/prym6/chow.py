@@ -13,6 +13,7 @@ a pencil.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from operator import add, gt, index
 from typing import Mapping, Sequence
@@ -88,6 +89,7 @@ class DelPezzoRing:
     Basis {1; L, E1..E4; pt} with L^2 = pt, Ei^2 = -pt, L.Ei = 0.
     """
 
+    basis = ("1", "L", "E1", "E2", "E3", "E4", "pt")
     picard_rank = 5
 
     def L(self) -> ChowClass:
@@ -107,7 +109,8 @@ class DelPezzoRing:
         return ChowClass.from_ints(self, {"1": 1})
 
     def canonical(self) -> ChowClass:
-        return sum((self.E(i) for i in range(1, 5)), -3 * self.L())
+        return ChowClass.from_ints(
+            self, {"L": -3, "E1": 1, "E2": 1, "E3": 1, "E4": 1})
 
     def euler_number(self) -> int:
         # b0 + b2 + b4 with b2 = Picard rank
@@ -137,21 +140,38 @@ class ProjectiveBundleRing:
     the Segre number c1(M)^2 - c2(M) = 2; concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
 
-    The integer structure constants of each pair of basis monomials are
-    reduced through that relation once per ring, on first use, and kept in
-    ``_products``, one row per first factor.  The Hilbert coefficients
-    behind `hrr_chi` are kept per ring as a `QVector` over the powers of d,
-    never as a ChowClass, so a ring and its classes form no reference
-    cycle.
+    The ring derives zeta^a * s for a = 3, 4 and each basis class s once,
+    when it is built, from zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s),
+    and keeps these 14 integer rows in ``_zeta_rows``.  A product of basis
+    monomials is then one product in the base and one row, returned as a
+    new dict.  The Hilbert coefficients behind `hrr_chi` are kept per ring
+    as a `QVector` over the powers of d, never as a ChowClass, so a ring
+    and its classes form no reference cycle.
     """
 
     c2 = 3
 
     def __init__(self):
-        self.base = DelPezzoRing()
-        self.c1 = -self.base.canonical()
-        self._products: dict = {}
+        S = self.base = DelPezzoRing()
+        self.c1 = -S.canonical()
         self._hilbert: QVector | None = None
+        self._zeta_rows: dict = {}
+        # zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s), with c1 and
+        # c2 pt integer classes (den 1)
+        relation = ((1, self.c1), (2, -self.c2 * S.pt()))
+        for a in (3, 4):  # the a = 4 rows read the a = 3 rows
+            for s in S.basis:
+                row: dict = {}
+                for drop, cls in relation:
+                    for sk, n in cls.nums.items():
+                        for t, c in S.mul_basis(s, sk).items():
+                            for key, r in self._power(a - drop, t).items():
+                                row[key] = row.get(key, 0) + n * c * r
+                self._zeta_rows[a, s] = {k: v for k, v in row.items() if v}
+
+    def _power(self, a: int, s: str) -> dict:
+        """zeta^a * s in the basis, for a <= 4."""
+        return self._zeta_rows[a, s] if a > 2 else {(a, s): 1}
 
     def zeta(self) -> ChowClass:
         return ChowClass.from_ints(self, {(1, "1"): 1})
@@ -166,28 +186,11 @@ class ProjectiveBundleRing:
         return ChowClass.from_ints(self, {(0, "1"): 1})
 
     def mul_basis(self, k1, k2) -> dict:
-        row = self._products.setdefault(k1, {})
-        out = row.get(k2)
-        if out is None:
-            out = {}
-            for s, c in self.base.mul_basis(k1[1], k2[1]).items():
-                for key, r in self._reduce(k1[0] + k2[0], s).items():
-                    out[key] = out.get(key, 0) + c * r
-            out = row[k2] = {k: v for k, v in out.items() if v}
-        return out
-
-    def _reduce(self, a: int, s: str) -> dict:
-        if a <= 2:
-            return {(a, s): 1}
-        # zeta^3 = c1 zeta^2 - c2 zeta, applied recursively; c1 has den 1
+        a = k1[0] + k2[0]
         out: dict = {}
-        for sk, sc in self.c1.nums.items():
-            for bs, bc in self.base.mul_basis(s, sk).items():
-                for key, c in self._reduce(a - 1, bs).items():
-                    out[key] = out.get(key, 0) + sc * bc * c
-        for bs, bc in self.base.mul_basis(s, "pt").items():
-            for key, c in self._reduce(a - 2, bs).items():
-                out[key] = out.get(key, 0) - self.c2 * bc * c
+        for s, c in self.base.mul_basis(k1[1], k2[1]).items():
+            for key, r in self._power(a, s).items():
+                out[key] = out.get(key, 0) + c * r
         return out
 
     def integrate(self, cls: ChowClass) -> Fraction:
@@ -240,6 +243,12 @@ class BlowupRing:
     def __init__(self):
         self.table = blowup_intersection_table()
 
+    @cached_property
+    def zeta4(self) -> Fraction:
+        """The integral of zeta^4, computed on first use and kept by the
+        ring: K_B^2 and the blow-up route of deg h both read it."""
+        return intersection_number([self.zeta()] * 4)
+
     def divisor(self, coeffs: Mapping[str, int | Fraction]) -> ChowClass:
         """The divisor with the given coefficients on N, H, H1 and H2."""
         unknown = sorted(set(coeffs) - set(_BLOWUP_GENERATORS))
@@ -276,13 +285,12 @@ def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundleRing
                           ) -> tuple[Fraction, Fraction]:
     """deg of the half-anticanonical double cover P -> P^4, two routes.
 
-    Route one integrates zeta^4 = (H1 + H2 - N)^4 against the blow-up
-    table; route two integrates zeta^4 in the projective bundle ring.  Both
-    should equal 2; the `verify` report checks each.
+    Route one reads ``X.zeta4``, zeta^4 = (H1 + H2 - N)^4 integrated
+    against the blow-up table once per ring, as `kb_squared` does; route
+    two integrates zeta^4 in the projective bundle ring.  Both should
+    equal 2; the `verify` report checks each.
     """
-    blowup_route = intersection_number([X.zeta()] * 4)
-    bundle_route = (P.zeta() ** 4).integrate()
-    return blowup_route, bundle_route
+    return X.zeta4, (P.zeta() ** 4).integrate()
 
 
 # -- canonical classes ------------------------------------------------------
@@ -308,7 +316,7 @@ def canonical_classes(X: BlowupRing) -> tuple[ChowClass, ChowClass]:
 
 def kb_squared(X: BlowupRing) -> Fraction:
     """K_B^2 = 4 zeta^4 = 8 for the base surface of a pencil."""
-    return 4 * intersection_number([X.zeta()] * 4)
+    return 4 * X.zeta4
 
 
 # -- Riemann-Roch on P -------------------------------------------------------

@@ -8,15 +8,13 @@ pipeline.  All reports are deterministic JSON for a fixed seed.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
-
-from . import chow, conicbundle, moduli
 
 
 class Check(NamedTuple):
@@ -39,6 +37,8 @@ def _checks() -> list[Check]:
     check that reads it, and its `millis` include that work.  Nothing is
     kept between builds: every report replays the whole computation.
     """
+    from . import chow, moduli
+
     P = chow.ProjectiveBundleRing()
     X = cache(chow.BlowupRing)
     kp = cache(lambda: chow.canonical_classes(X())[0])
@@ -203,6 +203,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import conicbundle
+
     try:
         inst = conicbundle.construct_instance(args.seed)
     except conicbundle.GenericityError as exc:
@@ -220,6 +222,8 @@ def _frac_json(v: int | Fraction) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    from . import conicbundle
+
     try:
         report = conicbundle.sweep(args.seed, args.samples)
     except conicbundle.GenericityError as exc:
@@ -249,6 +253,8 @@ def cmd_sweep(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -258,7 +264,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="prym6",
         description="exact verification toolkit for genus-6 Prym conic bundles")
@@ -286,7 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, so that the
+        # interpreter's last flush of what is left stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -21,8 +21,6 @@ from math import gcd, lcm
 from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
-from .planesys import p3_mul
-
 
 class SpaceMismatchError(ValueError):
     """Raised when combining vectors over different spaces."""
@@ -306,6 +304,8 @@ def det3_poly(entries: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Determinant of a 3x3 matrix of dense integer forms of one degree n,
     as a dense form of degree 3n: the cofactor expansion along the first
     row, each product a `planesys.p3_mul`."""
+    from .planesys import p3_mul
+
     a = entries
 
     def minor(j, k):

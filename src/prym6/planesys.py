@@ -63,6 +63,8 @@ from itertools import combinations_with_replacement, compress
 from math import comb, factorial, isqrt, perm, prod
 from operator import mul
 
+from .exactalg import QMatrix, primitive
+
 
 class QQ:
     """The rational field, as a field object."""
@@ -217,7 +219,6 @@ def _uni_gcd_q(a, b):
     remainder is scaled to its `primitive` form; the sign that fixes does
     not matter, since the gcd is made monic at the end.
     """
-    from .exactalg import primitive  # exactalg imports this module
     A, B = primitive(a), primitive(b)
     while B:
         A, B = B, primitive(_int_prem(A, B))
@@ -396,7 +397,6 @@ def det_field(F, m):
     Over GF(p) the entries are ints, and the integer determinant reduced
     mod p is the determinant over GF(p), as reduction mod p is a ring map.
     """
-    from .exactalg import QMatrix  # exactalg imports this module
     det = QMatrix(m).det()
     return det if F is QQ else F.reduce(int(det))
 

@@ -95,6 +95,25 @@ class TestProjectiveBundleRing:
         # zeta^2 restricted over a point integrates to 1
         assert (P.zeta() ** 2 * P.pull(P.base.pt())).integrate() == 1
 
+    def test_products_are_new_dicts(self):
+        # a fresh ring, so the mutations below reach no other test
+        P = chow.ProjectiveBundleRing()
+        pairs = [((2, "1"), (2, "1")), ((2, "L"), (1, "1")), ((1, "1"), (1, "L"))]
+        before = [dict(P.mul_basis(*pair)) for pair in pairs]
+        for pair in pairs:
+            out = P.mul_basis(*pair)
+            out.clear()
+            out[0, "1"] = 99
+        assert [P.mul_basis(*pair) for pair in pairs] == before
+        assert (P.zeta() ** 4).integrate() == 2
+
+    def test_top_power_is_derived_from_c2(self, monkeypatch):
+        # zeta^4 integrates to c1^2 - c2, so with c2 = 4 it reads 5 - 4 = 1:
+        # no table of the c2 = 3 values stands behind the Segre route
+        monkeypatch.setattr(chow.ProjectiveBundleRing, "c2", 4)
+        P = chow.ProjectiveBundleRing()
+        assert (P.zeta() ** 4).integrate() == 1
+
     def test_commutativity_on_basis(self, P):
         z, L, E = P.zeta(), P.pull(P.base.L()), P.pull(P.base.E(3))
         for a in (z, L, E, z * L):
@@ -375,6 +394,15 @@ class TestIntegerArithmetic:
             assert (x - x).den == 1
 
         check()
+
+    def test_bundle_basis_products_match_the_reference(self, P):
+        # all 21 x 21 pairs of basis monomials, against the recursive
+        # zeta^3 reduction of `ref_reduce`
+        for k1, k2 in product(BASES["P"], repeat=2):
+            out = P.mul_basis(k1, k2)
+            assert all(type(v) is int and v for v in out.values())
+            assert out == {k: v for k, v in ref_mul_basis(P, k1, k2).items()
+                           if v}, (k1, k2)
 
     def test_zero_coefficients_are_dropped(self, S):
         x = chow.ChowClass(S, {"L": 0, "E1": Fraction(2, 4), "pt": Fraction(0)})

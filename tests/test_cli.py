@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from prym6.cli import main, run_checks
 
 #: sha256 digests of the benchmark's outputs, kept with the benchmark
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sha256(text: str) -> str:
@@ -73,7 +77,8 @@ class TestVerify:
         assert a == b
 
     def test_each_report_computes_each_number_once(self, monkeypatch):
-        calls = {"rings": 0, "tangent": 0, "euler": 0, "table": 0}
+        calls = {"rings": 0, "tangent": 0, "euler": 0, "table": 0,
+                 "zeta4": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -89,11 +94,15 @@ class TestVerify:
                             counted("euler", chow.euler_numbers))
         monkeypatch.setattr(chow, "blowup_intersection_table",
                             counted("table", chow.blowup_intersection_table))
+        # zeta^4 on the blow-up ring, read by K_B^2 and by deg h
+        monkeypatch.setattr(chow, "intersection_number",
+                            counted("zeta4", chow.intersection_number))
         for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
             assert run_checks("all")["pass"]
             # once in every report: the second recomputes, caches nothing
-            assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1}
+            assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1,
+                             "zeta4": 1}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction
@@ -175,6 +184,23 @@ def test_unwritable_json_path_exits_two(argv, tmp_path, capsys):
     assert err.splitlines() == [
         f"prym6: cannot write {path}: No such file or directory"]
     assert not path.parent.exists()
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    # a reader that stops early, as in `prym6 verify | head`, closes the
+    # pipe: an output error, status 2, and nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    try:
+        run = subprocess.run([sys.executable, "-m", "prym6.cli", "verify"],
+                             stdout=write, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr == ""
 
 
 def test_outputs_match_benchmark_digests(capsys):

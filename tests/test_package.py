@@ -41,15 +41,44 @@ print(json.dumps({"first": first, "construct": construct,
 """
 
 
-def test_submodules_load_on_first_use():
+#: runs one command in a fresh interpreter and prints the prym6 modules
+#: it loaded
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+from prym6.cli import main, run_checks
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[1] == "sweep":
+        main(["sweep", "--seed", "7", "--samples", "1"])
+    else:
+        run_checks("all")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("prym6."))))
+"""
+
+
+def _probe(code: str, *args: str):
+    """What a fresh interpreter running code prints, as JSON."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+    run = subprocess.run([sys.executable, "-c", code, *args],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def test_submodules_load_on_first_use():
     import prym6
-    assert json.loads(run.stdout) == {
+    assert _probe(IMPORT_PROBE) == {
         "first": [], "construct": [], "resolved": prym6.__all__,
         "unknown": "AttributeError"}
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("sweep", {"prym6.chow", "prym6.moduli"}),
+    ("verify", {"prym6.conicbundle", "prym6.planesys"}),
+])
+def test_each_command_loads_only_what_it_runs(command, unloaded):
+    loaded = set(_probe(COMMAND_PROBE, command))
+    assert "prym6.cli" in loaded
+    assert loaded & unloaded == set()
 
 
 @pytest.fixture(scope="module")
