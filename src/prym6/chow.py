@@ -331,9 +331,10 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     z = P.zeta()
     c1m = P.pull(P.c1)
     c2m = P.c2 * P.pull(S.pt())
+    z2 = z * z
     rel1 = 3 * z - c1m
-    rel2 = 3 * z * z - 2 * z * c1m + c2m
-    rel3 = z ** 3 - z * z * c1m + z * c2m  # vanishes by the bundle relation
+    rel2 = 3 * z2 - 2 * z * c1m + c2m
+    rel3 = z2 * z - z2 * c1m + z * c2m  # vanishes by the bundle relation
     ts1 = P.pull(-S.canonical())
     ts2 = S.euler_number() * P.pull(S.pt())
     c1 = rel1 + ts1
@@ -346,10 +347,11 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
 def todd_classes(c1: ChowClass, c2: ChowClass, c3: ChowClass,
                  c4: ChowClass) -> tuple[ChowClass, ...]:
     """Todd classes of a 4-fold, truncated at codimension 4."""
+    c11 = c1 * c1
     td1 = c1 * Fraction(1, 2)
-    td2 = (c1 * c1 + c2) * Fraction(1, 12)
+    td2 = (c11 + c2) * Fraction(1, 12)
     td3 = c1 * c2 * Fraction(1, 24)
-    td4 = (-(c1 ** 4) + 4 * c1 * c1 * c2 + 3 * c2 * c2 + c1 * c3 - c4) \
+    td4 = (-(c11 * c11) + 4 * c11 * c2 + 3 * c2 * c2 + c1 * c3 - c4) \
         * Fraction(1, 720)
     return td1, td2, td3, td4
 
@@ -371,8 +373,9 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
         td = (P.one(), *todd_classes(*tangent_chern_classes(P)))
         zk, coeffs = P.one(), {}
         for k in range(5):
+            if k:
+                zk = zk * P.zeta()
             coeffs[k] = (zk * td[4 - k]).integrate() / factorial(k)
-            zk = zk * P.zeta()
         P._hilbert = QVector("d^k", coeffs)
     h = P._hilbert
     return Fraction(sum(n * d ** k for k, n in h.nums.items()), h.den)

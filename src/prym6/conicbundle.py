@@ -212,10 +212,18 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     """
     if sys.dim == 0:
         raise ValueError("cannot impose conditions on the zero system")
-    supports = [[(i, v) for i, v in enumerate(vec) if v] for vec in sys.vectors]
-    restricted = QMatrix.from_ints([[sum(row[i] * v for i, v in support)
-                                     for support in supports] for row in rows])
-    ker = restricted.kernel()
+    # (monomial, basis vector, coefficient) of each nonzero basis entry: the
+    # basis is sparse, and one flat loop over it restricts a row or
+    # combines a kernel vector
+    terms = [(i, k, v) for k, vec in enumerate(sys.vectors)
+             for i, v in enumerate(vec) if v]
+    restricted = []
+    for row in rows:
+        acc = [0] * sys.dim
+        for i, k, v in terms:
+            acc[k] += row[i] * v
+        restricted.append(acc)
+    ker = QMatrix.from_ints(restricted).kernel()
     drop = sys.dim - len(ker)
     if drop != expected_drop:
         raise NonGenericDropError(
@@ -223,10 +231,8 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     vectors = []
     for kv in ker:
         acc = [0] * len(XY_MONOMIALS)
-        for k, support in zip(kv, supports):
-            if k:
-                for i, v in support:
-                    acc[i] += k * v
+        for i, k, v in terms:
+            acc[i] += kv[k] * v
         vectors.append(primitive(acc))
     return LinearSystem(tuple(vectors))
 

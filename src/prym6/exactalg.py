@@ -303,10 +303,18 @@ class MultiPoly(QVector):
 def det3_poly(entries: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Determinant of a 3x3 matrix of dense integer forms of one degree n,
     as a dense form of degree 3n: the cofactor expansion along the first
-    row, each product a `planesys.p3_mul`."""
+    row, each product a `planesys.p3_mul`.
+
+    Raises ValueError unless entries is 3x3 and its nine forms have one
+    length: the sums below would cut a longer product to a shorter one.
+    """
     from .planesys import p3_mul
 
     a = entries
+    if len(a) != 3 or any(len(row) != 3 for row in a):
+        raise ValueError("det3_poly takes a 3x3 matrix")
+    if len({len(e) for row in a for e in row}) != 1:
+        raise ValueError("the entries of det3_poly are forms of one degree")
 
     def minor(j, k):
         return list(map(sub, p3_mul(a[1][j], a[2][k]), p3_mul(a[1][k], a[2][j])))
@@ -406,11 +414,24 @@ def _bareiss_echelon(m: Sequence[Sequence[int]]
     """Fraction-free row echelon form with column pivoting.
 
     Returns the nonzero echelon rows, the list of pivot columns and the sign
-    of the row permutation.  All divisions are exact (Bareiss), so
-    intermediate growth stays bounded by minor sizes, and the pivot of row k
-    is the leading (k+1)-minor of the permuted rows on the pivot columns: at
-    full rank, the last pivot of a square matrix is sign times its
-    determinant.
+    of the row permutation.  Each column pivots on the remaining row whose
+    entry there is smallest in absolute value, the first such row on ties;
+    that row is swapped up and the sign flips.
+
+    After step k every remaining row holds, in each later column, the
+    (k+1)-minor on the pivot rows so far, that row, the pivot columns so
+    far and that column (Sylvester's identity; Bareiss, Math. Comp. 22,
+    1968).  So whichever nonzero row is chosen, the pivot of row k is a
+    leading (k+1)-minor of the permuted rows on the pivot columns, the
+    division by the previous pivot is exact, and every entry stays the
+    size of a minor.  The smallest pivot makes the later minors smaller.
+
+    No result depends on the rule.  The pivot columns are the column rank
+    profile: column c is a pivot exactly when it is not in the span of the
+    columns before it.  The rows span the row space, so the kernel vector
+    of each free column, with the other free columns 0, is unique once
+    primitive.  At full rank the last pivot of a square matrix is sign
+    times its determinant.
     """
     m = [list(r) for r in m]
     nr = len(m)
@@ -418,18 +439,22 @@ def _bareiss_echelon(m: Sequence[Sequence[int]]
     pivots: list[int] = []
     r, prev, sign = 0, 1, 1
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
+        nonzero = [i for i in range(r, nr) if m[i][c]]
+        if not nonzero:
             continue
+        piv = min(nonzero, key=lambda i: abs(m[i][c]))
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
+        top = m[r]
+        pc = top[c]
         for i in range(r + 1, nr):
-            mic = m[i][c]
+            row = m[i]
+            mic = row[c]
             for j in range(c + 1, nc):
-                m[i][j] = (m[r][c] * m[i][j] - mic * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+                row[j] = (pc * row[j] - mic * top[j]) // prev
+            row[c] = 0
+        prev = pc
         pivots.append(c)
         r += 1
         if r == nr:

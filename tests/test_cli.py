@@ -78,7 +78,7 @@ class TestVerify:
 
     def test_each_report_computes_each_number_once(self, monkeypatch):
         calls = {"rings": 0, "tangent": 0, "euler": 0, "table": 0,
-                 "zeta4": 0}
+                 "zeta4": 0, "bundle_products": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -97,12 +97,22 @@ class TestVerify:
         # zeta^4 on the blow-up ring, read by K_B^2 and by deg h
         monkeypatch.setattr(chow, "intersection_number",
                             counted("zeta4", chow.intersection_number))
+        product = chow.ChowClass._product
+
+        def counted_product(self, other):
+            if isinstance(self.ring, chow.ProjectiveBundleRing):
+                calls["bundle_products"] += 1
+            return product(self, other)
+
+        monkeypatch.setattr(chow.ChowClass, "_product", counted_product)
         for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
             assert run_checks("all")["pass"]
-            # once in every report: the second recomputes, caches nothing
+            # once in every report: the second recomputes, caches nothing;
+            # Riemann-Roch and deg h form 28 products in the bundle ring,
+            # none of them twice and none unread
             assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1,
-                             "zeta4": 1}
+                             "zeta4": 1, "bundle_products": 28}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction

@@ -11,8 +11,8 @@ from prym6 import chow, moduli
 from prym6 import conicbundle as cb
 from prym6 import planesys as ps
 from prym6.exactalg import (MultiPoly, QMatrix, QVector, SpaceMismatchError,
-                            det3_poly, integer_numerators, primitive,
-                            solve_exact)
+                            _bareiss_echelon, det3_poly, integer_numerators,
+                            primitive, solve_exact)
 from prym6.moduli import R6_BASIS, CurveClass, DivClassR6
 
 XY = (("x", 3), ("y", 3))
@@ -405,6 +405,90 @@ class TestDet3Poly:
         else:
             assert cb.discriminant(A) == oracle * Fraction(1, den ** 3)
 
+    def test_entries_of_two_lengths_raise(self):
+        # zip and the sums would cut the products to the shorter length:
+        # an empty entry gave [], read as an identically degenerate pencil,
+        # and a linear entry among quadratics gave 21 zeros
+        rng = random.Random(9)
+        m = [[rand_form(rng, 2, 3) for _ in range(3)] for _ in range(3)]
+        for bad in ([], rand_form(rng, 1, 2)):
+            broken = [row[:] for row in m]
+            broken[1][2] = bad
+            with pytest.raises(ValueError, match="one degree"):
+                det3_poly(broken)
+        upper = [[m[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+        upper[0][1] = upper[1][0] = []
+        with pytest.raises(ValueError) as err:
+            cb.discriminant(cb.SymQuadricMatrix(upper, 1))
+        assert type(err.value) is ValueError
+
+    def test_only_3x3_matrices(self):
+        rng = random.Random(10)
+        m = [[rand_form(rng, 2, 3) for _ in range(3)] for _ in range(3)]
+        for bad in (m[:2], [row[:2] for row in m], m + [m[0]]):
+            with pytest.raises(ValueError, match="3x3"):
+                det3_poly(bad)
+
+
+@st.composite
+def degenerate_int_matrices(draw):
+    """Small integer matrices with zero columns, repeated rows and rank
+    drops: k rows drawn freely, the rest integer combinations of two of
+    them (a repeat, a multiple or a zero row among them); square half the
+    time."""
+    nc = draw(st.integers(1, 5))
+    nr = nc if draw(st.booleans()) else draw(st.integers(1, 6))
+    k = draw(st.integers(1, nr))
+    zero = draw(st.sets(st.integers(0, nc - 1)))
+    row = st.lists(st.integers(-6, 6), min_size=nc, max_size=nc).map(
+        lambda r: [0 if j in zero else v for j, v in enumerate(r)])
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    pick, coef = st.integers(0, k - 1), st.integers(-3, 3)
+    for _ in range(nr - k):
+        i, j, a, b = draw(pick), draw(pick), draw(coef), draw(coef)
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    return rows
+
+
+def perm_sign(perm):
+    n = len(perm)
+    return (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    return sum(perm_sign(perm) * prod(rows[i][perm[i]] for i in range(n))
+               for perm in permutations(range(n)))
+
+
+class TestPivotRule:
+    """Bareiss pivots each column on the smallest nonzero entry; no result
+    may depend on which row that is."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_int_matrices(), st.data())
+    def test_rows_permuted_and_scaled(self, rows, data):
+        n = len(rows)
+        perm = data.draw(st.permutations(range(n)))
+        scales = data.draw(st.lists(st.integers(-5, 5).filter(bool),
+                                    min_size=n, max_size=n))
+        m = QMatrix.from_ints(rows)
+        moved = QMatrix.from_ints([[c * v for v in rows[p]]
+                                   for p, c in zip(perm, scales)])
+        assert moved.rank() == m.rank()
+        assert moved.kernel() == m.kernel()
+        if m.rows == m.cols:
+            assert moved.det() == perm_sign(perm) * prod(scales) * m.det()
+            assert m.det() == leibniz_det(rows)
+
+    def test_smallest_entry_pivots_first(self):
+        rows = [[5, 1, 3], [0, 2, 7], [2, 4, 1]]
+        echelon, pivots, sign = _bareiss_echelon(rows)
+        # the row with 2 swaps with the first, past the row with 0
+        assert echelon[0] == [2, 4, 1]
+        assert pivots == [0, 1, 2] and sign == -1
+        assert QMatrix.from_ints(rows).det() == leibniz_det(rows) == -128
+
 
 class TestQMatrix:
     def test_rank_and_kernel_dims(self):
@@ -433,12 +517,7 @@ class TestQMatrix:
     def test_det_matches_leibniz(self, rows):
         # small entries often leave a leading column zero, so the elimination
         # skips a column and the matrix is singular, or swaps rows
-        n = len(rows)
-        leibniz = sum(
-            (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-            * prod(rows[i][perm[i]] for i in range(n))
-            for perm in permutations(range(n)))
-        assert QMatrix(rows).det() == leibniz
+        assert QMatrix(rows).det() == leibniz_det(rows)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(small_fracs, min_size=4, max_size=4),
