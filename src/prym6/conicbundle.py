@@ -20,8 +20,9 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive
-from .planesys import (QQ, _cross, _random_invertible, monomials_of_degree,
-                       only_known_common_roots, p3_degree, p3_jet, p3_weights)
+from .planesys import (QQ, WORD_PRIMES, _cross, _random_invertible,
+                       monomials_of_degree, only_known_common_roots, p3_degree,
+                       p3_jet, p3_weights)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
@@ -282,12 +283,15 @@ class SymQuadricMatrix(NamedTuple):
     def evaluated(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """den * A(x) at an int point x, as int rows (any other coordinate
         raises TypeError): each entry N / den gives N(x), one dot product
-        with a table."""
+        with a table, taken once for each of the six entries on and above
+        the diagonal."""
         if any(type(c) is not int for c in x):
             raise TypeError("A(x) takes a point of int coordinates")
         table = p3_weights(x, 2)
-        return tuple(tuple(sum(map(mul, entry, table)) for entry in row)
-                     for row in self.entries)
+        (a00, a01, a02), (a11, a12), (a22,) = (
+            [sum(map(mul, entry, table)) for entry in row[i:]]
+            for i, row in enumerate(self.entries))
+        return (a00, a01, a02), (a01, a11, a12), (a02, a12, a22)
 
 
 def to_symmetric_matrix(Q: MultiPoly) -> SymQuadricMatrix:
@@ -398,13 +402,16 @@ def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
     the Hessian H at t*, and c = k0 X^3 + k1 X^2 Y + k2 XY^2 + k3 Y^3 the
     cubic restricted to the line t_k = 0.  Every line through t* meets
     t_k = 0 in one point (X : Y), and lies on the cubic exactly when q and c
-    both vanish there.  Returns True when the binary forms q and c have no
-    common root in P^1, decided in integers:
+    both vanish there, that is, when their resultant R, with formal degrees
+    2 and 3, is 0.  R is an integer polynomial in the coefficients, so R mod
+    p is the resultant of q and c reduced mod p.  For each p of
+    `WORD_PRIMES` in turn, this decides over GF(p) whether the reduced forms
+    share a root:
 
     - if q0 = 0, swap X and Y in both forms; if q0 is still 0, q = q1 XY,
-      whose roots (1 : 0) and (0 : 1) are roots of c when k0 = 0 or k3 = 0
-      (q1 = 0 only if t* is a triple point, and then every line through it
-      lies on the cubic);
+      whose roots (1 : 0) and (0 : 1) are roots of c when k0 = 0 or k3 = 0,
+      and every point is a root when q1 = 0 too: they share none exactly
+      when q1 k0 k3 != 0;
     - otherwise q has no root at (1 : 0), and one pseudo-division gives
       q0^2 c = (A X + B Y) q + r1 X Y^2 + r0 Y^3 with u = q0 k1 - q1 k0,
       r1 = q0^2 k2 - q0 q2 k0 - q1 u and r0 = q0^2 k3 - q2 u.  So q and c
@@ -412,6 +419,11 @@ def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
       that is, when q(-r0, r1) = q0 r0^2 - q1 r0 r1 + q2 r1^2 = 0.  (If
       r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
       are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
+
+    Returns True at the first prime where they share no root, as then
+    R != 0, and False when every prime finds one.  So a bad prime, one that
+    divides R != 0, can only reject: the check returns False on a cubic
+    whose R is a nonzero multiple of the product of the eight primes.
     """
     value, grad, h = p3_jet(form, point, 2)
     if len(form) != 10 or value or any(grad):
@@ -422,18 +434,22 @@ def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
     for e, v in zip(monomials_of_degree(3), form):
         if e[k] == 0:
             c[3 - e[a]] = v
-    # scaling q or c keeps their roots; dividing out their contents (hundreds
-    # of bits for q) keeps the integers below small
-    q0, q1, q2 = primitive([h[a][a], 2 * h[a][b], h[b][b]])
-    k0, k1, k2, k3 = primitive(c)
-    if q0 == 0:
-        q0, q2, k0, k1, k2, k3 = q2, q0, k3, k2, k1, k0
-    if q0 == 0:
-        return q1 != 0 and k0 != 0 and k3 != 0
-    u = q0 * k1 - q1 * k0
-    r1 = q0 * q0 * k2 - q0 * q2 * k0 - q1 * u
-    r0 = q0 * q0 * k3 - q2 * u
-    return q0 * r0 * r0 - q1 * r0 * r1 + q2 * r1 * r1 != 0
+    q = (h[a][a], 2 * h[a][b], h[b][b])
+    for p in WORD_PRIMES:
+        q0, q1, q2 = (v % p for v in q)
+        k0, k1, k2, k3 = (v % p for v in c)
+        if q0 == 0:
+            q0, q2, k0, k1, k2, k3 = q2, q0, k3, k2, k1, k0
+        if q0 == 0:
+            res = q1 * k0 * k3
+        else:
+            u = q0 * k1 - q1 * k0
+            r1 = (q0 * q0 * k2 - q0 * q2 * k0 - q1 * u) % p
+            r0 = (q0 * q0 * k3 - q2 * u) % p
+            res = q0 * r0 * r0 - q1 * r0 * r1 + q2 * r1 * r1
+        if res % p:
+            return True
+    return False
 
 
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
@@ -816,8 +832,9 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     if not any(form):
         raise DegenerateConfigurationError("identically singular net")
     # kept: perfbench pins the sweep pencil draws that follow; the
-    # elimination that used to find t* drew this change of coordinates
-    _random_invertible(QQ, partial(QQ.random_element, rng))
+    # elimination that used to find t* drew this change of coordinates, of
+    # entries QQ.random_element, which are rng.randint(-30, 30) as Fractions
+    _random_invertible(QQ, partial(rng.randint, -30, 30))
     kernel = QMatrix.from_ints([[images[k][i] for k in range(3)]
                                 for i in range(3)]).kernel()
     if len(kernel) != 1:

@@ -372,28 +372,32 @@ class QMatrix:
         return len(pivots)
 
     def kernel(self) -> list[tuple[int, ...]]:
-        """Exact basis of the right null space, primitive integer vectors."""
+        """Exact basis of the right null space, primitive integer vectors.
+
+        The vector of a free column f is 0 on the other free columns, and
+        the k pivot rows whose pivot columns come before f fix it.  By
+        Cramer's rule, x[f] = D, the leading k-minor on those rows and
+        columns, which is the Bareiss pivot of row k - 1 (1 when k = 0),
+        makes every pivot entry x[p] an integer k-minor, and the pivots
+        after f read 0.  So back-substitution on the echelon rows divides
+        exactly, and one `primitive` scales the vector.
+        """
         nc = self.cols
         echelon, pivots, _ = _bareiss_echelon(self.nums)
         pivset = set(pivots)
-        free = [c for c in range(nc) if c not in pivset]
         basis = []
-        for f in free:
-            # back-substitute in integers: x is the solution with x[f] = 1
-            # times the least common denominator of the entries found so far
+        k = 0
+        for f in range(nc):
+            if f in pivset:
+                k += 1
+                continue
             x = [0] * nc
-            x[f] = 1
-            for i in range(len(pivots) - 1, -1, -1):
+            x[f] = echelon[k - 1][pivots[k - 1]] if k else 1
+            for i in range(k - 1, -1, -1):
                 p = pivots[i]
                 row = echelon[i]
                 s = sum(row[j] * x[j] for j in range(p + 1, nc) if x[j])
-                g = gcd(s, row[p])
-                if row[p] < 0:
-                    g = -g
-                scale = row[p] // g
-                if scale != 1:
-                    x = [v * scale for v in x]
-                x[p] = -s // g
+                x[p] = -s // row[p]
             basis.append(primitive(x))
         return basis
 

@@ -463,8 +463,9 @@ def _product_table(a: int, b: int):
 def p3_jet(form, point, order: int):
     """(value, gradient, Hessian)[:order + 1] of a dense integer form at an
     int point, in ints, each entry one dot product of the form's terms with
-    a row of `_jet_table`; the gradient is a triple, the Hessian a triple of
-    rows.  A coordinate that is not an int raises TypeError: it would round,
+    a row of `_jet_table`, which reads every weight from the monomial values
+    at the point; the gradient is a triple, the Hessian a triple of rows.
+    A coordinate that is not an int raises TypeError: it would round,
     or share the cached table of an equal int.
     """
     if len(point) != 3 or not 0 <= order <= 2:
@@ -486,14 +487,26 @@ def _jet_table(n: int, point: tuple[int, int, int], order: int):
     point, and for the value, the partials and the Hessian entries 00, 01,
     02, 11, 12, 22, up to the order, the `p3_weights` of each term read.
     A term of degree above ``order`` in the point's zero coordinates is not
-    read: each of its derivatives keeps a zero coordinate.  The cache is
-    bounded, since the net cubic asks at a new point t* on every sweep item.
+    read: each of its derivatives keeps a zero coordinate.  The weight of
+    x^e for the derivative x^d is perm(e, d) x^(e - d), the product of the
+    falling factorials perm(e_k, d_k) and the value of a monomial of degree
+    n - |d|, read from `p3_weights(point, k)` for k = n - order..n, which
+    are taken once.  The cache is bounded, since the net cubic asks at a
+    new point t* on every sweep item.
     """
     read = tuple(sum(a for a, v in zip(e, point) if not v) <= order
                  for e in monomials_of_degree(n))
+    values = {}
+    for k in range(max(n - order, 0), n + 1):
+        values.update(zip(monomials_of_degree(k), p3_weights(point, k)))
+    terms = list(compress(monomials_of_degree(n), read))
     ds = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
           (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)][:(1, 4, 10)[order]]
-    return read, tuple(tuple(compress(p3_weights(point, n, d), read)) for d in ds)
+    return read, tuple(
+        tuple(perm(a, d0) * perm(b, d1) * perm(c, d2)
+              * values[a - d0, b - d1, c - d2]
+              if a >= d0 and b >= d1 and c >= d2 else 0 for a, b, c in terms)
+        for d0, d1, d2 in ds)
 
 
 def p3_partial(F, form, j: int):
@@ -631,10 +644,11 @@ def _mat3_apply(F, m, v):
 #: random changes of coordinates an elimination draws before it gives up
 _TRIES = 8
 
-#: the eight largest primes below 2^15, one per attempt of the mod-p proof:
-#: q^2 < 2^30, so a product of two residues is one 30-bit CPython digit, and
-#: a sextic's 26 sample points pass the slot bound of `_packs`.  Each is
-#: above 25, the last sample point of `resultant_x3` on a sextic
+#: the eight largest primes below 2^15, one per attempt of the mod-p proof
+#: and the moduli of `conicbundle.no_line_through_node`: q^2 < 2^30, so a
+#: product of two residues is one 30-bit CPython digit, and a sextic's 26
+#: sample points pass the slot bound of `_packs`.  Each is above 25, the
+#: last sample point of `resultant_x3` on a sextic
 WORD_PRIMES = (32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653)
 
 

@@ -2,11 +2,19 @@
 
 Each fixture computes its number from the ones before it, as a `verify`
 report does, so a test reads computed inputs and never retypes one.
+
+The hypothesis profile ``ci`` (``pytest --hypothesis-profile=ci``) draws the
+same examples on every run, keeps no example database and prints the
+reproduction blob of a failure, so a failure on a CI runner reruns
+identically anywhere.
 """
 
 import pytest
+from hypothesis import settings
 
 from prym6 import chow, moduli
+
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
 
 @pytest.fixture(scope="module")

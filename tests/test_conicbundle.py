@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import prod
 from operator import mul
@@ -1156,8 +1157,8 @@ small = st.integers(-2, 2)
 
 
 class TestNoLineThroughNodeOracle:
-    """The integer check of `no_line_through_node` against the Sylvester
-    determinant it replaced."""
+    """The check of `no_line_through_node` modulo the word primes against
+    the Sylvester determinant over Q."""
 
     @pytest.mark.parametrize("name", list(BRANCH_CASES))
     def test_branches(self, name):
@@ -1181,6 +1182,50 @@ class TestNoLineThroughNodeOracle:
         assume(cubic.nums)
         assert (cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
                 == sylvester_says_no_line(cubic, (0, 0, 1)))
+
+    def check_at_primes(self, cubic, primes):
+        """The verdict of `no_line_through_node` on a cubic singular at
+        (0:0:1) when it may read only the given primes."""
+        with mock.patch.object(cb, "WORD_PRIMES", primes):
+            return cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
+
+    def test_first_prime_divides_q0(self):
+        # q0 = 2 * 32749 != 0 reduces to 0 mod the first prime, which swaps
+        # X and Y and decides there; read as q1 XY without the swap, q would
+        # share the root (0 : 1) with c, as k3 = 0
+        p = ps.WORD_PRIMES[0]
+        x, y, z = _plane_variables()
+        cubic = z * (p * x * x + x * y + y * y) + x * x * x + x * y * y
+        assert node_cert(cubic, (0, 0, 1)).is_node
+        assert sylvester_says_no_line(cubic, (0, 0, 1))
+        assert self.check_at_primes(cubic, ps.WORD_PRIMES[:1])
+        assert self.check_at_primes(cubic, ps.WORD_PRIMES)
+
+    def test_resultant_divisible_by_the_first_prime(self):
+        # Res(x^2 + y^2, x^3 + a y^3) = a^2 + 1, a multiple of the first
+        # prime for a = sqrt(-1) mod it: the first prime reads a common
+        # root, and the second decides
+        p = ps.WORD_PRIMES[0]
+        a = next(a for a in range(p) if (a * a + 1) % p == 0)
+        assert (a * a + 1) % ps.WORD_PRIMES[1]
+        x, y, z = _plane_variables()
+        cubic = z * (x * x + y * y) + x * x * x + a * y * y * y
+        assert node_cert(cubic, (0, 0, 1)).is_node
+        assert sylvester_says_no_line(cubic, (0, 0, 1))
+        assert not self.check_at_primes(cubic, ps.WORD_PRIMES[:1])
+        assert self.check_at_primes(cubic, ps.WORD_PRIMES[:2])
+        assert self.check_at_primes(cubic, ps.WORD_PRIMES)
+
+    def test_every_prime_divides_the_resultant(self):
+        # z xy + P x^3 + y^3 for P the product of the eight primes: no line
+        # through the node lies on it, but k0 = P reduces to 0 mod every
+        # prime, so each reads the common root (1 : 0) of xy and y^3, and
+        # the check rejects: the cost of deciding modulo primes
+        x, y, z = _plane_variables()
+        cubic = z * x * y + prod(ps.WORD_PRIMES) * x * x * x + y * y * y
+        assert node_cert(cubic, (0, 0, 1)).is_node
+        assert sylvester_says_no_line(cubic, (0, 0, 1))
+        assert not cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
@@ -1282,6 +1327,20 @@ class TestNetAndSweep:
         cubic = [Fraction(c, 8) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
         assert primitive(root) == report["certificate"].point
+
+    @pytest.mark.parametrize("seed", [0, 1, 2948, 10293])
+    def test_pin_makes_the_draws_of_the_rational_change(self, seed):
+        # discriminant_cubic draws and drops a change of coordinates in
+        # ints; the rng must then stand where the draw over Q left it.
+        # Seeds 2948 and 10293 draw a singular matrix first and redraw.
+        rng = random.Random(21)
+        fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
+        net = cb.build_net_T(cb.random_point(rng), fixed)
+        ours, rational = random.Random(seed), random.Random(seed)
+        cb.discriminant_cubic(net, ours)
+        ps._random_invertible(ps.QQ, partial(ps.QQ.random_element, rational))
+        assert ([ours.getrandbits(64) for _ in range(3)]
+                == [rational.getrandbits(64) for _ in range(3)])
 
     def test_net_with_several_members_singular_at_o_is_rejected(self):
         # three equal restrictions: every t with t1 + t2 + t3 = 0 gives the

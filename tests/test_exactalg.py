@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -431,16 +432,16 @@ class TestDet3Poly:
 
 
 @st.composite
-def degenerate_int_matrices(draw):
-    """Small integer matrices with zero columns, repeated rows and rank
-    drops: k rows drawn freely, the rest integer combinations of two of
-    them (a repeat, a multiple or a zero row among them); square half the
-    time."""
+def degenerate_int_matrices(draw, bound=6):
+    """Integer matrices with zero columns, repeated rows and rank drops,
+    entries of the free rows at most bound in absolute value: k rows drawn
+    freely, the rest integer combinations of two of them (a repeat, a
+    multiple or a zero row among them); square half the time."""
     nc = draw(st.integers(1, 5))
     nr = nc if draw(st.booleans()) else draw(st.integers(1, 6))
     k = draw(st.integers(1, nr))
     zero = draw(st.sets(st.integers(0, nc - 1)))
-    row = st.lists(st.integers(-6, 6), min_size=nc, max_size=nc).map(
+    row = st.lists(st.integers(-bound, bound), min_size=nc, max_size=nc).map(
         lambda r: [0 if j in zero else v for j, v in enumerate(r)])
     rows = draw(st.lists(row, min_size=k, max_size=k))
     pick, coef = st.integers(0, k - 1), st.integers(-3, 3)
@@ -488,6 +489,44 @@ class TestPivotRule:
         assert echelon[0] == [2, 4, 1]
         assert pivots == [0, 1, 2] and sign == -1
         assert QMatrix.from_ints(rows).det() == leibniz_det(rows) == -128
+
+
+def gcd_rescaling_kernel(rows):
+    """The kernel basis as back-substitution found it before Cramer's rule:
+    x[f] = 1, and at each pivot row the whole vector is scaled by the part
+    of the pivot that the gcd with the row's sum leaves."""
+    nc = len(rows[0])
+    echelon, pivots, _ = _bareiss_echelon(rows)
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        x = [0] * nc
+        x[f] = 1
+        for p, row in reversed(list(zip(pivots, echelon))):
+            s = sum(row[j] * x[j] for j in range(p + 1, nc) if x[j])
+            g = gcd(s, row[p])
+            if row[p] < 0:
+                g = -g
+            scale = row[p] // g
+            if scale != 1:
+                x = [v * scale for v in x]
+            x[p] = -s // g
+        basis.append(primitive(x))
+    return basis
+
+
+class TestKernelByCramer:
+    """Each free column's kernel vector starts from the Bareiss pivot before
+    it, so every division is exact and one `primitive` scales the vector."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_int_matrices(2 ** 64))
+    def test_matches_gcd_rescaling(self, rows):
+        m = QMatrix.from_ints(rows)
+        kernel = m.kernel()
+        assert kernel == gcd_rescaling_kernel(rows)
+        assert m.rank() + len(kernel) == m.cols
+        for vec in kernel:
+            assert all(sum(map(mul, row, vec)) == 0 for row in rows)
 
 
 class TestQMatrix:

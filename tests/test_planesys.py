@@ -917,10 +917,12 @@ class TestJet:
            .flatmap(lambda size: st.lists(
                st.one_of(st.just(0), st.integers(-20, 20)),
                min_size=size, max_size=size)),
-           st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3))] * 3))
+           st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3),
+                                 st.integers(-2 ** 500, 2 ** 500))] * 3))
     def test_matches_partial_and_substitute(self, form, pt):
         # forms of degree 0 to 6 with zero coefficients, points with zero
-        # coordinates, so the skip of terms vanishing to high order is met;
+        # coordinates, so the skip of terms vanishing to high order is met,
+        # and with coordinates of up to 500 bits, the size of a sweep t*;
         # the zero form is among the draws
         n = ps.p3_degree(form)
         p = MultiPoly(cb.X_BLOCKS, dict(zip(ps.monomials_of_degree(n), form)))
