@@ -325,7 +325,8 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     """c1..c4 of the tangent bundle of P, from the relative Euler sequence.
 
     c(T_P) = c(pi^* M^dual tensor O_P(1)) . c(pi^* T_S), with c1(T_S) =
-    -K_S and c2(T_S) = e(S) pt.
+    -K_S and c2(T_S) = e(S) pt.  The first factor's classes are rel1, rel2
+    and zeta^3 - c1 zeta^2 + c2 zeta, which is 0 by the bundle relation.
     """
     S = P.base
     z = P.zeta()
@@ -334,13 +335,12 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     z2 = z * z
     rel1 = 3 * z - c1m
     rel2 = 3 * z2 - 2 * z * c1m + c2m
-    rel3 = z2 * z - z2 * c1m + z * c2m  # vanishes by the bundle relation
     ts1 = P.pull(-S.canonical())
     ts2 = S.euler_number() * P.pull(S.pt())
     c1 = rel1 + ts1
     c2 = rel2 + rel1 * ts1 + ts2
-    c3 = rel3 + rel2 * ts1 + rel1 * ts2
-    c4 = rel3 * ts1 + rel2 * ts2
+    c3 = rel2 * ts1 + rel1 * ts2
+    c4 = rel2 * ts2
     return c1, c2, c3, c4
 
 

@@ -234,8 +234,7 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "net_dimension": net.system.dim,
         "base_point": [_frac_json(c) for c in net.o],
-        "cubic_node": [_frac_json(c)
-                       for c in report["cubic"]["certificate"].point],
+        "cubic_node": [_frac_json(c) for c in report["cubic"]["node"]],
         "samples": [
             {
                 "line_dual": [_frac_json(c) for c in inst.marked_lines[4].dual],

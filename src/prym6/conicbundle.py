@@ -20,9 +20,8 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .exactalg import MultiPoly, QMatrix, det3_poly, primitive
-from .planesys import (QQ, WORD_PRIMES, _cross, _random_invertible,
-                       monomials_of_degree, only_known_common_roots, p3_degree,
-                       p3_jet, p3_weights)
+from .planesys import (QQ, _cross, _random_invertible, monomials_of_degree,
+                       only_known_common_roots, p3_degree, p3_jet, p3_weights)
 
 XY_BLOCKS = (("x", 3), ("y", 3))
 X_BLOCKS = (("x", 3),)
@@ -387,71 +386,6 @@ def node_certificate(form: Sequence[int], den: int,
         hessian_minor=Fraction(minor, den * den))
 
 
-def no_line_through_node(form: Sequence[int], point: Sequence[int]) -> bool:
-    """Certify that no line through a singular point t* lies on a plane cubic.
-
-    form is the cubic as a dense integer list of 10 coefficients, as
-    `det3_poly` gives it, and ValueError is raised unless its value and
-    gradient vanish at point, t*, an int triple (`p3_jet` raises TypeError
-    on any other coordinate).  Let k be the chart of t* and a, b the
-    other two indices.  Taylor's formula gives
-
-        cubic(Z t* + X e_a + Y e_b) = Z q(X, Y) / 2 + c(X, Y),
-
-    with q = q0 X^2 + q1 XY + q2 Y^2 = H_aa X^2 + 2 H_ab XY + H_bb Y^2 from
-    the Hessian H at t*, and c = k0 X^3 + k1 X^2 Y + k2 XY^2 + k3 Y^3 the
-    cubic restricted to the line t_k = 0.  Every line through t* meets
-    t_k = 0 in one point (X : Y), and lies on the cubic exactly when q and c
-    both vanish there, that is, when their resultant R, with formal degrees
-    2 and 3, is 0.  R is an integer polynomial in the coefficients, so R mod
-    p is the resultant of q and c reduced mod p.  For each p of
-    `WORD_PRIMES` in turn, this decides over GF(p) whether the reduced forms
-    share a root:
-
-    - if q0 = 0, swap X and Y in both forms; if q0 is still 0, q = q1 XY,
-      whose roots (1 : 0) and (0 : 1) are roots of c when k0 = 0 or k3 = 0,
-      and every point is a root when q1 = 0 too: they share none exactly
-      when q1 k0 k3 != 0;
-    - otherwise q has no root at (1 : 0), and one pseudo-division gives
-      q0^2 c = (A X + B Y) q + r1 X Y^2 + r0 Y^3 with u = q0 k1 - q1 k0,
-      r1 = q0^2 k2 - q0 q2 k0 - q1 u and r0 = q0^2 k3 - q2 u.  So q and c
-      share a root exactly when q and the remainder Y^2 (r1 X + r0 Y) do,
-      that is, when q(-r0, r1) = q0 r0^2 - q1 r0 r1 + q2 r1^2 = 0.  (If
-      r1 = r0 = 0, the remainder is 0 and q(0, 0) = 0; otherwise its roots
-      are (1 : 0), where q is q0 != 0, and (-r0 : r1).)
-
-    Returns True at the first prime where they share no root, as then
-    R != 0, and False when every prime finds one.  So a bad prime, one that
-    divides R != 0, can only reject: the check returns False on a cubic
-    whose R is a nonzero multiple of the product of the eight primes.
-    """
-    value, grad, h = p3_jet(form, point, 2)
-    if len(form) != 10 or value or any(grad):
-        raise ValueError("expected a plane cubic and a singular point on it")
-    k = _chart_index(point)
-    a, b = (j for j in range(3) if j != k)
-    c = [0] * 4  # coefficients of X^3, X^2 Y, X Y^2, Y^3
-    for e, v in zip(monomials_of_degree(3), form):
-        if e[k] == 0:
-            c[3 - e[a]] = v
-    q = (h[a][a], 2 * h[a][b], h[b][b])
-    for p in WORD_PRIMES:
-        q0, q1, q2 = (v % p for v in q)
-        k0, k1, k2, k3 = (v % p for v in c)
-        if q0 == 0:
-            q0, q2, k0, k1, k2, k3 = q2, q0, k3, k2, k1, k0
-        if q0 == 0:
-            res = q1 * k0 * k3
-        else:
-            u = q0 * k1 - q1 * k0
-            r1 = (q0 * q0 * k2 - q0 * q2 * k0 - q1 * u) % p
-            r0 = (q0 * q0 * k3 - q2 * u) % p
-            res = q0 * r0 * r0 - q1 * r0 * r1 + q2 * r1 * r1
-        if res % p:
-            return True
-    return False
-
-
 def singular_locus_is_exactly(gamma: MultiPoly, points, rng: random.Random,
                               exact: bool = False) -> bool:
     """Certify Sing(gamma) = {points}, all ordinary nodes; modulo half-word
@@ -791,34 +725,35 @@ def build_net_T(o: Sequence[int | Fraction],
 def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
     """det(t1 A1 + t2 A2 + t3 A3) on the fiber over o: a one-nodal plane cubic.
 
-    Certifies, exactly and with no random choice, that the cubic C has
-    exactly one singular point t*, that t* is an ordinary node, and that
-    the member B = sum t*_k A_k(o) has rank 2 and vertex o, so it splits as
-    two lines through o.  It rests on o^T A_k(o) o = 0 for each k (every
-    member of the net passes through (o, o)), checked in integers first.
-    Returns 8 C, dense, as "cubic", and the "certificate" of t*.
+    Certifies, exactly, that the cubic C has exactly one singular point t*,
+    that t* is an ordinary node, so C is irreducible, and that the member
+    B = sum t*_k A_k(o) has rank 2 and vertex o, so it splits as two lines
+    through o.  It rests on o^T A_k(o) o = 0 for each k (every member of
+    the net passes through (o, o)), checked in integers first.  Returns
+    8 C, dense, as "cubic", and t*, a primitive int triple, as "node".
 
-    1. The node t* spans the kernel of the 3x3 matrix whose column k is
-       A_k(o) o, so B o = 0.  As B has rank 2 (step 4), adj B = lambda o o^T
-       and d det / dt_k = tr(adj B A_k(o)) = lambda o^T A_k(o) o = 0.  The
-       node certificate below checks the gradient at t* anyway.
-    2. `node_certificate`: t* is an ordinary node.
-    3. `no_line_through_node`: no line through t* lies on C.  So t* is the
-       only singular point: the line through t* and another singular point
-       would meet C with multiplicity at least 4 > 3 and so lie on C, by
-       Bezout (W. Fulton, Algebraic Curves, ch. 5).  And C is irreducible:
-       a reducible cubic singular at t* contains a line through t* (t* lies
-       on its line component, or is the vertex of its conic component,
-       which is then a line pair).
-    4. B has rank 2 and kernel o, with no check of its own: B o = 0 gives
+    1. Construction: t* spans the kernel of the 3x3 matrix whose column k
+       is A_k(o) o, so B o = 0 and C(t*) = det B = 0.  B o = 0 also makes
+       adj B either lambda o o^T (rank B = 2, kernel o) or 0 (rank B <= 1),
+       so by Jacobi's formula dC/dt_k (t*) = tr(adj B A_k(o)) =
+       lambda o^T A_k(o) o = 0: t* is a singular point of C, which is what
+       the proof of step 2 needs, with no check of its own.
+    2. Count: `only_known_common_roots` with k = 1, the proof that certifies
+       every sextic, shows Sing(C) = {t*} with Tjurina number 1, so t* is
+       an ordinary node (G.-M. Greuel, C. Lossen and E. Shustin,
+       Introduction to Singularities and Deformations, I.2).  And C is
+       irreducible: a reducible cubic has two singular points, or one that
+       is not a node (W. Fulton, Algebraic Curves, ch. 5).  Its rng is fixed,
+       as in `ConicBundleInstance.from_json`, so the caller's stream stays.
+    3. B has rank 2 and kernel o, with no check of its own: B o = 0 gives
        rank B <= 2, and a node rules out rank B <= 1.  For suppose
        B = lambda b b^T.  Take coordinates with o = e_1 (C changes by a
        nonzero constant factor); then b_1 = 0, and S = sum s_k A_k(o) has
        S_11 = 0.  So C(t* + s) = det(B + S) = lambda b^T adj(S) b + det S,
        whose quadratic part lambda b^T adj(S) b =
        -lambda (b_2 S_13 - b_3 S_12)^2 is a square of a linear form in s:
-       the Hessian at t* has rank <= 1, its chart minor is 0, and step 2
-       has already failed.
+       the Hessian at t* has rank <= 1, so t* has Tjurina number at least
+       2, and step 2 has already failed.
     """
     o = net.o
     images = [[sum(map(mul, row, o)) for row in m]  # 2 A_k(o) o
@@ -839,13 +774,9 @@ def discriminant_cubic(net: NetT, rng: random.Random) -> dict:
                                 for i in range(3)]).kernel()
     if len(kernel) != 1:
         raise CertificationError("the net has no unique member singular at o")
-    tstar = kernel[0]
-    cert = node_certificate(form, 8, tstar)
-    if not cert.is_node:
-        raise CertificationError("singular member of the net is not a node")
-    if not no_line_through_node(form, tstar):
+    if not only_known_common_roots(form, 1, random.Random(0)):
         raise CertificationError("net discriminant is not a one-nodal cubic")
-    return {"cubic": form, "certificate": cert}
+    return {"cubic": form, "node": kernel[0]}
 
 
 def pencil_line_through(o: tuple[int, ...], rng: random.Random) -> LineInFiber:

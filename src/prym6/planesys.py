@@ -491,8 +491,8 @@ def _jet_table(n: int, point: tuple[int, int, int], order: int):
     x^e for the derivative x^d is perm(e, d) x^(e - d), the product of the
     falling factorials perm(e_k, d_k) and the value of a monomial of degree
     n - |d|, read from `p3_weights(point, k)` for k = n - order..n, which
-    are taken once.  The cache is bounded, since the net cubic asks at a
-    new point t* on every sweep item.
+    are taken once.  The cache is bounded, since `node_certificate` takes
+    any point.
     """
     read = tuple(sum(a for a, v in zip(e, point) if not v) <= order
                  for e in monomials_of_degree(n))
@@ -644,11 +644,10 @@ def _mat3_apply(F, m, v):
 #: random changes of coordinates an elimination draws before it gives up
 _TRIES = 8
 
-#: the eight largest primes below 2^15, one per attempt of the mod-p proof
-#: and the moduli of `conicbundle.no_line_through_node`: q^2 < 2^30, so a
-#: product of two residues is one 30-bit CPython digit, and a sextic's 26
-#: sample points pass the slot bound of `_packs`.  Each is above 25, the
-#: last sample point of `resultant_x3` on a sextic
+#: the eight largest primes below 2^15, one per attempt of the mod-p proof:
+#: q^2 < 2^30, so a product of two residues is one 30-bit CPython digit,
+#: and a sextic's 26 sample points pass the slot bound of `_packs`.  Each
+#: is above 25, the last sample point of `resultant_x3` on a sextic
 WORD_PRIMES = (32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653)
 
 

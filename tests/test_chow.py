@@ -85,6 +85,13 @@ class TestProjectiveBundleRing:
         rhs = z * z * P.pull(-S.canonical()) - 3 * z * P.pull(S.pt())
         assert lhs == rhs
 
+    def test_relative_third_chern_class_vanishes(self, P):
+        # c3 of pi^* M^dual tensor O_P(1), which tangent_chern_classes
+        # leaves out of c3 and c4 of T_P
+        z = P.zeta()
+        rel3 = z ** 3 - z * z * P.pull(P.c1) + z * (P.c2 * P.pull(P.base.pt()))
+        assert rel3.nums == {}
+
     def test_pullback_is_ring_map(self, P):
         S = P.base
         a, b = S.L() + S.E(1), 2 * S.E(2) - S.L()

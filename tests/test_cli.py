@@ -109,10 +109,10 @@ class TestVerify:
             calls.update(dict.fromkeys(calls, 0))
             assert run_checks("all")["pass"]
             # once in every report: the second recomputes, caches nothing;
-            # Riemann-Roch and deg h form 28 products in the bundle ring,
+            # Riemann-Roch and deg h form 24 products in the bundle ring,
             # none of them twice and none unread
             assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1,
-                             "zeta4": 1, "bundle_products": 28}
+                             "zeta4": 1, "bundle_products": 24}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction

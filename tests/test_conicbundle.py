@@ -558,15 +558,12 @@ class TestNodeCertificates:
     def test_form_not_homogeneous_in_one_block_raises_at_every_reader(self):
         # gamma(x) * y0, gamma and the nodal cubic plus a linear term, and
         # 0: the conversion to a dense form and the completeness check
-        # reject each; the two certificates that take a dense form reject a
-        # list of a length no form has, and no_line_through_node any form
-        # but a cubic
+        # reject each; the node certificate rejects a list of a length no
+        # form has
         gamma, pts = self.two_conics()
         cubic = MultiPoly(X, {(0, 2, 1): Fraction(1), (3, 0, 0): Fraction(-1),
                               (2, 0, 1): Fraction(-1)})
-        form = cb._dense_form(cubic)
         assert node_cert(cubic, (0, 0, 1)).is_node
-        assert cb.no_line_through_node(form, (0, 0, 1))
         x1 = MultiPoly(X, {(1, 0, 0): Fraction(1)})
         times_y0 = MultiPoly(XY, {e + (1, 0, 0): c for e, c in gamma.terms.items()})
         for bad in (times_y0, gamma + x1, cubic + x1, MultiPoly(X)):
@@ -577,9 +574,6 @@ class TestNodeCertificates:
         for length in (0, 2, 4, 5, 7, 9, 11, 27):
             with pytest.raises(ValueError):
                 cb.node_certificate([1] * length, 1, (0, 0, 1))
-        for length in (0, 1, 2, 3, 6, 7, 9, 11, 15):
-            with pytest.raises(ValueError):
-                cb.no_line_through_node([0] * length, (0, 0, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.dictionaries(
@@ -614,7 +608,6 @@ class TestNodeCertificates:
         A = cb.to_symmetric_matrix(x0 * x0 * y0 * y0)
         point = (Fraction(0), Fraction(0), Fraction(1))
         for call in (lambda: node_cert(cubic, point),
-                     lambda: cb.no_line_through_node(cb._dense_form(cubic), point),
                      lambda: A.evaluated(point)):
             with pytest.raises(TypeError, match="int coordinates"):
                 call()
@@ -1075,9 +1068,26 @@ NODAL_AT_ORIGIN = {
 }
 
 
+def one_node_proof(cubic):
+    """The net cubic's certificate: the completeness proof with k = 1 on
+    a `MultiPoly` plane cubic, with the rng `discriminant_cubic` uses."""
+    return ps.only_known_common_roots(cb._dense_form(cubic), 1, random.Random(0))
+
+
+def proof_matches_the_oracle(cubic, node):
+    """The proof accepts a cubic singular at node exactly when the node
+    certificate finds an ordinary node and the Sylvester determinant finds
+    no line through it on the cubic.  Returns the verdict."""
+    verdict = one_node_proof(cubic)
+    assert verdict == (node_cert(cubic, node).is_node
+                       and sylvester_says_no_line(cubic, node))
+    return verdict
+
+
 class TestNoLineThroughNode:
-    """The uniqueness step of the net cubic's certificate: it accepts
-    exactly when no line through the node lies on the cubic."""
+    """The net cubic's certificate on cubics singular at a point: it
+    accepts exactly when the point is an ordinary node and no line through
+    it lies on the cubic."""
 
     @pytest.mark.parametrize("moved", [False, True], ids=["origin", "moved"])
     @pytest.mark.parametrize("name", list(NODAL_AT_ORIGIN))
@@ -1090,30 +1100,20 @@ class TestNoLineThroughNode:
         else:
             cubic, node = curve(x, y, z), (0, 0, 1)
         assert node_cert(cubic, node).is_node
-        assert cb.no_line_through_node(cb._dense_form(cubic), node) is not has_line
-
-    def test_needs_a_singular_point(self):
-        # (0:1:0) is a smooth point of the nodal cubic, (1:1:1) is off it,
-        # and the zero vector is no point
-        x, y, z = _plane_variables()
-        form = cb._dense_form(y * y * z - x * x * x - x * x * z)
-        for point in ((0, 1, 0), (1, 1, 1), (0, 0, 0)):
-            with pytest.raises(ValueError):
-                cb.no_line_through_node(form, point)
+        assert proof_matches_the_oracle(cubic, node) is not has_line
 
     def test_reads_the_jet_of_its_own_cubic(self):
-        # x (y^2 + x z) is singular at (0:0:1) and contains the line x = 0
-        # through it; the check must see that from this cubic's Hessian, not
-        # from the nodal cubic's, which a certificate computed on another
-        # curve would carry
+        # x (y^2 + x z) is singular at (0:0:1), where the line x = 0 on it
+        # is tangent to the conic y^2 + x z: no node, and a line through
+        # the singular point; the proof must see that from this cubic
         x, y, z = _plane_variables()
         cubic = x * (y * y + x * z)
-        assert not cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
+        assert not proof_matches_the_oracle(cubic, (0, 0, 1))
         assert not sylvester_says_no_line(cubic, (0, 0, 1))
 
 
 def sylvester_says_no_line(cubic, point):
-    """Reference for `no_line_through_node`: the 5x5 Sylvester determinant
+    """Reference for the net cubic's certificate: the 5x5 Sylvester determinant
     of the tangent cone q and the cubic c on t_k = 0 is nonzero exactly when
     they share no root, that is, when no line through the singular point
     lies on the cubic.  The Hessian comes from `MultiPoly.partial`."""
@@ -1133,8 +1133,8 @@ def sylvester_says_no_line(cubic, point):
 
 
 #: z Q(x, y) + C(x, y), singular at (0:0:1) with tangent cone q ~ Q and c = C,
-#: for the branches of the check: Q without x^2 (q0 = 0), Q = xy (q0 = q2 = 0),
-#: and Q = x^2 + y^2 with k0 = k2 (remainder r1 = 0)
+#: for tangent cones of three shapes, each with and without a common root of
+#: Q and C: Q without x^2, Q = xy, and Q = x^2 + y^2
 BRANCH_CASES = {
     "q0=0, no line": (lambda x, y: x * y + y * y,
                       lambda x, y: x * x * x + 2 * y * y * y, False),
@@ -1157,8 +1157,8 @@ small = st.integers(-2, 2)
 
 
 class TestNoLineThroughNodeOracle:
-    """The check of `no_line_through_node` modulo the word primes against
-    the Sylvester determinant over Q."""
+    """The net cubic's certificate against the node certificate and the
+    Sylvester determinant over Q, on cubics singular at (0:0:1)."""
 
     @pytest.mark.parametrize("name", list(BRANCH_CASES))
     def test_branches(self, name):
@@ -1166,9 +1166,7 @@ class TestNoLineThroughNodeOracle:
         x, y, z = _plane_variables()
         cubic = z * quad(x, y) + cub(x, y)
         assert node_cert(cubic, (0, 0, 1)).is_node
-        verdict = cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
-        assert verdict is not has_line
-        assert verdict == sylvester_says_no_line(cubic, (0, 0, 1))
+        assert proof_matches_the_oracle(cubic, (0, 0, 1)) is not has_line
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(small, min_size=3, max_size=3),
@@ -1180,60 +1178,25 @@ class TestNoLineThroughNodeOracle:
                  + c[0] * x * x * x + c[1] * x * x * y + c[2] * x * y * y
                  + c[3] * y * y * y)
         assume(cubic.nums)
-        assert (cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
-                == sylvester_says_no_line(cubic, (0, 0, 1)))
-
-    def check_at_primes(self, cubic, primes):
-        """The verdict of `no_line_through_node` on a cubic singular at
-        (0:0:1) when it may read only the given primes."""
-        with mock.patch.object(cb, "WORD_PRIMES", primes):
-            return cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
-
-    def test_first_prime_divides_q0(self):
-        # q0 = 2 * 32749 != 0 reduces to 0 mod the first prime, which swaps
-        # X and Y and decides there; read as q1 XY without the swap, q would
-        # share the root (0 : 1) with c, as k3 = 0
-        p = ps.WORD_PRIMES[0]
-        x, y, z = _plane_variables()
-        cubic = z * (p * x * x + x * y + y * y) + x * x * x + x * y * y
-        assert node_cert(cubic, (0, 0, 1)).is_node
-        assert sylvester_says_no_line(cubic, (0, 0, 1))
-        assert self.check_at_primes(cubic, ps.WORD_PRIMES[:1])
-        assert self.check_at_primes(cubic, ps.WORD_PRIMES)
-
-    def test_resultant_divisible_by_the_first_prime(self):
-        # Res(x^2 + y^2, x^3 + a y^3) = a^2 + 1, a multiple of the first
-        # prime for a = sqrt(-1) mod it: the first prime reads a common
-        # root, and the second decides
-        p = ps.WORD_PRIMES[0]
-        a = next(a for a in range(p) if (a * a + 1) % p == 0)
-        assert (a * a + 1) % ps.WORD_PRIMES[1]
-        x, y, z = _plane_variables()
-        cubic = z * (x * x + y * y) + x * x * x + a * y * y * y
-        assert node_cert(cubic, (0, 0, 1)).is_node
-        assert sylvester_says_no_line(cubic, (0, 0, 1))
-        assert not self.check_at_primes(cubic, ps.WORD_PRIMES[:1])
-        assert self.check_at_primes(cubic, ps.WORD_PRIMES[:2])
-        assert self.check_at_primes(cubic, ps.WORD_PRIMES)
+        proof_matches_the_oracle(cubic, (0, 0, 1))
 
     def test_every_prime_divides_the_resultant(self):
-        # z xy + P x^3 + y^3 for P the product of the eight primes: no line
-        # through the node lies on it, but k0 = P reduces to 0 mod every
-        # prime, so each reads the common root (1 : 0) of xy and y^3, and
-        # the check rejects: the cost of deciding modulo primes
+        # z xy + P x^3 + y^3 for P the product of the eight primes: an
+        # ordinary node with no line through it, but mod every prime it is
+        # y (xz + y^2), singular at (0:0:1) and (1:0:0), so each attempt
+        # rejects and so does the proof: the cost of deciding modulo primes
         x, y, z = _plane_variables()
         cubic = z * x * y + prod(ps.WORD_PRIMES) * x * x * x + y * y * y
         assert node_cert(cubic, (0, 0, 1)).is_node
         assert sylvester_says_no_line(cubic, (0, 0, 1))
-        assert not cb.no_line_through_node(cb._dense_form(cubic), (0, 0, 1))
+        assert not one_node_proof(cubic)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
         report = cb.sweep(seed, 1)["cubic"]
-        form, node = report["cubic"], report["certificate"].point
+        form, node = report["cubic"], report["node"]
         cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)), 8)
-        assert cb.no_line_through_node(form, node)
-        assert sylvester_says_no_line(cubic, node)
+        assert proof_matches_the_oracle(cubic, node)
 
 
 def rank_one_net(rng):
@@ -1290,7 +1253,6 @@ class TestNetAndSweep:
             assert g.evaluate({"x": net.o, "y": net.o}) == 0
         report = cb.discriminant_cubic(net, rng)
         assert len(report["cubic"]) == 10 and any(report["cubic"])
-        assert report["certificate"].is_node
         # "cubic" is 8 C for C = det(sum t_k A_k(o)), each A_k(o) read off
         # member k's conic over o in Fractions
         def a(g, i, j):
@@ -1311,11 +1273,10 @@ class TestNetAndSweep:
         assert C.nums
         assert MultiPoly(T, dict(zip(ps.monomials_of_degree(3),
                                      report["cubic"]))) == 8 * C
-        # and the certificate is that of C itself
-        assert report["certificate"] == node_cert(C, report["certificate"].point)
-        # proved, not checked, by discriminant_cubic: the singular member
-        # has rank 2 and vertex o
-        tstar = report["certificate"].point
+        # proved, not checked, by discriminant_cubic: t* is an ordinary
+        # node of C, and the singular member has rank 2 and vertex o
+        tstar = report["node"]
+        assert node_cert(C, tstar).is_node
         B = QMatrix.from_ints([[sum(t * m[i][j] for t, m in zip(tstar, net.restricted))
                                 for j in range(3)] for i in range(3)])
         assert B.kernel() == [net.o]
@@ -1326,7 +1287,10 @@ class TestNetAndSweep:
         report = cb.sweep(seed, 1)["cubic"]
         cubic = [Fraction(c, 8) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
-        assert primitive(root) == report["certificate"].point
+        assert primitive(root) == report["node"]
+        # Jacobi's formula, not a check, makes t* singular on the cubic
+        value, grad = ps.p3_jet(report["cubic"], report["node"], 1)
+        assert value == 0 and not any(grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2948, 10293])
     def test_pin_makes_the_draws_of_the_rational_change(self, seed):
@@ -1369,12 +1333,15 @@ class TestNetAndSweep:
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_one_singular_member_is_not_a_node(self, seed):
         # A_1 = b b^T with b . o = 0, and A_2, A_3 random with o^T A_k o = 0:
-        # the singular member is t* = e_1, B = A_1 has rank 1, and the node
-        # certificate rejects it, as the proof of step 4 says it must
+        # the singular member is t* = e_1, singular on the cubic by
+        # construction, B = A_1 has rank 1, its Hessian minor is 0, and the
+        # proof rejects it, as step 3 of discriminant_cubic says it must
         cubic, net = rank_one_net(random.Random(seed))
+        value, grad = ps.p3_jet(cubic, (1, 0, 0), 1)
+        assert value == 0 and not any(grad)
         cert = cb.node_certificate(cubic, 1, (1, 0, 0))
         assert not any(cert.gradient) and cert.hessian_minor == 0
-        with pytest.raises(cb.CertificationError, match="not a node"):
+        with pytest.raises(cb.CertificationError, match="not a one-nodal cubic"):
             cb.discriminant_cubic(net, random.Random(seed))
 
     def test_degenerate_base_point_flagged(self):

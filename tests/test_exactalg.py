@@ -262,7 +262,6 @@ FLOAT_ENTRY_POINTS = {
     "LineInFiber": lambda: cb.LineInFiber((0.5, 1, 1), (1, 0, 0)),
     "node_certificate": lambda: cb.node_certificate(
         cb._dense_form(X1), 1, (0.5, 1, 1)),
-    "no_line_through_node": lambda: cb.no_line_through_node([0] * 10, (0.5, 1, 1)),
     "base_system": lambda: cb.base_system(
         ((0.5, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
     "p3_jet": lambda: ps.p3_jet([1, 2, 3], (0.5, 1, 1), 1),
