@@ -11,13 +11,13 @@ over one positive denominator.  Linear algebra goes through fraction-free
 certified, not numerical.  `det3_poly` takes dense integer forms, the
 layout of `planesys`, and multiplies them with `planesys.p3_mul`.
 `fractions.Fraction` appears only at the interface: coefficients read
-through `QVector.coeffs`, and values and determinants.
+through `QVector.coeffs`, substituted points, values and determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -214,14 +214,6 @@ class MultiPoly(QVector):
 
     # -- structure ----------------------------------------------------
 
-    def block_offset(self, block: str) -> tuple[int, int]:
-        off = 0
-        for name, size in self.blocks:
-            if name == block:
-                return off, size
-            off += size
-        raise ValueError(f"no block named {block!r}")
-
     def _product(self, other):
         out: dict = {}
         for e1, c1 in self.nums.items():
@@ -234,7 +226,13 @@ class MultiPoly(QVector):
 
     def partial(self, block: str, index: int) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
-        off, size = self.block_offset(block)
+        off = 0
+        for name, size in self.blocks:
+            if name == block:
+                break
+            off += size
+        else:
+            raise ValueError(f"no block named {block!r}")
         if not 0 <= index < size:
             raise ValueError(f"index {index} out of range in block {block!r}")
         k = off + index
@@ -250,48 +248,30 @@ class MultiPoly(QVector):
 
         Substituted blocks disappear from the result; the remaining blocks
         are kept.  With every block substituted the result is a constant
-        polynomial over no variables.
-
-        Each substituted point is written P/d with integer P.  A term whose
-        degree in that block is s takes P^e d^(top - s), top being the
-        block's highest degree, so the sums run in integers and the result
-        is over den times d^top for each block.  `evaluate` is the one
-        caller; the package reads forms at points through dense tables.
+        polynomial over no variables.  Each coordinate passes through
+        `rational`, and each term adds its coefficient times the product of
+        the substituted powers.  `evaluate` is the one caller; the package
+        reads forms at points through dense tables.
         """
-        spans = []  # (offset, P, d, top) of each substituted block
+        values = []  # (position, value) of each substituted coordinate
         keep_blocks: list[tuple[str, int]] = []
         keep_idx: list[int] = []
-        den = self.den
         off = 0
         for name, size in self.blocks:
             if name in assignment:
-                P, d = integer_numerators(assignment[name])
-                if len(P) != size:
+                point = [rational(v) for v in assignment[name]]
+                if len(point) != size:
                     raise ValueError(f"point for block {name!r} has wrong size")
-                top = max((sum(e[off:off + size]) for e in self.nums), default=0)
-                spans.append((off, P, d, top))
-                den *= d ** top
+                values.extend(zip(range(off, off + size), point))
             else:
                 keep_blocks.append((name, size))
                 keep_idx.extend(range(off, off + size))
             off += size
         out: dict = {}
-        for exp, val in self.nums.items():
-            for off0, P, d, top in spans:
-                s = 0
-                for j, v in enumerate(P):
-                    e = exp[off0 + j]
-                    if e:
-                        val *= v ** e
-                        s += e
-                if not val:
-                    break
-                if s != top:
-                    val *= d ** (top - s)
-            if val:
-                key = tuple(exp[i] for i in keep_idx)
-                out[key] = out.get(key, 0) + val
-        return MultiPoly.from_ints(tuple(keep_blocks), out, den)
+        for exp, c in self.coeffs.items():
+            key = tuple(exp[i] for i in keep_idx)
+            out[key] = out.get(key, 0) + c * prod(v ** exp[i] for i, v in values)
+        return MultiPoly(keep_blocks, out)
 
     def evaluate(self, assignment: Mapping[str, Sequence]) -> Fraction:
         """Fully evaluate: `substitute` with every block assigned."""

@@ -6,9 +6,11 @@ same code runs over Q and over prime fields GF(q); the field is passed
 explicitly.  The completeness proof runs over GF(q) for q below 2^15, so
 that q^2 < 2^30 and every product of two residues is one 30-bit CPython
 digit.
-`p3_jet`, the value, gradient and Hessian of a form at a point, runs on
-integers, with no field, as dot products with cached tables of
-`p3_weights`: it is the one jet of the node certificates.
+`p3_weights` gives every weight table at an integer point: the values of
+the monomials of one degree, or of one of their derivatives.  `p3_jet`, the
+value, gradient and Hessian of a form at a point, runs on integers, with no
+field, as dot products with cached tables of those weights: it is the one
+jet of the node certificates.
 `p3_mul`, the product of two forms, runs on integers too: it builds the
 determinants of `exactalg.det3_poly`.
 
@@ -60,7 +62,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, compress
-from math import comb, factorial, isqrt, perm, prod
+from math import comb, factorial, isqrt, perm
 from operator import mul
 
 from .exactalg import QMatrix, primitive
@@ -343,8 +345,10 @@ def _sample_maps(F, n: int):
     Returns (E, T), each as its n columns packed into 64-bit slots, entry i
     of a column in slot i, when `_packs(F, n)`, and as its n rows otherwise:
     the two forms `_times` multiplies.  A sextic's proofs ask for n = 26
-    over the word primes and Q, the exact check of a quartic for n = 10
-    over Q: at most 10 keys, so 16 entries hold them all.
+    and the net cubic's for n = 5 over the word primes; the exact checks,
+    which no command runs, ask for n = 26 over Q, and for n = 10 on a
+    quartic: 18 keys in all.  A command process asks only for the 16 keys
+    of the word primes, so 16 entries hold them all.
     """
     master = [1]
     for j in range(n):
@@ -421,14 +425,15 @@ def p3_weights(point, n: int, d=(0, 0, 0)) -> list[int]:
     `monomials_of_degree(n)` at an integer point: the weights of that
     derivative of a dense form of degree n.  With d = 0, the values, as
     products of powers, which take field elements as well; otherwise the
-    product over k of perm(e_k, d_k) x_k^(e_k - d_k), 0 if some d_k > e_k.
+    product over k of perm(e_k, d_k) x_k^(e_k - d_k), 0 if some d_k > e_k,
+    one entry of a falling-factorial power table per coordinate.
     """
     if not any(d):
         a, b, c = point
         return [a ** i * b ** j * c ** k for i, j, k in monomials_of_degree(n)]
-    return [prod(perm(e, f) * v ** (e - f) if e >= f else 0
-                 for v, e, f in zip(point, ex, d))
-            for ex in monomials_of_degree(n)]
+    ta, tb, tc = ([perm(e, f) * v ** (e - f) if e >= f else 0
+                   for e in range(n + 1)] for v, f in zip(point, d))
+    return [ta[i] * tb[j] * tc[k] for i, j, k in monomials_of_degree(n)]
 
 
 def p3_mul(f, g):
@@ -463,8 +468,8 @@ def _product_table(a: int, b: int):
 def p3_jet(form, point, order: int):
     """(value, gradient, Hessian)[:order + 1] of a dense integer form at an
     int point, in ints, each entry one dot product of the form's terms with
-    a row of `_jet_table`, which reads every weight from the monomial values
-    at the point; the gradient is a triple, the Hessian a triple of rows.
+    a row of `_jet_table`, that is, with the `p3_weights` of one derivative;
+    the gradient is a triple, the Hessian a triple of rows.
     A coordinate that is not an int raises TypeError: it would round,
     or share the cached table of an equal int.
     """
@@ -486,27 +491,16 @@ def _jet_table(n: int, point: tuple[int, int, int], order: int):
     """The mask of the terms of degree n that a jet of that order reads at
     point, and for the value, the partials and the Hessian entries 00, 01,
     02, 11, 12, 22, up to the order, the `p3_weights` of each term read.
-    A term of degree above ``order`` in the point's zero coordinates is not
-    read: each of its derivatives keeps a zero coordinate.  The weight of
-    x^e for the derivative x^d is perm(e, d) x^(e - d), the product of the
-    falling factorials perm(e_k, d_k) and the value of a monomial of degree
-    n - |d|, read from `p3_weights(point, k)` for k = n - order..n, which
-    are taken once.  The cache is bounded, since `node_certificate` takes
-    any point.
+    A term is read when some row weighs it: one of degree above ``order``
+    in the point's zero coordinates is not, since each of its derivatives
+    keeps a zero coordinate.  The cache is bounded, since
+    `node_certificate` takes any point.
     """
-    read = tuple(sum(a for a, v in zip(e, point) if not v) <= order
-                 for e in monomials_of_degree(n))
-    values = {}
-    for k in range(max(n - order, 0), n + 1):
-        values.update(zip(monomials_of_degree(k), p3_weights(point, k)))
-    terms = list(compress(monomials_of_degree(n), read))
     ds = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
           (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)][:(1, 4, 10)[order]]
-    return read, tuple(
-        tuple(perm(a, d0) * perm(b, d1) * perm(c, d2)
-              * values[a - d0, b - d1, c - d2]
-              if a >= d0 and b >= d1 and c >= d2 else 0 for a, b, c in terms)
-        for d0, d1, d2 in ds)
+    rows = [p3_weights(point, n, d) for d in ds]
+    read = tuple(map(any, zip(*rows)))
+    return read, tuple(tuple(compress(row, read)) for row in rows)
 
 
 def p3_partial(F, form, j: int):

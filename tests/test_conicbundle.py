@@ -621,26 +621,45 @@ class TestNodeCertificates:
                 gamma, pts[:3] + [fourth], random.Random(2), exact=True)
 
     @staticmethod
-    def fifth_node_member(coeffs):
-        """A member of the 12-dimensional system singular at the four
-        standard nodes and at (1:2:3), cut by three lines in fibers."""
-        fifth = (1, 2, 3)
-        rows = [row for pt in cb.STANDARD_NODES + (fifth,)
-                for row in cb.node_condition_rows(pt)]
+    def fifth_node_member(coeffs, p=(1, 2, 3), q=None):
+        """A member of the system singular at the four standard nodes and
+        at (p, q), q = p unless given, cut by three lines in fibers: 12
+        dimensional before the cut on the diagonal, 11 off it.  Its
+        discriminant is singular at p too."""
+        fifth = (cb.node_condition_rows(p) if q is None
+                 else fiber_singular_rows(p, q))
+        rows = [row for pt in cb.STANDARD_NODES
+                for row in cb.node_condition_rows(pt)] + fifth
         kernel = QMatrix(rows).kernel()
-        assert len(rows) == 25 and len(kernel) == 12
+        assert len(rows) == 25 and len(kernel) == (12 if q is None else 11)
         sys = cb.LinearSystem(tuple(kernel))
         rng = random.Random(5)
         for _ in range(3):
             sys = cb.impose_line(sys, cb.random_line_in_fiber(rng))
         Q = sum((c * b for c, b in zip(coeffs, sys.basis)), MultiPoly(XY))
-        return cb.discriminant(cb.to_symmetric_matrix(Q)), cb.STANDARD_NODES + (fifth,)
+        return cb.discriminant(cb.to_symmetric_matrix(Q)), cb.STANDARD_NODES + (p,)
 
     def test_unlisted_fifth_node_is_rejected(self):
         gamma, nodes = self.fifth_node_member((1, 2, -3))
         assert all(node_cert(gamma, pt).is_node for pt in nodes)
         assert not cb.singular_locus_is_exactly(gamma, nodes[:4], random.Random(0))
         assert cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
+        # the same failure as the pipeline meets it
+        with pytest.raises(cb.CertificationError, match="unexplained components"):
+            cb.certify_nodes(gamma, random.Random(0))
+
+    @pytest.mark.parametrize("p, q", [((1, 2, 3), (3, -1, 2)),
+                                      ((2, -1, 1), (1, 1, 0)),
+                                      ((1, 3, -2), (0, 1, 1))])
+    def test_off_diagonal_singular_point_is_rejected(self, p, q):
+        # Q singular at (p, q) with p != q: gamma gains a fifth node at p,
+        # which certify_nodes, listing only the standard four, rejects
+        for coeffs in ((1, 2), (2, -1)):
+            gamma, nodes = self.fifth_node_member(coeffs, p, q)
+            assert cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
+            with pytest.raises(cb.CertificationError,
+                               match="unexplained components"):
+                cb.certify_nodes(gamma, random.Random(0))
 
     def test_listed_non_node_is_rejected(self):
         # (0:0:1) is singular on the first basis member but not an ordinary
@@ -649,6 +668,25 @@ class TestNodeCertificates:
         cert = node_cert(gamma, nodes[2])
         assert all(g == 0 for g in cert.gradient) and not cert.is_node
         assert not cb.singular_locus_is_exactly(gamma, nodes, random.Random(0))
+
+
+def fiber_singular_rows(p, q):
+    """Rows over `XY_MONOMIALS` for vanishing to order 2 at (p, q), for int
+    points: the value and the chart partials in x at p and in y at q, as
+    `node_condition_rows` takes them at (u, u)."""
+    def chart_partials(P):
+        k = cb._chart_index(P)
+        return [ps.p3_weights(P, 2, d) for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                if not d[k]]
+    Tp, Tq = ps.p3_weights(p, 2), ps.p3_weights(q, 2)
+    tables = ([(Tp, Tq)] + [(D, Tq) for D in chart_partials(p)]
+              + [(Tp, D) for D in chart_partials(q)])
+    return [[u * v for u in U for v in V] for U, V in tables]
+
+
+def test_fiber_singular_rows_on_the_diagonal():
+    for u in cb.STANDARD_NODES + ((1, 2, 3), (2, -1, 0)):
+        assert fiber_singular_rows(u, u) == cb.node_condition_rows(u)
 
 
 def kernel_point_by_jet(A, Q, u):

@@ -108,6 +108,16 @@ class TestMultiPoly:
 
     @settings(max_examples=40, deadline=None)
     @given(poly_strategy(), st.tuples(*[st.one_of(st.just(0), small_fracs)] * 6))
+    def test_substitute_one_block_then_the_other(self, p, pt):
+        # a rational point with denominators and zero coordinates in x
+        # leaves a form over y that evaluates as the whole form does
+        px, py = pt[:3], pt[3:]
+        r = p.substitute({"x": px})
+        assert r.blocks == (("y", 3),)
+        assert r.evaluate({"y": py}) == p.evaluate({"x": px, "y": py})
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_strategy(), st.tuples(*[st.one_of(st.just(0), small_fracs)] * 6))
     def test_evaluate_matches_termwise_sum(self, p, pt):
         # points with denominators and zero coordinates; the zero
         # polynomial is among the draws

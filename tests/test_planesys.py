@@ -955,6 +955,18 @@ class TestJet:
         with pytest.raises(TypeError):
             ps.p3_jet([1, 2, 3], point, 1)
 
+    @pytest.mark.parametrize("point", [(0, 0, 1), (0, 3, 0), (-2, 0, 0),
+                                       (1, 0, -1), (0, 5, 7), (2, -3, 0),
+                                       (1, 1, 1)])
+    def test_table_reads_the_terms_of_low_zero_degree(self, point):
+        # the mask is the rule the table was built by: a term is read when
+        # its degree in the point's zero coordinates is at most the order
+        for n in range(8):
+            for order in range(3):
+                rule = tuple(sum(a for a, v in zip(e, point) if not v) <= order
+                             for e in ps.monomials_of_degree(n))
+                assert ps._jet_table(n, point, order)[0] == rule
+
     @pytest.fixture(scope="class")
     def gammas(self):
         # about 1800-bit coefficients

@@ -257,6 +257,7 @@ def test_every_file_parses_as_python_3_10():
         except SyntaxError as exc:
             failed.append(f"{path.relative_to(ROOT)}:{exc.lineno} {exc.msg}")
     assert failed == []
-    with pytest.raises(SyntaxError, match="3.11"):
+    # 3.11 and later name the version they need; 3.10 says "invalid syntax"
+    with pytest.raises(SyntaxError, match=r"3\.11|invalid syntax"):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
