@@ -24,9 +24,9 @@ from .exactalg import QVector
 class ChowClass(QVector):
     """Element of a Chow ring: a rational combination of basis monomials.
 
-    A `QVector` whose space is its ring.  Products multiply numerators by
-    the ring's integer structure constants (``ring.mul_basis``) and reduce
-    once per result.
+    A `QVector` whose space is its ring.  A product adds each pair of terms
+    into one dict through the ring's ``mul_into``, whose structure constants
+    are integers, and reduces once per result.
     """
 
     __slots__ = ()
@@ -34,13 +34,11 @@ class ChowClass(QVector):
     ring = QVector.space
 
     def _product(self, other):
-        mul_basis = self.ring.mul_basis
+        mul_into = self.ring.mul_into
         out: dict = {}
         for k1, n1 in self.nums.items():
             for k2, n2 in other.nums.items():
-                n = n1 * n2
-                for k, c in mul_basis(k1, k2).items():
-                    out[k] = out.get(k, 0) + n * c
+                mul_into(out, k1, k2, n1 * n2)
         return self._like(out, self.den * other.den, other)
 
     def __pow__(self, n: int):
@@ -73,11 +71,11 @@ class ProductProjectiveRing:
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {(0,) * len(self.dims): 1})
 
-    def mul_basis(self, k1, k2) -> dict:
+    def mul_into(self, out: dict, k1, k2, n: int) -> None:
+        """Add n times the basis product k1 * k2 to out."""
         k = tuple(map(add, k1, k2))
-        if any(map(gt, k, self.dims)):
-            return {}
-        return {k: 1}
+        if not any(map(gt, k, self.dims)):
+            out[k] = out.get(k, 0) + n
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get(self.dims, 0), cls.den)
@@ -116,14 +114,17 @@ class DelPezzoRing:
         # b0 + b2 + b4 with b2 = Picard rank
         return 2 + self.picard_rank
 
-    def mul_basis(self, k1, k2) -> dict:
+    def mul_into(self, out: dict, k1, k2, n: int) -> None:
+        """Add n times the basis product k1 * k2 to out."""
         if k1 == "1":
-            return {k2: 1}
-        if k2 == "1":
-            return {k1: 1}
-        if k1 != k2 or k1 == "pt":
-            return {}
-        return {"pt": 1 if k1 == "L" else -1}  # L^2 = pt, Ei^2 = -pt
+            k = k2
+        elif k2 == "1":
+            k = k1
+        elif k1 != k2 or k1 == "pt":
+            return
+        else:  # L^2 = pt, Ei^2 = -pt
+            k, n = "pt", n if k1 == "L" else -n
+        out[k] = out.get(k, 0) + n
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get("pt", 0), cls.den)
@@ -143,10 +144,10 @@ class ProjectiveBundleRing:
     The ring derives zeta^a * s for a = 3, 4 and each basis class s once,
     when it is built, from zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s),
     and keeps these 14 integer rows in ``_zeta_rows``.  A product of basis
-    monomials is then one product in the base and one row, returned as a
-    new dict.  The Hilbert coefficients behind `hrr_chi` are kept per ring
-    as a `QVector` over the powers of d, never as a ChowClass, so a ring
-    and its classes form no reference cycle.
+    monomials is then one product in the base and one key or row, added
+    into the caller's dict.  The Hilbert coefficients behind `hrr_chi` are
+    kept per ring as a `QVector` over the powers of d, never as a
+    ChowClass, so a ring and its classes form no reference cycle.
     """
 
     c2 = 3
@@ -164,14 +165,8 @@ class ProjectiveBundleRing:
                 row: dict = {}
                 for drop, cls in relation:
                     for sk, n in cls.nums.items():
-                        for t, c in S.mul_basis(s, sk).items():
-                            for key, r in self._power(a - drop, t).items():
-                                row[key] = row.get(key, 0) + n * c * r
+                        self.mul_into(row, (a - drop, s), (0, sk), n)
                 self._zeta_rows[a, s] = {k: v for k, v in row.items() if v}
-
-    def _power(self, a: int, s: str) -> dict:
-        """zeta^a * s in the basis, for a <= 4."""
-        return self._zeta_rows[a, s] if a > 2 else {(a, s): 1}
 
     def zeta(self) -> ChowClass:
         return ChowClass.from_ints(self, {(1, "1"): 1})
@@ -185,13 +180,18 @@ class ProjectiveBundleRing:
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {(0, "1"): 1})
 
-    def mul_basis(self, k1, k2) -> dict:
+    def mul_into(self, out: dict, k1, k2, n: int) -> None:
+        """Add n times the basis product k1 * k2 to out, for a total zeta
+        power of at most 4."""
         a = k1[0] + k2[0]
-        out: dict = {}
-        for s, c in self.base.mul_basis(k1[1], k2[1]).items():
-            for key, r in self._power(a, s).items():
-                out[key] = out.get(key, 0) + c * r
-        return out
+        base: dict = {}
+        self.base.mul_into(base, k1[1], k2[1], n)
+        for s, c in base.items():
+            if a <= 2:
+                out[a, s] = out.get((a, s), 0) + c
+            else:
+                for key, r in self._zeta_rows[a, s].items():
+                    out[key] = out.get(key, 0) + c * r
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get((2, "pt"), 0), cls.den)
@@ -265,9 +265,11 @@ class BlowupRing:
     def one(self) -> ChowClass:
         return ChowClass.from_ints(self, {(0, 0, 0, 0): 1})
 
-    def mul_basis(self, k1, k2) -> dict:
+    def mul_into(self, out: dict, k1, k2, n: int) -> None:
+        """Add n times the basis product k1 * k2 to out."""
         k = tuple(map(add, k1, k2))
-        return {k: 1} if sum(k) <= 4 else {}
+        if sum(k) <= 4:
+            out[k] = out.get(k, 0) + n
 
     def integrate(self, cls: ChowClass) -> Fraction:
         table = self.table

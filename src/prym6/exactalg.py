@@ -72,8 +72,13 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
 
 
 def _reduced(nums: Mapping, den: int) -> tuple[dict, int]:
-    """nums / den in lowest terms, with the zero numerators dropped."""
+    """nums / den in lowest terms, with the zero numerators dropped.
+
+    Over den == 1 the vector is in lowest terms already, so no gcd is taken.
+    """
     nums = {e: n for e, n in nums.items() if n}
+    if den == 1:
+        return nums, den
     g = gcd(den, *nums.values())
     if g != 1:
         nums = {e: n // g for e, n in nums.items()}

@@ -3,7 +3,7 @@ from itertools import product
 from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prym6 import chow, cli
@@ -102,16 +102,31 @@ class TestProjectiveBundleRing:
         # zeta^2 restricted over a point integrates to 1
         assert (P.zeta() ** 2 * P.pull(P.base.pt())).integrate() == 1
 
-    def test_products_are_new_dicts(self):
-        # a fresh ring, so the mutations below reach no other test
+    def test_products_accumulate_into_the_callers_dict(self):
+        # a fresh ring, so a mutation that reached its rows would reach no
+        # other test; zeta^4, zeta^3 L and zeta^3 E2 read the derived rows
         P = chow.ProjectiveBundleRing()
-        pairs = [((2, "1"), (2, "1")), ((2, "L"), (1, "1")), ((1, "1"), (1, "L"))]
-        before = [dict(P.mul_basis(*pair)) for pair in pairs]
-        for pair in pairs:
-            out = P.mul_basis(*pair)
+        pairs = [((2, "1"), (2, "1")), ((2, "L"), (1, "1")),
+                 ((1, "1"), (1, "L")), ((1, "E2"), (2, "1"))]
+
+        def product_of(pair):
+            out: dict = {}
+            P.mul_into(out, *pair, 1)
+            return out
+
+        before = [product_of(pair) for pair in pairs]
+        assert all(before)
+        held = {(0, "1"): 5, (2, "pt"): -1, (1, "L"): 7}
+        for pair, once in zip(pairs, before):
+            out = dict(held)
+            P.mul_into(out, *pair, 3)
+            assert out == {k: held.get(k, 0) + 3 * once.get(k, 0)
+                           for k in held.keys() | once.keys()}
+            # the caller's dict is the caller's: clearing or overwriting it
+            # changes no later product
             out.clear()
             out[0, "1"] = 99
-        assert [P.mul_basis(*pair) for pair in pairs] == before
+        assert [product_of(pair) for pair in pairs] == before
         assert (P.zeta() ** 4).integrate() == 2
 
     def test_top_power_is_derived_from_c2(self, monkeypatch):
@@ -185,6 +200,15 @@ class TestDegreeAndCanonical:
         assert kp.coeffs == {(0, 0, 1, 0): -3, (0, 0, 0, 1): -3, (1, 0, 0, 0): 3}
         assert kb.coeffs == {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (1, 0, 0, 0): -1}
         assert kb == blowup.zeta()
+
+    def test_adjunction_check_is_reached(self):
+        # with zeta' = H1 + H2, K_P + 4 zeta' = H1 + H2 + 3N is not zeta'
+        class WrongZeta(chow.BlowupRing):
+            def zeta(self):
+                return self.divisor({"H1": 1, "H2": 1})
+
+        with pytest.raises(ArithmeticError, match="adjunction"):
+            chow.canonical_classes(WrongZeta())
 
     def test_kb_squared(self, blowup):
         assert chow.kb_squared(blowup) == 8
@@ -291,6 +315,9 @@ def ref_mul_basis(ring, k1, k2):
         if any(e > d for e, d in zip(k, ring.dims)):
             return {}
         return {k: Fraction(1)}
+    if isinstance(ring, chow.BlowupRing):
+        k = tuple(a + b for a, b in zip(k1, k2))
+        return {k: Fraction(1)} if sum(k) <= 4 else {}
     if isinstance(ring, chow.DelPezzoRing):
         if k1 == "1":
             return {k2: Fraction(1)}
@@ -339,6 +366,8 @@ BASES = {
     "S": S_KEYS,
     "P": [(a, s) for a in range(3) for s in S_KEYS],
     "P2xP2xP2": list(product(range(3), repeat=3)),
+    # the count tuples (n, h, h1, h2) of degree at most 4
+    "X": [k for k in product(range(5), repeat=4) if sum(k) <= 4],
 }
 
 
@@ -347,6 +376,8 @@ def make_ring(name):
         return chow.DelPezzoRing()
     if name == "P":
         return chow.ProjectiveBundleRing()
+    if name == "X":
+        return chow.BlowupRing()
     return chow.ProductProjectiveRing((2, 2, 2))
 
 
@@ -406,7 +437,8 @@ class TestIntegerArithmetic:
         # all 21 x 21 pairs of basis monomials, against the recursive
         # zeta^3 reduction of `ref_reduce`
         for k1, k2 in product(BASES["P"], repeat=2):
-            out = P.mul_basis(k1, k2)
+            out: dict = {}
+            P.mul_into(out, k1, k2, 1)
             assert all(type(v) is int and v for v in out.values())
             assert out == {k: v for k, v in ref_mul_basis(P, k1, k2).items()
                            if v}, (k1, k2)
@@ -424,8 +456,32 @@ class TestIntegerArithmetic:
             for y in (z, z * z, L):
                 for k1 in x.nums:
                     for k2 in y.nums:
-                        assert all(type(c) is int
-                                   for c in P.mul_basis(k1, k2).values())
+                        out: dict = {}
+                        P.mul_into(out, k1, k2, 1)
+                        assert all(type(c) is int for c in out.values())
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_mul_into_adds_n_times_the_reference(self, name):
+        ring = make_ring(name)
+        keys = st.sampled_from(BASES[name])
+        first, last = BASES[name][0], BASES[name][-1]
+
+        @settings(max_examples=60, deadline=None)
+        @given(keys, keys, st.integers(-5, 5),
+               st.dictionaries(keys, st.integers(-5, 5), max_size=3))
+        @example(first, last, 0, {last: 5})
+        @example(first, last, -2, {last: 2})
+        def check(k1, k2, n, held):
+            out = dict(held)
+            ring.mul_into(out, k1, k2, n)
+            ref = ref_mul_basis(ring, k1, k2)
+            expected = {k: held.get(k, 0) + n * ref.get(k, 0)
+                        for k in held.keys() | ref.keys()}
+            assert all(type(v) is int for v in out.values())
+            assert ({k: v for k, v in out.items() if v}
+                    == {k: v for k, v in expected.items() if v})
+
+        check()
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.dictionaries(st.sampled_from(["N", "H", "H1", "H2"]),

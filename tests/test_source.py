@@ -159,6 +159,32 @@ def test_uncalled_public_methods_are_pinned():
     assert uncalled == set(UNCALLED_PUBLIC_METHODS)
 
 
+def test_every_ring_has_the_methods_chow_classes_read():
+    # a ChowClass multiplies, takes its 0th power and integrates through its
+    # ring, so a ring without one of those methods would fail only when a
+    # caller first took that path; this is why ProductProjectiveRing.one and
+    # BlowupRing.one stay, though no command enters them
+    tree = ast.parse((SRC / "chow.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    read = {node.attr for node in ast.walk(classes.pop("ChowClass"))
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) == "self.ring"}
+    assert read == {"integrate", "mul_into", "one"}
+    methods = {name: {node.name for node in cls.body
+                      if isinstance(node, ast.FunctionDef)}
+               for name, cls in classes.items()}
+    rings = {name: sorted(read - defined) for name, defined in methods.items()
+             if "integrate" in defined}
+    assert rings == {"ProductProjectiveRing": [], "DelPezzoRing": [],
+                     "ProjectiveBundleRing": [], "BlowupRing": []}
+    # one product method per ring: the one that ChowClass reads
+    assert [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8")
+                                     .splitlines(), 1)
+            if "mul_basis" in line] == []
+
+
 def test_every_import_is_used():
     # an import nothing in its module reads is a leftover of deleted code;
     # __future__ imports set flags
