@@ -114,17 +114,22 @@ class DelPezzoRing:
         # b0 + b2 + b4 with b2 = Picard rank
         return 2 + self.picard_rank
 
+    def product_key(self, k1, k2) -> tuple[str, int] | None:
+        """(key, sign) with k1 * k2 = sign * key, or None when it is 0: 1
+        is the unit, L^2 = pt, Ei^2 = -pt, and every other product is 0."""
+        if k1 == "1":
+            return k2, 1
+        if k2 == "1":
+            return k1, 1
+        if k1 != k2 or k1 == "pt":
+            return None
+        return "pt", 1 if k1 == "L" else -1
+
     def mul_into(self, out: dict, k1, k2, n: int) -> None:
         """Add n times the basis product k1 * k2 to out."""
-        if k1 == "1":
-            k = k2
-        elif k2 == "1":
-            k = k1
-        elif k1 != k2 or k1 == "pt":
-            return
-        else:  # L^2 = pt, Ei^2 = -pt
-            k, n = "pt", n if k1 == "L" else -n
-        out[k] = out.get(k, 0) + n
+        term = self.product_key(k1, k2)
+        if term is not None:
+            out[term[0]] = out.get(term[0], 0) + term[1] * n
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get("pt", 0), cls.den)
@@ -144,10 +149,11 @@ class ProjectiveBundleRing:
     The ring derives zeta^a * s for a = 3, 4 and each basis class s once,
     when it is built, from zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s),
     and keeps these 14 integer rows in ``_zeta_rows``.  A product of basis
-    monomials is then one product in the base and one key or row, added
-    into the caller's dict.  The Hilbert coefficients behind `hrr_chi` are
-    kept per ring as a `QVector` over the powers of d, never as a
-    ChowClass, so a ring and its classes form no reference cycle.
+    monomials is then one key and sign from `DelPezzoRing.product_key` and
+    one key or row, added into the caller's dict, with no dict built per
+    pair.  The Hilbert coefficients behind `hrr_chi` are kept per ring as a
+    `QVector` over the powers of d, never as a ChowClass, so a ring and its
+    classes form no reference cycle.
     """
 
     c2 = 3
@@ -183,15 +189,16 @@ class ProjectiveBundleRing:
     def mul_into(self, out: dict, k1, k2, n: int) -> None:
         """Add n times the basis product k1 * k2 to out, for a total zeta
         power of at most 4."""
-        a = k1[0] + k2[0]
-        base: dict = {}
-        self.base.mul_into(base, k1[1], k2[1], n)
-        for s, c in base.items():
-            if a <= 2:
-                out[a, s] = out.get((a, s), 0) + c
-            else:
-                for key, r in self._zeta_rows[a, s].items():
-                    out[key] = out.get(key, 0) + c * r
+        term = self.base.product_key(k1[1], k2[1])
+        if term is None:
+            return
+        s, sign = term
+        a, c = k1[0] + k2[0], sign * n
+        if a <= 2:
+            out[a, s] = out.get((a, s), 0) + c
+        else:
+            for key, r in self._zeta_rows[a, s].items():
+                out[key] = out.get(key, 0) + c * r
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get((2, "pt"), 0), cls.den)

@@ -71,12 +71,14 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _reduced(nums: Mapping, den: int) -> tuple[dict, int]:
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
     """nums / den in lowest terms, with the zero numerators dropped.
 
-    Over den == 1 the vector is in lowest terms already, so no gcd is taken.
+    The result keeps nums, a fresh dict, unless a numerator is 0 or a
+    common factor divides out; over den == 1 no gcd is taken.
     """
-    nums = {e: n for e, n in nums.items() if n}
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
     if den == 1:
         return nums, den
     g = gcd(den, *nums.values())
@@ -115,16 +117,18 @@ class QVector:
     @classmethod
     def from_ints(cls, space, nums: Mapping, den: int = 1):
         """nums / den for integer numerators and den > 0, reduced; neither
-        the space nor the keys are checked."""
+        the space nor the keys are checked.  The numerators are copied once,
+        so the vector shares no dict with the caller."""
         if den <= 0:
             raise ValueError("the denominator must be positive")
         self = object.__new__(cls)
         self.space = space
-        self.nums, self.den = _reduced(nums, den)
+        self.nums, self.den = _reduced(dict(nums), den)
         return self
 
-    def _like(self, nums: Mapping, den: int, other: "QVector"):
-        """nums / den over this space, as the result of self and other."""
+    def _like(self, nums: dict, den: int, other: "QVector"):
+        """nums / den over this space, as the result of self and other; nums
+        is a fresh dict, which the result keeps."""
         out = object.__new__(type(self))
         out.space = self.space
         out.nums, out.den = _reduced(nums, den)
@@ -145,11 +149,17 @@ class QVector:
         return True
 
     def _combine(self, other, sign: int):
+        """self + sign * other; over one denominator the numerators are
+        added, with no lcm and no scaling."""
         if not self._matches(other):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, sign * (den // other.den)
-        out = {k: n * s1 for k, n in self.nums.items()}
+        den = self.den
+        if other.den == den:
+            out, s2 = dict(self.nums), sign
+        else:
+            den = lcm(den, other.den)
+            s1, s2 = den // self.den, sign * (den // other.den)
+            out = {k: n * s1 for k, n in self.nums.items()}
         for k, n in other.nums.items():
             out[k] = out.get(k, 0) + n * s2
         return self._like(out, den, other)

@@ -443,6 +443,18 @@ class TestIntegerArithmetic:
             assert out == {k: v for k, v in ref_mul_basis(P, k1, k2).items()
                            if v}, (k1, k2)
 
+    def test_product_key_is_the_intersection_form(self, S):
+        # all 7 x 7 pairs of basis classes of S
+        for k1, k2 in product(S_KEYS, repeat=2):
+            term = S.product_key(k1, k2)
+            ref = ref_mul_basis(S, k1, k2)
+            if term is None:
+                assert ref == {}, (k1, k2)
+            else:
+                key, sign = term
+                assert sign in (1, -1) and type(sign) is int
+                assert ref == {key: sign}, (k1, k2)
+
     def test_zero_coefficients_are_dropped(self, S):
         x = chow.ChowClass(S, {"L": 0, "E1": Fraction(2, 4), "pt": Fraction(0)})
         assert (x.nums, x.den) == ({"E1": 1}, 2)

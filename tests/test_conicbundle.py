@@ -1399,6 +1399,51 @@ class TestNetAndSweep:
         with pytest.raises(cb.DegenerateConfigurationError, match="base point"):
             cb.build_net_T(o, fixed)
 
+    def test_sweep_without_a_generic_net_raises(self, monkeypatch):
+        # no seed in 0-399 draws 16 degenerate nets, so a stage is made to
+        # fail: each retry draws a new net, and the last failure is reported
+        calls = []
+
+        def degenerate(o, fixed):
+            calls.append(o)
+            raise cb.NonGenericDropError("dimension dropped by 3, expected 2")
+
+        monkeypatch.setattr(cb, "build_net_T", degenerate)
+        with pytest.raises(cb.GenericityError,
+                           match="no generic net in 16 tries: dimension dropped"):
+            cb.sweep(7, 1)
+        assert len(calls) == 16
+
+    def test_failed_pencil_line_is_resampled(self, monkeypatch):
+        # the first pencil line whose member fails to certify is dropped,
+        # and the sweep goes on until it holds the samples asked for
+        certify, lines = cb.certify_instance, []
+
+        def first_fails(Q, marked, rng, seed):
+            lines.append(marked[-1])
+            if len(lines) == 1:
+                raise cb.CertificationError("first pencil member rejected")
+            return certify(Q, marked, rng, seed=seed)
+
+        monkeypatch.setattr(cb, "certify_instance", first_fails)
+        samples = cb.sweep(7, 3)["samples"]
+        assert len(samples) == 3 and len(lines) == 4
+        assert [inst.marked_lines[4] for inst in samples] == lines[1:]
+        assert lines[0] not in lines[1:]
+
+    def test_sweep_exhausts_its_pencil_budget(self, monkeypatch):
+        calls = []
+
+        def rejected(Q, marked, rng, seed):
+            calls.append(marked[-1])
+            raise cb.CertificationError("every pencil member rejected")
+
+        monkeypatch.setattr(cb, "certify_instance", rejected)
+        with pytest.raises(cb.GenericityError,
+                           match="pencil sampling exhausted"):
+            cb.sweep(7, 1)
+        assert len(calls) == 17  # _RETRIES + samples lines, each certified
+
     def test_sweep_shares_fixed_lines(self):
         report = cb.sweep(7, 2)
         assert report["net"].system.dim == 3

@@ -5,7 +5,7 @@ from math import gcd, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prym6 import chow, moduli
@@ -246,6 +246,77 @@ class TestCanonicalForm:
             QMatrix.from_ints([[1, 2], [3]])
         with pytest.raises(ValueError, match="ragged"):
             QMatrix([[1, 2], [Fraction(1, 2)]])
+
+
+def vector_over(nums, den):
+    """The Fraction-coefficient oracle of QVector.from_ints(_, nums, den)."""
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+
+def oracle_combine(x, y, sign):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+vector_nums = st.dictionaries(st.integers(0, 5), st.integers(-12, 12),
+                              max_size=5)
+
+
+class TestSumsAndCopies:
+    """Results keep the dict they are built in; sums over one denominator
+    add numerators; a copy is made where the caller keeps its dict."""
+
+    @pytest.mark.parametrize("den", [1, 4])
+    def test_from_ints_keeps_no_reference_to_the_callers_dict(self, den):
+        nums = {0: 3, 1: -2}
+        v = QVector.from_ints("test", nums, den)
+        fresh = QVector.from_ints("test", {0: 3, 1: -2}, den)
+        before = hash(v)
+        nums[0], nums[2] = 5, 7
+        del nums[1]
+        assert v.nums == {0: 3, 1: -2} and v.nums is not nums
+        assert v == fresh and hash(v) == before == hash(fresh)
+
+    @pytest.mark.parametrize("dens", [(1, 1), (6, 6), (4, 6)])
+    def test_a_cancelled_key_is_not_stored(self, dens):
+        dx, dy = dens
+        x = QVector.from_ints("test", {0: dx, 1: 1}, dx)
+        y = QVector.from_ints("test", {0: -dy, 2: 1}, dy)
+        for s in (x + y, x - (-y)):
+            assert 0 not in s.nums
+            assert s.coeffs == {1: Fraction(1, dx), 2: Fraction(1, dy)}
+
+    @pytest.mark.parametrize("den", [1, 6])
+    def test_x_minus_x_is_the_zero_vector(self, den):
+        x = QVector.from_ints("test", {0: 1, 3: -5}, den)
+        zero = x - x
+        assert (zero.nums, zero.den) == ({}, 1)
+        assert zero == QVector("test") and hash(zero) == hash(QVector("test"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(vector_nums, vector_nums, st.integers(1, 12), st.integers(1, 12),
+           st.booleans(), st.integers(-4, 4))
+    @example({0: 2}, {0: -2, 1: 3}, 4, 1, True, 0)
+    @example({0: 1, 1: 3}, {1: 1}, 2, 6, False, -3)
+    def test_sums_and_multiples_match_fractions(self, nx, ny, dx, dy, same, n):
+        # half of the draws put both vectors over one denominator
+        dy = dx if same else dy
+        x = QVector.from_ints("test", nx, dx)
+        y = QVector.from_ints("test", ny, dy)
+        fx, fy = vector_over(nx, dx), vector_over(ny, dy)
+        results = {
+            "sum": (x + y, oracle_combine(fx, fy, 1)),
+            "difference": (x - y, oracle_combine(fx, fy, -1)),
+            "left multiple": (n * x, oracle_combine({}, fx, n)),
+            "right multiple": (x * n, oracle_combine({}, fx, n)),
+        }
+        for name, (got, expected) in results.items():
+            assert got.coeffs == expected, name
+            assert got.den > 0 and 0 not in got.nums.values(), name
+            assert gcd(got.den, *got.nums.values()) == 1, name
+        assert x.coeffs == fx and y.coeffs == fy  # the operands are unchanged
 
 
 #: every entry point of an exact value -> a call that passes it a float

@@ -185,6 +185,26 @@ def test_every_ring_has_the_methods_chow_classes_read():
             if "mul_basis" in line] == []
 
 
+def test_ring_products_build_no_dict_per_pair():
+    # ChowClass products reach mul_into once per pair of terms: the bundle
+    # ring reads its base part as one key and sign from the del Pezzo rule,
+    # which both rings share, and builds no dict of its own there
+    tree = ast.parse((SRC / "chow.py").read_text(encoding="utf-8"))
+    mul_into = {cls.name: node for cls in tree.body
+                if isinstance(cls, ast.ClassDef)
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "mul_into"}
+    built = [ast.unparse(node)
+             for node in ast.walk(mul_into["ProjectiveBundleRing"])
+             if isinstance(node, (ast.Dict, ast.DictComp))
+             or isinstance(node, ast.Call) and ast.unparse(node.func) == "dict"]
+    assert built == []
+    for name in ("DelPezzoRing", "ProjectiveBundleRing"):
+        calls = {ast.unparse(node.func) for node in ast.walk(mul_into[name])
+                 if isinstance(node, ast.Call)}
+        assert calls & {"self.product_key", "self.base.product_key"}, name
+
+
 def test_every_import_is_used():
     # an import nothing in its module reads is a leftover of deleted code;
     # __future__ imports set flags
