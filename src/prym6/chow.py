@@ -26,7 +26,8 @@ class ChowClass(QVector):
 
     A `QVector` whose space is its ring.  A product adds each pair of terms
     into one dict through the ring's ``mul_into``, whose structure constants
-    are integers, and reduces once per result.
+    are integers, and reduces once per result.  An intersection number is a
+    `pairing`, read from the ring's ``integral`` with no product formed.
     """
 
     __slots__ = ()
@@ -54,6 +55,17 @@ class ChowClass(QVector):
     def integrate(self) -> Fraction:
         return self.ring.integrate(self)
 
+    def pairing(self, other: "ChowClass") -> Fraction:
+        """The integral of self * other, summed over pairs of terms with the
+        ring's intersection form; no class, dict or reduction is built."""
+        if not self._matches(other):
+            raise TypeError(f"cannot pair a Chow class with {other!r}")
+        integral = self.ring.integral
+        return Fraction(sum(n1 * n2 * integral(k1, k2)
+                            for k1, n1 in self.nums.items()
+                            for k2, n2 in other.nums.items()),
+                        self.den * other.den)
+
 
 class ProductProjectiveRing:
     """CH of a product of projective spaces P^{d_1} x ... x P^{d_k}."""
@@ -79,6 +91,10 @@ class ProductProjectiveRing:
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get(self.dims, 0), cls.den)
+
+    def integral(self, k1, k2) -> int:
+        """The integral of the basis product k1 * k2."""
+        return 1 if tuple(map(add, k1, k2)) == self.dims else 0
 
 
 class DelPezzoRing:
@@ -134,6 +150,11 @@ class DelPezzoRing:
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get("pt", 0), cls.den)
 
+    def integral(self, k1, k2) -> int:
+        """The integral of the basis product k1 * k2."""
+        term = self.product_key(k1, k2)
+        return term[1] if term is not None and term[0] == "pt" else 0
+
 
 class ProjectiveBundleRing:
     """CH of the P^2-bundle P(M) -> S carrying the 4-nodal conic bundles.
@@ -146,14 +167,16 @@ class ProjectiveBundleRing:
     the Segre number c1(M)^2 - c2(M) = 2; concretely
     zeta^3 = c1.zeta^2 - c2.zeta.
 
-    The ring derives zeta^a * s for a = 3, 4 and each basis class s once,
-    when it is built, from zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s),
-    and keeps these 14 integer rows in ``_zeta_rows``.  A product of basis
-    monomials is then one key and sign from `DelPezzoRing.product_key` and
-    one key or row, added into the caller's dict, with no dict built per
-    pair.  The Hilbert coefficients behind `hrr_chi` are kept per ring as a
-    `QVector` over the powers of d, never as a ChowClass, so a ring and its
-    classes form no reference cycle.
+    The ring derives zeta^a * s for a = 3, 4 and each basis class s with
+    a + codim s <= 4 once, when it is built, from
+    zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s), and keeps these 7
+    integer rows in ``_zeta_rows``; every product above degree 4 is 0.  A
+    product of basis monomials is then one key and sign from
+    `DelPezzoRing.product_key` and one key or row, added into the caller's
+    dict, with no dict built per pair, and its integral is the row's
+    zeta^2 pt entry.  The Hilbert coefficients behind `hrr_chi` are kept per
+    ring as a `QVector` over the powers of d, never as a ChowClass, so a
+    ring and its classes form no reference cycle.
     """
 
     c2 = 3
@@ -166,8 +189,10 @@ class ProjectiveBundleRing:
         # zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s), with c1 and
         # c2 pt integer classes (den 1)
         relation = ((1, self.c1), (2, -self.c2 * S.pt()))
-        for a in (3, 4):  # the a = 4 rows read the a = 3 rows
-            for s in S.basis:
+        # the basis runs 1, the divisors, pt: zeta^3 s for s of codim <= 1,
+        # then zeta^4, which reads the zeta^3 rows
+        for a, keys in ((3, S.basis[:-1]), (4, S.basis[:1])):
+            for s in keys:
                 row: dict = {}
                 for drop, cls in relation:
                     for sk, n in cls.nums.items():
@@ -187,8 +212,7 @@ class ProjectiveBundleRing:
         return ChowClass.from_ints(self, {(0, "1"): 1})
 
     def mul_into(self, out: dict, k1, k2, n: int) -> None:
-        """Add n times the basis product k1 * k2 to out, for a total zeta
-        power of at most 4."""
+        """Add n times the basis product k1 * k2 to out."""
         term = self.base.product_key(k1[1], k2[1])
         if term is None:
             return
@@ -196,9 +220,21 @@ class ProjectiveBundleRing:
         a, c = k1[0] + k2[0], sign * n
         if a <= 2:
             out[a, s] = out.get((a, s), 0) + c
-        else:
-            for key, r in self._zeta_rows[a, s].items():
+        elif row := self._zeta_rows.get((a, s)):  # none above degree 4
+            for key, r in row.items():
                 out[key] = out.get(key, 0) + c * r
+
+    def integral(self, k1, k2) -> int:
+        """The integral of the basis product k1 * k2."""
+        term = self.base.product_key(k1[1], k2[1])
+        if term is None:
+            return 0
+        s, sign = term
+        a = k1[0] + k2[0]
+        if a <= 2:
+            return sign if (a, s) == (2, "pt") else 0
+        row = self._zeta_rows.get((a, s))  # none above degree 4
+        return sign * row.get((2, "pt"), 0) if row else 0
 
     def integrate(self, cls: ChowClass) -> Fraction:
         return Fraction(cls.nums.get((2, "pt"), 0), cls.den)
@@ -223,8 +259,8 @@ def blowup_intersection_table() -> dict[tuple[int, int, int, int], int]:
              for n in range(5) for h in range(5 - n) for h1 in range(5 - n - h)}
     table[4, 0, 0, 0] = -4  # N_i^4 = -1 per centre
     table[3, 1, 0, 0] = 4   # N_i^3 . H = (-K_S).E_i = 1 per centre
-    for h in range(3):
-        v = ((mk ** h) * (line ** (2 - h))).integrate()
+    for h, (x, y) in enumerate(((line, line), (mk, line), (mk, mk))):
+        v = x.pairing(y)  # (-K_S)^h L^(2-h)
         if v.denominator != 1:
             raise ArithmeticError(
                 f"intersection number {v} on S is not an integer")
@@ -283,11 +319,15 @@ class BlowupRing:
         return Fraction(sum(n * table[k] for k, n in cls.nums.items()
                             if sum(k) == 4), cls.den)
 
+    def integral(self, k1, k2) -> int:
+        """The integral of the basis product k1 * k2."""
+        return self.table.get(tuple(map(add, k1, k2)), 0)
+
 
 def intersection_number(divisors: Sequence[ChowClass]) -> Fraction:
     """The product of four divisors of one `BlowupRing`, integrated."""
     a, b, c, d = divisors  # ValueError unless there are four
-    return (a * b * c * d).integrate()
+    return (a * b).pairing(c * d)
 
 
 def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundleRing
@@ -296,10 +336,11 @@ def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundleRing
 
     Route one reads ``X.zeta4``, zeta^4 = (H1 + H2 - N)^4 integrated
     against the blow-up table once per ring, as `kb_squared` does; route
-    two integrates zeta^4 in the projective bundle ring.  Both should
+    two pairs zeta^2 with itself in the projective bundle ring.  Both should
     equal 2; the `verify` report checks each.
     """
-    return X.zeta4, (P.zeta() ** 4).integrate()
+    z2 = P.zeta() * P.zeta()
+    return X.zeta4, z2.pairing(z2)
 
 
 # -- canonical classes ------------------------------------------------------
@@ -353,23 +394,15 @@ def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
     return c1, c2, c3, c4
 
 
-def todd_classes(c1: ChowClass, c2: ChowClass, c3: ChowClass,
-                 c4: ChowClass) -> tuple[ChowClass, ...]:
-    """Todd classes of a 4-fold, truncated at codimension 4."""
-    c11 = c1 * c1
-    td1 = c1 * Fraction(1, 2)
-    td2 = (c11 + c2) * Fraction(1, 12)
-    td3 = c1 * c2 * Fraction(1, 24)
-    td4 = (-(c11 * c11) + 4 * c11 * c2 + 3 * c2 * c2 + c1 * c3 - c4) \
-        * Fraction(1, 720)
-    return td1, td2, td3, td4
-
-
 def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
     """chi(O_P(d)) by Riemann-Roch, evaluated as the Hilbert polynomial.
 
     ch(O_P(d)) = sum_k d^k zeta^k / k!, so the integral of ch(O_P(d)).Td(T_P)
     is the quartic sum_k c_k d^k with c_k = integral of zeta^k.Td(T_P) / k!.
+    zeta^k meets only the codimension-(4 - k) Todd class td_(4-k) in degree
+    4, and each c_k is a sum of pairings of Chern classes of T_P: td_1 =
+    c1/2, td_2 = (c1^2 + c2)/12, td_3 = c1 c2/24, and td_4 is never formed,
+    its integral being (-c1^2.c1^2 + 4 c1^2.c2 + 3 c2.c2 + c1.c3 - c4)/720.
     The five c_k are computed once per ring, on first use, and kept as
     integer numerators over one denominator.  A twist d that is not an int
     raises TypeError: the polynomial's value there is no Euler
@@ -378,14 +411,16 @@ def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
     if type(d) is not int:
         raise TypeError(f"a twist is an int, not {d!r}")
     if P._hilbert is None:
-        # zeta^k meets only the codimension-(4 - k) Todd class in degree 4
-        td = (P.one(), *todd_classes(*tangent_chern_classes(P)))
-        zk, coeffs = P.one(), {}
-        for k in range(5):
-            if k:
-                zk = zk * P.zeta()
-            coeffs[k] = (zk * td[4 - k]).integrate() / factorial(k)
-        P._hilbert = QVector("d^k", coeffs)
+        c1, c2, c3, c4 = tangent_chern_classes(P)
+        z = P.zeta()
+        z2, zc1, c11 = z * z, z * c1, c1 * c1
+        integrals = (  # of zeta^k td_(4-k), k = 0..4
+            (-c11.pairing(c11) + 4 * c11.pairing(c2) + 3 * c2.pairing(c2)
+             + c1.pairing(c3) - c4.integrate()) / 720,
+            zc1.pairing(c2) / 24, z2.pairing(c11 + c2) / 12,
+            z2.pairing(zc1) / 2, z2.pairing(z2))
+        P._hilbert = QVector("d^k", {k: v / factorial(k)
+                                     for k, v in enumerate(integrals)})
     h = P._hilbert
     return Fraction(sum(n * d ** k for k, n in h.nums.items()), h.den)
 
@@ -414,7 +449,7 @@ def euler_numbers(chi_b: Fraction, kb2: Fraction) -> dict[str, Fraction]:
     S = DelPezzoRing()
     e_s = Fraction(S.euler_number())
     d = -2 * S.canonical()
-    two_g_minus_2 = (d * (d + S.canonical())).integrate()
+    two_g_minus_2 = d.pairing(d + S.canonical())
     g = (two_g_minus_2 + 2) / 2
     e_c = 2 - 2 * g
     e_q = 2 * e_s + e_c

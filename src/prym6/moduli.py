@@ -199,8 +199,7 @@ def degree_nine_lemma() -> Fraction:
     h1, h2, h3 = ring.h(0), ring.h(1), ring.h(2)
     s = 2 * h1 + h2 + h3
     # the monomials first: h1^3 = h3^3 = 0 drop terms before the cube expands
-    cls = h1 * h1 * (3 * h3) * s * s * s
-    return cls.integrate()
+    return (h1 * h1 * (3 * h3) * s * s).pairing(s)
 
 
 def psi_degree_via_Z() -> Fraction:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prym6 import chow, cli
+from prym6.exactalg import SpaceMismatchError
 
 
 class TestProductProjectiveRing:
@@ -167,8 +168,8 @@ class TestBlowupTable:
     def test_non_integral_surface_number_raises(self, monkeypatch):
         # an intersection number on S is an integer; the table refuses one
         # that is not instead of storing it
-        monkeypatch.setattr(chow.DelPezzoRing, "integrate",
-                            lambda self, cls: Fraction(1, 2))
+        monkeypatch.setattr(chow.ChowClass, "pairing",
+                            lambda self, other: Fraction(1, 2))
         with pytest.raises(ArithmeticError, match="not an integer"):
             chow.blowup_intersection_table()
 
@@ -214,6 +215,18 @@ class TestDegreeAndCanonical:
         assert chow.kb_squared(blowup) == 8
 
 
+def todd_classes(c1, c2, c3, c4):
+    """Todd classes of a 4-fold, truncated at codimension 4, each formed in
+    full: the oracle that `chow.hrr_chi` reads through pairings instead."""
+    c11 = c1 * c1
+    td1 = c1 * Fraction(1, 2)
+    td2 = (c11 + c2) * Fraction(1, 12)
+    td3 = c1 * c2 * Fraction(1, 24)
+    td4 = (-(c11 * c11) + 4 * c11 * c2 + 3 * c2 * c2 + c1 * c3 - c4) \
+        * Fraction(1, 720)
+    return td1, td2, td3, td4
+
+
 def sections_formula(d: int) -> int:
     """h^0(P, O_P(d)) for d >= 0, via the double-cover eigenspace split.
 
@@ -243,8 +256,7 @@ class TestRiemannRoch:
         # a fresh ring, so its Hilbert coefficients are computed in this test
         P = chow.ProjectiveBundleRing()
         zero = chow.ChowClass(P, {})
-        td = P.one() + sum(chow.todd_classes(*chow.tangent_chern_classes(P)),
-                           zero)
+        td = P.one() + sum(todd_classes(*chow.tangent_chern_classes(P)), zero)
         for d in range(-6, 7):
             # ch(O_P(d)) = sum_k (d zeta)^k / k!
             ch = sum(((d * P.zeta()) ** k * Fraction(1, factorial(k))
@@ -273,7 +285,7 @@ class TestRiemannRoch:
             assert chow.hrr_chi(P, d) == chow.hrr_chi(P, -3 - d)
 
     def test_todd_genus_one(self, P):
-        td = chow.todd_classes(*chow.tangent_chern_classes(P))
+        td = todd_classes(*chow.tangent_chern_classes(P))
         assert td[3].integrate() == 1
 
     def test_koszul_chi_B(self, P):
@@ -442,6 +454,48 @@ class TestIntegerArithmetic:
             assert all(type(v) is int and v for v in out.values())
             assert out == {k: v for k, v in ref_mul_basis(P, k1, k2).items()
                            if v}, (k1, k2)
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_pairing_is_the_integral_of_the_product(self, name):
+        ring = make_ring(name)
+        classes = class_strategy(ring, BASES[name])
+
+        @settings(max_examples=60, deadline=None)
+        @given(classes, classes, st.integers(-3, 3))
+        def check(x, y, n):
+            assert x.pairing(y) == (x * y).integrate()
+            assert (n * x).pairing(y) == (n * x * y).integrate()
+            assert x.pairing(n * y) == n * x.pairing(y)
+
+        check()
+        other = make_ring("S" if name == "P" else "P")
+        with pytest.raises(SpaceMismatchError):
+            ring.one().pairing(other.one())
+        with pytest.raises(SpaceMismatchError):
+            other.one().pairing(ring.one())
+        with pytest.raises(TypeError, match="cannot pair"):
+            ring.one().pairing(1)
+
+    def test_basis_integrals_are_the_top_coefficients(self):
+        # every pair of basis monomials of every ring, through its `integral`
+        for name, keys in BASES.items():
+            ring = make_ring(name)
+            for k1, k2 in product(keys, repeat=2):
+                out: dict = {}
+                ring.mul_into(out, k1, k2, 1)
+                top = ring.integrate(chow.ChowClass.from_ints(ring, out))
+                assert ring.integral(k1, k2) == top, (name, k1, k2)
+                assert type(ring.integral(k1, k2)) is int
+
+    def test_bundle_products_above_degree_four_add_nothing(self, P):
+        # zeta^4 L and zeta^3 pt have degree 5: no row is derived for them
+        assert len(P._zeta_rows) == 7
+        for k1, k2 in (((2, "1"), (2, "L")), ((2, "L"), (2, "1")),
+                       ((1, "1"), (2, "pt")), ((2, "pt"), (1, "1"))):
+            out = {(0, "1"): 4}
+            P.mul_into(out, k1, k2, 3)
+            assert out == {(0, "1"): 4}
+            assert P.integral(k1, k2) == 0
 
     def test_product_key_is_the_intersection_form(self, S):
         # all 7 x 7 pairs of basis classes of S

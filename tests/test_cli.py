@@ -109,10 +109,11 @@ class TestVerify:
             calls.update(dict.fromkeys(calls, 0))
             assert run_checks("all")["pass"]
             # once in every report: the second recomputes, caches nothing;
-            # Riemann-Roch and deg h form 24 products in the bundle ring,
-            # none of them twice and none unread
+            # Riemann-Roch and deg h form 10 products in the bundle ring,
+            # none of them twice and none unread: the Chern classes of T_P
+            # take 6, and zeta^2, zeta c1 and c1^2 are paired, not multiplied
             assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1,
-                             "zeta4": 1, "bundle_products": 24}
+                             "zeta4": 1, "bundle_products": 10}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction

@@ -160,17 +160,18 @@ def test_uncalled_public_methods_are_pinned():
 
 
 def test_every_ring_has_the_methods_chow_classes_read():
-    # a ChowClass multiplies, takes its 0th power and integrates through its
-    # ring, so a ring without one of those methods would fail only when a
-    # caller first took that path; this is why ProductProjectiveRing.one and
-    # BlowupRing.one stay, though no command enters them
+    # a ChowClass multiplies, takes its 0th power, integrates and pairs
+    # through its ring, so a ring without one of those methods would fail
+    # only when a caller first took that path; this is why
+    # ProductProjectiveRing.one and BlowupRing.one stay, though no command
+    # enters them
     tree = ast.parse((SRC / "chow.py").read_text(encoding="utf-8"))
     classes = {node.name: node for node in tree.body
                if isinstance(node, ast.ClassDef)}
     read = {node.attr for node in ast.walk(classes.pop("ChowClass"))
             if isinstance(node, ast.Attribute)
             and ast.unparse(node.value) == "self.ring"}
-    assert read == {"integrate", "mul_into", "one"}
+    assert read == {"integral", "integrate", "mul_into", "one"}
     methods = {name: {node.name for node in cls.body
                       if isinstance(node, ast.FunctionDef)}
                for name, cls in classes.items()}
@@ -183,6 +184,19 @@ def test_every_ring_has_the_methods_chow_classes_read():
             for n, line in enumerate(path.read_text(encoding="utf-8")
                                      .splitlines(), 1)
             if "mul_basis" in line] == []
+
+
+def test_no_product_is_formed_only_to_be_integrated():
+    # an intersection number is a pairing, which reads the ring's integral
+    # on pairs of terms; (x * y).integrate() would form the product class
+    # and read its top degree alone
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
+             for name, node in _nodes(ast.Call)
+             if isinstance(node.func, ast.Attribute)
+             and node.func.attr == "integrate"
+             and isinstance(node.func.value, ast.BinOp)
+             and isinstance(node.func.value.op, (ast.Mult, ast.Pow))]
+    assert found == []
 
 
 def test_ring_products_build_no_dict_per_pair():
