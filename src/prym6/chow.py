@@ -1,20 +1,20 @@
 """Intersection rings for the geometry of 4-nodal conic bundles.
 
-Four tiny graded rings are enough: products of projective spaces, the
-degree-5 del Pezzo surface S (the plane blown up in four points), the
-P^2-bundle P over S carrying the conic bundles, and the divisor monomials
-on the blown-up S x P^2, integrated by the blow-up intersection table.
-Their classes are `ChowClass`es, exact vectors over the ring's basis.  On
-top of them sit the Riemann-Roch engine for O_P(d) and the Euler-number
-bookkeeping behind the count of 77 singular members and 32 double lines in
-a pencil.
+Three tiny graded rings are enough: products of projective spaces, the
+degree-5 del Pezzo surface S (the plane blown up in four points), and the
+divisor monomials on the blown-up S x P^2, integrated by the blow-up
+intersection table.  Their classes are `ChowClass`es, exact vectors over
+the ring's basis.  The P^2-bundle P over S that carries the conic bundles
+is a record of its data on S, since every number read from P is a number
+on S: chi(O_P(d)) by Riemann-Roch on S, and deg h by the Segre class of
+the bundle.  On top of them sits the Euler-number bookkeeping behind the
+count of 77 singular members and 32 double lines in a pencil.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 from operator import add, gt, index
 from typing import Mapping, Sequence
 
@@ -26,8 +26,9 @@ class ChowClass(QVector):
 
     A `QVector` whose space is its ring.  A product adds each pair of terms
     into one dict through the ring's ``mul_into``, whose structure constants
-    are integers, and reduces once per result.  An intersection number is a
-    `pairing`, read from the ring's ``integral`` with no product formed.
+    are integers, and reduces once per result; only the rings that the
+    package multiplies in have one.  An intersection number is a `pairing`,
+    read from the ring's ``integral`` with no product formed.
     """
 
     __slots__ = ()
@@ -41,19 +42,6 @@ class ChowClass(QVector):
             for k2, n2 in other.nums.items():
                 mul_into(out, k1, k2, n1 * n2)
         return self._like(out, self.den * other.den, other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("Chow classes have no negative powers")
-        if n == 0:
-            return self.ring.one()
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
-
-    def integrate(self) -> Fraction:
-        return self.ring.integrate(self)
 
     def pairing(self, other: "ChowClass") -> Fraction:
         """The integral of self * other, summed over pairs of terms with the
@@ -80,17 +68,11 @@ class ProductProjectiveRing:
         exp[i] = 1
         return ChowClass.from_ints(self, {tuple(exp): 1})
 
-    def one(self) -> ChowClass:
-        return ChowClass.from_ints(self, {(0,) * len(self.dims): 1})
-
     def mul_into(self, out: dict, k1, k2, n: int) -> None:
         """Add n times the basis product k1 * k2 to out."""
         k = tuple(map(add, k1, k2))
         if not any(map(gt, k, self.dims)):
             out[k] = out.get(k, 0) + n
-
-    def integrate(self, cls: ChowClass) -> Fraction:
-        return Fraction(cls.nums.get(self.dims, 0), cls.den)
 
     def integral(self, k1, k2) -> int:
         """The integral of the basis product k1 * k2."""
@@ -100,10 +82,10 @@ class ProductProjectiveRing:
 class DelPezzoRing:
     """CH of the quintic del Pezzo surface S = Bl_4 P^2.
 
-    Basis {1; L, E1..E4; pt} with L^2 = pt, Ei^2 = -pt, L.Ei = 0.
+    Basis {1; L, E1..E4; pt} with L^2 = pt, Ei^2 = -pt, L.Ei = 0.  Classes
+    on S are paired, never multiplied.
     """
 
-    basis = ("1", "L", "E1", "E2", "E3", "E4", "pt")
     picard_rank = 5
 
     def L(self) -> ChowClass:
@@ -116,12 +98,6 @@ class DelPezzoRing:
             raise ValueError("exceptional index out of range")
         return ChowClass.from_ints(self, {f"E{i}": 1})
 
-    def pt(self) -> ChowClass:
-        return ChowClass.from_ints(self, {"pt": 1})
-
-    def one(self) -> ChowClass:
-        return ChowClass.from_ints(self, {"1": 1})
-
     def canonical(self) -> ChowClass:
         return ChowClass.from_ints(
             self, {"L": -3, "E1": 1, "E2": 1, "E3": 1, "E4": 1})
@@ -130,114 +106,38 @@ class DelPezzoRing:
         # b0 + b2 + b4 with b2 = Picard rank
         return 2 + self.picard_rank
 
-    def product_key(self, k1, k2) -> tuple[str, int] | None:
-        """(key, sign) with k1 * k2 = sign * key, or None when it is 0: 1
-        is the unit, L^2 = pt, Ei^2 = -pt, and every other product is 0."""
-        if k1 == "1":
-            return k2, 1
-        if k2 == "1":
-            return k1, 1
-        if k1 != k2 or k1 == "pt":
-            return None
-        return "pt", 1 if k1 == "L" else -1
-
-    def mul_into(self, out: dict, k1, k2, n: int) -> None:
-        """Add n times the basis product k1 * k2 to out."""
-        term = self.product_key(k1, k2)
-        if term is not None:
-            out[term[0]] = out.get(term[0], 0) + term[1] * n
-
-    def integrate(self, cls: ChowClass) -> Fraction:
-        return Fraction(cls.nums.get("pt", 0), cls.den)
-
     def integral(self, k1, k2) -> int:
-        """The integral of the basis product k1 * k2."""
-        term = self.product_key(k1, k2)
-        return term[1] if term is not None and term[0] == "pt" else 0
+        """The integral of the basis product k1 * k2: 1 for 1.pt and L.L,
+        -1 for Ei.Ei, and 0 for every other pair."""
+        if {k1, k2} == {"1", "pt"}:
+            return 1
+        if k1 != k2 or k1 in ("1", "pt"):
+            return 0
+        return 1 if k1 == "L" else -1
 
 
-class ProjectiveBundleRing:
-    """CH of the P^2-bundle P(M) -> S carrying the 4-nodal conic bundles.
+class ProjectiveBundle:
+    """The P^2-bundle P(M) -> S carrying the 4-nodal conic bundles, by its
+    data on S.
 
     M is the rank-3 bundle on the quintic del Pezzo surface S with
     c1(M) = -K_S and c2(M) = 3 times the point class (c3 = 0); ``base`` is
-    S and ``c1``, ``c2`` hold these Chern classes.  Basis monomials are
-    zeta^a * s with a <= 2 and s a basis class of the base.  The sign
-    convention is pinned so that the top self-intersection of zeta equals
-    the Segre number c1(M)^2 - c2(M) = 2; concretely
-    zeta^3 = c1.zeta^2 - c2.zeta.
-
-    The ring derives zeta^a * s for a = 3, 4 and each basis class s with
-    a + codim s <= 4 once, when it is built, from
-    zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s), and keeps these 7
-    integer rows in ``_zeta_rows``; every product above degree 4 is 0.  A
-    product of basis monomials is then one key and sign from
-    `DelPezzoRing.product_key` and one key or row, added into the caller's
-    dict, with no dict built per pair, and its integral is the row's
-    zeta^2 pt entry.  The Hilbert coefficients behind `hrr_chi` are kept per
-    ring as a `QVector` over the powers of d, never as a ChowClass, so a
-    ring and its classes form no reference cycle.
+    S, ``c1`` is the class c1(M) and ``c2`` the degree of c2(M).  The
+    tautological class zeta satisfies zeta^3 = c1 zeta^2 - c2 zeta, so the
+    integral of zeta^(2+i) against a class pulled back from S is the
+    integral on S against the Segre class s_i(M) (W. Fulton, Intersection
+    Theory, 3.1), and pi_* O_P(d) = Sym^d M.  Every number read from P is
+    therefore a number on S, and the record does no arithmetic.  The
+    intersection numbers on S behind `hrr_chi` are kept per record, as
+    ``_numbers``, once computed.
     """
 
     c2 = 3
 
     def __init__(self):
-        S = self.base = DelPezzoRing()
-        self.c1 = -S.canonical()
-        self._hilbert: QVector | None = None
-        self._zeta_rows: dict = {}
-        # zeta^a s = zeta^(a-1) (c1 s) - zeta^(a-2) (c2 s), with c1 and
-        # c2 pt integer classes (den 1)
-        relation = ((1, self.c1), (2, -self.c2 * S.pt()))
-        # the basis runs 1, the divisors, pt: zeta^3 s for s of codim <= 1,
-        # then zeta^4, which reads the zeta^3 rows
-        for a, keys in ((3, S.basis[:-1]), (4, S.basis[:1])):
-            for s in keys:
-                row: dict = {}
-                for drop, cls in relation:
-                    for sk, n in cls.nums.items():
-                        self.mul_into(row, (a - drop, s), (0, sk), n)
-                self._zeta_rows[a, s] = {k: v for k, v in row.items() if v}
-
-    def zeta(self) -> ChowClass:
-        return ChowClass.from_ints(self, {(1, "1"): 1})
-
-    def pull(self, cls: ChowClass) -> ChowClass:
-        if cls.ring is not self.base:
-            raise ValueError("can only pull back classes from the base")
-        return ChowClass.from_ints(
-            self, {(0, k): n for k, n in cls.nums.items()}, cls.den)
-
-    def one(self) -> ChowClass:
-        return ChowClass.from_ints(self, {(0, "1"): 1})
-
-    def mul_into(self, out: dict, k1, k2, n: int) -> None:
-        """Add n times the basis product k1 * k2 to out."""
-        term = self.base.product_key(k1[1], k2[1])
-        if term is None:
-            return
-        s, sign = term
-        a, c = k1[0] + k2[0], sign * n
-        if a <= 2:
-            out[a, s] = out.get((a, s), 0) + c
-        elif row := self._zeta_rows.get((a, s)):  # none above degree 4
-            for key, r in row.items():
-                out[key] = out.get(key, 0) + c * r
-
-    def integral(self, k1, k2) -> int:
-        """The integral of the basis product k1 * k2."""
-        term = self.base.product_key(k1[1], k2[1])
-        if term is None:
-            return 0
-        s, sign = term
-        a = k1[0] + k2[0]
-        if a <= 2:
-            return sign if (a, s) == (2, "pt") else 0
-        row = self._zeta_rows.get((a, s))  # none above degree 4
-        return sign * row.get((2, "pt"), 0) if row else 0
-
-    def integrate(self, cls: ChowClass) -> Fraction:
-        return Fraction(cls.nums.get((2, "pt"), 0), cls.den)
+        self.base = DelPezzoRing()
+        self.c1 = -self.base.canonical()
+        self._numbers: tuple[Fraction, ...] | None = None
 
 
 # -- blow-up intersection table -------------------------------------------
@@ -278,7 +178,7 @@ class BlowupRing:
 
     The monomial N^n H^h H1^h1 H2^h2 is keyed by its count tuple
     (n, h, h1, h2).  A product adds count tuples and drops those of degree
-    above 4, and `integrate` reads the degree-4 part against ``table``, the
+    above 4, and `integral` reads a degree-4 product against ``table``, the
     `blowup_intersection_table`.  No relation is imposed below degree 4, so
     only integrals are intersection numbers.
     """
@@ -305,19 +205,11 @@ class BlowupRing:
         """zeta = H1 + H2 - N, the class of O_P(1) on the bundle P."""
         return self.divisor({"H1": 1, "H2": 1, "N": -1})
 
-    def one(self) -> ChowClass:
-        return ChowClass.from_ints(self, {(0, 0, 0, 0): 1})
-
     def mul_into(self, out: dict, k1, k2, n: int) -> None:
         """Add n times the basis product k1 * k2 to out."""
         k = tuple(map(add, k1, k2))
         if sum(k) <= 4:
             out[k] = out.get(k, 0) + n
-
-    def integrate(self, cls: ChowClass) -> Fraction:
-        table = self.table
-        return Fraction(sum(n * table[k] for k, n in cls.nums.items()
-                            if sum(k) == 4), cls.den)
 
     def integral(self, k1, k2) -> int:
         """The integral of the basis product k1 * k2."""
@@ -330,17 +222,17 @@ def intersection_number(divisors: Sequence[ChowClass]) -> Fraction:
     return (a * b).pairing(c * d)
 
 
-def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundleRing
+def verify_deg_h_two_ways(X: BlowupRing, P: ProjectiveBundle
                           ) -> tuple[Fraction, Fraction]:
     """deg of the half-anticanonical double cover P -> P^4, two routes.
 
     Route one reads ``X.zeta4``, zeta^4 = (H1 + H2 - N)^4 integrated
     against the blow-up table once per ring, as `kb_squared` does; route
-    two pairs zeta^2 with itself in the projective bundle ring.  Both should
-    equal 2; the `verify` report checks each.
+    two is the Segre number s2(M) = c1(M)^2 - c2(M), the integral of zeta^4
+    on P, with c1(M) paired with itself on S.  Both should equal 2; the
+    `verify` report checks each.
     """
-    z2 = P.zeta() * P.zeta()
-    return X.zeta4, z2.pairing(z2)
+    return X.zeta4, P.c1.pairing(P.c1) - P.c2
 
 
 # -- canonical classes ------------------------------------------------------
@@ -369,63 +261,44 @@ def kb_squared(X: BlowupRing) -> Fraction:
     return 4 * X.zeta4
 
 
-# -- Riemann-Roch on P -------------------------------------------------------
+# -- Riemann-Roch on S ------------------------------------------------------
 
-def tangent_chern_classes(P: ProjectiveBundleRing) -> tuple[ChowClass, ...]:
-    """c1..c4 of the tangent bundle of P, from the relative Euler sequence.
-
-    c(T_P) = c(pi^* M^dual tensor O_P(1)) . c(pi^* T_S), with c1(T_S) =
-    -K_S and c2(T_S) = e(S) pt.  The first factor's classes are rel1, rel2
-    and zeta^3 - c1 zeta^2 + c2 zeta, which is 0 by the bundle relation.
-    """
+def tangent_chern_classes(P: ProjectiveBundle) -> tuple[ChowClass, int]:
+    """(c1, c2) of the tangent bundle of the base S: c1 = -K_S, and c2 =
+    e(S) times the point class, given by its degree."""
     S = P.base
-    z = P.zeta()
-    c1m = P.pull(P.c1)
-    c2m = P.c2 * P.pull(S.pt())
-    z2 = z * z
-    rel1 = 3 * z - c1m
-    rel2 = 3 * z2 - 2 * z * c1m + c2m
-    ts1 = P.pull(-S.canonical())
-    ts2 = S.euler_number() * P.pull(S.pt())
-    c1 = rel1 + ts1
-    c2 = rel2 + rel1 * ts1 + ts2
-    c3 = rel2 * ts1 + rel1 * ts2
-    c4 = rel2 * ts2
-    return c1, c2, c3, c4
+    return -S.canonical(), S.euler_number()
 
 
-def hrr_chi(P: ProjectiveBundleRing, d: int) -> Fraction:
-    """chi(O_P(d)) by Riemann-Roch, evaluated as the Hilbert polynomial.
+def hrr_chi(P: ProjectiveBundle, d: int) -> Fraction:
+    """chi(O_P(d)) = chi(S, Sym^d M) by Riemann-Roch on S, a polynomial in d.
 
-    ch(O_P(d)) = sum_k d^k zeta^k / k!, so the integral of ch(O_P(d)).Td(T_P)
-    is the quartic sum_k c_k d^k with c_k = integral of zeta^k.Td(T_P) / k!.
-    zeta^k meets only the codimension-(4 - k) Todd class td_(4-k) in degree
-    4, and each c_k is a sum of pairings of Chern classes of T_P: td_1 =
-    c1/2, td_2 = (c1^2 + c2)/12, td_3 = c1 c2/24, and td_4 is never formed,
-    its integral being (-c1^2.c1^2 + 4 c1^2.c2 + 3 c2.c2 + c1.c3 - c4)/720.
-    The five c_k are computed once per ring, on first use, and kept as
-    integer numerators over one denominator.  A twist d that is not an int
-    raises TypeError: the polynomial's value there is no Euler
-    characteristic.
+    pi_* O_P(d) = Sym^d M with no higher direct images for d >= 0, so the
+    Hilbert polynomial of O_P(d) is the polynomial in d below, and
+    Riemann-Roch on a surface (Fulton, Intersection Theory, 15.2) reads
+    chi(S, E) = ch2(E) + ch1(E).c1(T_S)/2 + rank(E) td2(S), with
+    td2(S) = (c1(T_S)^2 + c2(T_S))/12 (Noether's formula, derived here).
+    Over the Chern roots a of M, Sym^d M has the roots i.a for the
+    N = C(d + 2, 2) exponent triples i with |i| = d, so by symmetry
+    ch1 = (N d/3) c1(M) and ch2 = A/2 c1(M)^2 + (B - A) c2(M), with the
+    simplex sums A = sum i1^2 = N d(d + 1)/6 and B = sum i1 i2 =
+    N d(d - 1)/12.  The three intersection numbers on S are computed once
+    per record, on first use.  A twist d that is not an int raises
+    TypeError: the polynomial's value there is no Euler characteristic.
     """
     if type(d) is not int:
         raise TypeError(f"a twist is an int, not {d!r}")
-    if P._hilbert is None:
-        c1, c2, c3, c4 = tangent_chern_classes(P)
-        z = P.zeta()
-        z2, zc1, c11 = z * z, z * c1, c1 * c1
-        integrals = (  # of zeta^k td_(4-k), k = 0..4
-            (-c11.pairing(c11) + 4 * c11.pairing(c2) + 3 * c2.pairing(c2)
-             + c1.pairing(c3) - c4.integrate()) / 720,
-            zc1.pairing(c2) / 24, z2.pairing(c11 + c2) / 12,
-            z2.pairing(zc1) / 2, z2.pairing(z2))
-        P._hilbert = QVector("d^k", {k: v / factorial(k)
-                                     for k, v in enumerate(integrals)})
-    h = P._hilbert
-    return Fraction(sum(n * d ** k for k, n in h.nums.items()), h.den)
+    if P._numbers is None:
+        c1t, c2t = tangent_chern_classes(P)
+        P._numbers = (P.c1.pairing(P.c1), P.c1.pairing(c1t),
+                      (c1t.pairing(c1t) + c2t) / 12)
+    c11, c1t, td2 = P._numbers
+    n = (d + 1) * (d + 2) // 2  # a product of consecutive ints is even
+    a, b = Fraction(n * d * (d + 1), 6), Fraction(n * d * (d - 1), 12)
+    return a / 2 * c11 + (b - a) * P.c2 + Fraction(n * d, 6) * c1t + n * td2
 
 
-def koszul_chi_B(P: ProjectiveBundleRing) -> Fraction:
+def koszul_chi_B(P: ProjectiveBundle) -> Fraction:
     """chi(O_B) for the base surface of a pencil in |O_P(2)|, via Koszul.
 
     B is the complete intersection of two members, so

@@ -30,7 +30,7 @@ SUITES = ("chow", "counts", "slope")
 
 
 def _checks() -> list[Check]:
-    """Every check of the report, on one bundle ring and one blow-up ring.
+    """Every check of the report, on one bundle record and one blow-up ring.
 
     Each number that more than one check or computation reads is wrapped in
     a `cache` local to this build, so it is computed once, by the first
@@ -39,7 +39,7 @@ def _checks() -> list[Check]:
     """
     from . import chow, moduli
 
-    P = chow.ProjectiveBundleRing()
+    P = chow.ProjectiveBundle()
     X = cache(chow.BlowupRing)
     kp = cache(lambda: chow.canonical_classes(X())[0])
     deg_h = cache(lambda: chow.verify_deg_h_two_ways(X(), P))

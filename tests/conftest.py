@@ -19,7 +19,7 @@ settings.register_profile("ci", derandomize=True, database=None, print_blob=True
 
 @pytest.fixture(scope="module")
 def P():
-    return chow.ProjectiveBundleRing()
+    return chow.ProjectiveBundle()
 
 
 @pytest.fixture(scope="module")

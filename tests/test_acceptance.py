@@ -52,7 +52,7 @@ def test_criterion_02_degree_of_double_cover(capfd, blowup, P):
         assert blowup_route == 2
         assert segre_route == 2
         # the Segre route is c1^2 - c2 = 5 - 3 on the nose
-        assert (P.c1 * P.c1).integrate() - P.c2 == 2
+        assert P.c1.pairing(P.c1) - P.c2 == 2
 
 
 def test_criterion_03_blowup_table(capfd, table):

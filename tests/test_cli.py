@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,8 +78,9 @@ class TestVerify:
         assert a == b
 
     def test_each_report_computes_each_number_once(self, monkeypatch):
-        calls = {"rings": 0, "tangent": 0, "euler": 0, "table": 0,
-                 "zeta4": 0, "bundle_products": 0}
+        calls = {"bundles": 0, "tangent": 0, "euler": 0, "table": 0,
+                 "zeta4": 0}
+        products = Counter()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -86,8 +88,8 @@ class TestVerify:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(chow.ProjectiveBundleRing, "__init__",
-                            counted("rings", chow.ProjectiveBundleRing.__init__))
+        monkeypatch.setattr(chow.ProjectiveBundle, "__init__",
+                            counted("bundles", chow.ProjectiveBundle.__init__))
         monkeypatch.setattr(chow, "tangent_chern_classes",
                             counted("tangent", chow.tangent_chern_classes))
         monkeypatch.setattr(chow, "euler_numbers",
@@ -100,20 +102,22 @@ class TestVerify:
         product = chow.ChowClass._product
 
         def counted_product(self, other):
-            if isinstance(self.ring, chow.ProjectiveBundleRing):
-                calls["bundle_products"] += 1
+            products[type(self.ring).__name__] += 1
             return product(self, other)
 
         monkeypatch.setattr(chow.ChowClass, "_product", counted_product)
         for _ in range(2):
             calls.update(dict.fromkeys(calls, 0))
+            products.clear()
             assert run_checks("all")["pass"]
-            # once in every report: the second recomputes, caches nothing;
-            # Riemann-Roch and deg h form 10 products in the bundle ring,
-            # none of them twice and none unread: the Chern classes of T_P
-            # take 6, and zeta^2, zeta c1 and c1^2 are paired, not multiplied
-            assert calls == {"rings": 1, "tangent": 1, "euler": 1, "table": 1,
-                             "zeta4": 1, "bundle_products": 10}
+            # once in every report: the second recomputes, caches nothing
+            assert calls == {"bundles": 1, "tangent": 1, "euler": 1, "table": 1,
+                             "zeta4": 1}
+            # Riemann-Roch and deg h are numbers on S, so no product is
+            # formed on S or on the bundle: zeta^4 takes two products on the
+            # blow-up ring, and the moduli numbers four on products of
+            # projective spaces
+            assert products == {"BlowupRing": 2, "ProductProjectiveRing": 4}
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction

@@ -1355,6 +1355,19 @@ class TestNetAndSweep:
         with pytest.raises(cb.CertificationError, match="unique member"):
             cb.discriminant_cubic(same, rng)
 
+    def test_identically_singular_net_is_degenerate(self):
+        # o = e_1 and three restrictions whose first row and column are 0:
+        # every member passes through (o, o), and every member is singular
+        # at o, so the determinant of the net vanishes identically;
+        # discriminant_cubic reads only o and the restrictions
+        net = cb.NetT(o=(1, 0, 0), fixed_lines=(), system=None,
+                      restricted=tuple(((0, 0, 0), (0, a, b), (0, b, c))
+                                       for a, b, c in ((1, 0, 0), (0, 1, 0),
+                                                       (0, 0, 1))))
+        with pytest.raises(cb.DegenerateConfigurationError,
+                           match="identically singular net"):
+            cb.discriminant_cubic(net, random.Random(0))
+
     def test_member_off_the_base_point_is_rejected(self):
         # o^T A_1(o) o != 0: the first member no longer passes through (o, o)
         rng = random.Random(21)

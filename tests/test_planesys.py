@@ -1080,6 +1080,19 @@ def test_linear_change_is_substitution(F):
         assert ps.p3_eval(F, changed, pt) == ps.p3_eval(F, poly, image)
 
 
+def test_random_invertible_gives_up_after_64_singular_draws():
+    # a draw that is always 0 gives only the zero matrix
+    draws = []
+
+    def zero():
+        draws.append(0)
+        return 0
+
+    with pytest.raises(RuntimeError, match="failed to draw an invertible matrix"):
+        ps._random_invertible(ps.GF(32749), zero)
+    assert len(draws) == 64 * 9
+
+
 def dict_linear_change(F, poly, m):
     """x_i -> sum_j m[i][j] x_j on exponent dicts, by Horner's rule in x1
     and x2 with the powers of the third form: the sparse route that

@@ -160,25 +160,27 @@ def test_uncalled_public_methods_are_pinned():
 
 
 def test_every_ring_has_the_methods_chow_classes_read():
-    # a ChowClass multiplies, takes its 0th power, integrates and pairs
-    # through its ring, so a ring without one of those methods would fail
-    # only when a caller first took that path; this is why
-    # ProductProjectiveRing.one and BlowupRing.one stay, though no command
-    # enters them
+    # a ChowClass multiplies and pairs through its ring, so a ring without
+    # one of those methods would fail only when a caller first took that
+    # path: every ring pairs, and the two rings that the package multiplies
+    # in also multiply; classes on S are paired, never multiplied, and the
+    # P^2-bundle is a record of its data on S, not a ring
     tree = ast.parse((SRC / "chow.py").read_text(encoding="utf-8"))
     classes = {node.name: node for node in tree.body
                if isinstance(node, ast.ClassDef)}
     read = {node.attr for node in ast.walk(classes.pop("ChowClass"))
             if isinstance(node, ast.Attribute)
             and ast.unparse(node.value) == "self.ring"}
-    assert read == {"integral", "integrate", "mul_into", "one"}
+    assert read == {"integral", "mul_into"}
     methods = {name: {node.name for node in cls.body
                       if isinstance(node, ast.FunctionDef)}
                for name, cls in classes.items()}
-    rings = {name: sorted(read - defined) for name, defined in methods.items()
-             if "integrate" in defined}
-    assert rings == {"ProductProjectiveRing": [], "DelPezzoRing": [],
-                     "ProjectiveBundleRing": [], "BlowupRing": []}
+    rings = {name: sorted(read & defined) for name, defined in methods.items()
+             if read & defined}
+    assert rings == {"ProductProjectiveRing": ["integral", "mul_into"],
+                     "DelPezzoRing": ["integral"],
+                     "BlowupRing": ["integral", "mul_into"]}
+    assert "ProjectiveBundle" in methods
     # one product method per ring: the one that ChowClass reads
     assert [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
             for n, line in enumerate(path.read_text(encoding="utf-8")
@@ -188,35 +190,31 @@ def test_every_ring_has_the_methods_chow_classes_read():
 
 def test_no_product_is_formed_only_to_be_integrated():
     # an intersection number is a pairing, which reads the ring's integral
-    # on pairs of terms; (x * y).integrate() would form the product class
-    # and read its top degree alone
-    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
-             for name, node in _nodes(ast.Call)
-             if isinstance(node.func, ast.Attribute)
-             and node.func.attr == "integrate"
-             and isinstance(node.func.value, ast.BinOp)
-             and isinstance(node.func.value.op, (ast.Mult, ast.Pow))]
+    # on pairs of terms; no class and no ring has an integrate, so no
+    # product class can be formed only to read its top degree
+    found = ([f"{name}:{node.lineno} def {node.name}"
+              for name, node in _nodes(ast.FunctionDef)
+              if node.name == "integrate"]
+             + [f"{name}:{node.lineno} {ast.unparse(node)}"
+                for name, node in _nodes(ast.Attribute)
+                if node.attr == "integrate"])
     assert found == []
 
 
 def test_ring_products_build_no_dict_per_pair():
-    # ChowClass products reach mul_into once per pair of terms: the bundle
-    # ring reads its base part as one key and sign from the del Pezzo rule,
-    # which both rings share, and builds no dict of its own there
+    # ChowClass products reach mul_into once per pair of terms, and each
+    # ring's mul_into adds into the caller's dict and builds none of its own
     tree = ast.parse((SRC / "chow.py").read_text(encoding="utf-8"))
     mul_into = {cls.name: node for cls in tree.body
                 if isinstance(cls, ast.ClassDef)
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef) and node.name == "mul_into"}
-    built = [ast.unparse(node)
-             for node in ast.walk(mul_into["ProjectiveBundleRing"])
+    assert set(mul_into) == {"ProductProjectiveRing", "BlowupRing"}
+    built = [f"{name}: {ast.unparse(node)}" for name, fn in mul_into.items()
+             for node in ast.walk(fn)
              if isinstance(node, (ast.Dict, ast.DictComp))
              or isinstance(node, ast.Call) and ast.unparse(node.func) == "dict"]
     assert built == []
-    for name in ("DelPezzoRing", "ProjectiveBundleRing"):
-        calls = {ast.unparse(node.func) for node in ast.walk(mul_into[name])
-                 if isinstance(node, ast.Call)}
-        assert calls & {"self.product_key", "self.base.product_key"}, name
 
 
 def test_every_import_is_used():

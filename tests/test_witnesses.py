@@ -2,16 +2,23 @@
 
 The Chow half (`chow`) computes numbers that the construction half
 (`conicbundle`) must meet on every instance it certifies: the dimension of
-the base system, the degree, multiplicities and genus of the discriminant
-curve, and the dimension of the net.  The `verify` command loads neither
+the base system and of its analogues of multiplicity 1, 3 and 4 at the
+nodes, the degree, multiplicities and genus of the discriminant curve, and
+the dimension of the net.  The `verify` command loads neither
 `conicbundle` nor `planesys`; this module loads both halves, so each number
 is checked against the other half here.
 """
 
+from itertools import product
+from math import comb
+
+import bundle_oracle
 import pytest
+from test_planesys import _rank_mod
 
 from prym6 import chow
 from prym6 import conicbundle as cb
+from prym6 import planesys as ps
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +32,37 @@ def gamma_class(S):
     return -2 * S.canonical()
 
 
-def test_base_system_has_the_riemann_roch_dimension(P):
-    # h^0(O_P(2)) = chi(O_P(2)): the (2,2) forms through the four nodes
-    assert cb.base_system(cb.STANDARD_NODES).dim == chow.hrr_chi(P, 2) == 16
+@pytest.mark.parametrize("d", range(1, 5))
+def test_base_system_has_the_riemann_roch_dimension(P, d):
+    # h^0(O_P(d)) = chi(O_P(d)): the (d, d)-forms that vanish to order d at
+    # (u, u) for each standard node u, the base system for d = 2.  Order d
+    # is every partial of order at most d - 1 in the chart variables, as
+    # `node_condition_rows` takes them for d = 2.  A rank mod q is at most
+    # the rank over Q, so full rank mod q bounds the dimension over Q from
+    # above by columns - rows, and the count of rows bounds it from below
+    q = ps.WORD_PRIMES[0]
+    rows = []
+    for u in cb.STANDARD_NODES:
+        k = cb._chart_index(u)
+        partials = {e: ps.p3_weights(u, d, e)
+                    for e in product(range(d), repeat=3)
+                    if sum(e) < d and not e[k]}
+        rows += [[a * b % q for a in partials[ex] for b in partials[ey]]
+                 for ex, ey in product(partials, repeat=2)
+                 if sum(ex) + sum(ey) < d]
+    columns, conditions = comb(d + 2, 2) ** 2, 4 * comb(d + 3, 4)
+    assert (len(rows[0]), len(rows)) == (columns, conditions)
+    assert _rank_mod(rows, q) == conditions
+    dim = columns - conditions
+    assert dim == chow.hrr_chi(P, d) == bundle_oracle.hrr_chi(
+        bundle_oracle.ProjectiveBundleRing(), d) == {1: 5, 2: 16, 3: 40, 4: 85}[d]
+    if d == 2:
+        assert cb.base_system(cb.STANDARD_NODES).dim == dim
 
 
 def test_gamma_has_the_degree_of_its_class(S, gamma_class, instances):
     # the image in P^2 of a curve of class D on S has degree D.L
-    degree = (gamma_class * S.L()).integrate()
+    degree = gamma_class.pairing(S.L())
     assert degree == 6
     for inst in instances:
         assert {sum(e) for e in inst.gamma.nums} == {degree}, inst.seed
@@ -43,7 +73,7 @@ def test_gamma_has_the_multiplicity_of_its_class_at_each_node(
     # a curve of class D on S passes through the i-th blown-up point with
     # multiplicity D.E_i; at a certificate, a zero value and gradient make
     # the multiplicity at least 2 and a nonzero Hessian minor at most 2
-    mults = [(gamma_class * S.E(i)).integrate() for i in range(1, 5)]
+    mults = [gamma_class.pairing(S.E(i)) for i in range(1, 5)]
     assert mults == [2] * 4
     for inst in instances:
         certs = inst.node_certificates
