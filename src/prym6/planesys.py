@@ -40,7 +40,8 @@ sample points x = 0 .. n - 1 and interpolation, one lane per sample and g:
 52 lanes for a completeness proof's two on a sextic.  Column j of a
 polynomial holds its x3^j coefficient in every lane, so each step of the
 remainder sequences is one list operation across all lanes, and each round
-of remainders costs one ``inv_all``.
+of remainders costs one ``inv_all``; over GF(p) a round whose degrees drop
+by one is one fused pass per remainder column.
 
 Evaluation at the n sample points and interpolation from them are two
 fixed n x n matrices times a vector, built once per field and n by
@@ -53,6 +54,16 @@ input, read back slot by slot.  Over Q, and over primes too large for that
 bound, it is one dot product per row.  The interpolation matrix's entries
 already carry the inverse of the common denominator, so over GF(p) each
 entry is one residue.
+
+The completeness proof modulo the word primes moves the curve by a fixed
+change of coordinates m_i at its attempt i.  So the map from the curve mod
+q to the x3-levels of the partials of the moved curve at the sample points
+is one fixed linear map per attempt and degree, which `_lane_table` builds
+once as two packed tables: the curve to the moved curve, and the moved
+curve to the levels.  An attempt is then two packed products, read back by
+`_unpack`, and its 52 lanes go to `uni_resultants` as they are.  The exact
+proof and `find_unique_common_root` take the long way, by
+`p3_linear_change`, `p3_partial` and `resultant_x3`.
 """
 
 from __future__ import annotations
@@ -188,11 +199,25 @@ def uni_monic(F, a):
 
 
 def uni_gcd(F, a, b):
+    """The monic gcd of a and b: over Q by `_uni_gcd_q`, over GF(p) by
+    Euclid's remainder sequence.  Its normal step, a of degree m + 1 by b of
+    degree m >= 1, is one pass, as the fused round of `uni_resultants`: with
+    q1 = lc(a) / lc(b) and q0 = (a_m - q1 b_(m-1)) / lc(b), coefficient j of
+    the remainder is a_j - q0 b_j - q1 b_(j-1), reduced once."""
     if F is QQ:
         return _uni_gcd_q(a, b)
+    p = F.p
     a, b = list(a), list(b)
     while b:
-        _, r = uni_divmod(F, a, b)
+        m = len(b) - 1
+        if len(a) == m + 2 and m:
+            u = pow(b[m], -1, p)
+            q1 = a[m + 1] * u % p
+            q0 = (a[m] - q1 * b[m - 1]) * u % p
+            r = _trim(F, [(x - q0 * y - q1 * z) % p
+                          for x, y, z in zip(a[:m], b, [0] + b)])
+        else:
+            _, r = uni_divmod(F, a, b)
         a, b = b, r
     return uni_monic(F, a)
 
@@ -257,10 +282,15 @@ def uni_resultants(F, pairs):
     lane's answer is sign * acc * Res(f, g).  Each round divides every
     group with m > 0, one list operation across its lanes per quotient
     coefficient and per column of f, with the leading inverses of all
-    dividing lanes from one ``inv_all``.  When every remainder of a group
-    has degree m - 1, the group goes on whole as (r, f); otherwise its
-    lanes split into one group per remainder degree, and a lane whose
-    remainder is 0 leaves with the answer 0.
+    dividing lanes from one ``inv_all``.  Over GF(p), a group with
+    m <= n <= m + 1, the normal round of a remainder sequence, is one fused
+    pass: with the quotient coefficients q1 (0 when n = m) and
+    q0 = (g_m - q1 f_(m-1)) / lc(f), remainder column j is
+    g_j - q0 f_j - q1 f_(j-1), one comprehension with one reduction per
+    residue.  When every remainder of a group has degree m - 1, the group
+    goes on whole as (r, f); otherwise its lanes split into one group per
+    remainder degree, and a lane whose remainder is 0 leaves with the
+    answer 0.
     """
     by_degrees: dict = {}
     for i, (a, b) in enumerate(pairs):
@@ -285,17 +315,26 @@ def uni_resultants(F, pairs):
             inv = invs[start:start + len(lanes)]
             start += len(lanes)
             m, n = len(f) - 1, len(g) - 1
-            g = list(g)
-            for k in range(n - m, -1, -1):
-                q = F.reduce_all(map(mul, g[k + m], inv))
-                for j in range(m):
-                    g[k + j] = [a - c * b for a, c, b in zip(g[k + j], q, f[j])]
-            r = [F.reduce_all(col) for col in g[:m]]
+            if m <= n <= m + 1 and isinstance(F, GF):
+                p, zero = F.p, [0] * len(lanes)
+                q1 = [a * b % p for a, b in zip(g[n], inv)] if n > m else zero
+                q0 = [(a - c * b) * u % p
+                      for a, c, b, u in zip(g[m], q1, f[m - 1], inv)]
+                r = [[(a - c0 * b0 - c1 * b1) % p
+                      for a, c0, b0, c1, b1 in zip(g[j], q0, f[j], q1, below)]
+                     for j, below in zip(range(m), [zero] + f)]
+            else:
+                g = list(g)
+                for k in range(n - m, -1, -1):
+                    q = F.reduce_all(map(mul, g[k + m], inv))
+                    for j in range(m):
+                        g[k + j] = [a - c * b for a, c, b in zip(g[k + j], q, f[j])]
+                r = [F.reduce_all(col) for col in g[:m]]
             lead = f[-1]
             if len(r) == m and F.zero not in r[-1]:
                 # k = m - 1 in every lane; (-1)^(m (m - 1)) = 1
                 e = n - m + 1
-                acc = F.reduce_all(a * c ** e for a, c in zip(acc, lead))
+                acc = F.reduce_all([a * c ** e for a, c in zip(acc, lead)])
                 groups.append((lanes, acc, sign, r, f))
                 continue
             by_degree: dict = {}
@@ -348,7 +387,8 @@ def _sample_maps(F, n: int):
     and the net cubic's for n = 5 over the word primes; the exact checks,
     which no command runs, ask for n = 26 over Q, and for n = 10 on a
     quartic: 18 keys in all.  A command process asks only for the 16 keys
-    of the word primes, so 16 entries hold them all.
+    of the word primes, so 16 entries hold them all; `_lane_table` reads
+    the evaluation matrix of the same keys.
     """
     master = [1]
     for j in range(n):
@@ -641,33 +681,124 @@ _TRIES = 8
 #: the eight largest primes below 2^15, one per attempt of the mod-p proof:
 #: q^2 < 2^30, so a product of two residues is one 30-bit CPython digit,
 #: and a sextic's 26 sample points pass the slot bound of `_packs`.  Each
-#: is above 25, the last sample point of `resultant_x3` on a sextic
+#: is above 25, the last sample point of the proof on a sextic
 WORD_PRIMES = (32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653)
 
 
-def _moved_curves(curve, rng: random.Random, exact: bool):
-    """Each attempt's field F and the curve over F, moved by a fresh random
-    invertible m.
+def _reduce_slots(q: int, forms, size: int) -> list[int]:
+    """Each packed form of `size` nonnegative 64-bit slots, with every slot
+    reduced mod q: one unpack, one comprehension and one pack for all."""
+    words = struct.unpack("<%dQ" % (len(forms) * size),
+                          b"".join(f.to_bytes(8 * size, "little") for f in forms))
+    raw = struct.pack("<%dQ" % len(words), *[w % q for w in words])
+    return [int.from_bytes(raw[r:r + 8 * size], "little")
+            for r in range(0, len(raw), 8 * size)]
 
-    If exact: QQ and the curve as given, _TRIES times.  Otherwise attempt i
-    is over GF(q) for q = WORD_PRIMES[i], and an integer curve that reduces
-    to 0 mod q yields nothing, so that attempt rejects.  Each entry of m is
-    rng.randrange(bound) mod q, for one bound drawn per call.
+
+@lru_cache(maxsize=16)
+def _lane_table(i: int, n: int):
+    """The two packed maps (T, E) of attempt i of the word-prime proof on a
+    curve of degree n >= 2: over GF(q), q = WORD_PRIMES[i], with the fixed
+    change of coordinates m_i, the `_random_invertible` of entries
+    randrange(q) drawn from random.Random(f"m{i}").
+
+    A form of degree k <= n sits in 64-bit slots, x1^e1 x2^e2 x3^(k-e1-e2)
+    in slot e1 (n + 1) + e2, so that the product of two forms is the
+    product of their ints (Kronecker substitution), and a slot with
+    e1 + e2 > k holds 0.  T[b], for each x^b of `monomials_of_degree(n)` in
+    order, is (m_i x)^b, each slot congruent mod q and below 3 (q - 1)^2,
+    so sum_b gamma_b T[b] packs gamma o m_i, each slot below
+    3 C(n + 2, 2) (q - 1)^3 < 2^64.  The monomials of degree k with e1 > 0
+    are x1 times those of degree k - 1, in order, and the rest are x2 times
+    the last k of those, then x3^k; so with y_j = (m_i x)_j, each level is
+    the one below times y1, y2 and y3 as packed linear forms.  The slots
+    are reduced mod q at the levels n - 1, n - 3, ..., so that between two
+    reductions they stay below 9 (q - 1)^3 < 2^64, and level n is one
+    product past the last.
+
+    E holds, in the slot of x^c for each c of degree n, and for each j with
+    c_j > 0 and x^c / x_j = x1^a x2^b x3^e, the value c_j s^a at each of
+    the N = (n - 1)^2 + 1 samples s, in slot (j n + e) N + s: the column a of
+    the evaluation matrix of `_sample_maps(F, N)`, shifted.  So the
+    packed gamma o m_i times E gives, in that slot, the x3^e coefficient of
+    its x_j-partial on the chart x2 = 1 at x1 = s, each slot below
+    C(n + 2, 2) n (q - 1)^2.  The two maps replace `p3_linear_change`,
+    `p3_partial`, `_x3_tower` and `_tower_at_samples`.  A process asks
+    for (0, 6), and on a sweep also (0, 3), unless an attempt rejects.
     """
-    if exact:
-        draw = partial(QQ.random_element, rng)
-        for _ in range(_TRIES):
-            yield QQ, p3_linear_change(QQ, curve, _random_invertible(QQ, draw))
-        return
-    # the bound only keeps the rng stream that perfbench/digests.json pins;
-    # a new stream is for the benchmark revision (ROADMAP item 1)
+    q = WORD_PRIMES[i]
+    F = GF(q)
+    m = _random_invertible(F, partial(random.Random(f"m{i}").randrange, q))
+    B, N = n + 1, (n - 1) ** 2 + 1
+    y1, y2, y3 = (a << 64 * B | b << 64 | c for a, b, c in m)
+    T = [1]
+    for k in range(1, n + 1):
+        T = [f * y1 for f in T] + [f * y2 for f in T[-k:]] + [T[-1] * y3]
+        if (n - k) % 2:
+            T = _reduce_slots(q, T, k * B + 1)
+    powers = _sample_maps(F, N)[0]
+    E = [0] * (n * B + 1)
+    for c in monomials_of_degree(n):
+        for j in range(3):
+            if c[j]:
+                a, e = c[0] - (j == 0), c[2] - (j == 2)
+                E[c[0] * B + c[1]] += c[j] * powers[a] << 64 * N * (j * n + e)
+    return tuple(T), tuple(E)
+
+
+def _levels_at_samples(i: int, form) -> list[list[int]]:
+    """The x3-levels of the partials of form o m_i at the sample points, for
+    a dense form of degree n reduced mod q = WORD_PRIMES[i]: row j n + e
+    holds the x3^e coefficient of d(form o m_i)/dx_j on the chart x2 = 1 at
+    x1 = 0 .. (n - 1)^2, mod q.  Two packed products with the maps of
+    `_lane_table`."""
+    n = p3_degree(form)
+    N, F = (n - 1) ** 2 + 1, GF(WORD_PRIMES[i])
+    T, E = _lane_table(i, n)
+    moved = _unpack(F, sum(map(mul, form, T)), len(E))
+    lanes = _unpack(F, sum(map(mul, moved, E)), 3 * n * N)
+    return [lanes[r:r + N] for r in range(0, 3 * n * N, N)]
+
+
+def _word_prime_resultants(curve, rng: random.Random):
+    """Attempt i's field GF(q), q = WORD_PRIMES[i], and r1, r2 of the
+    curve moved by m_i, for each attempt whose leading x3 coefficients are
+    nonzero; an integer curve that reduces to 0 mod q yields nothing.
+
+    The bound and one draw of an m per attempt reached, each entry
+    rng.randrange(bound) mod q, are discarded: they only keep the rng
+    stream that perfbench/digests.json pins (ROADMAP item 2).
+    """
+    n = p3_degree(curve)
+    N = (n - 1) ** 2 + 1
     bound = rng.getrandbits(62) | 1 << 61 | 1
-    for q in WORD_PRIMES:
+    for i, q in enumerate(WORD_PRIMES):
         reduced = [c % q for c in curve]
-        if any(reduced):
-            F = GF(q)
-            m = _random_invertible(F, lambda: rng.randrange(bound) % q)
-            yield F, p3_linear_change(F, reduced, m)
+        if not any(reduced):
+            continue
+        F = GF(q)
+        _random_invertible(F, lambda: rng.randrange(bound) % q)
+        levels = _levels_at_samples(i, reduced)
+        if not all(levels[j * n + n - 1][0] for j in range(3)):
+            continue  # a leading x3 coefficient is 0
+        c0, c1, c2 = (list(zip(*levels[j * n:j * n + n])) for j in range(3))
+        values = uni_resultants(F, [*zip(c0, c1), *zip(c0, c2)])
+        yield F, uni_interpolate(F, values[:N]), uni_interpolate(F, values[N:])
+
+
+def _exact_resultants(curve, rng: random.Random):
+    """QQ and r1, r2 of the curve moved by a fresh random m over Q, for each
+    of _TRIES attempts whose leading x3 coefficients are nonzero constants.
+    """
+    draw = partial(QQ.random_element, rng)
+    for _ in range(_TRIES):
+        moved = p3_linear_change(QQ, curve, _random_invertible(QQ, draw))
+        c = [p3_partial(QQ, moved, j) for j in range(3)]
+        try:
+            r1, r2 = resultant_x3(QQ, c[0], c[1:])
+        except ValueError:
+            continue  # a leading x3 coefficient is not a nonzero constant
+        yield QQ, r1, r2
 
 
 def only_known_common_roots(curve, k: int, rng: random.Random,
@@ -678,15 +809,16 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
     Precondition, checked by the caller: the curve has k distinct singular
     points.  curve, gamma, is a dense form of degree n >= 2 with integer
     coefficients, in both modes.
-    Each attempt works over its own field: Q if exact, otherwise GF(q) for
-    the next prime q of WORD_PRIMES, with gamma reduced mod q (a reduction
-    that is 0 rejects the attempt).  It draws an invertible m, moves the
-    curve once to gamma o m and sets c_j = d(gamma o m)/dx_j, forms of
-    degree d = n - 1 that generate the Jacobian ideal J of gamma o m.  It
-    accepts when r1 = Res_x3(c0, c1) and r2 = Res_x3(c0, c2), on the chart
-    x2 = 1, have full degree d^2 and deg gcd(r1, r2) = k.  Let Z be the
-    scheme of J over the closure of the field, tau_p its length and tau_Q
-    the length of the scheme over Q-bar.
+    Each attempt works over its own field with its own invertible m: if
+    exact, Q and a fresh m drawn from rng; otherwise attempt i is over
+    GF(q) for q = WORD_PRIMES[i], with gamma reduced mod q (a reduction
+    that is 0 rejects the attempt), and m is the fixed m_i of
+    `_lane_table`.  It moves the curve to gamma o m and sets
+    c_j = d(gamma o m)/dx_j, forms of degree d = n - 1 that generate the
+    Jacobian ideal J of gamma o m.  It accepts when r1 = Res_x3(c0, c1) and
+    r2 = Res_x3(c0, c2), on the chart x2 = 1, have full degree d^2 and
+    deg gcd(r1, r2) = k.  Let Z be the scheme of J over the closure of the
+    field, tau_p its length and tau_Q the length of the scheme over Q-bar.
 
     1. Semicontinuity: the rank of each graded piece of the integer ideal
        can only drop mod p, so if Z is finite, so is the scheme over Q-bar,
@@ -703,25 +835,22 @@ def only_known_common_roots(curve, k: int, rng: random.Random,
        no unlisted singular point and each known one has length 1: Tjurina
        number 1 (gamma is in J by Euler's formula), an ordinary node.
 
-    This holds for every prime and every m, so a bad draw (a leading
-    coefficient that is not constant, a short degree, a gcd raised by a
-    tangency) can only reject, and the next attempt draws a fresh m.  So
-    can a bad prime, one where gamma mod q gains a singular point or
-    vanishes; as each attempt has its own prime, it costs one attempt.  The
-    size of the primes only sets how often an attempt rejects.  The entries
-    of m are drawn below a 62-bit bound and then reduced mod q, which keeps
-    the random stream, and the outputs pinned on it, of a proof modulo one
-    random 62-bit prime.
+    This holds for every prime and every m, so the fixed m_i need no
+    randomness: a bad m (a leading coefficient that is 0, a short degree, a
+    gcd raised by a tangency) can only reject, and the next attempt has
+    another prime and another m.  So can a bad prime, one where gamma mod q
+    gains a singular point or vanishes; it costs one attempt.  The size of
+    the primes only sets how often an attempt rejects, and the word-prime
+    verdict is a function of the curve and k.  It still draws a 62-bit
+    bound and, for each attempt reached, the entries of an m from rng, and
+    discards them: a stream pin that keeps the outputs pinned on it, those
+    of a proof modulo one random 62-bit prime.
     """
     d = p3_degree(curve) - 1
     if d < 1:
         raise ValueError("expected a curve of degree at least 2")
-    for F, moved in _moved_curves(curve, rng, exact):
-        c = [p3_partial(F, moved, j) for j in range(3)]
-        try:
-            r1, r2 = resultant_x3(F, c[0], c[1:])
-        except ValueError:
-            continue  # a leading x3 coefficient is not a nonzero constant
+    attempts = (_exact_resultants if exact else _word_prime_resultants)(curve, rng)
+    for F, r1, r2 in attempts:
         if uni_degree(r1) != d * d or uni_degree(r2) != d * d:
             continue  # a common root on the line x2 = 0
         if uni_degree(uni_gcd(F, r1, r2)) == k:

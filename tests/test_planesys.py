@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import isqrt, perm, prod
 from operator import mul
@@ -115,6 +116,15 @@ class TestWordPrimes:
         assert ps._packs(ps.GF(q), 6) and ps._packs(ps.GF(q), 26)
 
 
+def euclid_gcd(F, a, b):
+    """The oracle of `uni_gcd` over GF(p): Euclid's remainders by
+    `uni_divmod` alone, made monic."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, ps.uni_divmod(F, a, b)[1]
+    return ps.uni_monic(F, a)
+
+
 class TestUnivariate:
     def test_divmod_and_gcd_gf(self):
         F = ps.GF(10007)
@@ -125,6 +135,21 @@ class TestUnivariate:
         assert q == a and r == []
         g = ps.uni_gcd(F, prod, b)
         assert g == ps.uni_monic(F, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([ps.GF(5), ps.GF(101), ps.GF(ps.WORD_PRIMES[0])]),
+           st.data())
+    def test_gcd_gf_is_euclid_by_divmod(self, F, data):
+        # h a and h b for random a, b and a common factor h, in either
+        # order and with zero polynomials; over GF(5) remainders often drop
+        # more than one degree, the steps that do not take the one-pass form
+        def poly(top):
+            return ps._trim(F, data.draw(st.lists(st.integers(0, F.p - 1), max_size=top)))
+
+        h, a, b = poly(4), poly(9), poly(9)
+        a, b = uni_mul(F, h, a), uni_mul(F, h, b)
+        assert ps.uni_gcd(F, a, b) == euclid_gcd(F, a, b)
+        assert ps.uni_gcd(F, b, a) == euclid_gcd(F, b, a)
 
     def test_gcd_qq_fast_path_matches_structure(self):
         F = ps.QQ
@@ -437,7 +462,78 @@ def lagrange_from_definition(F, ys):
     return ps._reduced(F, out)
 
 
+def _inverse_mod(m, q):
+    """The inverse of an invertible 3x3 integer matrix mod q: column j is
+    the cross product of the two rows other than row j, over the
+    determinant."""
+    r0, r1, r2 = m
+    cols = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
+    inv = pow(_det3(r0, r1, r2), -1, q)
+    return [[cols[j][i] * inv % q for j in range(3)] for i in range(3)]
+
+
+def fixed_change(i):
+    """The change of coordinates m_i of the word-prime proof's attempt i:
+    entries randrange(q) from random.Random(f"m{i}"), q = WORD_PRIMES[i]."""
+    q = ps.WORD_PRIMES[i]
+    return ps._random_invertible(ps.GF(q), partial(random.Random(f"m{i}").randrange, q))
+
+
+def levels_the_long_way(i, gamma):
+    """The oracle of `_levels_at_samples`: gamma moved by `p3_linear_change`
+    with m_i, each partial by `p3_partial`, its levels by `_x3_tower`, at
+    the samples by `_tower_at_samples`; one row per partial and level."""
+    F = ps.GF(ps.WORD_PRIMES[i])
+    n = ps.p3_degree(gamma)
+    moved = ps.p3_linear_change(F, gamma, fixed_change(i))
+    return [list(level) for j in range(3)
+            for level in zip(*ps._tower_at_samples(
+                F, ps._x3_tower(F, ps.p3_partial(F, moved, j)), (n - 1) ** 2 + 1))]
+
+
+@st.composite
+def moved_forms(draw, q, n):
+    """Dense forms of degree n mod q with zeros and top residues q - 1
+    among the coefficients, as the image under m_i of the proof; the
+    coefficients of x1 x3^(n-1), x2 x3^(n-1) and x3^n, the leading
+    x3-levels of the three partials, are each 0 when a drawn flag says so."""
+    form = draw(st.lists(st.one_of(st.just(0), st.just(q - 1),
+                                   st.integers(0, q - 1)),
+                         min_size=(n + 1) * (n + 2) // 2,
+                         max_size=(n + 1) * (n + 2) // 2))
+    leading = [(1, 0, n - 1), (0, 1, n - 1), (0, 0, n)]
+    for e, flat in zip(leading, draw(st.lists(st.booleans(), min_size=3, max_size=3))):
+        if flat:
+            form[ps.monomials_of_degree(n).index(e)] = 0
+    return form
+
+
 class TestPackedPath:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("i", range(len(ps.WORD_PRIMES)))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_lane_table_is_the_moved_partials_at_the_samples(self, i, n, data):
+        # gamma = G o m_i^-1 for a drawn G, so gamma o m_i = G, with its
+        # zero leading levels; and gamma drawn as it is
+        q = ps.WORD_PRIMES[i]
+        F = ps.GF(q)
+        G = data.draw(moved_forms(q, n))
+        gamma = ps.p3_linear_change(F, G, _inverse_mod(fixed_change(i), q))
+        assert ps.p3_linear_change(F, gamma, fixed_change(i)) == G
+        for form in (gamma, data.draw(moved_forms(q, n))):
+            assert ps._levels_at_samples(i, form) == levels_the_long_way(i, form)
+
+    def test_lane_table_reads_the_zero_form_and_top_residues(self):
+        # the zero form gives zero lanes; every coefficient q - 1 gives the
+        # largest slot sums of both packed products
+        for i in (0, 7):
+            q = ps.WORD_PRIMES[i]
+            for n in (2, 6):
+                size = (n + 1) * (n + 2) // 2
+                for form in ([0] * size, [q - 1] * size):
+                    assert ps._levels_at_samples(i, form) == levels_the_long_way(i, form)
+
     @pytest.mark.parametrize("q", ps.WORD_PRIMES)
     def test_packed_evaluation_is_horner(self, q):
         # random towers of reduced levels of up to 6 terms, as a quintic's,
@@ -726,6 +822,53 @@ class TestSingularityPanel:
         assert cb.node_certificate(form, 1, p).is_node == (kind == "node")
 
 
+class TestStreamPin:
+    """The word-prime verdict is a function of the curve and k: each attempt
+    i moves the curve by its fixed m_i, and the draws from the caller's rng,
+    a 62-bit bound and the nine entries of one discarded change of
+    coordinates per attempt reached, only keep the pinned stream."""
+
+    @staticmethod
+    def prove(monkeypatch, curve, k, seed):
+        """The verdict under random.Random(seed) and the attempts that moved
+        the curve; the rng must end where a replay of the pinned draws for
+        those attempts ends."""
+        attempts, table = [], ps._lane_table
+
+        def spy(i, n):
+            attempts.append(i)
+            return table(i, n)
+        monkeypatch.setattr(ps, "_lane_table", spy)
+        rng = random.Random(seed)
+        verdict = ps.only_known_common_roots(curve, k, rng)
+        monkeypatch.undo()
+        replay = random.Random(seed)
+        bound = replay.getrandbits(62) | 1 << 61 | 1
+        for i in attempts:
+            q = ps.WORD_PRIMES[i]
+            ps._random_invertible(ps.GF(q), lambda: replay.randrange(bound) % q)
+        assert rng.getstate() == replay.getstate()
+        return verdict, attempts
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_construct_curves(self, monkeypatch, seed):
+        # the four nodes accept at the first attempt and three reject at all
+        # eight, under every rng
+        curve = cb._dense_form(cb.construct_instance(seed).gamma)
+        for rng_seed in range(3):
+            assert self.prove(monkeypatch, curve, 4, rng_seed) == (True, [0])
+            assert self.prove(monkeypatch, curve, 3, rng_seed) == (
+                False, list(range(len(ps.WORD_PRIMES))))
+
+    @pytest.mark.parametrize("p", PANEL_POINTS, ids=str)
+    @pytest.mark.parametrize("kind", ["node", "cusp", "triple"])
+    def test_singularity_panel(self, monkeypatch, kind, p):
+        form = panel_sextic(kind, p)
+        for k in (5, 4):
+            runs = {self.prove(monkeypatch, form, k, rng_seed)[0] for rng_seed in range(3)}
+            assert len(runs) == 1
+
+
 class TestOnlyKnownCommonRoots:
     def test_accepts_complete_list(self):
         assert ps.only_known_common_roots(_two_conics(), 4, random.Random(2),
@@ -738,13 +881,14 @@ class TestOnlyKnownCommonRoots:
     @staticmethod
     def primes_tried(monkeypatch, curve, k, seed):
         """The proof's answer, and the prime of each attempt that moved
-        the curve."""
-        moved, change = [], ps.p3_linear_change
+        the curve: each such attempt asks `_lane_table` for the maps of its
+        fixed change of coordinates."""
+        moved, table = [], ps._lane_table
 
-        def spy(F, form, m):
-            moved.append(F.p)
-            return change(F, form, m)
-        monkeypatch.setattr(ps, "p3_linear_change", spy)
+        def spy(i, n):
+            moved.append(ps.WORD_PRIMES[i])
+            return table(i, n)
+        monkeypatch.setattr(ps, "_lane_table", spy)
         accepted = ps.only_known_common_roots(curve, k, random.Random(seed))
         monkeypatch.undo()
         return accepted, moved
@@ -760,16 +904,25 @@ class TestOnlyKnownCommonRoots:
 
     def test_one_resultant_batch_per_attempt(self, monkeypatch):
         # Res(c0, c1) and Res(c0, c2) run as one call, at each of the eight
-        # attempts of a rejected proof
-        calls, batch = [], ps.resultant_x3
+        # attempts of a rejected proof: the quartic's partials are cubics,
+        # so each resultant is 3 * 3 + 1 = 10 sample lanes of the batch,
+        # read back by one interpolation each
+        calls, batch = [], ps.uni_resultants
+        reads, interpolate = [], ps.uni_interpolate
 
-        def spy(F, f, gs):
-            calls.append(len(gs))
-            return batch(F, f, gs)
-        monkeypatch.setattr(ps, "resultant_x3", spy)
+        def spy(F, pairs):
+            calls.append((F.p, len(pairs)))
+            return batch(F, pairs)
+
+        def spy_reads(F, ys):
+            reads.append(len(ys))
+            return interpolate(F, ys)
+        monkeypatch.setattr(ps, "uni_resultants", spy)
+        monkeypatch.setattr(ps, "uni_interpolate", spy_reads)
         assert not ps.only_known_common_roots(_integer(_two_conics()), 2,
                                               random.Random(4))
-        assert calls == [2] * len(ps.WORD_PRIMES)
+        assert calls == [(q, 2 * 10) for q in ps.WORD_PRIMES]
+        assert reads == [10] * (2 * len(ps.WORD_PRIMES))
 
     def test_curve_that_vanishes_mod_the_first_prime(self, monkeypatch):
         # q0 * (two conics) is 0 mod q0: attempt 1 rejects before any draw,
@@ -778,6 +931,27 @@ class TestOnlyKnownCommonRoots:
         curve = [q0 * c for c in _integer(_two_conics())]
         assert self.primes_tried(monkeypatch, curve, 4, 4) == (
             True, [ps.WORD_PRIMES[1]])
+
+    def test_zero_leading_level_rejects_the_attempt(self, monkeypatch):
+        # gamma = C o A for the two conics C and A = B m_0^-1 mod q0, where
+        # the last column (7, 1, 5) of B lies on C: so gamma o m_0 = C o B
+        # mod q0 has no x3^4 term, its x3-partial a zero leading level, and
+        # attempt 0 rejects before any resultant; the second prime accepts
+        q0 = ps.WORD_PRIMES[0]
+        B = [[1, 0, 7], [0, 1, 1], [0, 0, 5]]
+        m0_inv = _inverse_mod(fixed_change(0), q0)
+        A = [[sum(B[r][k] * m0_inv[k][c] for k in range(3)) % q0 for c in range(3)]
+             for r in range(3)]
+        curve = _integer(ps.p3_linear_change(ps.QQ, _two_conics(), A))
+        batches, batch = [], ps.uni_resultants
+
+        def spy(F, pairs):
+            batches.append(F.p)
+            return batch(F, pairs)
+        monkeypatch.setattr(ps, "uni_resultants", spy)
+        assert self.primes_tried(monkeypatch, curve, 4, 4) == (
+            True, list(ps.WORD_PRIMES[:2]))
+        assert batches == [ps.WORD_PRIMES[1]]
 
     def test_curve_that_vanishes_mod_every_prime_is_rejected(self, monkeypatch):
         # a multiple of every prime of the table reduces to 0 at each
@@ -1205,15 +1379,19 @@ def test_completeness_check_draw_count():
 
 def test_construct_proofs_accept_at_the_first_attempt(monkeypatch):
     # every completeness proof of gamma on construct seeds 1-20 accepts at
-    # its first attempt, modulo the first prime, with one change of
-    # coordinates of nine draws: a prime table that starts rejecting moves
-    # the rng stream that every sweep digest pins
+    # its first attempt, modulo the first prime, and draws the nine entries
+    # of one discarded change of coordinates from the caller's rng: a
+    # prime table that starts rejecting moves the rng stream that every
+    # sweep digest pins.  The fixed m_0 is drawn from its own rng once, when
+    # `_lane_table` builds the maps of attempt 0; they are built before the
+    # spies go in, so that the draws counted are the caller's alone
+    ps._lane_table(0, 6)
     proofs, calls, draws = [], [], []
-    batch, change, prove = ps.resultant_x3, ps._random_invertible, cb.only_known_common_roots
+    batch, change, prove = ps.uni_resultants, ps._random_invertible, cb.only_known_common_roots
 
-    def count_batches(F, f, gs):
+    def count_batches(F, pairs):
         calls.append(F.p)
-        return batch(F, f, gs)
+        return batch(F, pairs)
 
     def count_draws(F, draw):
         def counted():
@@ -1227,7 +1405,7 @@ def test_construct_proofs_accept_at_the_first_attempt(monkeypatch):
         accepted = prove(curve, k, rng, exact)
         proofs.append((accepted, list(calls), len(draws)))
         return accepted
-    monkeypatch.setattr(ps, "resultant_x3", count_batches)
+    monkeypatch.setattr(ps, "uni_resultants", count_batches)
     monkeypatch.setattr(ps, "_random_invertible", count_draws)
     monkeypatch.setattr(cb, "only_known_common_roots", spy)
     for seed in range(1, 21):
