@@ -8,7 +8,7 @@ from bundle_oracle import integrate, one, power
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prym6 import chow, cli
+from prym6 import checks, chow
 from prym6.exactalg import SpaceMismatchError
 
 
@@ -605,7 +605,7 @@ def rings_of(checks):
 def test_each_report_builds_its_own_rings():
     # a record shared between reports would carry its numbers on S over,
     # and turn the benchmark's items into lookups
-    first, second = rings_of(cli._checks()), rings_of(cli._checks())
+    first, second = rings_of(checks._checks()), rings_of(checks._checks())
     assert any(isinstance(r, chow.ProjectiveBundle) for r in first)
     assert any(isinstance(r, chow.DelPezzoRing) for r in first)
     assert not {id(r) for r in first} & {id(r) for r in second}

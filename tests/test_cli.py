@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from prym6 import chow, cli, conicbundle
+from prym6 import checks, chow, cli, conicbundle
 from prym6.cli import main, run_checks
 
 #: sha256 digests of the benchmark's outputs, kept with the benchmark
@@ -121,9 +121,9 @@ class TestVerify:
 
     def test_failure_exit_code(self, monkeypatch):
         from fractions import Fraction
-        broken = cli.Check("chow.broken", "injected failure",
-                           Fraction(1), lambda: Fraction(2))
-        monkeypatch.setattr(cli, "_checks", lambda: [broken])
+        broken = checks.Check("chow.broken", "injected failure",
+                              Fraction(1), lambda: Fraction(2))
+        monkeypatch.setattr(checks, "_checks", lambda: [broken])
         assert main(["verify", "--suite", "chow"]) == 1
 
 

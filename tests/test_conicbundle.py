@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prym6 import conicbundle as cb
+from prym6 import net as nt
 from prym6 import planesys as ps
 from prym6.exactalg import MultiPoly, QMatrix, det3_poly, primitive
 
@@ -259,7 +260,7 @@ class TestIntegerDraws:
         assert rng.getstate() == oracle.getstate()
 
         o = lf.o
-        line = cb.pencil_line_through(o, rng)
+        line = nt.pencil_line_through(o, rng)
         p, q = cb._plane_basis(o)
         while True:
             a, b = random_rational(oracle), random_rational(oracle)
@@ -958,7 +959,7 @@ class TestInstancePipeline:
         with pytest.raises(cb.MarkedLineInvariantError, match="broken invariant"):
             cb.construct_instance(1)
         with pytest.raises(cb.MarkedLineInvariantError, match="broken invariant"):
-            cb.sweep(7, 1)
+            nt.sweep(7, 1)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("text", ["[]", "1", '{"format": "other"}'])
@@ -1068,7 +1069,7 @@ class TestInstancePipeline:
     def test_sweep_instances_load(self):
         # a sweep member is cut from the net by its pencil line, not by
         # zeta, and is still zeta's member through its five marked lines
-        for sample in cb.sweep(7, 3)["samples"]:
+        for sample in nt.sweep(7, 3)["samples"]:
             text = sample.to_json()
             assert cb.ConicBundleInstance.from_json(text).to_json() == text
 
@@ -1231,7 +1232,7 @@ class TestNoLineThroughNodeOracle:
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_sweep_nets(self, seed):
-        report = cb.sweep(seed, 1)["cubic"]
+        report = nt.sweep(seed, 1)["cubic"]
         form, node = report["cubic"], report["node"]
         cubic = MultiPoly.from_ints(T, dict(zip(ps.monomials_of_degree(3), form)), 8)
         assert proof_matches_the_oracle(cubic, node)
@@ -1271,7 +1272,7 @@ def rank_one_net(rng):
                            for i in range(3)])
         if not any(cubic):
             continue
-        net = cb.NetT(o=primitive(o), fixed_lines=(), system=None,
+        net = nt.NetT(o=primitive(o), fixed_lines=(), system=None,
                       restricted=tuple(tuple(map(tuple, m)) for m in mats))
         return cubic, net
 
@@ -1281,7 +1282,7 @@ class TestNetAndSweep:
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
         o = cb.random_point(rng)
-        net = cb.build_net_T(o, fixed)
+        net = nt.build_net_T(o, fixed)
         assert net.system.dim == 3
         ladder = cb.base_system(cb.STANDARD_NODES)
         for lf in fixed:
@@ -1289,7 +1290,7 @@ class TestNetAndSweep:
         assert net.system == cb.impose_point(ladder, net.o, net.o)
         for g in net.system.basis:
             assert g.evaluate({"x": net.o, "y": net.o}) == 0
-        report = cb.discriminant_cubic(net, rng)
+        report = nt.discriminant_cubic(net, rng)
         assert len(report["cubic"]) == 10 and any(report["cubic"])
         # "cubic" is 8 C for C = det(sum t_k A_k(o)), each A_k(o) read off
         # member k's conic over o in Fractions
@@ -1322,7 +1323,7 @@ class TestNetAndSweep:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_kernel_node_is_the_elimination_root(self, seed):
         # the node from the 3x3 kernel is the point the Q elimination finds
-        report = cb.sweep(seed, 1)["cubic"]
+        report = nt.sweep(seed, 1)["cubic"]
         cubic = [Fraction(c, 8) for c in report["cubic"]]
         root = ps.find_unique_common_root(cubic, random.Random(seed))
         assert primitive(root) == report["node"]
@@ -1337,9 +1338,9 @@ class TestNetAndSweep:
         # Seeds 2948 and 10293 draw a singular matrix first and redraw.
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
-        net = cb.build_net_T(cb.random_point(rng), fixed)
+        net = nt.build_net_T(cb.random_point(rng), fixed)
         ours, rational = random.Random(seed), random.Random(seed)
-        cb.discriminant_cubic(net, ours)
+        nt.discriminant_cubic(net, ours)
         ps._random_invertible(ps.QQ, partial(ps.QQ.random_element, rational))
         assert ([ours.getrandbits(64) for _ in range(3)]
                 == [rational.getrandbits(64) for _ in range(3)])
@@ -1350,36 +1351,36 @@ class TestNetAndSweep:
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
         o = cb.random_point(rng)
-        net = cb.build_net_T(o, fixed)
+        net = nt.build_net_T(o, fixed)
         same = net._replace(restricted=(net.restricted[0],) * 3)
         with pytest.raises(cb.CertificationError, match="unique member"):
-            cb.discriminant_cubic(same, rng)
+            nt.discriminant_cubic(same, rng)
 
     def test_identically_singular_net_is_degenerate(self):
         # o = e_1 and three restrictions whose first row and column are 0:
         # every member passes through (o, o), and every member is singular
         # at o, so the determinant of the net vanishes identically;
         # discriminant_cubic reads only o and the restrictions
-        net = cb.NetT(o=(1, 0, 0), fixed_lines=(), system=None,
+        net = nt.NetT(o=(1, 0, 0), fixed_lines=(), system=None,
                       restricted=tuple(((0, 0, 0), (0, a, b), (0, b, c))
                                        for a, b, c in ((1, 0, 0), (0, 1, 0),
                                                        (0, 0, 1))))
         with pytest.raises(cb.DegenerateConfigurationError,
                            match="identically singular net"):
-            cb.discriminant_cubic(net, random.Random(0))
+            nt.discriminant_cubic(net, random.Random(0))
 
     def test_member_off_the_base_point_is_rejected(self):
         # o^T A_1(o) o != 0: the first member no longer passes through (o, o)
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
         o = cb.random_point(rng)
-        net = cb.build_net_T(o, fixed)
+        net = nt.build_net_T(o, fixed)
         a = net.restricted[0]
         off = tuple(tuple(v + (i == j) for j, v in enumerate(row))
                     for i, row in enumerate(a))
         bad = net._replace(restricted=(off,) + net.restricted[1:])
         with pytest.raises(cb.CertificationError, match=r"misses the point"):
-            cb.discriminant_cubic(bad, rng)
+            nt.discriminant_cubic(bad, rng)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_one_singular_member_is_not_a_node(self, seed):
@@ -1393,7 +1394,7 @@ class TestNetAndSweep:
         cert = cb.node_certificate(cubic, 1, (1, 0, 0))
         assert not any(cert.gradient) and cert.hessian_minor == 0
         with pytest.raises(cb.CertificationError, match="not a one-nodal cubic"):
-            cb.discriminant_cubic(net, random.Random(seed))
+            nt.discriminant_cubic(net, random.Random(seed))
 
     def test_degenerate_base_point_flagged(self):
         rng = random.Random(22)
@@ -1402,7 +1403,21 @@ class TestNetAndSweep:
         # a fixed line through o in the fiber over o itself
         bad = cb.LineInFiber(o, (Fraction(1), Fraction(-1), Fraction(0)))
         with pytest.raises(cb.DegenerateConfigurationError):
-            cb.build_net_T(o, fixed + [bad])
+            nt.build_net_T(o, fixed + [bad])
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_base_point_in_a_fixed_lines_fiber_is_not_injective(self, seed):
+        # o in the fiber of the first fixed line, off that line: the cut
+        # still drops by 13, but every member restricts over o to a conic
+        # through o that contains the line, a space of dimension 2, so the
+        # three restrictions are dependent
+        rng = random.Random(seed)
+        fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
+        o = fixed[0].o
+        assert sum(a * b for a, b in zip(fixed[0].dual, o))
+        with pytest.raises(cb.NonGenericDropError,
+                           match="restriction to the fiber over o is not injective"):
+            nt.build_net_T(o, fixed)
 
     @pytest.mark.parametrize("o", [(0, 0, 0), (Fraction(0),) * 3])
     def test_zero_base_point_is_degenerate(self, o):
@@ -1410,7 +1425,7 @@ class TestNetAndSweep:
         rng = random.Random(21)
         fixed = [cb.random_line_in_fiber(rng) for _ in range(4)]
         with pytest.raises(cb.DegenerateConfigurationError, match="base point"):
-            cb.build_net_T(o, fixed)
+            nt.build_net_T(o, fixed)
 
     def test_sweep_without_a_generic_net_raises(self, monkeypatch):
         # no seed in 0-399 draws 16 degenerate nets, so a stage is made to
@@ -1421,10 +1436,11 @@ class TestNetAndSweep:
             calls.append(o)
             raise cb.NonGenericDropError("dimension dropped by 3, expected 2")
 
-        monkeypatch.setattr(cb, "build_net_T", degenerate)
+        # sweep looks its stages up in prym6.net, where it lives
+        monkeypatch.setattr(nt, "build_net_T", degenerate)
         with pytest.raises(cb.GenericityError,
                            match="no generic net in 16 tries: dimension dropped"):
-            cb.sweep(7, 1)
+            nt.sweep(7, 1)
         assert len(calls) == 16
 
     def test_failed_pencil_line_is_resampled(self, monkeypatch):
@@ -1438,8 +1454,8 @@ class TestNetAndSweep:
                 raise cb.CertificationError("first pencil member rejected")
             return certify(Q, marked, rng, seed=seed)
 
-        monkeypatch.setattr(cb, "certify_instance", first_fails)
-        samples = cb.sweep(7, 3)["samples"]
+        monkeypatch.setattr(nt, "certify_instance", first_fails)
+        samples = nt.sweep(7, 3)["samples"]
         assert len(samples) == 3 and len(lines) == 4
         assert [inst.marked_lines[4] for inst in samples] == lines[1:]
         assert lines[0] not in lines[1:]
@@ -1451,14 +1467,14 @@ class TestNetAndSweep:
             calls.append(marked[-1])
             raise cb.CertificationError("every pencil member rejected")
 
-        monkeypatch.setattr(cb, "certify_instance", rejected)
+        monkeypatch.setattr(nt, "certify_instance", rejected)
         with pytest.raises(cb.GenericityError,
                            match="pencil sampling exhausted"):
-            cb.sweep(7, 1)
+            nt.sweep(7, 1)
         assert len(calls) == 17  # _RETRIES + samples lines, each certified
 
     def test_sweep_shares_fixed_lines(self):
-        report = cb.sweep(7, 2)
+        report = nt.sweep(7, 2)
         assert report["net"].system.dim == 3
         assert len(report["samples"]) == 2
         for inst in report["samples"]:

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from prym6 import cli
+from prym6 import checks
 from prym6 import conicbundle as cb
+from prym6 import net as nt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,7 +29,8 @@ first = sorted(m for m in sys.modules if m.startswith("prym6."))
 import prym6.conicbundle
 prym6.conicbundle.construct_instance(1).to_json()
 construct = sorted(m for m in ("dataclasses", "prym6.chow", "prym6.moduli",
-                               "prym6.cli") if m in sys.modules)
+                               "prym6.cli", "prym6.checks", "prym6.net",
+                               "prym6.qpath") if m in sys.modules)
 resolved = [name for name in prym6.__all__
             if getattr(prym6, name) is sys.modules[f"prym6.{name}"]]
 try:
@@ -41,16 +43,27 @@ print(json.dumps({"first": first, "construct": construct,
 """
 
 
-#: runs one command in a fresh interpreter and prints the prym6 modules
-#: it loaded
+#: runs one command, or the exact completeness check on the two-conic
+#: quartic of `test_exact_mode_on_small_curve`, in a fresh interpreter and
+#: prints the prym6 modules it loaded
 COMMAND_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, random, sys
 from prym6.cli import main, run_checks
 with contextlib.redirect_stdout(io.StringIO()):
-    if sys.argv[1] == "sweep":
+    if sys.argv[1] == "construct":
+        main(["construct", "--seed", "1"])
+    elif sys.argv[1] == "sweep":
         main(["sweep", "--seed", "7", "--samples", "1"])
-    else:
+    elif sys.argv[1] == "verify":
         run_checks("all")
+    else:
+        from prym6.conicbundle import X_BLOCKS, singular_locus_is_exactly
+        from prym6.exactalg import MultiPoly
+        f = MultiPoly.from_ints(X_BLOCKS, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2})
+        g = MultiPoly.from_ints(X_BLOCKS, {(2, 0, 0): 1, (0, 2, 0): 4, (0, 0, 2): -5})
+        points = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+        if not singular_locus_is_exactly(f * g, points, random.Random(2), exact=True):
+            raise SystemExit("the exact check rejected the two-conic quartic")
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("prym6."))))
 """
 
@@ -71,13 +84,26 @@ def test_submodules_load_on_first_use():
         "unknown": "AttributeError"}
 
 
+#: the prym6 modules each probed command must load
+NEEDED = {
+    "sweep": {"prym6.net"},
+    "verify": {"prym6.checks", "prym6.chow", "prym6.moduli"},
+    "construct": {"prym6.conicbundle", "prym6.planesys"},
+    "exact": {"prym6.qpath"},
+}
+
+
 @pytest.mark.parametrize("command, unloaded", [
-    ("sweep", {"prym6.chow", "prym6.moduli"}),
-    ("verify", {"prym6.conicbundle", "prym6.planesys"}),
+    ("sweep", {"prym6.chow", "prym6.moduli", "prym6.checks", "prym6.qpath"}),
+    ("verify",
+     {"prym6.conicbundle", "prym6.planesys", "prym6.net", "prym6.qpath"}),
+    ("construct",
+     {"prym6.chow", "prym6.moduli", "prym6.checks", "prym6.net", "prym6.qpath"}),
+    ("exact", {"prym6.checks", "prym6.net"}),
 ])
 def test_each_command_loads_only_what_it_runs(command, unloaded):
     loaded = set(_probe(COMMAND_PROBE, command))
-    assert "prym6.cli" in loaded
+    assert {"prym6.cli", *NEEDED[command]} <= loaded
     assert loaded & unloaded == set()
 
 
@@ -91,7 +117,7 @@ def records(instance):
     """One of each of the seven records."""
     rng = random.Random(21)
     o = cb.random_point(rng)
-    net = cb.build_net_T(o, [cb.random_line_in_fiber(rng) for _ in range(4)])
+    net = nt.build_net_T(o, [cb.random_line_in_fiber(rng) for _ in range(4)])
     return {
         "LinearSystem": net.system,
         "LineInFiber": instance.marked_lines[0],
@@ -99,7 +125,7 @@ def records(instance):
         "NodeCertificate": instance.node_certificates[0],
         "ConicBundleInstance": instance,
         "NetT": net,
-        "Check": cli._checks()[0],
+        "Check": checks._checks()[0],
     }
 
 

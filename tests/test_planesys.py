@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from prym6 import conicbundle as cb
 from prym6 import planesys as ps
+from prym6 import qpath as qp
 from prym6.exactalg import MultiPoly, QMatrix, primitive
 
 #: a Mersenne prime of 61 bits: its residues take two CPython digits, so the
@@ -169,7 +170,7 @@ class TestUnivariate:
     def test_squarefree_part(self):
         F = ps.QQ
         f = uni_mul(F, uni_mul(F, [-1, 1], [-1, 1]), [2, 1])
-        sf = ps.uni_squarefree_part(F, f)
+        sf = qp.uni_squarefree_part(F, f)
         assert ps.uni_degree(sf) == 2
         assert uni_eval(F, sf, Fraction(1)) == 0
         assert uni_eval(F, sf, Fraction(-2)) == 0
@@ -211,7 +212,7 @@ class TestUnivariate:
         rng = random.Random(6)
         a = [_element(F, rng) for _ in range(25)] + [F.one]
         expect = [lift(F, i * a[i]) for i in range(1, 26)]
-        assert ps.uni_derivative(F, a) == expect
+        assert qp.uni_derivative(F, a) == expect
 
 
 class TestDetField:
@@ -431,7 +432,7 @@ class TestLaneResultants:
         rng = random.Random(13)
         mons = ps.monomials_of_degree(5)
         f, g = ([rng.randrange(F.p) for _ in mons] for _ in range(2))
-        r, = ps.resultant_x3(F, f, [g])
+        r, = qp.resultant_x3(F, f, [g])
         assert ps.uni_degree(r) == 25
         for x in range(26):
             a, b = (ps._reduced(F, [sum(c * x ** e1 for (e1, _, e3), c in zip(mons, form)
@@ -485,10 +486,10 @@ def levels_the_long_way(i, gamma):
     the samples by `_tower_at_samples`; one row per partial and level."""
     F = ps.GF(ps.WORD_PRIMES[i])
     n = ps.p3_degree(gamma)
-    moved = ps.p3_linear_change(F, gamma, fixed_change(i))
+    moved = qp.p3_linear_change(F, gamma, fixed_change(i))
     return [list(level) for j in range(3)
-            for level in zip(*ps._tower_at_samples(
-                F, ps._x3_tower(F, ps.p3_partial(F, moved, j)), (n - 1) ** 2 + 1))]
+            for level in zip(*qp._tower_at_samples(
+                F, qp._x3_tower(F, qp.p3_partial(F, moved, j)), (n - 1) ** 2 + 1))]
 
 
 @st.composite
@@ -519,8 +520,8 @@ class TestPackedPath:
         q = ps.WORD_PRIMES[i]
         F = ps.GF(q)
         G = data.draw(moved_forms(q, n))
-        gamma = ps.p3_linear_change(F, G, _inverse_mod(fixed_change(i), q))
-        assert ps.p3_linear_change(F, gamma, fixed_change(i)) == G
+        gamma = qp.p3_linear_change(F, G, _inverse_mod(fixed_change(i), q))
+        assert qp.p3_linear_change(F, gamma, fixed_change(i)) == G
         for form in (gamma, data.draw(moved_forms(q, n))):
             assert ps._levels_at_samples(i, form) == levels_the_long_way(i, form)
 
@@ -549,9 +550,9 @@ class TestPackedPath:
                      for e3 in range(d + 1)]
             tower[rng.randrange(d + 1)] = []
             tower[-1] = [rng.randrange(1, q)]
-            assert ps._tower_at_samples(F, tower, n) == horner_at_samples(F, tower, n)
+            assert qp._tower_at_samples(F, tower, n) == horner_at_samples(F, tower, n)
         top = [[q - 1] * 6, [], [q - 1]]
-        assert ps._tower_at_samples(F, top, 26) == horner_at_samples(F, top, 26)
+        assert qp._tower_at_samples(F, top, 26) == horner_at_samples(F, top, 26)
 
     @pytest.mark.parametrize("q", ps.WORD_PRIMES)
     def test_packed_interpolation_is_the_lagrange_dot_products(self, q):
@@ -584,7 +585,7 @@ class TestPackedPath:
         # a = 3 x1 - x1^2, b = x1 and c = 2
         f = dense(F, {(0, 0, 2): 1, (2, 0, 0): -1, (1, 1, 0): 3}, 2)
         g = dense(F, {(0, 0, 2): 1, (0, 2, 0): 2, (1, 0, 1): 1}, 2)
-        assert ps.resultant_x3(F, f, [g]) == [[lift(F, v) for v in (4, -12, 13, -3)]]
+        assert qp.resultant_x3(F, f, [g]) == [[lift(F, v) for v in (4, -12, 13, -3)]]
         ys = [lift(F, x * x + 1) for x in range(5)]
         assert ps.uni_interpolate(F, ys) == [F.one, F.zero, F.one]
         rng = random.Random(5)
@@ -600,7 +601,7 @@ class TestPackedPath:
         # are read at their constant terms only
         g = dense(F, {(2, 0, 0): 1, (0, 0, 2): 1}, 2)
         for c in (3, -7):
-            assert ps.resultant_x3(F, [lift(F, c)], [g]) == [[lift(F, c * c)]]
+            assert qp.resultant_x3(F, [lift(F, c)], [g]) == [[lift(F, c * c)]]
 
 
 class TestResultant:
@@ -609,7 +610,7 @@ class TestResultant:
         # f = (x3 - x1)(x3 - 2 x2), g = (x3 - x1)(x3 + x2)
         f = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): -2, (1, 1, 0): 2}, 2)
         g = dense(F, {(0, 0, 2): 1, (1, 0, 1): -1, (0, 1, 1): 1, (1, 1, 0): -1}, 2)
-        r, = ps.resultant_x3(F, f, [g])
+        r, = qp.resultant_x3(F, f, [g])
         # common root x3 = x1 for every x1, so the resultant vanishes identically
         assert r == []
 
@@ -617,7 +618,7 @@ class TestResultant:
         F = ps.QQ
         f = dense(F, {(0, 0, 1): 1, (1, 0, 0): -1}, 1)  # x3 - x1
         g = dense(F, {(0, 0, 1): 1, (1, 0, 0): -2}, 1)  # x3 - 2 x1
-        r, = ps.resultant_x3(F, f, [g])
+        r, = qp.resultant_x3(F, f, [g])
         # Res = x1 evaluated pointwise: linear with root only at x1 = 0
         assert ps.uni_degree(r) == 1
         assert uni_eval(F, r, Fraction(0)) == 0
@@ -640,7 +641,7 @@ class TestResultant:
         def form(poly):
             return dense(F, poly, sum(next(iter(poly))))
         with pytest.raises(ValueError):
-            ps.resultant_x3(F, form(f), [form(g) for g in gs])
+            qp.resultant_x3(F, form(f), [form(g) for g in gs])
 
     @pytest.mark.parametrize("F", [ps.GF(ps.WORD_PRIMES[0]), ps.QQ],
                              ids=["gf", "qq"])
@@ -655,15 +656,16 @@ class TestResultant:
         rng = random.Random(15)
         g3 = [_element(F, rng) for _ in ps.monomials_of_degree(2)]
         g3[-1] = F.one
-        singles = [ps.resultant_x3(F, f, [g])[0] for g in (g1, g2, g3)]
+        singles = [qp.resultant_x3(F, f, [g])[0] for g in (g1, g2, g3)]
         calls, lanes = [], ps.uni_resultants
 
         def spy(F, pairs):
             calls.append(len(pairs))
             return lanes(F, pairs)
-        monkeypatch.setattr(ps, "uni_resultants", spy)
-        assert ps.resultant_x3(F, f, [g1, g2, g3]) == singles
-        assert ps.resultant_x3(F, f, [g1, g2]) == singles[:2]
+        # resultant_x3 reads uni_resultants from the module it lives in
+        monkeypatch.setattr(qp, "uni_resultants", spy)
+        assert qp.resultant_x3(F, f, [g1, g2, g3]) == singles
+        assert qp.resultant_x3(F, f, [g1, g2]) == singles[:2]
         assert calls == [21, 14]
         # Res(f, g1) is the product of f over the two roots of g1, at each
         # of which f is x1^3 + 1
@@ -942,7 +944,7 @@ class TestOnlyKnownCommonRoots:
         m0_inv = _inverse_mod(fixed_change(0), q0)
         A = [[sum(B[r][k] * m0_inv[k][c] for k in range(3)) % q0 for c in range(3)]
              for r in range(3)]
-        curve = _integer(ps.p3_linear_change(ps.QQ, _two_conics(), A))
+        curve = _integer(qp.p3_linear_change(ps.QQ, _two_conics(), A))
         batches, batch = [], ps.uni_resultants
 
         def spy(F, pairs):
@@ -971,11 +973,11 @@ class TestFindUniqueCommonRoot:
     def test_locates_single_point(self):
         # the nodal cubic moved by x -> x - z, y -> y - 2z: its one node
         # goes from (0:0:1) to (1:2:1)
-        cubic = ps.p3_linear_change(ps.QQ, dense(ps.QQ, NODAL_CUBIC, 3),
+        cubic = qp.p3_linear_change(ps.QQ, dense(ps.QQ, NODAL_CUBIC, 3),
                                     [[1, 0, -1], [0, 1, -2], [0, 0, 1]])
         pt = ps.find_unique_common_root(cubic, random.Random(9))
         assert pt is not None
-        assert all(ps.p3_eval(ps.QQ, ps.p3_partial(ps.QQ, cubic, j), pt) == 0
+        assert all(qp.p3_eval(ps.QQ, qp.p3_partial(ps.QQ, cubic, j), pt) == 0
                    for j in range(3))
         assert primitive(pt) == (1, 2, 1)
 
@@ -1231,14 +1233,14 @@ class TestMul:
 def test_partial_matches_multipoly_partial(F, terms, j):
     d = sum(next(iter(terms)))
     expected = MultiPoly(cb.X_BLOCKS, terms).partial("x", j).terms
-    assert ps.p3_partial(F, dense(F, terms, d), j) == dense(F, expected, d - 1)
+    assert qp.p3_partial(F, dense(F, terms, d), j) == dense(F, expected, d - 1)
 
 
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
 def test_partial_of_a_constant_is_the_empty_form(F):
     for j in range(3):
-        assert ps.p3_partial(F, [F.one], j) == []
-        assert ps.p3_partial(F, [], j) == []
+        assert qp.p3_partial(F, [F.one], j) == []
+        assert qp.p3_partial(F, [], j) == []
 
 
 @pytest.mark.parametrize("F", [GF_P, ps.QQ], ids=["gf", "qq"])
@@ -1246,12 +1248,12 @@ def test_linear_change_is_substitution(F):
     rng = random.Random(12)
     poly = dense(F, {(2, 1, 0): 3, (0, 0, 3): Fraction(-1, 2), (1, 1, 1): 7}, 3)
     m = ps._random_invertible(F, lambda: _element(F, rng))
-    changed = ps.p3_linear_change(F, poly, m)
+    changed = qp.p3_linear_change(F, poly, m)
     assert ps.p3_degree(changed) == 3
     for _ in range(5):
         pt = tuple(lift(F, rng.randint(-5, 5)) for _ in range(3))
-        image = ps._mat3_apply(F, m, pt)
-        assert ps.p3_eval(F, changed, pt) == ps.p3_eval(F, poly, image)
+        image = qp._mat3_apply(F, m, pt)
+        assert qp.p3_eval(F, changed, pt) == qp.p3_eval(F, poly, image)
 
 
 def test_random_invertible_gives_up_after_64_singular_draws():
@@ -1332,14 +1334,14 @@ def test_linear_change_matches_dict_oracle(F, terms, entries):
     n = sum(next(iter(terms)))
     poly = {exp: lift(F, v) for exp, v in terms.items()}
     poly = {exp: v for exp, v in poly.items() if v != F.zero}
-    assert (ps.p3_linear_change(F, dense(F, terms, n), m)
+    assert (qp.p3_linear_change(F, dense(F, terms, n), m)
             == dense(F, dict_linear_change(F, poly, m), n))
 
 
 def test_linear_change_of_the_empty_form():
     m = [[1, 2, 0], [0, 1, 0], [3, 0, 1]]
-    assert ps.p3_linear_change(ps.QQ, [], m) == []
-    assert ps.p3_linear_change(GF_P, [], m) == []
+    assert qp.p3_linear_change(ps.QQ, [], m) == []
+    assert qp.p3_linear_change(GF_P, [], m) == []
 
 
 def test_degree_of_a_dense_form_is_read_from_its_length():

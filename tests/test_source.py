@@ -98,8 +98,8 @@ def test_tracer_pins_are_spanned():
 UNBOUNDED_CACHES = {
     "conicbundle.base_system": "the package asks it at STANDARD_NODES only",
     "planesys._product_table": "keyed on a degree pair",
-    "planesys._shifts": "keyed on a degree",
     "planesys.monomials_of_degree": "keyed on a degree",
+    "qpath._shifts": "keyed on a degree",
 }
 
 
@@ -239,13 +239,27 @@ def test_every_import_is_used():
 #: reason the import is not at the top of its module; a new one fails the
 #: test below until it states its reason here
 FUNCTION_LEVEL_IMPORTS = {
-    "cli._checks": "only verify reads the rings and the ledger",
+    "cli.run_checks": "only verify reads the check table, the rings and the "
+                      "ledger",
     "cli.cmd_construct": "only construct and sweep build conic bundles",
-    "cli.cmd_sweep": "only construct and sweep build conic bundles",
+    "cli.cmd_sweep": "only sweep builds the net and its pencil",
     "cli.build_parser": "argparse is needed only to parse a command line",
     "cli._positive_int": "argparse is needed only to parse a command line",
+    "conicbundle.__getattr__": "forwards the three names perfbench/tracer.py "
+                               "spans from prym6.net, which construct never "
+                               "loads (ROADMAP item 1b)",
     "exactalg.det3_poly": "planesys imports exactalg at the top, and only "
                           "det3_poly needs planesys, which chow never loads",
+    "planesys.__getattr__": "forwards the two names perfbench/tracer.py spans "
+                            "from prym6.qpath, which no command loads "
+                            "(ROADMAP item 1b)",
+    "planesys.find_unique_common_root": "it runs on prym6.qpath, which no "
+                                        "command loads and which imports "
+                                        "planesys at its top",
+    "planesys.only_known_common_roots": "only exact mode runs prym6.qpath, "
+                                        "which no command loads",
+    "planesys.uni_gcd": "only a gcd over Q runs prym6.qpath, which no "
+                        "command loads",
 }
 
 

@@ -18,6 +18,7 @@ from test_planesys import _rank_mod
 
 from prym6 import chow
 from prym6 import conicbundle as cb
+from prym6 import net as nt
 from prym6 import planesys as ps
 
 
@@ -96,5 +97,5 @@ def test_gamma_has_the_genus_of_its_class(euler, instances):
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_sweep_net_has_the_expected_dimension(P, seed):
     # four fixed lines take 3 conditions each and the point (o, o) one
-    net = cb.sweep(seed, 1)["net"]
+    net = nt.sweep(seed, 1)["net"]
     assert net.system.dim == chow.hrr_chi(P, 2) - 4 * 3 - 1 == 3
