@@ -103,11 +103,11 @@ def cmd_sweep(args) -> int:
     except net.GenericityError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
-    net = report["net"]
+    net_t = report["net"]
     data = {
         "seed": args.seed,
-        "net_dimension": net.system.dim,
-        "base_point": [_frac_json(c) for c in net.o],
+        "net_dimension": net_t.system.dim,
+        "base_point": [_frac_json(c) for c in net_t.o],
         "cubic_node": [_frac_json(c) for c in report["cubic"]["node"]],
         "samples": [
             {

@@ -185,6 +185,17 @@ def line_condition_rows(lf: LineInFiber) -> list[list[int]]:
     return [[u * v for u in X for v in Y] for Y in tables]
 
 
+@lru_cache(maxsize=4)
+def _system_terms(sys: LinearSystem) -> tuple[tuple[int, int, int], ...]:
+    """(monomial, basis vector, coefficient) of each nonzero basis entry of
+    sys: the basis is sparse, and one flat loop over these terms restricts
+    a row or combines a kernel vector.  Cached, so the base system's entries
+    are scanned once per process and a net's once per net, not once per
+    cut; a process cuts at most two systems over and over."""
+    return tuple((i, k, v) for k, vec in enumerate(sys.vectors)
+                 for i, v in enumerate(vec) if v)
+
+
 def _cut(sys: LinearSystem, rows: list[list[int]],
          expected_drop: int, label: str) -> LinearSystem:
     """The members of sys on which every condition row vanishes; the zero
@@ -212,11 +223,7 @@ def _cut(sys: LinearSystem, rows: list[list[int]],
     """
     if sys.dim == 0:
         raise ValueError("cannot impose conditions on the zero system")
-    # (monomial, basis vector, coefficient) of each nonzero basis entry: the
-    # basis is sparse, and one flat loop over it restricts a row or
-    # combines a kernel vector
-    terms = [(i, k, v) for k, vec in enumerate(sys.vectors)
-             for i, v in enumerate(vec) if v]
+    terms = _system_terms(sys)
     restricted = []
     for row in rows:
         acc = [0] * sys.dim
@@ -520,12 +527,14 @@ class ConicBundleInstance(NamedTuple):
         def vec(t):
             return [frac(c) for c in t]
 
+        # Q has den 1 on every instance certify_instance builds: its
+        # numerators are then its coefficients, and no Fraction is built
+        coeffs = self.Q.nums if self.Q.den == 1 else self.Q.terms
         data = {
             "format": "conic-bundle-instance-v1",
             "seed": self.seed,
             "nodes": [vec(p) for p in self.nodes],
-            "coefficients": [[list(e), frac(c)]
-                             for e, c in sorted(self.Q.terms.items())],
+            "coefficients": [[list(e), frac(c)] for e, c in sorted(coeffs.items())],
             "marked_lines": [{"o": vec(lf.o), "dual": vec(lf.dual)}
                              for lf in self.marked_lines],
             "certificates": [

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, index, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -55,17 +55,20 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The result has coprime integer entries and its first nonzero entry is
-    positive, which makes kernel bases deterministic.  A vector of ints is
-    read as it is; any other goes through `integer_numerators`, so a float
-    raises `TypeError`.
+    positive, which makes kernel bases deterministic.  A vector of ints (or
+    bools) goes straight to `math.gcd`, with no check of each entry's type;
+    the `TypeError` that gcd raises on a Fraction or a float sends the
+    vector through `integer_numerators`, so a float still raises
+    `TypeError`.  The zero vector gives int zeros.
     """
-    if all(type(v) is int for v in vector):
+    try:
+        g = gcd(*vector)
         ints = vector
-    else:
+    except TypeError:
         ints, _ = integer_numerators(vector)
-    g = gcd(*ints)
+        g = gcd(*ints)
     if g == 0:
-        return tuple(ints)
+        return (0,) * len(ints)
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
@@ -375,7 +378,8 @@ class QMatrix:
         columns, which is the Bareiss pivot of row k - 1 (1 when k = 0),
         makes every pivot entry x[p] an integer k-minor, and the pivots
         after f read 0.  So back-substitution on the echelon rows divides
-        exactly, and one `primitive` scales the vector.
+        exactly: each pivot entry is one dot product of its row with x past
+        the pivot, over the pivot.  One `primitive` scales the vector.
         """
         nc = self.cols
         echelon, pivots, _ = _bareiss_echelon(self.nums)
@@ -389,10 +393,8 @@ class QMatrix:
             x = [0] * nc
             x[f] = echelon[k - 1][pivots[k - 1]] if k else 1
             for i in range(k - 1, -1, -1):
-                p = pivots[i]
-                row = echelon[i]
-                s = sum(row[j] * x[j] for j in range(p + 1, nc) if x[j])
-                x[p] = -s // row[p]
+                p, row = pivots[i], echelon[i]
+                x[p] = -sum(map(mul, row[p + 1:], x[p + 1:])) // row[p]
             basis.append(primitive(x))
         return basis
 

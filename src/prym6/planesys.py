@@ -38,9 +38,11 @@ field operations, instead of a Sylvester determinant.  `uni_resultants`
 runs many of them as lanes, one per sample point x = 0 .. n - 1 and
 resultant: 52 lanes for a completeness proof's two on a sextic.  Column j
 of a polynomial holds its x3^j coefficient in every lane, so each step of
-the remainder sequences is one list operation across all lanes, and each
-round of remainders costs one ``inv_all``; over GF(p) a round whose
-degrees drop by one is one fused pass per remainder column.
+the remainder sequences is one list operation across all lanes.  Over
+GF(p) a round whose degrees drop by one is one fused pass per remainder
+column on pseudo-remainders, with no inverse, and one ``inv_all`` at the
+end divides out the leading-coefficient powers they scale by; any other
+round costs one ``inv_all``.
 
 Evaluation at the n sample points and interpolation from them are two
 fixed n x n matrices times a vector, built once per field and n by
@@ -60,7 +62,8 @@ q to the x3-levels of the partials of the moved curve at the sample points
 is one fixed linear map per attempt and degree, which `_lane_table` builds
 once as two packed tables: the curve to the moved curve, and the moved
 curve to the levels.  An attempt is then two packed products, read back by
-`_unpack`, and its 52 lanes go to `uni_resultants` as they are.  The exact
+`_unpack`, and its 52 lanes go to the remainder rounds of `uni_resultants`
+as they are: one group whose columns are the x3-levels.  The exact
 proof, `find_unique_common_root` and the gcd over Q take the long way, by
 `p3_linear_change`, `p3_partial` and `resultant_x3` of `prym6.qpath` (the
 Q path), which they load on first use, so no command compiles it.
@@ -201,7 +204,8 @@ def uni_monic(F, a):
 def uni_gcd(F, a, b):
     """The monic gcd of a and b: over Q by `_uni_gcd_q`, over GF(p) by
     Euclid's remainder sequence.  Its normal step, a of degree m + 1 by b of
-    degree m >= 1, is one pass, as the fused round of `uni_resultants`: with
+    degree m >= 1, is one pass, like the fused round of `uni_resultants`
+    but dividing by lc(b): with
     q1 = lc(a) / lc(b) and q0 = (a_m - q1 b_(m-1)) / lc(b), coefficient j of
     the remainder is a_j - q0 b_j - q1 b_(j-1), reduced once."""
     if F is QQ:
@@ -234,67 +238,93 @@ def uni_resultants(F, pairs):
     Res(f, r) = (-1)^(m k) Res(r, f), and a constant f gives f_0^n.
 
     The pairs run as lanes, starting from f, g = b, a.  Lanes with the same
-    (m, n) form a group (lanes, acc, sign, f, g): the index of each lane,
-    the product acc of leading-coefficient powers met so far in each lane,
-    one sign, and f and g as lists of coefficient columns, low degree
-    first, where column j holds the x^j coefficient of every lane.  Each
-    lane's answer is sign * acc * Res(f, g).  Each round divides every
-    group with m > 0, one list operation across its lanes per quotient
-    coefficient and per column of f, with the leading inverses of all
-    dividing lanes from one ``inv_all``.  Over GF(p), a group with
-    m <= n <= m + 1, the normal round of a remainder sequence, is one fused
-    pass: with the quotient coefficients q1 (0 when n = m) and
-    q0 = (g_m - q1 f_(m-1)) / lc(f), remainder column j is
-    g_j - q0 f_j - q1 f_(j-1), one comprehension with one reduction per
-    residue.  When every remainder of a group has degree m - 1, the group
-    goes on whole as (r, f); otherwise its lanes split into one group per
-    remainder degree, and a lane whose remainder is 0 leaves with the
-    answer 0.
+    (m, n) form a group, and `_resultant_rounds` runs the groups.
     """
     by_degrees: dict = {}
     for i, (a, b) in enumerate(pairs):
         by_degrees.setdefault((len(a), len(b)), []).append(i)
-    groups = [(lanes, [F.one] * len(lanes), 1,
-               [list(col) for col in zip(*(pairs[i][1] for i in lanes))],
-               [list(col) for col in zip(*(pairs[i][0] for i in lanes))])
-              for lanes in by_degrees.values()]
-    out = [F.zero] * len(pairs)
+    return _resultant_rounds(F, [
+        (lanes, [F.one] * len(lanes), [F.one] * len(lanes), 1,
+         [list(col) for col in zip(*(pairs[i][1] for i in lanes))],
+         [list(col) for col in zip(*(pairs[i][0] for i in lanes))])
+        for lanes in by_degrees.values()], len(pairs))
+
+
+def _resultant_rounds(F, groups, size: int):
+    """The `size` answers of the lanes of `uni_resultants`, from its groups.
+
+    A group is (lanes, acc, den, sign, f, g): the index of each lane, two
+    products of leading-coefficient powers met so far in each lane, acc and
+    den, one sign, and f and g as lists of coefficient columns, low degree
+    first, where column j holds the x^j coefficient of every lane, with
+    deg f = m and deg g = n in every lane.  Each lane's answer is
+    sign * acc * Res(f, g) / den; the dens of all lanes are inverted by one
+    ``inv_all`` at the end.  `_word_prime_resultants` hands its 2N lanes
+    here as one group.
+
+    Each round divides every group with m > 0; write l = lc(f).  Over GF(p),
+    a group with m <= n <= m + 1, the normal round of a remainder sequence,
+    is one fused pass on pseudo-remainders, with no inverse: with
+    c = n - m + 1 and the scaled quotient coefficients Q1 = l g_n and
+    Q0 = l g_m - g_n f_(m-1) when n = m + 1, Q1 = 0 and Q0 = g_m when
+    n = m, column j of r' = l^c (g mod f) is l^c g_j - Q0 f_j - Q1 f_(j-1),
+    one comprehension with one reduction per residue.  As
+    Res(f, r') = l^(c m) Res(f, r) and Res(f, g) = l^(n - k) Res(f, r) for
+    r of degree k, the lane's den takes l^(c m - n + k), a power at least
+    0.  Any other round (over Q, or a degree gap above 1) divides: one list
+    operation across its lanes per quotient coefficient and per column of
+    f, with the inverses of the group's leading coefficients from one
+    ``inv_all``, and acc takes l^(n - k).  When every remainder of a group
+    has degree m - 1, the group goes on whole as (r, f); otherwise its
+    lanes split into one group per remainder degree, and a lane whose
+    remainder is 0 leaves with the answer 0.
+    """
+    out, dens = [F.zero] * size, [F.one] * size
     while groups:
         dividing = []
-        for lanes, acc, sign, f, g in groups:
+        for lanes, acc, den, sign, f, g in groups:
             if len(f) > 1:
-                dividing.append((lanes, acc, sign, f, g))
+                dividing.append((lanes, acc, den, sign, f, g))
                 continue
             e = len(g) - 1
-            for i, a, c in zip(lanes, acc, f[0]):
-                out[i] = F.reduce(sign * a * c ** e)
-        invs = F.inv_all([v for group in dividing for v in group[3][-1]])
-        groups, start = [], 0
-        for lanes, acc, sign, f, g in dividing:
-            inv = invs[start:start + len(lanes)]
-            start += len(lanes)
+            for i, a, d, c in zip(lanes, acc, den, f[0]):
+                out[i], dens[i] = sign * a * c ** e, d
+        groups = []
+        for lanes, acc, den, sign, f, g in dividing:
             m, n = len(f) - 1, len(g) - 1
-            if m <= n <= m + 1 and isinstance(F, GF):
+            lead = f[-1]
+            fused = m <= n <= m + 1 and isinstance(F, GF)
+            if fused:
                 p, zero = F.p, [0] * len(lanes)
-                q1 = [a * b % p for a, b in zip(g[n], inv)] if n > m else zero
-                q0 = [(a - c * b) * u % p
-                      for a, c, b, u in zip(g[m], q1, f[m - 1], inv)]
-                r = [[(a - c0 * b0 - c1 * b1) % p
-                      for a, c0, b0, c1, b1 in zip(g[j], q0, f[j], q1, below)]
+                if n > m:
+                    q1 = [a * u % p for a, u in zip(g[n], lead)]
+                    q0 = [(a * u - c * b) % p
+                          for a, u, c, b in zip(g[m], lead, g[n], f[m - 1])]
+                    scale = [u * u % p for u in lead]
+                else:
+                    q1, q0, scale = zero, g[m], lead
+                r = [[(s * a - c0 * b0 - c1 * b1) % p
+                      for a, s, c0, b0, c1, b1 in zip(g[j], scale, q0, f[j], q1, below)]
                      for j, below in zip(range(m), [zero] + f)]
             else:
+                inv = F.inv_all(lead)
                 g = list(g)
                 for k in range(n - m, -1, -1):
                     q = F.reduce_all(map(mul, g[k + m], inv))
                     for j in range(m):
                         g[k + j] = [a - c * b for a, c, b in zip(g[k + j], q, f[j])]
                 r = [F.reduce_all(col) for col in g[:m]]
-            lead = f[-1]
+            # r is l^c (g mod f); a remainder of degree k puts l^t, for
+            # t = n - k - c m, in acc when t > 0 and l^-t in den when t < 0
+            c = n - m + 1 if fused else 0
             if len(r) == m and F.zero not in r[-1]:
                 # k = m - 1 in every lane; (-1)^(m (m - 1)) = 1
-                e = n - m + 1
-                acc = F.reduce_all([a * c ** e for a, c in zip(acc, lead)])
-                groups.append((lanes, acc, sign, r, f))
+                t = n - m + 1 - c * m
+                if t > 0:
+                    acc = F.reduce_all([a * u ** t for a, u in zip(acc, lead)])
+                elif t < 0:
+                    den = F.reduce_all([d * u ** -t for d, u in zip(den, lead)])
+                groups.append((lanes, acc, den, sign, r, f))
                 continue
             by_degree: dict = {}
             for pos, i in enumerate(lanes):
@@ -306,12 +336,14 @@ def uni_resultants(F, pairs):
                 else:
                     by_degree.setdefault(k, []).append(pos)
             for k, kept in by_degree.items():
+                t = n - k - c * m
                 groups.append(([lanes[p] for p in kept],
-                               [F.reduce(acc[p] * lead[p] ** (n - k)) for p in kept],
+                               [F.reduce(acc[p] * lead[p] ** max(t, 0)) for p in kept],
+                               [F.reduce(den[p] * lead[p] ** max(-t, 0)) for p in kept],
                                sign * (-1) ** (m * k),
                                [[col[p] for p in kept] for col in r[:k + 1]],
                                [[col[p] for p in kept] for col in f]))
-    return out
+    return F.reduce_all(map(mul, out, F.inv_all(dens)))
 
 
 def _packs(F, terms: int) -> bool:
@@ -364,7 +396,7 @@ def _sample_maps(F, n: int):
     rows = ([F.reduce_all(x ** e for e in range(n)) for x in range(n)],
             [F.reduce_all(v * inv for v in row) for row in zip(*numerators)])
     if _packs(F, n):
-        return tuple(tuple(sum(c << 64 * i for i, c in enumerate(col))
+        return tuple(tuple(int.from_bytes(struct.pack("<%dQ" % n, *col), "little")
                            for col in zip(*m)) for m in rows)
     return tuple(tuple(map(tuple, m)) for m in rows)
 
@@ -620,8 +652,12 @@ def _word_prime_resultants(curve, rng: random.Random):
         levels = _levels_at_samples(i, reduced)
         if not all(levels[j * n + n - 1][0] for j in range(3)):
             continue  # a leading x3 coefficient is 0
-        c0, c1, c2 = (list(zip(*levels[j * n:j * n + n])) for j in range(3))
-        values = uni_resultants(F, [*zip(c0, c1), *zip(c0, c2)])
+        # Res(c0, c1) and Res(c0, c2) at the N samples: one group of 2N
+        # lanes, all of degrees (n - 1, n - 1), its columns the x3-levels
+        values = _resultant_rounds(F, [(
+            range(2 * N), [1] * (2 * N), [1] * (2 * N), 1,
+            [levels[n + e] + levels[2 * n + e] for e in range(n)],
+            [levels[e] * 2 for e in range(n)])], 2 * N)
         yield F, uni_interpolate(F, values[:N]), uni_interpolate(F, values[N:])
 
 

@@ -254,6 +254,16 @@ class TestRiemannRoch:
         assert chow.hrr_chi(P, -2) == 0
         assert chow.hrr_chi(P, -4) == 5
 
+    def test_chi_closed_form(self, P):
+        # chi(S, Sym^d M) from c1(M)^2 = 5, c2(M) = 3 and chi(O_S) = 1:
+        # N [1 + 5d/6 - d(d+1)/12 + d(d-1)/4] with N = (d+1)(d+2)/2
+        values = [chow.hrr_chi(P, d) for d in range(-4, 7)]
+        assert values == [(d + 1) * (d + 2) / Fraction(2)
+                          * (1 + Fraction(5 * d, 6) - Fraction(d * (d + 1), 12)
+                             + Fraction(d * (d - 1), 4))
+                          for d in range(-4, 7)]
+        assert values == [5, 1, 0, 0, 1, 5, 16, 40, 85, 161, 280]
+
     def test_non_integer_twist_raises(self, P):
         # the Hilbert polynomial has values off the integers (155/64 at
         # 1/2), but O_P(d) is a sheaf only for an int d; a bool is no twist

@@ -343,6 +343,27 @@ class TestZeta:
                 y = tuple(a + t * b for a, b in zip(p, q))
                 assert Q.evaluate({"x": lf.o, "y": y}) == 0
 
+    def test_base_system_terms_are_scanned_once(self):
+        # a cut reads the (monomial, vector, coefficient) terms of its system
+        # from a cache: three instances scan the base system's once, and the
+        # cache is bounded, since it is keyed on any system that is cut
+        cb._system_terms.cache_clear()
+        for seed in (1, 2, 3):
+            cb.construct_instance(seed)
+        info = cb._system_terms.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 2
+        assert type(info.maxsize) is int and info.maxsize > 0
+
+    def test_net_terms_are_scanned_once_per_net(self):
+        # sweep cuts the base system once for the net, then the net once
+        # per pencil line: two scans, whatever the number of samples
+        cb._system_terms.cache_clear()
+        report = nt.sweep(7, 3)
+        info = cb._system_terms.cache_info()
+        assert info.misses == 2
+        assert info.hits >= len(report["samples"]) - 1
+
     def test_repeated_line_gives_kernel_four(self):
         lines, _ = lines_for(106)
         repeated = [lines[0], lines[0], lines[1], lines[2], lines[3]]
@@ -883,6 +904,16 @@ class TestInstancePipeline:
         assert again.to_json() == text
         assert again.Q == inst.Q
         json.loads(text)  # valid JSON
+
+    def test_coefficients_are_written_as_reduced_fractions(self):
+        # Q of den 1 is written from its numerators; a Q of another den,
+        # which no certified instance has, still gets each coefficient as
+        # its reduced Fraction
+        inst = cb.construct_instance(5)
+        for Q in (inst.Q, inst.Q * Fraction(2, 3)):
+            written = json.loads(inst._replace(Q=Q).to_json())["coefficients"]
+            assert written == [[list(e), [c.numerator, c.denominator]]
+                               for e, c in sorted(Q.terms.items())]
 
     @pytest.mark.parametrize("seed", ["abc", 2.0, True])
     def test_seed_that_from_json_refuses_is_rejected(self, seed):

@@ -376,6 +376,22 @@ class TestRejectsFloats:
             FLOAT_ENTRY_POINTS[entry]()
 
 
+def type_checked_primitive(vector):
+    """`primitive` as it was before int vectors went straight to gcd: a
+    vector of ints only if every entry's type is int, any other through
+    `integer_numerators`."""
+    if all(type(v) is int for v in vector):
+        ints = vector
+    else:
+        ints, _ = integer_numerators(vector)
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
 class TestPrimitive:
     def test_basic(self):
         assert primitive((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
@@ -383,9 +399,37 @@ class TestPrimitive:
         assert primitive((0, 0)) == (0, 0)
 
     def test_float_entry_raises_among_ints(self):
-        # the all-int path checks the type of every entry, not the first
+        # gcd refuses the float wherever it sits, and the rational path
+        # that the refusal sends it to rejects it
         with pytest.raises(TypeError):
             primitive((2, 4.0, 6))
+        for vec in ([1.5], [0.0, 0.0], (3, 0, 2.0)):
+            with pytest.raises(TypeError):
+                primitive(vec)
+
+    def test_zero_vector_gives_ints(self):
+        # gcd takes bools, but a zero vector of them still gives int zeros
+        for vec in ([False, False], (0, 0, 0), [Fraction(0)]):
+            out = primitive(vec)
+            assert out == (0,) * len(vec)
+            assert all(type(v) is int for v in out)
+        assert primitive([True, False, True]) == (1, 0, 1)
+        assert primitive([]) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-2 ** 70, 2 ** 70) | st.just(0), max_size=8),
+        st.lists(st.integers(-3, 3), max_size=5),
+        st.lists(st.booleans(), max_size=6),
+        st.lists(small_fracs, max_size=6),
+        st.lists(st.integers(-99, 99) | small_fracs, max_size=6)))
+    def test_matches_the_type_checked_implementation(self, vec):
+        # int vectors go straight to gcd: the same result, of int entries,
+        # as checking every entry's type first (zeros, negatives, entries
+        # above 2^64, bools and Fractions)
+        out = primitive(vec)
+        assert out == type_checked_primitive(vec)
+        assert all(type(v) is int for v in out)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-60, 60), min_size=1, max_size=6))

@@ -905,25 +905,26 @@ class TestOnlyKnownCommonRoots:
             False, list(ps.WORD_PRIMES))
 
     def test_one_resultant_batch_per_attempt(self, monkeypatch):
-        # Res(c0, c1) and Res(c0, c2) run as one call, at each of the eight
-        # attempts of a rejected proof: the quartic's partials are cubics,
-        # so each resultant is 3 * 3 + 1 = 10 sample lanes of the batch,
-        # read back by one interpolation each
-        calls, batch = [], ps.uni_resultants
+        # Res(c0, c1) and Res(c0, c2) run as one call of the remainder
+        # rounds, one group of lanes, at each of the eight attempts of a
+        # rejected proof: the quartic's partials are cubics, so each
+        # resultant is 3 * 3 + 1 = 10 sample lanes of the batch, read back
+        # by one interpolation each
+        calls, batch = [], ps._resultant_rounds
         reads, interpolate = [], ps.uni_interpolate
 
-        def spy(F, pairs):
-            calls.append((F.p, len(pairs)))
-            return batch(F, pairs)
+        def spy(F, groups, size):
+            calls.append((F.p, [len(group[0]) for group in groups], size))
+            return batch(F, groups, size)
 
         def spy_reads(F, ys):
             reads.append(len(ys))
             return interpolate(F, ys)
-        monkeypatch.setattr(ps, "uni_resultants", spy)
+        monkeypatch.setattr(ps, "_resultant_rounds", spy)
         monkeypatch.setattr(ps, "uni_interpolate", spy_reads)
         assert not ps.only_known_common_roots(_integer(_two_conics()), 2,
                                               random.Random(4))
-        assert calls == [(q, 2 * 10) for q in ps.WORD_PRIMES]
+        assert calls == [(q, [2 * 10], 2 * 10) for q in ps.WORD_PRIMES]
         assert reads == [10] * (2 * len(ps.WORD_PRIMES))
 
     def test_curve_that_vanishes_mod_the_first_prime(self, monkeypatch):
@@ -945,12 +946,12 @@ class TestOnlyKnownCommonRoots:
         A = [[sum(B[r][k] * m0_inv[k][c] for k in range(3)) % q0 for c in range(3)]
              for r in range(3)]
         curve = _integer(qp.p3_linear_change(ps.QQ, _two_conics(), A))
-        batches, batch = [], ps.uni_resultants
+        batches, batch = [], ps._resultant_rounds
 
-        def spy(F, pairs):
+        def spy(F, groups, size):
             batches.append(F.p)
-            return batch(F, pairs)
-        monkeypatch.setattr(ps, "uni_resultants", spy)
+            return batch(F, groups, size)
+        monkeypatch.setattr(ps, "_resultant_rounds", spy)
         assert self.primes_tried(monkeypatch, curve, 4, 4) == (
             True, list(ps.WORD_PRIMES[:2]))
         assert batches == [ps.WORD_PRIMES[1]]
@@ -1389,11 +1390,11 @@ def test_construct_proofs_accept_at_the_first_attempt(monkeypatch):
     # spies go in, so that the draws counted are the caller's alone
     ps._lane_table(0, 6)
     proofs, calls, draws = [], [], []
-    batch, change, prove = ps.uni_resultants, ps._random_invertible, cb.only_known_common_roots
+    batch, change, prove = ps._resultant_rounds, ps._random_invertible, cb.only_known_common_roots
 
-    def count_batches(F, pairs):
+    def count_batches(F, groups, size):
         calls.append(F.p)
-        return batch(F, pairs)
+        return batch(F, groups, size)
 
     def count_draws(F, draw):
         def counted():
@@ -1407,7 +1408,7 @@ def test_construct_proofs_accept_at_the_first_attempt(monkeypatch):
         accepted = prove(curve, k, rng, exact)
         proofs.append((accepted, list(calls), len(draws)))
         return accepted
-    monkeypatch.setattr(ps, "uni_resultants", count_batches)
+    monkeypatch.setattr(ps, "_resultant_rounds", count_batches)
     monkeypatch.setattr(ps, "_random_invertible", count_draws)
     monkeypatch.setattr(cb, "only_known_common_roots", spy)
     for seed in range(1, 21):
