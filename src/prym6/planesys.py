@@ -21,28 +21,30 @@ monomials with x1^e1 form one run of n - e1 + 1 entries, x1^n first, with
 x3^e3 at offset e3.  Univariate polynomials are coefficient lists, low
 degree first.
 
-A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all``,
-``inv`` and ``inv_all``; sums and products are Python's own operators on
-its elements.  ``reduce`` maps such a sum or product back to a field
-element: ``v % p`` over GF(p), the identity over Q; ``reduce_all`` does so
-for a whole list.  Reduction is lazy: a kernel sums unreduced products and
-reduces each coefficient once, before it compares it with ``zero``,
-returns it or uses it as a key.
-``inv_all`` inverts a whole list: over GF(p) by Montgomery's trick, one
-modular inverse and three products per entry, since an inverse mod p costs
-about as much as sixteen products.
+A field object supplies ``zero``, ``one``, ``reduce``, ``reduce_all`` and
+``inv``, and GF(p) also ``inv_all``; sums and products are Python's own
+operators on its elements.  ``reduce`` maps such a sum or product back to a
+field element: ``v % p`` over GF(p), the identity over Q; ``reduce_all``
+does so for a whole list.  Reduction is lazy: a kernel sums unreduced
+products and reduces each coefficient once, before it compares it with
+``zero``, returns it or uses it as a key.
+``inv_all`` inverts a whole list by Montgomery's trick, one modular inverse
+and three products per entry, since an inverse mod p costs about as much as
+sixteen products.
 
 A resultant is computed by the Euclidean remainder sequence,
 Res(b, a) = lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, in O(deg^2)
-field operations, instead of a Sylvester determinant.  `uni_resultants`
-runs many of them as lanes, one per sample point x = 0 .. n - 1 and
-resultant: 52 lanes for a completeness proof's two on a sextic.  Column j
-of a polynomial holds its x3^j coefficient in every lane, so each step of
-the remainder sequences is one list operation across all lanes.  Over
-GF(p) a round whose degrees drop by one is one fused pass per remainder
-column on pseudo-remainders, with no inverse, and one ``inv_all`` at the
-end divides out the leading-coefficient powers they scale by; any other
-round costs one ``inv_all``.
+field operations, instead of a Sylvester determinant: `uni_resultant` for
+one pair, over any field.  Over GF(p), `_resultant_rounds` runs many of
+them as lanes, one per sample point x = 0 .. n - 1 and resultant: 52 lanes
+for a completeness proof's two on a sextic.  Column j of a polynomial holds
+its x3^j coefficient in every lane, so each step of the remainder sequences
+is one list operation across all lanes.  Its one round type is the normal
+round, whose degrees drop by one: one fused pass per remainder column on
+pseudo-remainders, with no inverse, and one ``inv_all`` at the end divides
+out the leading-coefficient powers they scale by.  A lane whose remainder
+drops further, rare on the proofs' curves, leaves the batch for
+`uni_resultant`.
 
 Evaluation at the n sample points and interpolation from them are two
 fixed n x n matrices times a vector, built once per field and n by
@@ -62,11 +64,11 @@ q to the x3-levels of the partials of the moved curve at the sample points
 is one fixed linear map per attempt and degree, which `_lane_table` builds
 once as two packed tables: the curve to the moved curve, and the moved
 curve to the levels.  An attempt is then two packed products, read back by
-`_unpack`, and its 52 lanes go to the remainder rounds of `uni_resultants`
-as they are: one group whose columns are the x3-levels.  The exact
-proof, `find_unique_common_root` and the gcd over Q take the long way, by
-`p3_linear_change`, `p3_partial` and `resultant_x3` of `prym6.qpath` (the
-Q path), which they load on first use, so no command compiles it.
+`_unpack`, and its 52 lanes go to `_resultant_rounds` as they are: their
+columns are the x3-levels.  The exact proof, `find_unique_common_root` and
+the gcd over Q take the long way, by `p3_linear_change`, `p3_partial` and
+`resultant_x3` of `prym6.qpath` (the Q path), which they load on first
+use, so no command compiles it.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ class QQ:
     @staticmethod
     def inv(a):
         return Fraction(1) / a
-
-    @staticmethod
-    def inv_all(values):
-        return [Fraction(1) / a for a in values]
 
     @staticmethod
     def random_element(rng: random.Random):
@@ -204,7 +202,7 @@ def uni_monic(F, a):
 def uni_gcd(F, a, b):
     """The monic gcd of a and b: over Q by `_uni_gcd_q`, over GF(p) by
     Euclid's remainder sequence.  Its normal step, a of degree m + 1 by b of
-    degree m >= 1, is one pass, like the fused round of `uni_resultants`
+    degree m >= 1, is one pass, like the fused round of `_resultant_rounds`
     but dividing by lc(b): with
     q1 = lc(a) / lc(b) and q0 = (a_m - q1 b_(m-1)) / lc(b), coefficient j of
     the remainder is a_j - q0 b_j - q1 b_(j-1), reduced once."""
@@ -227,123 +225,78 @@ def uni_gcd(F, a, b):
     return uni_monic(F, a)
 
 
-def uni_resultants(F, pairs):
-    """Determinant of the low-first Sylvester matrix of each pair (a, b).
+def uni_resultant(F, a, b):
+    """Determinant of the low-first Sylvester matrix of (a, b).
 
     That matrix has deg b rows a_0 .. a_n and deg a rows b_0 .. b_m, each
     shifted one column right of the row before, and its determinant is
-    (-1)^(deg a deg b) Res(a, b) = Res(b, a).  Each a and b is nonzero and
-    trimmed.  With r = g mod f of degree k, Res(f, g) = lc(f)^(n - k)
-    Res(f, r) for m = deg f and n = deg g, Res(f, 0) = 0 for m > 0,
+    (-1)^(deg a deg b) Res(a, b) = Res(b, a).  a and b are nonzero and
+    trimmed.  Euclid's remainder sequence from f, g = b, a: with
+    r = g mod f of degree k, Res(f, g) = lc(f)^(n - k) Res(f, r) for
+    m = deg f and n = deg g, Res(f, 0) = 0 for m > 0,
     Res(f, r) = (-1)^(m k) Res(r, f), and a constant f gives f_0^n.
-
-    The pairs run as lanes, starting from f, g = b, a.  Lanes with the same
-    (m, n) form a group, and `_resultant_rounds` runs the groups.
     """
-    by_degrees: dict = {}
-    for i, (a, b) in enumerate(pairs):
-        by_degrees.setdefault((len(a), len(b)), []).append(i)
-    return _resultant_rounds(F, [
-        (lanes, [F.one] * len(lanes), [F.one] * len(lanes), 1,
-         [list(col) for col in zip(*(pairs[i][1] for i in lanes))],
-         [list(col) for col in zip(*(pairs[i][0] for i in lanes))])
-        for lanes in by_degrees.values()], len(pairs))
+    f, g, acc = b, a, F.one
+    while len(f) > 1:
+        r = uni_divmod(F, g, f)[1]
+        if not r:
+            return F.zero
+        m, n, k = len(f) - 1, len(g) - 1, len(r) - 1
+        acc = F.reduce(acc * f[-1] ** (n - k) * (-1) ** (m * k))
+        f, g = r, f
+    return F.reduce(acc * f[0] ** (len(g) - 1))
 
 
-def _resultant_rounds(F, groups, size: int):
-    """The `size` answers of the lanes of `uni_resultants`, from its groups.
+def _resultant_rounds(F, f, g):
+    """Res(f, g) in each lane over GF(p), for f and g as lists of
+    coefficient columns, low degree first, where column j holds the x^j
+    coefficient of every lane, with deg f = m and m <= deg g = n <= m + 1
+    in every lane.  `_word_prime_resultants` hands its 2N lanes here.
 
-    A group is (lanes, acc, den, sign, f, g): the index of each lane, two
-    products of leading-coefficient powers met so far in each lane, acc and
-    den, one sign, and f and g as lists of coefficient columns, low degree
-    first, where column j holds the x^j coefficient of every lane, with
-    deg f = m and deg g = n in every lane.  Each lane's answer is
-    sign * acc * Res(f, g) / den; the dens of all lanes are inverted by one
-    ``inv_all`` at the end.  `_word_prime_resultants` hands its 2N lanes
-    here as one group.
-
-    Each round divides every group with m > 0; write l = lc(f).  Over GF(p),
-    a group with m <= n <= m + 1, the normal round of a remainder sequence,
-    is one fused pass on pseudo-remainders, with no inverse: with
+    Each round is the normal round of a remainder sequence, one fused pass
+    on pseudo-remainders with no inverse: write l = lc(f); with
     c = n - m + 1 and the scaled quotient coefficients Q1 = l g_n and
     Q0 = l g_m - g_n f_(m-1) when n = m + 1, Q1 = 0 and Q0 = g_m when
     n = m, column j of r' = l^c (g mod f) is l^c g_j - Q0 f_j - Q1 f_(j-1),
-    one comprehension with one reduction per residue.  As
-    Res(f, r') = l^(c m) Res(f, r) and Res(f, g) = l^(n - k) Res(f, r) for
-    r of degree k, the lane's den takes l^(c m - n + k), a power at least
-    0.  Any other round (over Q, or a degree gap above 1) divides: one list
-    operation across its lanes per quotient coefficient and per column of
-    f, with the inverses of the group's leading coefficients from one
-    ``inv_all``, and acc takes l^(n - k).  When every remainder of a group
-    has degree m - 1, the group goes on whole as (r, f); otherwise its
-    lanes split into one group per remainder degree, and a lane whose
-    remainder is 0 leaves with the answer 0.
+    one comprehension with one reduction per residue.  Where r' has degree
+    m - 1, Res(f, g) = l^(n - m + 1) Res(f, r' / l^c) = Res(r', f) / l^t
+    for t = c m - n + m - 1 >= 0, as (-1)^(m (m - 1)) = 1, so the lane's den
+    takes l^t and the lane goes on as (r', f), of degrees (m - 1, m).  A
+    lane whose remainder has lower degree leaves the batch and takes the
+    `uni_resultant` of its original pair.  Once f is a constant f_0, a lane
+    answers f_0^n / den, the dens inverted by one ``inv_all`` at the end.
     """
-    out, dens = [F.zero] * size, [F.one] * size
-    while groups:
-        dividing = []
-        for lanes, acc, den, sign, f, g in groups:
-            if len(f) > 1:
-                dividing.append((lanes, acc, den, sign, f, g))
-                continue
-            e = len(g) - 1
-            for i, a, d, c in zip(lanes, acc, den, f[0]):
-                out[i], dens[i] = sign * a * c ** e, d
-        groups = []
-        for lanes, acc, den, sign, f, g in dividing:
-            m, n = len(f) - 1, len(g) - 1
-            lead = f[-1]
-            fused = m <= n <= m + 1 and isinstance(F, GF)
-            if fused:
-                p, zero = F.p, [0] * len(lanes)
-                if n > m:
-                    q1 = [a * u % p for a, u in zip(g[n], lead)]
-                    q0 = [(a * u - c * b) % p
-                          for a, u, c, b in zip(g[m], lead, g[n], f[m - 1])]
-                    scale = [u * u % p for u in lead]
-                else:
-                    q1, q0, scale = zero, g[m], lead
-                r = [[(s * a - c0 * b0 - c1 * b1) % p
-                      for a, s, c0, b0, c1, b1 in zip(g[j], scale, q0, f[j], q1, below)]
-                     for j, below in zip(range(m), [zero] + f)]
-            else:
-                inv = F.inv_all(lead)
-                g = list(g)
-                for k in range(n - m, -1, -1):
-                    q = F.reduce_all(map(mul, g[k + m], inv))
-                    for j in range(m):
-                        g[k + j] = [a - c * b for a, c, b in zip(g[k + j], q, f[j])]
-                r = [F.reduce_all(col) for col in g[:m]]
-            # r is l^c (g mod f); a remainder of degree k puts l^t, for
-            # t = n - k - c m, in acc when t > 0 and l^-t in den when t < 0
-            c = n - m + 1 if fused else 0
-            if len(r) == m and F.zero not in r[-1]:
-                # k = m - 1 in every lane; (-1)^(m (m - 1)) = 1
-                t = n - m + 1 - c * m
-                if t > 0:
-                    acc = F.reduce_all([a * u ** t for a, u in zip(acc, lead)])
-                elif t < 0:
-                    den = F.reduce_all([d * u ** -t for d, u in zip(den, lead)])
-                groups.append((lanes, acc, den, sign, r, f))
-                continue
-            by_degree: dict = {}
-            for pos, i in enumerate(lanes):
-                k = len(r) - 1
-                while k >= 0 and r[k][pos] == F.zero:
-                    k -= 1
-                if k < 0:
-                    out[i] = F.zero
-                else:
-                    by_degree.setdefault(k, []).append(pos)
-            for k, kept in by_degree.items():
-                t = n - k - c * m
-                groups.append(([lanes[p] for p in kept],
-                               [F.reduce(acc[p] * lead[p] ** max(t, 0)) for p in kept],
-                               [F.reduce(den[p] * lead[p] ** max(-t, 0)) for p in kept],
-                               sign * (-1) ** (m * k),
-                               [[col[p] for p in kept] for col in r[:k + 1]],
-                               [[col[p] for p in kept] for col in f]))
-    return F.reduce_all(map(mul, out, F.inv_all(dens)))
+    p, size, f0, g0 = F.p, len(f[0]), f, g
+    out, lanes, den = [0] * size, range(size), [1] * size
+    while len(f) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        lead, zero = f[-1], [0] * len(lanes)
+        if n > m:
+            q1 = [a * u % p for a, u in zip(g[n], lead)]
+            q0 = [(a * u - c * b) % p
+                  for a, u, c, b in zip(g[m], lead, g[n], f[m - 1])]
+            scale = [u * u % p for u in lead]
+        else:
+            q1, q0, scale = zero, g[m], lead
+        r = [[(s * a - c0 * b0 - c1 * b1) % p
+              for a, s, c0, b0, c1, b1 in zip(g[j], scale, q0, f[j], q1, below)]
+             for j, below in zip(range(m), [zero] + f)]
+        t = (n - m + 1) * m - n + m - 1
+        if t:
+            den = [d * u ** t % p for d, u in zip(den, lead)]
+        if 0 in r[-1]:
+            for i, v in zip(lanes, r[-1]):
+                if not v:
+                    out[i] = uni_resultant(F, [col[i] for col in g0],
+                                           [col[i] for col in f0])
+            kept = [pos for pos, v in enumerate(r[-1]) if v]
+            lanes, den = [lanes[pos] for pos in kept], [den[pos] for pos in kept]
+            r, f = ([[col[pos] for pos in kept] for col in h] for h in (r, f))
+        f, g = r, f
+    e = len(g) - 1
+    for i, c, v in zip(lanes, f[0], F.inv_all(den)):
+        out[i] = c ** e * v % p
+    return out
 
 
 def _packs(F, terms: int) -> bool:
@@ -652,12 +605,11 @@ def _word_prime_resultants(curve, rng: random.Random):
         levels = _levels_at_samples(i, reduced)
         if not all(levels[j * n + n - 1][0] for j in range(3)):
             continue  # a leading x3 coefficient is 0
-        # Res(c0, c1) and Res(c0, c2) at the N samples: one group of 2N
-        # lanes, all of degrees (n - 1, n - 1), its columns the x3-levels
-        values = _resultant_rounds(F, [(
-            range(2 * N), [1] * (2 * N), [1] * (2 * N), 1,
-            [levels[n + e] + levels[2 * n + e] for e in range(n)],
-            [levels[e] * 2 for e in range(n)])], 2 * N)
+        # Res(c0, c1) and Res(c0, c2) at the N samples: 2N lanes, all of
+        # degrees (n - 1, n - 1), their columns the x3-levels
+        values = _resultant_rounds(
+            F, [levels[n + e] + levels[2 * n + e] for e in range(n)],
+            [levels[e] * 2 for e in range(n)])
         yield F, uni_interpolate(F, values[:N]), uni_interpolate(F, values[N:])
 
 

@@ -8,11 +8,11 @@ lists of `prym6.planesys`, and the field is passed explicitly, Q or GF(q).
 
 `resultant_x3` finds the bivariate resultants of one f and several g by
 evaluation at the fixed sample points x = 0 .. n - 1 and interpolation, one
-lane per sample and g: 52 lanes for a completeness proof's two on a sextic,
-which run as one `uni_resultants` call.  The exact proof moves the curve by
-a random change of coordinates over Q with `p3_linear_change`, takes its
-partials with `p3_partial` and eliminates x3 with `resultant_x3`, the long
-way round the word-prime proof's packed maps; its gcd over Q is a
+`uni_resultant` call per sample and g: 52 for a completeness proof's two on
+a sextic.  The exact proof moves the curve by a random change of
+coordinates over Q with `p3_linear_change`, takes its partials with
+`p3_partial` and eliminates x3 with `resultant_x3`, the long way round the
+word-prime proof's packed maps and lane rounds; its gcd over Q is a
 primitive pseudo-remainder sequence over Z (`_uni_gcd_q`).
 """
 
@@ -26,7 +26,7 @@ from .exactalg import primitive
 from .planesys import (QQ, _TRIES, _random_invertible, _reduced, _sample_maps,
                        _times, monomials_of_degree, p3_degree, p3_weights,
                        uni_degree, uni_divmod, uni_gcd, uni_interpolate,
-                       uni_monic, uni_resultants)
+                       uni_monic, uni_resultant)
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -170,9 +170,9 @@ def resultant_x3(F, f, gs):
     a univariate polynomial in x1 of degree at most d1*d2; its value at each
     sample x1 = 0 .. d1*d2 is the low-first Sylvester determinant in x3.
     `_tower_at_samples` evaluates each x3-level at all samples at once, f's
-    once for all gs, one matrix product per level.  All
-    len(gs) * (d1*d2 + 1) sample resultants run as lanes of one
-    `uni_resultants` call; `uni_interpolate` reads each g's slice.
+    once for all gs, one matrix product per level.  Each sample pair's
+    resultant is one `uni_resultant` call, and `uni_interpolate` reads each
+    g's values.
     """
     tf, tgs = _x3_tower(F, f), [_x3_tower(F, g) for g in gs]
     if (len({len(t) for t in tgs}) != 1
@@ -181,9 +181,9 @@ def resultant_x3(F, f, gs):
                          "coefficient that is not a nonzero constant")
     n = (len(tf) - 1) * (len(tgs[0]) - 1) + 1
     at_f = _tower_at_samples(F, tf, n)
-    values = uni_resultants(F, [pair for t in tgs
-                                for pair in zip(at_f, _tower_at_samples(F, t, n))])
-    return [uni_interpolate(F, values[i:i + n]) for i in range(0, len(values), n)]
+    return [uni_interpolate(F, [uni_resultant(F, a, b)
+                                for a, b in zip(at_f, _tower_at_samples(F, t, n))])
+            for t in tgs]
 
 
 def _mat3_apply(F, m, v):

@@ -1119,6 +1119,79 @@ class TestInstancePipeline:
             cb.construct_instance(1, line_sampler=lambda rng: fixed)
 
 
+#: generators of the S4 inside GL3(Z) that permutes `STANDARD_NODES`: the
+#: swap of e0 and e1, the 3-cycle e0 -> e1 -> e2 -> e0, and M, which swaps
+#: e0 and (1, 1, 1) and sends e1 and e2 to their negatives
+S4_GENERATORS = {
+    "swap": ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    "cycle": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    "M": ((1, 0, 0), (1, -1, 0), (1, 0, -1)),
+}
+
+
+def _apply(M, v):
+    return tuple(sum(map(mul, row, v)) for row in M)
+
+
+def _inverse_transpose(M):
+    """M^-T of an integer matrix of determinant +-1: its rows are the cross
+    products of the rows of M, over the determinant."""
+    det = sum(map(mul, M[0], ps._cross(M[1], M[2])))
+    return tuple(tuple(c // det for c in ps._cross(M[(i + 1) % 3], M[(i + 2) % 3]))
+                 for i in range(3))
+
+
+def _substituted(terms, N):
+    """A form on the monomials of `XY_BLOCKS`, exponent tuples to ints, at
+    (N x, N y): each x_i and y_i becomes the linear form of row i of N, and
+    the products are expanded term by term."""
+    out = {}
+    for e, c in terms.items():
+        poly = {(0,) * 6: c}
+        for k, power in enumerate(e):
+            row, block = N[k % 3], k - k % 3
+            for _ in range(power):
+                step = {}
+                for f, v in poly.items():
+                    for j, a in enumerate(row):
+                        g = f[:block + j] + (f[block + j] + 1,) + f[block + j + 1:]
+                        step[g] = step.get(g, 0) + a * v
+                poly = step
+        for f, v in poly.items():
+            out[f] = out.get(f, 0) + v
+    return out
+
+
+class TestNodeSymmetry:
+    """(x, y) -> (M x, M y), for M in the S4 that permutes the four nodes,
+    maps the construction to itself: an oracle with no second
+    implementation."""
+
+    @pytest.mark.parametrize("name", S4_GENERATORS)
+    def test_moved_lines_give_the_moved_instance(self, name):
+        # lines go (o, dual) -> (M o, M^-T dual), Q to Q o M^-1, and the
+        # fiber singular point y at a node u to M y at the node M u
+        M = S4_GENERATORS[name]
+        M_inv_T = _inverse_transpose(M)
+        M_inv = tuple(zip(*M_inv_T))
+        image_of = [next(k for k, v in enumerate(cb.STANDARD_NODES)
+                         if not any(ps._cross(v, _apply(M, u))))
+                    for u in cb.STANDARD_NODES]
+        assert sorted(image_of) == [0, 1, 2, 3]
+        for seed in range(1, 11):
+            inst = cb.construct_instance(seed)
+            lines = [cb.LineInFiber(_apply(M, lf.o), _apply(M_inv_T, lf.dual))
+                     for lf in inst.marked_lines]
+            Q, _ = cb.zeta(lines)
+            moved = _substituted(inst.Q.nums, M_inv)
+            assert Q.den == 1
+            assert ([Q.nums.get(e, 0) for e in cb.XY_MONOMIALS]
+                    == list(primitive([moved.get(e, 0) for e in cb.XY_MONOMIALS]))), seed
+            image = cb.certify_instance(Q, lines, random.Random(seed))
+            for k, y in zip(image_of, inst.fiber_singular_points):
+                assert image.fiber_singular_points[k] == primitive(_apply(M, y)), seed
+
+
 def _plane_variables():
     return [MultiPoly.from_ints(X, {unit: 1})
             for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
